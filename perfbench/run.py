@@ -9,12 +9,13 @@ operation is a ``dosc.cli.main([...])`` call on a generated config, or
 for ``oracle_evolve`` the library path of ``scripts/relaxation_demo.py``.
 Every output is checked (see ``checks.py``).
 
-The workload's fixed batch runs once, and again while the next pass
-still fits in ``--seconds``.  ``--trace 0`` reports the end-to-end
-metrics.  ``--trace 1`` runs one untraced pass, then one pass with the
-per-layer spans of ``tracer.py`` installed, and reports the per-layer
-metrics.  ``--smoke`` shrinks every workload to a few seconds, for the
-benchmark's own tests.
+``--trace 0`` runs the workload's fixed batch a fixed number of times
+(``--seconds`` over the workload's nominal pass length) and reports the
+end-to-end metrics.  The set-up interpreters it times are spread over
+the whole run.  ``--trace 1`` runs every operation of one pass twice,
+untraced and with the per-layer spans of ``tracer.py`` installed, in
+alternating order, and reports the per-layer metrics.  ``--smoke``
+shrinks every workload to a few seconds, for the benchmark's own tests.
 
 Human-readable lines go to stdout first; the last line is one JSON
 object: {"correct", "attempted", "failed", "metrics"}.  A run record
@@ -58,27 +59,19 @@ E2E_METRICS = {
     "peak_rss_mb": "MB",
 }
 
-SETUP_REPEATS = 3
+# fresh interpreters timed for setup_s in a --trace 0 run
+SETUP_SPAWNS = 7
+# nominal seconds of one pass on the reference machine (see README.md);
+# a run makes max(1, --seconds // this) passes, whatever the machine speed
+PASS_SECONDS = {"sweep": 30.0, "oracle_compare": 15.0, "oracle_evolve": 15.0}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "DOSC_THREADS")
 
-# a fresh interpreter importing the CLI plus what its commands import lazily
-SETUP_CODE = """\
-import sys
-sys.path.insert(0, sys.argv[1])
-sys.path.insert(0, sys.argv[2])
-import run
-run.import_cli_stack()
-"""
-
-
-def import_cli_stack() -> None:
-    import dosc.cli  # noqa: F401
-    for name in ("fano", "groundstate", "dynamics", "oracle", "weakcoupling"):
-        try:
-            importlib.import_module("dosc." + name)
-        except ImportError:
-            pass
+# the CLI and every module its commands import lazily
+CLI_MODULES = ("dosc.cli", "dosc.spectra", "dosc.quadrature", "dosc.fano",
+               "dosc.groundstate", "dosc.dynamics", "dosc.oracle",
+               "dosc.weakcoupling")
+SETUP_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import " + ", ".join(CLI_MODULES)
 
 
 def pin_threads() -> int:
@@ -94,17 +87,22 @@ def pin_threads() -> int:
     return cores
 
 
-def measure_setup(repeats: int) -> float:
-    """Median wall time of a fresh interpreter importing the CLI stack.
-    The median also drops the one spawn that compiles bytecode in a
-    fresh checkout."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE, str(SRC), str(HERE)],
-                       check=True, timeout=120)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def time_setup() -> float:
+    """Wall time of one fresh interpreter importing the CLI stack, and
+    nothing of the benchmark.  No timeout: with one, subprocess polls for
+    the exit in steps of up to 50 ms, and the times fall on that grid."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", SETUP_CODE, str(SRC)], check=True)
+    return time.perf_counter() - t0
+
+
+def spread(n_items: int, n_slots: int) -> list[int]:
+    """How many of ``n_items`` go before each of ``n_slots`` slots, spread
+    evenly from the first slot on."""
+    counts = [0] * n_slots
+    for i in range(n_items):
+        counts[i * n_slots // n_items] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -159,69 +157,96 @@ class Runner:
     def config_path(self, op) -> Path:
         return self.work / "configs" / op.model / f"{op.cmd}.json"
 
-    def run_pass(self, tracer=None) -> None:
-        from dosc import cli
-
+    def run_pass(self, before_op=None) -> None:
+        """One untraced pass; ``before_op(i)`` runs outside the timed
+        region before the pass's i-th operation."""
         seen: defaultdict = defaultdict(dict)
         wall = 0.0
-        for op in self.ops:
-            out = self.work / "ops" / op.model / op.cmd
-            shutil.rmtree(out, ignore_errors=True)
-            state = {"code": None, "result": None, "crash": None}
-
-            def call():
-                try:
-                    if op.cmd == "evolve":
-                        state["result"] = relaxation_path(self.config_path(op), op.extra)
-                        state["code"] = 0
-                    else:
-                        state["code"] = cli.main([op.cmd, "--config",
-                                                  str(self.config_path(op)),
-                                                  "--out", str(out)])
-                except SystemExit as exc:
-                    state["code"] = exc.code
-                except Exception as exc:
-                    code = exit_code_of(exc) if op.cmd == "evolve" else None
-                    if code is None:
-                        state["crash"] = f"{type(exc).__name__}: {exc}"
-                    else:
-                        state["code"] = code
-                        print(json.dumps({"error": type(exc).__name__,
-                                          "exit_code": code}), file=sys.stderr)
-
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                if tracer is not None:
-                    seconds = tracer.run_op(op.id, call)
-                else:
-                    t0 = time.perf_counter()
-                    call()
-                    seconds = time.perf_counter() - t0
-            wall += seconds
-
-            code, wrong = state["code"], False
-            if state["crash"] is not None:
-                reason = "crash: " + state["crash"]
-            elif code != op.expect:
-                wrong = code == 0        # a result for an inadmissible model
-                last = stderr.getvalue().strip().splitlines()[-1:] or [""]
-                reason = f"exit {code}, expected {op.expect}: {last[0][:200]}"
-            else:
-                try:
-                    if op.expect == 2:
-                        reason = checks.refusal(stderr.getvalue())
-                    elif op.cmd == "evolve":
-                        reason = checks.evolve(state["result"], op.extra["x0"])
-                    else:
-                        reason = checks.OUTPUT_CHECKS[op.cmd](out, seen[op.model])
-                except (OSError, KeyError, ValueError, TypeError, AttributeError,
-                        IndexError) as exc:
-                    reason = f"unreadable output: {type(exc).__name__}: {exc}"
-                wrong = reason is not None and op.expect == 0
-            self.outcomes.append({"op": op.id, "exit": code, "seconds": seconds,
-                                  "ok": reason is None, "wrong": wrong,
-                                  "reason": reason, "traced": tracer is not None})
+        for i, op in enumerate(self.ops):
+            if before_op is not None:
+                before_op(i)
+            wall += self.run_op(op, seen)
         self.pass_walls.append(wall)
+
+    def run_pass_traced(self, tracer) -> float:
+        """One pass in which every operation runs untraced and traced,
+        the untraced run first on even operations and second on odd ones.
+        Returns the summed untraced time."""
+        seen: defaultdict = defaultdict(dict)
+        untraced = 0.0
+        for i, op in enumerate(self.ops):
+            for traced in ((False, True) if i % 2 == 0 else (True, False)):
+                if traced:
+                    tracer.install()
+                    try:
+                        self.run_op(op, seen, tracer)
+                    finally:
+                        tracer.uninstall()
+                else:
+                    untraced += self.run_op(op, seen)
+        return untraced
+
+    def run_op(self, op, seen: dict, tracer=None) -> float:
+        """Run one operation, check its output, keep its outcome; returns
+        its wall time."""
+        from dosc import cli
+
+        out = self.work / "ops" / op.model / op.cmd
+        shutil.rmtree(out, ignore_errors=True)
+        state = {"code": None, "result": None, "crash": None}
+
+        def call():
+            try:
+                if op.cmd == "evolve":
+                    state["result"] = relaxation_path(self.config_path(op), op.extra)
+                    state["code"] = 0
+                else:
+                    state["code"] = cli.main([op.cmd, "--config",
+                                              str(self.config_path(op)),
+                                              "--out", str(out)])
+            except SystemExit as exc:
+                state["code"] = exc.code
+            except Exception as exc:
+                code = exit_code_of(exc) if op.cmd == "evolve" else None
+                if code is None:
+                    state["crash"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    state["code"] = code
+                    print(json.dumps({"error": type(exc).__name__,
+                                      "exit_code": code}), file=sys.stderr)
+
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            if tracer is not None:
+                seconds = tracer.run_op(op.id, call)
+            else:
+                t0 = time.perf_counter()
+                call()
+                seconds = time.perf_counter() - t0
+
+        code, wrong = state["code"], False
+        if state["crash"] is not None:
+            reason = "crash: " + state["crash"]
+        elif code != op.expect:
+            wrong = code == 0        # a result for an inadmissible model
+            last = stderr.getvalue().strip().splitlines()[-1:] or [""]
+            reason = f"exit {code}, expected {op.expect}: {last[0][:200]}"
+        else:
+            try:
+                if op.expect == 2:
+                    reason = checks.refusal(stderr.getvalue())
+                elif op.cmd == "evolve":
+                    reason = checks.evolve(state["result"], op.extra["x0"])
+                else:
+                    reason = checks.OUTPUT_CHECKS[op.cmd](out, seen[op.model])
+            except (OSError, KeyError, ValueError, TypeError, AttributeError,
+                    IndexError) as exc:
+                reason = f"unreadable output: {type(exc).__name__}: {exc}"
+            wrong = reason is not None and op.expect == 0
+        self.outcomes.append({"op": op.id, "exit": code, "seconds": seconds,
+                              "ok": reason is None, "wrong": wrong,
+                              "reason": reason, "traced": tracer is not None})
+        return seconds
 
 
 # ---------------------------------------------------------------------------
@@ -319,32 +344,32 @@ def main(argv=None) -> int:
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
 
-    setup_s = measure_setup(1 if args.smoke else SETUP_REPEATS)
     runner = Runner(workloads.generate(args.workload, args.seed, args.smoke), work)
-    import_cli_stack()   # users pay imports once per call; setup_s has them
+    for name in CLI_MODULES:   # users pay imports once per call; setup_s has them
+        importlib.import_module(name)
 
-    start = time.perf_counter()
-    while True:
-        t0 = time.perf_counter()
-        runner.run_pass()
-        now = time.perf_counter()
-        # another pass only if one more of the same length ends in time
-        if args.trace or (now - start) + (now - t0) > args.seconds:
-            break
+    setup_times: list[float] = []
     if args.trace:
         tracer = Tracer()
-        tracer.install()
-        try:
-            runner.run_pass(tracer)
-        finally:
-            tracer.uninstall()
+        untraced_wall_s = runner.run_pass_traced(tracer)
         tracer.write(work / "spans.csv.gz")
-        metrics = tracer.metrics(untraced_wall_s=runner.pass_walls[0])
+        metrics = tracer.metrics(untraced_wall_s)
         units = LAYER_METRICS
     else:
+        passes = max(1, int(args.seconds // PASS_SECONDS[args.workload]))
+        # the set-up interpreters run between operations, spread over all
+        # passes, so that they see the machine as the operations do
+        per_op = spread(1 if args.smoke else SETUP_SPAWNS, passes * len(runner.ops))
+
+        def before_op(i):
+            for _ in range(per_op[len(runner.pass_walls) * len(runner.ops) + i]):
+                setup_times.append(time_setup())
+
+        for _ in range(passes):
+            runner.run_pass(before_op)
         untraced = runner.outcomes
         metrics = {
-            "setup_s": setup_s,
+            "setup_s": statistics.median(setup_times),
             "wall_s": statistics.median(runner.pass_walls),
             "op_p50_s": statistics.median(o["seconds"] for o in untraced),
             "ok_ratio": sum(o["ok"] for o in untraced) / len(untraced),
@@ -357,6 +382,7 @@ def main(argv=None) -> int:
     record = run_record(args, cores)
     record.update({
         "passes": len(runner.pass_walls), "pass_walls_s": runner.pass_walls,
+        "setup_times_s": setup_times,
         "failed_ratio": len(failed) / len(outcomes),
         "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
         "outcomes": outcomes,
@@ -364,9 +390,13 @@ def main(argv=None) -> int:
     (work / "record.json").write_text(json.dumps(record, indent=1))
     shutil.rmtree(work / "ops", ignore_errors=True)
 
-    print(f"# {args.workload} seed={args.seed}: {len(runner.pass_walls)} passes of "
-          f"{len(runner.ops)} ops; setup_s is the median of "
-          f"{1 if args.smoke else SETUP_REPEATS} interpreters; L3 {record['l3_bytes']} B")
+    if args.trace:
+        print(f"# {args.workload} seed={args.seed}: {len(runner.ops)} ops, each "
+              f"untraced and traced; L3 {record['l3_bytes']} B")
+    else:
+        print(f"# {args.workload} seed={args.seed}: {passes} passes of "
+              f"{len(runner.ops)} ops; setup_s is the median of {len(setup_times)} "
+              f"interpreters; L3 {record['l3_bytes']} B")
     for name, value in metrics.items():
         print(f"{name} = {value:.6g} {units[name]}")
     print(f"failed_ratio = {len(failed) / len(outcomes):.6g} 1 "

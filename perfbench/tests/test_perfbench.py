@@ -126,3 +126,25 @@ def test_refuses_to_run_without_sources(tmp_path):
                  "--trace", "0", cwd=tmp_path)
     assert done.returncode != 0
     assert '"metrics"' not in done.stdout
+
+
+def test_tracer_fails_on_a_missing_layer_function(monkeypatch):
+    from dosc import fano
+    from tracer import Tracer
+    monkeypatch.delattr(fano, "refine_for_times")
+    tracer = Tracer()
+    try:
+        with pytest.raises(AttributeError):
+            tracer.install()
+    finally:
+        tracer.uninstall()
+
+
+def test_counter_error_escapes_operation_error_handling():
+    from tracer import CounterError, Tracer
+    wrapped = Tracer().wrap(lambda: 1, "layer", on_ok=lambda c, a, k, r: r.missing)
+    with pytest.raises(CounterError):
+        try:
+            wrapped()
+        except Exception:
+            pass

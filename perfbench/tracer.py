@@ -5,8 +5,9 @@ with timing wrappers.  Where a layer calls another through a name it
 imported (``fano`` -> ``quadrature.integrate``/``cauchy_pv``,
 ``compare_with_continuum`` -> ``normal_modes``), the wrapper goes on the
 caller's module attribute, so only calls that cross a layer boundary are
-recorded.  A name the package no longer has is skipped, and its metrics
-read 0.
+recorded.  A name the package no longer has, or a result a counter
+cannot read, raises: the traced run fails instead of reporting 0 for a
+layer that was renamed or merged.
 
 Spans stay in memory as (name, start, end, parent, op) and are written
 out once the run ends.  A span's self time is its duration minus that of
@@ -62,26 +63,33 @@ LAYER_METRICS = {
 
 def _quad_counters(*keys):
     """Sum IntegrationResult.evaluations under each key, also from the
-    partial result a failed call carries."""
+    partial result a QuadratureError carries."""
+    from dosc.errors import QuadratureError
+
     def ok(c, a, k, r):
         for key in keys:
             c[key] += r.evaluations
 
     def err(c, a, k, e):
-        for key in keys:
-            c[key] += getattr(getattr(e, "partial", None), "evaluations", 0)
+        if isinstance(e, QuadratureError):
+            for key in keys:
+                c[key] += e.partial.evaluations
     return ok, err
 
 
 def _compute_pi_ok(c, a, k, r):
-    c["fano.compute_pi.nodes"] += r.meta.get("nodes", r.omegas.size)
-    c["fano.compute_pi.rounds"] += r.meta.get("rounds", 0)
+    c["fano.compute_pi.nodes"] += r.meta["nodes"]
+    c["fano.compute_pi.rounds"] += r.meta["rounds"]
 
 
 def _compute_pi_err(c, a, k, e):
-    detail = getattr(e, "detail", None) or {}
-    c["fano.compute_pi.nodes"] += detail.get("nodes", 0)
-    c["fano.compute_pi.rounds"] += detail.get("rounds", 0)
+    # the refinement budget ran out, and the error says where it stopped.
+    # A refused model (PositivityError) or a failed integral
+    # (QuadratureError, a subclass) stops before any round
+    from dosc.errors import ConvergenceError
+    if type(e) is ConvergenceError:
+        c["fano.compute_pi.nodes"] += e.detail["nodes"]
+        c["fano.compute_pi.rounds"] += e.detail["rounds"]
 
 
 def _refine_ok(c, a, k, r):
@@ -89,8 +97,9 @@ def _refine_ok(c, a, k, r):
 
 
 def _kernels_ok(c, a, k, r):
+    from dosc.oracle import NormalModeDecomposition
     src = r.source
-    nodes = src.Omegas.size if hasattr(src, "Omegas") else src.omegas.size
+    nodes = src.Omegas.size if isinstance(src, NormalModeDecomposition) else src.omegas.size
     c["dynamics.kernels.points"] += r.times.size * nodes
 
 
@@ -103,15 +112,23 @@ def _evolve_ok(c, a, k, r):
     c["oracle.evolve_reduced.matvecs"] += 3 * r.times.size
 
 
-def _written(path_index):
-    """Bytes a writer produced: the file at its path argument, or the
-    text that to_json() returns."""
+def _file_written(path_index):
+    """Bytes of the file a writer wrote at its path argument."""
     def ok(c, a, k, r):
-        if isinstance(r, str):
-            c["cli.write.bytes"] += len(r.encode())
-        elif len(a) > path_index and os.path.exists(a[path_index]):
-            c["cli.write.bytes"] += os.path.getsize(a[path_index])
+        c["cli.write.bytes"] += os.path.getsize(a[path_index])
     return ok
+
+
+def _text_returned(c, a, k, r):
+    """Bytes of the JSON text a to_json() returned."""
+    c["cli.write.bytes"] += len(r.encode())
+
+
+class CounterError(BaseException):
+    """A counter could not read a wrapped call's arguments or result: the
+    package changed under the tracer.  Not an ``Exception``, so that no
+    operation's error handling turns it into one more failed operation;
+    it ends the traced run."""
 
 
 class Tracer:
@@ -146,17 +163,14 @@ class Tracer:
             self._close(idx, "op", start)
         return self.spans[idx][2] - start
 
-    def _count(self, counter, args, kwargs, outcome) -> None:
-        # a counter that no longer fits the package's types leaves its
-        # metric short; it must not fail the operation it observes
-        if counter is not None:
-            try:
-                counter(self.counts, args, kwargs, outcome)
-            except (AttributeError, TypeError, KeyError, IndexError, OSError):
-                pass
-
     def wrap(self, fn, name: str, on_ok=None, on_err=None):
         tracer = self
+
+        def count(counter, args, kwargs, outcome):
+            try:
+                counter(tracer.counts, args, kwargs, outcome)
+            except Exception as exc:
+                raise CounterError(f"{name}: {exc!r}") from exc
 
         def wrapper(*args, **kwargs):
             idx, start = tracer._open(name)
@@ -164,10 +178,12 @@ class Tracer:
                 result = fn(*args, **kwargs)
             except Exception as exc:
                 tracer._close(idx, name, start)
-                tracer._count(on_err, args, kwargs, exc)
+                if on_err is not None:
+                    count(on_err, args, kwargs, exc)
                 raise
             tracer._close(idx, name, start)
-            tracer._count(on_ok, args, kwargs, result)
+            if on_ok is not None:
+                count(on_ok, args, kwargs, result)
             return result
 
         return wrapper
@@ -175,9 +191,7 @@ class Tracer:
     # -- installation --------------------------------------------------
 
     def _patch(self, owner, attr: str, name: str, on_ok=None, on_err=None) -> None:
-        fn = getattr(owner, attr, None)
-        if fn is None:
-            return
+        fn = getattr(owner, attr)
         self._restore.append((owner, attr, fn))
         setattr(owner, attr, self.wrap(fn, name, on_ok, on_err))
 
@@ -190,14 +204,13 @@ class Tracer:
         self._patch(fano, "integrate", *fano_quad)
         self._patch(fano, "cauchy_pv", *fano_quad)
         self._patch(spectra, "integrate", *quad)
-        if getattr(weakcoupling, "quadrature", None) is quadrature:
-            # weakcoupling reaches quadrature as a module attribute: give
-            # it a copy of the namespace with the entry points wrapped
-            proxy = types.SimpleNamespace(**vars(quadrature))
-            self._restore.append((weakcoupling, "quadrature", quadrature))
-            weakcoupling.quadrature = proxy
-            self._patch(proxy, "integrate", *quad)
-            self._patch(proxy, "cauchy_pv", *quad)
+        # weakcoupling reaches quadrature as a module attribute: give it a
+        # copy of the namespace with the entry points wrapped
+        proxy = types.SimpleNamespace(**vars(quadrature))
+        self._restore.append((weakcoupling, "quadrature", quadrature))
+        weakcoupling.quadrature = proxy
+        self._patch(proxy, "integrate", *quad)
+        self._patch(proxy, "cauchy_pv", *quad)
 
         for owner in (fano, oracle, weakcoupling):
             self._patch(owner, "require_admissible", "spectra.require_admissible")
@@ -215,18 +228,15 @@ class Tracer:
         self._patch(oracle, "compare_with_continuum", "oracle.compare_with_continuum")
         self._patch(oracle, "evolve_reduced", "oracle.evolve_reduced", _evolve_ok)
         self._patch(cli, "load_config", "cli.load_config")
-        self._patch(cli, "_write_json", "cli.write", _written(0))
-        for owner, attrs in (
-                (getattr(fano, "SpectralSolution", None), ("to_csv",)),
-                (getattr(dynamics, "DynamicsKernels", None), ("to_csv",)),
-                (getattr(dynamics, "MeanTrajectory", None), ("to_csv",)),
-                (getattr(groundstate, "GroundStateSummary", None), ("to_json",)),
-                (getattr(weakcoupling, "WeakCouplingReport", None),
-                 ("to_json", "overlay_csv")),
-                (getattr(oracle, "ComparisonReport", None), ("histogram_csv",))):
-            for attr in attrs:
-                if owner is not None:
-                    self._patch(owner, attr, "cli.write", _written(1))
+        self._patch(cli, "_write_json", "cli.write", _file_written(0))
+        for owner, attr in ((fano.SpectralSolution, "to_csv"),
+                            (dynamics.DynamicsKernels, "to_csv"),
+                            (dynamics.MeanTrajectory, "to_csv"),
+                            (weakcoupling.WeakCouplingReport, "overlay_csv"),
+                            (oracle.ComparisonReport, "histogram_csv")):
+            self._patch(owner, attr, "cli.write", _file_written(1))
+        for owner in (groundstate.GroundStateSummary, weakcoupling.WeakCouplingReport):
+            self._patch(owner, "to_json", "cli.write", _text_returned)
 
     def uninstall(self) -> None:
         for owner, attr, fn in reversed(self._restore):
