@@ -295,16 +295,18 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     sol = fano.solve(spec, cfg.units, **cfg.grid)
     sol.to_csv(out / "pi.csv")
     w0 = cfg.units.omega0
-    # both defects use the same Simpson rule as the moment surface, so
-    # they re-derive bit-identically from the written pi.csv
-    norm_defect = float(simpson(sol.pi, x=sol.omegas)) - 1.0
-    sum_defect = fano.frequency_moment(sol, 2) / (w0 * w0) - 1.0
+    w = sol.omegas
+    # scipy's simpson rather than the solution's weights: the summed
+    # order differs in the last bit, and these numbers re-derive
+    # bit-identically from the written pi.csv
+    norm_defect = float(simpson(sol.pi, x=w)) - 1.0
+    sum_defect = float(simpson((w ** 2) * sol.pi, x=w)) / (w0 * w0) - 1.0
     summary = {
-        "n_nodes": int(sol.omegas.size),
+        "n_nodes": int(w.size),
         "norm_defect": norm_defect,
         "sum_rule_defect": sum_defect,
-        "mean_frequency": fano.frequency_moment(sol, 1),
-        "mean_inverse_frequency": fano.frequency_moment(sol, -1),
+        "mean_frequency": float(simpson(w * sol.pi, x=w)),
+        "mean_inverse_frequency": float(simpson((w ** -1) * sol.pi, x=w)),
     }
     _write_json(out / "summary.json", summary)
     print(f"norm defect     = {norm_defect:.17g}")

@@ -8,12 +8,14 @@ over pi(omega):
     k_sin_times(t) = << omega sin(omega t) >>
 
 with <x(t)> = k_cos x0 + k_sin_over p0/m and
-<p(t)> = k_cos p0 - m k_sin_times x0.  The kernels are plain
-quadratures over the solution grid, so their validity is governed by
-the anti-aliasing bound Delta_omega * t_max <= 0.1: beyond it the grid
-undersamples the oscillating integrand and the caller must refine
-(fano.refine_for_times).  Discrete mode sets (finite-bath
-decompositions) evaluate the same sums exactly at any t.
+<p(t)> = k_cos p0 - m k_sin_times x0.  Each kernel is one sum over
+a (nodes, weights) measure, e.g. cos(t * nodes) @ weights.  On a
+continuum solution that sum is a Simpson quadrature over the grid, so
+its validity is governed by the anti-aliasing bound
+Delta_omega * t_max <= 0.1: beyond it the grid undersamples the
+oscillating integrand and the caller must refine
+(fano.refine_for_times).  On a finite-bath decomposition the same sum
+is exact at any t.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from . import fano
@@ -37,47 +38,25 @@ _SCAN_STEP_FACTOR = 0.01   # damping scan step, units 1/omega0
 _RELAX_THRESHOLD = 0.02
 
 
-def _is_discrete(source) -> bool:
-    return hasattr(source, "Omegas") and hasattr(source, "weights")
-
-
-def _source_omega0(source) -> float:
-    if _is_discrete(source):
-        return source.model.omega0
-    return source.units.omega0
-
-
-def _eval_discrete(decomp, ts: np.ndarray):
-    om = decomp.Omegas
-    wt = decomp.weights
-    phase = np.outer(ts, om)
-    sin = np.sin(phase)
-    k_cos = np.cos(phase) @ wt
-    k_sin_over = sin @ (wt / om)
-    k_sin_times = sin @ (wt * om)
-    return k_cos, k_sin_over, k_sin_times
-
-
-def _eval_continuum(sol, ts: np.ndarray):
-    w = sol.omegas
-    pi = sol.pi
+def _evaluate(source, ts: np.ndarray):
+    """k_cos, k_sin_over, k_sin_times at ts over the source's (nodes,
+    weights) measure, a block of times at a time."""
+    w = source.nodes
+    wt = source.weights
+    sin_weights = np.stack([wt / w, wt * w], axis=1)
     k_cos = np.empty(ts.size)
-    k_sin_over = np.empty(ts.size)
-    k_sin_times = np.empty(ts.size)
+    k_sin = np.empty((2, ts.size))
     for lo in range(0, ts.size, _BLOCK):
-        block = ts[lo:lo + _BLOCK]
-        phase = block[:, None] * w[None, :]
-        sin = np.sin(phase)
-        k_cos[lo:lo + _BLOCK] = simpson(pi * np.cos(phase), x=w, axis=-1)
-        k_sin_over[lo:lo + _BLOCK] = simpson(sin * (pi / w), x=w, axis=-1)
-        k_sin_times[lo:lo + _BLOCK] = simpson(sin * (pi * w), x=w, axis=-1)
-    return k_cos, k_sin_over, k_sin_times
+        phase = np.outer(ts[lo:lo + _BLOCK], w)
+        k_cos[lo:lo + _BLOCK] = np.cos(phase) @ wt
+        k_sin[:, lo:lo + _BLOCK] = (np.sin(phase) @ sin_weights).T
+    return k_cos, k_sin[0], k_sin[1]
 
 
-def _eval_source(source, ts: np.ndarray):
-    if _is_discrete(source):
-        return _eval_discrete(source, ts)
-    return _eval_continuum(source, ts)
+def _require_alias_bound(source, t_max: float, mass_tol: float) -> None:
+    # a finite-bath sum is exact at any t; only a grid can undersample
+    if isinstance(source, fano.SpectralSolution):
+        fano.require_alias_bound(source, t_max, mass_tol=mass_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +95,8 @@ def kernels(source, times, alias_mass_tol: float = 1e-6) -> DynamicsKernels:
         raise UsageError("times must be finite and >= 0")
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
-    if not _is_discrete(source):
-        fano.require_alias_bound(source, float(ts[-1]),
-                                 mass_tol=alias_mass_tol)
-    k_cos, k_sin_over, k_sin_times = _eval_source(source, ts)
+    _require_alias_bound(source, float(ts[-1]), alias_mass_tol)
+    k_cos, k_sin_over, k_sin_times = _evaluate(source, ts)
     if np.max(np.abs(k_cos)) > 1.0 + 1e-6:
         raise InternalConsistencyError(
             f"|k_cos| reached {np.max(np.abs(k_cos)):.6g} > 1: "
@@ -127,7 +104,7 @@ def kernels(source, times, alias_mass_tol: float = 1e-6) -> DynamicsKernels:
         )
     return DynamicsKernels(times=ts, k_cos=k_cos, k_sin_over=k_sin_over,
                            k_sin_times=k_sin_times,
-                           omega0=_source_omega0(source), source=source)
+                           omega0=source.omega0, source=source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +176,7 @@ def short_time_check(sol, units: UnitSystem, n_points: int = 25) -> ShortTimeRep
     t_hi = min(t_hi, 0.2 / w0)
     t_lo = t_hi / 10.0
     ts = np.geomspace(t_lo, t_hi, n_points)
-    k_sin_times = _eval_source(sol, ts)[2]
+    k_sin_times = _evaluate(sol, ts)[2]
     dev = k_sin_times - w0 * np.sin(w0 * ts)
     usable = dev < 0
     if usable.sum() < max(5, n_points // 2):
@@ -232,10 +209,6 @@ class DampingClassification:
     resolution: float
 
 
-def _sin_times_at(source, t: float) -> float:
-    return float(_eval_source(source, np.array([t]))[2][0])
-
-
 def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
                      resolution: float = 1e-3,
                      alias_mass_tol: float = 1e-6) -> DampingClassification:
@@ -255,13 +228,11 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     if not (scan_window > 0 and math.isfinite(scan_window)):
         raise UsageError(f"scan_window must be positive, got {scan_window}")
     source = kern.source
-    if not _is_discrete(source):
-        fano.require_alias_bound(source, scan_window,
-                                 mass_tol=alias_mass_tol)
+    _require_alias_bound(source, scan_window, alias_mass_tol)
     step = _SCAN_STEP_FACTOR / kern.omega0
     n = int(math.ceil(scan_window / step)) + 1
     ts = np.linspace(step, scan_window, n)
-    vals = _eval_source(source, ts)[2]
+    vals = _evaluate(source, ts)[2]
     floor = resolution * kern.omega0**2
     below = np.nonzero(vals < -floor)[0]
     if below.size:
@@ -269,7 +240,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         start = np.nonzero(vals[:j] >= 0.0)[0]
         if start.size:
             i = int(start[-1])
-            zero_at = float(brentq(lambda t: _sin_times_at(source, t),
+            zero_at = float(brentq(lambda t: _evaluate(source, np.array([t]))[2][0],
                                    ts[i], ts[j], xtol=1e-12, rtol=1e-14))
         else:
             zero_at = float(ts[j])  # negative from the first sample on

@@ -20,7 +20,10 @@ and the ground-state frequency density is
     pi(omega) = |alpha(omega)|^2 * 4 omega0 omega / (omega0 + omega)^2,
 
 normalised to one.  This module computes all of these on an adaptively
-refined grid and exposes the moment functional << f(omega) >>.
+refined grid.  A solution is a (nodes, weights) measure, the weight of a
+node being its Simpson weight times pi; a finite-bath decomposition is
+another (Omegas, O_0k^2).  The moment functional << f(omega) >> is
+weights @ f(nodes) over either.
 
 Numerical form: everything is built from N(omega) = Y * |V|^2, which
 stays finite in the far tails where Y itself overflows;
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
@@ -91,7 +94,8 @@ class SpectralSolution:
 
     ``spec`` and ``units`` are carried so that dynamics and diagnostics
     can evaluate the dispersion integrals at new frequencies without
-    re-supplying context.  Instances are immutable.
+    re-supplying context.  ``weights`` is the Simpson weight of each
+    node times pi, fixed at construction.  Instances are immutable.
     """
 
     grid: SpectralGrid
@@ -103,11 +107,20 @@ class SpectralSolution:
     spec: CouplingSpectrum
     units: UnitSystem
     meta: dict = field(default_factory=dict, repr=False)
-    _moment_cache: dict = field(default_factory=dict, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", simpson_weights(self.nodes) * self.pi)
 
     @property
-    def omegas(self) -> np.ndarray:
+    def nodes(self) -> np.ndarray:
         return self.grid.nodes
+
+    omegas = nodes
+
+    @property
+    def omega0(self) -> float:
+        return self.units.omega0
 
     def to_csv(self, path) -> None:
         """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision."""
@@ -116,12 +129,39 @@ class SpectralSolution:
                    header="omega,Y,alpha_sq,beta_ratio,pi", comments="")
 
 
+def simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w such that w @ y is scipy.integrate.simpson(y, x=x) up to
+    rounding: the composite non-uniform Simpson rule over interval pairs,
+    and for an even node count scipy's parabolic correction of the last
+    interval.  Needs at least 3 nodes."""
+    h = np.diff(x)
+    n = x.size
+    m = n - 1 if n % 2 == 0 else n      # nodes covered by interval pairs
+    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
+    hsum = h0 + h1
+    w = np.zeros(n)
+    w[0:m - 2:2] += hsum / 6.0 * (2.0 - h1 / h0)
+    w[1:m - 1:2] += hsum**3 / (6.0 * h0 * h1)
+    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        w[-1] += (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))
+        w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
+        w[-3] -= b**3 / (6.0 * a * (a + b))
+    return w
+
+
 def _dispersion_parts(spec: CouplingSpectrum, omega: float) -> float:
-    """I(omega): principal-value part minus the regular 1/(omega+w') part."""
+    """I(omega): the 1/(omega-w') integral minus the regular 1/(omega+w')
+    one.  Inside the support the first is a principal value; outside it
+    is an ordinary integral."""
     lo = spec.support_lower
     hi = spec.support_upper if math.isfinite(spec.support_upper) else math.inf
     vsq = spec.v_sq_scalar
-    pv = cauchy_pv(vsq, PrincipalValueSpec(omega), lo, hi).value
+    if lo < omega < hi:
+        pv = cauchy_pv(vsq, PrincipalValueSpec(omega), lo, hi).value
+    else:
+        pv = integrate(lambda x: vsq(x) / (omega - x), lo, hi).value
     reg = integrate(lambda x: vsq(x) / (omega + x), lo, hi).value
     return pv - reg
 
@@ -133,44 +173,6 @@ def _n_value(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
 
 def _n_values(spec, units, omegas) -> np.ndarray:
     return np.array([_n_value(spec, units, float(w)) for w in omegas])
-
-
-def _inside_support(spec: CouplingSpectrum, omega: float) -> bool:
-    return spec.support_lower < omega < spec.support_upper and spec.v_sq(omega) > 0.0
-
-
-def _require_inside(spec: CouplingSpectrum, omega: float) -> None:
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0):
-        raise UsageError(f"omega must be a positive finite number, got {omega!r}")
-    if not _inside_support(spec, omega):
-        raise OutsideSupportError(
-            f"omega = {omega} is outside the open coupling support "
-            f"({spec.support_lower}, {spec.support_upper}); Y is undefined there"
-        )
-
-
-def compute_Y(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
-    """Y(omega) at a single frequency strictly inside the support."""
-    require_admissible(spec, units)
-    _require_inside(spec, omega)
-    return _n_value(spec, units, omega) / float(spec.v_sq(omega))
-
-
-def compute_alpha_sq(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
-    """|alpha(omega)|^2 at a single frequency strictly inside the support."""
-    require_admissible(spec, units)
-    _require_inside(spec, omega)
-    w0 = units.omega0
-    n = _n_value(spec, units, omega)
-    vsq = float(spec.v_sq(omega))
-    return (omega + w0) ** 2 * vsq / (w0 * w0 * (n * n + math.pi**2 * vsq * vsq))
-
-
-def compute_beta_ratio(omega: float, omega0: float) -> float:
-    """beta(omega)/alpha(omega) = (omega - omega0)/(omega + omega0)."""
-    if not (omega > 0 and omega0 > 0):
-        raise UsageError(f"need omega, omega0 > 0, got {omega}, {omega0}")
-    return (omega - omega0) / (omega + omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,11 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem,
         parts.append(_peak_cluster(pk, w, lo, hi))
     nodes = np.unique(np.concatenate([p for p in parts if p.size]))
     nodes = nodes[(nodes >= lo) & (nodes <= hi)]
+    # A peak cluster whose width was clamped to the room left before lo
+    # or hi puts a node within an ulp of that bound.  Such a pair makes
+    # adjacent Simpson intervals differ by orders of magnitude, and the
+    # rule's weights blow up, so drop the later node of any near pair.
+    nodes = nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * nodes[1:]])]
     return SpectralGrid(nodes, meta={"peaks": peaks, "base_points": base_points})
 
 
@@ -282,6 +289,28 @@ def _assemble(spec, units, nodes, nvals):
     pi = alpha_sq * (4.0 * w0 * w / (w0 + w) ** 2)
     beta = (w - w0) / (w + w0)
     return Y, alpha_sq, beta, pi
+
+
+def dressing(spec: CouplingSpectrum, units: UnitSystem, omegas):
+    """Y, |alpha|^2, beta/alpha and pi at frequencies strictly inside the
+    coupling support, as arrays.
+
+    Raises UsageError for a frequency that is not positive and finite,
+    OutsideSupportError for one outside the open support (Y is
+    undefined there).
+    """
+    require_admissible(spec, units)
+    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
+        raise UsageError(f"omegas must be positive finite numbers, got {omegas!r}")
+    outside = ((w <= spec.support_lower) | (w >= spec.support_upper)
+               | ~(np.asarray(spec.v_sq(w)) > 0))
+    if outside.any():
+        raise OutsideSupportError(
+            f"omega = {w[outside][0]} is outside the open coupling support "
+            f"({spec.support_lower}, {spec.support_upper}); Y is undefined there"
+        )
+    return _assemble(spec, units, w, _n_values(spec, units, w))
 
 
 def _interval_error_indicator(w, pi, units):
@@ -379,69 +408,22 @@ def solve(spec: CouplingSpectrum, units: UnitSystem, **kwargs) -> SpectralSoluti
 # ---------------------------------------------------------------------------
 # moments
 
-def moment(sol: SpectralSolution, f: Callable) -> float:
-    """<< f(omega) >> = int f(omega) pi(omega) d omega on the solution grid."""
-    w = sol.omegas
-    try:
-        vals = np.asarray(f(w), dtype=float)
-        if vals.shape != w.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in w])
+def moment(measure, f: Callable) -> float:
+    """<< f(omega) >> = weights @ f(nodes) over a (nodes, weights) measure:
+    a SpectralSolution or a finite-bath NormalModeDecomposition.  ``f``
+    takes the node array."""
+    vals = np.asarray(f(measure.nodes), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
-        if np.any(sol.pi[bad] > 0):
-            raise UsageError("moment integrand is not finite where the density is positive")
+        if np.any(measure.weights[bad] != 0):
+            raise UsageError("moment integrand is not finite where the weight is non-zero")
         vals = np.where(bad, 0.0, vals)
-    return float(simpson(vals * sol.pi, x=w))
+    return float(measure.weights @ vals)
 
 
-def frequency_moment(sol: SpectralSolution, k: int) -> float:
-    """Cached << omega^k >>."""
-    key = ("pow", k)
-    if key not in sol._moment_cache:
-        sol._moment_cache[key] = moment(sol, lambda w: w**k)
-    return sol._moment_cache[key]
-
-
-# ---------------------------------------------------------------------------
-# dressing kernels
-
-@dataclass(frozen=True)
-class DressingKernels:
-    """Kernel values at one frequency pair (omega, omega_prime).
-
-    ``gamma_regular`` is the principal-value part of gamma with the pole
-    1/(omega - omega_prime) factored out; ``gamma_singular_coeff`` is the
-    coefficient of the delta(omega - omega_prime) term.  Phases follow
-    alpha(omega) real positive with V real.
-    """
-
-    delta: float
-    gamma_regular: float
-    gamma_singular_coeff: float
-
-
-def compute_kernels(spec: CouplingSpectrum, units: UnitSystem, sol: SpectralSolution | None,
-                    omega: float, omega_prime: float) -> DressingKernels:
-    """Evaluate delta, gamma_regular, gamma_singular_coeff at (omega, omega_prime)."""
-    require_admissible(spec, units)
-    _require_inside(spec, omega)
-    if not (isinstance(omega_prime, (int, float)) and math.isfinite(omega_prime) and omega_prime > 0):
-        raise UsageError(f"omega_prime must be a positive finite number, got {omega_prime!r}")
-    w0 = units.omega0
-    n = _n_value(spec, units, omega)
-    vsq = float(spec.v_sq(omega))
-    alpha = math.sqrt((omega + w0) ** 2 * vsq / (w0 * w0 * (n * n + math.pi**2 * vsq * vsq)))
-    y = n / vsq
-    v_prime = float(spec.v(omega_prime))
-    v_here = math.sqrt(vsq)
-    common = w0 * alpha / (omega + w0)
-    return DressingKernels(
-        delta=v_prime * common / (omega + omega_prime),
-        gamma_regular=v_prime * common,
-        gamma_singular_coeff=y * v_here * common,
-    )
+def frequency_moment(measure, k: int) -> float:
+    """<< omega^k >>."""
+    return moment(measure, lambda w: w**k)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ var_p = hbar m M1 / 2; the pair (omega_c, n_bar_c) re-expresses it as a
 thermal state at the effective frequency omega_c = sqrt(M1/Minv), which
 reproduces both variances identically.
 
-Works on any solution object exposing the moment surface: either a
-fano.SpectralSolution or anything with a ``power_moment(k)`` method
-(the oracle's normal-mode decomposition does this).
+Works on any (nodes, weights) measure: a fano.SpectralSolution or the
+oracle's normal-mode decomposition.
 """
 
 from __future__ import annotations
@@ -28,13 +27,6 @@ OCCUPATION_CLAMP = -1e-12
 
 IDENTITY_TOL = 1e-9
 SUM_RULE_TOL = 1e-6
-
-
-def _power_moment(sol, k: int) -> float:
-    pm = getattr(sol, "power_moment", None)
-    if pm is not None:
-        return float(pm(k))
-    return frequency_moment(sol, k)
 
 
 @dataclass(frozen=True)
@@ -80,12 +72,12 @@ class GroundStateSummary:
 
 def effective_frequency(sol) -> float:
     """omega_c = sqrt(<<omega>> / <<1/omega>>)."""
-    return math.sqrt(_power_moment(sol, 1) / _power_moment(sol, -1))
+    return math.sqrt(frequency_moment(sol, 1) / frequency_moment(sol, -1))
 
 
 def thermal_occupation(sol) -> float:
     """n_bar_c = (sqrt(<<omega>> <<1/omega>>) - 1)/2, clamped at round-off."""
-    n = 0.5 * (math.sqrt(_power_moment(sol, 1) * _power_moment(sol, -1)) - 1.0)
+    n = 0.5 * (math.sqrt(frequency_moment(sol, 1) * frequency_moment(sol, -1)) - 1.0)
     if n < 0.0:
         if n > OCCUPATION_CLAMP:
             return 0.0
@@ -115,22 +107,23 @@ def entanglement_entropy(sol) -> float:
 def mean_energy(sol, units: UnitSystem) -> float:
     """E = (hbar omega0 / 4)(<<omega>>/omega0 + omega0 <<1/omega>>)."""
     w0 = units.omega0
-    return 0.25 * units.hbar * w0 * (_power_moment(sol, 1) / w0 + w0 * _power_moment(sol, -1))
+    return 0.25 * units.hbar * w0 * (frequency_moment(sol, 1) / w0
+                                     + w0 * frequency_moment(sol, -1))
 
 
 def characteristic_function(sol, xi_r: float, xi_i: float, units: UnitSystem | None = None) -> float:
     """chi(xi) = exp(-(<<omega>>/omega0 xi_r^2 + omega0 <<1/omega>> xi_i^2)/2)."""
     w0 = units.omega0 if units is not None else 1.0
-    m1 = _power_moment(sol, 1)
-    minv = _power_moment(sol, -1)
+    m1 = frequency_moment(sol, 1)
+    minv = frequency_moment(sol, -1)
     return math.exp(-0.5 * (m1 / w0 * xi_r * xi_r + w0 * minv * xi_i * xi_i))
 
 
 def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
     """Full observable bundle; means and sym_xp vanish by construction."""
     hbar, m, w0 = units.hbar, units.mass, units.omega0
-    m1 = _power_moment(sol, 1)
-    minv = _power_moment(sol, -1)
+    m1 = frequency_moment(sol, 1)
+    minv = frequency_moment(sol, -1)
     var_x = hbar * minv / (2.0 * m)
     var_p = hbar * m * m1 / 2.0
     n = thermal_occupation(sol)
@@ -190,8 +183,8 @@ def interpretation_identities(sol, units: UnitSystem | None = None) -> IdentityR
     units = units or UnitSystem()
     hbar, m, w0 = units.hbar, units.mass, units.omega0
     s = ground_state_moments(sol, units)
-    m1 = _power_moment(sol, 1)
-    m2 = _power_moment(sol, 2)
+    m1 = frequency_moment(sol, 1)
+    m2 = frequency_moment(sol, 2)
 
     d_freq = abs((s.n_bar_c + 0.5) * s.omega_c - 0.5 * m1) / (0.5 * m1)
     vx_ref = (2.0 * s.n_bar_c + 1.0) * hbar / (2.0 * m * s.omega_c)

@@ -19,7 +19,9 @@ against which every continuum quantity is validated:
   with no time-stepping error.
 
 Everything in this module is deliberately independent of the fano
-module: no Y, no principal values, no adaptive grids.
+module: no Y, no principal values, no adaptive grids.  The two routes
+share only what is evaluated over a (nodes, weights) measure, here
+(Omegas, O_0k^2): the moments and the dynamics kernels.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import PositivityError, UsageError
+from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 
@@ -165,6 +168,10 @@ class NormalModeDecomposition:
         Full eigenvector matrix O (columns), kept for evolution.
     model : FiniteBathModel
         The model this decomposition belongs to.
+
+    ``nodes`` (the Omegas) and ``weights`` make it the same kind of
+    measure as a continuum solution, for fano.moment and the dynamics
+    kernels.
     """
 
     Omegas: np.ndarray
@@ -173,9 +180,13 @@ class NormalModeDecomposition:
     eigenvectors: np.ndarray = field(repr=False)
     model: FiniteBathModel = field(repr=False)
 
-    def power_moment(self, k: float) -> float:
-        """Discrete moment sum pi_k Omega_k^k (duck-typed moment surface)."""
-        return float(np.sum(self.weights * self.Omegas**k))
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.Omegas
+
+    @property
+    def omega0(self) -> float:
+        return self.model.omega0
 
 
 def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
@@ -227,8 +238,8 @@ class GroundCovariance:
 
 def ground_covariance(decomp: NormalModeDecomposition, units: UnitSystem) -> GroundCovariance:
     """var_x = (hbar/2m) sum pi_k/Omega_k, var_p = (hbar m/2) sum pi_k Omega_k."""
-    var_x = units.hbar / (2.0 * units.mass) * decomp.power_moment(-1)
-    var_p = units.hbar * units.mass / 2.0 * decomp.power_moment(1)
+    var_x = units.hbar / (2.0 * units.mass) * frequency_moment(decomp, -1)
+    var_p = units.hbar * units.mass / 2.0 * frequency_moment(decomp, 1)
     return GroundCovariance(var_x=var_x, var_p=var_p, _decomp=decomp, _units=units)
 
 
@@ -506,8 +517,6 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     lives) while the bath grid stops earlier, trading far-tail weight
     (negligible for var_x/var_p) for resolution at fixed N.
     """
-    from .fano import frequency_moment  # local import keeps layering one-way
-
     bath_spec = sol.spec
     if bath_omega_max is not None:
         bath_spec = dataclasses.replace(bath_spec, omega_max=float(bath_omega_max))
@@ -515,8 +524,10 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     decomp = normal_modes(model)
     gc = ground_covariance(decomp, units)
 
-    cont_var_x = units.hbar / (2.0 * units.mass) * frequency_moment(sol, -1)
-    cont_var_p = units.hbar * units.mass / 2.0 * frequency_moment(sol, 1)
+    m1 = frequency_moment(sol, 1)
+    minv = frequency_moment(sol, -1)
+    cont_var_x = units.hbar / (2.0 * units.mass) * minv
+    cont_var_p = units.hbar * units.mass / 2.0 * m1
 
     top = max(float(model.bath_freqs.max() + model.bath_freqs[0]),
               float(decomp.Omegas[-1]) * (1.0 + 1e-12))
@@ -529,10 +540,8 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
         N=N, scheme=scheme, bins=bins,
         rel_var_x=abs(gc.var_x - cont_var_x) / cont_var_x,
         rel_var_p=abs(gc.var_p - cont_var_p) / cont_var_p,
-        rel_mean_freq=abs(decomp.power_moment(1) - frequency_moment(sol, 1))
-        / frequency_moment(sol, 1),
-        rel_mean_inv_freq=abs(decomp.power_moment(-1) - frequency_moment(sol, -1))
-        / frequency_moment(sol, -1),
+        rel_mean_freq=abs(frequency_moment(decomp, 1) - m1) / m1,
+        rel_mean_inv_freq=abs(frequency_moment(decomp, -1) - minv) / minv,
         histogram_l1=l1,
         recurrence=recurrence_estimate(decomp),
         discrete_margin=model.discrete_margin,

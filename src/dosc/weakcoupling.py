@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import quadrature
+from . import fano
 from .errors import ConvergenceError, UsageError
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
@@ -30,7 +30,9 @@ WINDOW_HWHMS = 10.0    # fit window half-width, in units of the HWHM guess
 
 
 def lamb_shift(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
-    """F(omega): the principal-value frequency pull of the coupling.
+    """F(omega) = I(omega)/4, the frequency pull of the coupling, with I
+    the dispersion integral of fano (a principal value inside the
+    support, an ordinary integral outside).
 
     Quadrature failures propagate; a pole pinned to a support edge
     where |V|^2 does not vanish is genuinely divergent.
@@ -40,16 +42,7 @@ def lamb_shift(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float
     require_admissible(spec, units)
     if spec.is_zero():
         return 0.0
-    lo = spec.support_lower
-    hi = spec.support_upper if math.isfinite(spec.support_upper) else math.inf
-    f = spec.v_sq_scalar
-    if lo < omega < hi:
-        pv = quadrature.cauchy_pv(f, quadrature.PrincipalValueSpec(pole=omega),
-                                  lo, hi).value
-    else:
-        pv = quadrature.integrate(lambda x: f(x) / (omega - x), lo, hi).value
-    reg = quadrature.integrate(lambda x: f(x) / (omega + x), lo, hi).value
-    return 0.25 * (pv - reg)
+    return 0.25 * fano._dispersion_parts(spec, omega)
 
 
 def approx_alpha_sq(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:

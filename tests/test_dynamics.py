@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import simpson
 
 from dosc import dynamics, fano, oracle
 from dosc.errors import AliasingError, UsageError
@@ -53,6 +54,19 @@ class TestKernels:
         k = dynamics.kernels(ref8, np.linspace(0.0, 8.0, 1500))
         assert np.abs(k.k_cos).max() <= 1.0 + 1e-9
         assert np.abs(k.k_sin_over).max() <= minv * (1.0 + 1e-6)
+
+    def test_matches_simpson_reference(self, ref8):
+        # the blocked weights @ cos/sin(t nodes) sums against scipy's
+        # Simpson rule over the same grid
+        w, pi = ref8.omegas, ref8.pi
+        ts = np.linspace(0.0, 8.0, 150)
+        k = dynamics.kernels(ref8, ts)
+        for i, t in enumerate(ts):
+            ref = (simpson(pi * np.cos(t * w), x=w),
+                   simpson(np.sin(t * w) * (pi / w), x=w),
+                   simpson(np.sin(t * w) * (pi * w), x=w))
+            got = (k.k_cos[i], k.k_sin_over[i], k.k_sin_times[i])
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_derivative_consistency(self, ref8):
         ts = np.arange(0.0, 8.0, 2e-3)
@@ -133,16 +147,13 @@ class TestTrajectory:
 
 
 class _DegenerateDensity:
-    """A density concentrated within 1e-7 of omega0: fourth-moment
-    excess far below the short-time fit's resolution."""
+    """A (nodes, weights) measure concentrated within 1e-7 of omega0:
+    fourth-moment excess far below the short-time fit's resolution."""
 
     def __init__(self):
-        w = np.linspace(1.0 - 8e-7, 1.0 + 8e-7, 401)
-        pi = np.exp(-0.5 * ((w - 1.0) / 1e-7) ** 2)
-        from scipy.integrate import simpson
-        self.omegas = w
-        self.pi = pi / simpson(pi, x=w)
-        self._moment_cache = {}
+        self.nodes = np.linspace(1.0 - 8e-7, 1.0 + 8e-7, 401)
+        g = np.exp(-0.5 * ((self.nodes - 1.0) / 1e-7) ** 2)
+        self.weights = g / g.sum()
 
 
 class TestShortTime:

@@ -5,23 +5,24 @@ form in terms of Ei and E1 (scipy.special), used here as an oracle for
 the quadrature route; flat bands are checked against elementary logs.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.special import exp1, expi
 
 from dosc.errors import ConvergenceError, OutsideSupportError, UsageError
 from dosc.fano import (
+    _grid_bounds,
     alias_bound_satisfied,
     build_grid,
-    compute_Y,
-    compute_alpha_sq,
-    compute_beta_ratio,
-    compute_kernels,
     compute_pi,
+    dressing,
     frequency_moment,
     moment,
     refine_for_times,
@@ -30,6 +31,12 @@ from dosc.fano import (
 from dosc.spectra import FlatBand, OhmicExp, UnitSystem
 
 U = UnitSystem()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_spec(name):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())["spectrum"]
+    return OhmicExp(amplitude=doc["amplitude"], cutoff=doc["cutoff"])
 
 # Y at omega0 for the exponential family with amplitude 0.3, cutoff 5,
 # frozen from a shrinking-window principal-value sweep cross-checked
@@ -42,6 +49,14 @@ def ohmic_dispersion_closed_form(amplitude, cutoff, w):
     """I(omega) for |V|^2 = amplitude^2 w exp(-w/cutoff), via Ei and E1."""
     x = w / cutoff
     return amplitude**2 * (w * (math.exp(-x) * expi(x) + math.exp(x) * exp1(x)) - 2.0 * cutoff)
+
+
+def Y_at(spec, w):
+    return float(dressing(spec, U, [w])[0][0])
+
+
+def alpha_sq_at(spec, w):
+    return float(dressing(spec, U, [w])[1][0])
 
 
 def ohmic_Y_closed_form(amplitude, cutoff, w, w0=1.0):
@@ -59,14 +74,14 @@ def flat_Y_closed_form(a, b, w, w0=1.0, vsq=None):
 
 def test_ohmic_Y_golden_at_omega0():
     spec = OhmicExp(amplitude=0.3, cutoff=5.0)
-    assert abs(compute_Y(spec, U, 1.0) - Y_OHMIC_GOLDEN) < 1e-9
+    assert abs(Y_at(spec, 1.0) - Y_OHMIC_GOLDEN) < 1e-9
 
 
 def test_ohmic_Y_matches_special_function_oracle():
     spec = OhmicExp(amplitude=0.3, cutoff=5.0)
     for w in (0.3, 0.7, 1.0, 1.9, 4.2, 11.0):
         expect = ohmic_Y_closed_form(0.3, 5.0, w)
-        assert abs(compute_Y(spec, U, w) - expect) < 1e-8 * max(1.0, abs(expect))
+        assert abs(Y_at(spec, w) - expect) < 1e-8 * max(1.0, abs(expect))
 
 
 def test_golden_consistent_with_oracle():
@@ -78,30 +93,30 @@ def test_leading_term_vanishes_at_omega0():
     spec = OhmicExp(amplitude=0.3, cutoff=5.0)
     i = ohmic_dispersion_closed_form(0.3, 5.0, 1.0)
     vsq = 0.09 * math.exp(-0.2)
-    assert abs(compute_Y(spec, U, 1.0) - (-i / vsq)) < 1e-9
+    assert abs(Y_at(spec, 1.0) - (-i / vsq)) < 1e-9
 
 
 def test_flat_band_Y_closed_form():
     # Admissible band: 0.1 * ln(2/0.1) = 0.3 < omega0.  At omega=omega0
     # the leading term drops and Y = ln((b^2-1)/(1-a^2)) exactly.
     spec = FlatBand(level=math.sqrt(0.1), lower=0.1, upper=2.0)
-    y = compute_Y(spec, U, 1.0)
+    y = Y_at(spec, 1.0)
     assert abs(y - math.log(3.0 / 0.99)) < 1e-9
     for w in (0.3, 0.85, 1.4):
         expect = flat_Y_closed_form(0.1, 2.0, w, vsq=0.1)
-        assert abs(compute_Y(spec, U, w) - expect) < 1e-8
+        assert abs(Y_at(spec, w) - expect) < 1e-8
 
 
 def test_flat_band_alpha_sq_closed_form():
     spec = FlatBand(level=math.sqrt(0.1), lower=0.1, upper=2.0)
     y = math.log(3.0 / 0.99)
     expect = 4.0 / (0.1 * (y * y + math.pi**2))
-    assert abs(compute_alpha_sq(spec, U, 1.0) - expect) < 1e-8
+    assert abs(alpha_sq_at(spec, 1.0) - expect) < 1e-8
 
 
 def test_ohmic_alpha_sq_golden():
     spec = OhmicExp(amplitude=0.3, cutoff=5.0)
-    a = compute_alpha_sq(spec, U, 1.0)
+    a = alpha_sq_at(spec, 1.0)
     assert abs(a - ALPHA_SQ_OHMIC_GOLDEN) < 1e-9
     vsq = 0.09 * math.exp(-0.2)
     assert abs(a - 4.0 / (vsq * (Y_OHMIC_GOLDEN**2 + math.pi**2))) < 1e-12
@@ -109,7 +124,7 @@ def test_ohmic_alpha_sq_golden():
 
 def test_alpha_sq_vanishes_at_fixed_omega_as_coupling_shrinks():
     vals = [
-        compute_alpha_sq(OhmicExp(amplitude=amp, cutoff=5.0), U, 1.7)
+        alpha_sq_at(OhmicExp(amplitude=amp, cutoff=5.0), 1.7)
         for amp in (0.2, 0.1, 0.05, 0.025)
     ]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -119,18 +134,21 @@ def test_alpha_sq_vanishes_at_fixed_omega_as_coupling_shrinks():
 
 
 def test_beta_ratio_values():
-    assert compute_beta_ratio(1.0, 1.0) == 0.0
-    assert compute_beta_ratio(3.0, 1.0) == 0.5
-    assert abs(compute_beta_ratio(1e-12, 1.0) + 1.0) < 1e-11
-    with pytest.raises(UsageError):
-        compute_beta_ratio(-1.0, 1.0)
+    spec = OhmicExp(amplitude=0.3, cutoff=5.0)
+    beta = dressing(spec, U, [1.0, 3.0, 1e-12])[2]
+    assert beta[0] == 0.0
+    assert beta[1] == 0.5
+    assert abs(beta[2] + 1.0) < 1e-11
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(UsageError):
+            dressing(spec, U, [1.0, bad])
 
 
 def test_outside_support_rejected():
     spec = FlatBand(level=0.2, lower=0.5, upper=1.5)
-    for w in (0.3, 1.5, 2.0):
+    for w in (0.3, 0.5, 1.5, 2.0):
         with pytest.raises(OutsideSupportError):
-            compute_Y(spec, U, w)
+            dressing(spec, U, [1.0, w])
 
 
 def test_zero_coupling_has_no_grid_solution():
@@ -163,13 +181,6 @@ def test_mean_inequalities(ohmic_ref):
     assert m1 < U.omega0
     assert minv > 1.0 / U.omega0
     assert m1 * minv >= 1.0
-
-
-def test_moment_accepts_scalar_callable(ohmic_ref):
-    _, sol = ohmic_ref
-    a = moment(sol, lambda w: math.cos(w))
-    b = moment(sol, lambda w: np.cos(w))
-    assert abs(a - b) < 1e-14
 
 
 def test_moment_rejects_singular_integrand(ohmic_ref):
@@ -215,27 +226,61 @@ def test_alternate_unit_system():
     assert frequency_moment(sol, 1) < 2.0
 
 
-def test_kernel_values(ohmic_ref):
+def test_dressing_reproduces_solution_columns(ohmic_ref):
+    # same N(omega) and the same assembly, node by node: bit for bit
     spec, sol = ohmic_ref
-    k = compute_kernels(spec, U, sol, 1.0, 0.7)
-    assert k.delta > 0  # sign of V(w') alpha(w), both positive here
-    # factoring the pole: delta * (w + w') recovers gamma_regular
-    assert abs(k.delta * (1.0 + 0.7) - k.gamma_regular) < 1e-14
-    # scan consistency: gamma_regular / V(w') is independent of w'
-    base = k.gamma_regular / spec.v(0.7)
-    for wp in (0.2, 1.3, 2.6):
-        ki = compute_kernels(spec, U, sol, 1.0, wp)
-        assert abs(ki.gamma_regular / spec.v(wp) - base) < 1e-12 * abs(base)
-        assert abs(ki.delta * (1.0 + wp) - ki.gamma_regular) < 1e-14
+    idx = [0, sol.omegas.size // 3, sol.omegas.size - 1]
+    Y, alpha_sq, beta, pi = dressing(spec, U, sol.omegas[idx])
+    assert np.array_equal(Y, sol.Y[idx])
+    assert np.array_equal(alpha_sq, sol.alpha_sq[idx])
+    assert np.array_equal(beta, sol.beta_ratio[idx])
+    assert np.array_equal(pi, sol.pi[idx])
 
 
 def test_flat_band_singular_coefficient():
+    # coefficient of delta(omega - omega') in gamma at omega = omega0:
+    # Y |V| omega0 alpha / (omega + omega0)
     spec = FlatBand(level=math.sqrt(0.1), lower=0.1, upper=2.0)
     y = math.log(3.0 / 0.99)
     alpha = math.sqrt(4.0 / (0.1 * (y * y + math.pi**2)))
     expect = y * math.sqrt(0.1) * 1.0 * alpha / 2.0
-    k = compute_kernels(spec, U, None, 1.0, 0.5)
-    assert abs(k.gamma_singular_coeff - expect) < 1e-8
+    Y, alpha_sq, _, _ = dressing(spec, U, [1.0])
+    coeff = Y[0] * math.sqrt(0.1) * 1.0 * math.sqrt(alpha_sq[0]) / (1.0 + 1.0)
+    assert abs(coeff - expect) < 1e-8
+
+
+def test_grid_has_no_near_duplicate_nodes():
+    # a peak whose width is clamped to the room left before lo
+    # (near_critical) or after hi puts a cluster node within an ulp of
+    # that bound unless build_grid drops it
+    for spec, side in ((config_spec("near_critical"), "lo"),
+                       (FlatBand(level=0.1, lower=0.5, upper=1.02), "hi")):
+        lo, hi, _ = _grid_bounds(spec)
+        grid = build_grid(spec, U)
+        room = {"lo": lambda pk: pk - lo, "hi": lambda pk: hi - pk}[side]
+        assert any(w == 0.25 * room(pk) for pk, w in grid.meta["peaks"])
+        w = grid.nodes
+        assert np.all(np.diff(w) >= 1e-12 * w[1:])
+
+
+@pytest.fixture(scope="module")
+def even_solutions():
+    sols = [solve(config_spec(name), U) for name in ("weak_line", "near_critical")]
+    assert all(sol.omegas.size % 2 == 0 for sol in sols)
+    return sols
+
+
+def test_weights_reproduce_simpson_moments(ohmic_ref, even_solutions):
+    # odd node count (ohmic_ref) and even ones, where scipy corrects the
+    # last interval
+    _, odd = ohmic_ref
+    assert odd.omegas.size % 2 == 1
+    for sol in (odd, *even_solutions):
+        w = sol.omegas
+        for k in (-1, 0, 1, 2, 4):
+            ref = simpson(sol.pi * w**k, x=w)
+            assert abs(sol.weights @ w**k - ref) <= 1e-13 * abs(ref)
+            assert frequency_moment(sol, k) == sol.weights @ w**k
 
 
 def test_grid_building_deterministic():

@@ -3,12 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dosc.errors import InternalConsistencyError
-from dosc.fano import refine_for_times
+from dosc.fano import frequency_moment, refine_for_times
 from dosc.groundstate import (
     characteristic_function,
     effective_frequency,
@@ -25,21 +26,24 @@ from dosc.spectra import UnitSystem
 U = UnitSystem()
 
 
-class PowerMoments:
-    """Minimal moment surface: discrete weights at fixed frequencies."""
+class Measure:
+    """Minimal (nodes, weights) measure: discrete weights at fixed frequencies."""
 
     def __init__(self, weights, freqs):
-        self.weights = weights
-        self.freqs = freqs
+        self.weights = np.asarray(weights, dtype=float)
+        self.nodes = np.asarray(freqs, dtype=float)
 
-    def power_moment(self, k):
-        return sum(p * f**k for p, f in zip(self.weights, self.freqs))
+
+def one_node(m1, minv):
+    """A single node at sqrt(m1/minv) with weight sqrt(m1 minv): its
+    moments are <<omega>> = m1 and <<1/omega>> = minv."""
+    return Measure((math.sqrt(m1 * minv),), (math.sqrt(m1 / minv),))
 
 
 # Oscillator at omega0=1 coupled to one bath mode at omega1=1 with V=0.5:
 # the 2x2 frequency matrix [[1, .5], [.5, 1]] has normal modes at
 # sqrt(1.5), sqrt(0.5) with equal weights 1/2.
-TWO_MODE = PowerMoments((0.5, 0.5), (math.sqrt(1.5), math.sqrt(0.5)))
+TWO_MODE = Measure((0.5, 0.5), (math.sqrt(1.5), math.sqrt(0.5)))
 
 
 def test_uncoupled_closed_forms():
@@ -84,8 +88,8 @@ def test_two_mode_entropy_and_energy():
 def test_two_mode_characteristic_function():
     assert characteristic_function(TWO_MODE, 0.0, 0.0) == 1.0
     assert characteristic_function(TWO_MODE, 1.0, 0.0) == pytest.approx(0.616952, abs=1e-6)
-    m1 = TWO_MODE.power_moment(1)
-    minv = TWO_MODE.power_moment(-1)
+    m1 = frequency_moment(TWO_MODE, 1)
+    minv = frequency_moment(TWO_MODE, -1)
     got = characteristic_function(TWO_MODE, 0.3, 0.7)
     assert got == pytest.approx(math.exp(-0.5 * (m1 * 0.09 + minv * 0.49)), rel=1e-14)
 
@@ -125,26 +129,18 @@ def test_outputs_stable_under_refinement(ohmic_ref):
 
 def test_occupation_clamp_and_violation():
     # product of moments a hair under 1: round-off, clamps to zero
-    eps_ok = PowerMoments((1.0,), (1.0,))
+    eps_ok = Measure((1.0,), (1.0,))
     assert thermal_occupation(eps_ok) == 0.0
 
-    class Skewed:
-        def power_moment(self, k):
-            # M1 * Minv = 1 - 1e-13: inside the clamp
-            return 1.0 - 1e-13 if k == 1 else 1.0
-
-    assert thermal_occupation(Skewed()) == 0.0
-
-    class Broken:
-        def power_moment(self, k):
-            return 1.0 - 1e-7 if k == 1 else 1.0
+    # M1 * Minv = 1 - 1e-13: inside the clamp
+    assert thermal_occupation(one_node(1.0 - 1e-13, 1.0)) == 0.0
 
     with pytest.raises(InternalConsistencyError):
-        thermal_occupation(Broken())
+        thermal_occupation(one_node(1.0 - 1e-7, 1.0))
 
 
 def test_temperature_zero_at_zero_occupation():
-    assert effective_temperature(PowerMoments((1.0,), (1.0,)), U) == 0.0
+    assert effective_temperature(Measure((1.0,), (1.0,)), U) == 0.0
 
 
 @given(n=st.floats(1e-6, 5.0))
@@ -163,9 +159,7 @@ def test_temperature_monotone_in_occupation():
         w = 2.0 * (n + 0.5) * 0.9  # keeps omega_c fixed at 0.9 given M1
         m1 = 0.9 * (2 * n + 1)
         minv = m1 / 0.81
-        fake = type("F", (), {"power_moment": lambda self, k, a=m1, b=minv:
-                              a if k == 1 else (b if k == -1 else None)})()
-        vals.append(effective_temperature(fake, U))
+        vals.append(effective_temperature(one_node(m1, minv), U))
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
