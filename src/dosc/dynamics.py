@@ -53,6 +53,17 @@ def _evaluate(source, ts: np.ndarray):
     return k_cos, k_sin[0], k_sin[1]
 
 
+def _k_sin_times(source, ts: np.ndarray) -> np.ndarray:
+    """k_sin_times alone at ts, blocked as in _evaluate: the one kernel
+    the damping scan reads."""
+    w = source.nodes
+    wt = source.weights * w
+    out = np.empty(ts.size)
+    for lo in range(0, ts.size, _BLOCK):
+        out[lo:lo + _BLOCK] = np.sin(np.outer(ts[lo:lo + _BLOCK], w)) @ wt
+    return out
+
+
 def _require_alias_bound(source, t_max: float, mass_tol: float) -> None:
     # a finite-bath sum is exact at any t; only a grid can undersample
     if isinstance(source, fano.SpectralSolution):
@@ -232,7 +243,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     step = _SCAN_STEP_FACTOR / kern.omega0
     n = int(math.ceil(scan_window / step)) + 1
     ts = np.linspace(step, scan_window, n)
-    vals = _evaluate(source, ts)[2]
+    vals = _k_sin_times(source, ts)
     floor = resolution * kern.omega0**2
     below = np.nonzero(vals < -floor)[0]
     if below.size:
@@ -240,7 +251,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         start = np.nonzero(vals[:j] >= 0.0)[0]
         if start.size:
             i = int(start[-1])
-            zero_at = float(brentq(lambda t: _evaluate(source, np.array([t]))[2][0],
+            zero_at = float(brentq(lambda t: _k_sin_times(source, np.array([t]))[0],
                                    ts[i], ts[j], xtol=1e-12, rtol=1e-14))
         else:
             zero_at = float(ts[j])  # negative from the first sample on

@@ -28,6 +28,10 @@ weights @ f(nodes) over either.
 Numerical form: everything is built from N(omega) = Y * |V|^2, which
 stays finite in the far tails where Y itself overflows;
 |alpha|^2 = (omega+omega0)^2 |V|^2 / (omega0^2 (N^2 + pi^2 |V|^4)).
+N is one array expression over all nodes: I(omega) comes from the
+spectrum family's closed form (``CouplingSpectrum.dispersion``).  The
+QUADPACK route ``_dispersion_parts`` is kept only as the independent
+reference the tests compare that closed form against.
 
 Grid strategy: a logarithmic base grid over (omega_max * 1e-6, omega_max]
 inside the support, geometric ladders into any sharp support edge, seed
@@ -152,9 +156,10 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _dispersion_parts(spec: CouplingSpectrum, omega: float) -> float:
-    """I(omega): the 1/(omega-w') integral minus the regular 1/(omega+w')
-    one.  Inside the support the first is a principal value; outside it
-    is an ordinary integral."""
+    """I(omega) by scalar QUADPACK calls: the 1/(omega-w') integral minus
+    the regular 1/(omega+w') one.  Inside the support the first is a
+    principal value; outside it is an ordinary integral.  The reference
+    for ``spec.dispersion``; nothing on the solve path calls it."""
     lo = spec.support_lower
     hi = spec.support_upper if math.isfinite(spec.support_upper) else math.inf
     vsq = spec.v_sq_scalar
@@ -166,13 +171,11 @@ def _dispersion_parts(spec: CouplingSpectrum, omega: float) -> float:
     return pv - reg
 
 
-def _n_value(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
-    w0 = units.omega0
-    return 2.0 * (omega * omega - w0 * w0) / w0 - _dispersion_parts(spec, omega)
-
-
 def _n_values(spec, units, omegas) -> np.ndarray:
-    return np.array([_n_value(spec, units, float(w)) for w in omegas])
+    """N(omega) = 2(omega^2 - omega0^2)/omega0 - I(omega), elementwise."""
+    w = np.asarray(omegas, dtype=float)
+    w0 = units.omega0
+    return 2.0 * (w * w - w0 * w0) / w0 - spec.dispersion(w)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +217,14 @@ def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
         if not (np.isfinite(a) and np.isfinite(b)) or a * b >= 0:
             continue
         try:
-            pk = brentq(lambda x: _n_value(spec, units, x), lattice[i], lattice[i + 1],
+            pk = brentq(lambda x: float(_n_values(spec, units, x)), lattice[i], lattice[i + 1],
                         xtol=1e-14, rtol=1e-14)
         except ValueError:
             continue
         d = max(1e-6 * pk, 1e-9)
         d = min(d, 0.5 * (pk - lo), 0.5 * (hi - pk)) or d
-        nprime = (_n_value(spec, units, pk + d) - _n_value(spec, units, pk - d)) / (2 * d)
+        n_hi, n_lo = _n_values(spec, units, [pk + d, pk - d])
+        nprime = (n_hi - n_lo) / (2 * d)
         vsq = float(spec.v_sq(pk))
         if abs(nprime) > 0 and vsq > 0:
             width = math.pi * vsq / abs(nprime)
@@ -278,9 +282,10 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem,
 # ---------------------------------------------------------------------------
 # solution assembly and refinement
 
-def _assemble(spec, units, nodes, nvals):
+def _assemble(spec, units, nodes):
     w0 = units.omega0
     w = nodes
+    nvals = _n_values(spec, units, w)
     vsq = np.asarray(spec.v_sq(w), dtype=float)
     denom = nvals * nvals + (math.pi**2) * vsq * vsq
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,7 +315,7 @@ def dressing(spec: CouplingSpectrum, units: UnitSystem, omegas):
             f"omega = {w[outside][0]} is outside the open coupling support "
             f"({spec.support_lower}, {spec.support_upper}); Y is undefined there"
         )
-    return _assemble(spec, units, w, _n_values(spec, units, w))
+    return _assemble(spec, units, w)
 
 
 def _interval_error_indicator(w, pi, units):
@@ -333,9 +338,10 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     """Evaluate pi on the grid and refine until the normalisation and the
     omega^2 sum rule both hold to tolerance.
 
-    Raises ConvergenceError with diagnostics if the node budget runs out;
-    a defect that stalls once the grid is dense usually means omega_max
-    truncates real spectral weight.
+    Raises ConvergenceError with diagnostics if the node budget runs out.
+    A defect that stalls once the grid is dense means weight the grid
+    cannot reach: a tail cut off by omega_max on an unbounded support, or
+    a bound state outside a bounded one.
     """
     if spec.is_zero():
         raise ConvergenceError(
@@ -345,13 +351,12 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     require_admissible(spec, units)
     w0 = units.omega0
 
-    nodes = grid.nodes.copy()
-    nvals = _n_values(spec, units, nodes)
+    nodes = grid.nodes
 
     defect = math.inf
     sum_defect = math.inf
     for round_no in range(max_rounds):
-        Y, alpha_sq, beta, pi = _assemble(spec, units, nodes, nvals)
+        Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
         norm = float(simpson(pi, x=nodes))
         m2 = float(simpson(pi * nodes * nodes, x=nodes))
         defect = abs(norm - 1.0)
@@ -383,19 +388,24 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
             keep = np.argsort(err[idx])[::-1][:room]
             idx = idx[keep]
         mids = 0.5 * (nodes[idx] + nodes[idx + 1])
-        new_n = _n_values(spec, units, mids)
-        nodes = np.concatenate([nodes, mids])
-        nvals = np.concatenate([nvals, new_n])
-        order = np.argsort(nodes)
-        nodes, nvals = nodes[order], nvals[order]
+        nodes = np.sort(np.concatenate([nodes, mids]))
 
+    if math.isfinite(spec.support_upper):
+        # omega_max cannot cut a bounded support (spectra refuses that), so
+        # the missing mass is not in a truncated tail
+        guidance = (f"if the defect has stalled, about {defect:.3g} of the "
+                    "spectral mass lies outside the coupling support: a point "
+                    "mass (bound state) of the dressed oscillator, which the "
+                    "grid cannot hold; raising omega_max does not help")
+    else:
+        guidance = ("if the defect has stalled, omega_max is probably "
+                    "truncating spectral weight; raise it and rerun")
     raise ConvergenceError(
         "grid refinement exhausted its budget before reaching tolerance",
         detail={
             "norm_defect": defect, "sum_defect": sum_defect,
             "nodes": int(nodes.size), "rounds": max_rounds,
-            "guidance": "if the defect has stalled, omega_max is probably "
-                        "truncating spectral weight; raise it and rerun",
+            "guidance": guidance,
         },
     )
 
@@ -436,17 +446,15 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
 
     Requirement: intervals violating  (spacing) * t_max <= alias_limit
     may carry at most mass_tol of total spectral weight.  Violating
-    intervals are split into equal parts; the dispersion integrals are
-    evaluated only at the new nodes.
+    intervals are split into equal parts, and pi is re-evaluated on the
+    merged nodes.
     """
     if t_max <= 0:
         return sol
     spec, units = sol.spec, sol.units
     h_max = alias_limit / t_max
-    nodes = sol.omegas.copy()
-    pi = sol.pi.copy()
-    # _assemble recomputes pi from N, so keep N alongside the nodes.
-    nvals = np.where(np.isnan(sol.Y), 0.0, sol.Y) * np.asarray(spec.v_sq(nodes))
+    nodes = sol.omegas
+    Y, alpha_sq, beta, pi = sol.Y, sol.alpha_sq, sol.beta_ratio, sol.pi
 
     added = 0
     for _ in range(40):
@@ -477,14 +485,9 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
                 detail={"t_max": t_max, "new_nodes": added,
                         "guidance": "shorten the time span or relax alias_limit"},
             )
-        new_n = _n_values(spec, units, new_nodes)
-        nodes = np.concatenate([nodes, new_nodes])
-        nvals = np.concatenate([nvals, new_n])
-        order = np.argsort(nodes)
-        nodes, nvals = nodes[order], nvals[order]
-        _, _, _, pi = _assemble(spec, units, nodes, nvals)
+        nodes = np.sort(np.concatenate([nodes, new_nodes]))
+        Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
 
-    Y, alpha_sq, beta, pi = _assemble(spec, units, nodes, nvals)
     norm = float(simpson(pi, x=nodes))
     meta = dict(sol.meta)
     meta.update({"refined_for_t_max": t_max, "nodes": int(nodes.size)})

@@ -1,11 +1,17 @@
 """Adaptive quadrature and Cauchy principal values.
 
 Wraps QUADPACK (via :func:`scipy.integrate.quad`) behind two small
-entry points used everywhere else in the package:
+entry points:
 
 * :func:`integrate` for ordinary (possibly improper) integrals,
 * :func:`cauchy_pv` for principal values with a single simple pole
   strictly inside the interval.
+
+The solve path does not use them: every spectrum family evaluates its
+dispersion integral in closed form.  They serve the positivity integral
+of a family without a closed form (``gaussian_peak``) and the scalar
+reference route ``fano._dispersion_parts`` that the tests compare the
+closed forms against.
 
 The principal value is computed by the standard subtraction trick: on a
 symmetric window around the pole the integrand is replaced by

@@ -2,15 +2,26 @@
 
 A spectrum is the real function V(omega) that couples the oscillator to
 the continuum.  Everything downstream only ever needs |V|^2, the support
-interval, and the integral of |V|^2/omega that decides whether the model
-is bounded below: the oscillator stays stable iff
+interval, the integral of |V|^2/omega that decides whether the model
+is bounded below (the oscillator stays stable iff
 
-    integral_0^inf |V(omega)|^2 / omega  d omega  <  omega0.
+    integral_0^inf |V(omega)|^2 / omega  d omega  <  omega0),
+
+and the dispersion integral
+
+    I(omega) = PV int |V(x)|^2/(omega - x) dx - int |V(x)|^2/(omega + x) dx,
+
+which each family evaluates in closed form on whole arrays of omega,
+inside and outside the support.  With P(z) = PV int |V(x)|^2/(z - x) dx,
+I(omega) = P(omega) + P(-omega).
 
 Four families are provided.  ``ohmic_exp`` is the reference family for
-all quantitative runs, ``flat_band`` is the analytic-check family (its
-dispersion integrals are elementary), ``gaussian_peak`` models a narrow
-resonance, and ``tabulated`` accepts measured data.
+all quantitative runs (I in terms of Ei and E1, Abramowitz & Stegun
+5.1), ``flat_band`` is the analytic-check family (I is a logarithm),
+``gaussian_peak`` models a narrow resonance (I in terms of the Dawson
+function, A&S 7.1), and ``tabulated`` accepts measured data (V
+piecewise linear, so |V|^2 piecewise quadratic and I a sum of
+logarithms and polynomials).
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import dawsn, exp1, expi, xlogy
 
 from .errors import PositivityError, UsageError
 from .quadrature import integrate
@@ -35,6 +47,15 @@ GAUSS_SUPPORT_SIGMA = 8.0
 # which at 20 cutoffs is ~1e-9 of omega0^2, safely below the 1e-6
 # tolerance that also guards the normalisation.
 OHMIC_SUPPORT_CUTOFFS = 20.0
+
+# Above this x = omega/cutoff the exponential family's dispersion
+# integral, k^2 L [x (e^{-x} Ei(x) + e^{x} E1(x)) - 2], switches to the
+# asymptotic series k^2 L * 2 sum_{j>=1} (2j)!/x^{2j}: the factors of the
+# closed form overflow past x ~ 709, and the bracket cancels to O(1/x^2)
+# well before.  At x = 50 the first omitted term of the 25-term series
+# is below 1e-20 of the sum.
+OHMIC_ASYMPTOTIC_X = 50.0
+_OHMIC_SERIES = np.array([0.0] + [float(math.factorial(2 * k)) for k in range(1, 26)])
 
 
 @dataclass(frozen=True)
@@ -72,7 +93,8 @@ class CouplingSpectrum:
 
     Subclasses must set ``family``, ``support_lower``, ``support_upper``
     (mathematical support, may be inf), ``omega_max`` (finite effective
-    bound used for grid construction), and implement ``v_sq``.
+    bound used for grid construction), and implement ``v_sq`` and
+    ``dispersion``.
     """
 
     family: str = "abstract"
@@ -87,8 +109,16 @@ class CouplingSpectrum:
         raise NotImplementedError
 
     def v_sq_scalar(self, omega: float) -> float:
-        """Scalar |V|^2 without array overhead; hot path for quadrature."""
+        """Scalar |V|^2 without array overhead, for scalar integrands (the
+        QUADPACK reference of the dispersion integral, the Gaussian
+        positivity integral)."""
         return float(self.v_sq(omega))
+
+    def dispersion(self, omegas):
+        """I(omega) = PV int |V|^2/(omega - x) dx - int |V|^2/(omega + x) dx
+        in closed form, elementwise for omega >= 0.  Inside the support
+        the first integral is a principal value, outside an ordinary one."""
+        raise NotImplementedError
 
     def v(self, omega):
         return np.sqrt(self.v_sq(omega))
@@ -146,6 +176,17 @@ class OhmicExp(CouplingSpectrum):
     def analytic_positivity_integral(self) -> float:
         return self.amplitude**2 * self.cutoff
 
+    def dispersion(self, omegas):
+        # I = k^2 L g(x), x = omega/L, g = x (e^{-x} Ei(x) + e^{x} E1(x)) - 2
+        x = np.asarray(omegas, dtype=float) / self.cutoff
+        g = np.full(x.shape, -2.0)                  # x = 0: I = -2 k^2 L
+        near = (x > 0.0) & (x <= OHMIC_ASYMPTOTIC_X)
+        xn = x[near]
+        g[near] = xn * (np.exp(-xn) * expi(xn) + np.exp(xn) * exp1(xn)) - 2.0
+        far = x > OHMIC_ASYMPTOTIC_X
+        g[far] = 2.0 * np.polynomial.polynomial.polyval(x[far] ** -2, _OHMIC_SERIES)
+        return self.amplitude**2 * self.cutoff * g
+
     def scaled(self, s: float) -> "OhmicExp":
         return replace(self, amplitude=s * self.amplitude)
 
@@ -195,6 +236,13 @@ class FlatBand(CouplingSpectrum):
 
     def analytic_positivity_integral(self) -> float:
         return self.level**2 * math.log(self.upper / self.lower)
+
+    def dispersion(self, omegas):
+        w = np.asarray(omegas, dtype=float)
+        a, b = self.lower, self.upper
+        # infinite on a band edge, where |V|^2 jumps
+        with np.errstate(divide="ignore"):
+            return self.level**2 * np.log(np.abs((w - a) * (w + a)) / np.abs((w - b) * (w + b)))
 
     def scaled(self, s: float) -> "FlatBand":
         return replace(self, level=s * self.level)
@@ -251,6 +299,14 @@ class GaussianPeak(CouplingSpectrum):
             return 0.0
         z = (omega - self.center) / self.width
         return self.amplitude**2 * math.exp(-0.5 * z * z)
+
+    def dispersion(self, omegas):
+        # PV int e^{-t^2}/(z - t) dt = 2 sqrt(pi) D(z) over the real line;
+        # the +-8 sigma truncation changes I by less than 1e-14 A^2
+        w = np.asarray(omegas, dtype=float)
+        r = math.sqrt(2.0) * self.width
+        return (2.0 * math.sqrt(math.pi) * self.amplitude**2
+                * (dawsn((w - self.center) / r) - dawsn((w + self.center) / r)))
 
     def scaled(self, s: float) -> "GaussianPeak":
         return replace(self, amplitude=s * self.amplitude)
@@ -309,6 +365,44 @@ class Tabulated(CouplingSpectrum):
         out = np.interp(w, self._w, self._v, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
+    def analytic_positivity_integral(self) -> float:
+        # per segment V = alpha + s x, so |V|^2/x = s^2 x + 2 s alpha + alpha^2/x;
+        # a segment starting at x = 0 has alpha = V(0) = 0
+        a, b = self._w[:-1], self._w[1:]
+        s = np.diff(self._v) / (b - a)
+        alpha = self._v[:-1] - s * a
+        logs = np.where(a > 0.0, np.log1p((b - a) / np.where(a > 0.0, a, 1.0)), 0.0)
+        return float(np.sum(0.5 * s * s * (b * b - a * a) + 2.0 * s * alpha * (b - a)
+                            + alpha * alpha * logs))
+
+    def _hilbert(self, z: np.ndarray) -> np.ndarray:
+        """P(z) = PV int |V(x)|^2/(z - x) dx for real z of either sign.
+
+        On segment [a, a+h] with V = v + s(x - a), write |V|^2 = q(x):
+        the integral is q(z) ln|z-a|/|z-a-h| - s h (2v + s(h/2 + z - a)).
+        The log terms are grouped by node as (q_right - q_left)(z)
+        ln|z - x_j|: at an interior node the bracket vanishes with
+        z - x_j, so the sum stays finite and continuous there."""
+        x, v = self._w, self._v
+        h = np.diff(x)
+        s = np.diff(v) / h
+        out = -np.sum(s * h * (2.0 * v[:-1] + s * (0.5 * h - x[:-1]))) - np.sum(s * s * h) * z
+        # one-sided values and slopes at each node; V = 0 outside the grid
+        zero = np.zeros(1)
+        v_left, v_right = np.concatenate([zero, v[1:]]), np.concatenate([v[:-1], zero])
+        s_left, s_right = np.concatenate([zero, s]), np.concatenate([s, zero])
+        c0 = v_right**2 - v_left**2
+        c1 = 2.0 * (v_right * s_right - v_left * s_left)
+        c2 = s_right**2 - s_left**2
+        for xj, a0, a1, a2 in zip(x, c0, c1, c2):
+            d = z - xj
+            out = out + xlogy(a0 + d * (a1 + a2 * d), np.abs(d))
+        return out
+
+    def dispersion(self, omegas):
+        w = np.asarray(omegas, dtype=float)
+        return self._hilbert(w) + self._hilbert(-w)
+
     def scaled(self, s: float) -> "Tabulated":
         return Tabulated(tuple(self.omegas), tuple(s * x for x in self.values), self.omega_max)
 
@@ -330,6 +424,8 @@ def positivity_check(spec: CouplingSpectrum, units: UnitSystem) -> PositivityRep
     inadmissible model; use require_admissible for the gate."""
     if spec.is_zero():
         integral = 0.0
+    elif (closed := spec.analytic_positivity_integral()) is not None:
+        integral = closed
     else:
         upper = spec.support_upper if math.isfinite(spec.support_upper) else math.inf
         integral = integrate(

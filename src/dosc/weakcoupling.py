@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import fano
 from .errors import ConvergenceError, UsageError
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
@@ -31,18 +30,24 @@ WINDOW_HWHMS = 10.0    # fit window half-width, in units of the HWHM guess
 
 def lamb_shift(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
     """F(omega) = I(omega)/4, the frequency pull of the coupling, with I
-    the dispersion integral of fano (a principal value inside the
-    support, an ordinary integral outside).
+    the spectrum's closed-form dispersion integral (a principal value
+    inside the support, an ordinary integral outside).
 
-    Quadrature failures propagate; a pole pinned to a support edge
-    where |V|^2 does not vanish is genuinely divergent.
+    A pole pinned to a support edge where |V|^2 does not vanish is
+    genuinely divergent: ConvergenceError.
     """
     if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega >= 0):
         raise UsageError(f"omega must be a finite number >= 0, got {omega!r}")
     require_admissible(spec, units)
     if spec.is_zero():
         return 0.0
-    return 0.25 * fano._dispersion_parts(spec, omega)
+    shift = 0.25 * float(spec.dispersion(omega))
+    if not math.isfinite(shift):
+        raise ConvergenceError(
+            f"the shift F diverges at omega = {omega}: a support edge where "
+            "|V|^2 jumps", detail={"omega": omega},
+        )
+    return shift
 
 
 def approx_alpha_sq(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:

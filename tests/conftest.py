@@ -11,9 +11,8 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-# Session-scoped spectral solutions shared across test modules.  Solving
-# the dispersion problem takes seconds per configuration, so each named
-# setup is computed once.
+# Session-scoped spectral solutions shared across test modules; each
+# named setup is solved once.
 
 @pytest.fixture(scope="session")
 def units():

@@ -175,6 +175,19 @@ class TestSpectrumCommand:
         assert doc["error"] == "ConvergenceError"
         assert "guidance" in doc.get("detail", {})
 
+    def test_bound_state_exits_three_with_guidance(self, capsys, tmp_path):
+        # a band above omega0 holds no dressed oscillator mode: its mass
+        # is a point outside the support, not a tail cut off by omega_max
+        cfg = write_config(tmp_path, {
+            "spectrum": {"family": "flat_band", "level": 0.3,
+                         "lower": 2.0, "upper": 3.0}})
+        rc, _, err = run(capsys, "spectrum", "--config", cfg,
+                         "--out", str(tmp_path / "out"))
+        assert rc == 3
+        doc = stderr_doc(err)
+        assert doc["error"] == "ConvergenceError"
+        assert "bound state" in doc["detail"]["guidance"]
+
     def test_positivity_rejection_exits_two(self, capsys, tmp_path):
         rc, _, err = run(capsys, "spectrum",
                          "--config", str(CONFIGS / "ohmic_reference.json"),

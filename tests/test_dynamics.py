@@ -173,6 +173,14 @@ class TestShortTime:
 
 
 class TestDamping:
+    def test_scan_kernel_matches_evaluate(self, ref8, two_mode_decomp):
+        # the damping scan computes k_sin_times alone
+        ts = np.linspace(0.01, 8.0, 300)
+        for source in (ref8, two_mode_decomp):
+            full = dynamics._evaluate(source, ts)[2]
+            assert np.allclose(dynamics._k_sin_times(source, ts), full,
+                               rtol=0, atol=1e-13)
+
     def test_weak_coupling_near_bare_half_period(self, ohmic_weak, units):
         _, sol = ohmic_weak
         sol8 = fano.refine_for_times(sol, 8.0)

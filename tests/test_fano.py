@@ -1,8 +1,11 @@
 """Diagonalisation core: goldens, closed forms, invariants, export.
 
-The exponential-family dispersion integral has an independent closed
-form in terms of Ei and E1 (scipy.special), used here as an oracle for
-the quadrature route; flat bands are checked against elementary logs.
+The solve evaluates the dispersion integral in closed form
+(``spec.dispersion``).  Its references here are independent: the scalar
+QUADPACK route ``fano._dispersion_parts`` for the smooth families, a
+segment-wise Cauchy-weight quadrature for tabulated V (whose kinks
+defeat the QUADPACK route), and the Ei/E1 and logarithm formulas
+written out below for the goldens.
 """
 
 import json
@@ -13,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.special import exp1, expi
 
+from dosc import weakcoupling
 from dosc.errors import ConvergenceError, OutsideSupportError, UsageError
 from dosc.fano import (
+    _dispersion_parts,
     _grid_bounds,
     alias_bound_satisfied,
     build_grid,
@@ -28,7 +33,7 @@ from dosc.fano import (
     refine_for_times,
     solve,
 )
-from dosc.spectra import FlatBand, OhmicExp, UnitSystem
+from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
 
 U = UnitSystem()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -314,3 +319,137 @@ def test_csv_round_trip(tmp_path, flat_mid):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], sol.omegas)
     assert np.array_equal(data[:, 4], sol.pi)
+
+
+# ---------------------------------------------------------------------------
+# closed-form dispersion integrals against independent references
+
+SMOOTH_SPECS = st.one_of(
+    st.builds(lambda ksq, cutoff: OhmicExp(amplitude=math.sqrt(ksq / cutoff), cutoff=cutoff),
+              st.floats(0.01, 0.95), st.floats(0.5, 8.0)),
+    st.builds(lambda level, a, width: FlatBand(level=level, lower=a, upper=a + width),
+              st.floats(0.05, 0.4), st.floats(0.05, 2.0), st.floats(0.1, 3.0)),
+    st.builds(GaussianPeak, st.floats(0.05, 0.5), st.floats(1.0, 3.0), st.floats(0.01, 0.1)),
+)
+
+
+@given(spec=SMOOTH_SPECS, where=st.sampled_from(["grid", "below", "above"]),
+       frac=st.floats(0.0, 1.0))
+def test_dispersion_matches_quadpack(spec, where, frac):
+    # inside the grid range (principal value) and outside the support
+    # (ordinary integral); "above" is a far tail for the unbounded ohmic
+    lo, hi, _ = _grid_bounds(spec)
+    if where == "below" and spec.support_lower > 0:
+        w = spec.support_lower * (0.01 + 0.98 * frac)
+    elif where == "above":
+        w = spec.omega_max * (1.01 + 2.0 * frac)
+    else:
+        w = lo + frac * (hi - lo)
+    ref = _dispersion_parts(spec, w)
+    assert abs(float(spec.dispersion(w)) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_dispersion_is_elementwise():
+    spec = OhmicExp(amplitude=0.3, cutoff=5.0)
+    ws = np.array([0.0, 0.4, 1.0, 260.0])
+    got = spec.dispersion(ws)
+    assert got.shape == ws.shape
+    assert all(got[i] == spec.dispersion(w) for i, w in enumerate(ws))
+    assert got[0] == -2.0 * spec.analytic_positivity_integral()
+
+
+def test_ohmic_dispersion_far_tail():
+    # e^{x} E1(x) overflows past x ~ 709; the asymptotic branch takes over
+    spec = OhmicExp(amplitude=0.3, cutoff=2.0)
+    for x in (49.9, 50.0, 50.1, 300.0, 709.0, 710.0, 1e3):
+        w = x * spec.cutoff
+        got = float(spec.dispersion(w))
+        assert math.isfinite(got)
+        ref = _dispersion_parts(spec, w)
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def scaled_tabulated(omegas, shape, integral):
+    """Piecewise-linear V through (omegas, shape) scaled so that
+    int |V|^2/omega = integral."""
+    unit = Tabulated(tuple(omegas), tuple(shape)).analytic_positivity_integral()
+    return Tabulated(tuple(omegas), tuple(v * math.sqrt(integral / unit) for v in shape))
+
+
+# six-node rise and fall with kinks at the nodes, and a twelve-node sin^2
+TAB_KINKED = scaled_tabulated([4.0 * k / 5 for k in range(6)],
+                              [0.0, 1.0, 0.83, 0.67, 0.5, 0.33], 0.1)
+TAB_SIN2 = scaled_tabulated([3.0 * k / 11 for k in range(12)],
+                            [math.sin(math.pi * k / 11) ** 2 for k in range(12)], 0.1)
+TAB_OFFSET = Tabulated((0.5, 1.0, 2.0), (0.3, 0.2, 0.1))    # V jumps at both edges
+
+
+def segmentwise_dispersion(spec, w):
+    """I(w) by QUADPACK one segment at a time, so no kink lies inside an
+    integral; the pole inside a segment goes to the Cauchy weight."""
+    total = 0.0
+    for a, b in zip(spec.omegas[:-1], spec.omegas[1:]):
+        if a < w < b:
+            total -= quad(spec.v_sq_scalar, a, b, weight="cauchy", wvar=w,
+                          epsabs=1e-14, epsrel=1e-13)[0]
+        else:
+            total += quad(lambda x: spec.v_sq_scalar(x) / (w - x), a, b,
+                          epsabs=1e-14, epsrel=1e-13)[0]
+        total -= quad(lambda x: spec.v_sq_scalar(x) / (w + x), a, b,
+                      epsabs=1e-14, epsrel=1e-13)[0]
+    return total
+
+
+@pytest.mark.parametrize("spec", [TAB_KINKED, TAB_SIN2, TAB_OFFSET])
+def test_tabulated_dispersion_matches_segmentwise_reference(spec):
+    nodes = np.asarray(spec.omegas)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    off_mid = nodes[:-1] + 0.13 * np.diff(nodes)
+    outside = [0.5 * nodes[0], 1.5 * nodes[-1], 7.0 * nodes[-1]]
+    for w in [*mids, *off_mid, *outside]:
+        ref = segmentwise_dispersion(spec, w)
+        assert abs(float(spec.dispersion(w)) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("spec", [TAB_KINKED, TAB_SIN2, TAB_OFFSET])
+def test_tabulated_dispersion_continuous_at_nodes(spec):
+    # per segment the log terms diverge at both ends; grouped by node
+    # their coefficient vanishes at an interior node
+    for xj in spec.omegas[1:-1]:
+        at = float(spec.dispersion(xj))
+        assert math.isfinite(at)
+        beside = spec.dispersion(np.array([xj - 1e-9, xj + 1e-9]))
+        assert np.all(np.abs(beside - at) < 1e-6)
+
+
+def test_lamb_shift_is_quarter_dispersion():
+    for spec in (OhmicExp(amplitude=0.3, cutoff=5.0), FlatBand(0.2, 0.1, 2.0),
+                 GaussianPeak(0.2, 1.0, 0.05), TAB_KINKED):
+        for w in (0.0, 0.7, 1.0, 3.3):
+            assert weakcoupling.lamb_shift(spec, U, w) == 0.25 * float(spec.dispersion(w))
+
+
+def test_lamb_shift_diverges_on_a_band_edge():
+    for spec in (FlatBand(0.2, 1.0, 2.0), TAB_OFFSET):
+        with pytest.raises(ConvergenceError):
+            weakcoupling.lamb_shift(spec, U, spec.support_lower)
+
+
+@pytest.mark.parametrize("spec", [TAB_KINKED, TAB_SIN2], ids=["kinked", "sin2"])
+def test_kinked_tabulated_spectra_solve(spec):
+    sol = solve(spec, U)
+    assert sol.norm_defect <= 1e-6
+    assert abs(frequency_moment(sol, 2) - 1.0) <= 1e-6
+
+
+def test_bound_state_guidance():
+    # a band above omega0 leaves the dressed oscillator mode as a point
+    # mass outside the support; a larger omega_max cannot reach it
+    with pytest.raises(ConvergenceError) as exc:
+        solve(FlatBand(0.3, 2.0, 3.0), U)
+    detail = exc.value.detail
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert detail["norm_defect"] > 0.5
+    assert "outside the coupling support" in detail["guidance"]
+    assert "bound state" in detail["guidance"]
+    assert "raise it" not in detail["guidance"]

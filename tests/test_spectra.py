@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dosc.errors import PositivityError, UsageError
 from dosc.spectra import (
@@ -54,12 +55,22 @@ def test_zero_coupling_margin_is_omega0():
         OhmicExp(amplitude=0.4, cutoff=2.0),
         FlatBand(level=0.2, lower=0.1, upper=2.0),
         FlatBand(level=0.3, lower=0.5, upper=1.7),
+        Tabulated(omegas=(0.0, 0.8, 1.6, 2.4, 3.2, 4.0),
+                  values=(0.0, 0.3, 0.25, 0.2, 0.15, 0.1)),
+        Tabulated(omegas=(0.5, 1.0, 2.0), values=(0.3, 0.2, 0.1)),
     ],
 )
 def test_positivity_integral_matches_analytic(spec):
+    # positivity_check takes the closed form; QUADPACK, one segment of a
+    # tabulated V at a time so that no kink lies inside an integral, is
+    # the independent reference
+    edges = getattr(spec, "omegas", (spec.support_lower, spec.support_upper))
+    ref = sum(quad(lambda w: spec.v_sq_scalar(w) / w, a, b, epsabs=0.0, epsrel=1e-13)[0]
+              for a, b in zip(edges[:-1], edges[1:]))
     rep = positivity_check(spec, U)
     exact = spec.analytic_positivity_integral()
-    assert abs(rep.integral - exact) <= 1e-8 * abs(exact)
+    assert rep.integral == exact
+    assert abs(exact - ref) <= 1e-10 * ref
 
 
 @given(s=st.floats(0.1, 2.0))
