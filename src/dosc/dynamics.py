@@ -36,6 +36,7 @@ _BLOCK = 64
 
 _SCAN_STEP_FACTOR = 0.01   # damping scan step, units 1/omega0
 _RELAX_THRESHOLD = 0.02
+_SHORT_TIME_POINTS = 25    # log-spaced times in the short-time fit window
 
 
 def _evaluate(source, ts: np.ndarray):
@@ -163,7 +164,7 @@ class ShortTimeReport:
     note: str = ""
 
 
-def short_time_check(sol, units: UnitSystem, n_points: int = 25) -> ShortTimeReport:
+def short_time_check(sol, units: UnitSystem) -> ShortTimeReport:
     w0 = units.omega0
     m4 = fano.frequency_moment(sol, 4)
     m6 = fano.frequency_moment(sol, 6)
@@ -186,11 +187,11 @@ def short_time_check(sol, units: UnitSystem, n_points: int = 25) -> ShortTimeRep
         t_hi = 0.1 / w0
     t_hi = min(t_hi, 0.2 / w0)
     t_lo = t_hi / 10.0
-    ts = np.geomspace(t_lo, t_hi, n_points)
+    ts = np.geomspace(t_lo, t_hi, _SHORT_TIME_POINTS)
     k_sin_times = _evaluate(sol, ts)[2]
     dev = k_sin_times - w0 * np.sin(w0 * ts)
     usable = dev < 0
-    if usable.sum() < max(5, n_points // 2):
+    if usable.sum() < _SHORT_TIME_POINTS // 2:
         return ShortTimeReport(
             exponent=math.nan, coefficient=0.0,
             predicted_coefficient=-excess4 / 6.0,
@@ -232,7 +233,8 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     -resolution * omega0^2: every quadrature kernel wiggles at some
     tiny amplitude, and near the positivity margin the true dips fall
     orders of magnitude below the kernel's initial scale, so a
-    strict sign test would call everything oscillatory.
+    strict sign test would call everything oscillatory.  The scan
+    stops at the first block of times that reaches below that floor.
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])
@@ -243,11 +245,17 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     step = _SCAN_STEP_FACTOR / kern.omega0
     n = int(math.ceil(scan_window / step)) + 1
     ts = np.linspace(step, scan_window, n)
-    vals = _k_sin_times(source, ts)
     floor = resolution * kern.omega0**2
-    below = np.nonzero(vals < -floor)[0]
+    # blocks of _BLOCK times, as inside _k_sin_times, so each value is
+    # the one a whole-window scan computes
+    vals = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        vals[lo:lo + _BLOCK] = _k_sin_times(source, ts[lo:lo + _BLOCK])
+        below = np.flatnonzero(vals[lo:lo + _BLOCK] < -floor)
+        if below.size:
+            break
     if below.size:
-        j = int(below[0])
+        j = lo + int(below[0])
         start = np.nonzero(vals[:j] >= 0.0)[0]
         if start.size:
             i = int(start[-1])
@@ -278,8 +286,7 @@ class RelaxationReport:
     relaxed: bool
 
 
-def relaxation_check(kern: DynamicsKernels,
-                     threshold: float = _RELAX_THRESHOLD) -> RelaxationReport:
+def relaxation_check(kern: DynamicsKernels) -> RelaxationReport:
     t_max = float(kern.times[-1])
     if t_max <= 0:
         raise UsageError("relaxation check needs a positive time range")
@@ -292,6 +299,6 @@ def relaxation_check(kern: DynamicsKernels,
     return RelaxationReport(
         window=(t_max / 10.0, t_max),
         max_k_cos=mc, max_k_sin_over_scaled=mso, max_k_sin_times_scaled=mst,
-        threshold=threshold,
-        relaxed=bool(max(mc, mso, mst) <= threshold),
+        threshold=_RELAX_THRESHOLD,
+        relaxed=bool(max(mc, mso, mst) <= _RELAX_THRESHOLD),
     )

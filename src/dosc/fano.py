@@ -54,7 +54,7 @@ from scipy.optimize import brentq
 
 from .errors import (AliasingError, ConvergenceError, OutsideSupportError,
                      UsageError)
-from .quadrature import PrincipalValueSpec, cauchy_pv, integrate
+from .quadrature import cauchy_pv, integrate
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 NORM_TOL = 1e-6
@@ -64,6 +64,11 @@ BASE_POINTS = 320
 SCAN_POINTS = 160
 MAX_NODES = 30000
 MAX_ROUNDS = 24
+
+# Anti-aliasing bound of the time-domain grid: spacing * t_max <= ALIAS_LIMIT,
+# and the node budget refine_for_times may add to reach it.
+ALIAS_LIMIT = 0.1
+MAX_NEW_NODES = 120000
 
 # Relative distance kept clear of a sharp support edge; Y diverges
 # logarithmically there, so pi -> 0 and the skipped sliver carries
@@ -162,9 +167,9 @@ def _dispersion_parts(spec: CouplingSpectrum, omega: float) -> float:
     for ``spec.dispersion``; nothing on the solve path calls it."""
     lo = spec.support_lower
     hi = spec.support_upper if math.isfinite(spec.support_upper) else math.inf
-    vsq = spec.v_sq_scalar
+    vsq = spec.v_sq
     if lo < omega < hi:
-        pv = cauchy_pv(vsq, PrincipalValueSpec(omega), lo, hi).value
+        pv = cauchy_pv(vsq, omega, lo, hi).value
     else:
         pv = integrate(lambda x: vsq(x) / (omega - x), lo, hi).value
     reg = integrate(lambda x: vsq(x) / (omega + x), lo, hi).value
@@ -249,8 +254,7 @@ def _peak_cluster(pk: float, w: float, lo: float, hi: float) -> np.ndarray:
     return pts[(pts > lo) & (pts < hi)]
 
 
-def build_grid(spec: CouplingSpectrum, units: UnitSystem,
-               base_points: int = BASE_POINTS) -> SpectralGrid:
+def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
     """Initial grid: log base + coarse linear comb + edge ladders + peak
     clusters.  Refinement to tolerance happens inside compute_pi."""
     if spec.is_zero():
@@ -262,7 +266,7 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem,
         )
     lo, hi, span = _grid_bounds(spec)
     parts = [
-        np.geomspace(lo, hi, base_points),
+        np.geomspace(lo, hi, BASE_POINTS),
         np.linspace(lo, hi, 64),
         np.array(_edge_ladders(spec, lo, hi, span)),
     ]
@@ -276,7 +280,7 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem,
     # adjacent Simpson intervals differ by orders of magnitude, and the
     # rule's weights blow up, so drop the later node of any near pair.
     nodes = nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * nodes[1:]])]
-    return SpectralGrid(nodes, meta={"peaks": peaks, "base_points": base_points})
+    return SpectralGrid(nodes, meta={"peaks": peaks})
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +444,10 @@ def frequency_moment(measure, k: int) -> float:
 # time-domain grid support
 
 def refine_for_times(sol: SpectralSolution, t_max: float, *,
-                     alias_limit: float = 0.1, mass_tol: float = 1e-6,
-                     max_new_nodes: int = 120000) -> SpectralSolution:
+                     mass_tol: float = 1e-6) -> SpectralSolution:
     """Return a solution whose grid resolves oscillations up to t_max.
 
-    Requirement: intervals violating  (spacing) * t_max <= alias_limit
+    Requirement: intervals violating  (spacing) * t_max <= ALIAS_LIMIT
     may carry at most mass_tol of total spectral weight.  Violating
     intervals are split into equal parts, and pi is re-evaluated on the
     merged nodes.
@@ -452,7 +455,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
     if t_max <= 0:
         return sol
     spec, units = sol.spec, sol.units
-    h_max = alias_limit / t_max
+    h_max = ALIAS_LIMIT / t_max
     nodes = sol.omegas
     Y, alpha_sq, beta, pi = sol.Y, sol.alpha_sq, sol.beta_ratio, sol.pi
 
@@ -479,11 +482,11 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
             break
         new_nodes = np.unique(np.concatenate(new_pts))
         added += new_nodes.size
-        if added > max_new_nodes:
+        if added > MAX_NEW_NODES:
             raise ConvergenceError(
                 "time-grid refinement budget exceeded",
                 detail={"t_max": t_max, "new_nodes": added,
-                        "guidance": "shorten the time span or relax alias_limit"},
+                        "guidance": "shorten the time span"},
             )
         nodes = np.sort(np.concatenate([nodes, new_nodes]))
         Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
@@ -499,28 +502,27 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
 
 
 def alias_bound_satisfied(sol: SpectralSolution, t_max: float, *,
-                          alias_limit: float = 0.1, mass_tol: float = 1e-6) -> bool:
+                          mass_tol: float = 1e-6) -> bool:
     """Check the mass-windowed anti-aliasing condition for a time span."""
     if t_max <= 0:
         return True
     h = np.diff(sol.omegas)
     masses = 0.5 * (sol.pi[:-1] + sol.pi[1:]) * h
-    violating = h > alias_limit / t_max
+    violating = h > ALIAS_LIMIT / t_max
     if not violating.any():
         return True
     return masses[violating].sum() <= mass_tol * masses.sum()
 
 
 def require_alias_bound(sol: SpectralSolution, t_max: float, *,
-                        alias_limit: float = 0.1, mass_tol: float = 1e-6) -> None:
+                        mass_tol: float = 1e-6) -> None:
     """Raise AliasingError when the grid undersamples oscillations at t_max."""
-    if not alias_bound_satisfied(sol, t_max, alias_limit=alias_limit,
-                                 mass_tol=mass_tol):
+    if not alias_bound_satisfied(sol, t_max, mass_tol=mass_tol):
         raise AliasingError(
-            f"grid spacing violates spacing * t <= {alias_limit} for "
+            f"grid spacing violates spacing * t <= {ALIAS_LIMIT} for "
             f"t = {t_max:.6g} on intervals carrying more than "
             f"{mass_tol:.1e} of the spectral mass; refine with "
             f"refine_for_times(sol, {t_max:.6g}) first",
-            detail={"t_max": t_max, "alias_limit": alias_limit,
+            detail={"t_max": t_max, "alias_limit": ALIAS_LIMIT,
                     "mass_tol": mass_tol},
         )

@@ -111,9 +111,9 @@ def mean_energy(sol, units: UnitSystem) -> float:
                                      + w0 * frequency_moment(sol, -1))
 
 
-def characteristic_function(sol, xi_r: float, xi_i: float, units: UnitSystem | None = None) -> float:
+def characteristic_function(sol, xi_r: float, xi_i: float, units: UnitSystem) -> float:
     """chi(xi) = exp(-(<<omega>>/omega0 xi_r^2 + omega0 <<1/omega>> xi_i^2)/2)."""
-    w0 = units.omega0 if units is not None else 1.0
+    w0 = units.omega0
     m1 = frequency_moment(sol, 1)
     minv = frequency_moment(sol, -1)
     return math.exp(-0.5 * (m1 / w0 * xi_r * xi_r + w0 * minv * xi_i * xi_i))
@@ -173,14 +173,13 @@ class IdentityReport:
     ok: bool
 
 
-def interpretation_identities(sol, units: UnitSystem | None = None) -> IdentityReport:
+def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
     """Check the thermal reinterpretation against the direct moments.
 
     The first four identities are algebraic consequences of the
     definitions; a defect above 1e-9 means an implementation bug and
     raises.  The last is the omega^2 sum rule at its physics tolerance.
     """
-    units = units or UnitSystem()
     hbar, m, w0 = units.hbar, units.mass, units.omega0
     s = ground_state_moments(sol, units)
     m1 = frequency_moment(sol, 1)

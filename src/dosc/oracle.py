@@ -254,11 +254,9 @@ def discrete_pi_histogram(decomp: NormalModeDecomposition, bins) -> tuple[np.nda
     return edges, density
 
 
-def recurrence_estimate(decomp: NormalModeDecomposition | FiniteBathModel) -> float:
+def recurrence_estimate(decomp: NormalModeDecomposition) -> float:
     """2 pi / (minimum adjacent normal-mode spacing): the quasi-period
     bound that windows every relaxation statement at finite N."""
-    if isinstance(decomp, FiniteBathModel):
-        decomp = normal_modes(decomp)
     gaps = np.diff(np.sort(decomp.Omegas))
     return 2.0 * math.pi / float(gaps.min())
 

@@ -54,7 +54,7 @@ def approx_alpha_sq(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> 
     """Weak-damping |alpha|^2: exact everywhere except the resonant
     denominator, where (omega - omega0 - F)^2 + (pi |V|^2/4)^2 stands in."""
     w0 = units.omega0
-    vsq = spec.v_sq_scalar(float(omega))
+    vsq = spec.v_sq(float(omega))
     shift = lamb_shift(spec, units, omega)
     denom = (omega - w0 - shift) ** 2 + (math.pi * vsq / 4.0) ** 2
     if denom == 0.0:
@@ -184,7 +184,7 @@ def lorentzian_fit(sol, jitter_rng=None) -> WeakCouplingReport:
     edges = np.array([max(w0 - hwhm_fit, 0.0), w0 + hwhm_fit])
     max_beta = float(np.max(np.abs((edges - w0) / (edges + w0))))
 
-    vsq0 = spec.v_sq_scalar(w0)
+    vsq0 = spec.v_sq(w0)
     hwhm_pred = math.pi * vsq0 / 4.0
     return WeakCouplingReport(
         F0=lamb_shift(spec, units, w0),

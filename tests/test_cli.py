@@ -315,6 +315,34 @@ class TestWeakCommand:
                 == (tmp_path / "b" / "weak_report.json").read_bytes())
 
 
+class TestNoQuadpackOnRunPaths:
+    # a weak Gaussian peak: every integral a command needs, the Gaussian
+    # stability integral included, is closed-form
+    GAUSS_WEAK = {
+        "units": {"omega0": 1.0, "mass": 1.0, "hbar": 1.0},
+        "spectrum": {"family": "gaussian_peak", "amplitude": 0.141,
+                     "center": 1.0, "width": 0.1},
+        "time": {"t_max": 20.0, "n_times": 201},
+        "oracle": {"N": 800, "bins": 80},
+    }
+
+    @pytest.mark.parametrize("command", ["spectrum", "groundstate", "dynamics",
+                                         "compare", "weak"])
+    def test_command_runs_with_quadpack_blocked(self, command, capsys, tmp_path,
+                                                monkeypatch):
+        import dosc.quadrature
+
+        def blocked(*args, **kwargs):
+            raise AssertionError("QUADPACK called on a run path")
+
+        monkeypatch.setattr(dosc.quadrature, "quad", blocked)
+        path = write_config(tmp_path, self.GAUSS_WEAK)
+        extra = ["--override", "oracle.N=400"] if command == "compare" else []
+        rc, _, err = run(capsys, command, "--config", path, *extra,
+                         "--out", str(tmp_path / "out"))
+        assert rc == 0, err
+
+
 class TestEnvironment:
     def test_dosc_threads_must_be_positive_int(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DOSC_THREADS", "many")

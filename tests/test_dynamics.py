@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from dosc import dynamics, fano, oracle
 from dosc.errors import AliasingError, UsageError
@@ -20,6 +21,33 @@ B = math.sqrt(0.5)
 def two_mode_decomp():
     model = oracle.FiniteBathModel(omega0=1.0, bath_freqs=[1.0], couplings=[0.5])
     return oracle.normal_modes(model)
+
+
+@pytest.fixture(scope="module")
+def near_margin50(units):
+    # kappa^2 Lambda / omega0 = 0.999, refined for a 50/omega0 horizon
+    spec = OhmicExp(amplitude=math.sqrt(0.999 / 5.0), cutoff=5.0)
+    return fano.refine_for_times(fano.solve(spec, units), 50.0)
+
+
+def full_window_scan(kern, scan_window, resolution=1e-3):
+    """classify_damping's first stationary time from one k_sin_times
+    evaluation over the whole scan window, then the same bracket and
+    brentq step; None when the kernel never reaches below the floor."""
+    source = kern.source
+    step = dynamics._SCAN_STEP_FACTOR / kern.omega0
+    ts = np.linspace(step, scan_window, int(math.ceil(scan_window / step)) + 1)
+    vals = dynamics._k_sin_times(source, ts)
+    below = np.flatnonzero(vals < -resolution * kern.omega0**2)
+    if not below.size:
+        return None
+    j = int(below[0])
+    start = np.flatnonzero(vals[:j] >= 0.0)
+    if not start.size:
+        return float(ts[j])
+    i = int(start[-1])
+    return float(brentq(lambda t: dynamics._k_sin_times(source, np.array([t]))[0],
+                        ts[i], ts[j], xtol=1e-12, rtol=1e-14))
 
 
 @pytest.fixture(scope="module")
@@ -199,15 +227,39 @@ class TestDamping:
         v = dynamics.kernels(two_mode_decomp, [cls.first_stationary_time])
         assert abs(v.k_sin_times[0]) < 1e-10
 
-    def test_near_margin_non_oscillatory(self, units):
-        spec = OhmicExp(amplitude=math.sqrt(0.999 / 5.0), cutoff=5.0)
-        sol = fano.solve(spec, units)
-        sol50 = fano.refine_for_times(sol, 50.0)
-        k = dynamics.kernels(sol50, np.linspace(0.0, 50.0, 60))
+    def test_near_margin_non_oscillatory(self, near_margin50):
+        k = dynamics.kernels(near_margin50, np.linspace(0.0, 50.0, 60))
         cls = dynamics.classify_damping(k, 50.0)
         assert cls.damping_class == "non_oscillatory"
         assert cls.first_stationary_time is None
         assert cls.scan_window == 50.0
+
+
+    @pytest.mark.parametrize("case", ["ref8", "two_mode", "near_margin50"])
+    def test_block_scan_matches_full_window_scan(self, case, request, monkeypatch):
+        source, window = {"ref8": ("ref8", 8.0), "two_mode": ("two_mode_decomp", 12.0),
+                          "near_margin50": ("near_margin50", 25.0)}[case]
+        source = request.getfixturevalue(source)
+        k = dynamics.kernels(source, np.linspace(0.0, window, 30))
+        expected = full_window_scan(k, window)
+        scanned = []
+        kernel = dynamics._k_sin_times
+
+        def counting(src, ts):
+            scanned.append(ts.size)
+            return kernel(src, ts)
+
+        monkeypatch.setattr(dynamics, "_k_sin_times", counting)
+        cls = dynamics.classify_damping(k, window)
+        # bit for bit the whole-window result
+        assert cls.first_stationary_time == expected
+        n_scan = int(math.ceil(window / (dynamics._SCAN_STEP_FACTOR / k.omega0))) + 1
+        assert all(size <= dynamics._BLOCK for size in scanned)
+        if expected is None:
+            assert sum(scanned) == n_scan
+        else:
+            # the scan stopped after the block of the first crossing
+            assert sum(s for s in scanned if s > 1) < n_scan
 
 
 class TestRelaxation:

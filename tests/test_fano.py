@@ -390,12 +390,12 @@ def segmentwise_dispersion(spec, w):
     total = 0.0
     for a, b in zip(spec.omegas[:-1], spec.omegas[1:]):
         if a < w < b:
-            total -= quad(spec.v_sq_scalar, a, b, weight="cauchy", wvar=w,
+            total -= quad(spec.v_sq, a, b, weight="cauchy", wvar=w,
                           epsabs=1e-14, epsrel=1e-13)[0]
         else:
-            total += quad(lambda x: spec.v_sq_scalar(x) / (w - x), a, b,
+            total += quad(lambda x: spec.v_sq(x) / (w - x), a, b,
                           epsabs=1e-14, epsrel=1e-13)[0]
-        total -= quad(lambda x: spec.v_sq_scalar(x) / (w + x), a, b,
+        total -= quad(lambda x: spec.v_sq(x) / (w + x), a, b,
                       epsabs=1e-14, epsrel=1e-13)[0]
     return total
 

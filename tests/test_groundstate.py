@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dosc.errors import InternalConsistencyError
-from dosc.fano import frequency_moment, refine_for_times
+from dosc.fano import frequency_moment, refine_for_times, solve
 from dosc.groundstate import (
     characteristic_function,
     effective_frequency,
@@ -21,7 +21,7 @@ from dosc.groundstate import (
     thermal_occupation,
     uncoupled_summary,
 )
-from dosc.spectra import UnitSystem
+from dosc.spectra import OhmicExp, UnitSystem
 
 U = UnitSystem()
 
@@ -86,11 +86,11 @@ def test_two_mode_entropy_and_energy():
 
 
 def test_two_mode_characteristic_function():
-    assert characteristic_function(TWO_MODE, 0.0, 0.0) == 1.0
-    assert characteristic_function(TWO_MODE, 1.0, 0.0) == pytest.approx(0.616952, abs=1e-6)
+    assert characteristic_function(TWO_MODE, 0.0, 0.0, U) == 1.0
+    assert characteristic_function(TWO_MODE, 1.0, 0.0, U) == pytest.approx(0.616952, abs=1e-6)
     m1 = frequency_moment(TWO_MODE, 1)
     minv = frequency_moment(TWO_MODE, -1)
-    got = characteristic_function(TWO_MODE, 0.3, 0.7)
+    got = characteristic_function(TWO_MODE, 0.3, 0.7, U)
     assert got == pytest.approx(math.exp(-0.5 * (m1 * 0.09 + minv * 0.49)), rel=1e-14)
 
 
@@ -115,6 +115,23 @@ def test_identities_on_reference_solution(ohmic_ref):
     assert rep.var_p_mixture_defect <= 1e-9
     assert rep.mutual_info_defect <= 1e-9
     assert rep.sum_rule_defect <= 1e-6
+
+
+def test_units_are_required_away_from_omega0_one():
+    # away from omega0 = 1 both functions need the units: an omega0 = 1
+    # default would break the sum rule and mis-scale chi
+    units = UnitSystem(omega0=2.0)
+    sol = solve(OhmicExp(amplitude=0.3, cutoff=5.0), units)
+    rep = interpretation_identities(sol, units)
+    assert rep.ok and rep.sum_rule_defect <= 1e-6
+    chi = characteristic_function(sol, 1.0, 0.0, units)
+    assert chi == pytest.approx(0.621, abs=1e-3)
+    assert chi == pytest.approx(math.exp(-ground_state_moments(sol, units).quad_p_unc ** 2),
+                                rel=1e-12)
+    with pytest.raises(TypeError):
+        characteristic_function(sol, 1.0, 0.0)
+    with pytest.raises(TypeError):
+        interpretation_identities(sol)
 
 
 def test_outputs_stable_under_refinement(ohmic_ref):

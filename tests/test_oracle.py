@@ -52,11 +52,9 @@ class TestTwoMode:
         assert gc.var_p == pytest.approx(0.7 * 2.5 * TM_VAR_P, rel=1e-12)
 
     def test_recurrence(self, two_mode):
-        model, decomp = two_mode
+        _, decomp = two_mode
         expected = 2.0 * math.pi / (TM_OMEGA_HI - TM_OMEGA_LO)
         assert oracle.recurrence_estimate(decomp) == pytest.approx(expected, rel=1e-12)
-        # a bare model is diagonalised on the fly
-        assert oracle.recurrence_estimate(model) == pytest.approx(expected, rel=1e-12)
 
     def test_moment_surface(self, two_mode, units):
         # the decomposition feeds the ground-state module unchanged

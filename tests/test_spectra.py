@@ -14,7 +14,6 @@ from dosc.spectra import (
     OhmicExp,
     Tabulated,
     UnitSystem,
-    eval_V,
     positivity_check,
     require_admissible,
 )
@@ -24,21 +23,21 @@ U = UnitSystem()
 
 def test_zero_coupling_evaluates_to_zero():
     spec = OhmicExp(amplitude=0.0, cutoff=5.0)
-    assert eval_V(spec, 0.7) == 0.0
+    assert spec.v(0.7) == 0.0
     assert spec.is_zero()
 
 
 def test_ohmic_value_at_cutoff():
     spec = OhmicExp(amplitude=0.3, cutoff=5.0)
-    v = eval_V(spec, 5.0)
+    v = spec.v(5.0)
     assert abs(v * v - 0.09 * 5.0 * math.exp(-1.0)) < 1e-14
 
 
 def test_flat_band_midpoint():
     spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
-    assert eval_V(spec, 1.05) == 0.2
-    assert eval_V(spec, 0.05) == 0.0
-    assert eval_V(spec, 2.5) == 0.0
+    assert spec.v(1.05) == 0.2
+    assert spec.v(0.05) == 0.0
+    assert spec.v(2.5) == 0.0
 
 
 def test_zero_coupling_margin_is_omega0():
@@ -58,6 +57,10 @@ def test_zero_coupling_margin_is_omega0():
         Tabulated(omegas=(0.0, 0.8, 1.6, 2.4, 3.2, 4.0),
                   values=(0.0, 0.3, 0.25, 0.2, 0.15, 0.1)),
         Tabulated(omegas=(0.5, 1.0, 2.0), values=(0.3, 0.2, 0.1)),
+        GaussianPeak(amplitude=0.1, center=1.0, width=0.05),
+        # the peak window reaching almost to the origin, and a narrow peak
+        GaussianPeak(amplitude=0.2, center=1.0, width=1.0 / 8.0001),
+        GaussianPeak(amplitude=0.3, center=3.0, width=1e-4),
     ],
 )
 def test_positivity_integral_matches_analytic(spec):
@@ -65,7 +68,7 @@ def test_positivity_integral_matches_analytic(spec):
     # tabulated V at a time so that no kink lies inside an integral, is
     # the independent reference
     edges = getattr(spec, "omegas", (spec.support_lower, spec.support_upper))
-    ref = sum(quad(lambda w: spec.v_sq_scalar(w) / w, a, b, epsabs=0.0, epsrel=1e-13)[0]
+    ref = sum(quad(lambda w: spec.v_sq(w) / w, a, b, epsabs=0.0, epsrel=1e-13)[0]
               for a, b in zip(edges[:-1], edges[1:]))
     rep = positivity_check(spec, U)
     exact = spec.analytic_positivity_integral()
@@ -93,11 +96,14 @@ def test_scaling_quadratic_flat(s):
     )
 
 
-def test_gaussian_scaling_numerical():
+@given(s=st.floats(0.1, 2.0))
+def test_scaling_quadratic_gaussian(s):
     base = GaussianPeak(amplitude=0.1, center=1.0, width=0.05)
-    i1 = positivity_check(base, U).integral
-    i2 = positivity_check(base.scaled(2.0), U).integral
-    assert abs(i2 - 4.0 * i1) < 1e-8 * abs(i2)
+    assert math.isclose(
+        base.scaled(s).analytic_positivity_integral(),
+        s * s * base.analytic_positivity_integral(),
+        rel_tol=1e-12,
+    )
 
 
 def test_supercritical_coupling_rejected():
@@ -137,10 +143,10 @@ def test_gaussian_support_window():
 
 def test_tabulated_interpolates_linearly():
     spec = Tabulated(omegas=(0.5, 1.0, 2.0), values=(0.0, 0.2, 0.1))
-    assert eval_V(spec, 0.75) == pytest.approx(0.1)
-    assert eval_V(spec, 1.5) == pytest.approx(0.15)
-    assert eval_V(spec, 0.2) == 0.0
-    assert eval_V(spec, 3.0) == 0.0
+    assert spec.v(0.75) == pytest.approx(0.1)
+    assert spec.v(1.5) == pytest.approx(0.15)
+    assert spec.v(0.2) == 0.0
+    assert spec.v(3.0) == 0.0
 
 
 def test_tabulated_construction_rules():
@@ -157,11 +163,6 @@ def test_tabulated_construction_rules():
 def test_omega_max_cannot_truncate_support():
     with pytest.raises(UsageError):
         FlatBand(level=0.2, lower=0.1, upper=2.0, omega_max=1.0)
-
-
-def test_negative_query_rejected():
-    with pytest.raises(UsageError):
-        eval_V(OhmicExp(amplitude=0.3, cutoff=5.0), -0.5)
 
 
 def test_unit_system_validation():

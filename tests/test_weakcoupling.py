@@ -93,14 +93,14 @@ class TestApproxAlphaSq:
         w_pk = 1.0 + weakcoupling.lamb_shift(spec, units, 1.0)
         peak = weakcoupling.approx_alpha_sq(spec, units, w_pk)
         assert peak == pytest.approx(
-            4.0 / (math.pi ** 2 * spec.v_sq_scalar(w_pk)), rel=1e-4)
+            4.0 / (math.pi ** 2 * spec.v_sq(w_pk)), rel=1e-4)
 
     def test_far_detuning_asymptote(self, units):
         spec = weak_line_spec(1e-3)
         w = 12.0
         val = weakcoupling.approx_alpha_sq(spec, units, w)
         assert val == pytest.approx(
-            spec.v_sq_scalar(w) / (4.0 * (w - 1.0) ** 2), rel=1e-3)
+            spec.v_sq(w) / (4.0 * (w - 1.0) ** 2), rel=1e-3)
 
     def test_matches_exact_across_line_core(self, units):
         # side-by-side scan across the predicted full width at half
