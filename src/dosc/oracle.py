@@ -18,6 +18,14 @@ against which every continuum quantity is validated:
 * time evolution is assembled from normal-mode cosines and sines,
   with no time-stepping error.
 
+K is an arrowhead matrix (a diagonal plus one border row), so it is
+never formed to be diagonalised.  Its eigenvalues are the roots of a
+secular equation, one per interlacing bracket, found by LAPACK's
+dlasd4 as offsets from the nearest pole; the weights and eigenvector
+columns follow in closed form from the same offsets.  That is O(N^2)
+time, and O(N) memory for the weights; the (N+1) x (N+1) eigenvector
+matrix is built only when an evolution asks for it.
+
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
 share only what is evaluated over a (nodes, weights) measure, here
@@ -27,17 +35,22 @@ share only what is evaluated over a (nodes, weights) measure, here
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import lapack
 
-from .errors import PositivityError, UsageError
+from .errors import InternalConsistencyError, PositivityError, UsageError
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
+
+# time points per block of evolve_reduced: each block is one product of
+# the eigenvector matrix with an (N+1) x 3 _BLOCK matrix, 9 MB at N = 4000
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,17 +69,17 @@ class FiniteBathModel:
         Bath mode frequencies, strictly positive.
     couplings : ndarray, shape (N,)
         Weighted couplings V_k = V(omega_k) sqrt(w_k).
-    K : ndarray, shape (N+1, N+1)
-        The symmetric frequency-squared matrix; built at construction.
     discrete_margin : float
         omega0 - sum V_k^2/omega_k.  Positive iff K is positive
         definite (Schur complement on the oscillator row).
+
+    ``K``, the symmetric (N+1) x (N+1) frequency-squared matrix, is
+    built on first access; the normal modes need only its border.
     """
 
     omega0: float
     bath_freqs: np.ndarray
     couplings: np.ndarray
-    K: np.ndarray = field(init=False, repr=False)
     discrete_margin: float = field(init=False)
 
     def __post_init__(self):
@@ -82,13 +95,6 @@ class FiniteBathModel:
             raise UsageError(f"omega0 must be positive, got {self.omega0}")
         object.__setattr__(self, "bath_freqs", w)
         object.__setattr__(self, "couplings", v)
-
-        n = w.size
-        K = np.zeros((n + 1, n + 1))
-        K[0, 0] = self.omega0**2
-        K[np.arange(1, n + 1), np.arange(1, n + 1)] = w * w
-        K[0, 1:] = K[1:, 0] = v * np.sqrt(self.omega0 * w)
-        object.__setattr__(self, "K", K)
         object.__setattr__(
             self, "discrete_margin", self.omega0 - float(np.sum(v * v / w))
         )
@@ -101,6 +107,17 @@ class FiniteBathModel:
     def bare_freqs(self) -> np.ndarray:
         """Frequencies of the uncoupled constituents: omega0 then the bath."""
         return np.concatenate([[self.omega0], self.bath_freqs])
+
+    @property
+    def border(self) -> np.ndarray:
+        """K[0, 1:] = V_k sqrt(omega0 omega_k)."""
+        return self.couplings * np.sqrt(self.omega0 * self.bath_freqs)
+
+    @functools.cached_property
+    def K(self) -> np.ndarray:
+        K = np.diag(self.bare_freqs**2)
+        K[0, 1:] = K[1:, 0] = self.border
+        return K
 
 
 def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
@@ -153,6 +170,95 @@ def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
 
 
 @dataclass(frozen=True, eq=False)
+class _SecularEquation:
+    """The secular equation of K, its poles sorted and deflated.
+
+    With the border last, the Cholesky factor L of K satisfies
+    L^T L = diag(0, omega_1^2, ..., omega_N^2) + u u^T with
+    u = (sqrt(omega0 margin), z_j/omega_j) and z_j = K[0, j], so the
+    Omega_k are the singular values that LAPACK's dlasd4 finds for the
+    poles ``d`` and the unit border ``u`` scaled by ``rho``.
+
+    dlasd4 needs strictly increasing poles and no zero in ``u``, so the
+    bath is sorted and deflated first, as dlasd2 does.  A mode with
+    |u_j| <= tol is an uncoupled normal mode (``loose``).  In a run of
+    poles each within tol of the previous one, a rotation leaves only
+    the last pole coupled, with the run's coupling norm; the others
+    become normal modes at their own poles spanning the complement of
+    the run's couplings (``runs``: bath indices and those columns).
+    """
+
+    d: np.ndarray          # (0, kept poles), strictly increasing
+    u: np.ndarray          # unit border of L^T L
+    rho: float             # its squared norm
+    tau: np.ndarray        # |coupling| of each kept pole in K
+    coupled: np.ndarray    # bath index of each coupled mode, ascending omega
+    pole_of: np.ndarray    # index into tau of its kept pole
+    loose: np.ndarray      # bath indices of uncoupled modes
+    runs: list             # (bath indices, complement columns) per run
+    deflated: np.ndarray   # frequencies of the loose, then the run modes
+
+
+def _secular_equation(model: FiniteBathModel) -> _SecularEquation:
+    w = model.bath_freqs
+    z = model.border
+    order = np.argsort(w, kind="stable")
+    u_bath = np.abs(z[order] / w[order])
+    s = math.sqrt(model.omega0 * model.discrete_margin)
+    tol = 8.0 * np.finfo(float).eps * max(float(w[order[-1]]), s, float(u_bath.max()))
+    coupled = order[u_bath > tol]
+    loose = order[u_bath <= tol]
+
+    wc = w[coupled]
+    pole_of = np.cumsum(np.diff(wc, prepend=wc[:1]) > tol)
+    ends = np.flatnonzero(np.diff(pole_of, append=-1) != 0)
+    poles = wc[ends]
+    tau = np.sqrt(np.bincount(pole_of, weights=z[coupled] ** 2, minlength=ends.size))
+    u = np.concatenate([[s], tau / poles])
+    rho = float(u @ u)
+
+    runs = []
+    sizes = np.diff(ends, prepend=-1)
+    for end, size in zip(ends[sizes > 1], sizes[sizes > 1]):
+        members = coupled[end - size + 1:end + 1]
+        # Householder reflector taking the run's couplings to its first
+        # axis: its other columns span their complement
+        x = z[members] / np.linalg.norm(z[members])
+        v = x.copy()
+        v[0] += math.copysign(1.0, x[0])
+        h = np.eye(size) - (2.0 / (v @ v)) * np.outer(v, v)
+        runs.append((members, h[:, 1:]))
+    deflated = np.concatenate([w[loose], *(w[m[:-1]] for m, _ in runs)])
+    return _SecularEquation(
+        d=np.concatenate([[0.0], poles]), u=u / math.sqrt(rho), rho=rho,
+        tau=tau, coupled=coupled, pole_of=pole_of, loose=loose, runs=runs,
+        deflated=deflated,
+    )
+
+
+def _roots(eq: _SecularEquation):
+    """(k, Omega_k, omega_j^2 - Omega_k^2 over the kept poles) per root.
+
+    dlasd4 takes each root as an offset from its nearest pole (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172) and returns
+    omega_j - Omega_k and omega_j + Omega_k accurately, so their product
+    is accurate too, and the explicit columns
+    (1, -z_j/(omega_j^2 - Omega_k^2)) built from it come out orthogonal
+    to about 1e-13 without recomputing z by Loewner's formula (Stor,
+    Slapnicar & Barlow, Linear Algebra Appl. 464 (2015)).
+    """
+    for k in range(eq.d.size):
+        delta, sigma, work, info = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
+        if info != 0:
+            raise InternalConsistencyError(
+                f"dlasd4 failed on root {k} of {eq.d.size} of the secular "
+                f"equation of K (info = {info})")
+        gap = delta[1:]
+        gap *= work[1:]
+        yield k, sigma, gap
+
+
+@dataclass(frozen=True, eq=False)
 class NormalModeDecomposition:
     """Exact normal modes of a finite-bath model.
 
@@ -161,13 +267,16 @@ class NormalModeDecomposition:
     Omegas : ndarray, shape (N+1,)
         Normal-mode frequencies, ascending.
     overlaps : ndarray, shape (N+1,)
-        First components O_0k of the orthonormal eigenvectors.
+        First components O_0k >= 0 of the orthonormal eigenvectors.
     weights : ndarray, shape (N+1,)
-        pi_k = O_0k^2; sums to 1 exactly by orthogonality.
-    eigenvectors : ndarray, shape (N+1, N+1)
-        Full eigenvector matrix O (columns), kept for evolution.
+        pi_k = O_0k^2; sums to 1 by orthogonality.
     model : FiniteBathModel
         The model this decomposition belongs to.
+
+    ``eigenvectors``, the full matrix O (columns, first row
+    ``overlaps``), is built on first access by a second sweep over the
+    secular equation and then kept; only evolution and the full
+    covariance read it.
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of
     measure as a continuum solution, for fano.moment and the dynamics
@@ -177,8 +286,9 @@ class NormalModeDecomposition:
     Omegas: np.ndarray
     overlaps: np.ndarray
     weights: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
     model: FiniteBathModel = field(repr=False)
+    _secular: _SecularEquation = field(repr=False)
+    _rank: np.ndarray = field(repr=False)   # position of each root, then each deflated mode
 
     @property
     def nodes(self) -> np.ndarray:
@@ -188,22 +298,54 @@ class NormalModeDecomposition:
     def omega0(self) -> float:
         return self.model.omega0
 
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        eq, rank = self._secular, self._rank
+        rows = np.zeros((rank.size, rank.size))   # one eigenvector per row
+        z = self.model.border[eq.coupled]
+        cols = 1 + eq.coupled
+        for k, _, gap in _roots(eq):
+            row = rows[rank[k]]
+            row[0] = self.overlaps[rank[k]]
+            row[cols] = -row[0] * z / gap[eq.pole_of]
+        at = eq.d.size
+        rows[rank[at:at + eq.loose.size], 1 + eq.loose] = 1.0
+        at += eq.loose.size
+        for members, basis in eq.runs:
+            rows[np.ix_(rank[at:at + basis.shape[1]], 1 + members)] = basis.T
+            at += basis.shape[1]
+        return rows.T
+
 
 def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
-    """Diagonalise K; raises PositivityError on a non-positive eigenvalue."""
-    evals, evecs = eigh(model.K)
-    if evals[0] <= 0:
+    """Normal modes of K from its secular equation: O(N^2) time, O(N)
+    memory.  The eigenvectors follow on demand.
+
+    Raises PositivityError when ``discrete_margin <= 0``, before any
+    solve: K is positive definite exactly when the Schur complement
+    omega0 * discrete_margin is positive.
+    """
+    if model.discrete_margin <= 0:
         raise PositivityError(
-            f"K has a non-positive eigenvalue ({evals[0]:.6g}): "
-            "coupling too strong for a stable ground state",
-            detail={"min_eigenvalue": float(evals[0]),
-                    "discrete_margin": model.discrete_margin},
+            f"K is not positive definite: sum V_k^2/omega_k = "
+            f"{model.omega0 - model.discrete_margin:.6g} >= omega0 = "
+            f"{model.omega0:.6g}, coupling too strong for a stable ground state",
+            detail={"discrete_margin": model.discrete_margin},
         )
-    omegas = np.sqrt(evals)
-    overlaps = evecs[0, :].copy()
+    eq = _secular_equation(model)
+    omegas = np.concatenate([np.empty(eq.d.size), eq.deflated])
+    weights = np.zeros(omegas.size)
+    for k, sigma, gap in _roots(eq):
+        ratio = np.divide(eq.tau, gap, out=gap)
+        omegas[k] = sigma
+        weights[k] = 1.0 / (1.0 + ratio @ ratio)
+    order = np.argsort(omegas, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    weights = weights[order]
     return NormalModeDecomposition(
-        Omegas=omegas, overlaps=overlaps, weights=overlaps**2,
-        eigenvectors=evecs, model=model,
+        Omegas=omegas[order], overlaps=np.sqrt(weights), weights=weights,
+        model=model, _secular=eq, _rank=rank,
     )
 
 
@@ -380,11 +522,14 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
                    decomp: NormalModeDecomposition | None = None) -> ReducedTrajectory:
     """Reduced oscillator evolution from the displaced product state.
 
-    Exploits the diagonal initial covariance: per time point only three
-    matrix-vector products with the eigenvector matrix are needed, so
-    N = 4000 baths are cheap.  Initial state: oscillator ground state
-    displaced by physical (x0, p0), bath modes in their bare ground
-    states, coupling switched on at t = 0.
+    Exploits the diagonal initial covariance: the first row of the
+    position, momentum and velocity propagators at time t are
+    O @ (a cos(Omega t)), O @ (a sin(Omega t)/Omega) and
+    O @ (a Omega sin(Omega t)), with O the eigenvectors and a the
+    overlaps.  A block of times at a time, those are one matrix product
+    with O, so N = 4000 baths are cheap.  Initial state: oscillator
+    ground state displaced by physical (x0, p0), bath modes in their
+    bare ground states, coupling switched on at t = 0.
     """
     if decomp is None:
         decomp = normal_modes(model)
@@ -405,17 +550,20 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     var_x = np.empty_like(ts)
     var_p = np.empty_like(ts)
     cov_xp = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        cos_t = np.cos(om * t)
-        sin_t = np.sin(om * t)
-        c = o @ (a * cos_t)
-        s = o @ (a * sin_t / om)
-        d = o @ (a * om * sin_t)
-        mean_x[i] = c[0] * x0r + s[0] * p0r
-        mean_p[i] = -d[0] * x0r + c[0] * p0r
-        var_x[i] = np.sum(c * c * var_x0 + s * s * var_p0)
-        var_p[i] = np.sum(d * d * var_x0 + c * c * var_p0)
-        cov_xp[i] = np.sum(-c * d * var_x0 + c * s * var_p0)
+    for lo in range(0, ts.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        phase = np.outer(om, ts[blk])
+        sin_t = np.sin(phase)
+        c, s, d = np.split(o @ np.hstack([
+            a[:, None] * np.cos(phase),
+            (a / om)[:, None] * sin_t,
+            (a * om)[:, None] * sin_t,
+        ]), 3, axis=1)
+        mean_x[blk] = c[0] * x0r + s[0] * p0r
+        mean_p[blk] = -d[0] * x0r + c[0] * p0r
+        var_x[blk] = var_x0 @ (c * c) + var_p0 @ (s * s)
+        var_p[blk] = var_x0 @ (d * d) + var_p0 @ (c * c)
+        cov_xp[blk] = var_p0 @ (c * s) - var_x0 @ (c * d)
     rm = units.mass
     return ReducedTrajectory(
         times=ts,

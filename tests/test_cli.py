@@ -211,6 +211,17 @@ class TestGroundstateCommand:
         assert doc["mutual_info"] == pytest.approx(2 * doc["entropy"], abs=1e-15)
         assert "mutual info" in out
 
+    def test_unstable_model_exits_two(self, capsys, tmp_path):
+        # sum V_k^2/omega_k = 1.0201 > omega0: K is not positive definite
+        doc = json.loads((CONFIGS / "two_mode.json").read_text())
+        doc["model"] = {"bath_freqs": [1.0], "couplings": [1.01]}
+        rc, _, err = run(capsys, "groundstate", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out"))
+        assert rc == 2
+        err_doc = stderr_doc(err)
+        assert err_doc["error"] == "PositivityError"
+        assert err_doc["detail"]["discrete_margin"] == pytest.approx(1.0 - 1.01**2, abs=1e-15)
+
     def test_uncoupled_textbook_values(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "groundstate",
                          "--config", str(CONFIGS / "uncoupled.json"),

@@ -1,14 +1,18 @@
-"""Finite-bath oracle: exact sum rules, the two-mode reference, and
-agreement between the dense and reduced evolution paths."""
+"""Finite-bath oracle: exact sum rules, the two-mode reference, the
+secular-equation modes against a dense eigensolver, and agreement
+between the dense and reduced evolution paths."""
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import eigh
 
-from dosc import fano, groundstate, oracle
-from dosc.errors import PositivityError, UsageError
+from dosc import dynamics, fano, groundstate, oracle
+from dosc.errors import InternalConsistencyError, PositivityError, UsageError
 from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
 
 # two-mode reference: K = [[1, 1/2], [1/2, 1]], eigenvalues 1 -+ 1/2
@@ -82,6 +86,17 @@ class TestConstruction:
         assert abs(fano.frequency_moment(decomp, 0) - 1.0) < 1e-13
         assert abs(fano.frequency_moment(decomp, 2) - units.omega0**2) < 1e-13
 
+    def test_inverse_moment_near_critical(self, units):
+        # sum_k pi_k/Omega_k^2 = (K^-1)_00 = 1/(omega0 margin), the inverse
+        # Schur complement.  Near the stability edge the lowest mode is
+        # soft (margin 1e-3 here); a dense eigensolver, accurate only to
+        # eps ||K|| in each eigenvalue, misses this by 4e-9
+        spec = OhmicExp(amplitude=0.4469899327725402, cutoff=5.0)
+        model = oracle.discretize(spec, units, 800)
+        decomp = oracle.normal_modes(model)
+        want = 1.0 / (units.omega0 * model.discrete_margin)
+        assert fano.frequency_moment(decomp, -2) == pytest.approx(want, rel=1e-12)
+
     def test_riemann_sum_matches_integral(self, units):
         # N = 4000 uniform: the discrete positivity sum reproduces the
         # analytic int |V|^2/omega to well under 0.1%
@@ -141,6 +156,102 @@ class TestConstruction:
         assert np.all(decomp.Omegas > 0)
 
 
+def _gaussian_tail_model():
+    # an untruncated Gaussian coupling profile on (0, 4]: far from the
+    # peak the couplings run through denormals to exact zeros
+    n = 800
+    w = (np.arange(n) + 0.5) * 4.0 / n
+    v = 0.3 * np.exp(-((w - 1.0) / 0.04) ** 2) * math.sqrt(4.0 / n)
+    return oracle.FiniteBathModel(1.0, w, v)
+
+
+_UNITS = UnitSystem()
+
+REFERENCE_MODELS = {
+    "two_mode": lambda: oracle.FiniteBathModel(1.0, [1.0], [0.5]),
+    "uncoupled": lambda: oracle.discretize(
+        Tabulated(omegas=[0.5, 1.0, 2.0], values=[0.0, 0.0, 0.0]), _UNITS, 40),
+    "flat_band_gap": lambda: oracle.discretize(
+        FlatBand(level=0.15, lower=0.3, upper=2.0), _UNITS, 500),
+    "gaussian_tails": _gaussian_tail_model,
+    "gauss_like_2000": lambda: oracle.discretize(
+        OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0), _UNITS, 2000,
+        scheme="gauss_like"),
+    # unsorted; runs of 2 and 3 equal poles; one zero coupling inside a
+    # run and one far below the deflation tolerance
+    "manual_unsorted_repeated": lambda: oracle.FiniteBathModel(
+        1.0,
+        [2.0, 0.5, 1.0, 0.5, 3.0, 1.0, 1.0, 0.7, 2.0, 0.5, 1.3],
+        [0.1, 0.2, -0.15, 0.05, 0.3, 0.1, 0.0, 0.12, -0.2, -0.08, 1e-200]),
+}
+
+
+class TestAgainstDenseEigh:
+    """The secular-equation modes against scipy's dense eigh of K, the
+    solver they replace.  Products, not columns, are compared, so the
+    sign of each eigenvector (and the basis of a degenerate eigenspace)
+    does not matter."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_MODELS))
+    def test_modes_match_dense_eigh(self, name):
+        model = REFERENCE_MODELS[name]()
+        decomp = oracle.normal_modes(model)
+        K = model.K
+        lam, vec = eigh(K)
+        k_norm = lam[-1]   # ||K||_2, K positive definite
+        assert np.max(np.abs(decomp.Omegas**2 - lam)) <= 1e-13 * k_norm
+        assert np.max(np.abs(decomp.weights - vec[0] ** 2)) <= 1e-10
+        v = decomp.eigenvectors
+        assert np.max(np.abs(v.T @ v - np.eye(v.shape[0]))) <= 1e-12 * k_norm
+        assert np.max(np.abs(K @ v - v * decomp.Omegas**2)) <= 1e-12 * k_norm
+        assert np.array_equal(v[0], decomp.overlaps)
+
+    def test_cases_exercise_deflation(self):
+        assert np.sum(REFERENCE_MODELS["flat_band_gap"]().couplings == 0.0) > 0
+        tails = REFERENCE_MODELS["gaussian_tails"]().couplings
+        assert np.sum(tails == 0.0) > 0 and np.sum((tails > 0) & (tails < 1e-300)) > 0
+        freqs = REFERENCE_MODELS["manual_unsorted_repeated"]().bath_freqs
+        assert np.unique(freqs).size < freqs.size and np.any(np.diff(freqs) < 0)
+
+
+class TestRefusal:
+    def test_non_positive_margin_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("secular equation solved for a refused model")
+
+        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(dlasd4=no_solve))
+        for coupling in (1.0, 1.01):   # margin exactly 0, then negative
+            model = oracle.FiniteBathModel(1.0, [1.0], [coupling])
+            with pytest.raises(PositivityError) as exc:
+                oracle.normal_modes(model)
+            assert exc.value.detail["discrete_margin"] == model.discrete_margin <= 0
+
+    def test_solver_failure_names_the_root(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        def failing(k, d, z, rho):
+            delta, sigma, work, info = lapack.dlasd4(k, d, z, rho)
+            return delta, float("nan"), work, 2 if k == 1 else info
+
+        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(dlasd4=failing))
+        with pytest.raises(InternalConsistencyError, match="root 1 of 3"):
+            oracle.normal_modes(oracle.FiniteBathModel(1.0, [0.5, 2.0], [0.1, 0.2]))
+
+
+def test_weights_path_memory(ohmic_ref, units):
+    """compare needs only the weights: O(N) memory, where a dense K alone
+    is 8 (N+1)^2 bytes, 288 MB at N = 6000."""
+    _, sol = ohmic_ref
+    tracemalloc.start()
+    try:
+        rep = oracle.compare_with_continuum(sol, units, 6000, bath_omega_max=40.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.rel_var_x < 0.005
+    assert peak < 64 * 2**20
+
+
 @pytest.fixture(scope="module")
 def small_bath(units):
     spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
@@ -196,6 +307,22 @@ class TestEvolution:
         assert red.var_x[0] == pytest.approx(cov[0, 0], rel=1e-12)
         assert red.var_p[0] == pytest.approx(cov[1, 1], rel=1e-12)
 
+    def test_blocked_path_matches_per_time_loop(self, units):
+        # 301 times: two full blocks and a partial one
+        spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0)
+        model = oracle.discretize(spec, units, 300)
+        decomp = oracle.normal_modes(model)
+        times = np.linspace(0.0, 80.0, 301)
+        x0, p0 = 1.0, 0.0
+        red = oracle.evolve_reduced(model, units, x0, p0, times, decomp=decomp)
+        ref = _per_time_reduced(model, decomp, units, x0, p0, times)
+        for key, want in ref.items():
+            assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+        # the identities the benchmark checks gate on
+        assert abs(red.var_x[0] - 0.5) <= 1e-12
+        kern = dynamics.kernels(decomp, times)
+        assert np.max(np.abs(red.mean_x - x0 * kern.k_cos)) <= 1e-12
+
     def test_symplectic_floor_preserved(self, small_bath, units):
         model, decomp = small_bath
         initial = oracle.product_ground_state(model, units, x0=2.0)
@@ -218,6 +345,27 @@ class TestEvolution:
         tiny = oracle.GaussianEvolutionState(means=np.zeros(4), covariance=np.eye(4))
         with pytest.raises(UsageError):
             oracle.evolve(model, tiny, [0.1])
+
+
+def _per_time_reduced(model, decomp, units, x0, p0, times):
+    """Reference for evolve_reduced: three matrix-vector products with
+    the eigenvectors per time point (unit mass and hbar)."""
+    assert units.mass == 1.0 and units.hbar == 1.0
+    o, a, om = decomp.eigenvectors, decomp.overlaps, decomp.Omegas
+    var_x0 = 1.0 / (2.0 * model.bare_freqs)
+    var_p0 = model.bare_freqs / 2.0
+    out = {key: np.empty(len(times))
+           for key in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")}
+    for i, t in enumerate(times):
+        c = o @ (a * np.cos(om * t))
+        s = o @ (a * np.sin(om * t) / om)
+        d = o @ (a * om * np.sin(om * t))
+        out["mean_x"][i] = c[0] * x0 + s[0] * p0
+        out["mean_p"][i] = -d[0] * x0 + c[0] * p0
+        out["var_x"][i] = np.sum(c * c * var_x0 + s * s * var_p0)
+        out["var_p"][i] = np.sum(d * d * var_x0 + c * c * var_p0)
+        out["cov_xp"][i] = np.sum(-c * d * var_x0 + c * s * var_p0)
+    return out
 
 
 class TestAgainstContinuum:
