@@ -259,6 +259,30 @@ class TestDynamicsCommand:
         assert 2.5 < damping["first_stationary_time"] < 3.7
         assert "underdamped" in out
 
+    @pytest.mark.parametrize("config", ["flat_band", "near_critical", "ohmic_reference"])
+    def test_fourier_route_matches_direct_sums(self, config, capsys, tmp_path, monkeypatch):
+        # as shipped (kernels and damping scan by the Fourier route), then
+        # with every kernel sum taken directly
+        from dosc import dynamics
+
+        fourier, calls = dynamics._fourier_sums, []
+        monkeypatch.setattr(dynamics, "_fourier_sums",
+                            lambda *a: calls.append(a[-1]) or fourier(*a))
+        outs = [tmp_path / "shipped", tmp_path / "direct"]
+        for out in outs:
+            rc, _, _ = run(capsys, "dynamics", "--config", str(CONFIGS / f"{config}.json"),
+                           "--out", str(out))
+            assert rc == 0
+            monkeypatch.setattr(dynamics, "_evaluate", dynamics._direct_sums)
+        assert len(calls) == 2
+        assert ((outs[0] / "damping.json").read_bytes()
+                == (outs[1] / "damping.json").read_bytes())
+        for name in ("kernels.csv", "trajectory.csv"):
+            shipped, direct = (np.loadtxt(out / name, delimiter=",", skiprows=1)
+                               for out in outs)
+            assert np.array_equal(shipped[:, 0], direct[:, 0])
+            assert np.max(np.abs(shipped - direct)) <= 1e-12
+
     def test_requires_t_max(self, capsys, tmp_path):
         rc, _, err = run(capsys, "dynamics",
                          "--config", str(CONFIGS / "weak_line.json"),

@@ -31,13 +31,15 @@ def near_margin50(units):
 
 
 def full_window_scan(kern, scan_window, resolution=1e-3):
-    """classify_damping's first stationary time from one k_sin_times
-    evaluation over the whole scan window, then the same bracket and
-    brentq step; None when the kernel never reaches below the floor."""
+    """classify_damping's first stationary time from one direct
+    k_sin_times evaluation over the whole scan window, then the same
+    bracket and brentq step on direct single-time sums; None when the
+    kernel never reaches below the floor."""
     source = kern.source
+    w, wt = source.nodes, source.weights * source.nodes
     step = dynamics._SCAN_STEP_FACTOR / kern.omega0
     ts = np.linspace(step, scan_window, int(math.ceil(scan_window / step)) + 1)
-    vals = dynamics._k_sin_times(source, ts)
+    vals = dynamics._direct_sums(source, ts)[2]
     below = np.flatnonzero(vals < -resolution * kern.omega0**2)
     if not below.size:
         return None
@@ -46,8 +48,39 @@ def full_window_scan(kern, scan_window, resolution=1e-3):
     if not start.size:
         return float(ts[j])
     i = int(start[-1])
-    return float(brentq(lambda t: dynamics._k_sin_times(source, np.array([t]))[0],
+    return float(brentq(lambda t: (np.sin(np.outer([t], w)) @ wt)[0],
                         ts[i], ts[j], xtol=1e-12, rtol=1e-14))
+
+
+# damping scans compared with full_window_scan: case -> (fixture, window)
+SCAN_CASES = {"ref8": ("ref8", 8.0), "two_mode": ("two_mode_decomp", 12.0),
+              "near_margin50": ("near_margin50", 25.0)}
+
+
+def fourier_calls(monkeypatch):
+    """Record the size T of every _fourier_sums call."""
+    calls = []
+    fourier = dynamics._fourier_sums
+
+    def spy(nodes, strengths, t0, dt, T):
+        calls.append(T)
+        return fourier(nodes, strengths, t0, dt, T)
+
+    monkeypatch.setattr(dynamics, "_fourier_sums", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def ohmic_n2000(units):
+    spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0)
+    return oracle.normal_modes(oracle.discretize(spec, units, 2000))
+
+
+@pytest.fixture(scope="module")
+def flat20(flat_mid):
+    # configs/flat_band.json's density refined for its 20/omega0 horizon
+    _, sol = flat_mid
+    return fano.refine_for_times(sol, 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +233,50 @@ class TestShortTime:
         assert "resolution" in rep.note
 
 
+class TestFourierRoute:
+    @pytest.mark.parametrize("T", [65, 501, 5001])
+    @pytest.mark.parametrize("t0", [0.0, 0.01])
+    @pytest.mark.parametrize("case", ["ref8", "flat20", "near_margin50",
+                                      "two_mode_decomp", "ohmic_n2000"])
+    def test_matches_direct_sums(self, case, t0, T, request, monkeypatch):
+        source = request.getfixturevalue(case)
+        t_max = {"ref8": 8.0, "flat20": 20.0, "near_margin50": 50.0}.get(case, 60.0)
+        ts = np.linspace(t0, t_max, T)
+        calls = fourier_calls(monkeypatch)
+        got = dynamics._evaluate(source, ts)
+        assert calls == [T]
+        # every time for T <= 501; every tenth, the last included, at 5001
+        sel = slice(None, None, 1 if T <= 501 else 10)
+        ref = dynamics._direct_sums(source, ts[sel])
+        w, wt = source.nodes, source.weights
+        for kernel, want, strength in zip(got, ref, (wt, wt / w, wt * w)):
+            bound = dynamics._FOURIER_REL_ERR * np.abs(strength).sum()
+            assert np.max(np.abs(kernel[sel] - want)) <= bound
+        if t0 == 0.0:
+            # the exact +0 of sin(0) that kernels.csv writes as "0"
+            for kernel in got[1:]:
+                assert kernel[0] == 0.0 and not np.signbit(kernel[0])
+
+    def test_route_choice(self, two_mode_decomp, monkeypatch):
+        calls = fourier_calls(monkeypatch)
+        dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK))
+        dynamics._evaluate(two_mode_decomp, np.geomspace(0.01, 5.0, 500))
+        ts = np.linspace(0.0, 5.0, 500)
+        ts[250] += 1e-9
+        dynamics._evaluate(two_mode_decomp, ts)
+        assert calls == []
+        dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK + 1))
+        assert calls == [dynamics._BLOCK + 1]
+
+
 class TestDamping:
     def test_scan_kernel_matches_evaluate(self, ref8, two_mode_decomp):
-        # the damping scan computes k_sin_times alone
+        # the damping scan's Fourier k_sin_times against the direct sums
         ts = np.linspace(0.01, 8.0, 300)
         for source in (ref8, two_mode_decomp):
-            full = dynamics._evaluate(source, ts)[2]
-            assert np.allclose(dynamics._k_sin_times(source, ts), full,
-                               rtol=0, atol=1e-13)
+            bound = dynamics._FOURIER_REL_ERR * np.abs(source.weights * source.nodes).sum()
+            assert np.max(np.abs(dynamics._evaluate(source, ts)[2]
+                                 - dynamics._direct_sums(source, ts)[2])) <= bound
 
     def test_weak_coupling_near_bare_half_period(self, ohmic_weak, units):
         _, sol = ohmic_weak
@@ -235,31 +304,65 @@ class TestDamping:
         assert cls.scan_window == 50.0
 
 
-    @pytest.mark.parametrize("case", ["ref8", "two_mode", "near_margin50"])
+    @pytest.mark.parametrize("case", SCAN_CASES)
     def test_block_scan_matches_full_window_scan(self, case, request, monkeypatch):
-        source, window = {"ref8": ("ref8", 8.0), "two_mode": ("two_mode_decomp", 12.0),
-                          "near_margin50": ("near_margin50", 25.0)}[case]
+        # the one Fourier evaluation of the whole scan lattice gives the
+        # direct whole-window scan's result bit for bit
+        source, window = SCAN_CASES[case]
         source = request.getfixturevalue(source)
         k = dynamics.kernels(source, np.linspace(0.0, window, 30))
         expected = full_window_scan(k, window)
-        scanned = []
-        kernel = dynamics._k_sin_times
-
-        def counting(src, ts):
-            scanned.append(ts.size)
-            return kernel(src, ts)
-
-        monkeypatch.setattr(dynamics, "_k_sin_times", counting)
+        calls = fourier_calls(monkeypatch)
         cls = dynamics.classify_damping(k, window)
-        # bit for bit the whole-window result
         assert cls.first_stationary_time == expected
         n_scan = int(math.ceil(window / (dynamics._SCAN_STEP_FACTOR / k.omega0))) + 1
-        assert all(size <= dynamics._BLOCK for size in scanned)
-        if expected is None:
-            assert sum(scanned) == n_scan
-        else:
-            # the scan stopped after the block of the first crossing
-            assert sum(s for s in scanned if s > 1) < n_scan
+        assert calls == [n_scan]
+
+    @pytest.mark.parametrize("case", SCAN_CASES)
+    def test_scan_immune_to_fourier_error(self, case, request, monkeypatch):
+        # Fourier sums off by the full error bound, either way, leave the
+        # classification as the direct scan has it, also with the floor
+        # half a bound above the deepest value of the window, which the
+        # shifted sums alone would never reach
+        source, window = SCAN_CASES[case]
+        source = request.getfixturevalue(source)
+        k = dynamics.kernels(source, np.linspace(0.0, window, 30))
+        step = dynamics._SCAN_STEP_FACTOR / k.omega0
+        ts = np.linspace(step, window, int(math.ceil(window / step)) + 1)
+        deepest = dynamics._direct_sums(source, ts)[2].min()
+        bound = dynamics._FOURIER_REL_ERR * np.abs(source.weights * source.nodes).sum()
+        fourier = dynamics._fourier_sums
+        for resolution in (1e-3, -(deepest + 0.5 * bound)):
+            expected = full_window_scan(k, window, resolution)
+            for sign in (1.0, -1.0):
+                def shifted(nodes, strengths, t0, dt, T):
+                    err = dynamics._FOURIER_REL_ERR * np.abs(strengths).sum(axis=1)
+                    return (fourier(nodes, strengths, t0, dt, T)
+                            + sign * (1 + 1j) * err[:, None])
+
+                monkeypatch.setattr(dynamics, "_fourier_sums", shifted)
+                cls = dynamics.classify_damping(k, window, resolution=resolution)
+                assert cls.first_stationary_time == expected
+                assert (cls.damping_class == "non_oscillatory") == (expected is None)
+        assert expected is not None
+
+    def test_scan_stays_in_window(self, two_mode_decomp, monkeypatch):
+        # a window shorter than the scan step: every scan time in
+        # (0, scan_window], none past the horizon the alias check covered
+        seen = []
+        evaluate = dynamics._evaluate
+
+        def spy(source, ts):
+            seen.append(ts.copy())
+            return evaluate(source, ts)
+
+        monkeypatch.setattr(dynamics, "_evaluate", spy)
+        k = dynamics.kernels(two_mode_decomp, [0.0, 0.005])
+        seen.clear()
+        cls = dynamics.classify_damping(k, 0.005)
+        assert cls.damping_class == "non_oscillatory"
+        ts = np.concatenate(seen)
+        assert ts.size and np.all(ts > 0) and np.all(ts <= 0.005)
 
 
 class TestRelaxation:
