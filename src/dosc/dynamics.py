@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fano
 from .errors import InternalConsistencyError, UsageError
@@ -327,8 +326,8 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         if start.size:
             i = int(start[-1])
             # root steps on the direct single-time sum
-            zero_at = float(brentq(lambda t: (np.sin(np.outer([t], w)) @ wt)[0],
-                                   ts[i], ts[j], xtol=1e-12, rtol=1e-14))
+            zero_at = fano.brentq(lambda t: (np.sin(np.outer([t], w)) @ wt)[0],
+                                  ts[i], ts[j], xtol=1e-12, rtol=1e-14)
         else:
             zero_at = float(ts[j])  # negative from the first sample on
         return DampingClassification("underdamped", zero_at, scan_window,

@@ -49,8 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .errors import (AliasingError, ConvergenceError, OutsideSupportError,
                      UsageError)
@@ -160,6 +158,94 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples y over strictly increasing
+    nodes x, at least 3 of them: a 1-d port of scipy.integrate.simpson
+    that keeps its operation order, so the result is bit-identical.
+    Interval pairs are summed by one np.sum; for an even node count the
+    last interval gets Cartwright's parabolic correction."""
+    n = x.size
+    stop = n - 2 if n % 2 else n - 3     # intervals covered by pairs
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        # 0-d arrays, as scipy has them: numpy's power rounds b ** 3
+        # differently for a float64 scalar (about 5% of values)
+        a, b = h[-2:-1].reshape(()), h[-1:].reshape(())
+        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+        eta = (1 * b ** 3) / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, *,
+           xtol: float, rtol: float) -> float:
+    """A root of f in [a, b] by Brent's method (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973): a line-for-line port of
+    scipy.optimize.brentq (its brentq.c), step for step the same floats.
+
+    Raises ValueError when f(a) and f(b) have the same sign or f returns
+    NaN, RuntimeError after 100 iterations without convergence."""
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)       # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)               # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:                                  # C's MIN()
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:
+                spre, scur = scur, stry                            # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
+
+
 def _dispersion_parts(spec: CouplingSpectrum, omega: float) -> float:
     """I(omega) by scalar QUADPACK calls: the 1/(omega-w') integral minus
     the regular 1/(omega+w') one.  Inside the support the first is a
@@ -222,7 +308,7 @@ def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
         if not (np.isfinite(a) and np.isfinite(b)) or a * b >= 0:
             continue
         try:
-            pk = brentq(lambda x: float(_n_values(spec, units, x)), lattice[i], lattice[i + 1],
+            pk = brentq(lambda x: _n_values(spec, units, x), lattice[i], lattice[i + 1],
                         xtol=1e-14, rtol=1e-14)
         except ValueError:
             continue
@@ -361,8 +447,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     sum_defect = math.inf
     for round_no in range(max_rounds):
         Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
-        norm = float(simpson(pi, x=nodes))
-        m2 = float(simpson(pi * nodes * nodes, x=nodes))
+        norm = float(simpson(pi, nodes))
+        m2 = float(simpson(pi * nodes * nodes, nodes))
         defect = abs(norm - 1.0)
         sum_defect = abs(m2 - w0 * w0) / (w0 * w0)
 
@@ -491,7 +577,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
         nodes = np.sort(np.concatenate([nodes, new_nodes]))
         Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
 
-    norm = float(simpson(pi, x=nodes))
+    norm = float(simpson(pi, nodes))
     meta = dict(sol.meta)
     meta.update({"refined_for_t_max": t_max, "nodes": int(nodes.size)})
     return SpectralSolution(

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .errors import QuadratureError, UsageError
 
 # QUADPACK stops when |I - result| <= max(ABS_FLOOR, REL_TOL * |I|).
@@ -67,7 +65,11 @@ def _check_interval(lower: float, upper: float) -> None:
 
 def _quad(f, lower: float, upper: float, **weight) -> IntegrationResult:
     """One QUADPACK call; QuadratureError, carrying the partial result,
-    when it flags trouble or returns a non-finite value."""
+    when it flags trouble or returns a non-finite value.  scipy.integrate
+    is imported here, not at module level, to keep it off every command's
+    import path."""
+    from scipy.integrate import quad
+
     out = quad(f, lower, upper, epsabs=ABS_FLOOR, epsrel=REL_TOL,
                limit=MAX_PANELS, full_output=1, **weight)
     result = IntegrationResult(out[0], out[1], int(out[2].get("neval", 0)))

@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, UsageError
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 WINDOW_HWHMS = 10.0    # fit window half-width, in units of the HWHM guess
+FIT_MAX_TRIALS = 200   # Levenberg-Marquardt steps tried, accepted or not
 
 
 def lamb_shift(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
@@ -114,6 +114,50 @@ def _lorentz(w: np.ndarray, c: float, g: float) -> np.ndarray:
     return (g / math.pi) / ((w - c) ** 2 + g * g)
 
 
+def _fit(wm, pm, rt, start, lower, upper) -> tuple[float, float]:
+    """Minimise sum(((lorentz(wm; c, g) - pm) rt)^2) over (c, g) from
+    ``start`` by Levenberg-Marquardt (Marquardt's diagonal scaling,
+    analytic Jacobian), each step clipped to the box [lower, upper].
+    Stops when a step no longer moves either parameter by more than
+    1e-15 relative, so the minimum is reached to rounding."""
+    def residual(c, g):
+        """Half the squared residual norm, and what the Jacobian needs."""
+        d = wm - c
+        den = d * d + g * g
+        r = ((g / math.pi) / den - pm) * rt
+        return 0.5 * float(r @ r), (g, d, den, r)
+
+    def normal_equations(g, d, den, r):
+        """J^T J = [[a11, a12], [a12, a22]] and J^T r = [b1, b2]."""
+        scale = rt / (math.pi * den * den)
+        jc, jg = 2.0 * g * d * scale, (d * d - g * g) * scale
+        return float(jc @ jc), float(jc @ jg), float(jg @ jg), float(jc @ r), float(jg @ r)
+
+    def clip(v, i):
+        return min(max(v, lower[i]), upper[i])
+
+    c, g = start
+    cost, state = residual(c, g)
+    normal = normal_equations(*state)
+    lam = 1e-3
+    for _ in range(FIT_MAX_TRIALS):
+        a11, a12, a22, b1, b2 = normal
+        d11, d22 = a11 * (1.0 + lam), a22 * (1.0 + lam)
+        det = d11 * d22 - a12 * a12
+        c_new = clip(c + (a12 * b2 - d22 * b1) / det, 0)
+        g_new = clip(g + (a12 * b1 - d11 * b2) / det, 1)
+        if abs(c_new - c) <= 1e-15 * abs(c) and abs(g_new - g) <= 1e-15 * g:
+            break
+        cost_new, state_new = residual(c_new, g_new)
+        if cost_new < cost:
+            c, g, cost = c_new, g_new, cost_new
+            normal = normal_equations(*state_new)
+            lam *= 0.1
+        else:
+            lam *= 10.0
+    return c, g
+
+
 def lorentzian_fit(sol, jitter_rng=None) -> WeakCouplingReport:
     """Least-squares fit of pi(omega) near its peak to a unit-mass
     Lorentzian; raises ConvergenceError when pi has no isolated
@@ -162,18 +206,13 @@ def lorentzian_fit(sol, jitter_rng=None) -> WeakCouplingReport:
     tw[-1] = 0.5 * (wm[-1] - wm[-2])
     rt = np.sqrt(tw)
 
-    def resid(params):
-        c, g = params
-        return (_lorentz(wm, c, g) - pm) * rt
-
     c_start, g_start = peak, hwhm0
     if jitter_rng is not None:
         c_start = peak + hwhm0 * 0.1 * jitter_rng.uniform(-1.0, 1.0)
         g_start = hwhm0 * (1.0 + 0.1 * jitter_rng.uniform(-1.0, 1.0))
         c_start = min(max(c_start, lo), hi)
-    fit = least_squares(resid, x0=[c_start, g_start],
-                        bounds=([lo, 1e-15], [hi, hi - lo]))
-    center_fit, hwhm_fit = float(fit.x[0]), float(fit.x[1])
+    center_fit, hwhm_fit = _fit(wm, pm, rt, (c_start, g_start),
+                                (lo, 1e-15), (hi, hi - lo))
     lor = _lorentz(wm, center_fit, hwhm_fit)
     residual_l1 = float(np.trapezoid(np.abs(pm - lor), wm))
 

@@ -130,6 +130,28 @@ class TestConfigValidation:
         assert "spectrum" in stderr_doc(err)["message"]
 
 
+    @pytest.mark.parametrize("item", [
+        'time.t_max="abc"', "time.t_max=NaN", 'time.t_min="abc"',
+        'time.x0="abc"', "time.x0=null", "time.p0=Infinity",
+        'time.scan_window="abc"', "time.resolution=-1",
+        'time.resolution="abc"', "time.alias_mass_tol=-1",
+        "tolerances.rel_var=-0.1", 'tolerances.rel_var="abc"',
+        "tolerances.histogram_l1=NaN", 'oracle.bath_omega_max="abc"',
+        "oracle.bath_omega_max=-Infinity", "fit.jitter_seed=-1",
+    ])
+    def test_numeric_fields_refused(self, capsys, tmp_path, item):
+        # each once gave a traceback or an accepted nonsense run
+        command = {"tolerances": "compare", "oracle": "compare",
+                   "fit": "weak"}.get(item.split(".")[0], "dynamics")
+        rc, _, err = run(capsys, command, "--config", str(CONFIGS / "flat_band.json"),
+                         "--override", item, "--out", str(tmp_path))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "UsageError"
+        assert item.split("=")[0] in doc["message"]
+        assert not any(tmp_path.iterdir())
+
+
 class TestSpectrumCommand:
     def test_run_and_summary(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "spectrum",
@@ -365,17 +387,46 @@ class TestNoQuadpackOnRunPaths:
                                          "compare", "weak"])
     def test_command_runs_with_quadpack_blocked(self, command, capsys, tmp_path,
                                                 monkeypatch):
-        import dosc.quadrature
+        import scipy.integrate
 
         def blocked(*args, **kwargs):
             raise AssertionError("QUADPACK called on a run path")
 
-        monkeypatch.setattr(dosc.quadrature, "quad", blocked)
+        # dosc.quadrature imports quad at each call, so this reaches it
+        monkeypatch.setattr(scipy.integrate, "quad", blocked)
         path = write_config(tmp_path, self.GAUSS_WEAK)
         extra = ["--override", "oracle.N=400"] if command == "compare" else []
         rc, _, err = run(capsys, command, "--config", path, *extra,
                          "--out", str(tmp_path / "out"))
         assert rc == 0, err
+
+
+class TestImportPath:
+    def test_commands_load_neither_optimize_nor_integrate(self, tmp_path):
+        # a fresh interpreter, so no other test's imports count; a module
+        # loaded here is paid by every command's start-up
+        script = (
+            "import json, sys\n"
+            "from dosc.cli import main\n"
+            "for cmd, name in json.loads(sys.argv[1]):\n"
+            "    rc = main([cmd, '--config', sys.argv[2] + '/' + name + '.json',\n"
+            "               '--out', sys.argv[3] + '/' + cmd])\n"
+            "    assert rc == 0, (cmd, name, rc)\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.startswith(('scipy.optimize', 'scipy.integrate')))))\n"
+        )
+        runs = [["spectrum", "weak_line"], ["groundstate", "flat_band"],
+                ["dynamics", "flat_band"], ["compare", "flat_band"],
+                ["weak", "weak_line"]]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, DOSC_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs), str(CONFIGS), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert all((tmp_path / cmd).is_dir() for cmd, _ in runs)
 
 
 class TestEnvironment:

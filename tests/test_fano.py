@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.integrate import quad, simpson
 from scipy.special import exp1, expi
 
-from dosc import weakcoupling
+from dosc import fano, weakcoupling
 from dosc.errors import ConvergenceError, OutsideSupportError, UsageError
 from dosc.fano import (
     _dispersion_parts,
@@ -453,3 +454,92 @@ def test_bound_state_guidance():
     assert "outside the coupling support" in detail["guidance"]
     assert "bound state" in detail["guidance"]
     assert "raise it" not in detail["guidance"]
+
+
+# ---------------------------------------------------------------------------
+# fano.simpson and fano.brentq: ports of scipy's, equal bit for bit
+
+def _same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_simpson_port_matches_scipy_on_random_grids():
+    rng = np.random.default_rng(20261018)
+    # many short grids: the end correction of an even count is then a
+    # large share of the sum, and a rounding change in it shows
+    sizes = [*range(3, 41), *rng.integers(4, 12, 300), 101, 1000, 1001, 4096, 13413]
+    for n in sizes:
+        for kind in range(3):
+            if kind == 0:
+                x = np.linspace(0.0, 1.0, n)
+            elif kind == 1:
+                x = np.cumsum(rng.uniform(0.01, 1.0, n))
+            else:   # spacings over eight decades, like a refined grid
+                x = np.cumsum(10.0 ** rng.uniform(-8.0, 0.0, n))
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert _same_float(fano.simpson(y, x), simpson(y, x=x)), (n, kind)
+
+
+@pytest.mark.parametrize("name", ["ohmic_reference", "near_critical", "weak_line",
+                                  "flat_band"])
+def test_simpson_port_matches_scipy_on_solution_grids(name):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    spec = {"ohmic_exp": OhmicExp, "flat_band": FlatBand}[doc["spectrum"].pop("family")]
+    sol = solve(spec(**doc["spectrum"]), U)
+    sols = [sol]
+    if "t_max" in doc.get("time", {}):
+        sols.append(refine_for_times(sol, doc["time"]["t_max"]))
+    for s in sols:
+        w = s.omegas
+        for y in (s.pi, w ** 2 * s.pi, w * s.pi, w ** -1 * s.pi):
+            assert _same_float(fano.simpson(y, w), simpson(y, x=w))
+
+
+_BRENT_SHAPES = (
+    lambda x, r, s: s * (x - r) + (x - r) ** 3,
+    lambda x, r, s: math.atan(s * (x - r)) + 1e-3 * math.sin(40.0 * x),
+    lambda x, r, s: math.expm1(s * (x - r)),
+    lambda x, r, s: math.tanh(s * (x - r)) ** 3,
+    # a pole-like jump at the bracket edges: interpolation and bisection
+    # alternate
+    lambda x, r, s: math.tan(x - r) if abs(x - r) < 1.5 else math.copysign(1e3, x - r),
+)
+
+
+@settings(max_examples=1000)
+@given(root=st.floats(-3.0, 3.0), left=st.floats(1e-9, 2.0), right=st.floats(1e-9, 2.0),
+       shape=st.integers(0, len(_BRENT_SHAPES) - 1), scale=st.floats(0.1, 10.0),
+       tols=st.sampled_from([(1e-14, 1e-14), (1e-12, 1e-14)]), swap=st.booleans())
+def test_brentq_port_matches_scipy(root, left, right, shape, scale, tols, swap):
+    # the (xtol, rtol) pairs of fano._find_peaks and dynamics.classify_damping
+    def f(x):
+        return _BRENT_SHAPES[shape](x, root, scale)
+
+    a, b = root - left, root + right
+    if swap:
+        a, b = b, a
+    xtol, rtol = tols
+    try:
+        ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            fano.brentq(f, a, b, xtol=xtol, rtol=rtol)
+        return
+    assert _same_float(fano.brentq(f, a, b, xtol=xtol, rtol=rtol), ref)
+
+
+def test_brentq_port_error_paths():
+    with pytest.raises(ValueError, match="different signs"):
+        fano.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
+    with pytest.raises(ValueError, match="NaN"):
+        fano.brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0,
+                    xtol=1e-12, rtol=1e-14)
+
+    def step(x):   # equal |f| on both sides: every step bisects
+        return math.copysign(1.0, x - 1e-200)
+
+    # about 2000 halvings would reach the tolerance; 100 are allowed
+    with pytest.raises(RuntimeError):
+        optimize.brentq(step, -1e300, 1e300, xtol=1e-300, rtol=1e-14)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        fano.brentq(step, -1e300, 1e300, xtol=1e-300, rtol=1e-14)

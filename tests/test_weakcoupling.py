@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import least_squares
 
 from dosc import fano, groundstate, weakcoupling
 from dosc.errors import ConvergenceError, UsageError
-from dosc.spectra import FlatBand, OhmicExp, Tabulated, UnitSystem
+from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
 
 # quadrature refinement golden, ohmic amplitude 0.3 cutoff 5.0 at omega0
 OHMIC_F1 = -0.20653766815614519841
@@ -193,6 +194,55 @@ class TestLorentzianFit:
         deviations = [abs(r - 1.0) for r in ratios]
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[2] < 0.005
+
+
+class TestFitAgainstLeastSquares:
+    """weakcoupling._fit against scipy's least_squares on the same
+    objective, start and bounds: the weak_line config and ohmic and
+    Gaussian weak models like the benchmark's."""
+
+    SPECS = {
+        "weak_line": OhmicExp(amplitude=0.03943524174818923, cutoff=5.0),
+        "ohmic_weak": OhmicExp(amplitude=math.sqrt(0.00825 / 1.5), cutoff=1.5),
+        "gauss_weak": GaussianPeak(amplitude=0.144, center=1.0, width=0.1),
+    }
+
+    @pytest.mark.parametrize("jitter_seed", [None, 7, 11])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_cost_and_parameters(self, units, monkeypatch, name, jitter_seed):
+        calls = []
+        fit = weakcoupling._fit
+
+        def spy(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(weakcoupling, "_fit", spy)
+        rng = None if jitter_seed is None else np.random.default_rng(jitter_seed)
+        rep = weakcoupling.lorentzian_fit(fano.solve(self.SPECS[name], units),
+                                          jitter_rng=rng)
+        (wm, pm, rt, start, lower, upper), = calls
+
+        def resid(p):
+            return (weakcoupling._lorentz(wm, *p) - pm) * rt
+
+        ref = least_squares(resid, x0=list(start), bounds=(lower, upper))
+        cost = 0.5 * float(resid([rep.center_fit, rep.hwhm_fit]) @
+                           resid([rep.center_fit, rep.hwhm_fit]))
+        assert cost <= ref.cost * (1.0 + 1e-12)
+        c_ref, g_ref = ref.x
+        assert abs(rep.center_fit - c_ref) <= 1e-6 * g_ref
+        assert abs(rep.hwhm_fit / g_ref - 1.0) <= 1e-6
+
+    def test_step_clipped_to_bounds(self):
+        # a Lorentzian centred beyond the box: the centre stops on its
+        # upper bound and the width stays inside its own
+        w = np.linspace(0.9, 1.1, 401)
+        rt = np.sqrt(np.gradient(w))
+        p = weakcoupling._lorentz(w, 1.2, 0.01)
+        c, g = weakcoupling._fit(w, p, rt, (1.0, 0.01), (0.9, 1e-15), (1.1, 0.2))
+        assert c == 1.1
+        assert 1e-15 <= g <= 0.2
 
 
 class TestWeakGroundState:
