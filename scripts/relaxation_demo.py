@@ -21,6 +21,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from dosc import fano, oracle, weakcoupling
 from dosc.cli import load_config
+from dosc.csvio import write_csv
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -74,9 +75,8 @@ def main() -> int:
               f"max |var/ground - 1| = {dev:.3e}")
 
     if args.out:
-        data = np.column_stack([ts, traj.var_x, traj.var_p, traj.cov_xp])
-        np.savetxt(args.out, data, delimiter=",", fmt="%.17g",
-                   header="t,var_x,var_p,cov_xp", comments="")
+        write_csv(args.out, "t,var_x,var_p,cov_xp",
+                  [ts, traj.var_x, traj.var_p, traj.cov_xp])
         print(f"wrote {args.out}")
     return 0
 

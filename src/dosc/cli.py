@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -194,12 +195,22 @@ def _build_model(data: dict) -> dict:
 
 
 def _build_grid(data: dict) -> dict:
+    """Node and round budgets must be integers >= 1, tolerances finite
+    numbers > 0."""
     _require_object(data, "grid", _GRID_KEYS)
     out = {}
     for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"grid.{key} must be a number")
-        out[key] = int(value) if key in ("max_nodes", "max_rounds") else float(value)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if key in ("max_nodes", "max_rounds"):
+            if not (number and value >= 1
+                    and (isinstance(value, int) or value.is_integer())):
+                raise UsageError(f"grid.{key} must be an integer >= 1, got {value!r}")
+            out[key] = int(value)
+        else:
+            if not (number and 0 < value <= sys.float_info.max):
+                raise UsageError(
+                    f"grid.{key} must be a finite number > 0, got {value!r}")
+            out[key] = float(value)
     return out
 
 
@@ -509,7 +520,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, json.dumps(doc, sort_keys=True) + "\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process; parsing leaves the parser unchanged (the
+    ``append`` action copies its default list before appending)."""
     parser = _Parser(
         prog="dosc",
         description="Exact diagonalisation of a damped oscillator: "

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fano
+from .csvio import write_csv
 from .errors import InternalConsistencyError, UsageError
 from .spectra import UnitSystem
 
@@ -147,10 +148,8 @@ class DynamicsKernels:
     source: object = field(repr=False)
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.k_cos,
-                                self.k_sin_over, self.k_sin_times])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="t,k_cos,k_sin_over,k_sin_times", comments="")
+        write_csv(path, "t,k_cos,k_sin_over,k_sin_times",
+                  [self.times, self.k_cos, self.k_sin_over, self.k_sin_times])
 
 
 def kernels(source, times, alias_mass_tol: float = 1e-6) -> DynamicsKernels:
@@ -190,9 +189,7 @@ class MeanTrajectory:
     p: np.ndarray
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.x, self.p])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="t,x,p", comments="")
+        write_csv(path, "t,x,p", [self.times, self.x, self.p])
 
 
 def mean_trajectory(kern: DynamicsKernels, x0: float, p0: float,

@@ -50,6 +50,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import (AliasingError, ConvergenceError, OutsideSupportError,
                      UsageError)
 from .quadrature import cauchy_pv, integrate
@@ -131,9 +132,8 @@ class SpectralSolution:
 
     def to_csv(self, path) -> None:
         """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision."""
-        data = np.column_stack([self.omegas, self.Y, self.alpha_sq, self.beta_ratio, self.pi])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="omega,Y,alpha_sq,beta_ratio,pi", comments="")
+        write_csv(path, "omega,Y,alpha_sq,beta_ratio,pi",
+                  [self.omegas, self.Y, self.alpha_sq, self.beta_ratio, self.pi])
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
+from .csvio import write_csv
 from .errors import InternalConsistencyError, PositivityError, UsageError
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
@@ -624,13 +625,9 @@ class ComparisonReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def histogram_csv(self, path) -> None:
-        data = np.column_stack([
-            self.hist_edges[:-1], self.hist_edges[1:],
-            self.hist_density, self.hist_continuum,
-        ])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="bin_lo,bin_hi,density_discrete,density_continuum",
-                   comments="")
+        write_csv(path, "bin_lo,bin_hi,density_discrete,density_continuum",
+                  [self.hist_edges[:-1], self.hist_edges[1:],
+                   self.hist_density, self.hist_continuum])
 
 
 def _bin_averaged_continuum(sol, edges: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConvergenceError, UsageError
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
@@ -104,10 +105,8 @@ class WeakCouplingReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def overlay_csv(self, path) -> None:
-        data = np.column_stack([self.overlay_omegas, self.overlay_pi,
-                                self.overlay_lorentz])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="omega,pi_exact,pi_lorentz", comments="")
+        write_csv(path, "omega,pi_exact,pi_lorentz",
+                  [self.overlay_omegas, self.overlay_pi, self.overlay_lorentz])
 
 
 def _lorentz(w: np.ndarray, c: float, g: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end checks of the batch front door: configs, files, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -73,6 +74,21 @@ class TestArgumentHandling:
         assert rc == 1
         assert "key=value" in stderr_doc(err)["message"]
 
+    def test_shared_parser_keeps_calls_apart(self, capsys, tmp_path):
+        # one parser per process: no call's --override may reach the next
+        from dosc import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        for i, omega0 in enumerate((2.0, None, 3.0, None)):
+            extra = [] if omega0 is None else ["--override", f"units.omega0={omega0}"]
+            rc, _, _ = run(capsys, "groundstate",
+                           "--config", str(CONFIGS / "uncoupled.json"),
+                           *extra, "--out", str(tmp_path / str(i)))
+            assert rc == 0
+            doc = json.loads((tmp_path / str(i) / "groundstate.json").read_text())
+            assert doc["omega_c"] == (omega0 or 1.0)
+        assert cli._build_parser().parse_args(["groundstate"]).override == []
+
 
 class TestConfigValidation:
     def base(self):
@@ -138,11 +154,14 @@ class TestConfigValidation:
         "tolerances.rel_var=-0.1", 'tolerances.rel_var="abc"',
         "tolerances.histogram_l1=NaN", 'oracle.bath_omega_max="abc"',
         "oracle.bath_omega_max=-Infinity", "fit.jitter_seed=-1",
+        "grid.max_nodes=1e400", "grid.max_nodes=0", "grid.max_rounds=-3",
+        "grid.max_rounds=2.5", "grid.norm_tol=NaN",
+        "grid.norm_tol=0", "grid.sum_tol=-1e-6", "grid.sum_tol=Infinity",
     ])
     def test_numeric_fields_refused(self, capsys, tmp_path, item):
         # each once gave a traceback or an accepted nonsense run
-        command = {"tolerances": "compare", "oracle": "compare",
-                   "fit": "weak"}.get(item.split(".")[0], "dynamics")
+        command = {"tolerances": "compare", "oracle": "compare", "fit": "weak",
+                   "grid": "spectrum"}.get(item.split(".")[0], "dynamics")
         rc, _, err = run(capsys, command, "--config", str(CONFIGS / "flat_band.json"),
                          "--override", item, "--out", str(tmp_path))
         assert rc == 1
@@ -370,6 +389,31 @@ class TestWeakCommand:
             assert rc == 0
         assert ((tmp_path / "a" / "weak_report.json").read_bytes()
                 == (tmp_path / "b" / "weak_report.json").read_bytes())
+
+
+class TestTablesMatchSavetxt:
+    @pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_every_table_is_savetxt_bytes(self, config, capsys, tmp_path, monkeypatch):
+        # each table a command writes, against np.savetxt of the same columns
+        from dosc import csvio, dynamics, fano, oracle, weakcoupling
+
+        written = {}
+
+        def write_csv(path, header, columns):
+            csvio.write_csv(path, header, columns)
+            ref = io.BytesIO()
+            np.savetxt(ref, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                       header=header, comments="")
+            written[Path(path)] = ref.getvalue()
+
+        for module in (fano, dynamics, oracle, weakcoupling):
+            monkeypatch.setattr(module, "write_csv", write_csv)
+        for command in ("spectrum", "dynamics", "compare", "weak"):
+            run(capsys, command, "--config", str(CONFIGS / f"{config}.json"),
+                "--out", str(tmp_path / command))
+        assert set(tmp_path.glob("*/*.csv")) == set(written)
+        for path, ref in written.items():
+            assert path.read_bytes() == ref, path
 
 
 class TestNoQuadpackOnRunPaths:
