@@ -22,9 +22,10 @@ K is an arrowhead matrix (a diagonal plus one border row), so it is
 never formed to be diagonalised.  Its eigenvalues are the roots of a
 secular equation, one per interlacing bracket, found by LAPACK's
 dlasd4 as offsets from the nearest pole; the weights and eigenvector
-columns follow in closed form from the same offsets.  That is O(N^2)
-time, and O(N) memory for the weights; the (N+1) x (N+1) eigenvector
-matrix is built only when an evolution asks for it.
+columns follow in closed form from those offsets.  That is O(N^2) time
+and O(N) memory: one sweep keeps each root's pole and offset, and an
+evolution rebuilds the eigenvector columns a block of roots at a time
+instead of holding the (N+1) x (N+1) matrix.
 
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
@@ -49,9 +50,11 @@ from .errors import InternalConsistencyError, PositivityError, UsageError
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
-# time points per block of evolve_reduced: each block is one product of
-# the eigenvector matrix with an (N+1) x 3 _BLOCK matrix, 9 MB at N = 4000
-_BLOCK = 128
+# evolve_reduced rebuilds the eigenvector columns _ROOTS at a time and
+# sums them into an accumulator of 2 _TIMES columns: 4 MB of columns and
+# 16 MB of accumulator at N = 4000, whatever the number of times
+_ROOTS = 128
+_TIMES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,28 +240,6 @@ def _secular_equation(model: FiniteBathModel) -> _SecularEquation:
     )
 
 
-def _roots(eq: _SecularEquation):
-    """(k, Omega_k, omega_j^2 - Omega_k^2 over the kept poles) per root.
-
-    dlasd4 takes each root as an offset from its nearest pole (Gu &
-    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172) and returns
-    omega_j - Omega_k and omega_j + Omega_k accurately, so their product
-    is accurate too, and the explicit columns
-    (1, -z_j/(omega_j^2 - Omega_k^2)) built from it come out orthogonal
-    to about 1e-13 without recomputing z by Loewner's formula (Stor,
-    Slapnicar & Barlow, Linear Algebra Appl. 464 (2015)).
-    """
-    for k in range(eq.d.size):
-        delta, sigma, work, info = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
-        if info != 0:
-            raise InternalConsistencyError(
-                f"dlasd4 failed on root {k} of {eq.d.size} of the secular "
-                f"equation of K (info = {info})")
-        gap = delta[1:]
-        gap *= work[1:]
-        yield k, sigma, gap
-
-
 @dataclass(frozen=True, eq=False)
 class NormalModeDecomposition:
     """Exact normal modes of a finite-bath model.
@@ -275,9 +256,9 @@ class NormalModeDecomposition:
         The model this decomposition belongs to.
 
     ``eigenvectors``, the full matrix O (columns, first row
-    ``overlaps``), is built on first access by a second sweep over the
-    secular equation and then kept; only evolution and the full
-    covariance read it.
+    ``overlaps``), is built on first access from the roots' offsets and
+    then kept; only the tests read it.  Evolution rebuilds the columns
+    it needs a block at a time.
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of
     measure as a continuum solution, for fano.moment and the dynamics
@@ -289,7 +270,9 @@ class NormalModeDecomposition:
     weights: np.ndarray
     model: FiniteBathModel = field(repr=False)
     _secular: _SecularEquation = field(repr=False)
-    _rank: np.ndarray = field(repr=False)   # position of each root, then each deflated mode
+    _rank: np.ndarray = field(repr=False)     # position of each root, then each deflated mode
+    _origin: np.ndarray = field(repr=False)   # pole each root was measured from
+    _offset: np.ndarray = field(repr=False)   # Omega_k - d[origin]
 
     @property
     def nodes(self) -> np.ndarray:
@@ -299,28 +282,59 @@ class NormalModeDecomposition:
     def omega0(self) -> float:
         return self.model.omega0
 
+    def _columns(self, roots: slice) -> np.ndarray:
+        """Unnormalised eigenvector columns (1, -z_j/(omega_j^2 - Omega_k^2))
+        of a block of roots, over the oscillator then the coupled bath
+        modes (``_secular.coupled``); every other component is 0.
+
+        omega_j - Omega_k is formed as dlasd4 forms it, as
+        (omega_j - d_o) - offset from the pole d_o the root was measured
+        from (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172),
+        so it is accurate even next to d_o; omega_j + Omega_k adds two
+        positive numbers.  Their product is then accurate too, and the
+        columns come out orthogonal to about 1e-13 without recomputing z
+        by Loewner's formula (Stor, Slapnicar & Barlow, Linear Algebra
+        Appl. 464 (2015)).  The columns scaled by ``overlaps`` are those
+        of O.
+        """
+        eq = self._secular
+        poles = eq.d[1:, None]
+        gap = poles - eq.d[self._origin[roots]]
+        gap -= self._offset[roots]
+        gap *= poles + self.Omegas[self._rank[:self._origin.size][roots]]
+        if eq.runs:
+            gap = gap[eq.pole_of]
+        cols = np.empty((1 + eq.coupled.size, gap.shape[1]))
+        cols[0] = 1.0
+        np.divide(-self.model.border[eq.coupled, None], gap, out=cols[1:])
+        return cols
+
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
         eq, rank = self._secular, self._rank
-        rows = np.zeros((rank.size, rank.size))   # one eigenvector per row
-        z = self.model.border[eq.coupled]
-        cols = 1 + eq.coupled
-        for k, _, gap in _roots(eq):
-            row = rows[rank[k]]
-            row[0] = self.overlaps[rank[k]]
-            row[cols] = -row[0] * z / gap[eq.pole_of]
+        o = np.zeros((rank.size, rank.size))
+        rows = np.concatenate([[0], 1 + eq.coupled])
         at = eq.d.size
-        rows[rank[at:at + eq.loose.size], 1 + eq.loose] = 1.0
+        for lo in range(0, at, _ROOTS):
+            blk = slice(lo, lo + _ROOTS)
+            kept = rank[:at][blk]
+            o[np.ix_(rows, kept)] = self._columns(blk) * self.overlaps[kept]
+        o[1 + eq.loose, rank[at:at + eq.loose.size]] = 1.0
         at += eq.loose.size
         for members, basis in eq.runs:
-            rows[np.ix_(rank[at:at + basis.shape[1]], 1 + members)] = basis.T
+            o[np.ix_(1 + members, rank[at:at + basis.shape[1]])] = basis
             at += basis.shape[1]
-        return rows.T
+        return o
 
 
 def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
     """Normal modes of K from its secular equation: O(N^2) time, O(N)
     memory.  The eigenvectors follow on demand.
+
+    dlasd4 takes each root as an offset from its nearest pole and
+    returns omega_j - Omega_k and omega_j + Omega_k accurately; the
+    weights come from their products, and the pole and offset are kept
+    so that the eigenvector columns can be rebuilt from them.
 
     Raises PositivityError when ``discrete_margin <= 0``, before any
     solve: K is positive definite exactly when the Schur complement
@@ -334,9 +348,24 @@ def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
             detail={"discrete_margin": model.discrete_margin},
         )
     eq = _secular_equation(model)
-    omegas = np.concatenate([np.empty(eq.d.size), eq.deflated])
+    n = eq.d.size
+    omegas = np.concatenate([np.empty(n), eq.deflated])
     weights = np.zeros(omegas.size)
-    for k, sigma, gap in _roots(eq):
+    origin = np.empty(n, dtype=np.intp)
+    offset = np.empty(n)
+    for k in range(n):
+        delta, sigma, work, info = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
+        if info != 0:
+            raise InternalConsistencyError(
+                f"dlasd4 failed on root {k} of {n} of the secular "
+                f"equation of K (info = {info})")
+        # root k lies above pole k, below pole k + 1 if there is one;
+        # delta is 0 - offset at the pole it was measured from
+        o = k if k + 1 == n or abs(delta[k]) <= abs(delta[k + 1]) else k + 1
+        origin[k] = o
+        offset[k] = -delta[o]
+        gap = delta[1:]
+        gap *= work[1:]
         ratio = np.divide(eq.tau, gap, out=gap)
         omegas[k] = sigma
         weights[k] = 1.0 / (1.0 + ratio @ ratio)
@@ -346,44 +375,23 @@ def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
     weights = weights[order]
     return NormalModeDecomposition(
         Omegas=omegas[order], overlaps=np.sqrt(weights), weights=weights,
-        model=model, _secular=eq, _rank=rank,
+        model=model, _secular=eq, _rank=rank, _origin=origin, _offset=offset,
     )
 
 
 @dataclass(frozen=True)
 class GroundCovariance:
-    """Reduced ground-state covariance, with the full matrix on demand.
-
-    ``var_x`` and ``var_p`` are physical (mass restored).  The full
-    system covariance is assembled from K^{+-1/2} only when asked for:
-    that costs two dense O(N^3) products and is meant for small N.
-    """
+    """Reduced ground-state covariance, physical units (mass restored)."""
 
     var_x: float
     var_p: float
-    _decomp: NormalModeDecomposition = field(repr=False)
-    _units: UnitSystem = field(repr=False)
-
-    def full_covariance(self) -> np.ndarray:
-        """2(N+1) x 2(N+1) covariance of the global ground state,
-        mass-reduced coordinates, ordered (all x, then all p)."""
-        d = self._decomp
-        hbar = self._units.hbar
-        o = d.eigenvectors
-        x_block = (hbar / 2.0) * (o / d.Omegas) @ o.T
-        p_block = (hbar / 2.0) * (o * d.Omegas) @ o.T
-        m = o.shape[0]
-        cov = np.zeros((2 * m, 2 * m))
-        cov[:m, :m] = x_block
-        cov[m:, m:] = p_block
-        return cov
 
 
 def ground_covariance(decomp: NormalModeDecomposition, units: UnitSystem) -> GroundCovariance:
     """var_x = (hbar/2m) sum pi_k/Omega_k, var_p = (hbar m/2) sum pi_k Omega_k."""
     var_x = units.hbar / (2.0 * units.mass) * frequency_moment(decomp, -1)
     var_p = units.hbar * units.mass / 2.0 * frequency_moment(decomp, 1)
-    return GroundCovariance(var_x=var_x, var_p=var_p, _decomp=decomp, _units=units)
+    return GroundCovariance(var_x=var_x, var_p=var_p)
 
 
 def discrete_pi_histogram(decomp: NormalModeDecomposition, bins) -> tuple[np.ndarray, np.ndarray]:
@@ -398,113 +406,17 @@ def discrete_pi_histogram(decomp: NormalModeDecomposition, bins) -> tuple[np.nda
 
 
 def recurrence_estimate(decomp: NormalModeDecomposition) -> float:
-    """2 pi / (minimum adjacent normal-mode spacing): the quasi-period
-    bound that windows every relaxation statement at finite N."""
-    gaps = np.diff(np.sort(decomp.Omegas))
-    return 2.0 * math.pi / float(gaps.min())
+    """2 pi / (minimum spacing of distinct normal-mode frequencies): the
+    quasi-period bound that windows every relaxation statement at
+    finite N.  Degenerate modes beat at no frequency and do not count;
+    with a single distinct frequency nothing dephases and the bound is
+    infinite."""
+    gaps = np.diff(np.unique(decomp.Omegas))
+    return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
 
 
 # ---------------------------------------------------------------------------
 # evolution
-
-@dataclass(frozen=True, eq=False)
-class GaussianEvolutionState:
-    """Gaussian state of the full system, mass-reduced coordinates.
-
-    ``means`` is the 2(N+1) vector (all x, then all p); ``covariance``
-    the matching symmetric matrix.  Physicality (symplectic eigenvalues
-    >= hbar/2) is checked by :func:`symplectic_eigenvalues`.
-    """
-
-    means: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.means, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mu.ndim != 1 or mu.size % 2 != 0:
-            raise UsageError("means must be a 1-d vector of even length")
-        if cov.shape != (mu.size, mu.size):
-            raise UsageError("covariance shape does not match means")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise UsageError("covariance must be symmetric")
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def n_sites(self) -> int:
-        return self.means.size // 2
-
-    def reduced_oscillator(self, units: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
-        """Physical (mean_x, mean_p) and 2x2 covariance of site 0."""
-        m = self.n_sites
-        rm = math.sqrt(units.mass)
-        means = np.array([self.means[0] / rm, self.means[m] * rm])
-        cov = np.array([
-            [self.covariance[0, 0] / units.mass, self.covariance[0, m]],
-            [self.covariance[m, 0], self.covariance[m, m] * units.mass],
-        ])
-        return means, cov
-
-
-def product_ground_state(model: FiniteBathModel, units: UnitSystem,
-                         x0: float = 0.0, p0: float = 0.0) -> GaussianEvolutionState:
-    """Each constituent in its own bare ground state; the oscillator
-    optionally displaced by physical (x0, p0).  Dense representation."""
-    bare = model.bare_freqs
-    m = bare.size
-    hbar = units.hbar
-    cov = np.zeros((2 * m, 2 * m))
-    cov[np.arange(m), np.arange(m)] = hbar / (2.0 * bare)
-    cov[np.arange(m, 2 * m), np.arange(m, 2 * m)] = hbar * bare / 2.0
-    means = np.zeros(2 * m)
-    means[0] = x0 * math.sqrt(units.mass)
-    means[m] = p0 / math.sqrt(units.mass)
-    return GaussianEvolutionState(means=means, covariance=cov)
-
-
-def global_ground_state(decomp: NormalModeDecomposition, units: UnitSystem) -> GaussianEvolutionState:
-    """Ground state of the coupled system (dense; small N only)."""
-    cov = ground_covariance(decomp, units).full_covariance()
-    return GaussianEvolutionState(means=np.zeros(cov.shape[0]), covariance=cov)
-
-
-def _propagator(decomp: NormalModeDecomposition, t: float) -> np.ndarray:
-    o = decomp.eigenvectors
-    om = decomp.Omegas
-    c = (o * np.cos(om * t)) @ o.T
-    s = (o * (np.sin(om * t) / om)) @ o.T
-    d = (o * (om * np.sin(om * t))) @ o.T
-    m = o.shape[0]
-    prop = np.zeros((2 * m, 2 * m))
-    prop[:m, :m] = c
-    prop[:m, m:] = s
-    prop[m:, :m] = -d
-    prop[m:, m:] = c
-    return prop
-
-
-def evolve(model: FiniteBathModel, initial: GaussianEvolutionState,
-           times: Sequence[float],
-           decomp: NormalModeDecomposition | None = None) -> list[GaussianEvolutionState]:
-    """Exact evolution at the given times (dense propagators, small N).
-
-    The propagator is assembled from normal-mode cosines and sines, so
-    each requested time is evaluated directly with no stepping error.
-    """
-    if initial.n_sites != model.n_modes + 1:
-        raise UsageError("initial state size does not match the model")
-    if decomp is None:
-        decomp = normal_modes(model)
-    out = []
-    for t in np.asarray(times, dtype=float):
-        prop = _propagator(decomp, float(t))
-        out.append(GaussianEvolutionState(
-            means=prop @ initial.means,
-            covariance=prop @ initial.covariance @ prop.T,
-        ))
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedTrajectory:
@@ -523,21 +435,28 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
                    decomp: NormalModeDecomposition | None = None) -> ReducedTrajectory:
     """Reduced oscillator evolution from the displaced product state.
 
-    Exploits the diagonal initial covariance: the first row of the
-    position, momentum and velocity propagators at time t are
-    O @ (a cos(Omega t)), O @ (a sin(Omega t)/Omega) and
-    O @ (a Omega sin(Omega t)), with O the eigenvectors and a the
-    overlaps.  A block of times at a time, those are one matrix product
-    with O, so N = 4000 baths are cheap.  Initial state: oscillator
-    ground state displaced by physical (x0, p0), bath modes in their
-    bare ground states, coupling switched on at t = 0.
+    Initial state: oscillator ground state displaced by physical
+    (x0, p0), bath modes in their bare ground states, coupling switched
+    on at t = 0.  The initial covariance is diagonal, so only the first
+    rows of the position, momentum and velocity propagators matter:
+    c = O (a cos(Omega t)), s = O (a sin(Omega t)/Omega) and
+    d = O (a Omega sin(Omega t)) = K s, with O the eigenvectors and a
+    the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
+    c and s are sums over the coupled roots of those unnormalised
+    columns times pi_k cos and pi_k sin/Omega, accumulated a block of
+    roots and a block of times at a time; deflated modes have a_k = 0
+    and drop out.  d follows from the arrowhead K in O(N) per time.
+    O is never held: the memory is O(N) per time of a block.
     """
     if decomp is None:
         decomp = normal_modes(model)
-    o = decomp.eigenvectors
-    a = decomp.overlaps
-    om = decomp.Omegas
-    bare = model.bare_freqs
+    eq = decomp._secular
+    kept = decomp._rank[:eq.d.size]
+    pi = decomp.weights[kept]
+    om = decomp.Omegas[kept]
+    # the oscillator and the coupled bath modes; the others stay at rest
+    bare = np.concatenate([[model.omega0], model.bath_freqs[eq.coupled]])
+    z = model.border[eq.coupled]
     hbar = units.hbar
     var_x0 = hbar / (2.0 * bare)   # mass-reduced
     var_p0 = hbar * bare / 2.0
@@ -551,15 +470,20 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     var_x = np.empty_like(ts)
     var_p = np.empty_like(ts)
     cov_xp = np.empty_like(ts)
-    for lo in range(0, ts.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        phase = np.outer(om, ts[blk])
-        sin_t = np.sin(phase)
-        c, s, d = np.split(o @ np.hstack([
-            a[:, None] * np.cos(phase),
-            (a / om)[:, None] * sin_t,
-            (a * om)[:, None] * sin_t,
-        ]), 3, axis=1)
+    for lo in range(0, ts.size, _TIMES):
+        blk = slice(lo, lo + _TIMES)
+        acc = np.zeros((bare.size, 2 * ts[blk].size))
+        for r in range(0, kept.size, _ROOTS):
+            roots = slice(r, r + _ROOTS)
+            phase = np.outer(om[roots], ts[blk])
+            acc += decomp._columns(roots) @ np.hstack([
+                pi[roots, None] * np.cos(phase),
+                (pi[roots] / om[roots])[:, None] * np.sin(phase),
+            ])
+        c, s = np.split(acc, 2, axis=1)
+        d = (bare**2)[:, None] * s
+        d[0] += z @ s[1:]
+        d[1:] += z[:, None] * s[0]
         mean_x[blk] = c[0] * x0r + s[0] * p0r
         mean_p[blk] = -d[0] * x0r + c[0] * p0r
         var_x[blk] = var_x0 @ (c * c) + var_p0 @ (s * s)
@@ -574,19 +498,6 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
         var_p=var_p * rm,
         cov_xp=cov_xp,
     )
-
-
-def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
-    """Williamson spectrum of a covariance in (x..., p...) ordering."""
-    n2 = covariance.shape[0]
-    m = n2 // 2
-    j = np.zeros((n2, n2))
-    j[:m, m:] = np.eye(m)
-    j[m:, :m] = -np.eye(m)
-    ev = np.linalg.eigvals(j @ covariance)
-    nus = np.sort(np.abs(ev.imag))
-    # eigenvalues come in +-i nu pairs, adjacent after sorting
-    return nus[::2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_evolution import symplectic_eigenvalues
 from dosc import dynamics, fano, groundstate, oracle, weakcoupling
 from dosc.cli import main as cli_main
 from dosc.spectra import OhmicExp, UnitSystem
@@ -190,7 +191,7 @@ def test_criterion_09_algebraic_identities(five_configs, units):
         worst_mi = max(worst_mi, rep.mutual_info_defect)
         cov = oracle.ground_covariance(decomp, units)
         sigma = np.diag([cov.var_x, cov.var_p])
-        nu = oracle.symplectic_eigenvalues(sigma)[0]
+        nu = symplectic_eigenvalues(sigma)[0]
         n_bar = groundstate.ground_state_moments(decomp, units).n_bar_c
         worst_nu = max(worst_nu, abs(2.0 * nu / units.hbar - (2.0 * n_bar + 1.0)))
 

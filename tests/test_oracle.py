@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 
+from dense_evolution import (GaussianEvolutionState, evolve, full_covariance,
+                            global_ground_state, product_ground_state,
+                            symplectic_eigenvalues)
 from dosc import dynamics, fano, groundstate, oracle
 from dosc.errors import InternalConsistencyError, PositivityError, UsageError
 from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
@@ -44,7 +47,7 @@ class TestTwoMode:
         gc = oracle.ground_covariance(decomp, units)
         assert gc.var_x == pytest.approx(TM_VAR_X, rel=1e-12)
         assert gc.var_p == pytest.approx(TM_VAR_P, rel=1e-12)
-        full = gc.full_covariance()
+        full = full_covariance(decomp, units)
         assert full[0, 0] == pytest.approx(TM_VAR_X, rel=1e-12)
         assert full[2, 2] == pytest.approx(TM_VAR_P, rel=1e-12)
 
@@ -75,7 +78,7 @@ class TestTwoMode:
         gc = oracle.ground_covariance(decomp, units)
         summary = groundstate.ground_state_moments(decomp, units)
         cov = np.array([[gc.var_x, 0.0], [0.0, gc.var_p]])
-        nu = oracle.symplectic_eigenvalues(cov)[0]
+        nu = symplectic_eigenvalues(cov)[0]
         assert 2.0 * nu / units.hbar == pytest.approx(2.0 * summary.n_bar_c + 1.0, abs=1e-9)
 
 
@@ -252,6 +255,44 @@ def test_weights_path_memory(ohmic_ref, units):
     assert peak < 64 * 2**20
 
 
+def test_evolution_path_memory(units, monkeypatch):
+    """evolve_reduced rebuilds eigenvector columns a block at a time: no
+    second dlasd4 sweep and no eigenvector matrix, which alone is
+    8 (N+1)^2 bytes, 128 MB at N = 4000.  Sized as in
+    scripts/relaxation_demo.py."""
+    spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
+    model = oracle.discretize(spec, units, 4000)
+    decomp = oracle.normal_modes(model)
+    times = np.linspace(0.0, 1000.0, 241)
+
+    def no_solve(*args):
+        raise AssertionError("evolve_reduced solved the secular equation")
+
+    monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(dlasd4=no_solve))
+    tracemalloc.start()
+    try:
+        traj = oracle.evolve_reduced(model, units, 1.0, 0.0, times, decomp=decomp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "eigenvectors" not in decomp.__dict__
+    assert peak < 64 * 2**20
+    assert abs(traj.var_x[0] - 0.5) <= 1e-12
+
+
+def test_recurrence_skips_degenerate_modes():
+    # repeated bath frequencies leave exactly degenerate normal modes,
+    # which beat at no frequency
+    decomp = oracle.normal_modes(REFERENCE_MODELS["manual_unsorted_repeated"]())
+    spacings = np.diff(np.sort(decomp.Omegas))
+    assert np.any(spacings == 0.0)
+    want = 2.0 * math.pi / spacings[spacings > 0.0].min()
+    assert oracle.recurrence_estimate(decomp) == want
+    # one distinct frequency: nothing dephases
+    single = oracle.normal_modes(oracle.FiniteBathModel(1.0, [1.0], [0.0]))
+    assert oracle.recurrence_estimate(single) == math.inf
+
+
 @pytest.fixture(scope="module")
 def small_bath(units):
     spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
@@ -262,8 +303,8 @@ def small_bath(units):
 class TestEvolution:
     def test_ground_state_stationary(self, small_bath, units):
         model, decomp = small_bath
-        gs = oracle.global_ground_state(decomp, units)
-        for state in oracle.evolve(model, gs, [0.7, 3.1, 11.0], decomp=decomp):
+        gs = global_ground_state(decomp, units)
+        for state in evolve(model, gs, [0.7, 3.1, 11.0], decomp=decomp):
             assert np.abs(state.covariance - gs.covariance).max() < 1e-12
             assert np.abs(state.means).max() == 0.0
 
@@ -271,8 +312,8 @@ class TestEvolution:
         model, decomp = small_bath
         x0, p0 = 1.3, -0.4
         times = [0.0, 0.5, 1.7, 4.2]
-        initial = oracle.product_ground_state(model, units, x0=x0, p0=p0)
-        dense = oracle.evolve(model, initial, times, decomp=decomp)
+        initial = product_ground_state(model, units, x0=x0, p0=p0)
+        dense = evolve(model, initial, times, decomp=decomp)
         for t, state in zip(times, dense):
             k_cos = float(np.sum(decomp.weights * np.cos(decomp.Omegas * t)))
             k_sin = float(np.sum(decomp.weights * np.sin(decomp.Omegas * t) / decomp.Omegas))
@@ -282,8 +323,8 @@ class TestEvolution:
     def test_reduced_path_matches_dense(self, small_bath, units):
         model, decomp = small_bath
         times = [0.0, 0.5, 1.7, 4.2]
-        initial = oracle.product_ground_state(model, units, x0=1.3, p0=-0.4)
-        dense = oracle.evolve(model, initial, times, decomp=decomp)
+        initial = product_ground_state(model, units, x0=1.3, p0=-0.4)
+        dense = evolve(model, initial, times, decomp=decomp)
         red = oracle.evolve_reduced(model, units, 1.3, -0.4, times, decomp=decomp)
         for i, state in enumerate(dense):
             means, cov = state.reduced_oscillator(units)
@@ -298,8 +339,8 @@ class TestEvolution:
         spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
         model = oracle.discretize(spec, u, 6)
         decomp = oracle.normal_modes(model)
-        initial = oracle.product_ground_state(model, u, x0=0.9, p0=0.3)
-        dense = oracle.evolve(model, initial, [1.1], decomp=decomp)
+        initial = product_ground_state(model, u, x0=0.9, p0=0.3)
+        dense = evolve(model, initial, [1.1], decomp=decomp)
         red = oracle.evolve_reduced(model, u, 0.9, 0.3, [1.1], decomp=decomp)
         means, cov = dense[0].reduced_oscillator(u)
         assert red.mean_x[0] == pytest.approx(means[0], rel=1e-12)
@@ -308,7 +349,7 @@ class TestEvolution:
         assert red.var_p[0] == pytest.approx(cov[1, 1], rel=1e-12)
 
     def test_blocked_path_matches_per_time_loop(self, units):
-        # 301 times: two full blocks and a partial one
+        # 301 times and 301 roots: full blocks and a partial one of each
         spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0)
         model = oracle.discretize(spec, units, 300)
         decomp = oracle.normal_modes(model)
@@ -323,28 +364,50 @@ class TestEvolution:
         kern = dynamics.kernels(decomp, times)
         assert np.max(np.abs(red.mean_x - x0 * kern.k_cos)) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["flat_band_gap", "gaussian_tails",
+                                      "manual_unsorted_repeated", "ohmic_300"])
+    def test_reduced_path_matches_dense_eigh(self, name):
+        # a reference that shares nothing with the secular equation: the
+        # propagator rows from scipy's eigh of K.  eigh's eigenvalues carry
+        # an absolute error of about eps ||K||, which the phases pick up
+        # in proportion to t, so the ohmic bath is cut at 30 (||K|| = 900)
+        # and the times stop at 30
+        if name == "ohmic_300":
+            u = UnitSystem(omega0=1.0, mass=2.5, hbar=0.7)
+            spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
+            model = oracle.discretize(spec, u, 300)
+        else:
+            u = UnitSystem()
+            model = REFERENCE_MODELS[name]()
+        times = np.linspace(0.0, 30.0, 61)
+        x0, p0 = 1.3, -0.4
+        red = oracle.evolve_reduced(model, u, x0, p0, times)
+        ref = _eigh_reduced(model, u, x0, p0, times)
+        for key, want in ref.items():
+            assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+
     def test_symplectic_floor_preserved(self, small_bath, units):
         model, decomp = small_bath
-        initial = oracle.product_ground_state(model, units, x0=2.0)
-        nus = oracle.symplectic_eigenvalues(initial.covariance)
+        initial = product_ground_state(model, units, x0=2.0)
+        nus = symplectic_eigenvalues(initial.covariance)
         assert np.all(nus >= units.hbar / 2.0 - 1e-9)
-        for state in oracle.evolve(model, initial, [0.9, 2.3], decomp=decomp):
-            nus = oracle.symplectic_eigenvalues(state.covariance)
+        for state in evolve(model, initial, [0.9, 2.3], decomp=decomp):
+            nus = symplectic_eigenvalues(state.covariance)
             assert np.all(nus >= units.hbar / 2.0 - 1e-9)
 
     def test_state_validation(self, small_bath, units):
         model, _ = small_bath
         with pytest.raises(UsageError):
-            oracle.GaussianEvolutionState(means=np.zeros(3), covariance=np.zeros((3, 3)))
+            GaussianEvolutionState(means=np.zeros(3), covariance=np.zeros((3, 3)))
         with pytest.raises(UsageError):
-            oracle.GaussianEvolutionState(means=np.zeros(4), covariance=np.zeros((4, 2)))
+            GaussianEvolutionState(means=np.zeros(4), covariance=np.zeros((4, 2)))
         lop = np.eye(4)
         lop[0, 1] = 0.5
         with pytest.raises(UsageError):
-            oracle.GaussianEvolutionState(means=np.zeros(4), covariance=lop)
-        tiny = oracle.GaussianEvolutionState(means=np.zeros(4), covariance=np.eye(4))
+            GaussianEvolutionState(means=np.zeros(4), covariance=lop)
+        tiny = GaussianEvolutionState(means=np.zeros(4), covariance=np.eye(4))
         with pytest.raises(UsageError):
-            oracle.evolve(model, tiny, [0.1])
+            evolve(model, tiny, [0.1])
 
 
 def _per_time_reduced(model, decomp, units, x0, p0, times):
@@ -364,6 +427,28 @@ def _per_time_reduced(model, decomp, units, x0, p0, times):
         out["mean_p"][i] = -d[0] * x0 + c[0] * p0
         out["var_x"][i] = np.sum(c * c * var_x0 + s * s * var_p0)
         out["var_p"][i] = np.sum(d * d * var_x0 + c * c * var_p0)
+        out["cov_xp"][i] = np.sum(-c * d * var_x0 + c * s * var_p0)
+    return out
+
+
+def _eigh_reduced(model, units, x0, p0, times):
+    """Reference for evolve_reduced from scipy's dense eigh of K: three
+    matrix-vector products per time point, physical units."""
+    lam, vec = eigh(model.K)
+    om, a = np.sqrt(lam), vec[0]
+    var_x0 = units.hbar / (2.0 * model.bare_freqs)
+    var_p0 = units.hbar * model.bare_freqs / 2.0
+    rm = math.sqrt(units.mass)
+    out = {key: np.empty(len(times))
+           for key in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")}
+    for i, t in enumerate(times):
+        c = vec @ (a * np.cos(om * t))
+        s = vec @ (a * np.sin(om * t) / om)
+        d = vec @ (a * om * np.sin(om * t))
+        out["mean_x"][i] = (c[0] * x0 * rm + s[0] * p0 / rm) / rm
+        out["mean_p"][i] = (-d[0] * x0 * rm + c[0] * p0 / rm) * rm
+        out["var_x"][i] = np.sum(c * c * var_x0 + s * s * var_p0) / units.mass
+        out["var_p"][i] = np.sum(d * d * var_x0 + c * c * var_p0) * units.mass
         out["cov_xp"][i] = np.sum(-c * d * var_x0 + c * s * var_p0)
     return out
 
