@@ -52,9 +52,11 @@ from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 # evolve_reduced rebuilds the eigenvector columns _ROOTS at a time and
 # sums them into an accumulator of 2 _TIMES columns: 4 MB of columns and
-# 16 MB of accumulator at N = 4000, whatever the number of times
+# at most 33 MB of accumulator at N = 4000, whatever the number of times.
+# Each block of times rebuilds all N columns (about 0.09 s at N = 4000),
+# so a block holds the 399 times of scripts/relaxation_demo.py
 _ROOTS = 128
-_TIMES = 256
+_TIMES = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,12 +408,14 @@ def discrete_pi_histogram(decomp: NormalModeDecomposition, bins) -> tuple[np.nda
 
 
 def recurrence_estimate(decomp: NormalModeDecomposition) -> float:
-    """2 pi / (minimum spacing of distinct normal-mode frequencies): the
-    quasi-period bound that windows every relaxation statement at
-    finite N.  Degenerate modes beat at no frequency and do not count;
-    with a single distinct frequency nothing dephases and the bound is
-    infinite."""
-    gaps = np.diff(np.unique(decomp.Omegas))
+    """2 pi / (minimum spacing of distinct normal-mode frequencies the
+    oscillator sees): the quasi-period bound that windows every
+    relaxation statement at finite N.  Modes of weight 0 (uncoupled or
+    deflated bath modes, which sit at their own bare frequencies, as
+    little as 1 ulp apart within a near-degenerate run) never reach the
+    oscillator and do not count; with a single such frequency nothing
+    dephases and the bound is infinite."""
+    gaps = np.diff(np.unique(decomp.Omegas[decomp.weights > 0.0]))
     return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
 
 
@@ -489,6 +493,8 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
         var_x[blk] = var_x0 @ (c * c) + var_p0 @ (s * s)
         var_p[blk] = var_x0 @ (d * d) + var_p0 @ (c * c)
         cov_xp[blk] = var_p0 @ (c * s) - var_x0 @ (c * d)
+        # free this block's rows before the next block allocates its own
+        del acc, c, s, d
     rm = units.mass
     return ReducedTrajectory(
         times=ts,

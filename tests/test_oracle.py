@@ -258,12 +258,13 @@ def test_weights_path_memory(ohmic_ref, units):
 def test_evolution_path_memory(units, monkeypatch):
     """evolve_reduced rebuilds eigenvector columns a block at a time: no
     second dlasd4 sweep and no eigenvector matrix, which alone is
-    8 (N+1)^2 bytes, 128 MB at N = 4000.  Sized as in
-    scripts/relaxation_demo.py."""
+    8 (N+1)^2 bytes, 128 MB at N = 4000.  Sized as
+    scripts/relaxation_demo.py runs by default: N = 4000 and 399
+    distinct times."""
     spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
     model = oracle.discretize(spec, units, 4000)
     decomp = oracle.normal_modes(model)
-    times = np.linspace(0.0, 1000.0, 241)
+    times = np.linspace(0.0, 1000.0, 399)
 
     def no_solve(*args):
         raise AssertionError("evolve_reduced solved the secular equation")
@@ -286,8 +287,21 @@ def test_recurrence_skips_degenerate_modes():
     decomp = oracle.normal_modes(REFERENCE_MODELS["manual_unsorted_repeated"]())
     spacings = np.diff(np.sort(decomp.Omegas))
     assert np.any(spacings == 0.0)
-    want = 2.0 * math.pi / spacings[spacings > 0.0].min()
+    seen = np.sort(decomp.Omegas[decomp.weights > 0.0])
+    want = 2.0 * math.pi / np.diff(seen).min()
     assert oracle.recurrence_estimate(decomp) == want
+    # a near-degenerate run deflates to one coupled pole and leaves its
+    # other members at their own frequencies, 1 ulp apart and of weight
+    # 0: the estimate is that of the exactly repeated run
+    eps = np.finfo(float).eps
+    near = oracle.normal_modes(oracle.FiniteBathModel(
+        1.3, [1.0, 1.0 + eps, 1.0 + 2.0 * eps, 2.0], [0.2, 0.1, 0.15, 0.3]))
+    assert np.diff(np.unique(near.Omegas)).min() < 2.0 * eps
+    exact = oracle.normal_modes(oracle.FiniteBathModel(
+        1.3, [1.0, 1.0, 1.0, 2.0], [0.2, 0.1, 0.15, 0.3]))
+    assert oracle.recurrence_estimate(near) == pytest.approx(
+        oracle.recurrence_estimate(exact), rel=1e-12)
+    assert oracle.recurrence_estimate(near) < 100.0
     # one distinct frequency: nothing dephases
     single = oracle.normal_modes(oracle.FiniteBathModel(1.0, [1.0], [0.0]))
     assert oracle.recurrence_estimate(single) == math.inf
