@@ -25,9 +25,9 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
+import types
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -60,36 +60,41 @@ def _cap_threads() -> None:
 # ---------------------------------------------------------------------------
 # run configuration
 
-@dataclass(frozen=True)
-class TimeWindow:
-    t_max: float | None = None
-    n_times: int = 600
-    spacing: str = "linear"
-    t_min: float | None = None
-    x0: float = 1.0
-    p0: float = 0.0
-    alias_mass_tol: float = 1e-6
-    scan_window: float | None = None
-    resolution: float = 1e-3
-
-
-@dataclass(frozen=True)
-class OracleOptions:
-    N: int = 800
-    scheme: str = "uniform"
-    bins: int = 160
-    bath_omega_max: float | None = None
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    rel_var: float = 0.005
-    histogram_l1: float = 0.02
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    jitter_seed: int | None = None
+# Each option field's default and rule.  A rule is "number" (finite) or
+# "integer" (any integral number, passed on as int), with an optional
+# lower bound such as ">= 1", or a tuple of the strings allowed.  A
+# default of None also admits null.  The grid fields' default ``...``
+# leaves them out of cfg.grid, so that fano.solve's own defaults apply.
+_OPTIONS = {
+    "time": {
+        "t_max": (None, "number"),
+        "n_times": (600, "integer >= 2"),
+        "spacing": ("linear", ("linear", "geom")),
+        "t_min": (None, "number"),
+        "x0": (1.0, "number"),
+        "p0": (0.0, "number"),
+        "alias_mass_tol": (1e-6, "number >= 0"),  # fano.ALIAS_MASS_TOL
+        "scan_window": (None, "number"),
+        "resolution": (1e-3, "number >= 0"),  # classify_damping's default
+    },
+    "oracle": {
+        "N": (800, "integer >= 1"),
+        "scheme": ("uniform", ("uniform", "gauss_like")),
+        "bins": (160, "integer >= 1"),
+        "bath_omega_max": (None, "number"),
+    },
+    "tolerances": {
+        "rel_var": (0.005, "number >= 0"),
+        "histogram_l1": (0.02, "number >= 0"),
+    },
+    "fit": {"jitter_seed": (None, "integer >= 0")},
+    "grid": {
+        "max_nodes": (..., "integer >= 1"),
+        "max_rounds": (..., "integer >= 1"),
+        "norm_tol": (..., "number > 0"),
+        "sum_tol": (..., "number > 0"),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -100,160 +105,102 @@ class RunConfig:
     spectrum: object | None
     model: dict | None
     grid: dict
-    time: TimeWindow
-    oracle: OracleOptions
-    tolerances: Tolerances
-    fit: FitOptions
+    time: types.SimpleNamespace
+    oracle: types.SimpleNamespace
+    tolerances: types.SimpleNamespace
+    fit: types.SimpleNamespace
     out_dir: str | None
 
 
-_TOP_KEYS = {"units", "spectrum", "model", "grid", "time", "oracle",
-             "tolerances", "fit", "out_dir"}
-_GRID_KEYS = {"max_nodes", "max_rounds", "norm_tol", "sum_tol"}
-
-_FAMILIES = {
-    "ohmic_exp": (("amplitude", "cutoff"), ("omega_max",)),
-    "flat_band": (("level", "lower", "upper"), ("omega_max",)),
-    "gaussian_peak": (("amplitude", "center", "width"), ("omega_max",)),
-    "tabulated": (("omegas", "values"), ("omega_max",)),
-}
-
-
-def _require_object(value, path: str, allowed: set[str]) -> None:
+def _require_object(value, path: str, allowed) -> None:
     if not isinstance(value, dict):
         raise UsageError(f"{path} must be a JSON object, got {type(value).__name__}")
-    unknown = sorted(set(value) - allowed)
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
         raise UsageError(
             f"unknown key(s) {unknown} in {path}; allowed: {sorted(allowed)}")
 
 
-def _scalar(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        if value is None:
-            return None
-        raise UsageError(f"{path} must be a scalar, got {type(value).__name__}")
-    return value
+def _checked(value, rule, path: str):
+    """``value`` if it passes ``rule`` (see _OPTIONS), else UsageError."""
+    if isinstance(rule, tuple):
+        if value in rule:
+            return value
+        need = "one of " + ", ".join(map(repr, rule))
+    else:
+        kind, *bound = rule.split()
+        # the range test also refuses NaN, infinities and too large ints
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and -sys.float_info.max <= value <= sys.float_info.max)
+        if ok and kind == "integer":
+            ok = value == int(value)
+        if ok and bound:
+            op, low = bound
+            ok = value > float(low) if op == ">" else value >= float(low)
+        if ok:
+            return int(value) if kind == "integer" else value
+        need = "an " + rule if kind == "integer" else "a finite " + rule
+    raise UsageError(f"{path} must be {need}, got {value!r}")
 
 
-def _fill(cls, data: dict, path: str):
-    allowed = {f.name for f in fields(cls)}
-    _require_object(data, path, allowed)
-    kwargs = {name: _scalar(data[name], f"{path}.{name}")
-              for name in data}
-    return cls(**kwargs)
-
-
-def _build_units(data: dict):
-    from .spectra import UnitSystem
-    _require_object(data, "units", {"omega0", "mass", "hbar"})
-    try:
-        return UnitSystem(**data)
-    except UsageError as exc:
-        raise UsageError(f"units: {exc}") from exc
-
-
-def _build_spectrum(data: dict):
-    from . import spectra
-    if not isinstance(data, dict) or "family" not in data:
-        raise UsageError("spectrum needs a 'family' key naming the coupling family")
-    family = data["family"]
-    if family not in _FAMILIES:
-        raise UsageError(
-            f"unknown spectrum.family {family!r}; known: {sorted(_FAMILIES)}")
-    required, optional = _FAMILIES[family]
-    _require_object(data, "spectrum", {"family", *required, *optional})
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise UsageError(f"spectrum ({family}) is missing key(s) {missing}")
-    kwargs = {k: v for k, v in data.items() if k != "family"}
-    if family == "tabulated":
-        for k in ("omegas", "values"):
-            if not isinstance(kwargs[k], list):
-                raise UsageError(f"spectrum.{k} must be a list of numbers")
-            kwargs[k] = tuple(float(x) for x in kwargs[k])
-    cls = {"ohmic_exp": spectra.OhmicExp, "flat_band": spectra.FlatBand,
-           "gaussian_peak": spectra.GaussianPeak,
-           "tabulated": spectra.Tabulated}[family]
-    try:
-        return cls(**kwargs)
-    except UsageError as exc:
-        raise UsageError(f"spectrum: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"spectrum ({family}): {exc}") from exc
-
-
-def _build_model(data: dict) -> dict:
-    _require_object(data, "model", {"bath_freqs", "couplings"})
-    for key in ("bath_freqs", "couplings"):
-        if key not in data or not isinstance(data[key], list):
-            raise UsageError(f"model.{key} must be a list of numbers")
-    if len(data["bath_freqs"]) != len(data["couplings"]):
-        raise UsageError("model.bath_freqs and model.couplings must have equal length")
-    return {"bath_freqs": [float(x) for x in data["bath_freqs"]],
-            "couplings": [float(x) for x in data["couplings"]]}
-
-
-def _build_grid(data: dict) -> dict:
-    """Node and round budgets must be integers >= 1, tolerances finite
-    numbers > 0."""
-    _require_object(data, "grid", _GRID_KEYS)
-    out = {}
+def _options(name: str, data) -> dict:
+    """One option block, filled from _OPTIONS and checked field by field."""
+    table = _OPTIONS[name]
+    _require_object(data, name, table)
+    out = {key: default for key, (default, _) in table.items() if default is not ...}
     for key, value in data.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if key in ("max_nodes", "max_rounds"):
-            if not (number and value >= 1
-                    and (isinstance(value, int) or value.is_integer())):
-                raise UsageError(f"grid.{key} must be an integer >= 1, got {value!r}")
-            out[key] = int(value)
-        else:
-            if not (number and 0 < value <= sys.float_info.max):
-                raise UsageError(
-                    f"grid.{key} must be a finite number > 0, got {value!r}")
-            out[key] = float(value)
+        default, rule = table[key]
+        if value is not None or default is not None:
+            value = _checked(value, rule, f"{name}.{key}")
+        out[key] = value
     return out
 
 
-def _require_number(value, path: str, *, optional: bool = False,
-                    non_negative: bool = False) -> None:
-    """A finite number (>= 0 if ``non_negative``), or None if ``optional``."""
-    if value is None and optional:
-        return
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (non_negative and value < 0)):
-        need = "a finite number >= 0" if non_negative else "a finite number"
-        raise UsageError(f"{path} must be {need}, got {value!r}")
+def _numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise UsageError(f"{path} must be a list of numbers")
+    return [float(_checked(x, "number", f"{path}[{i}]")) for i, x in enumerate(value)]
 
 
-def _validated(cfg: RunConfig) -> RunConfig:
-    t = cfg.time
-    for name in ("t_max", "t_min", "scan_window"):
-        _require_number(getattr(t, name), f"time.{name}", optional=True)
-    for name in ("x0", "p0"):
-        _require_number(getattr(t, name), f"time.{name}")
-    for name in ("resolution", "alias_mass_tol"):
-        _require_number(getattr(t, name), f"time.{name}", non_negative=True)
-    for f in fields(Tolerances):
-        _require_number(getattr(cfg.tolerances, f.name), f"tolerances.{f.name}",
-                        non_negative=True)
-    if t.spacing not in ("linear", "geom"):
-        raise UsageError(f"time.spacing must be 'linear' or 'geom', got {t.spacing!r}")
-    if not isinstance(t.n_times, int) or t.n_times < 2:
-        raise UsageError("time.n_times must be an integer >= 2")
-    o = cfg.oracle
-    if o.scheme not in ("uniform", "gauss_like"):
+def _construct(cls, data: dict, path: str, label: str):
+    """``cls(**data)``; the keys it accepts and requires are its init
+    fields, and a field annotated ``Sequence`` takes a list of numbers."""
+    init = [f for f in fields(cls) if f.init]
+    _require_object(data, path, [f.name for f in init])
+    missing = [f.name for f in init if f.name not in data
+               and f.default is dataclasses.MISSING]
+    if missing:
+        raise UsageError(f"{label} is missing key(s) {missing}")
+    kwargs = {f.name: tuple(_numbers(data[f.name], f"{path}.{f.name}"))
+              if f.type.startswith("Sequence") else data[f.name]
+              for f in init if f.name in data}
+    try:
+        return cls(**kwargs)
+    except (UsageError, TypeError, ValueError) as exc:
+        raise UsageError(f"{label}: {exc}") from exc
+
+
+def _build_spectrum(data):
+    from . import spectra
+    if not isinstance(data, dict) or "family" not in data:
+        raise UsageError("spectrum needs a 'family' key naming the coupling family")
+    families = {cls.family: cls for cls in (spectra.OhmicExp, spectra.FlatBand,
+                                            spectra.GaussianPeak, spectra.Tabulated)}
+    family = data["family"]
+    if not (isinstance(family, str) and family in families):
         raise UsageError(
-            f"oracle.scheme must be 'uniform' or 'gauss_like', got {o.scheme!r}")
-    if not isinstance(o.N, int) or o.N < 1:
-        raise UsageError("oracle.N must be a positive integer")
-    if not isinstance(o.bins, int) or o.bins < 1:
-        raise UsageError("oracle.bins must be a positive integer")
-    _require_number(o.bath_omega_max, "oracle.bath_omega_max", optional=True)
-    f = cfg.fit
-    if f.jitter_seed is not None and not (isinstance(f.jitter_seed, int)
-                                          and f.jitter_seed >= 0):
-        raise UsageError("fit.jitter_seed must be an integer >= 0")
-    return cfg
+            f"unknown spectrum.family {family!r}; known: {sorted(families)}")
+    kwargs = {k: v for k, v in data.items() if k != "family"}
+    return _construct(families[family], kwargs, "spectrum", f"spectrum ({family})")
+
+
+def _build_model(data) -> dict:
+    _require_object(data, "model", {"bath_freqs", "couplings"})
+    model = {key: _numbers(data.get(key), f"model.{key}")
+             for key in ("bath_freqs", "couplings")}
+    if len(model["bath_freqs"]) != len(model["couplings"]):
+        raise UsageError("model.bath_freqs and model.couplings must have equal length")
+    return model
 
 
 def _apply_override(raw: dict, item: str) -> None:
@@ -293,26 +240,22 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         raise UsageError("config root must be a JSON object")
     for item in overrides:
         _apply_override(raw, item)
-    _require_object(raw, "config", _TOP_KEYS)
+    _require_object(raw, "config", [f.name for f in fields(RunConfig)])
     if "spectrum" in raw and "model" in raw:
         raise UsageError("give either 'spectrum' or 'model', not both")
 
-    units = _build_units(raw.get("units", {}))
+    from .spectra import UnitSystem
+    units = _construct(UnitSystem, raw.get("units", {}), "units", "units")
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise UsageError("out_dir must be a string path")
-    cfg = RunConfig(
-        units=units,
-        spectrum=_build_spectrum(raw["spectrum"]) if "spectrum" in raw else None,
-        model=_build_model(raw["model"]) if "model" in raw else None,
-        grid=_build_grid(raw.get("grid", {})),
-        time=_fill(TimeWindow, raw.get("time", {}), "time"),
-        oracle=_fill(OracleOptions, raw.get("oracle", {}), "oracle"),
-        tolerances=_fill(Tolerances, raw.get("tolerances", {}), "tolerances"),
-        fit=_fill(FitOptions, raw.get("fit", {}), "fit"),
-        out_dir=out_dir,
-    )
-    return _validated(cfg)
+    spectrum = _build_spectrum(raw["spectrum"]) if "spectrum" in raw else None
+    model = _build_model(raw["model"]) if "model" in raw else None
+    blocks = {name: _options(name, raw.get(name, {})) for name in _OPTIONS}
+    grid = blocks.pop("grid")
+    return RunConfig(
+        units=units, spectrum=spectrum, model=model, grid=grid, out_dir=out_dir,
+        **{name: types.SimpleNamespace(**block) for name, block in blocks.items()})
 
 
 def _need_spectrum(cfg: RunConfig):
@@ -455,8 +398,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
         verdict = "pass" if rel_x <= tol.rel_var and rel_p <= tol.rel_var else "fail"
         doc = {"uncoupled": True, "N": o.N, "scheme": o.scheme,
                "rel_var_x": rel_x, "rel_var_p": rel_p, "verdict": verdict,
-               "gates": {"rel_var": tol.rel_var,
-                         "histogram_l1": tol.histogram_l1}}
+               "gates": vars(tol)}
         _write_json(out / "comparison.json", doc)
         print(f"verdict: {verdict} (uncoupled; rel_var_x={rel_x:.3e}, "
               f"rel_var_p={rel_p:.3e})")
@@ -471,7 +413,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
           and rep.histogram_l1 <= tol.histogram_l1)
     doc = rep.to_json_dict()
     doc["verdict"] = "pass" if ok else "fail"
-    doc["gates"] = {"rel_var": tol.rel_var, "histogram_l1": tol.histogram_l1}
+    doc["gates"] = vars(tol)
     _write_json(out / "comparison.json", doc)
     rep.histogram_csv(out / "histogram.csv")
     print(f"verdict: {doc['verdict']} (rel_var_x={rep.rel_var_x:.3e}, "

@@ -152,7 +152,8 @@ class DynamicsKernels:
                   [self.times, self.k_cos, self.k_sin_over, self.k_sin_times])
 
 
-def kernels(source, times, alias_mass_tol: float = 1e-6) -> DynamicsKernels:
+def kernels(source, times,
+            alias_mass_tol: float = fano.ALIAS_MASS_TOL) -> DynamicsKernels:
     """Evaluate the three kernels at the given times.
 
     ``source`` is a continuum SpectralSolution (quadrature over its
@@ -284,7 +285,7 @@ class DampingClassification:
 
 def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
                      resolution: float = 1e-3,
-                     alias_mass_tol: float = 1e-6) -> DampingClassification:
+                     alias_mass_tol: float = fano.ALIAS_MASS_TOL) -> DampingClassification:
     """Scan k_sin_times for its first resolved positive zero.
 
     A zero of k_sin_times is a stationary point of k_cos away from

@@ -65,8 +65,10 @@ MAX_NODES = 30000
 MAX_ROUNDS = 24
 
 # Anti-aliasing bound of the time-domain grid: spacing * t_max <= ALIAS_LIMIT,
-# and the node budget refine_for_times may add to reach it.
+# except on intervals carrying at most ALIAS_MASS_TOL of the spectral
+# mass, and the node budget refine_for_times may add to reach it.
 ALIAS_LIMIT = 0.1
+ALIAS_MASS_TOL = 1e-6
 MAX_NEW_NODES = 120000
 
 # Relative distance kept clear of a sharp support edge; Y diverges
@@ -529,8 +531,14 @@ def frequency_moment(measure, k: int) -> float:
 # ---------------------------------------------------------------------------
 # time-domain grid support
 
+def _interval_masses(nodes, pi) -> tuple[np.ndarray, np.ndarray]:
+    """Widths of the grid intervals and their trapezoidal masses."""
+    h = np.diff(nodes)
+    return h, 0.5 * (pi[:-1] + pi[1:]) * h
+
+
 def refine_for_times(sol: SpectralSolution, t_max: float, *,
-                     mass_tol: float = 1e-6) -> SpectralSolution:
+                     mass_tol: float = ALIAS_MASS_TOL) -> SpectralSolution:
     """Return a solution whose grid resolves oscillations up to t_max.
 
     Requirement: intervals violating  (spacing) * t_max <= ALIAS_LIMIT
@@ -547,8 +555,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
 
     added = 0
     for _ in range(40):
-        h = np.diff(nodes)
-        masses = 0.5 * (pi[:-1] + pi[1:]) * h
+        h, masses = _interval_masses(nodes, pi)
         total = masses.sum()
         violating = h > h_max
         if not violating.any() or masses[violating].sum() <= mass_tol * total:
@@ -588,12 +595,11 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
 
 
 def alias_bound_satisfied(sol: SpectralSolution, t_max: float, *,
-                          mass_tol: float = 1e-6) -> bool:
+                          mass_tol: float = ALIAS_MASS_TOL) -> bool:
     """Check the mass-windowed anti-aliasing condition for a time span."""
     if t_max <= 0:
         return True
-    h = np.diff(sol.omegas)
-    masses = 0.5 * (sol.pi[:-1] + sol.pi[1:]) * h
+    h, masses = _interval_masses(sol.omegas, sol.pi)
     violating = h > ALIAS_LIMIT / t_max
     if not violating.any():
         return True
@@ -601,7 +607,7 @@ def alias_bound_satisfied(sol: SpectralSolution, t_max: float, *,
 
 
 def require_alias_bound(sol: SpectralSolution, t_max: float, *,
-                        mass_tol: float = 1e-6) -> None:
+                        mass_tol: float = ALIAS_MASS_TOL) -> None:
     """Raise AliasingError when the grid undersamples oscillations at t_max."""
     if not alias_bound_satisfied(sol, t_max, mass_tol=mass_tol):
         raise AliasingError(

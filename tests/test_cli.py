@@ -157,6 +157,9 @@ class TestConfigValidation:
         "grid.max_nodes=1e400", "grid.max_nodes=0", "grid.max_rounds=-3",
         "grid.max_rounds=2.5", "grid.norm_tol=NaN",
         "grid.norm_tol=0", "grid.sum_tol=-1e-6", "grid.sum_tol=Infinity",
+        "oracle.N=2.5", "oracle.N=true", "oracle.bins=0", "time.n_times=1",
+        "time.n_times=Infinity", "fit.jitter_seed=1.5", "time.spacing=true",
+        'oracle.scheme="gauss"',
     ])
     def test_numeric_fields_refused(self, capsys, tmp_path, item):
         # each once gave a traceback or an accepted nonsense run
@@ -169,6 +172,78 @@ class TestConfigValidation:
         assert doc["error"] == "UsageError"
         assert item.split("=")[0] in doc["message"]
         assert not any(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("bad", ["null", '"0.5"', "true", '"a"'])
+    @pytest.mark.parametrize("field,config", [
+        ("model.bath_freqs", "two_mode"), ("model.couplings", "two_mode"),
+        ("spectrum.omegas", "uncoupled"), ("spectrum.values", "uncoupled"),
+    ])
+    def test_list_entries_must_be_numbers(self, capsys, tmp_path, field, config, bad):
+        # a traceback or a string silently taken as a number before
+        doc = json.loads((CONFIGS / f"{config}.json").read_text())
+        block, key = field.split(".")
+        entries = [*doc[block][key][:-1], "BAD"]
+        item = f"{field}={json.dumps(entries)}".replace('"BAD"', bad)
+        rc, _, err = run(capsys, "groundstate",
+                         "--config", str(CONFIGS / f"{config}.json"),
+                         "--override", item, "--out", str(tmp_path))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "UsageError"
+        assert field in doc["message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("item,value", [
+        ("oracle.N=1e3", 1000), ("time.n_times=401.0", 401),
+        ("fit.jitter_seed=3.0", 3), ("grid.max_nodes=3e4", 30000),
+    ])
+    def test_integral_numbers_pass_as_int(self, item, value):
+        from dosc.cli import load_config
+
+        cfg = load_config(str(CONFIGS / "flat_band.json"), [item])
+        block, key = item.split("=")[0].split(".")
+        got = cfg.grid[key] if block == "grid" else getattr(getattr(cfg, block), key)
+        assert type(got) is int and got == value
+
+    def test_integral_float_writes_same_bytes(self, capsys, tmp_path):
+        for sub, n in (("int", "1000"), ("float", "1e3")):
+            rc, _, err = run(capsys, "compare",
+                             "--config", str(CONFIGS / "flat_band.json"),
+                             "--override", f"oracle.N={n}",
+                             "--out", str(tmp_path / sub))
+            assert rc == 0, err
+        for name in ("comparison.json", "histogram.csv"):
+            assert ((tmp_path / "int" / name).read_bytes()
+                    == (tmp_path / "float" / name).read_bytes())
+
+    def test_defaults_match_readme(self, tmp_path):
+        import inspect
+
+        from dosc import dynamics, fano
+        from dosc.cli import load_config
+
+        cfg = load_config(write_config(tmp_path, self.base()), [])
+        assert vars(cfg.time) == {
+            "t_max": None, "n_times": 600, "spacing": "linear", "t_min": None,
+            "x0": 1.0, "p0": 0.0, "alias_mass_tol": 1e-6, "scan_window": None,
+            "resolution": 1e-3}
+        assert vars(cfg.oracle) == {"N": 800, "scheme": "uniform", "bins": 160,
+                                    "bath_omega_max": None}
+        assert vars(cfg.tolerances) == {"rel_var": 0.005, "histogram_l1": 0.02}
+        assert vars(cfg.fit) == {"jitter_seed": None}
+        assert cfg.model is None and cfg.out_dir is None
+        # grid fields the config leaves out take fano's defaults
+        assert cfg.grid == {}
+        solve_defaults = {name: p.default for name, p in
+                          inspect.signature(fano.compute_pi).parameters.items()
+                          if p.default is not p.empty}
+        assert solve_defaults == {"max_nodes": 30000, "max_rounds": 24,
+                                  "norm_tol": 1e-6, "sum_tol": 1e-6}
+        assert cfg.time.alias_mass_tol == fano.ALIAS_MASS_TOL
+        damping = inspect.signature(dynamics.classify_damping).parameters
+        assert cfg.time.resolution == damping["resolution"].default
+        assert cfg.time.alias_mass_tol == damping["alias_mass_tol"].default
 
 
 class TestSpectrumCommand:
@@ -471,6 +546,18 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
         assert all((tmp_path / cmd).is_dir() for cmd, _ in runs)
+
+
+    def test_cli_import_loads_no_numpy(self):
+        # DOSC_THREADS must reach the environment before numpy first loads
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dosc.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEnvironment:
