@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import (ConvergenceError, InternalConsistencyError,
-                     OutsideSupportError, PositivityError, UsageError)
+                     OutsideSupportError, PositivityError, UsageError, checked)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -60,11 +60,11 @@ def _cap_threads() -> None:
 # ---------------------------------------------------------------------------
 # run configuration
 
-# Each option field's default and rule.  A rule is "number" (finite) or
-# "integer" (any integral number, passed on as int), with an optional
-# lower bound such as ">= 1", or a tuple of the strings allowed.  A
-# default of None also admits null.  The grid fields' default ``...``
-# leaves them out of cfg.grid, so that fano.solve's own defaults apply.
+# Each option field's default and rule.  A rule is one of errors.checked
+# ("number" or "integer", with an optional lower bound such as ">= 1"),
+# or a tuple of the strings allowed.  A default of None also admits
+# null.  The grid fields' default ``...`` leaves them out of cfg.grid,
+# so that fano.solve's own defaults apply.
 _OPTIONS = {
     "time": {
         "t_max": (None, "number"),
@@ -123,24 +123,12 @@ def _require_object(value, path: str, allowed) -> None:
 
 def _checked(value, rule, path: str):
     """``value`` if it passes ``rule`` (see _OPTIONS), else UsageError."""
-    if isinstance(rule, tuple):
-        if value in rule:
-            return value
-        need = "one of " + ", ".join(map(repr, rule))
-    else:
-        kind, *bound = rule.split()
-        # the range test also refuses NaN, infinities and too large ints
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and -sys.float_info.max <= value <= sys.float_info.max)
-        if ok and kind == "integer":
-            ok = value == int(value)
-        if ok and bound:
-            op, low = bound
-            ok = value > float(low) if op == ">" else value >= float(low)
-        if ok:
-            return int(value) if kind == "integer" else value
-        need = "an " + rule if kind == "integer" else "a finite " + rule
-    raise UsageError(f"{path} must be {need}, got {value!r}")
+    if not isinstance(rule, tuple):
+        return checked(value, rule, path)
+    if value in rule:
+        return value
+    raise UsageError(
+        f"{path} must be one of {', '.join(map(repr, rule))}, got {value!r}")
 
 
 def _options(name: str, data) -> dict:
@@ -159,7 +147,7 @@ def _options(name: str, data) -> dict:
 def _numbers(value, path: str) -> list[float]:
     if not isinstance(value, list):
         raise UsageError(f"{path} must be a list of numbers")
-    return [float(_checked(x, "number", f"{path}[{i}]")) for i, x in enumerate(value)]
+    return [float(checked(x, "number", f"{path}[{i}]")) for i, x in enumerate(value)]
 
 
 def _construct(cls, data: dict, path: str, label: str):
@@ -184,8 +172,7 @@ def _build_spectrum(data):
     from . import spectra
     if not isinstance(data, dict) or "family" not in data:
         raise UsageError("spectrum needs a 'family' key naming the coupling family")
-    families = {cls.family: cls for cls in (spectra.OhmicExp, spectra.FlatBand,
-                                            spectra.GaussianPeak, spectra.Tabulated)}
+    families = {cls.family: cls for cls in spectra.CouplingSpectrum.__subclasses__()}
     family = data["family"]
     if not (isinstance(family, str) and family in families):
         raise UsageError(

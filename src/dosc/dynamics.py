@@ -40,7 +40,7 @@ import numpy as np
 
 from . import fano
 from .csvio import write_csv
-from .errors import InternalConsistencyError, UsageError
+from .errors import InternalConsistencyError, UsageError, checked
 from .spectra import UnitSystem
 
 # time nodes per direct evaluation block; keeps the (times x nodes) phase
@@ -302,8 +302,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])
-    if not (scan_window > 0 and math.isfinite(scan_window)):
-        raise UsageError(f"scan_window must be positive, got {scan_window}")
+    checked(scan_window, "number > 0", "scan_window")
     source = kern.source
     _require_alias_bound(source, scan_window, alias_mass_tol)
     step = _SCAN_STEP_FACTOR / kern.omega0

@@ -2,10 +2,14 @@
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit 1, physics rejections (positivity) exit 2, numerical non-convergence
-exit 3.  Library code raises them directly.
+exit 3.  Library code raises them directly.  ``checked`` is the one
+rule for a valid number, shared by the config parser and every library
+entry point that takes a scalar.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class DoscError(Exception):
@@ -57,3 +61,25 @@ class OutsideSupportError(DoscError):
 
 class InternalConsistencyError(DoscError):
     """An algebraic identity failed beyond round-off; indicates a bug, not physics."""
+
+
+def checked(value, rule: str, name: str):
+    """``value`` if it passes ``rule``, else UsageError naming ``name``.
+
+    A rule is "number" (finite) or "integer" (any integral number,
+    returned as int), with an optional lower bound such as ">= 1" or
+    "> 0".  Booleans are never numbers.
+    """
+    kind, *bound = rule.split()
+    # the range test also refuses NaN, infinities and too large ints
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and -sys.float_info.max <= value <= sys.float_info.max)
+    if ok and kind == "integer":
+        ok = value == int(value)
+    if ok and bound:
+        op, low = bound
+        ok = value > float(low) if op == ">" else value >= float(low)
+    if ok:
+        return int(value) if kind == "integer" else value
+    need = "an " + rule if kind == "integer" else "a finite " + rule
+    raise UsageError(f"{name} must be {need}, got {value!r}")

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .csvio import write_csv
-from .errors import InternalConsistencyError, PositivityError, UsageError
+from .errors import InternalConsistencyError, PositivityError, UsageError, checked
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
@@ -97,8 +97,7 @@ class FiniteBathModel:
             raise UsageError("bath frequencies must be finite and positive")
         if not np.all(np.isfinite(v)):
             raise UsageError("couplings must be finite")
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise UsageError(f"omega0 must be positive, got {self.omega0}")
+        checked(self.omega0, "number > 0", "omega0")
         object.__setattr__(self, "bath_freqs", w)
         object.__setattr__(self, "couplings", v)
         object.__setattr__(
@@ -135,7 +134,7 @@ def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
     spec, units
         Continuum model; must pass the positivity check.
     N : int
-        Number of bath modes.
+        Number of bath modes; an integral float such as 1000.0 counts.
     scheme : {"uniform", "gauss_like"}
         ``uniform``: midpoint rule on (0, omega_max], spacing
         omega_max/N, which makes the recurrence time 2 pi N / omega_max
@@ -149,8 +148,7 @@ def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
         sum V_k^2/omega_k overshoots omega0 on a coarse grid (advice:
         increase N).
     """
-    if not (isinstance(N, int) and N >= 1):
-        raise UsageError(f"N must be a positive integer, got {N!r}")
+    N = checked(N, "integer >= 1", "N")
     require_admissible(spec, units)
     top = spec.omega_max
     if scheme == "uniform":

@@ -28,13 +28,13 @@ logarithms and polynomials).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 from scipy.special import dawsn, exp1, expi, xlogy
 
-from .errors import PositivityError, UsageError
+from .errors import PositivityError, UsageError, checked
 # unused here; perfbench/tracer.py wraps this name to count quadrature calls
 from .quadrature import integrate  # noqa: F401
 
@@ -70,9 +70,7 @@ class UnitSystem:
 
     def __post_init__(self):
         for name in ("omega0", "mass", "hbar"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise UsageError(f"UnitSystem.{name} must be a positive finite number, got {v!r}")
+            checked(getattr(self, name), "number > 0", name)
 
 
 @dataclass(frozen=True)
@@ -93,22 +91,54 @@ class PositivityReport:
 class CouplingSpectrum:
     """Shared surface of all spectrum families.
 
-    Subclasses must set ``family``, ``support_lower``, ``support_upper``
-    (mathematical support, may be inf), ``omega_max`` (finite effective
-    bound used for grid construction), and implement ``v_sq``,
-    ``dispersion`` and ``analytic_positivity_integral``.
+    A family is a frozen dataclass subclass: its ``float`` fields are
+    its parameters, ``scale`` names the one that multiplies V (checked
+    ``>= 0``; every other ``float`` field must be ``> 0``), and it
+    implements ``_bounds``, ``_v_sq`` (or ``_v``), ``dispersion`` and
+    ``analytic_positivity_integral``.  Construction fills in
+    ``support_lower``/``support_upper`` (the mathematical support, may
+    be inf) and ``omega_max`` (the finite effective bound used for grid
+    construction), which must not cut into a bounded support.
     """
 
     family: str = "abstract"
+    scale: str | None = None
 
-    # Subclasses fill these in __post_init__.
     support_lower: float
     support_upper: float
     omega_max: float
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name, None)
+            if f.type == "float" or f.type == "float | None" and value is not None:
+                checked(value, "number >= 0" if f.name == self.scale else "number > 0",
+                        f.name)
+        lo, hi, top = self._bounds()
+        object.__setattr__(self, "support_lower", lo)
+        object.__setattr__(self, "support_upper", hi)
+        if self.omega_max is None:
+            object.__setattr__(self, "omega_max", top)
+        elif self.omega_max < hi < math.inf:
+            raise UsageError(f"omega_max must not cut into the support [{lo}, {hi}], "
+                             f"got {self.omega_max!r}")
+
+    def _bounds(self) -> tuple[float, float, float]:
+        """Support (lower, upper) as floats, and the default omega_max."""
+        raise NotImplementedError
+
     def v_sq(self, omega):
         """|V(omega)|^2, elementwise on arrays; zero outside support."""
-        raise NotImplementedError
+        out = self._v_sq(np.asarray(omega, dtype=float))
+        return out if out.ndim else float(out)
+
+    def v(self, omega):
+        """V(omega), elementwise on arrays; a tabulated V keeps its sign."""
+        out = self._v(np.asarray(omega, dtype=float))
+        return out if out.ndim else float(out)
+
+    def _v(self, w: np.ndarray) -> np.ndarray:
+        return np.sqrt(self._v_sq(w))
 
     def dispersion(self, omegas):
         """I(omega) = PV int |V|^2/(omega - x) dx - int |V|^2/(omega + x) dx
@@ -116,25 +146,13 @@ class CouplingSpectrum:
         the first integral is a principal value, outside an ordinary one."""
         raise NotImplementedError
 
-    def v(self, omega):
-        return np.sqrt(self.v_sq(omega))
-
     def analytic_positivity_integral(self) -> float:
         """int |V|^2/omega d omega in closed form."""
         raise NotImplementedError
 
-    def scaled(self, s: float) -> "CouplingSpectrum":
-        """The spectrum with V replaced by s*V."""
-        raise NotImplementedError
-
     def is_zero(self) -> bool:
-        return False
-
-
-def _require_positive(name: str, value) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise UsageError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
+        """True iff V vanishes, so that the stability integral is 0."""
+        return self.analytic_positivity_integral() == 0.0
 
 
 @dataclass(frozen=True)
@@ -146,23 +164,14 @@ class OhmicExp(CouplingSpectrum):
     omega_max: float | None = None
 
     family = "ohmic_exp"
+    scale = "amplitude"
 
-    def __post_init__(self):
-        if not (isinstance(self.amplitude, (int, float)) and math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise UsageError(f"amplitude must be a finite number >= 0, got {self.amplitude!r}")
-        _require_positive("cutoff", self.cutoff)
-        if self.omega_max is None:
-            object.__setattr__(self, "omega_max", OHMIC_SUPPORT_CUTOFFS * self.cutoff)
-        else:
-            _require_positive("omega_max", self.omega_max)
-        object.__setattr__(self, "support_lower", 0.0)
-        object.__setattr__(self, "support_upper", math.inf)
+    def _bounds(self):
+        return 0.0, math.inf, OHMIC_SUPPORT_CUTOFFS * self.cutoff
 
-    def v_sq(self, omega):
-        w = np.asarray(omega, dtype=float)
+    def _v_sq(self, w):
         out = self.amplitude**2 * w * np.exp(-w / self.cutoff)
-        out = np.where(w > 0.0, out, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(w > 0.0, out, 0.0)
 
     def analytic_positivity_integral(self) -> float:
         return self.amplitude**2 * self.cutoff
@@ -177,12 +186,6 @@ class OhmicExp(CouplingSpectrum):
         far = x > OHMIC_ASYMPTOTIC_X
         g[far] = 2.0 * np.polynomial.polynomial.polyval(x[far] ** -2, _OHMIC_SERIES)
         return self.amplitude**2 * self.cutoff * g
-
-    def scaled(self, s: float) -> "OhmicExp":
-        return replace(self, amplitude=s * self.amplitude)
-
-    def is_zero(self) -> bool:
-        return self.amplitude == 0.0
 
 
 @dataclass(frozen=True)
@@ -199,26 +202,17 @@ class FlatBand(CouplingSpectrum):
     omega_max: float | None = None
 
     family = "flat_band"
+    scale = "level"
 
-    def __post_init__(self):
-        if not (isinstance(self.level, (int, float)) and math.isfinite(self.level) and self.level >= 0):
-            raise UsageError(f"level must be a finite number >= 0, got {self.level!r}")
-        lo = _require_positive("lower", self.lower)
-        hi = _require_positive("upper", self.upper)
+    def _bounds(self):
+        lo, hi = float(self.lower), float(self.upper)
         if not lo < hi:
             raise UsageError(f"need lower < upper for the band, got [{lo}, {hi}]")
-        if self.omega_max is None:
-            object.__setattr__(self, "omega_max", hi)
-        elif _require_positive("omega_max", self.omega_max) < hi:
-            raise UsageError("omega_max must not cut into the band")
-        object.__setattr__(self, "support_lower", lo)
-        object.__setattr__(self, "support_upper", hi)
+        return lo, hi, hi
 
-    def v_sq(self, omega):
-        w = np.asarray(omega, dtype=float)
+    def _v_sq(self, w):
         inside = (w >= self.lower) & (w <= self.upper)
-        out = np.where(inside, self.level**2, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(inside, self.level**2, 0.0)
 
     def analytic_positivity_integral(self) -> float:
         return self.level**2 * math.log(self.upper / self.lower)
@@ -229,12 +223,6 @@ class FlatBand(CouplingSpectrum):
         # infinite on a band edge, where |V|^2 jumps
         with np.errstate(divide="ignore"):
             return self.level**2 * np.log(np.abs((w - a) * (w + a)) / np.abs((w - b) * (w + b)))
-
-    def scaled(self, s: float) -> "FlatBand":
-        return replace(self, level=s * self.level)
-
-    def is_zero(self) -> bool:
-        return self.level == 0.0
 
 
 @dataclass(frozen=True)
@@ -252,12 +240,10 @@ class GaussianPeak(CouplingSpectrum):
     omega_max: float | None = None
 
     family = "gaussian_peak"
+    scale = "amplitude"
 
-    def __post_init__(self):
-        if not (isinstance(self.amplitude, (int, float)) and math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise UsageError(f"amplitude must be a finite number >= 0, got {self.amplitude!r}")
-        c = _require_positive("center", self.center)
-        s = _require_positive("width", self.width)
+    def _bounds(self):
+        c, s = float(self.center), float(self.width)
         lo = c - GAUSS_SUPPORT_SIGMA * s
         hi = c + GAUSS_SUPPORT_SIGMA * s
         if lo <= 0.0:
@@ -265,20 +251,13 @@ class GaussianPeak(CouplingSpectrum):
                 f"peak too broad: center - {GAUSS_SUPPORT_SIGMA}*width = {lo} <= 0, "
                 "so |V|^2/omega would not be integrable at the origin"
             )
-        if self.omega_max is None:
-            object.__setattr__(self, "omega_max", hi)
-        elif _require_positive("omega_max", self.omega_max) < hi:
-            raise UsageError("omega_max must not cut into the peak window")
-        object.__setattr__(self, "support_lower", lo)
-        object.__setattr__(self, "support_upper", hi)
+        return lo, hi, hi
 
-    def v_sq(self, omega):
-        w = np.asarray(omega, dtype=float)
+    def _v_sq(self, w):
         z = (w - self.center) / self.width
         out = self.amplitude**2 * np.exp(-0.5 * z * z)
         inside = (w >= self.support_lower) & (w <= self.support_upper)
-        out = np.where(inside, out, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(inside, out, 0.0)
 
     def analytic_positivity_integral(self) -> float:
         # the +-8 sigma truncation argument of dispersion applies; over the
@@ -293,12 +272,6 @@ class GaussianPeak(CouplingSpectrum):
         r = math.sqrt(2.0) * self.width
         return (2.0 * math.sqrt(math.pi) * self.amplitude**2
                 * (dawsn((w - self.center) / r) - dawsn((w + self.center) / r)))
-
-    def scaled(self, s: float) -> "GaussianPeak":
-        return replace(self, amplitude=s * self.amplitude)
-
-    def is_zero(self) -> bool:
-        return self.amplitude == 0.0
 
 
 @dataclass(frozen=True)
@@ -315,10 +288,11 @@ class Tabulated(CouplingSpectrum):
 
     family = "tabulated"
 
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _v: np.ndarray = field(init=False, repr=False, compare=False)
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
+    _y: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def _bounds(self):
+        # also keeps the checked grid as arrays for the formulas below
         w = np.asarray(self.omegas, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if w.ndim != 1 or w.size < 2 or v.shape != w.shape:
@@ -331,32 +305,23 @@ class Tabulated(CouplingSpectrum):
             raise UsageError("tabulated omega grid must start at omega >= 0")
         if w[0] == 0.0 and v[0] != 0.0:
             raise UsageError("tabulated spectrum with a node at omega=0 must have V(0)=0")
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "support_lower", float(w[0]))
-        object.__setattr__(self, "support_upper", float(w[-1]))
-        if self.omega_max is None:
-            object.__setattr__(self, "omega_max", float(w[-1]))
-        elif _require_positive("omega_max", self.omega_max) < w[-1]:
-            raise UsageError("omega_max must not cut into the tabulated grid")
+        object.__setattr__(self, "_x", w)
+        object.__setattr__(self, "_y", v)
+        return float(w[0]), float(w[-1]), float(w[-1])
 
-    def v_sq(self, omega):
-        w = np.asarray(omega, dtype=float)
-        val = np.interp(w, self._w, self._v, left=0.0, right=0.0)
-        out = val * val
-        return out if out.ndim else float(out)
+    def _v(self, w):
+        return np.interp(w, self._x, self._y, left=0.0, right=0.0)
 
-    def v(self, omega):
-        w = np.asarray(omega, dtype=float)
-        out = np.interp(w, self._w, self._v, left=0.0, right=0.0)
-        return out if out.ndim else float(out)
+    def _v_sq(self, w):
+        val = self._v(w)
+        return val * val
 
     def analytic_positivity_integral(self) -> float:
         # per segment V = alpha + s x, so |V|^2/x = s^2 x + 2 s alpha + alpha^2/x;
         # a segment starting at x = 0 has alpha = V(0) = 0
-        a, b = self._w[:-1], self._w[1:]
-        s = np.diff(self._v) / (b - a)
-        alpha = self._v[:-1] - s * a
+        a, b = self._x[:-1], self._x[1:]
+        s = np.diff(self._y) / (b - a)
+        alpha = self._y[:-1] - s * a
         logs = np.where(a > 0.0, np.log1p((b - a) / np.where(a > 0.0, a, 1.0)), 0.0)
         return float(np.sum(0.5 * s * s * (b * b - a * a) + 2.0 * s * alpha * (b - a)
                             + alpha * alpha * logs))
@@ -369,7 +334,7 @@ class Tabulated(CouplingSpectrum):
         The log terms are grouped by node as (q_right - q_left)(z)
         ln|z - x_j|: at an interior node the bracket vanishes with
         z - x_j, so the sum stays finite and continuous there."""
-        x, v = self._w, self._v
+        x, v = self._x, self._y
         h = np.diff(x)
         s = np.diff(v) / h
         out = -np.sum(s * h * (2.0 * v[:-1] + s * (0.5 * h - x[:-1]))) - np.sum(s * s * h) * z
@@ -388,12 +353,6 @@ class Tabulated(CouplingSpectrum):
     def dispersion(self, omegas):
         w = np.asarray(omegas, dtype=float)
         return self._hilbert(w) + self._hilbert(-w)
-
-    def scaled(self, s: float) -> "Tabulated":
-        return Tabulated(tuple(self.omegas), tuple(s * x for x in self.values), self.omega_max)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self._v == 0.0))
 
 
 def positivity_check(spec: CouplingSpectrum, units: UnitSystem) -> PositivityReport:

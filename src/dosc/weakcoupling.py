@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError, UsageError, checked
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 WINDOW_HWHMS = 10.0    # fit window half-width, in units of the HWHM guess
@@ -37,8 +37,7 @@ def lamb_shift(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float
     A pole pinned to a support edge where |V|^2 does not vanish is
     genuinely divergent: ConvergenceError.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega >= 0):
-        raise UsageError(f"omega must be a finite number >= 0, got {omega!r}")
+    checked(omega, "number >= 0", "omega")
     require_admissible(spec, units)
     if spec.is_zero():
         return 0.0

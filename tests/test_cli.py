@@ -173,6 +173,24 @@ class TestConfigValidation:
         assert item.split("=")[0] in doc["message"]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("item", [
+        "units.omega0=true", "units.mass=0", "spectrum.level=true",
+        "spectrum.lower=NaN", "spectrum.omega_max=1.0",
+    ])
+    def test_model_fields_refused(self, capsys, tmp_path, item):
+        # units.omega0=true once ran with omega0 = True, spectrum.level=true
+        # with level 1; the message is "units: omega0 must be ..." or
+        # "spectrum (flat_band): level must be ..."
+        rc, _, err = run(capsys, "groundstate", "--config", str(CONFIGS / "flat_band.json"),
+                         "--override", item, "--out", str(tmp_path))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "UsageError"
+        block, key = item.split("=")[0].split(".")
+        assert doc["message"].startswith(block)
+        assert f" {key} must " in doc["message"]
+        assert not any(tmp_path.iterdir())
+
 
     @pytest.mark.parametrize("bad", ["null", '"0.5"', "true", '"a"'])
     @pytest.mark.parametrize("field,config", [
