@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dosc import fano, oracle, weakcoupling
+from dosc import fano, groundstate, oracle, weakcoupling
 from dosc.cli import load_config
 from dosc.csvio import write_csv
 
@@ -50,7 +50,7 @@ def main() -> int:
     spec = dataclasses.replace(cfg.spectrum, omega_max=args.bath_top)
     model = oracle.discretize(spec, cfg.units, args.N, scheme="uniform")
     decomp = oracle.normal_modes(model)
-    ground = oracle.ground_covariance(decomp, cfg.units)
+    ground = groundstate.ground_state_moments(decomp, cfg.units)
     recurrence = oracle.recurrence_estimate(decomp)
 
     # log-spaced times past the transient plus a linear tail through the

@@ -152,9 +152,11 @@ def _numbers(value, path: str) -> list[float]:
 
 def _construct(cls, data: dict, path: str, label: str):
     """``cls(**data)``; the keys it accepts and requires are its init
-    fields, and a field annotated ``Sequence`` takes a list of numbers."""
+    fields, and a field annotated ``Sequence`` takes a list of numbers.
+    A refusal of one field is named by its dotted path, others by label."""
     init = [f for f in fields(cls) if f.init]
-    _require_object(data, path, [f.name for f in init])
+    names = [f.name for f in init]
+    _require_object(data, path, names)
     missing = [f.name for f in init if f.name not in data
                and f.default is dataclasses.MISSING]
     if missing:
@@ -165,6 +167,8 @@ def _construct(cls, data: dict, path: str, label: str):
     try:
         return cls(**kwargs)
     except (UsageError, TypeError, ValueError) as exc:
+        if str(exc).split(" must ", 1)[0] in names:
+            raise UsageError(f"{path}.{exc}") from exc
         raise UsageError(f"{label}: {exc}") from exc
 
 
@@ -378,7 +382,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
         from . import groundstate
         decomp = oracle.normal_modes(
             oracle.discretize(spec, cfg.units, o.N, scheme=o.scheme))
-        cov = oracle.ground_covariance(decomp, cfg.units)
+        cov = groundstate.ground_state_moments(decomp, cfg.units)
         ref = groundstate.uncoupled_summary(cfg.units)
         rel_x = abs(cov.var_x / ref.var_x - 1.0)
         rel_p = abs(cov.var_p / ref.var_p - 1.0)

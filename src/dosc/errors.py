@@ -9,6 +9,7 @@ entry point that takes a scalar.
 
 from __future__ import annotations
 
+import numbers
 import sys
 
 
@@ -68,18 +69,22 @@ def checked(value, rule: str, name: str):
 
     A rule is "number" (finite) or "integer" (any integral number,
     returned as int), with an optional lower bound such as ">= 1" or
-    "> 0".  Booleans are never numbers.
+    "> 0".  Any real number passes, numpy scalars included; booleans
+    (Python's or numpy's) never do.
     """
     kind, *bound = rule.split()
-    # the range test also refuses NaN, infinities and too large ints
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and -sys.float_info.max <= value <= sys.float_info.max)
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok:
+        # compared as a Python number (a float32 casts the bounds to
+        # inf); the range test also refuses NaN, infinities and too large ints
+        x = int(value) if isinstance(value, numbers.Integral) else float(value)
+        ok = -sys.float_info.max <= x <= sys.float_info.max
     if ok and kind == "integer":
-        ok = value == int(value)
+        ok = x == int(x)
     if ok and bound:
         op, low = bound
-        ok = value > float(low) if op == ">" else value >= float(low)
+        ok = x > float(low) if op == ">" else x >= float(low)
     if ok:
-        return int(value) if kind == "integer" else value
+        return int(x) if kind == "integer" else value
     need = "an " + rule if kind == "integer" else "a finite " + rule
     raise UsageError(f"{name} must be {need}, got {value!r}")

@@ -1,7 +1,8 @@
 """Reduced ground-state observables from frequency moments.
 
-Everything here is a function of three moments of pi(omega):
-M1 = <<omega>>, Minv = <<1/omega>>, M2 = <<omega^2>>.  The reduced state
+Every observable is a function of two moments of pi(omega),
+M1 = <<omega>> and Minv = <<1/omega>>, mapped in one place (_summary);
+M2 = <<omega^2>> enters only the sum-rule check.  The reduced state
 is Gaussian with zero means, var_x = hbar Minv / 2m and
 var_p = hbar m M1 / 2; the pair (omega_c, n_bar_c) re-expresses it as a
 thermal state at the effective frequency omega_c = sqrt(M1/Minv), which
@@ -70,79 +71,47 @@ class GroundStateSummary:
         return "\n".join(lines)
 
 
-def effective_frequency(sol) -> float:
-    """omega_c = sqrt(<<omega>> / <<1/omega>>)."""
-    return math.sqrt(frequency_moment(sol, 1) / frequency_moment(sol, -1))
+def _summary(m1: float, minv: float, units: UnitSystem) -> GroundStateSummary:
+    """Every observable from M1 = <<omega>> and Minv = <<1/omega>>.
 
-
-def thermal_occupation(sol) -> float:
-    """n_bar_c = (sqrt(<<omega>> <<1/omega>>) - 1)/2, clamped at round-off."""
-    n = 0.5 * (math.sqrt(frequency_moment(sol, 1) * frequency_moment(sol, -1)) - 1.0)
-    if n < 0.0:
-        if n > OCCUPATION_CLAMP:
-            return 0.0
-        raise InternalConsistencyError(
-            f"thermal occupation {n} is negative beyond round-off; "
-            "the moment inequality <<omega>><<1/omega>> >= 1 is broken"
-        )
-    return n
-
-
-def effective_temperature(sol, units: UnitSystem) -> float:
-    """T_eff = hbar omega_c / ln(1 + 1/n_bar_c), with k_B = 1; zero when n_bar_c = 0."""
-    n = thermal_occupation(sol)
-    if n == 0.0:
-        return 0.0
-    return units.hbar * effective_frequency(sol) / math.log1p(1.0 / n)
-
-
-def entanglement_entropy(sol) -> float:
-    """S = (n+1) ln(n+1) - n ln n in nats; 0 at n = 0."""
-    n = thermal_occupation(sol)
-    if n == 0.0:
-        return 0.0
-    return (n + 1.0) * math.log1p(n) - n * math.log(n)
-
-
-def mean_energy(sol, units: UnitSystem) -> float:
-    """E = (hbar omega0 / 4)(<<omega>>/omega0 + omega0 <<1/omega>>)."""
-    w0 = units.omega0
-    return 0.25 * units.hbar * w0 * (frequency_moment(sol, 1) / w0
-                                     + w0 * frequency_moment(sol, -1))
-
-
-def characteristic_function(sol, xi_r: float, xi_i: float, units: UnitSystem) -> float:
-    """chi(xi) = exp(-(<<omega>>/omega0 xi_r^2 + omega0 <<1/omega>> xi_i^2)/2)."""
-    w0 = units.omega0
-    m1 = frequency_moment(sol, 1)
-    minv = frequency_moment(sol, -1)
-    return math.exp(-0.5 * (m1 / w0 * xi_r * xi_r + w0 * minv * xi_i * xi_i))
-
-
-def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
-    """Full observable bundle; means and sym_xp vanish by construction."""
+    n_bar_c = (sqrt(M1 Minv) - 1)/2 is clamped to 0 at round-off;
+    T_eff = hbar omega_c / ln(1 + 1/n_bar_c) with k_B = 1, and the
+    entropy S = (n+1) ln(n+1) - n ln n in nats, are 0 at n_bar_c = 0;
+    E = (hbar omega0 / 4)(M1/omega0 + omega0 Minv).
+    """
     hbar, m, w0 = units.hbar, units.mass, units.omega0
-    m1 = frequency_moment(sol, 1)
-    minv = frequency_moment(sol, -1)
-    var_x = hbar * minv / (2.0 * m)
-    var_p = hbar * m * m1 / 2.0
-    n = thermal_occupation(sol)
-    wc = effective_frequency(sol)
+    n = 0.5 * (math.sqrt(m1 * minv) - 1.0)
+    if n < 0.0:
+        if n <= OCCUPATION_CLAMP:
+            raise InternalConsistencyError(
+                f"thermal occupation {n} is negative beyond round-off; "
+                "the moment inequality <<omega>><<1/omega>> >= 1 is broken"
+            )
+        n = 0.0
+    wc = math.sqrt(m1 / minv)
+    t_eff = entropy = 0.0
+    if n != 0.0:
+        t_eff = hbar * wc / math.log1p(1.0 / n)
+        entropy = (n + 1.0) * math.log1p(n) - n * math.log(n)
     return GroundStateSummary(
-        mean_x=0.0,
-        mean_p=0.0,
-        var_x=var_x,
-        var_p=var_p,
+        mean_x=0.0, mean_p=0.0,
+        var_x=hbar * minv / (2.0 * m),
+        var_p=hbar * m * m1 / 2.0,
         sym_xp=0.0,
         quad_x_unc=math.sqrt(0.5 * w0 * minv),
         quad_p_unc=math.sqrt(0.5 * m1 / w0),
         omega_c=wc,
         n_bar_c=n,
-        T_eff=effective_temperature(sol, units),
-        entropy=entanglement_entropy(sol),
-        mutual_info=2.0 * entanglement_entropy(sol),
-        mean_energy=mean_energy(sol, units),
+        T_eff=t_eff,
+        entropy=entropy,
+        mutual_info=2.0 * entropy,
+        mean_energy=0.25 * hbar * w0 * (m1 / w0 + w0 * minv),
     )
+
+
+def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
+    """Full observable bundle; means and sym_xp vanish by construction."""
+    return _summary(frequency_moment(sol, 1), frequency_moment(sol, -1), units)
 
 
 def uncoupled_summary(units: UnitSystem) -> GroundStateSummary:
@@ -181,8 +150,8 @@ def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
     raises.  The last is the omega^2 sum rule at its physics tolerance.
     """
     hbar, m, w0 = units.hbar, units.mass, units.omega0
-    s = ground_state_moments(sol, units)
     m1 = frequency_moment(sol, 1)
+    s = _summary(m1, frequency_moment(sol, -1), units)
     m2 = frequency_moment(sol, 2)
 
     d_freq = abs((s.n_bar_c + 0.5) * s.omega_c - 0.5 * m1) / (0.5 * m1)

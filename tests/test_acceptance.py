@@ -119,8 +119,11 @@ def test_criterion_06_weak_coupling_limit(weak_line, units):
     hwhm_ok = abs(rep.hwhm_fit / rep.hwhm_pred - 1.0) <= 0.05
     center_ok = abs(rep.center_fit - (units.omega0 + rep.F0)) <= rep.hwhm_fit
     beta_ok = rep.max_beta_ratio_peak <= 2e-3
-    chi_r = groundstate.characteristic_function(sol, 1.0, 0.0, units)
-    chi_i = groundstate.characteristic_function(sol, 0.0, 1.0, units)
+    # chi(xi) = exp(-(<<omega>>/omega0 xi_r^2 + omega0 <<1/omega>> xi_i^2)/2)
+    # = exp(-(quad_p_unc^2 xi_r^2 + quad_x_unc^2 xi_i^2))
+    summary = groundstate.ground_state_moments(sol, units)
+    chi_r = math.exp(-summary.quad_p_unc ** 2)
+    chi_i = math.exp(-summary.quad_x_unc ** 2)
     target = math.exp(-0.5)
     chi_err = max(abs(chi_r / target - 1.0), abs(chi_i / target - 1.0))
     chi_ok = chi_err <= 0.01
@@ -159,7 +162,7 @@ def test_criterion_08_relaxation_window(ohmic_ref, units):
     assert t_lo < t_hi, f"empty window [{t_lo:.1f}, {t_hi:.1f}]"
     ts = np.linspace(t_lo, t_hi, 60)
     traj = oracle.evolve_reduced(model, units, 1.0, 0.0, ts, decomp=decomp)
-    ground = oracle.ground_covariance(decomp, units)
+    ground = groundstate.ground_state_moments(decomp, units)
     scale = math.sqrt(ground.var_x * ground.var_p)
     worst = max(
         float(np.max(np.abs(traj.var_x / ground.var_x - 1.0))),
@@ -189,11 +192,10 @@ def test_criterion_09_algebraic_identities(five_configs, units):
         rep = groundstate.interpretation_identities(decomp, units)
         worst_freq = max(worst_freq, rep.thermal_frequency_defect)
         worst_mi = max(worst_mi, rep.mutual_info_defect)
-        cov = oracle.ground_covariance(decomp, units)
-        sigma = np.diag([cov.var_x, cov.var_p])
+        summary = groundstate.ground_state_moments(decomp, units)
+        sigma = np.diag([summary.var_x, summary.var_p])
         nu = symplectic_eigenvalues(sigma)[0]
-        n_bar = groundstate.ground_state_moments(decomp, units).n_bar_c
-        worst_nu = max(worst_nu, abs(2.0 * nu / units.hbar - (2.0 * n_bar + 1.0)))
+        worst_nu = max(worst_nu, abs(2.0 * nu / units.hbar - (2.0 * summary.n_bar_c + 1.0)))
 
     ok = worst_freq <= 1e-9 and worst_mi <= 1e-9 and worst_nu <= 1e-9
     _line(9, "algebraic identities", ok,

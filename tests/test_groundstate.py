@@ -11,14 +11,8 @@ from hypothesis import strategies as st
 from dosc.errors import InternalConsistencyError
 from dosc.fano import frequency_moment, refine_for_times, solve
 from dosc.groundstate import (
-    characteristic_function,
-    effective_frequency,
-    effective_temperature,
-    entanglement_entropy,
     ground_state_moments,
     interpretation_identities,
-    mean_energy,
-    thermal_occupation,
     uncoupled_summary,
 )
 from dosc.spectra import OhmicExp, UnitSystem
@@ -44,6 +38,14 @@ def one_node(m1, minv):
 # the 2x2 frequency matrix [[1, .5], [.5, 1]] has normal modes at
 # sqrt(1.5), sqrt(0.5) with equal weights 1/2.
 TWO_MODE = Measure((0.5, 0.5), (math.sqrt(1.5), math.sqrt(0.5)))
+
+
+def chi(s, xi_r, xi_i):
+    """Characteristic function of the reduced state,
+    chi(xi) = exp(-(<<omega>>/omega0 xi_r^2 + omega0 <<1/omega>> xi_i^2)/2),
+    written with quad_p_unc^2 = <<omega>>/(2 omega0) and
+    quad_x_unc^2 = omega0 <<1/omega>>/2."""
+    return math.exp(-(s.quad_p_unc ** 2 * xi_r ** 2 + s.quad_x_unc ** 2 * xi_i ** 2))
 
 
 def test_uncoupled_closed_forms():
@@ -72,25 +74,27 @@ def test_two_mode_moments():
 
 
 def test_two_mode_effective_parameters():
-    assert effective_frequency(TWO_MODE) == pytest.approx(0.9306049, abs=1e-6)
-    assert thermal_occupation(TWO_MODE) == pytest.approx(0.0189773, abs=2e-6)
-    assert effective_temperature(TWO_MODE, U) == pytest.approx(0.2336, abs=2e-4)
+    s = ground_state_moments(TWO_MODE, U)
+    assert s.omega_c == pytest.approx(0.9306049, abs=1e-6)
+    assert s.n_bar_c == pytest.approx(0.0189773, abs=2e-6)
+    assert s.T_eff == pytest.approx(0.2336, abs=2e-4)
 
 
 def test_two_mode_entropy_and_energy():
-    s = entanglement_entropy(TWO_MODE)
-    n = thermal_occupation(TWO_MODE)
-    assert s == pytest.approx((n + 1) * math.log1p(n) - n * math.log(n), rel=1e-12)
-    assert s == pytest.approx(0.094391, abs=2e-5)
-    assert mean_energy(TWO_MODE, U) == pytest.approx(0.5203202, abs=1e-6)
+    s = ground_state_moments(TWO_MODE, U)
+    n = s.n_bar_c
+    assert s.entropy == pytest.approx((n + 1) * math.log1p(n) - n * math.log(n), rel=1e-12)
+    assert s.entropy == pytest.approx(0.094391, abs=2e-5)
+    assert s.mean_energy == pytest.approx(0.5203202, abs=1e-6)
 
 
 def test_two_mode_characteristic_function():
-    assert characteristic_function(TWO_MODE, 0.0, 0.0, U) == 1.0
-    assert characteristic_function(TWO_MODE, 1.0, 0.0, U) == pytest.approx(0.616952, abs=1e-6)
+    s = ground_state_moments(TWO_MODE, U)
+    assert chi(s, 0.0, 0.0) == 1.0
+    assert chi(s, 1.0, 0.0) == pytest.approx(0.616952, abs=1e-6)
     m1 = frequency_moment(TWO_MODE, 1)
     minv = frequency_moment(TWO_MODE, -1)
-    got = characteristic_function(TWO_MODE, 0.3, 0.7, U)
+    got = chi(s, 0.3, 0.7)
     assert got == pytest.approx(math.exp(-0.5 * (m1 * 0.09 + minv * 0.49)), rel=1e-14)
 
 
@@ -124,12 +128,12 @@ def test_units_are_required_away_from_omega0_one():
     sol = solve(OhmicExp(amplitude=0.3, cutoff=5.0), units)
     rep = interpretation_identities(sol, units)
     assert rep.ok and rep.sum_rule_defect <= 1e-6
-    chi = characteristic_function(sol, 1.0, 0.0, units)
-    assert chi == pytest.approx(0.621, abs=1e-3)
-    assert chi == pytest.approx(math.exp(-ground_state_moments(sol, units).quad_p_unc ** 2),
-                                rel=1e-12)
+    chi_r = chi(ground_state_moments(sol, units), 1.0, 0.0)
+    assert chi_r == pytest.approx(0.621, abs=1e-3)
+    assert chi_r == pytest.approx(math.exp(-0.5 * frequency_moment(sol, 1) / units.omega0),
+                                  rel=1e-12)
     with pytest.raises(TypeError):
-        characteristic_function(sol, 1.0, 0.0)
+        ground_state_moments(sol)
     with pytest.raises(TypeError):
         interpretation_identities(sol)
 
@@ -147,17 +151,17 @@ def test_outputs_stable_under_refinement(ohmic_ref):
 def test_occupation_clamp_and_violation():
     # product of moments a hair under 1: round-off, clamps to zero
     eps_ok = Measure((1.0,), (1.0,))
-    assert thermal_occupation(eps_ok) == 0.0
+    assert ground_state_moments(eps_ok, U).n_bar_c == 0.0
 
     # M1 * Minv = 1 - 1e-13: inside the clamp
-    assert thermal_occupation(one_node(1.0 - 1e-13, 1.0)) == 0.0
+    assert ground_state_moments(one_node(1.0 - 1e-13, 1.0), U).n_bar_c == 0.0
 
     with pytest.raises(InternalConsistencyError):
-        thermal_occupation(one_node(1.0 - 1e-7, 1.0))
+        ground_state_moments(one_node(1.0 - 1e-7, 1.0), U)
 
 
 def test_temperature_zero_at_zero_occupation():
-    assert effective_temperature(Measure((1.0,), (1.0,)), U) == 0.0
+    assert ground_state_moments(Measure((1.0,), (1.0,)), U).T_eff == 0.0
 
 
 @given(n=st.floats(1e-6, 5.0))
@@ -176,7 +180,7 @@ def test_temperature_monotone_in_occupation():
         w = 2.0 * (n + 0.5) * 0.9  # keeps omega_c fixed at 0.9 given M1
         m1 = 0.9 * (2 * n + 1)
         minv = m1 / 0.81
-        vals.append(effective_temperature(one_node(m1, minv), U))
+        vals.append(ground_state_moments(one_node(m1, minv), U).T_eff)
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 

@@ -44,19 +44,12 @@ class TestTwoMode:
 
     def test_ground_covariance(self, two_mode, units):
         _, decomp = two_mode
-        gc = oracle.ground_covariance(decomp, units)
-        assert gc.var_x == pytest.approx(TM_VAR_X, rel=1e-12)
-        assert gc.var_p == pytest.approx(TM_VAR_P, rel=1e-12)
+        gs = groundstate.ground_state_moments(decomp, units)
+        assert gs.var_x == pytest.approx(TM_VAR_X, rel=1e-12)
+        assert gs.var_p == pytest.approx(TM_VAR_P, rel=1e-12)
         full = full_covariance(decomp, units)
         assert full[0, 0] == pytest.approx(TM_VAR_X, rel=1e-12)
         assert full[2, 2] == pytest.approx(TM_VAR_P, rel=1e-12)
-
-    def test_ground_covariance_scaled_units(self, two_mode):
-        _, decomp = two_mode
-        u = UnitSystem(omega0=1.0, mass=2.5, hbar=0.7)
-        gc = oracle.ground_covariance(decomp, u)
-        assert gc.var_x == pytest.approx(0.7 / 2.5 * TM_VAR_X, rel=1e-12)
-        assert gc.var_p == pytest.approx(0.7 * 2.5 * TM_VAR_P, rel=1e-12)
 
     def test_recurrence(self, two_mode):
         _, decomp = two_mode
@@ -75,9 +68,8 @@ class TestTwoMode:
 
     def test_symplectic_occupation_identity(self, two_mode, units):
         _, decomp = two_mode
-        gc = oracle.ground_covariance(decomp, units)
         summary = groundstate.ground_state_moments(decomp, units)
-        cov = np.array([[gc.var_x, 0.0], [0.0, gc.var_p]])
+        cov = np.array([[summary.var_x, 0.0], [0.0, summary.var_p]])
         nu = symplectic_eigenvalues(cov)[0]
         assert 2.0 * nu / units.hbar == pytest.approx(2.0 * summary.n_bar_c + 1.0, abs=1e-9)
 
@@ -502,7 +494,23 @@ class TestAgainstContinuum:
         assert len(lines) == 81
 
     def test_histogram_mass(self, flat_mid, units):
-        spec, _ = flat_mid
-        decomp = oracle.normal_modes(oracle.discretize(spec, units, 300))
-        edges, density = oracle.discrete_pi_histogram(decomp, 40)
-        assert float(np.sum(density * np.diff(edges))) == pytest.approx(1.0, abs=1e-12)
+        _, sol = flat_mid
+        rep = oracle.compare_with_continuum(sol, units, 300, bins=40)
+        mass = float(np.sum(rep.hist_density * np.diff(rep.hist_edges)))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_comparison_report_scaled_units(self):
+        # hbar/2m and hbar m/2 cancel in the relative variance errors,
+        # which are those of <<1/omega>> and <<omega>> to the last bit
+        units = UnitSystem(mass=2.5, hbar=0.7)
+        spec = FlatBand(0.2, 0.1, 2.0)
+        rep = oracle.compare_with_continuum(fano.solve(spec, units), units, 800)
+        assert rep.rel_var_x == rep.rel_mean_inv_freq
+        assert rep.rel_var_p == rep.rel_mean_freq
+        # the physical variances against the dense covariance, mass restored
+        decomp = oracle.normal_modes(oracle.discretize(spec, units, 800))
+        gs = groundstate.ground_state_moments(decomp, units)
+        full = full_covariance(decomp, units)
+        n = decomp.Omegas.size
+        assert gs.var_x == pytest.approx(full[0, 0] / units.mass, rel=1e-12)
+        assert gs.var_p == pytest.approx(full[n, n] * units.mass, rel=1e-12)

