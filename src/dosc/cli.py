@@ -354,13 +354,12 @@ def cmd_dynamics(cfg: RunConfig, out: Path) -> int:
 
     sol = fano.solve(spec, cfg.units, **cfg.grid)
     sol = fano.refine_for_times(sol, float(t.t_max), mass_tol=t.alias_mass_tol)
-    kern = dynamics.kernels(sol, ts, alias_mass_tol=t.alias_mass_tol)
+    kern = dynamics.kernels(sol, ts)
     kern.to_csv(out / "kernels.csv")
     traj = dynamics.mean_trajectory(kern, t.x0, t.p0, cfg.units)
     traj.to_csv(out / "trajectory.csv")
     cls = dynamics.classify_damping(kern, scan_window=t.scan_window,
-                                    resolution=t.resolution,
-                                    alias_mass_tol=t.alias_mass_tol)
+                                    resolution=t.resolution)
     _write_json(out / "damping.json", dataclasses.asdict(cls))
     if cls.first_stationary_time is None:
         print(f"damping: {cls.damping_class} over {cls.scan_window:g}")

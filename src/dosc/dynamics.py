@@ -14,8 +14,9 @@ solution that sum is a Simpson quadrature over the grid, so its
 validity is governed by the anti-aliasing bound
 Delta_omega * t_max <= 0.1: beyond it the grid undersamples the
 oscillating integrand and the caller must refine
-(fano.refine_for_times).  On a finite-bath decomposition the same sum
-is exact at any t.
+(fano.refine_for_times), whose mass budget for wide intervals the
+refined solution carries to every check here.  On a finite-bath
+decomposition the same sum is exact at any t.
 
 The sums take one of two routes, chosen from the time lattice alone:
 
@@ -130,10 +131,10 @@ def _evaluate(source, ts: np.ndarray):
     return _direct_sums(source, ts)
 
 
-def _require_alias_bound(source, t_max: float, mass_tol: float) -> None:
+def _require_alias_bound(source, t_max: float) -> None:
     # a finite-bath sum is exact at any t; only a grid can undersample
     if isinstance(source, fano.SpectralSolution):
-        fano.require_alias_bound(source, t_max, mass_tol=mass_tol)
+        fano.require_alias_bound(source, t_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,17 +153,14 @@ class DynamicsKernels:
                   [self.times, self.k_cos, self.k_sin_over, self.k_sin_times])
 
 
-def kernels(source, times,
-            alias_mass_tol: float = fano.ALIAS_MASS_TOL) -> DynamicsKernels:
+def kernels(source, times) -> DynamicsKernels:
     """Evaluate the three kernels at the given times.
 
     ``source`` is a continuum SpectralSolution (quadrature over its
     grid; the largest requested time must respect the anti-aliasing
-    bound, else AliasingError asks for refine_for_times first) or a
-    finite-bath NormalModeDecomposition (exact sums, no bound).
-    ``alias_mass_tol`` must match the mass_tol the grid was refined
-    with; coarser-than-default values are for threshold checks that
-    tolerate the correspondingly larger kernel error.
+    bound within the solution's alias_mass_tol, else AliasingError
+    asks for refine_for_times first) or a finite-bath
+    NormalModeDecomposition (exact sums, no bound).
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or ts.size == 0:
@@ -171,7 +169,7 @@ def kernels(source, times,
         raise UsageError("times must be finite and >= 0")
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
-    _require_alias_bound(source, float(ts[-1]), alias_mass_tol)
+    _require_alias_bound(source, float(ts[-1]))
     k_cos, k_sin_over, k_sin_times = _evaluate(source, ts)
     if np.max(np.abs(k_cos)) > 1.0 + 1e-6:
         raise InternalConsistencyError(
@@ -284,8 +282,7 @@ class DampingClassification:
 
 
 def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
-                     resolution: float = 1e-3,
-                     alias_mass_tol: float = fano.ALIAS_MASS_TOL) -> DampingClassification:
+                     resolution: float = 1e-3) -> DampingClassification:
     """Scan k_sin_times for its first resolved positive zero.
 
     A zero of k_sin_times is a stationary point of k_cos away from
@@ -304,7 +301,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         scan_window = float(kern.times[-1])
     checked(scan_window, "number > 0", "scan_window")
     source = kern.source
-    _require_alias_bound(source, scan_window, alias_mass_tol)
+    _require_alias_bound(source, scan_window)
     step = _SCAN_STEP_FACTOR / kern.omega0
     n = int(math.ceil(scan_window / step)) + 1
     # every scan time in (0, scan_window], the horizon checked above

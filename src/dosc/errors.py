@@ -24,8 +24,8 @@ class UsageError(DoscError):
 class PositivityError(DoscError):
     """Coupling too strong: the Hamiltonian would not be bounded below.
 
-    Carries the offending report (continuum) or margin (discrete) in
-    ``detail`` so front ends can show the numbers.
+    Carries the offending integral and margin (continuum) or margin
+    (discrete) in ``detail`` so front ends can show the numbers.
     """
 
     def __init__(self, message: str, detail: dict | None = None):
@@ -65,12 +65,14 @@ class InternalConsistencyError(DoscError):
 
 
 def checked(value, rule: str, name: str):
-    """``value`` if it passes ``rule``, else UsageError naming ``name``.
+    """``value`` as a Python number if it passes ``rule``, else
+    UsageError naming ``name``.
 
-    A rule is "number" (finite) or "integer" (any integral number,
-    returned as int), with an optional lower bound such as ">= 1" or
-    "> 0".  Any real number passes, numpy scalars included; booleans
-    (Python's or numpy's) never do.
+    A rule is "number" (finite; returned as int if integral, else as
+    float) or "integer" (any integral number, returned as int), with an
+    optional lower bound such as ">= 1" or "> 0".  Any real number
+    passes, numpy scalars included; booleans (Python's or numpy's)
+    never do.
     """
     kind, *bound = rule.split()
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -85,6 +87,6 @@ def checked(value, rule: str, name: str):
         op, low = bound
         ok = x > float(low) if op == ">" else x >= float(low)
     if ok:
-        return int(x) if kind == "integer" else value
+        return int(x) if kind == "integer" else x
     need = "an " + rule if kind == "integer" else "a finite " + rule
     raise UsageError(f"{name} must be {need}, got {value!r}")

@@ -45,7 +45,7 @@ rule are both within tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -65,8 +65,9 @@ MAX_NODES = 30000
 MAX_ROUNDS = 24
 
 # Anti-aliasing bound of the time-domain grid: spacing * t_max <= ALIAS_LIMIT,
-# except on intervals carrying at most ALIAS_MASS_TOL of the spectral
-# mass, and the node budget refine_for_times may add to reach it.
+# except on intervals carrying at most a solution's alias_mass_tol of the
+# spectral mass (ALIAS_MASS_TOL unless refine_for_times was given another),
+# and the node budget refine_for_times may add to reach it.
 ALIAS_LIMIT = 0.1
 ALIAS_MASS_TOL = 1e-6
 MAX_NEW_NODES = 120000
@@ -104,7 +105,9 @@ class SpectralSolution:
 
     ``spec`` and ``units`` are carried so that dynamics and diagnostics
     can evaluate the dispersion integrals at new frequencies without
-    re-supplying context.  ``weights`` is the Simpson weight of each
+    re-supplying context.  ``alias_mass_tol`` is the spectral mass the
+    anti-aliasing gate lets intervals wider than the bound carry, set
+    by refine_for_times.  ``weights`` is the Simpson weight of each
     node times pi, fixed at construction.  Instances are immutable.
     """
 
@@ -116,6 +119,7 @@ class SpectralSolution:
     norm_defect: float
     spec: CouplingSpectrum
     units: UnitSystem
+    alias_mass_tol: float = ALIAS_MASS_TOL
     meta: dict = field(default_factory=dict, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
@@ -342,9 +346,7 @@ def _peak_cluster(pk: float, w: float, lo: float, hi: float) -> np.ndarray:
     return pts[(pts > lo) & (pts < hi)]
 
 
-def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
-    """Initial grid: log base + coarse linear comb + edge ladders + peak
-    clusters.  Refinement to tolerance happens inside compute_pi."""
+def _require_coupled(spec: CouplingSpectrum) -> None:
     if spec.is_zero():
         raise ConvergenceError(
             "coupling is identically zero: the frequency density is a point mass "
@@ -352,6 +354,12 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
             "observables reduce to the textbook closed forms",
             detail={"guidance": "use the closed-form path for V = 0"},
         )
+
+
+def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
+    """Initial grid: log base + coarse linear comb + edge ladders + peak
+    clusters.  Refinement to tolerance happens inside compute_pi."""
+    _require_coupled(spec)
     lo, hi, span = _grid_bounds(spec)
     parts = [
         np.geomspace(lo, hi, BASE_POINTS),
@@ -435,11 +443,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     cannot reach: a tail cut off by omega_max on an unbounded support, or
     a bound state outside a bounded one.
     """
-    if spec.is_zero():
-        raise ConvergenceError(
-            "coupling is identically zero: the frequency density is a point mass "
-            "at omega0; use the closed-form path for V = 0",
-        )
+    _require_coupled(spec)
     require_admissible(spec, units)
     w0 = units.omega0
 
@@ -531,10 +535,11 @@ def frequency_moment(measure, k: int) -> float:
 # ---------------------------------------------------------------------------
 # time-domain grid support
 
-def _interval_masses(nodes, pi) -> tuple[np.ndarray, np.ndarray]:
-    """Widths of the grid intervals and their trapezoidal masses."""
+def _intervals(nodes, pi, t_max):
+    """Widths of the grid intervals, their trapezoidal masses, and which
+    of them violate  (spacing) * t_max <= ALIAS_LIMIT."""
     h = np.diff(nodes)
-    return h, 0.5 * (pi[:-1] + pi[1:]) * h
+    return h, 0.5 * (pi[:-1] + pi[1:]) * h, h > ALIAS_LIMIT / t_max
 
 
 def refine_for_times(sol: SpectralSolution, t_max: float, *,
@@ -544,10 +549,11 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
     Requirement: intervals violating  (spacing) * t_max <= ALIAS_LIMIT
     may carry at most mass_tol of total spectral weight.  Violating
     intervals are split into equal parts, and pi is re-evaluated on the
-    merged nodes.
+    merged nodes.  The result carries mass_tol as its alias_mass_tol,
+    the budget require_alias_bound then holds it to at any time.
     """
     if t_max <= 0:
-        return sol
+        return replace(sol, alias_mass_tol=mass_tol)
     spec, units = sol.spec, sol.units
     h_max = ALIAS_LIMIT / t_max
     nodes = sol.omegas
@@ -555,9 +561,8 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
 
     added = 0
     for _ in range(40):
-        h, masses = _interval_masses(nodes, pi)
+        h, masses, violating = _intervals(nodes, pi, t_max)
         total = masses.sum()
-        violating = h > h_max
         if not violating.any() or masses[violating].sum() <= mass_tol * total:
             break
         # Exempt the lightest violating intervals up to the mass budget.
@@ -590,26 +595,19 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
     return SpectralSolution(
         grid=SpectralGrid(nodes, meta=dict(sol.grid.meta)),
         Y=Y, alpha_sq=alpha_sq, beta_ratio=beta, pi=pi,
-        norm_defect=abs(norm - 1.0), spec=spec, units=units, meta=meta,
+        norm_defect=abs(norm - 1.0), spec=spec, units=units,
+        alias_mass_tol=mass_tol, meta=meta,
     )
 
 
-def alias_bound_satisfied(sol: SpectralSolution, t_max: float, *,
-                          mass_tol: float = ALIAS_MASS_TOL) -> bool:
-    """Check the mass-windowed anti-aliasing condition for a time span."""
+def require_alias_bound(sol: SpectralSolution, t_max: float) -> None:
+    """Raise AliasingError when intervals too wide for t_max carry more
+    than the solution's alias_mass_tol of the spectral mass."""
     if t_max <= 0:
-        return True
-    h, masses = _interval_masses(sol.omegas, sol.pi)
-    violating = h > ALIAS_LIMIT / t_max
-    if not violating.any():
-        return True
-    return masses[violating].sum() <= mass_tol * masses.sum()
-
-
-def require_alias_bound(sol: SpectralSolution, t_max: float, *,
-                        mass_tol: float = ALIAS_MASS_TOL) -> None:
-    """Raise AliasingError when the grid undersamples oscillations at t_max."""
-    if not alias_bound_satisfied(sol, t_max, mass_tol=mass_tol):
+        return
+    _, masses, violating = _intervals(sol.omegas, sol.pi, t_max)
+    mass_tol = sol.alias_mass_tol
+    if violating.any() and not masses[violating].sum() <= mass_tol * masses.sum():
         raise AliasingError(
             f"grid spacing violates spacing * t <= {ALIAS_LIMIT} for "
             f"t = {t_max:.6g} on intervals carrying more than "

@@ -97,7 +97,7 @@ class FiniteBathModel:
             raise UsageError("bath frequencies must be finite and positive")
         if not np.all(np.isfinite(v)):
             raise UsageError("couplings must be finite")
-        checked(self.omega0, "number > 0", "omega0")
+        object.__setattr__(self, "omega0", checked(self.omega0, "number > 0", "omega0"))
         object.__setattr__(self, "bath_freqs", w)
         object.__setattr__(self, "couplings", v)
         object.__setattr__(

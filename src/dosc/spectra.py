@@ -70,22 +70,7 @@ class UnitSystem:
 
     def __post_init__(self):
         for name in ("omega0", "mass", "hbar"):
-            checked(getattr(self, name), "number > 0", name)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Result of the stability check.
-
-    ``integral`` is int |V|^2/omega d omega, ``margin`` is omega0 minus
-    that, and ``renormalized_sq`` = omega0 * margin is the square of the
-    shifted bare frequency that appears in the minimal-coupling form of
-    the Hamiltonian.  The model is admissible iff margin > 0.
-    """
-
-    integral: float
-    margin: float
-    renormalized_sq: float
+            object.__setattr__(self, name, checked(getattr(self, name), "number > 0", name))
 
 
 class CouplingSpectrum:
@@ -112,8 +97,8 @@ class CouplingSpectrum:
         for f in fields(self):
             value = getattr(self, f.name, None)
             if f.type == "float" or f.type == "float | None" and value is not None:
-                checked(value, "number >= 0" if f.name == self.scale else "number > 0",
-                        f.name)
+                rule = "number >= 0" if f.name == self.scale else "number > 0"
+                object.__setattr__(self, f.name, checked(value, rule, f.name))
         lo, hi, top = self._bounds()
         object.__setattr__(self, "support_lower", lo)
         object.__setattr__(self, "support_upper", hi)
@@ -355,30 +340,20 @@ class Tabulated(CouplingSpectrum):
         return self._hilbert(w) + self._hilbert(-w)
 
 
-def positivity_check(spec: CouplingSpectrum, units: UnitSystem) -> PositivityReport:
-    """Compute the stability integral and margin.  Never raises on an
-    inadmissible model; use require_admissible for the gate."""
+def require_admissible(spec: CouplingSpectrum, units: UnitSystem) -> float:
+    """Positivity gate used by every downstream module: the margin
+    omega0 - int |V|^2/omega, or PositivityError unless it is > 0."""
     integral = spec.analytic_positivity_integral()
     margin = units.omega0 - integral
-    return PositivityReport(
-        integral=integral,
-        margin=margin,
-        renormalized_sq=units.omega0 * margin,
-    )
-
-
-def require_admissible(spec: CouplingSpectrum, units: UnitSystem) -> PositivityReport:
-    """Positivity gate used by every downstream module."""
-    report = positivity_check(spec, units)
-    if not report.margin > 0.0:
+    if not margin > 0.0:
         raise PositivityError(
             "coupling too strong: int |V|^2/omega = "
-            f"{report.integral:.6g} >= omega0 = {units.omega0:.6g} "
-            f"(margin {report.margin:.3g}); the oscillator would be unstable",
+            f"{integral:.6g} >= omega0 = {units.omega0:.6g} "
+            f"(margin {margin:.3g}); the oscillator would be unstable",
             detail={
-                "integral": report.integral,
-                "margin": report.margin,
+                "integral": integral,
+                "margin": margin,
                 "omega0": units.omega0,
             },
         )
-    return report
+    return float(margin)

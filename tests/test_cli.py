@@ -255,7 +255,8 @@ class TestConfigValidation:
         assert cfg.time.alias_mass_tol == fano.ALIAS_MASS_TOL
         damping = inspect.signature(dynamics.classify_damping).parameters
         assert cfg.time.resolution == damping["resolution"].default
-        assert cfg.time.alias_mass_tol == damping["alias_mass_tol"].default
+        refine = inspect.signature(fano.refine_for_times).parameters
+        assert cfg.time.alias_mass_tol == refine["mass_tol"].default
 
 
 class TestSpectrumCommand:

@@ -1,6 +1,7 @@
 """Kernel dynamics: closed forms, consistency relations, damping
 classification, and relaxation reporting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -144,6 +145,18 @@ class TestKernels:
         _, sol = ohmic_ref
         with pytest.raises(AliasingError):
             dynamics.kernels(sol, [0.0, 25.0])
+
+    def test_refined_budget_travels(self, ohmic_strong):
+        # a grid refined with a looser mass budget is held to that budget
+        # by the kernels and the damping scan, with no tolerance repeated
+        _, sol = ohmic_strong
+        sol_t = fano.refine_for_times(sol, 420.0, mass_tol=1e-4)
+        k = dynamics.kernels(sol_t, [0.0, 420.0])
+        assert dynamics.classify_damping(k, 420.0).damping_class == "underdamped"
+        assert sol_t.alias_mass_tol == 1e-4
+        with pytest.raises(AliasingError) as exc:
+            dynamics.kernels(dataclasses.replace(sol_t, alias_mass_tol=1e-6), [0.0, 420.0])
+        assert exc.value.detail["mass_tol"] == 1e-6
 
     def test_validation(self, two_mode_decomp):
         with pytest.raises(UsageError):
@@ -370,7 +383,7 @@ class TestRelaxation:
         spec, sol = ohmic_strong
         sol_t = fano.refine_for_times(sol, 420.0, mass_tol=1e-4)
         ts = np.concatenate([[0.0], np.geomspace(0.5, 420.0, 120)])
-        k = dynamics.kernels(sol_t, ts, alias_mass_tol=1e-4)
+        k = dynamics.kernels(sol_t, ts)
         rep = dynamics.relaxation_check(k)
         assert rep.relaxed
         assert max(rep.max_k_cos, rep.max_k_sin_over_scaled,

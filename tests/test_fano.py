@@ -25,13 +25,13 @@ from dosc.errors import ConvergenceError, OutsideSupportError, UsageError
 from dosc.fano import (
     _dispersion_parts,
     _grid_bounds,
-    alias_bound_satisfied,
     build_grid,
     compute_pi,
     dressing,
     frequency_moment,
     moment,
     refine_for_times,
+    require_alias_bound,
     solve,
 )
 from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
@@ -296,6 +296,14 @@ def test_grid_building_deterministic():
     assert np.array_equal(g1.nodes, g2.nodes)
 
 
+def test_compute_pi_refuses_zero_coupling(flat_mid):
+    # the same refusal build_grid gives, even on a grid built elsewhere
+    spec, sol = flat_mid
+    with pytest.raises(ConvergenceError, match="identically zero") as exc:
+        compute_pi(OhmicExp(amplitude=0.0, cutoff=5.0), U, sol.grid)
+    assert exc.value.detail["guidance"] == "use the closed-form path for V = 0"
+
+
 def test_compute_pi_accepts_prebuilt_grid(flat_mid):
     spec, reference = flat_mid
     sol = compute_pi(spec, U, build_grid(spec, U))
@@ -306,7 +314,7 @@ def test_refine_for_times(ohmic_ref):
     _, sol = ohmic_ref
     t_max = 25.0
     refined = refine_for_times(sol, t_max)
-    assert alias_bound_satisfied(refined, t_max)
+    require_alias_bound(refined, t_max)
     assert refined.omegas.size > sol.omegas.size
     assert refined.norm_defect <= 2e-6
 

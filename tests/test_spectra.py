@@ -22,7 +22,6 @@ from dosc.spectra import (
     OhmicExp,
     Tabulated,
     UnitSystem,
-    positivity_check,
     require_admissible,
 )
 
@@ -49,10 +48,9 @@ def test_flat_band_midpoint():
 
 
 def test_zero_coupling_margin_is_omega0():
-    rep = positivity_check(OhmicExp(amplitude=0.0, cutoff=5.0), U)
-    assert rep.integral == 0.0
-    assert rep.margin == U.omega0
-    assert rep.renormalized_sq == U.omega0**2
+    spec = OhmicExp(amplitude=0.0, cutoff=5.0)
+    assert spec.analytic_positivity_integral() == 0.0
+    assert require_admissible(spec, U) == U.omega0
 
 
 @pytest.mark.parametrize(
@@ -72,15 +70,14 @@ def test_zero_coupling_margin_is_omega0():
     ],
 )
 def test_positivity_integral_matches_analytic(spec):
-    # positivity_check takes the closed form; QUADPACK, one segment of a
+    # require_admissible takes the closed form; QUADPACK, one segment of a
     # tabulated V at a time so that no kink lies inside an integral, is
     # the independent reference
     edges = getattr(spec, "omegas", (spec.support_lower, spec.support_upper))
     ref = sum(quad(lambda w: spec.v_sq(w) / w, a, b, epsabs=0.0, epsrel=1e-13)[0]
               for a, b in zip(edges[:-1], edges[1:]))
-    rep = positivity_check(spec, U)
     exact = spec.analytic_positivity_integral()
-    assert rep.integral == exact
+    assert require_admissible(spec, U) == U.omega0 - exact
     assert abs(exact - ref) <= 1e-10 * ref
 
 
@@ -124,9 +121,8 @@ def test_supercritical_coupling_rejected():
 
 def test_near_critical_coupling_admitted():
     spec = OhmicExp(amplitude=math.sqrt(0.99 / 5.0), cutoff=5.0)
-    rep = require_admissible(spec, U)
-    assert 0.0 < rep.margin < 0.011
-    assert math.isclose(rep.renormalized_sq, U.omega0 * rep.margin, rel_tol=1e-15)
+    margin = require_admissible(spec, U)
+    assert 0.0 < margin < 0.011
 
 
 def test_flat_band_requires_positive_lower_edge():
@@ -298,3 +294,14 @@ def test_numpy_scalars_are_numbers(make, value):
             make(value)
     else:
         assert np.array_equal(make(value), make(value.item()))
+
+
+def test_numpy_scalars_stored_as_python_numbers():
+    # a model keeps the Python number its numpy scalar stands for, so a
+    # float32 level solves to the same grid as its float64 widening
+    by_f32 = fano.solve(FlatBand(level=np.float32(0.2), lower=0.1, upper=2.0), U)
+    by_f64 = fano.solve(FlatBand(level=float(np.float32(0.2)), lower=0.1, upper=2.0), U)
+    assert np.array_equal(by_f32.nodes, by_f64.nodes)
+    assert np.array_equal(by_f32.pi, by_f64.pi)
+    assert type(UnitSystem(omega0=np.int64(2)).omega0) is int
+    assert type(oracle.FiniteBathModel(np.float32(1.0), [1.0], [0.5]).omega0) is float
