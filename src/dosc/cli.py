@@ -12,11 +12,16 @@ the command bodies, and this module's top level stays import-light.
 Those lazy imports are of dosc's own modules, which every command needs
 anyway; a third-party import must not be deferred into a command, since
 it then lands inside the command's time rather than start-up.  Instead,
-no run-path module imports scipy.optimize or scipy.integrate (together
-about 0.3 s and 249 modules): Simpson's rule and Brent's root finder are
-ported into fano, bit-identical to scipy's, and the Lorentzian fit is a
-small Levenberg-Marquardt in weakcoupling.  Only the tests' QUADPACK
-reference, quadrature._quad, imports scipy.integrate, at call time.
+no run-path module imports any of scipy (the CLI stack then loads about
+230 modules, against 579 with scipy.special and scipy.linalg.lapack):
+Simpson's rule and Brent's root finder are ported into fano,
+bit-identical to scipy's; the Lorentzian fit is a small
+Levenberg-Marquardt in weakcoupling; xlogy, Dawson's integral and the
+ohmic Ei/E1 bracket are numpy ports in spectra; and oracle calls
+LAPACK's dlasd4 in the OpenBLAS bundled with numpy, through ctypes.
+scipy is imported at call time in two places only: the tests' QUADPACK
+reference, quadrature._quad, and oracle's dlasd4 where numpy's OpenBLAS
+does not export it.
 """
 
 from __future__ import annotations

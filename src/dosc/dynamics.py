@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it lazily: at start-up, not in the first command
 
 from . import fano
 from .csvio import write_csv

@@ -346,6 +346,16 @@ def _peak_cluster(pk: float, w: float, lo: float, hi: float) -> np.ndarray:
     return pts[(pts > lo) & (pts < hi)]
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of nan-free floats: sorted, each value once.  np.unique
+    itself imports numpy.ma (about 10 ms) on its first call."""
+    v = np.sort(values)
+    first = np.empty(v.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    return v[first]
+
+
 def _require_coupled(spec: CouplingSpectrum) -> None:
     if spec.is_zero():
         raise ConvergenceError(
@@ -369,7 +379,7 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
     peaks = _find_peaks(spec, units, lo, hi)
     for pk, w in peaks:
         parts.append(_peak_cluster(pk, w, lo, hi))
-    nodes = np.unique(np.concatenate([p for p in parts if p.size]))
+    nodes = _unique(np.concatenate([p for p in parts if p.size]))
     nodes = nodes[(nodes >= lo) & (nodes <= hi)]
     # A peak cluster whose width was clamped to the room left before lo
     # or hi puts a node within an ulp of that bound.  Such a pair makes
@@ -569,8 +579,9 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
         idx = np.flatnonzero(violating)
         order = idx[np.argsort(masses[idx])]
         cum = np.cumsum(masses[order])
-        exempt = order[cum <= mass_tol * total * 0.5]
-        to_split = np.setdiff1d(idx, exempt)
+        split = violating.copy()
+        split[order[cum <= mass_tol * total * 0.5]] = False
+        to_split = np.flatnonzero(split)
         new_pts: list[np.ndarray] = []
         for i in to_split:
             k = min(int(math.ceil(h[i] / h_max)), 4096)
@@ -578,7 +589,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
                 new_pts.append(np.linspace(nodes[i], nodes[i + 1], k + 1)[1:-1])
         if not new_pts:
             break
-        new_nodes = np.unique(np.concatenate(new_pts))
+        new_nodes = _unique(np.concatenate(new_pts))
         added += new_nodes.size
         if added > MAX_NEW_NODES:
             raise ConvergenceError(

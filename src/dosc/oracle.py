@@ -26,7 +26,10 @@ dlasd4 as offsets from the nearest pole; the weights and eigenvector
 columns follow in closed form from those offsets.  That is O(N^2) time
 and O(N) memory: one sweep keeps each root's pole and offset, and an
 evolution rebuilds the eigenvector columns a block of roots at a time
-instead of holding the (N+1) x (N+1) matrix.
+instead of holding the (N+1) x (N+1) matrix.  dlasd4 is called through
+ctypes in the OpenBLAS bundled with numpy, so that no command imports
+scipy for it; scipy's wrapper is the fallback where numpy's library
+does not export it.
 
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
@@ -36,14 +39,15 @@ share only what is evaluated over a (nodes, weights) measure, here
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .csvio import write_csv
 from .errors import InternalConsistencyError, PositivityError, UsageError, checked
@@ -327,6 +331,67 @@ class NormalModeDecomposition:
         return o
 
 
+@functools.cache
+def _bundled_dlasd4():
+    """LAPACK's dlasd4 in the OpenBLAS that numpy's wheel bundles
+    (``scipy_dlasd4_64_``, 64-bit integers), or None where numpy was
+    built against another LAPACK or the library is not found."""
+    from numpy import __config__ as numpy_config
+
+    lapack = getattr(numpy_config, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
+    if (lapack.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
+        return None
+    here = Path(np.__file__).parent
+    for lib in sorted([*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]):
+        try:
+            fn = ctypes.CDLL(str(lib)).scipy_dlasd4_64_
+        except (OSError, AttributeError):
+            continue
+        # dlasd4(n, i, d, z, delta, rho, sigma, work, info), all by
+        # reference.  No argtypes: _dlasd4 builds the nine arguments once
+        # per sweep with their exact types, and argtypes would convert
+        # them again on every call (about 10% of a sweep at N = 2000).
+        fn.restype = None
+        return fn
+    return None
+
+
+def _dlasd4(eq: _SecularEquation):
+    """dlasd4 on the secular equation ``eq``: a function of the root
+    index k = 0, 1, ... returning (delta, sigma, work, info) as
+    scipy.linalg.lapack.dlasd4(k, eq.d, eq.u, eq.rho) does.
+
+    Through numpy's OpenBLAS the arguments and the ``delta`` and
+    ``work`` buffers are built once per sweep, and each call overwrites
+    the buffers of the last.  Without that library this falls back on
+    scipy's wrapper, imported here."""
+    fn = _bundled_dlasd4()
+    if fn is None:
+        from scipy.linalg import lapack
+
+        return lambda k: lapack.dlasd4(k, eq.d, eq.u, eq.rho)
+    d, u = np.ascontiguousarray(eq.d, dtype=float), np.ascontiguousarray(eq.u, dtype=float)
+    if u.shape != d.shape or d.ndim != 1:
+        raise InternalConsistencyError(f"dlasd4 needs poles and border of one length, "
+                                       f"got {d.shape} and {u.shape}")
+    delta, work = np.empty(d.size), np.empty(d.size)
+    i, sigma, info = ctypes.c_int64(), ctypes.c_double(), ctypes.c_int64()
+    # each data_as pointer keeps its array alive
+    ptr = ctypes.POINTER(ctypes.c_double)
+    args = (ctypes.byref(ctypes.c_int64(d.size)), ctypes.byref(i),
+            d.ctypes.data_as(ptr), u.ctypes.data_as(ptr), delta.ctypes.data_as(ptr),
+            ctypes.byref(ctypes.c_double(eq.rho)), ctypes.byref(sigma),
+            work.ctypes.data_as(ptr), ctypes.byref(info))
+
+    def root(k: int):
+        i.value = k + 1                 # Fortran counts roots from 1
+        fn(*args)
+        return delta, sigma.value, work, info.value
+
+    return root
+
+
 def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
     """Normal modes of K from its secular equation: O(N^2) time, O(N)
     memory.  The eigenvectors follow on demand.
@@ -353,8 +418,9 @@ def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
     weights = np.zeros(omegas.size)
     origin = np.empty(n, dtype=np.intp)
     offset = np.empty(n)
+    root = _dlasd4(eq)
     for k in range(n):
-        delta, sigma, work, info = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
+        delta, sigma, work, info = root(k)
         if info != 0:
             raise InternalConsistencyError(
                 f"dlasd4 failed on root {k} of {n} of the secular "
@@ -387,7 +453,8 @@ def recurrence_estimate(decomp: NormalModeDecomposition) -> float:
     little as 1 ulp apart within a near-degenerate run) never reach the
     oscillator and do not count; with a single such frequency nothing
     dephases and the bound is infinite."""
-    gaps = np.diff(np.unique(decomp.Omegas[decomp.weights > 0.0]))
+    gaps = np.diff(decomp.Omegas[decomp.weights > 0.0])   # Omegas ascend
+    gaps = gaps[gaps > 0.0]
     return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
 
 

@@ -23,16 +23,23 @@ all quantitative runs (I in terms of Ei and E1, Abramowitz & Stegun
 function, A&S 7.1), and ``tabulated`` accepts measured data (V
 piecewise linear, so |V|^2 piecewise quadratic and I a sum of
 logarithms and polynomials).
+
+The special functions are numpy ports, so that no command imports
+scipy: ``xlogy``, ``dawsn`` and the exponential family's bracket
+``ohmic_bracket``.  The last two evaluate a Taylor polynomial (degree 7
+and 10) about the nearest tabulated centre, a fixed number of numpy operations
+per call whatever the array length; each table is built once, in
+extended precision, from the function's differential equation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.special import dawsn, exp1, expi, xlogy
 
 from .errors import PositivityError, UsageError, checked
 # unused here; perfbench/tracer.py wraps this name to count quadrature calls
@@ -58,6 +65,155 @@ OHMIC_SUPPORT_CUTOFFS = 20.0
 # is below 1e-20 of the sum.
 OHMIC_ASYMPTOTIC_X = 50.0
 _OHMIC_SERIES = np.array([0.0] + [float(math.factorial(2 * k)) for k in range(1, 26)])
+
+
+# ---------------------------------------------------------------------------
+# special functions
+
+# Each table below holds a Taylor polynomial per cell, its coefficients
+# computed in long double (64-bit mantissa on x86) and rounded once.
+# Where long double is plain double the tables lose a few ulps, still
+# well inside 1e-14.
+_EULER_GAMMA = np.longdouble("0.577215664901532860606512090082402431")
+
+# Dawson's integral: degree 7 in cells of width 1/64 centred on j/64 up
+# to DAWSON_TABLE_X (the first omitted term is below 5e-19, a hundredth
+# of an ulp of D); above, 11 terms of the asymptotic series
+# 1/(2x) sum_k (2k-1)!!/(2x^2)^k, whose first omitted term,
+# 21!!/(2x^2)^11, is below 2e-17 there.
+DAWSON_TABLE_X = 12.0
+_DAWSON_STEPS = 64
+_DAWSON_DEGREE = 7
+_DAWSON_FAR = np.cumprod([1.0] + [2.0 * k - 1.0 for k in range(1, 11)])[:, None]
+
+# The ohmic bracket: degree 10 in geometric cells, each within 3% of its
+# centre, from OHMIC_SERIES_X to OHMIC_ASYMPTOTIC_X.  Below
+# OHMIC_SERIES_X, g = -2 + 2 x^2 (1 - gamma - ln x) up to
+# O(x^4 ln x) < 1e-19.
+_OHMIC_DEGREE = 10
+OHMIC_SERIES_X = 1e-5
+_OHMIC_RATIO = 1.03 / 0.97
+_OHMIC_CELLS = math.ceil(math.log(OHMIC_ASYMPTOTIC_X / OHMIC_SERIES_X) / math.log(_OHMIC_RATIO))
+
+
+def _horner(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] h^k by Horner's rule, elementwise on a 1-d h:
+    coef[k] holds the degree-k coefficient of each element, or one for
+    all (one column)."""
+    p = coef[-1] * h
+    for k in range(len(coef) - 2, 0, -1):
+        p += coef[k]
+        p *= h
+    p += coef[0]
+    return p
+
+
+@functools.cache
+def _dawson_table() -> np.ndarray:
+    """Taylor coefficients of D about j/64, by degree (rows) and centre
+    (columns).  D(c) is the positive series e^{-c^2} sum_n c^{2n+1}/(n!
+    (2n+1)) to 2 DAWSON_TABLE_X^2 terms, past those below 1e-24 of the
+    sum; the rest follow from D' = 1 - 2xD."""
+    c = np.arange(int(DAWSON_TABLE_X * _DAWSON_STEPS) + 1, dtype=np.longdouble) / _DAWSON_STEPS
+    c2 = c * c
+    term, total = c.copy(), c.copy()
+    for n in range(1, int(2 * DAWSON_TABLE_X**2)):
+        term *= c2 / n
+        total += term / (2 * n + 1)
+    a = np.empty((_DAWSON_DEGREE + 1, c.size), dtype=np.longdouble)
+    a[0] = np.exp(-c2) * total
+    a[1] = 1 - 2 * c * a[0]
+    for n in range(1, _DAWSON_DEGREE):
+        a[n + 1] = -2 * (c * a[n] + a[n - 1]) / (n + 1)
+    table = a.astype(float)
+    table.flags.writeable = False
+    return table
+
+
+def dawsn(x):
+    """Dawson's integral D(x) = e^{-x^2} int_0^x e^{t^2} dt, elementwise,
+    as scipy.special.dawsn (within 3e-16 relative; D(+-inf) = +-0)."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x.ravel())
+    table = _dawson_table()
+
+    def tabulated(a):
+        cell = np.rint(a * _DAWSON_STEPS).astype(np.intp)
+        return _horner(table[:, cell], a - cell / _DAWSON_STEPS)   # a - cell/64 is exact
+
+    near = ax <= DAWSON_TABLE_X           # nan is not
+    if near.all():
+        out = tabulated(ax)
+    else:
+        out = np.empty_like(ax)
+        out[near] = tabulated(ax[near])
+        far = ax[~near]
+        half = 0.5 / far
+        out[~near] = half * _horner(_DAWSON_FAR, half / far)
+    return np.copysign(out, x.ravel()).reshape(x.shape)
+
+
+@functools.cache
+def _ohmic_table() -> tuple[np.ndarray, np.ndarray]:
+    """Centres of the ohmic cells and the Taylor coefficients about them,
+    by degree (rows) and cell (columns), of s = e^{-x} Ei(x) + e^{x} E1(x),
+    so that g = x s - 2.
+
+    With L = gamma + ln x, O and E the odd and even parts of
+    sum_k x^k/(k k!): s = 2 (cosh(x) O - sinh(x) (L + E)) and
+    s' = 2 (sinh(x) O - cosh(x) (L + E)) below x = 2; above it s and s'
+    are e^{-x} Ei(x) +- e^{x} E1(x), with Ei from its series (terms all
+    positive) and e^{x} E1(x) from its continued fraction.  The rest
+    follow from s'' = s - 2/x."""
+    centres = OHMIC_SERIES_X * _OHMIC_RATIO ** (np.arange(_OHMIC_CELLS) + 0.5)
+    c = centres.astype(np.longdouble)
+    term, odd, even = np.ones_like(c), np.zeros_like(c), np.zeros_like(c)
+    for k in range(1, 160):
+        term *= c / k
+        if k % 2:
+            odd += term / k
+        else:
+            even += term / k
+    log = _EULER_GAMMA + np.log(c)
+    ch, sh = np.cosh(c), np.sinh(c)
+    s_small = 2 * (ch * odd - sh * (log + even))
+    ds_small = 2 * (sh * odd - ch * (log + even))
+    t = np.zeros_like(c)
+    for m in range(80, 0, -1):
+        t = m * m / (c + (2 * m + 1) - t)
+    ee = 1 / (c + 1 - t)                            # e^x E1(x)
+    ei = np.exp(-c) * (log + odd + even)            # e^{-x} Ei(x)
+    b = np.empty((_OHMIC_DEGREE + 1, c.size), dtype=np.longdouble)
+    b[0] = np.where(c < 2, s_small, ei + ee)
+    b[1] = np.where(c < 2, ds_small, ee - ei)
+    for n in range(_OHMIC_DEGREE - 1):
+        b[n + 2] = (b[n] - 2 * (-1) ** n / c ** (n + 1)) / ((n + 1) * (n + 2))
+    table = b.astype(float)
+    centres.flags.writeable = table.flags.writeable = False
+    return centres, table
+
+
+def ohmic_bracket(x: np.ndarray) -> np.ndarray:
+    """g(x) = x (e^{-x} Ei(x) + e^{x} E1(x)) - 2 on a 1-d array in
+    (0, OHMIC_ASYMPTOTIC_X], within 1e-15 absolute."""
+    centres, table = _ohmic_table()
+    log = np.log(x)
+    cell = ((log - math.log(OHMIC_SERIES_X)) / math.log(_OHMIC_RATIO)).astype(np.intp)
+    cell = np.clip(cell, 0, _OHMIC_CELLS - 1)
+    g = x * _horner(table[:, cell], x - centres[cell]) - 2.0
+    tiny = x <= OHMIC_SERIES_X
+    if tiny.any():
+        xt = x[tiny]
+        g[tiny] = 2.0 * xt * xt * (1.0 - np.euler_gamma - log[tiny]) - 2.0
+    return g
+
+
+def xlogy(x, y):
+    """x log(y) elementwise, 0 where x == 0 and y is not nan, as
+    scipy.special.xlogy: no warning where y == 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(y)
+    return np.where((x == 0) & ~np.isnan(y), 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -166,10 +322,9 @@ class OhmicExp(CouplingSpectrum):
         x = np.asarray(omegas, dtype=float) / self.cutoff
         g = np.full(x.shape, -2.0)                  # x = 0: I = -2 k^2 L
         near = (x > 0.0) & (x <= OHMIC_ASYMPTOTIC_X)
-        xn = x[near]
-        g[near] = xn * (np.exp(-xn) * expi(xn) + np.exp(xn) * exp1(xn)) - 2.0
+        g[near] = ohmic_bracket(x[near])
         far = x > OHMIC_ASYMPTOTIC_X
-        g[far] = 2.0 * np.polynomial.polynomial.polyval(x[far] ** -2, _OHMIC_SERIES)
+        g[far] = 2.0 * _horner(_OHMIC_SERIES[:, None], x[far] ** -2)
         return self.amplitude**2 * self.cutoff * g
 
 
@@ -259,6 +414,11 @@ class GaussianPeak(CouplingSpectrum):
                 * (dawsn((w - self.center) / r) - dawsn((w + self.center) / r)))
 
 
+# Tabulated._hilbert evaluates its log terms on arrays of at most this
+# many elements (64 kB each), a block of nodes by all arguments at once
+_HILBERT_BLOCK = 2**13
+
+
 @dataclass(frozen=True)
 class Tabulated(CouplingSpectrum):
     """V given on a strictly increasing grid, linearly interpolated.
@@ -330,14 +490,22 @@ class Tabulated(CouplingSpectrum):
         c0 = v_right**2 - v_left**2
         c1 = 2.0 * (v_right * s_right - v_left * s_left)
         c2 = s_right**2 - s_left**2
-        for xj, a0, a1, a2 in zip(x, c0, c1, c2):
-            d = z - xj
-            out = out + xlogy(a0 + d * (a1 + a2 * d), np.abs(d))
+        # a block of nodes at a time, nodes along the first axis; the
+        # block's rows are summed in node order, onto out first
+        step = max(1, _HILBERT_BLOCK // max(z.size, 1))
+        nodes = (slice(None),) + (None,) * z.ndim
+        for lo in range(0, x.size, step):
+            blk = slice(lo, lo + step)
+            d = z - x[blk][nodes]
+            terms = xlogy(c0[blk][nodes] + d * (c1[blk][nodes] + c2[blk][nodes] * d), np.abs(d))
+            terms[0] += out
+            out = terms.sum(axis=0)
         return out
 
     def dispersion(self, omegas):
         w = np.asarray(omegas, dtype=float)
-        return self._hilbert(w) + self._hilbert(-w)
+        p = self._hilbert(np.stack([w, -w]))
+        return p[0] + p[1]
 
 
 def require_admissible(spec: CouplingSpectrum, units: UnitSystem) -> float:

@@ -536,29 +536,43 @@ class TestNoQuadpackOnRunPaths:
 class TestImportPath:
     def test_commands_load_neither_optimize_nor_integrate(self, tmp_path):
         # a fresh interpreter, so no other test's imports count; a module
-        # loaded here is paid by every command's start-up
+        # loaded here is paid by every command's start-up.  No command
+        # loads any of scipy: the special functions are numpy ports and
+        # dlasd4 is called in numpy's own OpenBLAS.  A gaussian_peak and a
+        # nonzero tabulated model run every family's port.
         script = (
             "import json, sys\n"
             "from dosc.cli import main\n"
-            "for cmd, name in json.loads(sys.argv[1]):\n"
-            "    rc = main([cmd, '--config', sys.argv[2] + '/' + name + '.json',\n"
-            "               '--out', sys.argv[3] + '/' + cmd])\n"
-            "    assert rc == 0, (cmd, name, rc)\n"
-            "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.startswith(('scipy.optimize', 'scipy.integrate')))))\n"
+            "for cmd, config in json.loads(sys.argv[1]):\n"
+            "    rc = main([cmd, '--config', config, '--out', sys.argv[2] + '/' + cmd])\n"
+            "    assert rc == 0, (cmd, config, rc)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
         )
-        runs = [["spectrum", "weak_line"], ["groundstate", "flat_band"],
-                ["dynamics", "flat_band"], ["compare", "flat_band"],
-                ["weak", "weak_line"]]
+        spectra = {
+            "gaussian_peak": {"family": "gaussian_peak", "amplitude": 0.1,
+                              "center": 1.5, "width": 0.1},
+            "tabulated": {"family": "tabulated", "omegas": [0.0, 1.0, 2.0, 3.0],
+                          "values": [0.0, 0.2, 0.1, 0.0]},
+        }
+        for name, spectrum in spectra.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"spectrum": spectrum}))
+        runs = [["spectrum", CONFIGS / "weak_line.json"],
+                ["spectrum", tmp_path / "gaussian_peak.json"],
+                ["groundstate", tmp_path / "tabulated.json"],
+                ["groundstate", CONFIGS / "flat_band.json"],
+                ["dynamics", CONFIGS / "flat_band.json"],
+                ["compare", CONFIGS / "flat_band.json"],
+                ["weak", CONFIGS / "weak_line.json"]]
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, DOSC_THREADS="1",
                    PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(runs), str(CONFIGS), str(tmp_path)],
+            [sys.executable, "-c", script, json.dumps([[c, str(f)] for c, f in runs]),
+             str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
-        assert all((tmp_path / cmd).is_dir() for cmd, _ in runs)
+        assert all((tmp_path / "out" / cmd).is_dir() for cmd, _ in runs)
 
 
     def test_cli_import_loads_no_numpy(self):

@@ -214,7 +214,7 @@ class TestRefusal:
         def no_solve(*args):
             raise AssertionError("secular equation solved for a refused model")
 
-        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(dlasd4=no_solve))
+        monkeypatch.setattr(oracle, "_dlasd4", no_solve)
         for coupling in (1.0, 1.01):   # margin exactly 0, then negative
             model = oracle.FiniteBathModel(1.0, [1.0], [coupling])
             with pytest.raises(PositivityError) as exc:
@@ -222,15 +222,52 @@ class TestRefusal:
             assert exc.value.detail["discrete_margin"] == model.discrete_margin <= 0
 
     def test_solver_failure_names_the_root(self, monkeypatch):
-        from scipy.linalg import lapack
+        solver = oracle._dlasd4
 
-        def failing(k, d, z, rho):
-            delta, sigma, work, info = lapack.dlasd4(k, d, z, rho)
-            return delta, float("nan"), work, 2 if k == 1 else info
+        def failing(eq):
+            root = solver(eq)
 
-        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(dlasd4=failing))
+            def call(k):
+                delta, sigma, work, info = root(k)
+                return delta, float("nan"), work, 2 if k == 1 else info
+            return call
+
+        monkeypatch.setattr(oracle, "_dlasd4", failing)
         with pytest.raises(InternalConsistencyError, match="root 1 of 3"):
             oracle.normal_modes(oracle.FiniteBathModel(1.0, [0.5, 2.0], [0.1, 0.2]))
+
+
+class TestDlasd4:
+    """dlasd4 called through ctypes in numpy's OpenBLAS, against scipy's
+    wrapper of the same LAPACK routine."""
+
+    def test_ctypes_sweep_bit_identical_to_scipy(self):
+        from scipy.linalg import lapack
+
+        if oracle._bundled_dlasd4() is None:
+            pytest.skip("numpy's OpenBLAS does not export scipy_dlasd4_64_")
+        rng = np.random.default_rng(2000)
+        d = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 10.0, 2000))])
+        u = rng.normal(size=d.size)
+        eq = types.SimpleNamespace(d=d, u=u / np.linalg.norm(u), rho=0.37)
+        root = oracle._dlasd4(eq)
+        for k in range(d.size):
+            delta, sigma, work, info = root(k)
+            ref = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
+            assert info == ref[3] == 0
+            assert sigma == ref[1]
+            assert np.array_equal(delta, ref[0]) and np.array_equal(work, ref[2])
+        with pytest.raises(InternalConsistencyError, match="one length"):
+            oracle._dlasd4(types.SimpleNamespace(d=d, u=u[:-1], rho=0.37))
+
+    def test_scipy_fallback_gives_equal_modes(self, monkeypatch):
+        model = oracle.discretize(OhmicExp(amplitude=0.3, cutoff=5.0, omega_max=40.0),
+                                  UnitSystem(), 300)
+        fast = oracle.normal_modes(model)
+        monkeypatch.setattr(oracle, "_bundled_dlasd4", lambda: None)
+        slow = oracle.normal_modes(model)
+        for name in ("Omegas", "overlaps", "weights", "_rank", "_origin", "_offset"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
 
 
 def test_weights_path_memory(ohmic_ref, units):
@@ -261,7 +298,7 @@ def test_evolution_path_memory(units, monkeypatch):
     def no_solve(*args):
         raise AssertionError("evolve_reduced solved the secular equation")
 
-    monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(dlasd4=no_solve))
+    monkeypatch.setattr(oracle, "_dlasd4", no_solve)
     tracemalloc.start()
     try:
         traj = oracle.evolve_reduced(model, units, 1.0, 0.0, times, decomp=decomp)

@@ -1,8 +1,10 @@
-"""Spectrum families: construction rules, positivity, scaling, and the
+"""Spectrum families: construction rules, positivity, scaling, the
 one number rule (errors.checked) behind every scalar a model or a
-library entry point takes."""
+library entry point takes, and the numpy ports of the special
+functions against scipy.special."""
 
 import dataclasses
+import decimal
 import functools
 import math
 from dataclasses import replace
@@ -11,18 +13,25 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
-from dosc import dynamics, fano, oracle, weakcoupling
+from dosc import dynamics, fano, oracle, spectra, weakcoupling
 from dosc.errors import PositivityError, UsageError
 from dosc.spectra import (
+    DAWSON_TABLE_X,
+    OHMIC_ASYMPTOTIC_X,
+    OHMIC_SERIES_X,
     CouplingSpectrum,
     FlatBand,
     GaussianPeak,
     OhmicExp,
     Tabulated,
     UnitSystem,
+    dawsn,
+    ohmic_bracket,
     require_admissible,
+    xlogy,
 )
 
 U = UnitSystem()
@@ -305,3 +314,90 @@ def test_numpy_scalars_stored_as_python_numbers():
     assert np.array_equal(by_f32.pi, by_f64.pi)
     assert type(UnitSystem(omega0=np.int64(2)).omega0) is int
     assert type(oracle.FiniteBathModel(np.float32(1.0), [1.0], [0.5]).omega0) is float
+
+
+# ---------------------------------------------------------------------------
+# special functions: the numpy ports against scipy.special
+
+def _both_sides(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+
+
+def _dawson_maclaurin(x: float) -> float:
+    """D(x) = sum_n (-2)^n x^(2n+1) / (2n+1)!! in 40-digit decimal
+    arithmetic, for |x| < 1/4."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(x)
+        term = total = x
+        for n in range(1, 30):
+            term *= -2 * x * x / (2 * n + 1)
+            total += term
+        return float(total)
+
+
+def test_dawsn_port_matches_reference():
+    # every cell centre and edge of the table, its top, the asymptotic
+    # range out to 40, and dense points near 0, of both signs
+    x = np.concatenate([
+        np.geomspace(1e-300, 0.25, 200), np.linspace(0.0, 1.0, 401),
+        _both_sides(np.arange(0.0, DAWSON_TABLE_X + 0.01, 1 / 32)),
+        np.linspace(DAWSON_TABLE_X, 40.0, 801)])
+    x = np.concatenate([x, -x])
+    # scipy's own value is off by up to 1.8e-14 near |x| = 0.0105 (against
+    # mpmath), so below 1/4 the reference is the Maclaurin series
+    ref = special.dawsn(x)
+    small = np.abs(x) < 0.25
+    ref[small] = [_dawson_maclaurin(v) for v in x[small]]
+    got = dawsn(x)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    assert np.array_equal(dawsn(x.reshape(2, -1)), got.reshape(2, -1))
+    assert dawsn(0.3).shape == () and float(dawsn(0.3)) == dawsn(np.array([0.3]))[0]
+
+
+def test_ohmic_bracket_port_matches_scipy():
+    # g on (0, 50]: below the series switch (and under 1e-6), both sides
+    # of every cell edge, and the top
+    edges = OHMIC_SERIES_X * spectra._OHMIC_RATIO ** np.arange(spectra._OHMIC_CELLS + 1)
+    x = np.concatenate([np.geomspace(1e-300, OHMIC_ASYMPTOTIC_X, 2000),
+                        np.linspace(0.0, OHMIC_ASYMPTOTIC_X, 2001)[1:],
+                        _both_sides(edges), _both_sides([1e-6, 2.0])])
+    x = x[(x > 0.0) & (x <= OHMIC_ASYMPTOTIC_X)]
+    ref = x * (np.exp(-x) * special.expi(x) + np.exp(x) * special.exp1(x)) - 2.0
+    assert np.max(np.abs(ohmic_bracket(x) - ref)) <= 1e-13
+
+
+def test_xlogy_port_matches_scipy():
+    a = np.array([0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 2.0, 0.0, 3.0, np.nan])
+    b = np.array([0.0, np.inf, np.nan, 0.5, 0.0, 0.0, np.e, 0.5, np.inf, 1.0])
+    got, ref = xlogy(a, b), special.xlogy(a, b)
+    np.testing.assert_array_equal(got, ref)
+    assert np.array_equal(np.signbit(got[~np.isnan(ref)]), np.signbit(ref[~np.isnan(ref)]))
+    y = np.geomspace(1e-300, 1e300, 1001)
+    np.testing.assert_allclose(xlogy(np.full_like(y, 0.7), y), special.xlogy(0.7, y),
+                               rtol=4e-16, atol=0.0)
+
+
+def test_tabulated_dispersion_finite_and_continuous_at_interior_nodes():
+    # there the log term multiplies a bracket that vanishes: xlogy(0, 0)
+    spec = Tabulated(omegas=[0.0, 0.5, 1.0, 1.5, 2.0], values=[0.0, 0.2, 0.1, 0.15, 0.0])
+    nodes = np.array([0.5, 1.0, 1.5])
+    at = spec.dispersion(nodes)
+    assert np.all(np.isfinite(at))
+    for side in (-1e-9, 1e-9):
+        assert np.max(np.abs(spec.dispersion(nodes + side) - at)) < 1e-6
+
+
+def test_special_functions_at_extreme_arguments():
+    # as in scipy, and no RuntimeWarning (an error under the suite's filter)
+    x = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, np.inf, -np.inf, np.nan])
+    got, ref = dawsn(x), special.dawsn(x)
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    assert np.array_equal(np.signbit(got[:-1]), np.signbit(ref[:-1]))
+    w = np.array([0.0, 1e-300, 250.0, np.nextafter(250.0, 1e3), 1e300, np.inf])
+    ohmic = OhmicExp(amplitude=0.3, cutoff=5.0).dispersion(w)
+    assert np.all(np.isfinite(ohmic)) and ohmic[0] == ohmic[1] == -2.0 * 0.09 * 5.0
+    assert ohmic[-1] == ohmic[-2] == 0.0
+    peak = GaussianPeak(amplitude=0.1, center=1.5, width=0.1).dispersion(np.array([1e300, np.inf]))
+    assert np.array_equal(peak, [0.0, 0.0])
