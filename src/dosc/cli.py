@@ -14,8 +14,8 @@ anyway; a third-party import must not be deferred into a command, since
 it then lands inside the command's time rather than start-up.  Instead,
 no run-path module imports any of scipy (the CLI stack then loads about
 230 modules, against 579 with scipy.special and scipy.linalg.lapack):
-Simpson's rule and Brent's root finder are ported into fano,
-bit-identical to scipy's; the Lorentzian fit is a small
+Simpson's rule is fano.simpson_weights, and Brent's root finder is
+ported into fano, bit-identical to scipy's; the Lorentzian fit is a small
 Levenberg-Marquardt in weakcoupling; xlogy, Dawson's integral and the
 ohmic Ei/E1 bracket are numpy ports in spectra; and oracle calls
 LAPACK's dlasd4 in the OpenBLAS bundled with numpy, through ctypes.
@@ -79,7 +79,7 @@ _OPTIONS = {
         "x0": (1.0, "number"),
         "p0": (0.0, "number"),
         "alias_mass_tol": (1e-6, "number >= 0"),  # fano.ALIAS_MASS_TOL
-        "scan_window": (None, "number"),
+        "scan_window": (None, "number > 0"),
         "resolution": (1e-3, "number >= 0"),  # classify_damping's default
     },
     "oracle": {
@@ -274,19 +274,16 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     sol = fano.solve(spec, cfg.units, **cfg.grid)
     sol.to_csv(out / "pi.csv")
     w0 = cfg.units.omega0
-    w = sol.omegas
-    # fano.simpson (scipy's operation order) rather than the solution's
-    # weights: the summed order differs in the last bit, and these
-    # numbers re-derive bit-identically from the written pi.csv with
-    # scipy.integrate.simpson
-    norm_defect = float(fano.simpson(sol.pi, w)) - 1.0
-    sum_defect = float(fano.simpson((w ** 2) * sol.pi, w)) / (w0 * w0) - 1.0
+    # moments of the solution's own measure, the ones that certified it
+    # and that every observable is built from
+    norm_defect = fano.frequency_moment(sol, 0) - 1.0
+    sum_defect = fano.frequency_moment(sol, 2) / (w0 * w0) - 1.0
     summary = {
-        "n_nodes": int(w.size),
+        "n_nodes": int(sol.omegas.size),
         "norm_defect": norm_defect,
         "sum_rule_defect": sum_defect,
-        "mean_frequency": float(fano.simpson(w * sol.pi, w)),
-        "mean_inverse_frequency": float(fano.simpson((w ** -1) * sol.pi, w)),
+        "mean_frequency": fano.frequency_moment(sol, 1),
+        "mean_inverse_frequency": fano.frequency_moment(sol, -1),
     }
     _write_json(out / "summary.json", summary)
     print(f"norm defect     = {norm_defect:.17g}")
@@ -358,7 +355,9 @@ def cmd_dynamics(cfg: RunConfig, out: Path) -> int:
         ts = np.linspace(0.0, t.t_max, t.n_times)
 
     sol = fano.solve(spec, cfg.units, **cfg.grid)
-    sol = fano.refine_for_times(sol, float(t.t_max), mass_tol=t.alias_mass_tol)
+    # the damping scan may look past t_max, and the grid must resolve it too
+    horizon = t.t_max if t.scan_window is None else max(t.t_max, t.scan_window)
+    sol = fano.refine_for_times(sol, float(horizon), mass_tol=t.alias_mass_tol)
     kern = dynamics.kernels(sol, ts)
     kern.to_csv(out / "kernels.csv")
     traj = dynamics.mean_trajectory(kern, t.x0, t.p0, cfg.units)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import (AliasingError, ConvergenceError, OutsideSupportError,
-                     UsageError)
+                     UsageError, checked)
 from .quadrature import cauchy_pv, integrate
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
@@ -108,7 +108,11 @@ class SpectralSolution:
     re-supplying context.  ``alias_mass_tol`` is the spectral mass the
     anti-aliasing gate lets intervals wider than the bound carry, set
     by refine_for_times.  ``weights`` is the Simpson weight of each
-    node times pi, fixed at construction.  Instances are immutable.
+    node times pi, fixed at construction, and so are the two defects
+    refinement certifies, moments over those weights:
+    ``norm_defect = |<<1>> - 1|`` and
+    ``sum_defect = |<<omega^2>> - omega0^2| / omega0^2``.  Instances
+    are immutable.
     """
 
     grid: SpectralGrid
@@ -116,15 +120,20 @@ class SpectralSolution:
     alpha_sq: np.ndarray
     beta_ratio: np.ndarray
     pi: np.ndarray
-    norm_defect: float
     spec: CouplingSpectrum
     units: UnitSystem
     alias_mass_tol: float = ALIAS_MASS_TOL
     meta: dict = field(default_factory=dict, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
+    norm_defect: float = field(init=False)
+    sum_defect: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", simpson_weights(self.nodes) * self.pi)
+        w0sq = self.omega0 * self.omega0
+        object.__setattr__(self, "norm_defect", abs(frequency_moment(self, 0) - 1.0))
+        object.__setattr__(self, "sum_defect",
+                           abs(frequency_moment(self, 2) - w0sq) / w0sq)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -162,32 +171,6 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
         w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
         w[-3] -= b**3 / (6.0 * a * (a + b))
     return w
-
-
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of samples y over strictly increasing
-    nodes x, at least 3 of them: a 1-d port of scipy.integrate.simpson
-    that keeps its operation order, so the result is bit-identical.
-    Interval pairs are summed by one np.sum; for an even node count the
-    last interval gets Cartwright's parabolic correction."""
-    n = x.size
-    stop = n - 2 if n % 2 else n - 3     # intervals covered by pairs
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if n % 2 == 0:
-        # 0-d arrays, as scipy has them: numpy's power rounds b ** 3
-        # differently for a float64 scalar (about 5% of values)
-        a, b = h[-2:-1].reshape(()), h[-1:].reshape(())
-        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
-        eta = (1 * b ** 3) / (6 * a * (a + b))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, *,
@@ -406,6 +389,14 @@ def _assemble(spec, units, nodes):
     return Y, alpha_sq, beta, pi
 
 
+def _solution(spec, units, nodes, grid_meta, **kwargs) -> SpectralSolution:
+    """The solution assembled on ``nodes``; ``kwargs`` go to SpectralSolution."""
+    Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
+    return SpectralSolution(grid=SpectralGrid(nodes, meta=dict(grid_meta)), Y=Y,
+                            alpha_sq=alpha_sq, beta_ratio=beta, pi=pi, spec=spec,
+                            units=units, **kwargs)
+
+
 def dressing(spec: CouplingSpectrum, units: UnitSystem, omegas):
     """Y, |alpha|^2, beta/alpha and pi at frequencies strictly inside the
     coupling support, as arrays.
@@ -448,36 +439,23 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     """Evaluate pi on the grid and refine until the normalisation and the
     omega^2 sum rule both hold to tolerance.
 
-    Raises ConvergenceError with diagnostics if the node budget runs out.
-    A defect that stalls once the grid is dense means weight the grid
-    cannot reach: a tail cut off by omega_max on an unbounded support, or
-    a bound state outside a bounded one.
+    Raises ConvergenceError with diagnostics if the round or node budget
+    runs out.  A defect that stalls once the grid is dense means weight
+    the grid cannot reach: a tail cut off by omega_max on an unbounded
+    support, or a bound state outside a bounded one.
     """
     _require_coupled(spec)
     require_admissible(spec, units)
-    w0 = units.omega0
+    checked(max_rounds, "integer >= 1", "max_rounds")
 
     nodes = grid.nodes
-
-    defect = math.inf
-    sum_defect = math.inf
-    for round_no in range(max_rounds):
-        Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
-        norm = float(simpson(pi, nodes))
-        m2 = float(simpson(pi * nodes * nodes, nodes))
-        defect = abs(norm - 1.0)
-        sum_defect = abs(m2 - w0 * w0) / (w0 * w0)
-
+    for rounds in range(max_rounds):
+        sol = _solution(spec, units, nodes, grid.meta,
+                        meta={"rounds": rounds, "nodes": int(nodes.size)})
+        pi = sol.pi
         jumps = np.abs(np.diff(pi)) > 0.01 * pi.max()
-        converged = defect <= norm_tol and sum_defect <= sum_tol and not jumps.any()
-        if converged:
-            sol_grid = SpectralGrid(nodes, meta=dict(grid.meta))
-            return SpectralSolution(
-                grid=sol_grid, Y=Y, alpha_sq=alpha_sq, beta_ratio=beta, pi=pi,
-                norm_defect=defect, spec=spec, units=units,
-                meta={"rounds": round_no, "nodes": int(nodes.size),
-                      "sum_defect": sum_defect},
-            )
+        if sol.norm_defect <= norm_tol and sol.sum_defect <= sum_tol and not jumps.any():
+            return sol
 
         err = _interval_error_indicator(nodes, pi, units)
         budget_per_interval = 0.25 * min(norm_tol, sum_tol) / err.size
@@ -485,21 +463,29 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
         if not marked.any():
             order = np.argsort(err)[::-1]
             marked[order[:256]] = True
-        # Largest offenders first if the budget cannot take them all.
         room = max_nodes - nodes.size
+        if room <= 0:
+            break
+        # Largest offenders first if the budget cannot take them all.
         idx = np.flatnonzero(marked)
         if idx.size > room:
-            if room <= 0:
-                break
             keep = np.argsort(err[idx])[::-1][:room]
             idx = idx[keep]
         mids = 0.5 * (nodes[idx] + nodes[idx + 1])
         nodes = np.sort(np.concatenate([nodes, mids]))
+    else:
+        rounds = max_rounds
 
-    if math.isfinite(spec.support_upper):
+    if rounds < max_rounds:
+        guidance = (f"the node budget grid.max_nodes = {max_nodes} ran out after "
+                    f"{rounds} of {max_rounds} refinement rounds, with "
+                    f"{int(jumps.sum())} intervals still failing the jump test (pi "
+                    "changing by more than 1% of its peak across one interval); "
+                    "raise grid.max_nodes")
+    elif math.isfinite(spec.support_upper):
         # omega_max cannot cut a bounded support (spectra refuses that), so
         # the missing mass is not in a truncated tail
-        guidance = (f"if the defect has stalled, about {defect:.3g} of the "
+        guidance = (f"if the defect has stalled, about {sol.norm_defect:.3g} of the "
                     "spectral mass lies outside the coupling support: a point "
                     "mass (bound state) of the dressed oscillator, which the "
                     "grid cannot hold; raising omega_max does not help")
@@ -509,8 +495,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     raise ConvergenceError(
         "grid refinement exhausted its budget before reaching tolerance",
         detail={
-            "norm_defect": defect, "sum_defect": sum_defect,
-            "nodes": int(nodes.size), "rounds": max_rounds,
+            "norm_defect": sol.norm_defect, "sum_defect": sol.sum_defect,
+            "nodes": int(nodes.size), "rounds": rounds,
             "guidance": guidance,
         },
     )
@@ -566,12 +552,12 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
         return replace(sol, alias_mass_tol=mass_tol)
     spec, units = sol.spec, sol.units
     h_max = ALIAS_LIMIT / t_max
-    nodes = sol.omegas
-    Y, alpha_sq, beta, pi = sol.Y, sol.alpha_sq, sol.beta_ratio, sol.pi
+    refined = sol
 
     added = 0
     for _ in range(40):
-        h, masses, violating = _intervals(nodes, pi, t_max)
+        nodes = refined.nodes
+        h, masses, violating = _intervals(nodes, refined.pi, t_max)
         total = masses.sum()
         if not violating.any() or masses[violating].sum() <= mass_tol * total:
             break
@@ -597,18 +583,11 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
                 detail={"t_max": t_max, "new_nodes": added,
                         "guidance": "shorten the time span"},
             )
-        nodes = np.sort(np.concatenate([nodes, new_nodes]))
-        Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
+        refined = _solution(spec, units, np.sort(np.concatenate([nodes, new_nodes])),
+                            sol.grid.meta)
 
-    norm = float(simpson(pi, nodes))
-    meta = dict(sol.meta)
-    meta.update({"refined_for_t_max": t_max, "nodes": int(nodes.size)})
-    return SpectralSolution(
-        grid=SpectralGrid(nodes, meta=dict(sol.grid.meta)),
-        Y=Y, alpha_sq=alpha_sq, beta_ratio=beta, pi=pi,
-        norm_defect=abs(norm - 1.0), spec=spec, units=units,
-        alias_mass_tol=mass_tol, meta=meta,
-    )
+    meta = {**sol.meta, "refined_for_t_max": t_max, "nodes": int(refined.nodes.size)}
+    return replace(refined, alias_mass_tol=mass_tol, meta=meta)
 
 
 def require_alias_bound(sol: SpectralSolution, t_max: float) -> None:

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from dosc.cli import main
 
@@ -149,7 +148,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("item", [
         'time.t_max="abc"', "time.t_max=NaN", 'time.t_min="abc"',
         'time.x0="abc"', "time.x0=null", "time.p0=Infinity",
-        'time.scan_window="abc"', "time.resolution=-1",
+        'time.scan_window="abc"', "time.scan_window=0", "time.scan_window=-1",
+        "time.resolution=-1",
         'time.resolution="abc"', "time.alias_mass_tol=-1",
         "tolerances.rel_var=-0.1", 'tolerances.rel_var="abc"',
         "tolerances.histogram_l1=NaN", 'oracle.bath_omega_max="abc"',
@@ -273,17 +273,40 @@ class TestSpectrumCommand:
         assert abs(summary["sum_rule_defect"]) <= 1e-6
 
     def test_outputs_rederive_bit_identically(self, capsys, tmp_path):
+        # every number is a moment of the solution's measure, the Simpson
+        # weights of the nodes times pi, rebuilt here from pi.csv
+        from dosc import fano
+
         rc, _, _ = run(capsys, "spectrum",
                        "--config", str(CONFIGS / "flat_band.json"),
                        "--out", str(tmp_path))
         assert rc == 0
         data = np.loadtxt(tmp_path / "pi.csv", delimiter=",", skiprows=1)
         w, pi = data[:, 0], data[:, 4]
+        weights = fano.simpson_weights(w) * pi
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert float(simpson(pi, x=w)) - 1.0 == summary["norm_defect"]
-        assert float(simpson((w ** 2) * pi, x=w)) - 1.0 == summary["sum_rule_defect"]
-        assert float(simpson(w * pi, x=w)) == summary["mean_frequency"]
-        assert float(simpson((w ** -1) * pi, x=w)) == summary["mean_inverse_frequency"]
+        assert weights @ w ** 0 - 1.0 == summary["norm_defect"]
+        assert weights @ w ** 2 - 1.0 == summary["sum_rule_defect"]
+        assert weights @ w ** 1 == summary["mean_frequency"]
+        assert weights @ w ** -1 == summary["mean_inverse_frequency"]
+
+    @pytest.mark.parametrize("config", ["flat_band", "near_critical",
+                                        "ohmic_reference", "weak_line"])
+    def test_summary_moments_are_the_groundstate_moments(self, capsys, tmp_path,
+                                                         config):
+        # the certified numbers and the observables built on them come
+        # from one measure: with hbar = m = 1, var_x = <<1/omega>>/2 and
+        # var_p = <<omega>>/2 exactly
+        path = str(CONFIGS / f"{config}.json")
+        assert json.loads(Path(path).read_text())["units"] == {
+            "omega0": 1.0, "mass": 1.0, "hbar": 1.0}
+        for cmd in ("spectrum", "groundstate"):
+            rc, _, err = run(capsys, cmd, "--config", path, "--out", str(tmp_path))
+            assert rc == 0, err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        doc = json.loads((tmp_path / "groundstate.json").read_text())
+        assert summary["mean_inverse_frequency"] == 2 * doc["var_x"]
+        assert summary["mean_frequency"] == 2 * doc["var_p"]
 
     def test_deterministic_reruns(self, capsys, tmp_path):
         for sub in ("a", "b"):
@@ -411,6 +434,16 @@ class TestDynamicsCommand:
                                for out in outs)
             assert np.array_equal(shipped[:, 0], direct[:, 0])
             assert np.max(np.abs(shipped - direct)) <= 1e-12
+
+    def test_scan_window_past_t_max(self, capsys, tmp_path):
+        # the grid is refined for the longer of t_max and the scan window;
+        # refined for t_max = 30 alone it fails the alias bound at 60
+        rc, _, err = run(capsys, "dynamics",
+                         "--config", str(CONFIGS / "ohmic_reference.json"),
+                         "--override", "time.scan_window=60", "--out", str(tmp_path))
+        assert rc == 0, err
+        damping = json.loads((tmp_path / "damping.json").read_text())
+        assert damping["scan_window"] == 60
 
     def test_requires_t_max(self, capsys, tmp_path):
         rc, _, err = run(capsys, "dynamics",
@@ -610,7 +643,9 @@ class TestEnvironment:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
     def test_module_entry_point(self, tmp_path):
-        env = dict(os.environ, DOSC_THREADS="1")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, DOSC_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dosc", "groundstate",
              "--config", str(CONFIGS / "uncoupled.json"),
