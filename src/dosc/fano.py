@@ -457,15 +457,15 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
         if sol.norm_defect <= norm_tol and sol.sum_defect <= sum_tol and not jumps.any():
             return sol
 
+        room = max_nodes - nodes.size
+        if room <= 0 or rounds + 1 == max_rounds:   # no nodes left, or no round to evaluate them
+            break
         err = _interval_error_indicator(nodes, pi, units)
         budget_per_interval = 0.25 * min(norm_tol, sum_tol) / err.size
         marked = jumps | (err > budget_per_interval)
         if not marked.any():
             order = np.argsort(err)[::-1]
             marked[order[:256]] = True
-        room = max_nodes - nodes.size
-        if room <= 0:
-            break
         # Largest offenders first if the budget cannot take them all.
         idx = np.flatnonzero(marked)
         if idx.size > room:
@@ -473,10 +473,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
             idx = idx[keep]
         mids = 0.5 * (nodes[idx] + nodes[idx + 1])
         nodes = np.sort(np.concatenate([nodes, mids]))
-    else:
-        rounds = max_rounds
 
-    if rounds < max_rounds:
+    if room <= 0:
         guidance = (f"the node budget grid.max_nodes = {max_nodes} ran out after "
                     f"{rounds} of {max_rounds} refinement rounds, with "
                     f"{int(jumps.sum())} intervals still failing the jump test (pi "
@@ -496,7 +494,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
         "grid refinement exhausted its budget before reaching tolerance",
         detail={
             "norm_defect": sol.norm_defect, "sum_defect": sol.sum_defect,
-            "nodes": int(nodes.size), "rounds": rounds,
+            "nodes": int(nodes.size), "rounds": rounds if room <= 0 else max_rounds,
             "guidance": guidance,
         },
     )

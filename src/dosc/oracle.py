@@ -25,8 +25,8 @@ secular equation, one per interlacing bracket, found by LAPACK's
 dlasd4 as offsets from the nearest pole; the weights and eigenvector
 columns follow in closed form from those offsets.  That is O(N^2) time
 and O(N) memory: one sweep keeps each root's pole and offset, and an
-evolution rebuilds the eigenvector columns a block of roots at a time
-instead of holding the (N+1) x (N+1) matrix.  dlasd4 is called through
+evolution rebuilds the eigenvector entries a block of bath rows at a
+time instead of holding the (N+1) x (N+1) matrix.  dlasd4 is called through
 ctypes in the OpenBLAS bundled with numpy, so that no command imports
 scipy for it; scipy's wrapper is the fallback where numpy's library
 does not export it.
@@ -54,12 +54,12 @@ from .errors import InternalConsistencyError, PositivityError, UsageError, check
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
-# evolve_reduced rebuilds the eigenvector columns _ROOTS at a time and
-# sums them into an accumulator of 2 _TIMES columns: 4 MB of columns and
-# at most 33 MB of accumulator at N = 4000, whatever the number of times.
-# Each block of times rebuilds all N columns (about 0.09 s at N = 4000),
-# so a block holds the 399 times of scripts/relaxation_demo.py
-_ROOTS = 128
+# evolve_reduced rebuilds the inverse gaps of _ROWS kept poles at a time
+# against every root (4 MB at N = 4000) and multiplies them by the cosines
+# and sines of up to _TIMES times (33 MB at N = 4000).  Each block of
+# times rebuilds all N rows (about 0.08 s at N = 4000), so a block holds
+# the 399 times of scripts/relaxation_demo.py
+_ROWS = 128
 _TIMES = 512
 
 
@@ -261,8 +261,8 @@ class NormalModeDecomposition:
 
     ``eigenvectors``, the full matrix O (columns, first row
     ``overlaps``), is built on first access from the roots' offsets and
-    then kept; only the tests read it.  Evolution rebuilds the columns
-    it needs a block at a time.
+    then kept; only the tests read it.  Evolution rebuilds the rows it
+    needs a block at a time from the same inverse gaps.
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of
     measure as a continuum solution, for fano.moment and the dynamics
@@ -286,43 +286,44 @@ class NormalModeDecomposition:
     def omega0(self) -> float:
         return self.model.omega0
 
-    def _columns(self, roots: slice) -> np.ndarray:
-        """Unnormalised eigenvector columns (1, -z_j/(omega_j^2 - Omega_k^2))
-        of a block of roots, over the oscillator then the coupled bath
-        modes (``_secular.coupled``); every other component is 0.
+    def _inverse_gaps(self):
+        """g = 1/(omega_j^2 - Omega_k^2) for _ROWS kept poles omega_j
+        (rows) at a time against every root Omega_k (columns, in root
+        order), each block written over the last, with the slice of the
+        coupled bath modes (``_secular.coupled``) whose poles it holds and
+        the row of each.  Root k's eigenvector is overlaps[k] (1, -z_j g)
+        over the oscillator then the coupled bath modes, 0 elsewhere.
 
-        omega_j - Omega_k is formed as dlasd4 forms it, as
-        (omega_j - d_o) - offset from the pole d_o the root was measured
-        from (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172),
-        so it is accurate even next to d_o; omega_j + Omega_k adds two
-        positive numbers.  Their product is then accurate too, and the
-        columns come out orthogonal to about 1e-13 without recomputing z
-        by Loewner's formula (Stor, Slapnicar & Barlow, Linear Algebra
-        Appl. 464 (2015)).  The columns scaled by ``overlaps`` are those
-        of O.
+        omega_j - Omega_k is formed as dlasd4 forms it, as (omega_j - d_o)
+        - offset from the pole d_o the root was measured from (Gu &
+        Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172), so it is
+        accurate even next to d_o; omega_j + Omega_k adds two positive
+        numbers.  The eigenvectors then come out orthogonal to about
+        1e-13 without recomputing z by Loewner's formula (Stor, Slapnicar
+        & Barlow, Linear Algebra Appl. 464 (2015)).
         """
         eq = self._secular
-        poles = eq.d[1:, None]
-        gap = poles - eq.d[self._origin[roots]]
-        gap -= self._offset[roots]
-        gap *= poles + self.Omegas[self._rank[:self._origin.size][roots]]
-        if eq.runs:
-            gap = gap[eq.pole_of]
-        cols = np.empty((1 + eq.coupled.size, gap.shape[1]))
-        cols[0] = 1.0
-        np.divide(-self.model.border[eq.coupled, None], gap, out=cols[1:])
-        return cols
+        roots = self.Omegas[self._rank[:eq.d.size]]
+        origin = eq.d[self._origin]
+        buf = np.empty((min(_ROWS, eq.tau.size), roots.size))
+        for lo in range(0, eq.tau.size, _ROWS):
+            poles = eq.d[1 + lo:1 + lo + _ROWS, None]
+            g = np.subtract(poles, origin, out=buf[:poles.shape[0]])
+            g -= self._offset
+            g *= poles + roots
+            bath = slice(*np.searchsorted(eq.pole_of, [lo, lo + g.shape[0]]))
+            yield bath, eq.pole_of[bath] - lo, np.reciprocal(g, out=g)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
         eq, rank = self._secular, self._rank
         o = np.zeros((rank.size, rank.size))
-        rows = np.concatenate([[0], 1 + eq.coupled])
         at = eq.d.size
-        for lo in range(0, at, _ROOTS):
-            blk = slice(lo, lo + _ROOTS)
-            kept = rank[:at][blk]
-            o[np.ix_(rows, kept)] = self._columns(blk) * self.overlaps[kept]
+        kept = rank[:at]
+        o[0, kept] = self.overlaps[kept]
+        z = self.model.border[eq.coupled]
+        for bath, pole, g in self._inverse_gaps():
+            o[np.ix_(1 + eq.coupled[bath], kept)] = -z[bath, None] * g[pole] * o[0, kept]
         o[1 + eq.loose, rank[at:at + eq.loose.size]] = 1.0
         at += eq.loose.size
         for members, basis in eq.runs:
@@ -485,10 +486,11 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     c = O (a cos(Omega t)), s = O (a sin(Omega t)/Omega) and
     d = O (a Omega sin(Omega t)) = K s, with O the eigenvectors and a
     the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
-    c and s are sums over the coupled roots of those unnormalised
-    columns times pi_k cos and pi_k sin/Omega, accumulated a block of
-    roots and a block of times at a time; deflated modes have a_k = 0
-    and drop out.  d follows from the arrowhead K in O(N) per time.
+    a block of times puts pi_k cos and pi_k sin/Omega of every coupled
+    root in one matrix F, whose column sums are the oscillator's c and
+    s; each block of _ROWS coupled bath modes takes its rows of c and s
+    from one product with F, its d from the arrowhead K, and adds its
+    share of the covariance.  Deflated modes have a_k = 0 and drop out.
     O is never held: the memory is O(N) per time of a block.
     """
     if decomp is None:
@@ -500,49 +502,49 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     # the oscillator and the coupled bath modes; the others stay at rest
     bare = np.concatenate([[model.omega0], model.bath_freqs[eq.coupled]])
     z = model.border[eq.coupled]
-    hbar = units.hbar
-    var_x0 = hbar / (2.0 * bare)   # mass-reduced
-    var_p0 = hbar * bare / 2.0
+    var_x0 = units.hbar / (2.0 * bare)   # mass-reduced
+    var_p0 = units.hbar * bare / 2.0
+
+    def share(c, s, d, modes):   # these rows' share of var_x, var_p and cov_xp
+        vx, vp = var_x0[modes], var_p0[modes]
+        return (vx @ (c * c) + vp @ (s * s), vx @ (d * d) + vp @ (c * c),
+                vp @ (c * s) - vx @ (c * d))
 
     x0r = x0 * math.sqrt(units.mass)
     p0r = p0 / math.sqrt(units.mass)
 
     ts = np.asarray(times, dtype=float)
-    mean_x = np.empty_like(ts)
-    mean_p = np.empty_like(ts)
-    var_x = np.empty_like(ts)
-    var_p = np.empty_like(ts)
-    cov_xp = np.empty_like(ts)
+    out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
+    trig = np.empty((om.size, 2 * min(_TIMES, ts.size)))
+    rows = np.empty((min(_ROWS, eq.tau.size), trig.shape[1]))
     for lo in range(0, ts.size, _TIMES):
         blk = slice(lo, lo + _TIMES)
-        acc = np.zeros((bare.size, 2 * ts[blk].size))
-        for r in range(0, kept.size, _ROOTS):
-            roots = slice(r, r + _ROOTS)
-            phase = np.outer(om[roots], ts[blk])
-            acc += decomp._columns(roots) @ np.hstack([
-                pi[roots, None] * np.cos(phase),
-                (pi[roots] / om[roots])[:, None] * np.sin(phase),
-            ])
-        c, s = np.split(acc, 2, axis=1)
-        d = (bare**2)[:, None] * s
-        d[0] += z @ s[1:]
-        d[1:] += z[:, None] * s[0]
-        mean_x[blk] = c[0] * x0r + s[0] * p0r
-        mean_p[blk] = -d[0] * x0r + c[0] * p0r
-        var_x[blk] = var_x0 @ (c * c) + var_p0 @ (s * s)
-        var_p[blk] = var_x0 @ (d * d) + var_p0 @ (c * c)
-        cov_xp[blk] = var_p0 @ (c * s) - var_x0 @ (c * d)
-        # free this block's rows before the next block allocates its own
-        del acc, c, s, d
+        n_t = ts[blk].size
+        F = trig[:, :2 * n_t]
+        cos, sin = F[:, :n_t], F[:, n_t:]
+        np.multiply.outer(om, ts[blk], out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        cos *= pi[:, None]
+        sin *= (pi / om)[:, None]
+        c0, s0 = np.split(F.sum(axis=0, keepdims=True), 2, axis=1)
+        d0 = bare[0]**2 * s0
+        for bath, pole, g in decomp._inverse_gaps():
+            cs = np.matmul(g, F, out=rows[:g.shape[0], :2 * n_t])
+            if eq.runs:
+                cs = cs[pole]
+            cs *= -z[bath, None]
+            c, s = np.split(cs, 2, axis=1)
+            modes = slice(1 + bath.start, 1 + bath.stop)
+            d = (bare[modes]**2)[:, None] * s + z[bath, None] * s0
+            d0 += z[bath] @ s
+            out[2:, blk] += share(c, s, d, modes)
+        out[:2, blk] = np.vstack([c0 * x0r + s0 * p0r, -d0 * x0r + c0 * p0r])
+        out[2:, blk] += share(c0, s0, d0, slice(1))
+    mean_x, mean_p, var_x, var_p, cov_xp = out
     rm = units.mass
-    return ReducedTrajectory(
-        times=ts,
-        mean_x=mean_x / math.sqrt(rm),
-        mean_p=mean_p * math.sqrt(rm),
-        var_x=var_x / rm,
-        var_p=var_p * rm,
-        cov_xp=cov_xp,
-    )
+    return ReducedTrajectory(ts, mean_x / math.sqrt(rm), mean_p * math.sqrt(rm),
+                             var_x / rm, var_p * rm, cov_xp)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,21 @@ def test_node_budget_stop_is_reported_as_such():
     assert "omega_max" in exc.value.detail["guidance"]
 
 
+def test_round_budget_stop_reports_the_evaluated_grid():
+    # the last round refines nothing: the detail describes the grid pi
+    # was evaluated on, not one with midpoints it never saw
+    spec = OhmicExp(amplitude=math.sqrt(0.1), cutoff=5.0)
+    grid = build_grid(spec, U)
+    with pytest.raises(ConvergenceError) as exc:
+        compute_pi(spec, U, grid, max_rounds=1)
+    detail = exc.value.detail
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert detail["rounds"] == 1 and detail["nodes"] == grid.nodes.size
+    measured = fano._solution(spec, U, grid.nodes, grid.meta)
+    assert detail["norm_defect"] == measured.norm_defect
+    assert detail["sum_defect"] == measured.sum_defect
+
+
 def test_csv_round_trip(tmp_path, flat_mid):
     _, sol = flat_mid
     path = tmp_path / "sol.csv"
