@@ -24,9 +24,10 @@ never formed to be diagonalised.  Its eigenvalues are the roots of a
 secular equation, one per interlacing bracket, found by LAPACK's
 dlasd4 as offsets from the nearest pole; the weights and eigenvector
 columns follow in closed form from those offsets.  That is O(N^2) time
-and O(N) memory: one sweep keeps each root's pole and offset, and an
-evolution rebuilds the eigenvector entries a block of bath rows at a
-time instead of holding the (N+1) x (N+1) matrix.  dlasd4 is called through
+and O(N) memory: one sweep keeps each root's pole and offset; an
+evolution sums eigenvector entries exactly over near roots and by
+Chebyshev proxies over far ones (Fong & Darve, J. Comput. Phys. 228
+(2009) 8712), never holding the (N+1)^2 matrix.  dlasd4 is called through
 ctypes in the OpenBLAS bundled with numpy, so that no command imports
 scipy for it; scipy's wrapper is the fallback where numpy's library
 does not export it.
@@ -54,12 +55,11 @@ from .errors import InternalConsistencyError, PositivityError, UsageError, check
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
-# evolve_reduced rebuilds the inverse gaps of _ROWS kept poles at a time
-# against every root (4 MB at N = 4000) and multiplies them by the cosines
-# and sines of up to _TIMES times (33 MB at N = 4000).  Each block of
-# times rebuilds all N rows (about 0.08 s at N = 4000), so a block holds
-# the 399 times of scripts/relaxation_demo.py
-_ROWS = 128
+# evolve_reduced interpolates the inverse gaps of a block of poles over a
+# box of roots a box width or more away at _CHEB Chebyshev points, to
+# (3 + sqrt 8)^-_CHEB of their size.  A block of up to _TIMES times holds
+# the 399 of scripts/relaxation_demo.py (4 MB of proxies at N = 4000)
+_CHEB = 20
 _TIMES = 512
 
 
@@ -261,8 +261,8 @@ class NormalModeDecomposition:
 
     ``eigenvectors``, the full matrix O (columns, first row
     ``overlaps``), is built on first access from the roots' offsets and
-    then kept; only the tests read it.  Evolution rebuilds the rows it
-    needs a block at a time from the same inverse gaps.
+    then kept; only the tests read it.  Evolution takes the same
+    inverse gaps, a block of rows against nearby roots at a time.
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of
     measure as a continuum solution, for fano.moment and the dynamics
@@ -286,13 +286,11 @@ class NormalModeDecomposition:
     def omega0(self) -> float:
         return self.model.omega0
 
-    def _inverse_gaps(self):
-        """g = 1/(omega_j^2 - Omega_k^2) for _ROWS kept poles omega_j
-        (rows) at a time against every root Omega_k (columns, in root
-        order), each block written over the last, with the slice of the
-        coupled bath modes (``_secular.coupled``) whose poles it holds and
-        the row of each.  Root k's eigenvector is overlaps[k] (1, -z_j g)
-        over the oscillator then the coupled bath modes, 0 elsewhere.
+    def _inverse_gaps(self, rows: slice, roots: slice) -> np.ndarray:
+        """g = 1/(omega_j^2 - Omega_k^2) for the kept poles omega_j =
+        ``_secular.d[1:][rows]`` against the roots Omega_k in root order
+        ``roots``.  Root k's eigenvector is overlaps[k] (1, -z_j g) over
+        the oscillator then the coupled bath modes, 0 elsewhere.
 
         omega_j - Omega_k is formed as dlasd4 forms it, as (omega_j - d_o)
         - offset from the pole d_o the root was measured from (Gu &
@@ -303,16 +301,11 @@ class NormalModeDecomposition:
         & Barlow, Linear Algebra Appl. 464 (2015)).
         """
         eq = self._secular
-        roots = self.Omegas[self._rank[:eq.d.size]]
-        origin = eq.d[self._origin]
-        buf = np.empty((min(_ROWS, eq.tau.size), roots.size))
-        for lo in range(0, eq.tau.size, _ROWS):
-            poles = eq.d[1 + lo:1 + lo + _ROWS, None]
-            g = np.subtract(poles, origin, out=buf[:poles.shape[0]])
-            g -= self._offset
-            g *= poles + roots
-            bath = slice(*np.searchsorted(eq.pole_of, [lo, lo + g.shape[0]]))
-            yield bath, eq.pole_of[bath] - lo, np.reciprocal(g, out=g)
+        poles = eq.d[1:][rows, None]
+        g = np.subtract(poles, eq.d[self._origin[roots]])
+        g -= self._offset[roots]
+        g *= poles + self.Omegas[self._rank[:eq.d.size][roots]]
+        return np.reciprocal(g, out=g)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -322,8 +315,10 @@ class NormalModeDecomposition:
         kept = rank[:at]
         o[0, kept] = self.overlaps[kept]
         z = self.model.border[eq.coupled]
-        for bath, pole, g in self._inverse_gaps():
-            o[np.ix_(1 + eq.coupled[bath], kept)] = -z[bath, None] * g[pole] * o[0, kept]
+        for lo in range(0, eq.tau.size, 4 * _CHEB):
+            bath = slice(*np.searchsorted(eq.pole_of, [lo, lo + 4 * _CHEB]))
+            g = self._inverse_gaps(slice(lo, lo + 4 * _CHEB), slice(None))
+            o[np.ix_(1 + eq.coupled[bath], kept)] = -z[bath, None] * g[eq.pole_of[bath] - lo] * o[0, kept]
         o[1 + eq.loose, rank[at:at + eq.loose.size]] = 1.0
         at += eq.loose.size
         for members, basis in eq.runs:
@@ -474,6 +469,35 @@ class ReducedTrajectory:
     cov_xp: np.ndarray
 
 
+def _boxes(decomp: NormalModeDecomposition):
+    """k boxes of about sqrt(n _CHEB / 3) roots in root order, box i
+    roots edges[i]:edges[i+1], with row block J the kept poles
+    ``_secular.d[1:][blocks[J]:blocks[J+1]]`` above box J's roots.  Block
+    J sums exactly the hull lo[J]:hi[J] of the boxes closer than their
+    own width to its poles; neither end falls as J grows.  Below n = 48
+    _CHEB a proxy saves less than its second pass of cosines and sines
+    costs: one box holds every root, and blocks 4 _CHEB poles."""
+    eq = decomp._secular
+    om = decomp.Omegas[decomp._rank[:eq.d.size]]
+    n, m = om.size, eq.tau.size
+    k = round(math.sqrt(3 * n / _CHEB)) if n > 48 * _CHEB else 1
+    edges = n * np.arange(k + 1) // k
+    blocks = np.minimum(edges, m) if k > 1 else np.append(np.arange(0, m, 4 * _CHEB), m)
+    bottom, top = om[edges[:-1]], om[edges[1:] - 1]
+    first, last = eq.d[1 + blocks[:-1], None], eq.d[blocks[1:], None]
+    near = np.maximum(first - top, bottom - last) < top - bottom
+    return blocks, edges, near.argmax(axis=1), near.shape[1] - near[:, ::-1].argmax(axis=1)
+
+
+def _chebyshev(x: np.ndarray):
+    """_CHEB Chebyshev points c (first kind) on [x[0], x[-1]] and Q, the
+    Lagrange polynomials of c at x in barycentric form: f(x) ~ f(c) @ Q."""
+    theta = (np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)
+    c = 0.5 * (x[0] + x[-1]) - 0.5 * (x[-1] - x[0]) * np.cos(theta)
+    q = (np.sin(theta) * (-1.0) ** np.arange(_CHEB))[:, None] / (x - c[:, None])
+    return c, q / q.sum(axis=0)
+
+
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
                    x0: float, p0: float, times: Sequence[float],
                    decomp: NormalModeDecomposition | None = None) -> ReducedTrajectory:
@@ -486,13 +510,19 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     c = O (a cos(Omega t)), s = O (a sin(Omega t)/Omega) and
     d = O (a Omega sin(Omega t)) = K s, with O the eigenvectors and a
     the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
-    a block of times puts pi_k cos and pi_k sin/Omega of every coupled
-    root in one matrix F, whose column sums are the oscillator's c and
-    s; each block of _ROWS coupled bath modes takes its rows of c and s
-    from one product with F, its d from the arrowhead K, and adds its
-    share of the covariance.  Deflated modes have a_k = 0 and drop out.
-    O is never held: the memory is O(N) per time of a block.
+    a block of times puts pi_k cos and pi_k sin/Omega of each box of
+    coupled roots (``_boxes``) in a matrix F_B, whose column sums are
+    the oscillator's c and s.  A block of coupled bath modes takes c and
+    s from its inverse gaps times F_B over near boxes and 1/(omega_j^2 -
+    x^2) at far boxes' Chebyshev points x times Q_B F_B, d from K, and
+    adds its share of the covariance.  Deflated modes have a_k = 0 and
+    drop out.  Neither O nor the whole F is held; ``times`` may be unsorted.
     """
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise UsageError("times must be a 1-d sequence of finite numbers")
+    x0r = checked(x0, "number", "x0") * math.sqrt(units.mass)
+    p0r = checked(p0, "number", "p0") / math.sqrt(units.mass)
     if decomp is None:
         decomp = normal_modes(model)
     eq = decomp._secular
@@ -510,29 +540,49 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
         return (vx @ (c * c) + vp @ (s * s), vx @ (d * d) + vp @ (c * c),
                 vp @ (c * s) - vx @ (c * d))
 
-    x0r = x0 * math.sqrt(units.mass)
-    p0r = p0 / math.sqrt(units.mass)
+    blocks, edges, lo, hi = _boxes(decomp)
+    boxes = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    points, proxies = np.zeros((len(boxes), _CHEB)), {}
+    for i in [*range(lo.max(initial=0)), *range(hi.min(initial=len(boxes)), len(boxes))]:
+        points[i], proxies[i] = _chebyshev(om[boxes[i]])
 
-    ts = np.asarray(times, dtype=float)
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
-    trig = np.empty((om.size, 2 * min(_TIMES, ts.size)))
-    rows = np.empty((min(_ROWS, eq.tau.size), trig.shape[1]))
-    for lo in range(0, ts.size, _TIMES):
-        blk = slice(lo, lo + _TIMES)
+    for start in range(0, ts.size, _TIMES):
+        blk = slice(start, start + _TIMES)
         n_t = ts[blk].size
-        F = trig[:, :2 * n_t]
-        cos, sin = F[:, :n_t], F[:, n_t:]
-        np.multiply.outer(om, ts[blk], out=cos)
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
-        cos *= pi[:, None]
-        sin *= (pi / om)[:, None]
-        c0, s0 = np.split(F.sum(axis=0, keepdims=True), 2, axis=1)
+
+        def trig(box):   # F_B = [pi cos(Omega t) | pi sin(Omega t)/Omega]
+            F = np.empty((box.stop - box.start, 2 * n_t))
+            np.multiply.outer(om[box], ts[blk], out=F[:, :n_t])
+            np.sin(F[:, :n_t], out=F[:, n_t:])
+            np.cos(F[:, :n_t], out=F[:, :n_t])
+            F[:, :n_t] *= pi[box, None]
+            F[:, n_t:] *= (pi[box] / om[box])[:, None]
+            return F
+
+        W = np.empty((len(boxes), _CHEB, 2 * n_t))
+        cs0 = np.zeros(2 * n_t)
+        near = {}   # F_B of the current row block's near boxes (the first's here)
+        for i, box in enumerate(boxes):
+            F = trig(box)
+            cs0 += F.sum(axis=0)
+            if i in proxies:
+                np.matmul(proxies[i], F, out=W[i])
+            if lo.size and i < hi[0]:
+                near[i] = F
+        c0, s0 = np.split(cs0[None], 2, axis=1)
         d0 = bare[0]**2 * s0
-        for bath, pole, g in decomp._inverse_gaps():
-            cs = np.matmul(g, F, out=rows[:g.shape[0], :2 * n_t])
+        for J in range(lo.size):
+            near = {i: near[i] if i in near else trig(boxes[i]) for i in range(lo[J], hi[J])}
+            rows = slice(blocks[J], blocks[J + 1])
+            cs = sum(decomp._inverse_gaps(rows, boxes[i]) @ F for i, F in near.items())
+            poles = eq.d[1 + rows.start:1 + rows.stop, None, None]
+            for far in (slice(0, lo[J]), slice(hi[J], len(boxes))):
+                A = 1.0 / ((poles - points[far]) * (poles + points[far]))
+                cs += A.reshape(A.shape[0], -1) @ W[far].reshape(-1, 2 * n_t)
+            bath = slice(*np.searchsorted(eq.pole_of, [rows.start, rows.stop]))
             if eq.runs:
-                cs = cs[pole]
+                cs = cs[eq.pole_of[bath] - rows.start]
             cs *= -z[bath, None]
             c, s = np.split(cs, 2, axis=1)
             modes = slice(1 + bath.start, 1 + bath.stop)

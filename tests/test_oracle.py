@@ -181,6 +181,16 @@ REFERENCE_MODELS = {
 }
 
 
+UNEVEN_MODELS = {
+    "gauss_like_2000": REFERENCE_MODELS["gauss_like_2000"],
+    "flat_band_gap_1200": lambda: oracle.discretize(
+        FlatBand(level=0.15, lower=0.3, upper=2.0), _UNITS, 1200),
+    # margin 1e-3 with the full tail; cut at 30, ||K|| = 900
+    "near_critical_1200": lambda: oracle.discretize(
+        OhmicExp(amplitude=0.4469899327725402, cutoff=5.0, omega_max=30.0), _UNITS, 1200),
+}
+
+
 class TestAgainstDenseEigh:
     """The secular-equation modes against scipy's dense eigh of K, the
     solver they replace.  Products, not columns, are compared, so the
@@ -285,11 +295,12 @@ def test_weights_path_memory(ohmic_ref, units):
 
 
 def test_evolution_path_memory(units, monkeypatch):
-    """evolve_reduced streams the eigenvector rows a block at a time: no
-    second dlasd4 sweep and no eigenvector matrix, which alone is
-    8 (N+1)^2 bytes, 128 MB at N = 4000.  Sized as
-    scripts/relaxation_demo.py runs by default: N = 4000 and 399
-    distinct times."""
+    """evolve_reduced holds the cosines and sines of a few boxes of
+    nearby roots and the Chebyshev proxies of the others: no second
+    dlasd4 sweep, no eigenvector matrix, which alone is 8 (N+1)^2 bytes,
+    128 MB at N = 4000, and no N x 2T matrix of cosines and sines (26 MB
+    here).  Sized as scripts/relaxation_demo.py runs by default:
+    N = 4000 and 399 distinct times."""
     spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
     model = oracle.discretize(spec, units, 4000)
     decomp = oracle.normal_modes(model)
@@ -306,7 +317,7 @@ def test_evolution_path_memory(units, monkeypatch):
     finally:
         tracemalloc.stop()
     assert "eigenvectors" not in decomp.__dict__
-    assert peak < 40 * 2**20
+    assert peak < 16 * 2**20
     assert abs(traj.var_x[0] - 0.5) <= 1e-12
 
 
@@ -408,20 +419,25 @@ class TestEvolution:
         assert np.max(np.abs(red.mean_x - x0 * kern.k_cos)) <= 1e-12
 
     def test_partial_blocks_with_deflation_match_references(self, units):
-        # more times than one block holds and a kept-pole count that is
-        # not a multiple of the row block, so the last block of each is
+        # more times than one block holds, so the last time block is
         # partial; two loose modes and a near-degenerate run of three
-        # poles, 1 ulp apart, are deflated out of the streamed rows
+        # poles, 1 ulp apart, are deflated, the run out of the last row
+        # block, which stops a pole short of its box; far boxes are
+        # proxied
         eps = np.finfo(float).eps
-        freqs = np.linspace(0.01, 3.0, 300)
-        freqs[101:104] = freqs[101] + eps * np.arange(3)
-        couplings = 0.3 * np.sqrt(freqs * 0.01) * (1.0 + 0.2 * np.sin(7.0 * freqs))
+        n = 1200
+        freqs = np.linspace(0.01, 3.0, n)
+        freqs[1180:1183] = freqs[1180] + eps * np.arange(3)
+        couplings = 0.3 * np.sqrt(freqs * 3.0 / n) * (1.0 + 0.2 * np.sin(7.0 * freqs))
         couplings[[7, 200]] = 0.0
         model = oracle.FiniteBathModel(1.0, freqs, couplings)
         decomp = oracle.normal_modes(model)
         eq = decomp._secular
         assert eq.loose.size == 2 and [m.size for m, _ in eq.runs] == [3]
-        assert eq.tau.size > oracle._ROWS and eq.tau.size % oracle._ROWS
+        blocks, edges, lo, hi = oracle._boxes(decomp)
+        assert blocks[-1] == eq.tau.size == edges[-1] - 1 and np.any(hi - lo < edges.size - 1)
+        run = np.isin(eq.coupled, eq.runs[0][0])
+        assert np.all(eq.pole_of[run] >= blocks[-2])
         times = np.linspace(0.0, 60.0, oracle._TIMES + 89)
         x0, p0 = 1.3, -0.4
         red = oracle.evolve_reduced(model, units, x0, p0, times, decomp=decomp)
@@ -430,8 +446,9 @@ class TestEvolution:
             for key, want in ref.items():
                 assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
 
-    @pytest.mark.parametrize("name", ["flat_band_gap", "gaussian_tails",
-                                      "manual_unsorted_repeated", "ohmic_300"])
+    @pytest.mark.parametrize("name", ["two_mode", "uncoupled", "flat_band_gap",
+                                      "gaussian_tails", "manual_unsorted_repeated",
+                                      "ohmic_300"])
     def test_reduced_path_matches_dense_eigh(self, name):
         # a reference that shares nothing with the secular equation: the
         # propagator rows from scipy's eigh of K.  eigh's eigenvalues carry
@@ -451,6 +468,43 @@ class TestEvolution:
         ref = _eigh_reduced(model, u, x0, p0, times)
         for key, want in ref.items():
             assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+
+    @pytest.mark.parametrize("name", list(UNEVEN_MODELS))
+    def test_uneven_root_spacing_matches_references(self, name):
+        # boxes of unequal width: Gauss-Legendre roots crowd at both ends,
+        # the flat band leaves no root in its gap below 0.3, and the
+        # near-critical bath softens its lowest mode.  eigh's eigenvalue
+        # error of about eps ||K|| reaches the phases in proportion to t
+        # and, through the soft mode, to 1/Omega: eigh itself is off by
+        # 3.3e-12 on gauss_like_2000 and by 1e-10 on the near-critical
+        # bath, so those two are checked against the eigenvector products
+        model = UNEVEN_MODELS[name]()
+        decomp = oracle.normal_modes(model)
+        _, edges, lo, hi = oracle._boxes(decomp)
+        assert np.any(hi - lo < edges.size - 1)   # some boxes are proxied
+        times = np.linspace(0.0, 30.0, 61)
+        x0, p0 = 1.3, -0.4
+        red = oracle.evolve_reduced(model, _UNITS, x0, p0, times, decomp=decomp)
+        if name == "flat_band_gap_1200":
+            ref = _eigh_reduced(model, _UNITS, x0, p0, times)
+        else:
+            ref = _per_time_reduced(model, decomp, _UNITS, x0, p0, times)
+        for key, want in ref.items():
+            assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+
+    def test_input_validation(self, small_bath, units):
+        model, decomp = small_bath
+        one = oracle.evolve_reduced(model, units, 1.0, 0.0, 3.0, decomp=decomp)
+        assert one.times.shape == one.var_x.shape == (1,)
+        # times need not ascend
+        two = oracle.evolve_reduced(model, units, 1.0, 0.0, [5.0, 3.0], decomp=decomp)
+        assert two.var_x[1] == pytest.approx(one.var_x[0], rel=1e-14)
+        for times in (np.ones((2, 2)), [0.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(UsageError, match="times"):
+                oracle.evolve_reduced(model, units, 1.0, 0.0, times, decomp=decomp)
+        for x0, p0 in ((np.nan, 0.0), (0.0, np.inf), (True, 0.0), (1.0, "0")):
+            with pytest.raises(UsageError, match="x0|p0"):
+                oracle.evolve_reduced(model, units, x0, p0, [1.0], decomp=decomp)
 
     def test_symplectic_floor_preserved(self, small_bath, units):
         model, decomp = small_bath
@@ -474,6 +528,70 @@ class TestEvolution:
         tiny = GaussianEvolutionState(means=np.zeros(4), covariance=np.eye(4))
         with pytest.raises(UsageError):
             evolve(model, tiny, [0.1])
+
+
+class TestBoxes:
+    """The near/far split of evolve_reduced: which boxes of roots each
+    row block sums exactly, and the Chebyshev proxies of the others."""
+
+    @staticmethod
+    def _partition(model):
+        decomp = oracle.normal_modes(model)
+        eq = decomp._secular
+        blocks, edges, lo, hi = oracle._boxes(decomp)
+        om = decomp.Omegas[decomp._rank[:eq.d.size]]
+        return decomp, blocks, edges, lo, hi, om
+
+    def test_uniform_bath(self):
+        model = oracle.discretize(OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0,
+                                           omega_max=30.0), _UNITS, 4000)
+        _, blocks, edges, lo, hi, _ = self._partition(model)
+        assert np.all(hi - lo <= 4)
+        assert np.all(edges[hi] - edges[lo] < 0.2 * edges[-1])
+        assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+        assert blocks[0] == 0 and blocks[-1] == edges[-1] - 1
+
+    @pytest.mark.parametrize("n", [1, 40, 48 * oracle._CHEB])
+    def test_small_bath_has_one_near_box(self, n):
+        # up to 48 _CHEB roots, boxes would hold at most 4 _CHEB: every
+        # root is summed exactly, in row blocks of 4 _CHEB poles
+        spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
+        model = oracle.discretize(spec, _UNITS, n - 1) if n > 1 else REFERENCE_MODELS["uncoupled"]()
+        decomp, blocks, edges, lo, hi, _ = self._partition(model)
+        assert edges.tolist() == [0, decomp._secular.d.size]
+        assert np.all(lo == 0) and np.all(hi == 1)
+        assert np.all(np.diff(blocks) <= 4 * oracle._CHEB)
+
+    @pytest.mark.parametrize("name", ["uniform_2000", "gauss_like_2000"])
+    def test_proxies_match_inverse_gaps(self, name):
+        # every far pair: the box lies a box width or more from the row
+        # block's poles, and the proxy 1/(omega_j^2 - x^2) @ Q at the
+        # box's Chebyshev points x matches the exact inverse gap to
+        # 1e-15 of the row's largest, and to 1e-14 of its own size
+        if name == "uniform_2000":
+            model = oracle.discretize(OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0,
+                                               omega_max=30.0), _UNITS, 2000)
+        else:
+            model = REFERENCE_MODELS[name]()
+        decomp, blocks, edges, lo, hi, om = self._partition(model)
+        poles = decomp._secular.d[1:]
+        pairs = 0
+        for J in range(lo.size):
+            rows = slice(blocks[J], blocks[J + 1])
+            scale = np.abs(decomp._inverse_gaps(rows, slice(None))).max(axis=1, keepdims=True)
+            for i in [*range(lo[J]), *range(hi[J], edges.size - 1)]:
+                box = slice(edges[i], edges[i + 1])
+                width = om[box.stop - 1] - om[box.start]
+                assert min(abs(poles[rows.start] - om[box.stop - 1]),
+                           abs(om[box.start] - poles[rows.stop - 1])) >= width
+                x, q = oracle._chebyshev(om[box])
+                w = poles[rows, None]
+                proxy = (1.0 / ((w - x) * (w + x))) @ q
+                exact = decomp._inverse_gaps(rows, box)
+                assert np.all(np.abs(proxy - exact) <= 1e-15 * scale)
+                assert np.all(np.abs(proxy - exact) <= 1e-14 * np.abs(exact))
+                pairs += exact.size
+        assert pairs > 0.7 * poles.size * om.size
 
 
 def _per_time_reduced(model, decomp, units, x0, p0, times):
