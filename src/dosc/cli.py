@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import (ConvergenceError, InternalConsistencyError,
-                     OutsideSupportError, PositivityError, UsageError, checked)
+                     PositivityError, UsageError, checked)
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -506,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.cmd](cfg, out)
-    except (UsageError, OutsideSupportError) as exc:
+    except UsageError as exc:
         return _fail(exc, 1)
     except PositivityError as exc:
         return _fail(exc, 2)

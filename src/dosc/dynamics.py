@@ -26,10 +26,10 @@ The sums take one of two routes, chosen from the time lattice alone:
   are spread onto one oversampled grid with shared Gaussian taps, and
   three FFTs give all T values in O(M + T log T), within
   _FOURIER_REL_ERR of the direct sums;
-* every other lattice (geometric grids, the short-time fit, single
-  root-finding steps, mixed grids) takes the direct sums, dense
-  cos/sin products a block of _BLOCK times at a time.  They are also
-  the tests' reference for the Fourier route.
+* every other lattice (geometric grids, single root-finding steps,
+  mixed grids) takes the direct sums, dense cos/sin products a block
+  of _BLOCK times at a time.  They are also the tests' reference for
+  the Fourier route.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ _LATTICE_ULPS = 4      # a uniform lattice's times sit this close to t_0 + j dt
 _FOURIER_REL_ERR = 1e-12
 
 _SCAN_STEP_FACTOR = 0.01   # damping scan step, units 1/omega0
-_RELAX_THRESHOLD = 0.02
-_SHORT_TIME_POINTS = 25    # log-spaced times in the short-time fit window
 
 
 def _direct_sums(source, ts: np.ndarray):
@@ -202,77 +200,7 @@ def mean_trajectory(kern: DynamicsKernels, x0: float, p0: float,
 
 
 # ---------------------------------------------------------------------------
-# short-time behaviour
-
-@dataclass(frozen=True)
-class ShortTimeReport:
-    """Log-log fit of k_sin_times(t) minus its uncoupled counterpart.
-
-    The deviation from omega0 sin(omega0 t) opens at t^3 with
-    coefficient -(<<omega^4>> - omega0^4)/6; the report carries the
-    fitted exponent and coefficient next to the moment-based
-    prediction.  ``skipped`` marks the degenerate case where the
-    fourth-moment excess is too small to resolve.
-    """
-
-    exponent: float
-    coefficient: float
-    predicted_coefficient: float
-    coefficient_rel_error: float
-    window: tuple[float, float]
-    n_points: int
-    skipped: bool = False
-    note: str = ""
-
-
-def short_time_check(sol, units: UnitSystem) -> ShortTimeReport:
-    w0 = units.omega0
-    m4 = fano.frequency_moment(sol, 4)
-    m6 = fano.frequency_moment(sol, 6)
-    excess4 = m4 - w0**4
-    excess6 = m6 - w0**6
-    if excess4 <= 1e-12 * w0**4:
-        return ShortTimeReport(
-            exponent=math.nan, coefficient=0.0, predicted_coefficient=0.0,
-            coefficient_rel_error=math.nan, window=(0.0, 0.0), n_points=0,
-            skipped=True,
-            note="fourth-moment excess below resolution; deviation not fittable",
-        )
-    # upper end of the fit window: keep the next order (t^5, weighted by
-    # the sixth-moment excess) near 1% of the cubic term; the log-log
-    # regression amplifies that contamination by |log t|, so the budget
-    # is deliberately tighter than the 5% coefficient tolerance
-    if excess6 > 0:
-        t_hi = math.sqrt(0.25 * excess4 / excess6)
-    else:
-        t_hi = 0.1 / w0
-    t_hi = min(t_hi, 0.2 / w0)
-    t_lo = t_hi / 10.0
-    ts = np.geomspace(t_lo, t_hi, _SHORT_TIME_POINTS)
-    k_sin_times = _evaluate(sol, ts)[2]
-    dev = k_sin_times - w0 * np.sin(w0 * ts)
-    usable = dev < 0
-    if usable.sum() < _SHORT_TIME_POINTS // 2:
-        return ShortTimeReport(
-            exponent=math.nan, coefficient=0.0,
-            predicted_coefficient=-excess4 / 6.0,
-            coefficient_rel_error=math.nan, window=(t_lo, t_hi),
-            n_points=int(usable.sum()), skipped=True,
-            note="deviation lost to quadrature noise over the window",
-        )
-    slope, intercept = np.polyfit(np.log(ts[usable]), np.log(-dev[usable]), 1)
-    fitted = -math.exp(intercept)
-    predicted = -excess4 / 6.0
-    return ShortTimeReport(
-        exponent=float(slope), coefficient=fitted,
-        predicted_coefficient=predicted,
-        coefficient_rel_error=abs(fitted - predicted) / abs(predicted),
-        window=(t_lo, t_hi), n_points=int(usable.sum()),
-    )
-
-
-# ---------------------------------------------------------------------------
-# damping classification and relaxation
+# damping classification
 
 @dataclass(frozen=True)
 class DampingClassification:
@@ -301,6 +229,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     if scan_window is None:
         scan_window = float(kern.times[-1])
     checked(scan_window, "number > 0", "scan_window")
+    checked(resolution, "number >= 0", "resolution")
     source = kern.source
     _require_alias_bound(source, scan_window)
     step = _SCAN_STEP_FACTOR / kern.omega0
@@ -329,38 +258,3 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
                                      resolution)
     return DampingClassification("non_oscillatory", None, scan_window,
                                  resolution)
-
-
-@dataclass(frozen=True)
-class RelaxationReport:
-    """Largest kernel magnitudes over the last decade of the lattice.
-
-    Kernels are compared on a common scale (k_sin_over by omega0,
-    k_sin_times by 1/omega0).  ``relaxed`` is a report, not a failure:
-    finite or uncoupled systems legitimately never relax.
-    """
-
-    window: tuple[float, float]
-    max_k_cos: float
-    max_k_sin_over_scaled: float
-    max_k_sin_times_scaled: float
-    threshold: float
-    relaxed: bool
-
-
-def relaxation_check(kern: DynamicsKernels) -> RelaxationReport:
-    t_max = float(kern.times[-1])
-    if t_max <= 0:
-        raise UsageError("relaxation check needs a positive time range")
-    mask = kern.times >= t_max / 10.0
-    if mask.sum() < 3:
-        raise UsageError("too few time nodes in the last decade for a check")
-    mc = float(np.max(np.abs(kern.k_cos[mask])))
-    mso = float(np.max(np.abs(kern.k_sin_over[mask]))) * kern.omega0
-    mst = float(np.max(np.abs(kern.k_sin_times[mask]))) / kern.omega0
-    return RelaxationReport(
-        window=(t_max / 10.0, t_max),
-        max_k_cos=mc, max_k_sin_over_scaled=mso, max_k_sin_times_scaled=mst,
-        threshold=_RELAX_THRESHOLD,
-        relaxed=bool(max(mc, mso, mst) <= _RELAX_THRESHOLD),
-    )

@@ -56,8 +56,13 @@ class AliasingError(ConvergenceError):
     """
 
 
-class OutsideSupportError(DoscError):
-    """Query frequency lies outside the coupling support, where Y is undefined."""
+class OutsideSupportError(UsageError):
+    """Query frequency lies outside the coupling support, where Y is undefined.
+
+    Nothing in dosc raises it.  It stays because code outside the
+    package names it (``perfbench/run.py``'s exit-code table), and as a
+    UsageError it keeps exit code 1.
+    """
 
 
 class InternalConsistencyError(DoscError):

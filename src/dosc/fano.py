@@ -51,8 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .csvio import write_csv
-from .errors import (AliasingError, ConvergenceError, OutsideSupportError,
-                     UsageError, checked)
+from .errors import AliasingError, ConvergenceError, UsageError, checked
 from .quadrature import cauchy_pv, integrate
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
@@ -79,33 +78,16 @@ EDGE_MARGIN = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralGrid:
-    """Sorted frequency nodes in (0, omega_max], with build metadata."""
-
-    nodes: np.ndarray
-    meta: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 4:
-            raise UsageError("grid needs a 1-d array of at least 4 nodes")
-        if not np.all(np.diff(nodes) > 0):
-            raise UsageError("grid nodes must be strictly increasing")
-        if nodes[0] <= 0:
-            raise UsageError("grid nodes must be strictly positive")
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self):
-        return self.nodes.size
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """Y, |alpha|^2, beta/alpha and pi on a grid, plus provenance.
+    """Y, |alpha|^2, beta/alpha and pi on the grid ``omegas``, plus
+    provenance.
 
-    ``spec`` and ``units`` are carried so that dynamics and diagnostics
-    can evaluate the dispersion integrals at new frequencies without
-    re-supplying context.  ``alias_mass_tol`` is the spectral mass the
+    ``nodes`` is ``omegas`` under the name every (nodes, weights)
+    measure shares.  ``meta`` records how the grid was reached:
+    ``rounds`` and ``nodes`` from compute_pi, ``refined_for_t_max``
+    from refine_for_times.  ``spec`` and ``units`` are carried so that
+    dynamics and diagnostics can evaluate the dispersion integrals at
+    new frequencies without re-supplying context.  ``alias_mass_tol`` is the spectral mass the
     anti-aliasing gate lets intervals wider than the bound carry, set
     by refine_for_times.  ``weights`` is the Simpson weight of each
     node times pi, fixed at construction, and so are the two defects
@@ -115,7 +97,7 @@ class SpectralSolution:
     are immutable.
     """
 
-    grid: SpectralGrid
+    omegas: np.ndarray
     Y: np.ndarray
     alpha_sq: np.ndarray
     beta_ratio: np.ndarray
@@ -137,9 +119,7 @@ class SpectralSolution:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.grid.nodes
-
-    omegas = nodes
+        return self.omegas
 
     @property
     def omega0(self) -> float:
@@ -349,7 +329,7 @@ def _require_coupled(spec: CouplingSpectrum) -> None:
         )
 
 
-def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
+def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> np.ndarray:
     """Initial grid: log base + coarse linear comb + edge ladders + peak
     clusters.  Refinement to tolerance happens inside compute_pi."""
     _require_coupled(spec)
@@ -359,8 +339,7 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
         np.linspace(lo, hi, 64),
         np.array(_edge_ladders(spec, lo, hi, span)),
     ]
-    peaks = _find_peaks(spec, units, lo, hi)
-    for pk, w in peaks:
+    for pk, w in _find_peaks(spec, units, lo, hi):
         parts.append(_peak_cluster(pk, w, lo, hi))
     nodes = _unique(np.concatenate([p for p in parts if p.size]))
     nodes = nodes[(nodes >= lo) & (nodes <= hi)]
@@ -368,8 +347,7 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> SpectralGrid:
     # or hi puts a node within an ulp of that bound.  Such a pair makes
     # adjacent Simpson intervals differ by orders of magnitude, and the
     # rule's weights blow up, so drop the later node of any near pair.
-    nodes = nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * nodes[1:]])]
-    return SpectralGrid(nodes, meta={"peaks": peaks})
+    return nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * nodes[1:]])]
 
 
 # ---------------------------------------------------------------------------
@@ -389,34 +367,11 @@ def _assemble(spec, units, nodes):
     return Y, alpha_sq, beta, pi
 
 
-def _solution(spec, units, nodes, grid_meta, **kwargs) -> SpectralSolution:
+def _solution(spec, units, nodes, **kwargs) -> SpectralSolution:
     """The solution assembled on ``nodes``; ``kwargs`` go to SpectralSolution."""
     Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
-    return SpectralSolution(grid=SpectralGrid(nodes, meta=dict(grid_meta)), Y=Y,
-                            alpha_sq=alpha_sq, beta_ratio=beta, pi=pi, spec=spec,
-                            units=units, **kwargs)
-
-
-def dressing(spec: CouplingSpectrum, units: UnitSystem, omegas):
-    """Y, |alpha|^2, beta/alpha and pi at frequencies strictly inside the
-    coupling support, as arrays.
-
-    Raises UsageError for a frequency that is not positive and finite,
-    OutsideSupportError for one outside the open support (Y is
-    undefined there).
-    """
-    require_admissible(spec, units)
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
-        raise UsageError(f"omegas must be positive finite numbers, got {omegas!r}")
-    outside = ((w <= spec.support_lower) | (w >= spec.support_upper)
-               | ~(np.asarray(spec.v_sq(w)) > 0))
-    if outside.any():
-        raise OutsideSupportError(
-            f"omega = {w[outside][0]} is outside the open coupling support "
-            f"({spec.support_lower}, {spec.support_upper}); Y is undefined there"
-        )
-    return _assemble(spec, units, w)
+    return SpectralSolution(omegas=nodes, Y=Y, alpha_sq=alpha_sq, beta_ratio=beta,
+                            pi=pi, spec=spec, units=units, **kwargs)
 
 
 def _interval_error_indicator(w, pi, units):
@@ -433,11 +388,16 @@ def _interval_error_indicator(w, pi, units):
     return curv * h * h * weight
 
 
-def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
+def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid, *,
                norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL,
                max_nodes: int = MAX_NODES, max_rounds: int = MAX_ROUNDS) -> SpectralSolution:
     """Evaluate pi on the grid and refine until the normalisation and the
     omega^2 sum rule both hold to tolerance.
+
+    ``grid`` is the starting node array: strictly increasing, strictly
+    positive and finite, at least 4 nodes, such as build_grid's output
+    or a solution's ``omegas``.  UsageError refuses any other before
+    anything is evaluated.
 
     Raises ConvergenceError with diagnostics if the round or node budget
     runs out.  A defect that stalls once the grid is dense means weight
@@ -446,11 +406,20 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid: SpectralGrid, *,
     """
     _require_coupled(spec)
     require_admissible(spec, units)
-    checked(max_rounds, "integer >= 1", "max_rounds")
+    checked(norm_tol, "number > 0", "norm_tol")
+    checked(sum_tol, "number > 0", "sum_tol")
+    max_nodes = checked(max_nodes, "integer >= 1", "max_nodes")
+    max_rounds = checked(max_rounds, "integer >= 1", "max_rounds")
+    nodes = np.asarray(grid, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 4:
+        raise UsageError("grid needs a 1-d array of at least 4 nodes")
+    if not np.all(np.diff(nodes) > 0):
+        raise UsageError("grid nodes must be strictly increasing")
+    if not (nodes[0] > 0 and nodes[-1] < math.inf):
+        raise UsageError("grid nodes must be strictly positive and finite")
 
-    nodes = grid.nodes
     for rounds in range(max_rounds):
-        sol = _solution(spec, units, nodes, grid.meta,
+        sol = _solution(spec, units, nodes,
                         meta={"rounds": rounds, "nodes": int(nodes.size)})
         pi = sol.pi
         jumps = np.abs(np.diff(pi)) > 0.01 * pi.max()
@@ -546,6 +515,8 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
     merged nodes.  The result carries mass_tol as its alias_mass_tol,
     the budget require_alias_bound then holds it to at any time.
     """
+    checked(t_max, "number", "t_max")
+    checked(mass_tol, "number >= 0", "mass_tol")
     if t_max <= 0:
         return replace(sol, alias_mass_tol=mass_tol)
     spec, units = sol.spec, sol.units
@@ -581,8 +552,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
                 detail={"t_max": t_max, "new_nodes": added,
                         "guidance": "shorten the time span"},
             )
-        refined = _solution(spec, units, np.sort(np.concatenate([nodes, new_nodes])),
-                            sol.grid.meta)
+        refined = _solution(spec, units, np.sort(np.concatenate([nodes, new_nodes])))
 
     meta = {**sol.meta, "refined_for_t_max": t_max, "nodes": int(refined.nodes.size)}
     return replace(refined, alias_mass_tol=mass_tol, meta=meta)

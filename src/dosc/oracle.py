@@ -665,6 +665,7 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     lives) while the bath grid stops earlier, trading far-tail weight
     (negligible for var_x/var_p) for resolution at fixed N.
     """
+    bins = checked(bins, "integer >= 1", "bins")
     bath_spec = sol.spec
     if bath_omega_max is not None:
         bath_spec = dataclasses.replace(bath_spec, omega_max=float(bath_omega_max))

@@ -462,14 +462,26 @@ class Tabulated(CouplingSpectrum):
         return val * val
 
     def analytic_positivity_integral(self) -> float:
-        # per segment V = alpha + s x, so |V|^2/x = s^2 x + 2 s alpha + alpha^2/x;
-        # a segment starting at x = 0 has alpha = V(0) = 0
-        a, b = self._x[:-1], self._x[1:]
-        s = np.diff(self._y) / (b - a)
-        alpha = self._y[:-1] - s * a
-        logs = np.where(a > 0.0, np.log1p((b - a) / np.where(a > 0.0, a, 1.0)), 0.0)
-        return float(np.sum(0.5 * s * s * (b * b - a * a) + 2.0 * s * alpha * (b - a)
-                            + alpha * alpha * logs))
+        # On segment [a, a + h] with V = v + s(x - a) and x = a(1 + u),
+        # |V|^2/x dx = (v + s a u)^2/(1 + u) du over u in [0, r], r = h/a:
+        #   v^2 L + 2 v s a (r - L) + s^2 a^2 (L - r + r^2/2),  L = log1p(r).
+        # Both brackets cancel for small r and come from their series
+        # there; a segment starting at x = 0 has v = V(0) = 0 and gives
+        # s^2 h^2 / 2.
+        a, h, v = self._x[:-1], np.diff(self._x), self._y[:-1]
+        s = np.diff(self._y) / h
+        r = h / np.where(a > 0.0, a, np.inf)
+        log1p = np.log1p(r)
+        # L - r + r^2/2 = r^3/3 - r^4/4 + ...: 20 terms reach rounding at r = 1/8
+        tail = np.zeros_like(r)
+        for k in range(22, 2, -1):
+            tail = 1.0 / k - r * tail
+        small = r < 0.125
+        cubic = np.where(small, r**3 * tail, log1p - r + 0.5 * r * r)
+        linear = np.where(small, 0.5 * r * r - r**3 * tail, r - log1p)
+        sa = s * a
+        seg = v * v * log1p + 2.0 * v * sa * linear + sa * sa * cubic
+        return float(np.sum(np.where(a > 0.0, seg, 0.5 * (s * h) ** 2)))
 
     def _hilbert(self, z: np.ndarray) -> np.ndarray:
         """P(z) = PV int |V(x)|^2/(z - x) dx for real z of either sign.

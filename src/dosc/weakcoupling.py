@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import write_csv
-from .errors import ConvergenceError, UsageError, checked
+from .errors import ConvergenceError, checked
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 WINDOW_HWHMS = 10.0    # fit window half-width, in units of the HWHM guess
@@ -48,18 +48,6 @@ def lamb_shift(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float
             "|V|^2 jumps", detail={"omega": omega},
         )
     return shift
-
-
-def approx_alpha_sq(spec: CouplingSpectrum, units: UnitSystem, omega: float) -> float:
-    """Weak-damping |alpha|^2: exact everywhere except the resonant
-    denominator, where (omega - omega0 - F)^2 + (pi |V|^2/4)^2 stands in."""
-    w0 = units.omega0
-    vsq = spec.v_sq(float(omega))
-    shift = lamb_shift(spec, units, omega)
-    denom = (omega - w0 - shift) ** 2 + (math.pi * vsq / 4.0) ** 2
-    if denom == 0.0:
-        raise UsageError("degenerate denominator: zero coupling exactly at resonance")
-    return (vsq / 4.0) / denom
 
 
 @dataclass(frozen=True, eq=False)

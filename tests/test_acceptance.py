@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from dense_evolution import symplectic_eigenvalues
-from dosc import dynamics, fano, groundstate, oracle, weakcoupling
+from dosc import fano, groundstate, oracle, weakcoupling
 from dosc.cli import main as cli_main
 from dosc.spectra import OhmicExp, UnitSystem
+from short_time import short_time_check
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> None:
@@ -138,7 +139,7 @@ def test_criterion_06_weak_coupling_limit(weak_line, units):
 
 def test_criterion_07_short_time_cubic(ohmic_ref, units):
     _, sol = ohmic_ref
-    rep = dynamics.short_time_check(sol, units)
+    rep = short_time_check(sol, units)
     assert not rep.skipped, rep.note
     exp_ok = abs(rep.exponent - 3.0) <= 0.1
     coeff_ok = rep.coefficient_rel_error <= 0.05

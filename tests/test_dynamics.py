@@ -1,5 +1,5 @@
 """Kernel dynamics: closed forms, consistency relations, damping
-classification, and relaxation reporting."""
+classification, and relaxation."""
 
 import dataclasses
 import math
@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from dosc import dynamics, fano, oracle
 from dosc.errors import AliasingError, UsageError
 from dosc.spectra import OhmicExp, UnitSystem
+from short_time import short_time_check
 
 A = math.sqrt(1.5)
 B = math.sqrt(0.5)
@@ -233,7 +234,7 @@ class _DegenerateDensity:
 class TestShortTime:
     def test_reference_exponent_and_coefficient(self, ohmic_ref, units):
         _, sol = ohmic_ref
-        rep = dynamics.short_time_check(sol, units)
+        rep = short_time_check(sol, units)
         assert not rep.skipped
         assert rep.exponent == pytest.approx(3.0, abs=0.1)
         assert rep.coefficient_rel_error < 0.05
@@ -241,7 +242,7 @@ class TestShortTime:
         assert rep.predicted_coefficient == pytest.approx(-(m4 - 1.0) / 6.0, rel=1e-12)
 
     def test_degenerate_density_skipped(self, units):
-        rep = dynamics.short_time_check(_DegenerateDensity(), units)
+        rep = short_time_check(_DegenerateDensity(), units)
         assert rep.skipped
         assert "resolution" in rep.note
 
@@ -378,20 +379,28 @@ class TestDamping:
         assert ts.size and np.all(ts > 0) and np.all(ts <= 0.005)
 
 
+RELAX_THRESHOLD = 0.02
+
+
+def last_decade_peak(kern):
+    """Largest kernel magnitude over the last decade of the lattice, on a
+    common scale: k_sin_over times omega0, k_sin_times over omega0."""
+    tail = kern.times >= kern.times[-1] / 10.0
+    return max(float(np.max(np.abs(kern.k_cos[tail]))),
+               float(np.max(np.abs(kern.k_sin_over[tail]))) * kern.omega0,
+               float(np.max(np.abs(kern.k_sin_times[tail]))) / kern.omega0)
+
+
 class TestRelaxation:
     def test_strong_reference_relaxes(self, ohmic_strong):
         spec, sol = ohmic_strong
         sol_t = fano.refine_for_times(sol, 420.0, mass_tol=1e-4)
         ts = np.concatenate([[0.0], np.geomspace(0.5, 420.0, 120)])
         k = dynamics.kernels(sol_t, ts)
-        rep = dynamics.relaxation_check(k)
-        assert rep.relaxed
-        assert max(rep.max_k_cos, rep.max_k_sin_over_scaled,
-                   rep.max_k_sin_times_scaled) <= rep.threshold
-        assert rep.window == (42.0, 420.0)
+        assert last_decade_peak(k) <= RELAX_THRESHOLD
 
     def test_two_mode_never_relaxes(self, two_mode_decomp):
+        # a finite bath recurs: k_cos keeps returning near 1
         k = dynamics.kernels(two_mode_decomp, np.linspace(0.0, 200.0, 400))
-        rep = dynamics.relaxation_check(k)
-        assert not rep.relaxed
-        assert rep.max_k_cos > 0.9
+        assert last_decade_peak(k) > RELAX_THRESHOLD
+        assert np.max(np.abs(k.k_cos[k.times >= 20.0])) > 0.9

@@ -90,6 +90,18 @@ def test_positivity_integral_matches_analytic(spec):
     assert abs(exact - ref) <= 1e-10 * ref
 
 
+def test_tabulated_positivity_integral_with_close_nodes():
+    # 100 random nodes, two of them 4e-5 apart relative to their
+    # position: the expanded segment terms cancelled to an error of 1e-9
+    # here, and the brackets without their series still reach 6e-14
+    rng = np.random.default_rng(7)
+    omegas = np.sort(rng.uniform(0.1, 5.0, 100))
+    spec = Tabulated(omegas=omegas.tolist(), values=rng.uniform(0.0, 0.3, 100).tolist())
+    ref = sum(quad(lambda w: spec.v_sq(w) / w, a, b, epsabs=0.0, epsrel=1e-13)[0]
+              for a, b in zip(omegas[:-1], omegas[1:]))
+    assert abs(spec.analytic_positivity_integral() - ref) <= 1e-14 * ref
+
+
 @given(s=st.floats(0.1, 2.0))
 def test_scaling_quadratic_ohmic(s):
     base = OhmicExp(amplitude=0.25, cutoff=5.0)
@@ -231,8 +243,13 @@ SPEC = FlatBand(level=0.2, lower=0.1, upper=2.0)
 
 
 @functools.cache
+def _solution():
+    return fano.solve(SPEC, U)
+
+
+@functools.cache
 def _kernels():
-    return dynamics.kernels(fano.solve(SPEC, U), np.linspace(0.0, 5.0, 11))
+    return dynamics.kernels(_solution(), np.linspace(0.0, 5.0, 11))
 
 
 def _cases():
@@ -248,15 +265,32 @@ def _cases():
            lambda x: oracle.FiniteBathModel(x, [1.0], [0.5]), "omega0", "> 0")
     yield "lamb_shift", lambda x: weakcoupling.lamb_shift(SPEC, U, x), "omega", ">= 0"
     yield "discretize", lambda x: oracle.discretize(SPEC, U, x), "N", "integer >= 1"
+    for name, rule in (("max_nodes", "integer >= 1"), ("max_rounds", "integer >= 1"),
+                       ("norm_tol", "> 0"), ("sum_tol", "> 0")):
+        yield (f"compute_pi.{name}",
+               lambda x, n=name: fano.compute_pi(SPEC, U, _solution().omegas, **{n: x}),
+               name, rule)
+    yield ("refine_for_times.t_max",
+           lambda x: fano.refine_for_times(_solution(), x), "t_max", "")
+    yield ("refine_for_times.mass_tol",
+           lambda x: fano.refine_for_times(_solution(), 5.0, mass_tol=x), "mass_tol", ">= 0")
     yield ("classify_damping",
            lambda x: dynamics.classify_damping(_kernels(), scan_window=x),
            "scan_window", "> 0")
+    yield ("classify_damping.resolution",
+           lambda x: dynamics.classify_damping(_kernels(), resolution=x),
+           "resolution", ">= 0")
+    yield ("compare_with_continuum",
+           lambda x: oracle.compare_with_continuum(_solution(), U, 100, bins=x),
+           "bins", "integer >= 1")
 
 
 def _bad_values():
     for case_id, call, name, rule in _cases():
-        bad = [True, math.nan, math.inf, -1]
-        if rule != ">= 0":
+        bad = [True, math.nan, math.inf]
+        if rule:                       # a lower bound; t_max has none
+            bad.append(-1)
+        if rule not in ("", ">= 0"):
             bad.append(0)
         if rule.startswith("integer"):
             bad.append(2.5)
