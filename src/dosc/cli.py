@@ -1,9 +1,9 @@
 """Batch front door: config-driven runs, CSV/JSON emission, exit codes.
 
 One JSON config per run.  Subcommands: spectrum, groundstate, dynamics,
-compare, weak.  Exit codes: 0 ok, 1 usage error, 2 physics rejection
-(positivity), 3 numerical non-convergence.  Failures print a one-line
-JSON error object to stderr.
+compare, weak.  Exit codes: 0 ok, 1 usage error or an allocation the
+machine cannot make, 2 physics rejection (positivity), 3 numerical
+non-convergence.  Failures print a one-line JSON error object to stderr.
 
 Import discipline: numpy fixes its BLAS thread pool when it is first
 imported, so DOSC_THREADS must be applied to the environment before
@@ -355,9 +355,9 @@ def cmd_dynamics(cfg: RunConfig, out: Path) -> int:
         ts = np.linspace(0.0, t.t_max, t.n_times)
 
     sol = fano.solve(spec, cfg.units, **cfg.grid)
-    # the damping scan may look past t_max, and the grid must resolve it too
-    horizon = t.t_max if t.scan_window is None else max(t.t_max, t.scan_window)
-    sol = fano.refine_for_times(sol, float(horizon), mass_tol=t.alias_mass_tol)
+    # the kernels and the damping scan refine the grid for their own
+    # times, within this budget
+    sol = dataclasses.replace(sol, alias_mass_tol=t.alias_mass_tol)
     kern = dynamics.kernels(sol, ts)
     kern.to_csv(out / "kernels.csv")
     traj = dynamics.mean_trajectory(kern, t.x0, t.p0, cfg.units)
@@ -512,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 2)
     except (ConvergenceError, InternalConsistencyError) as exc:
         return _fail(exc, 3)
+    except MemoryError as exc:
+        # numpy raises a subclass for an allocation it cannot make
+        return _fail(MemoryError(str(exc)), 1)
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ a (nodes, weights) measure, sum_k w_k e^{i omega_k t}.  On a continuum
 solution that sum is a Simpson quadrature over the grid, so its
 validity is governed by the anti-aliasing bound
 Delta_omega * t_max <= 0.1: beyond it the grid undersamples the
-oscillating integrand and the caller must refine
-(fano.refine_for_times), whose mass budget for wide intervals the
-refined solution carries to every check here.  On a finite-bath
-decomposition the same sum is exact at any t.
+oscillating integrand, so the kernels and the damping scan first
+refine the grid for their largest time (fano.refine_for_times),
+within the mass budget for wide intervals the solution carries.  On
+a finite-bath decomposition the same sum is exact at any t.
 
 The sums take one of two routes, chosen from the time lattice alone:
 
@@ -130,10 +130,12 @@ def _evaluate(source, ts: np.ndarray):
     return _direct_sums(source, ts)
 
 
-def _require_alias_bound(source, t_max: float) -> None:
-    # a finite-bath sum is exact at any t; only a grid can undersample
+def _resolved(source, t_max: float):
+    """``source`` with a grid that resolves times up to t_max.  A
+    finite-bath sum is exact at any t; only a grid can undersample."""
     if isinstance(source, fano.SpectralSolution):
-        fano.require_alias_bound(source, t_max)
+        return fano.refine_for_times(source, t_max, mass_tol=source.alias_mass_tol)
+    return source
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +158,10 @@ def kernels(source, times) -> DynamicsKernels:
     """Evaluate the three kernels at the given times.
 
     ``source`` is a continuum SpectralSolution (quadrature over its
-    grid; the largest requested time must respect the anti-aliasing
-    bound within the solution's alias_mass_tol, else AliasingError
-    asks for refine_for_times first) or a finite-bath
-    NormalModeDecomposition (exact sums, no bound).
+    grid, first refined by fano.refine_for_times for the largest
+    requested time within the solution's alias_mass_tol) or a
+    finite-bath NormalModeDecomposition (exact sums, no bound).  The
+    result's ``source`` is the measure the kernels were summed over.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or ts.size == 0:
@@ -168,7 +170,7 @@ def kernels(source, times) -> DynamicsKernels:
         raise UsageError("times must be finite and >= 0")
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
-    _require_alias_bound(source, float(ts[-1]))
+    source = _resolved(source, float(ts[-1]))
     k_cos, k_sin_over, k_sin_times = _evaluate(source, ts)
     if np.max(np.abs(k_cos)) > 1.0 + 1e-6:
         raise InternalConsistencyError(
@@ -224,17 +226,17 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     strict sign test would call everything oscillatory.  The whole
     scan lattice is evaluated at once; values the Fourier route leaves
     within its error bound of 0 or of the floor are summed again
-    directly, so every comparison falls as in a direct scan.
+    directly, so every comparison falls as in a direct scan.  A
+    continuum source is first refined for scan_window, as in kernels.
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])
     checked(scan_window, "number > 0", "scan_window")
     checked(resolution, "number >= 0", "resolution")
-    source = kern.source
-    _require_alias_bound(source, scan_window)
+    source = _resolved(kern.source, scan_window)
     step = _SCAN_STEP_FACTOR / kern.omega0
     n = int(math.ceil(scan_window / step)) + 1
-    # every scan time in (0, scan_window], the horizon checked above
+    # every scan time in (0, scan_window], the horizon resolved above
     ts = np.linspace(min(step, scan_window), scan_window, n)
     floor = resolution * kern.omega0**2
     w = source.nodes

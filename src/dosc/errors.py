@@ -49,13 +49,6 @@ class QuadratureError(ConvergenceError):
         self.partial = partial
 
 
-class AliasingError(ConvergenceError):
-    """Requested evolution times exceed what the frequency grid can resolve.
-
-    Refine the spectral grid (see ``fano.refine_for_times``) and retry.
-    """
-
-
 class OutsideSupportError(UsageError):
     """Query frequency lies outside the coupling support, where Y is undefined.
 

@@ -2,7 +2,8 @@
 
 Every observable is a function of two moments of pi(omega),
 M1 = <<omega>> and Minv = <<1/omega>>, mapped in one place (_summary);
-M2 = <<omega^2>> enters only the sum-rule check.  The reduced state
+M2 = <<omega^2>> enters only the reported sum-rule defect, which
+fano.compute_pi has already gated.  The reduced state
 is Gaussian with zero means, var_x = hbar Minv / 2m and
 var_p = hbar m M1 / 2; the pair (omega_c, n_bar_c) re-expresses it as a
 thermal state at the effective frequency omega_c = sqrt(M1/Minv), which
@@ -27,7 +28,6 @@ from .spectra import UnitSystem
 OCCUPATION_CLAMP = -1e-12
 
 IDENTITY_TOL = 1e-9
-SUM_RULE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,19 +115,9 @@ def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
 
 
 def uncoupled_summary(units: UnitSystem) -> GroundStateSummary:
-    """Closed-form textbook values for V identically zero."""
-    hbar, m, w0 = units.hbar, units.mass, units.omega0
-    return GroundStateSummary(
-        mean_x=0.0, mean_p=0.0,
-        var_x=hbar / (2.0 * m * w0),
-        var_p=hbar * m * w0 / 2.0,
-        sym_xp=0.0,
-        quad_x_unc=math.sqrt(0.5),
-        quad_p_unc=math.sqrt(0.5),
-        omega_c=w0, n_bar_c=0.0, T_eff=0.0,
-        entropy=0.0, mutual_info=0.0,
-        mean_energy=0.5 * hbar * w0,
-    )
+    """The textbook ground state for V identically zero: the moments of
+    a unit point mass at omega0."""
+    return _summary(units.omega0, 1.0 / units.omega0, units)
 
 
 @dataclass(frozen=True)
@@ -146,8 +136,11 @@ def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
     """Check the thermal reinterpretation against the direct moments.
 
     The first four identities are algebraic consequences of the
-    definitions; a defect above 1e-9 means an implementation bug and
-    raises.  The last is the omega^2 sum rule at its physics tolerance.
+    definitions; a defect above IDENTITY_TOL means an implementation
+    bug and raises, so ``ok`` is True on every report returned.  The
+    omega^2 sum rule is reported, not gated: fano.compute_pi gates it
+    at the solve's own sum_tol, and on a finite bath it is the matrix
+    identity K[0,0] = omega0^2.
     """
     hbar, m, w0 = units.hbar, units.mass, units.omega0
     m1 = frequency_moment(sol, 1)
@@ -173,16 +166,11 @@ def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
             raise InternalConsistencyError(
                 f"identity '{name}' broken: defect {defect:.3e} > {IDENTITY_TOL}"
             )
-    ok = d_sum <= SUM_RULE_TOL
-    if not ok:
-        raise InternalConsistencyError(
-            f"potential coefficient <<omega^2>> deviates from omega0^2 by {d_sum:.3e}"
-        )
     return IdentityReport(
         thermal_frequency_defect=d_freq,
         var_x_mixture_defect=d_vx,
         var_p_mixture_defect=d_vp,
         mutual_info_defect=d_mi,
         sum_rule_defect=d_sum,
-        ok=ok,
+        ok=True,
     )

@@ -10,8 +10,7 @@ entry points:
 
 No run path uses them: every spectrum family evaluates its dispersion
 and positivity integrals in closed form.  They serve the scalar
-reference route ``fano._dispersion_parts`` that the tests compare the
-closed forms against.
+reference route the tests compare the closed forms against.
 
 Sign convention: ``cauchy_pv(f, pole, a, b)`` returns
 

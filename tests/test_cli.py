@@ -42,6 +42,18 @@ class TestArgumentHandling:
         doc = stderr_doc(capsys.readouterr().err)
         assert doc["exit_code"] == 1 and doc["error"] == "UsageError"
 
+    @pytest.mark.parametrize("command,override", [("compare", "oracle.N=1e18"),
+                                                   ("dynamics", "time.n_times=1e18")])
+    def test_allocation_failure_exits_one_with_json(self, capsys, tmp_path,
+                                                    command, override):
+        # numpy refuses an array of 1e18 elements before allocating it
+        rc, _, err = run(capsys, command, "--config", str(CONFIGS / "flat_band.json"),
+                         "--override", override, "--out", str(tmp_path))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "MemoryError" and doc["exit_code"] == 1
+        assert "allocate" in doc["message"]
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
@@ -384,6 +396,22 @@ class TestGroundstateCommand:
         assert doc["n_bar_c"] == 0.0 and doc["omega_c"] == 1.0
         assert "closed forms" in (tmp_path / "report.txt").read_text()
 
+    def test_sum_rule_gated_by_the_solve(self, capsys, tmp_path):
+        # a solve certified at the configured sum_tol is not refused
+        # again by a fixed tolerance of its own
+        doc = {"spectrum": {"family": "flat_band", "level": 0.3366640024438383,
+                            "lower": 0.35876554587960435, "upper": 2.7718563786207255},
+               "grid": {"sum_tol": 1e-4, "norm_tol": 1e-4}}
+        config = write_config(tmp_path, doc)
+        for cmd in ("spectrum", "groundstate"):
+            rc, _, err = run(capsys, cmd, "--config", config, "--out", str(tmp_path / cmd))
+            assert rc == 0, err
+        summary = json.loads((tmp_path / "spectrum" / "summary.json").read_text())
+        assert summary["sum_rule_defect"] == pytest.approx(-3.637e-6, rel=1e-3)
+        report = (tmp_path / "groundstate" / "report.txt").read_text()
+        assert "sum rule           = 3.637e-06" in report
+        assert "ok                 = True" in report
+
     def test_continuum_run_reports_identities(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "groundstate",
                        "--config", str(CONFIGS / "flat_band.json"),
@@ -436,8 +464,8 @@ class TestDynamicsCommand:
             assert np.max(np.abs(shipped - direct)) <= 1e-12
 
     def test_scan_window_past_t_max(self, capsys, tmp_path):
-        # the grid is refined for the longer of t_max and the scan window;
-        # refined for t_max = 30 alone it fails the alias bound at 60
+        # the kernels refine the grid for t_max = 30, and the damping scan
+        # refines it further for its own window of 60
         rc, _, err = run(capsys, "dynamics",
                          "--config", str(CONFIGS / "ohmic_reference.json"),
                          "--override", "time.scan_window=60", "--out", str(tmp_path))

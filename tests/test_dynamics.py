@@ -11,7 +11,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from dosc import dynamics, fano, oracle
-from dosc.errors import AliasingError, UsageError
+from dosc.errors import UsageError
 from dosc.spectra import OhmicExp, UnitSystem
 from short_time import short_time_check
 
@@ -143,9 +143,17 @@ class TestKernels:
         assert np.abs(d_cos + mid_sin_times).max() < 1e-5
 
     def test_alias_bound_enforced(self, ohmic_ref):
+        # the kernels refine an unresolved grid for their largest time:
+        # the grid and the values of refining first, bit for bit
         _, sol = ohmic_ref
-        with pytest.raises(AliasingError):
-            dynamics.kernels(sol, [0.0, 25.0])
+        k = dynamics.kernels(sol, [0.0, 25.0])
+        refined = fano.refine_for_times(sol, 25.0)
+        assert refined.omegas.size > sol.omegas.size
+        assert np.array_equal(k.source.omegas, refined.omegas)
+        first = dynamics.kernels(refined, [0.0, 25.0])
+        assert first.source is refined
+        for name in ("k_cos", "k_sin_over", "k_sin_times"):
+            assert np.array_equal(getattr(k, name), getattr(first, name))
 
     def test_refined_budget_travels(self, ohmic_strong):
         # a grid refined with a looser mass budget is held to that budget
@@ -153,11 +161,32 @@ class TestKernels:
         _, sol = ohmic_strong
         sol_t = fano.refine_for_times(sol, 420.0, mass_tol=1e-4)
         k = dynamics.kernels(sol_t, [0.0, 420.0])
+        assert k.source is sol_t
         assert dynamics.classify_damping(k, 420.0).damping_class == "underdamped"
         assert sol_t.alias_mass_tol == 1e-4
-        with pytest.raises(AliasingError) as exc:
-            dynamics.kernels(dataclasses.replace(sol_t, alias_mass_tol=1e-6), [0.0, 420.0])
-        assert exc.value.detail["mass_tol"] == 1e-6
+        # a tightened budget refines further, to what refine_for_times gives
+        tight = dynamics.kernels(dataclasses.replace(sol_t, alias_mass_tol=1e-6),
+                                 [0.0, 420.0]).source
+        assert tight.alias_mass_tol == 1e-6
+        assert tight.omegas.size > sol_t.omegas.size
+        assert np.array_equal(
+            tight.omegas, fano.refine_for_times(sol_t, 420.0, mass_tol=1e-6).omegas)
+
+    def test_scan_resolves_its_window(self, ref8, monkeypatch):
+        # a scan past the kernels' last time refines the grid for its
+        # window, within the budget the solution carries
+        k = dynamics.kernels(ref8, np.linspace(0.0, 8.0, 30))
+        assert k.source is ref8
+        seen = []
+        evaluate = dynamics._evaluate
+
+        def spy(source, ts):
+            seen.append(source)
+            return evaluate(source, ts)
+
+        monkeypatch.setattr(dynamics, "_evaluate", spy)
+        dynamics.classify_damping(k, 25.0)
+        assert np.array_equal(seen[0].omegas, fano.refine_for_times(ref8, 25.0).omegas)
 
     def test_validation(self, two_mode_decomp):
         with pytest.raises(UsageError):
@@ -362,7 +391,7 @@ class TestDamping:
 
     def test_scan_stays_in_window(self, two_mode_decomp, monkeypatch):
         # a window shorter than the scan step: every scan time in
-        # (0, scan_window], none past the horizon the alias check covered
+        # (0, scan_window], none past the horizon the grid resolves
         seen = []
         evaluate = dynamics._evaluate
 

@@ -2,7 +2,7 @@
 
 The solve evaluates the dispersion integral in closed form
 (``spec.dispersion``).  Its references here are independent: the scalar
-QUADPACK route ``fano._dispersion_parts`` for the smooth families, a
+QUADPACK route ``_dispersion_parts`` below for the smooth families, a
 segment-wise Cauchy-weight quadrature for tabulated V (whose kinks
 defeat the QUADPACK route), and the Ei/E1 and logarithm formulas
 written out below for the goldens.
@@ -23,16 +23,15 @@ from scipy.special import exp1, expi
 from dosc import fano, weakcoupling
 from dosc.errors import ConvergenceError, UsageError
 from dosc.fano import (
-    _dispersion_parts,
     _grid_bounds,
     build_grid,
     compute_pi,
     frequency_moment,
     moment,
     refine_for_times,
-    require_alias_bound,
     solve,
 )
+from dosc.quadrature import cauchy_pv, integrate
 from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
 
 U = UnitSystem()
@@ -330,7 +329,9 @@ def test_refine_for_times(ohmic_ref):
     _, sol = ohmic_ref
     t_max = 25.0
     refined = refine_for_times(sol, t_max)
-    require_alias_bound(refined, t_max)
+    # a resolved grid comes back as it is, for t_max or any shorter time
+    assert refine_for_times(refined, t_max) is refined
+    assert refine_for_times(refined, 0.5 * t_max) is refined
     assert refined.omegas.size > sol.omegas.size
     assert refined.norm_defect <= 2e-6
 
@@ -360,12 +361,30 @@ def test_node_budget_stop_is_reported_as_such():
     assert detail["norm_defect"] <= 1e-6 and detail["sum_defect"] <= 1e-6
     assert "grid.max_nodes = 800" in detail["guidance"]
     assert "jump test" in detail["guidance"]
+    assert detail["guidance"].endswith("raise grid.max_nodes")
     assert "omega_max" not in detail["guidance"]
     # a stop on the round budget keeps its own count and guidance
     with pytest.raises(ConvergenceError) as exc:
         solve(OhmicExp(amplitude=math.sqrt(0.1), cutoff=5.0), U, max_rounds=1)
     assert exc.value.detail["rounds"] == 1
     assert "omega_max" in exc.value.detail["guidance"]
+
+
+def test_node_budget_stop_without_jumps_names_the_bound_state():
+    # the budget runs out with no interval failing the jump test and
+    # the norm defect stalled: more nodes cannot help, so the guidance
+    # is the bounded support's, after the budget it spent
+    spec = FlatBand(0.3366640024438383, 0.35876554587960435, 2.7718563786207255)
+    with pytest.raises(ConvergenceError) as exc:
+        solve(spec, U)
+    detail = exc.value.detail
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert detail["nodes"] == 30000 and detail["rounds"] < 24
+    assert detail["norm_defect"] > 1e-5
+    assert "grid.max_nodes = 30000 ran out" in detail["guidance"]
+    assert "0 intervals still failing the jump test" in detail["guidance"]
+    assert "bound state" in detail["guidance"]
+    assert "raise grid.max_nodes" not in detail["guidance"]
 
 
 def test_round_budget_stop_reports_the_evaluated_grid():
@@ -396,6 +415,21 @@ def test_csv_round_trip(tmp_path, flat_mid):
 
 # ---------------------------------------------------------------------------
 # closed-form dispersion integrals against independent references
+
+def _dispersion_parts(spec, omega):
+    """I(omega) by scalar QUADPACK calls: the 1/(omega-w') integral minus
+    the regular 1/(omega+w') one.  Inside the support the first is a
+    principal value; outside it is an ordinary integral."""
+    lo = spec.support_lower
+    hi = spec.support_upper if math.isfinite(spec.support_upper) else math.inf
+    vsq = spec.v_sq
+    if lo < omega < hi:
+        pv = cauchy_pv(vsq, omega, lo, hi).value
+    else:
+        pv = integrate(lambda x: vsq(x) / (omega - x), lo, hi).value
+    reg = integrate(lambda x: vsq(x) / (omega + x), lo, hi).value
+    return pv - reg
+
 
 SMOOTH_SPECS = st.one_of(
     st.builds(lambda ksq, cutoff: OhmicExp(amplitude=math.sqrt(ksq / cutoff), cutoff=cutoff),

@@ -58,12 +58,20 @@ def test_uncoupled_closed_forms():
 
 
 def test_uncoupled_other_units():
-    units = UnitSystem(omega0=2.0, mass=3.0, hbar=1.5)
-    s = uncoupled_summary(units)
-    assert s.var_x == pytest.approx(1.5 / (2 * 3 * 2))
-    assert s.var_p == pytest.approx(1.5 * 3 * 2 / 2)
-    assert s.var_x * s.var_p == pytest.approx((1.5 / 2) ** 2)
-    assert s.mean_energy == pytest.approx(1.5)
+    # the moments of a unit point mass at omega0, within an ulp or so
+    # of the textbook closed forms
+    for units in (UnitSystem(omega0=2.0, mass=3.0, hbar=1.5),
+                  UnitSystem(omega0=0.3, mass=0.7, hbar=2.0)):
+        hbar, m, w0 = units.hbar, units.mass, units.omega0
+        s = uncoupled_summary(units)
+        assert s == ground_state_moments(Measure((1.0,), (w0,)), units)
+        assert s.var_x == pytest.approx(hbar / (2 * m * w0), rel=1e-15)
+        assert s.var_p == pytest.approx(hbar * m * w0 / 2, rel=1e-15)
+        assert s.quad_x_unc == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert s.quad_p_unc == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert s.omega_c == pytest.approx(w0, rel=1e-15)
+        assert s.mean_energy == pytest.approx(0.5 * hbar * w0, rel=1e-15)
+        assert s.n_bar_c == s.T_eff == s.entropy == s.mutual_info == 0.0
 
 
 def test_two_mode_moments():
@@ -136,6 +144,14 @@ def test_units_are_required_away_from_omega0_one():
         ground_state_moments(sol)
     with pytest.raises(TypeError):
         interpretation_identities(sol)
+
+
+def test_sum_rule_reported_not_gated():
+    # the identities hold, and the sum-rule defect, which the solve has
+    # gated at its own tolerance, is reported as measured
+    rep = interpretation_identities(one_node(1.1, 1.0), U)
+    assert rep.ok
+    assert rep.sum_rule_defect == pytest.approx(1.1**1.5 - 1.0, rel=1e-12)
 
 
 def test_outputs_stable_under_refinement(ohmic_ref):

@@ -65,6 +65,8 @@ class TestTwoMode:
         assert summary.n_bar_c == pytest.approx(0.018977424651021146, rel=1e-9)
         report = groundstate.interpretation_identities(decomp, units)
         assert report.ok
+        # the sum rule is the matrix identity K[0,0] = omega0^2
+        assert report.sum_rule_defect <= 1e-12
 
     def test_symplectic_occupation_identity(self, two_mode, units):
         _, decomp = two_mode
