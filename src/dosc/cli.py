@@ -86,7 +86,7 @@ _OPTIONS = {
         "N": (800, "integer >= 1"),
         "scheme": ("uniform", ("uniform", "gauss_like")),
         "bins": (160, "integer >= 1"),
-        "bath_omega_max": (None, "number"),
+        "bath_omega_max": (None, "number > 0"),
     },
     "tolerances": {
         "rel_var": (0.005, "number >= 0"),

@@ -22,14 +22,15 @@ The sums take one of two routes, chosen from the time lattice alone:
 
 * a uniform lattice t_j = t_0 + j dt of more than _BLOCK times (the
   CLI's default linear spacing, the damping scan) is a type-1
-  non-uniform FFT over x_k = omega_k dt mod 2 pi: the three strengths
-  are spread onto one oversampled grid with shared Gaussian taps, and
-  three FFTs give all T values in O(M + T log T), within
+  non-uniform FFT over x_k = omega_k dt mod 2 pi: each strength row
+  asked for (three for the kernels, k_sin_times' one for the scan) is
+  spread onto one oversampled grid with shared Gaussian taps, and one
+  FFT per row gives all T values in O(M + T log T), within
   _FOURIER_REL_ERR of the direct sums;
 * every other lattice (geometric grids, single root-finding steps,
-  mixed grids) takes the direct sums, dense cos/sin products a block
-  of _BLOCK times at a time.  They are also the tests' reference for
-  the Fourier route.
+  mixed grids) takes the direct sums of the same rows, dense cos/sin
+  products a block of _BLOCK times at a time.  They are also the
+  tests' reference for the Fourier route.
 """
 
 from __future__ import annotations
@@ -63,19 +64,18 @@ _FOURIER_REL_ERR = 1e-12
 _SCAN_STEP_FACTOR = 0.01   # damping scan step, units 1/omega0
 
 
-def _direct_sums(source, ts: np.ndarray):
-    """k_cos, k_sin_over, k_sin_times at ts over the source's (nodes,
-    weights) measure, a block of times at a time."""
+def _direct_sums(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
+    """sum_k c_k cos(omega_k t) for each strength row c in ``cos``, then
+    sum_k s_k sin(omega_k t) for each s in ``sin``, over the source's
+    nodes omega_k: a (rows, ts.size) array, a block of times at a time."""
     w = source.nodes
-    wt = source.weights
-    sin_weights = np.stack([wt / w, wt * w], axis=1)
-    k_cos = np.empty(ts.size)
-    k_sin = np.empty((2, ts.size))
+    groups = [(f, np.stack(rows, axis=1))
+              for f, rows in ((np.cos, cos), (np.sin, sin)) if len(rows)]
+    out = np.empty((len(cos) + len(sin), ts.size))
     for lo in range(0, ts.size, _BLOCK):
         phase = np.outer(ts[lo:lo + _BLOCK], w)
-        k_cos[lo:lo + _BLOCK] = np.cos(phase) @ wt
-        k_sin[:, lo:lo + _BLOCK] = (np.sin(phase) @ sin_weights).T
-    return k_cos, k_sin[0], k_sin[1]
+        out[:, lo:lo + _BLOCK] = np.hstack([f(phase) @ s for f, s in groups]).T
+    return out
 
 
 def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
@@ -111,30 +111,27 @@ def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
     return coeffs[:, m % n_grid] * (math.sqrt(math.pi / tau) * np.exp(m * m * tau))
 
 
-def _evaluate(source, ts: np.ndarray):
-    """k_cos, k_sin_over, k_sin_times at ts: by the Fourier route when ts
-    is a uniform lattice of more than _BLOCK times, else by direct sums."""
+def _evaluate(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
+    """The rows of _direct_sums: by the Fourier route when ts is a
+    uniform lattice of more than _BLOCK times, else by direct sums."""
     n = ts.size
     if n > _BLOCK:
         dt = (ts[-1] - ts[0]) / (n - 1)
         off_lattice = np.max(np.abs(ts - (ts[0] + dt * np.arange(n))))
         if dt > 0 and off_lattice <= _LATTICE_ULPS * np.spacing(ts[-1]):
-            w, wt = source.nodes, source.weights
-            sums = _fourier_sums(w, np.stack([wt, wt / w, wt * w]), ts[0], dt, n)
-            k_cos, k_sin_over, k_sin_times = np.stack(
-                [sums[0].real, sums[1].imag, sums[2].imag])
+            sums = _fourier_sums(source.nodes, np.stack([*cos, *sin]), ts[0], dt, n)
+            out = np.concatenate([sums[:len(cos)].real, sums[len(cos):].imag])
             # sin(0 omega) sums to exactly +0 on the direct route
-            k_sin_over[ts == 0] = 0.0
-            k_sin_times[ts == 0] = 0.0
-            return k_cos, k_sin_over, k_sin_times
-    return _direct_sums(source, ts)
+            out[len(cos):, ts == 0] = 0.0
+            return out
+    return _direct_sums(source, ts, cos, sin)
 
 
 def _resolved(source, t_max: float):
     """``source`` with a grid that resolves times up to t_max.  A
     finite-bath sum is exact at any t; only a grid can undersample."""
     if isinstance(source, fano.SpectralSolution):
-        return fano.refine_for_times(source, t_max, mass_tol=source.alias_mass_tol)
+        return fano.refine_for_times(source, t_max)
     return source
 
 
@@ -155,7 +152,8 @@ class DynamicsKernels:
 
 
 def kernels(source, times) -> DynamicsKernels:
-    """Evaluate the three kernels at the given times.
+    """Evaluate the three kernels at the given times: one cosine and two
+    sine strength rows, summed together by one route.
 
     ``source`` is a continuum SpectralSolution (quadrature over its
     grid, first refined by fano.refine_for_times for the largest
@@ -171,7 +169,9 @@ def kernels(source, times) -> DynamicsKernels:
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
     source = _resolved(source, float(ts[-1]))
-    k_cos, k_sin_over, k_sin_times = _evaluate(source, ts)
+    w, wt = source.nodes, source.weights
+    k_cos, k_sin_over, k_sin_times = _evaluate(source, ts, cos=[wt],
+                                               sin=[wt / w, wt * w])
     if np.max(np.abs(k_cos)) > 1.0 + 1e-6:
         raise InternalConsistencyError(
             f"|k_cos| reached {np.max(np.abs(k_cos)):.6g} > 1: "
@@ -223,11 +223,12 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     -resolution * omega0^2: every quadrature kernel wiggles at some
     tiny amplitude, and near the positivity margin the true dips fall
     orders of magnitude below the kernel's initial scale, so a
-    strict sign test would call everything oscillatory.  The whole
-    scan lattice is evaluated at once; values the Fourier route leaves
-    within its error bound of 0 or of the floor are summed again
-    directly, so every comparison falls as in a direct scan.  A
-    continuum source is first refined for scan_window, as in kernels.
+    strict sign test would call everything oscillatory.  Only
+    k_sin_times' strength row is summed: over the whole scan lattice at
+    once, again directly where the Fourier route leaves a value within
+    its error bound of 0 or of the floor (so every comparison falls as
+    in a direct scan), and directly at each root step.  A continuum
+    source is first refined for scan_window, as in kernels.
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])
@@ -239,12 +240,11 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     # every scan time in (0, scan_window], the horizon resolved above
     ts = np.linspace(min(step, scan_window), scan_window, n)
     floor = resolution * kern.omega0**2
-    w = source.nodes
-    wt = source.weights * w
-    vals = _evaluate(source, ts)[2]
-    tol = _FOURIER_REL_ERR * float(np.sum(np.abs(wt)))
+    sin = [source.weights * source.nodes]     # k_sin_times' strengths
+    vals = _evaluate(source, ts, sin=sin)[0]
+    tol = _FOURIER_REL_ERR * float(np.sum(np.abs(sin[0])))
     near = (np.abs(vals) <= tol) | (np.abs(vals + floor) <= tol)
-    vals[near] = _direct_sums(source, ts[near])[2]
+    vals[near] = _direct_sums(source, ts[near], sin=sin)[0]
     below = np.flatnonzero(vals < -floor)
     if below.size:
         j = int(below[0])
@@ -252,7 +252,7 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         if start.size:
             i = int(start[-1])
             # root steps on the direct single-time sum
-            zero_at = fano.brentq(lambda t: (np.sin(np.outer([t], w)) @ wt)[0],
+            zero_at = fano.brentq(lambda t: _direct_sums(source, np.array([t]), sin=sin)[0, 0],
                                   ts[i], ts[j], xtol=1e-12, rtol=1e-14)
         else:
             zero_at = float(ts[j])  # negative from the first sample on

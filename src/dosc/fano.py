@@ -65,7 +65,7 @@ MAX_ROUNDS = 24
 
 # Anti-aliasing bound of the time-domain grid: spacing * t_max <= ALIAS_LIMIT,
 # except on intervals carrying at most a solution's alias_mass_tol of the
-# spectral mass (ALIAS_MASS_TOL unless refine_for_times was given another),
+# spectral mass (ALIAS_MASS_TOL unless the solution was given another),
 # and the node budget refine_for_times may add to reach it.
 ALIAS_LIMIT = 0.1
 ALIAS_MASS_TOL = 1e-6
@@ -111,6 +111,7 @@ class SpectralSolution:
     sum_defect: float = field(init=False)
 
     def __post_init__(self):
+        checked(self.alias_mass_tol, "number >= 0", "alias_mass_tol")
         object.__setattr__(self, "weights", simpson_weights(self.nodes) * self.pi)
         w0sq = self.omega0 * self.omega0
         object.__setattr__(self, "norm_defect", abs(frequency_moment(self, 0) - 1.0))
@@ -483,24 +484,20 @@ def frequency_moment(measure, k: int) -> float:
 # ---------------------------------------------------------------------------
 # time-domain grid support
 
-def refine_for_times(sol: SpectralSolution, t_max: float, *,
-                     mass_tol: float = ALIAS_MASS_TOL) -> SpectralSolution:
+def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     """Return a solution whose grid resolves oscillations up to t_max.
 
     Requirement: intervals violating  (spacing) * t_max <= ALIAS_LIMIT
-    may carry at most mass_tol of total spectral weight.  Violating
-    intervals are split into equal parts, and pi is re-evaluated on the
-    merged nodes.  The result carries mass_tol as its alias_mass_tol,
-    the budget dynamics refines within at any later time.  A solution
-    that already meets the requirement and carries mass_tol is
-    returned as it is.
+    may carry at most sol.alias_mass_tol of total spectral weight.
+    Violating intervals are split into equal parts, and pi is
+    re-evaluated on the merged nodes; the result carries the same
+    budget.  A solution that already meets the requirement is returned
+    as it is.
     """
     checked(t_max, "number", "t_max")
-    checked(mass_tol, "number >= 0", "mass_tol")
-    same_budget = mass_tol == sol.alias_mass_tol
     if t_max <= 0:
-        return sol if same_budget else replace(sol, alias_mass_tol=mass_tol)
-    spec, units = sol.spec, sol.units
+        return sol
+    spec, units, mass_tol = sol.spec, sol.units, sol.alias_mass_tol
     h_max = ALIAS_LIMIT / t_max
     refined = sol
 
@@ -519,26 +516,26 @@ def refine_for_times(sol: SpectralSolution, t_max: float, *,
         cum = np.cumsum(masses[order])
         split = violating.copy()
         split[order[cum <= mass_tol * total * 0.5]] = False
-        to_split = np.flatnonzero(split)
-        new_pts: list[np.ndarray] = []
-        for i in to_split:
-            k = min(int(math.ceil(h[i] / h_max)), 4096)
-            if k > 1:
-                new_pts.append(np.linspace(nodes[i], nodes[i + 1], k + 1)[1:-1])
-        if not new_pts:
+        # each split interval into k equal parts, its k - 1 inner points
+        k = np.minimum(np.ceil(h[split] / h_max), 4096).astype(np.intp)
+        inner = k - 1
+        if not inner.any():
             break
-        new_nodes = _unique(np.concatenate(new_pts))
-        added += new_nodes.size
+        added += int(inner.sum())
         if added > MAX_NEW_NODES:
             raise ConvergenceError(
                 "time-grid refinement budget exceeded",
                 detail={"t_max": t_max, "new_nodes": added,
                         "guidance": "shorten the time span"},
             )
+        # np.linspace's points j * (h / k) + left, j = 1..k-1
+        first = np.repeat(np.cumsum(inner) - inner, inner)
+        j = np.arange(1, first.size + 1) - first
+        new_nodes = _unique(j * np.repeat(h[split] / k, inner)
+                            + np.repeat(nodes[:-1][split], inner))
         refined = _solution(spec, units, np.sort(np.concatenate([nodes, new_nodes])))
 
-    if refined is sol and same_budget:
+    if refined is sol:
         return sol
     meta = {**sol.meta, "refined_for_t_max": t_max, "nodes": int(refined.nodes.size)}
     return replace(refined, alias_mass_tol=mass_tol, meta=meta)
-

@@ -61,7 +61,7 @@ def short_time_check(sol, units: UnitSystem) -> ShortTimeReport:
     t_hi = min(t_hi, 0.2 / w0)
     t_lo = t_hi / 10.0
     ts = np.geomspace(t_lo, t_hi, _SHORT_TIME_POINTS)
-    k_sin_times = dynamics._evaluate(sol, ts)[2]
+    k_sin_times = dynamics._evaluate(sol, ts, sin=[sol.weights * sol.nodes])[0]
     dev = k_sin_times - w0 * np.sin(w0 * ts)
     usable = dev < 0
     if usable.sum() < _SHORT_TIME_POINTS // 2:

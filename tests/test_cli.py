@@ -165,7 +165,8 @@ class TestConfigValidation:
         'time.resolution="abc"', "time.alias_mass_tol=-1",
         "tolerances.rel_var=-0.1", 'tolerances.rel_var="abc"',
         "tolerances.histogram_l1=NaN", 'oracle.bath_omega_max="abc"',
-        "oracle.bath_omega_max=-Infinity", "fit.jitter_seed=-1",
+        "oracle.bath_omega_max=-Infinity", "oracle.bath_omega_max=0",
+        "oracle.bath_omega_max=-3", "fit.jitter_seed=-1",
         "grid.max_nodes=1e400", "grid.max_nodes=0", "grid.max_rounds=-3",
         "grid.max_rounds=2.5", "grid.norm_tol=NaN",
         "grid.norm_tol=0", "grid.sum_tol=-1e-6", "grid.sum_tol=Infinity",
@@ -242,6 +243,7 @@ class TestConfigValidation:
                     == (tmp_path / "float" / name).read_bytes())
 
     def test_defaults_match_readme(self, tmp_path):
+        import dataclasses
         import inspect
 
         from dosc import dynamics, fano
@@ -267,8 +269,8 @@ class TestConfigValidation:
         assert cfg.time.alias_mass_tol == fano.ALIAS_MASS_TOL
         damping = inspect.signature(dynamics.classify_damping).parameters
         assert cfg.time.resolution == damping["resolution"].default
-        refine = inspect.signature(fano.refine_for_times).parameters
-        assert cfg.time.alias_mass_tol == refine["mass_tol"].default
+        budget = {f.name: f.default for f in dataclasses.fields(fano.SpectralSolution)}
+        assert cfg.time.alias_mass_tol == budget["alias_mass_tol"]
 
 
 class TestSpectrumCommand:
@@ -442,19 +444,20 @@ class TestDynamicsCommand:
     @pytest.mark.parametrize("config", ["flat_band", "near_critical", "ohmic_reference"])
     def test_fourier_route_matches_direct_sums(self, config, capsys, tmp_path, monkeypatch):
         # as shipped (kernels and damping scan by the Fourier route), then
-        # with every kernel sum taken directly
+        # with every kernel sum taken directly; the kernels spread their
+        # three strength rows, the scan only k_sin_times' one
         from dosc import dynamics
 
         fourier, calls = dynamics._fourier_sums, []
         monkeypatch.setattr(dynamics, "_fourier_sums",
-                            lambda *a: calls.append(a[-1]) or fourier(*a))
+                            lambda *a: calls.append(len(a[1])) or fourier(*a))
         outs = [tmp_path / "shipped", tmp_path / "direct"]
         for out in outs:
             rc, _, _ = run(capsys, "dynamics", "--config", str(CONFIGS / f"{config}.json"),
                            "--out", str(out))
             assert rc == 0
             monkeypatch.setattr(dynamics, "_evaluate", dynamics._direct_sums)
-        assert len(calls) == 2
+        assert calls == [3, 1]
         assert ((outs[0] / "damping.json").read_bytes()
                 == (outs[1] / "damping.json").read_bytes())
         for name in ("kernels.csv", "trajectory.csv"):

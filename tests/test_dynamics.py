@@ -41,7 +41,7 @@ def full_window_scan(kern, scan_window, resolution=1e-3):
     w, wt = source.nodes, source.weights * source.nodes
     step = dynamics._SCAN_STEP_FACTOR / kern.omega0
     ts = np.linspace(step, scan_window, int(math.ceil(scan_window / step)) + 1)
-    vals = dynamics._direct_sums(source, ts)[2]
+    vals = dynamics._direct_sums(source, ts, sin=[wt])[0]
     below = np.flatnonzero(vals < -resolution * kern.omega0**2)
     if not below.size:
         return None
@@ -60,12 +60,12 @@ SCAN_CASES = {"ref8": ("ref8", 8.0), "two_mode": ("two_mode_decomp", 12.0),
 
 
 def fourier_calls(monkeypatch):
-    """Record the size T of every _fourier_sums call."""
+    """Record the strength rows and the size T of every _fourier_sums call."""
     calls = []
     fourier = dynamics._fourier_sums
 
     def spy(nodes, strengths, t0, dt, T):
-        calls.append(T)
+        calls.append((len(strengths), T))
         return fourier(nodes, strengths, t0, dt, T)
 
     monkeypatch.setattr(dynamics, "_fourier_sums", spy)
@@ -159,18 +159,17 @@ class TestKernels:
         # a grid refined with a looser mass budget is held to that budget
         # by the kernels and the damping scan, with no tolerance repeated
         _, sol = ohmic_strong
-        sol_t = fano.refine_for_times(sol, 420.0, mass_tol=1e-4)
+        sol_t = fano.refine_for_times(dataclasses.replace(sol, alias_mass_tol=1e-4), 420.0)
         k = dynamics.kernels(sol_t, [0.0, 420.0])
         assert k.source is sol_t
         assert dynamics.classify_damping(k, 420.0).damping_class == "underdamped"
         assert sol_t.alias_mass_tol == 1e-4
         # a tightened budget refines further, to what refine_for_times gives
-        tight = dynamics.kernels(dataclasses.replace(sol_t, alias_mass_tol=1e-6),
-                                 [0.0, 420.0]).source
+        tightened = dataclasses.replace(sol_t, alias_mass_tol=1e-6)
+        tight = dynamics.kernels(tightened, [0.0, 420.0]).source
         assert tight.alias_mass_tol == 1e-6
         assert tight.omegas.size > sol_t.omegas.size
-        assert np.array_equal(
-            tight.omegas, fano.refine_for_times(sol_t, 420.0, mass_tol=1e-6).omegas)
+        assert np.array_equal(tight.omegas, fano.refine_for_times(tightened, 420.0).omegas)
 
     def test_scan_resolves_its_window(self, ref8, monkeypatch):
         # a scan past the kernels' last time refines the grid for its
@@ -180,9 +179,9 @@ class TestKernels:
         seen = []
         evaluate = dynamics._evaluate
 
-        def spy(source, ts):
+        def spy(source, ts, **rows):
             seen.append(source)
-            return evaluate(source, ts)
+            return evaluate(source, ts, **rows)
 
         monkeypatch.setattr(dynamics, "_evaluate", spy)
         dynamics.classify_damping(k, 25.0)
@@ -285,13 +284,14 @@ class TestFourierRoute:
         source = request.getfixturevalue(case)
         t_max = {"ref8": 8.0, "flat20": 20.0, "near_margin50": 50.0}.get(case, 60.0)
         ts = np.linspace(t0, t_max, T)
+        w, wt = source.nodes, source.weights
+        rows = {"cos": [wt], "sin": [wt / w, wt * w]}
         calls = fourier_calls(monkeypatch)
-        got = dynamics._evaluate(source, ts)
-        assert calls == [T]
+        got = dynamics._evaluate(source, ts, **rows)
+        assert calls == [(3, T)]
         # every time for T <= 501; every tenth, the last included, at 5001
         sel = slice(None, None, 1 if T <= 501 else 10)
-        ref = dynamics._direct_sums(source, ts[sel])
-        w, wt = source.nodes, source.weights
+        ref = dynamics._direct_sums(source, ts[sel], **rows)
         for kernel, want, strength in zip(got, ref, (wt, wt / w, wt * w)):
             bound = dynamics._FOURIER_REL_ERR * np.abs(strength).sum()
             assert np.max(np.abs(kernel[sel] - want)) <= bound
@@ -302,14 +302,16 @@ class TestFourierRoute:
 
     def test_route_choice(self, two_mode_decomp, monkeypatch):
         calls = fourier_calls(monkeypatch)
-        dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK))
-        dynamics._evaluate(two_mode_decomp, np.geomspace(0.01, 5.0, 500))
+        sin = [two_mode_decomp.weights]
+        dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK), sin=sin)
+        dynamics._evaluate(two_mode_decomp, np.geomspace(0.01, 5.0, 500), sin=sin)
         ts = np.linspace(0.0, 5.0, 500)
         ts[250] += 1e-9
-        dynamics._evaluate(two_mode_decomp, ts)
+        dynamics._evaluate(two_mode_decomp, ts, sin=sin)
         assert calls == []
-        dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK + 1))
-        assert calls == [dynamics._BLOCK + 1]
+        dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK + 1),
+                           sin=sin)
+        assert calls == [(1, dynamics._BLOCK + 1)]
 
 
 class TestDamping:
@@ -317,9 +319,10 @@ class TestDamping:
         # the damping scan's Fourier k_sin_times against the direct sums
         ts = np.linspace(0.01, 8.0, 300)
         for source in (ref8, two_mode_decomp):
-            bound = dynamics._FOURIER_REL_ERR * np.abs(source.weights * source.nodes).sum()
-            assert np.max(np.abs(dynamics._evaluate(source, ts)[2]
-                                 - dynamics._direct_sums(source, ts)[2])) <= bound
+            sin = [source.weights * source.nodes]
+            bound = dynamics._FOURIER_REL_ERR * np.abs(sin[0]).sum()
+            assert np.max(np.abs(dynamics._evaluate(source, ts, sin=sin)
+                                 - dynamics._direct_sums(source, ts, sin=sin))) <= bound
 
     def test_weak_coupling_near_bare_half_period(self, ohmic_weak, units):
         _, sol = ohmic_weak
@@ -359,7 +362,7 @@ class TestDamping:
         cls = dynamics.classify_damping(k, window)
         assert cls.first_stationary_time == expected
         n_scan = int(math.ceil(window / (dynamics._SCAN_STEP_FACTOR / k.omega0))) + 1
-        assert calls == [n_scan]
+        assert calls == [(1, n_scan)]
 
     @pytest.mark.parametrize("case", SCAN_CASES)
     def test_scan_immune_to_fourier_error(self, case, request, monkeypatch):
@@ -372,8 +375,9 @@ class TestDamping:
         k = dynamics.kernels(source, np.linspace(0.0, window, 30))
         step = dynamics._SCAN_STEP_FACTOR / k.omega0
         ts = np.linspace(step, window, int(math.ceil(window / step)) + 1)
-        deepest = dynamics._direct_sums(source, ts)[2].min()
-        bound = dynamics._FOURIER_REL_ERR * np.abs(source.weights * source.nodes).sum()
+        sin = [source.weights * source.nodes]
+        deepest = dynamics._direct_sums(source, ts, sin=sin).min()
+        bound = dynamics._FOURIER_REL_ERR * np.abs(sin[0]).sum()
         fourier = dynamics._fourier_sums
         for resolution in (1e-3, -(deepest + 0.5 * bound)):
             expected = full_window_scan(k, window, resolution)
@@ -395,9 +399,9 @@ class TestDamping:
         seen = []
         evaluate = dynamics._evaluate
 
-        def spy(source, ts):
+        def spy(source, ts, **rows):
             seen.append(ts.copy())
-            return evaluate(source, ts)
+            return evaluate(source, ts, **rows)
 
         monkeypatch.setattr(dynamics, "_evaluate", spy)
         k = dynamics.kernels(two_mode_decomp, [0.0, 0.005])
@@ -423,7 +427,7 @@ def last_decade_peak(kern):
 class TestRelaxation:
     def test_strong_reference_relaxes(self, ohmic_strong):
         spec, sol = ohmic_strong
-        sol_t = fano.refine_for_times(sol, 420.0, mass_tol=1e-4)
+        sol_t = fano.refine_for_times(dataclasses.replace(sol, alias_mass_tol=1e-4), 420.0)
         ts = np.concatenate([[0.0], np.geomspace(0.5, 420.0, 120)])
         k = dynamics.kernels(sol_t, ts)
         assert last_decade_peak(k) <= RELAX_THRESHOLD

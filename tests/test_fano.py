@@ -10,6 +10,7 @@ written out below for the goldens.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,22 @@ def test_refined_solution_certifies_its_own_grid(ohmic_ref):
         assert s.sum_defect == abs(frequency_moment(s, 2) - U.omega0**2) / U.omega0**2
         assert "sum_defect" not in s.meta
     assert refined.sum_defect <= 2e-6
+
+
+def test_time_refinement_refused_before_building(flat_mid):
+    # configs/flat_band.json's density resolved to t_max = 1e6 would take
+    # 16 million new nodes (half a GB): the refusal counts, never builds them
+    _, sol = flat_mid
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError) as exc:
+            refine_for_times(sol, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.detail == {"t_max": 1e6, "new_nodes": 16122121,
+                                "guidance": "shorten the time span"}
+    assert peak < 10e6
 
 
 def test_node_budget_stop_is_reported_as_such():

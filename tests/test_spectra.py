@@ -272,8 +272,8 @@ def _cases():
                name, rule)
     yield ("refine_for_times.t_max",
            lambda x: fano.refine_for_times(_solution(), x), "t_max", "")
-    yield ("refine_for_times.mass_tol",
-           lambda x: fano.refine_for_times(_solution(), 5.0, mass_tol=x), "mass_tol", ">= 0")
+    yield ("SpectralSolution.alias_mass_tol",
+           lambda x: replace(_solution(), alias_mass_tol=x), "alias_mass_tol", ">= 0")
     yield ("classify_damping",
            lambda x: dynamics.classify_damping(_kernels(), scan_window=x),
            "scan_window", "> 0")
