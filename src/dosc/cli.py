@@ -17,11 +17,10 @@ no run-path module imports any of scipy (the CLI stack then loads about
 Simpson's rule is fano.simpson_weights, and Brent's root finder is
 ported into fano, bit-identical to scipy's; the Lorentzian fit is a small
 Levenberg-Marquardt in weakcoupling; xlogy, Dawson's integral and the
-ohmic Ei/E1 bracket are numpy ports in spectra; and oracle calls
-LAPACK's dlasd4 in the OpenBLAS bundled with numpy, through ctypes.
-scipy is imported at call time in two places only: the tests' QUADPACK
-reference, quadrature._quad, and oracle's dlasd4 where numpy's OpenBLAS
-does not export it.
+ohmic Ei/E1 bracket are numpy ports in spectra; and oracle solves its
+secular equation in numpy, with LAPACK dlasd4's steps vectorised over
+all roots.  scipy is imported at call time in one place only, the
+tests' QUADPACK reference quadrature._quad, and is a test dependency.
 """
 
 from __future__ import annotations

@@ -21,16 +21,15 @@ against which every continuum quantity is validated:
 
 K is an arrowhead matrix (a diagonal plus one border row), so it is
 never formed to be diagonalised.  Its eigenvalues are the roots of a
-secular equation, one per interlacing bracket, found by LAPACK's
-dlasd4 as offsets from the nearest pole; the weights and eigenvector
-columns follow in closed form from those offsets.  That is O(N^2) time
-and O(N) memory: one sweep keeps each root's pole and offset; an
-evolution sums eigenvector entries exactly over near roots and by
-Chebyshev proxies over far ones (Fong & Darve, J. Comput. Phys. 228
-(2009) 8712), never holding the (N+1)^2 matrix.  dlasd4 is called through
-ctypes in the OpenBLAS bundled with numpy, so that no command imports
-scipy for it; scipy's wrapper is the fallback where numpy's library
-does not export it.
+secular equation, one per interlacing bracket, found all at once as
+offsets from the nearest pole by a vectorised iteration of LAPACK
+dlasd4's scheme; the weights and eigenvector columns follow in closed
+form from those offsets.  Both the solve and an evolution sum over near
+poles or roots exactly and over far ones through Chebyshev points (Fong
+& Darve, J. Comput. Phys. 228 (2009) 8712; Livne & Brandt, SIAM J.
+Matrix Anal. Appl. 24 (2002) 439): the solve through a binary tree of
+boxes in O(N log N) time, both in O(N) memory, never holding the
+(N+1)^2 matrix.
 
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
@@ -40,12 +39,10 @@ share only what is evaluated over a (nodes, weights) measure, here
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +58,17 @@ from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 # the 399 of scripts/relaxation_demo.py (4 MB of proxies at N = 4000)
 _CHEB = 20
 _TIMES = 512
+# the secular solver's tree of boxes stops at leaves of at most _LEAF
+# poles; up to _ONE_LEAF poles it has one leaf, where the exact sums cost
+# less than the levels would save.  It solves _BATCH roots at a time for
+# at most _MAX_ITER steps, and its sums run in blocks of up to _BLOCK
+# entries: 1.4 MB at N = 4000
+_LEAF = 12
+_ONE_LEAF = 192
+_BATCH = 512
+_MAX_ITER = 64
+_BLOCK = 2**13
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,16 +192,18 @@ class _SecularEquation:
     With the border last, the Cholesky factor L of K satisfies
     L^T L = diag(0, omega_1^2, ..., omega_N^2) + u u^T with
     u = (sqrt(omega0 margin), z_j/omega_j) and z_j = K[0, j], so the
-    Omega_k are the singular values that LAPACK's dlasd4 finds for the
-    poles ``d`` and the unit border ``u`` scaled by ``rho``.
+    Omega_k are the singular values of diag(d) with the unit border
+    ``u`` scaled by ``rho``: the roots of 1 + rho sum_j u_j^2/(d_j^2 -
+    Omega^2) (_solve_secular).
 
-    dlasd4 needs strictly increasing poles and no zero in ``u``, so the
-    bath is sorted and deflated first, as dlasd2 does.  A mode with
-    |u_j| <= tol is an uncoupled normal mode (``loose``).  In a run of
-    poles each within tol of the previous one, a rotation leaves only
-    the last pole coupled, with the run's coupling norm; the others
-    become normal modes at their own poles spanning the complement of
-    the run's couplings (``runs``: bath indices and those columns).
+    The roots interlace the poles only if these strictly increase and no
+    u_j is zero, so the bath is sorted and deflated first, as LAPACK's
+    dlasd2 does.  A mode with |u_j| <= tol is an uncoupled normal mode
+    (``loose``).  In a run of poles each within tol of the previous one,
+    a rotation leaves only the last pole coupled, with the run's coupling
+    norm; the others become normal modes at their own poles spanning the
+    complement of the run's couplings (``runs``: bath indices and those
+    columns).
     """
 
     d: np.ndarray          # (0, kept poles), strictly increasing
@@ -292,8 +302,8 @@ class NormalModeDecomposition:
         ``roots``.  Root k's eigenvector is overlaps[k] (1, -z_j g) over
         the oscillator then the coupled bath modes, 0 elsewhere.
 
-        omega_j - Omega_k is formed as dlasd4 forms it, as (omega_j - d_o)
-        - offset from the pole d_o the root was measured from (Gu &
+        omega_j - Omega_k is formed as the solver forms it, as (omega_j -
+        d_o) - offset from the pole d_o the root was measured from (Gu &
         Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172), so it is
         accurate even next to d_o; omega_j + Omega_k adds two positive
         numbers.  The eigenvectors then come out orthogonal to about
@@ -327,75 +337,251 @@ class NormalModeDecomposition:
         return o
 
 
-@functools.cache
-def _bundled_dlasd4():
-    """LAPACK's dlasd4 in the OpenBLAS that numpy's wheel bundles
-    (``scipy_dlasd4_64_``, 64-bit integers), or None where numpy was
-    built against another LAPACK or the library is not found."""
-    from numpy import __config__ as numpy_config
+def _blocks(lo: np.ndarray, hi: np.ndarray, pad: int, per: int = 1):
+    """The ragged index ranges lo[r]:hi[r] in blocks of at most _BLOCK
+    entries (``per`` entries per index), each padded with the index
+    ``pad`` to its longest range: yields (rows, j), j of shape (rows, m).
+    A range longer than a block is cut into pieces, so a row may recur,
+    and sums over a row must be accumulated (np.add.at).  Ranges are
+    taken in order of length, so a block pads little; empty ones are
+    skipped."""
+    most = max(1, _BLOCK // per)
+    pieces = -(-(hi - lo) // most)
+    rows = np.repeat(np.arange(lo.size), pieces)
+    first = lo[rows] + most * (np.arange(rows.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    last = np.minimum(first + most, hi[rows])
+    order = np.argsort(last - first, kind="stable")
+    size = (last - first)[order] * per
+    at = 0
+    while at < order.size:
+        most = min(order.size, at + _BLOCK // size[at])
+        stop = at + np.count_nonzero(np.arange(1, most - at + 1) * size[at:most] <= _BLOCK)
+        r = order[at:stop]
+        j = first[r, None] + np.arange(size[stop - 1] // per)
+        np.putmask(j, j >= last[r, None], pad)
+        yield rows[r], j
+        at = stop
 
-    lapack = getattr(numpy_config, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
-    if (lapack.get("name") != "scipy-openblas"
-            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
-        return None
-    here = Path(np.__file__).parent
-    for lib in sorted([*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]):
-        try:
-            fn = ctypes.CDLL(str(lib)).scipy_dlasd4_64_
-        except (OSError, AttributeError):
-            continue
-        # dlasd4(n, i, d, z, delta, rho, sigma, work, info), all by
-        # reference.  No argtypes: _dlasd4 builds the nine arguments once
-        # per sweep with their exact types, and argtypes would convert
-        # them again on every call (about 10% of a sweep at N = 2000).
-        fn.restype = None
-        return fn
-    return None
+
+def _far_field(d: np.ndarray, wt: np.ndarray):
+    """Far poles of the interior roots' secular sums, by a binary tree of
+    boxes of poles.  Box i of 2^l at level l holds the poles
+    e[i]:e[i+1] and the roots of the brackets above them, which lie in
+    [a, a + w] = [d[max(e[i], 1)], d[min(e[i+1], n - 1)]] (root 0 and
+    the top root are solved with exact sums).  A box of poles above a box
+    of roots is far from it when its nearest pole is at least the roots'
+    width w away, a box below when at least 2 w; then wt_j/(d_j^2 -
+    sigma^2) is smooth there, and _CHEB Chebyshev points hold it to
+    about (3 + sqrt 8)^-_CHEB of its size.  Below, poles near 0 merge
+    with their mirrors at -d_j into a pole of high order, where one
+    width left 1.6e-13 of f' on a bath spread log-uniformly over 12
+    decades.  Each level sums the boxes that turned far at that level,
+    among the children of the parent's near boxes, at the box's
+    Chebyshev points, and adds the parent's values interpolated to them.
+    The points are offsets c from the pole a, every gap is formed as
+    (d_j - a) - c, and a root interpolates at (d[origin] - a) + offset:
+    in a tight cluster a far pole can lie 1e-8 from sigma, and sigma's
+    own last bit would cost the far field 1e-8 of its size.
+
+    Returns the leaves' pole edges e, the pole range near[i] = [lo, hi]
+    that the roots of leaf i sum exactly, the leaves' anchors and widths
+    (a, w) and their far values (leaves, 4, _CHEB): psi, psi', phi,
+    phi', the sums over far poles below and above and their derivatives
+    in sigma^2.  Up to _ONE_LEAF poles there is one leaf and no far pole.
+    The last of the poles d, of weight 0, pads the blocks."""
+    n = d.size - 1
+    e = np.array([0, n])
+    near = np.array([[0, 1]])
+    vals = np.zeros((1, 4, _CHEB))
+    a, w = d[[min(1, n - 1)]], d[[n - 1]] - d[[min(1, n - 1)]]
+    for level in range(1, math.ceil(math.log2(n / _LEAF)) + 1 if n > _ONE_LEAF else 1):
+        boxes = 2 ** level
+        e = n * np.arange(boxes + 1) // boxes
+        pa, pw = a, w
+        a = d[np.maximum(e[:-1], 1)]
+        w = d[np.minimum(e[1:], n - 1)] - a
+        c, _ = _chebyshev(np.empty((boxes, 0)), 0.0, w)   # the points alone
+        # each child starts from its parent's far field at its own points
+        pairs = ((a - np.repeat(pa, 2))[:, None] + c).reshape(boxes // 2, 2 * _CHEB)
+        parent, vals = vals, np.empty((boxes, 4, _CHEB))
+        step = max(1, _BLOCK // (2 * _CHEB * _CHEB))
+        for at in range(0, boxes // 2, step):
+            r = slice(at, at + step)
+            v = parent[r] @ _chebyshev(pairs[r], 0.0, pw[r])[1]
+            vals.reshape(boxes // 2, 2, 4, _CHEB)[r] = v.reshape(-1, 4, 2, _CHEB).swapaxes(1, 2)
+        cand = 2 * np.repeat(near, 2, axis=0)
+        lo = np.maximum(cand[:, 0], np.searchsorted(d[e[1:] - 1], a - 2.0 * w, side="right"))
+        hi = np.minimum(cand[:, 1], np.searchsorted(d[e[:-1]], a + 2.0 * w, side="left"))
+        for side, first, last in ((0, e[cand[:, 0]], e[lo]), (2, e[hi], e[cand[:, 1]])):
+            for rows, j in _blocks(first, last, n, per=_CHEB):
+                # wt_j/(d_j^2 - x^2) and its square over wt_j, x = a + c
+                g = np.subtract((d[j] - a[rows, None])[:, :, None], c[rows, None])
+                g *= (d[j] + a[rows, None])[:, :, None] + c[rows, None]
+                g = np.reciprocal(g, out=g)
+                wj = wt[j][:, None, :]
+                np.add.at(vals, (rows, side), (wj @ g)[:, 0])
+                np.add.at(vals, (rows, side + 1), (wj @ np.square(g, out=g))[:, 0])
+        near = np.stack([lo, hi], axis=1)
+    return e, e[near], (a, w), vals
 
 
-def _dlasd4(eq: _SecularEquation):
-    """dlasd4 on the secular equation ``eq``: a function of the root
-    index k = 0, 1, ... returning (delta, sigma, work, info) as
-    scipy.linalg.lapack.dlasd4(k, eq.d, eq.u, eq.rho) does.
+def _secular_sums(d, wt, k, o, x, span, leaf, ends, far):
+    """psi, psi', f - 1 and f' of the roots k at sigma = d[o] + x: the
+    poles span[:, 0]:span[:, 1] exactly, in Gu-Eisenstat gaps, those up
+    to k into psi; the far field of each root's leaf (-1: none)
+    interpolated at sigma.  As in dlasd4, psi sums from its far end up
+    to pole k and phi from its far end down to pole k + 1, the small
+    terms first, since psi + phi cancels to -1 at the root."""
+    psi, dpsi, tot, dtot = np.zeros((4, k.size))
+    for r, j in _blocks(span[:, 0], span[:, 1], d.size - 1):
+        do, xr = d[o[r], None], x[r, None]
+        gap = d[j]
+        t = np.subtract(gap, do)
+        t -= xr
+        gap += do
+        gap += xr
+        gap *= t                          # d_j^2 - sigma^2
+        t = np.take(wt, j, out=t)
+        t /= gap
+        gap = np.divide(t, gap, out=gap)
+        # pole k's column: -1 or less where the row starts above it, the
+        # last where it ends below it
+        m = j.shape[1]
+        at = np.minimum(k[r] - j[:, 0], m - 1)
+        rows = np.arange(r.size)
+        phi = np.cumsum(t[:, ::-1], axis=1)[rows, np.clip(m - 2 - at, 0, m - 1)]
+        phi[at + 1 >= m] = 0.0
+        t = np.cumsum(t, axis=1, out=t)
+        below = np.where(at >= 0, t[rows, np.maximum(at, 0)], 0.0)
+        np.add.at(psi, r, below)
+        np.add.at(tot, r, below + phi)
+        gap = np.cumsum(gap, axis=1, out=gap)
+        np.add.at(dpsi, r, np.where(at >= 0, gap[rows, np.maximum(at, 0)], 0.0))
+        np.add.at(dtot, r, gap[:, -1])
+    r = np.flatnonzero(leaf >= 0)
+    if far.shape[0] > 1 and r.size:
+        box = leaf[r]
+        _, q = _chebyshev(((d[o[r]] - ends[0][box]) + x[r])[:, None], 0.0, ends[1][box])
+        psi_, dpsi_, phi_, dphi_ = np.einsum("rvc,rc->vr", far[box], q[..., 0])
+        psi[r] += psi_
+        dpsi[r] += dpsi_
+        tot[r] += psi_ + phi_
+        dtot[r] += dpsi_ + dphi_
+    return psi, dpsi, tot, dtot
 
-    Through numpy's OpenBLAS the arguments and the ``delta`` and
-    ``work`` buffers are built once per sweep, and each call overwrites
-    the buffers of the last.  Without that library this falls back on
-    scipy's wrapper, imported here."""
-    fn = _bundled_dlasd4()
-    if fn is None:
-        from scipy.linalg import lapack
 
-        return lambda k: lapack.dlasd4(k, eq.d, eq.u, eq.rho)
-    d, u = np.ascontiguousarray(eq.d, dtype=float), np.ascontiguousarray(eq.u, dtype=float)
-    if u.shape != d.shape or d.ndim != 1:
-        raise InternalConsistencyError(f"dlasd4 needs poles and border of one length, "
-                                       f"got {d.shape} and {u.shape}")
-    delta, work = np.empty(d.size), np.empty(d.size)
-    i, sigma, info = ctypes.c_int64(), ctypes.c_double(), ctypes.c_int64()
-    # each data_as pointer keeps its array alive
-    ptr = ctypes.POINTER(ctypes.c_double)
-    args = (ctypes.byref(ctypes.c_int64(d.size)), ctypes.byref(i),
-            d.ctypes.data_as(ptr), u.ctypes.data_as(ptr), delta.ctypes.data_as(ptr),
-            ctypes.byref(ctypes.c_double(eq.rho)), ctypes.byref(sigma),
-            work.ctypes.data_as(ptr), ctypes.byref(info))
+def _secular_step(d, wt, k, o, x, f, dpsi, dtot, slow, lb, ub):
+    """The next offsets of the roots k from f, psi' and f' at x: Li's
+    fixed weight, f - 1 as the origin pole's own term, the bracket's
+    other pole and a constant, matching value and slope; where ``slow``,
+    the middle way, a constant and each bracket pole fitted to psi and
+    phi.  The top root models f - 1 by its own pole alone.  A step that
+    goes the wrong way is Newton's, one that leaves (lb, ub) bisects."""
+    n = d.size - 1
+    dk, dk1 = (((d[p] - d[o]) - x) * ((d[p] + d[o]) + x) for p in (k, np.minimum(k + 1, n)))
+    p = np.where(o == k, k + 1, k)
+    g_o, g_p = np.where(o == k, dk, dk1), np.where(o == k, dk1, dk)
+    c = np.where(slow, f - dk * dpsi - dk1 * (dtot - dpsi),
+                 f - g_p * dtot - (d[o] - d[p]) * (d[o] + d[p]) * wt[o] / (g_o * g_o))
+    a = (dk + dk1) * f - dk * dk1 * dtot
+    b = dk * dk1 * f
+    sigma = d[o] + x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+        step = np.where(a <= 0.0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+        step = np.where(k == n - 1, dk + dk * dk * dtot / (f - dk * dtot), step)
+        step = np.where(np.isfinite(step) & (f * step < 0.0), step, -f / dtot)
+        new = x + step / (sigma + np.sqrt(sigma * sigma + step))
+    return np.where((new > lb) & (new < ub), new, 0.5 * (x + np.where(f < 0.0, ub, lb)))
 
-    def root(k: int):
-        i.value = k + 1                 # Fortran counts roots from 1
-        fn(*args)
-        return delta, sigma.value, work, info.value
 
-    return root
+def _solve_secular(eq: _SecularEquation):
+    """Every root of f(sigma^2) = 1 + sum_j wt_j/(d_j^2 - sigma^2), wt =
+    rho u^2, at once: root k lies in (d[k], d[k + 1]), the top root in
+    (d[-1], sqrt(d[-1]^2 + rho)).  Returns the pole each root is measured
+    from, its offset sigma - d[origin] and its weight.
+
+    Each root starts at the midpoint of its bracket; the sign of f there
+    picks the nearer pole as origin, as LAPACK's dlasd4 does, and every
+    gap d_j - sigma is then formed as (d_j - d[origin]) - offset (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172).  The steps are
+    dlasd4's (_secular_step): R.-C. Li's fixed weight, switching to his
+    middle way (LAPACK Working Note 89) where a step cuts f by less than
+    10, guarded by bisection.  A root is done when f is within the
+    rounding bound of its sums (and then takes one last Newton
+    correction), or when its step falls below the last bits of its
+    offset.  The sums take the near poles of the root's leaf
+    (_far_field), about 3 _LEAF of them, exactly and the far ones by
+    Chebyshev interpolation in sigma; root 0 and the top root, whose
+    brackets may be far wider than a leaf, sum every pole.  Since d_j^2
+    = (d_j^2 - sigma^2) + sigma^2, the weight 1/(1 + sum_{j>0}
+    (tau_j/(d_j^2 - sigma^2))^2) is 1/(f + sigma^2 f'), 1/(sigma^2 f')
+    at a root."""
+    n = eq.d.size
+    reach = eq.rho / (eq.d[-1] + math.sqrt(eq.d[-1] ** 2 + eq.rho))   # of the top root
+    # a weightless pole past every root pads the blocks of sums
+    d, wt = np.append(eq.d, 2.0 * (eq.d[-1] + reach) + 1.0), np.append(eq.rho * eq.u**2, 0.0)
+    e, near, ends, far = _far_field(d, wt)
+    origin, offset, weight = np.arange(n), np.empty(n), np.empty(n)
+    for first in range(0, n, _BATCH):
+        k = np.arange(first, min(first + _BATCH, n))
+        leaf = np.searchsorted(e, k, side="right") - 1
+        span = near[leaf]
+        whole = (k == 0) | (k == n - 1)
+        span[whole], leaf[whole] = (0, n), -1   # root 0 and the top root sum every pole
+        h = np.where(k < n - 1, d[k + 1] - d[k], reach * (1.0 + 4.0 * _EPS))
+        x, lb, ub = 0.5 * h, np.zeros(k.size), h
+        prev, slow = np.zeros(k.size), np.zeros(k.size, dtype=bool)
+        for it in range(_MAX_ITER + 1):
+            o = origin[k]
+            psi, dpsi, tot, dtot = _secular_sums(d, wt, k, o, x, span, leaf, ends, far)
+            f = 1.0 + tot
+            lb, ub = np.where(f < 0.0, x, lb), np.where(f > 0.0, x, ub)
+            if it == 0:
+                # the midpoint's sign picks the origin: below it, the lower pole
+                up = (f < 0.0) & (k < n - 1)
+                origin[k[up]] += 1
+                for v in (x, lb, ub):
+                    v[up] -= h[up]
+                o = origin[k]
+            sigma = d[o] + x
+            # rounding bound of f: its terms, and the offset's last bit
+            tol = _EPS * (8.0 * (tot - 2.0 * psi) + 2.0 + 3.0 * np.abs(x * (sigma + d[o])) * dtot)
+            done = np.abs(f) <= tol
+            # a converged root takes the Newton correction of its last sums,
+            # and the origin pole's term of f' follows it into the weight:
+            # that term dominates f' wherever the correction is large
+            # against the offset
+            last = np.where(done, x - f / (2.0 * sigma * dtot), x)
+            offset[k] = last
+            weight_at = 1.0 / ((d[o] + last) ** 2 * (dtot + wt[o] * (
+                1.0 / (last * (2.0 * d[o] + last)) ** 2 - 1.0 / (x * (2.0 * d[o] + x)) ** 2)))
+            if not done.all():
+                if it == _MAX_ITER:
+                    raise InternalConsistencyError(
+                        f"secular solver did not converge on root {k[~done][0]} of {n} "
+                        f"within {_MAX_ITER} iterations")
+                slow ^= (f * prev > 0.0) & (np.abs(f) > 0.1 * np.abs(prev))
+                prev = f
+                new = _secular_step(d, wt, k, o, x, f, dpsi, dtot, slow, lb, ub)
+                done |= np.abs(new - x) <= 2.0 * _EPS * np.abs(x)
+                x = new
+            weight[k[done]] = weight_at[done]
+            k, x, lb, ub, prev, slow, span, leaf = (
+                v[~done] for v in (k, x, lb, ub, prev, slow, span, leaf))
+            if not k.size:
+                break
+    return origin, offset, weight
 
 
 def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
-    """Normal modes of K from its secular equation: O(N^2) time, O(N)
-    memory.  The eigenvectors follow on demand.
+    """Normal modes of K from its secular equation: O(N log N) time,
+    O(N) memory.  The eigenvectors follow on demand.
 
-    dlasd4 takes each root as an offset from its nearest pole and
-    returns omega_j - Omega_k and omega_j + Omega_k accurately; the
-    weights come from their products, and the pole and offset are kept
-    so that the eigenvector columns can be rebuilt from them.
+    _solve_secular takes each root as an offset from its nearest pole,
+    so that omega_j - Omega_k and omega_j + Omega_k come out accurately;
+    the weights come with the roots, and the pole and offset are kept so
+    that the eigenvector columns can be rebuilt from them.
 
     Raises PositivityError when ``discrete_margin <= 0``, before any
     solve: K is positive definite exactly when the Schur complement
@@ -409,28 +595,9 @@ def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
             detail={"discrete_margin": model.discrete_margin},
         )
     eq = _secular_equation(model)
-    n = eq.d.size
-    omegas = np.concatenate([np.empty(n), eq.deflated])
-    weights = np.zeros(omegas.size)
-    origin = np.empty(n, dtype=np.intp)
-    offset = np.empty(n)
-    root = _dlasd4(eq)
-    for k in range(n):
-        delta, sigma, work, info = root(k)
-        if info != 0:
-            raise InternalConsistencyError(
-                f"dlasd4 failed on root {k} of {n} of the secular "
-                f"equation of K (info = {info})")
-        # root k lies above pole k, below pole k + 1 if there is one;
-        # delta is 0 - offset at the pole it was measured from
-        o = k if k + 1 == n or abs(delta[k]) <= abs(delta[k + 1]) else k + 1
-        origin[k] = o
-        offset[k] = -delta[o]
-        gap = delta[1:]
-        gap *= work[1:]
-        ratio = np.divide(eq.tau, gap, out=gap)
-        omegas[k] = sigma
-        weights[k] = 1.0 / (1.0 + ratio @ ratio)
+    origin, offset, weights = _solve_secular(eq)
+    omegas = np.concatenate([eq.d[origin] + offset, eq.deflated])
+    weights = np.concatenate([weights, np.zeros(eq.deflated.size)])
     order = np.argsort(omegas, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -489,13 +656,22 @@ def _boxes(decomp: NormalModeDecomposition):
     return blocks, edges, near.argmax(axis=1), near.shape[1] - near[:, ::-1].argmax(axis=1)
 
 
-def _chebyshev(x: np.ndarray):
-    """_CHEB Chebyshev points c (first kind) on [x[0], x[-1]] and Q, the
-    Lagrange polynomials of c at x in barycentric form: f(x) ~ f(c) @ Q."""
+def _chebyshev(x: np.ndarray, a=None, b=None):
+    """_CHEB Chebyshev points c (first kind) on [a, b], by default [x[0],
+    x[-1]], and Q, the Lagrange polynomials of c at x in barycentric
+    form: f(x) ~ f(c) @ Q, exactly f(c_i) where x is c_i.  Leading axes
+    of x, a and b are batches of intervals: c is (..., _CHEB) and Q
+    (..., _CHEB, m) for x (..., m)."""
+    a = x[..., 0] if a is None else np.asarray(a)
+    b = x[..., -1] if b is None else np.asarray(b)
     theta = (np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)
-    c = 0.5 * (x[0] + x[-1]) - 0.5 * (x[-1] - x[0]) * np.cos(theta)
-    q = (np.sin(theta) * (-1.0) ** np.arange(_CHEB))[:, None] / (x - c[:, None])
-    return c, q / q.sum(axis=0)
+    c = 0.5 * (a + b)[..., None] - 0.5 * (b - a)[..., None] * np.cos(theta)
+    gap = x[..., None, :] - c[..., None]
+    hit = gap == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (np.sin(theta) * (-1.0) ** np.arange(_CHEB))[:, None] / gap
+        q /= q.sum(axis=-2, keepdims=True)
+    return c, np.where(hit.any(axis=-2, keepdims=True), hit, q)
 
 
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
@@ -637,20 +813,17 @@ class ComparisonReport:
 
 def _bin_averaged_continuum(sol, edges: np.ndarray) -> np.ndarray:
     """Average of the continuum pi over each bin, by trapezoid on the
-    solution grid augmented with interpolated bin edges."""
-    w = sol.omegas
-    pi = sol.pi
-    out = np.empty(edges.size - 1)
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        inside = (w > a) & (w < b)
-        xs = np.concatenate([[a], w[inside], [b]])
-        ys = np.concatenate([
-            [np.interp(a, w, pi, left=0.0, right=0.0)],
-            pi[inside],
-            [np.interp(b, w, pi, left=0.0, right=0.0)],
-        ])
-        out[i] = np.trapezoid(ys, xs) / (b - a)
-    return out
+    solution grid augmented with interpolated bin edges: one pass over
+    the merged points, each bin's segments summed in order."""
+    w, pi = sol.omegas, sol.pi
+    at = np.searchsorted(edges, w)
+    inner = (at > 0) & (at < edges.size) & (edges[np.minimum(at, edges.size - 1)] != w)
+    x = np.concatenate([edges, w[inner]])
+    y = np.concatenate([np.interp(edges, w, pi, left=0.0, right=0.0), pi[inner]])
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    segments = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.add.reduceat(segments, np.flatnonzero(order < edges.size)[:-1]) / np.diff(edges)
 
 
 def compare_with_continuum(sol, units: UnitSystem, N: int,

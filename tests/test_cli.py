@@ -602,7 +602,7 @@ class TestImportPath:
         # a fresh interpreter, so no other test's imports count; a module
         # loaded here is paid by every command's start-up.  No command
         # loads any of scipy: the special functions are numpy ports and
-        # dlasd4 is called in numpy's own OpenBLAS.  A gaussian_peak and a
+        # the oracle solves its secular equation in numpy.  A gaussian_peak and a
         # nonzero tabulated model run every family's port.
         script = (
             "import json, sys\n"

@@ -4,7 +4,6 @@ between the dense and reduced evolution paths."""
 
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -162,6 +161,18 @@ def _gaussian_tail_model():
     return oracle.FiniteBathModel(1.0, w, v)
 
 
+def _cluster_gap_geometric_model():
+    # 300 poles within 1e-4, a gap from 1 to 3 that holds omega0, then
+    # 400 poles in geometric progression, shuffled: the box of roots that
+    # spans the gap is as wide as the gap, so boxes of poles next to it
+    # in index lie far closer to it than its width
+    freqs = np.concatenate([1.0 + 1e-4 * np.linspace(0.0, 1.0, 300),
+                            3.0 * 1.004 ** np.arange(400)])
+    couplings = np.concatenate([0.02 * np.sqrt(np.linspace(1.0, 2.0, 300)), np.full(400, 0.06)])
+    order = np.random.default_rng(700).permutation(freqs.size)
+    return oracle.FiniteBathModel(2.0, freqs[order], couplings[order])
+
+
 _UNITS = UnitSystem()
 
 REFERENCE_MODELS = {
@@ -180,6 +191,7 @@ REFERENCE_MODELS = {
         1.0,
         [2.0, 0.5, 1.0, 0.5, 3.0, 1.0, 1.0, 0.7, 2.0, 0.5, 1.3],
         [0.1, 0.2, -0.15, 0.05, 0.3, 0.1, 0.0, 0.12, -0.2, -0.08, 1e-200]),
+    "cluster_gap_geometric": _cluster_gap_geometric_model,
 }
 
 
@@ -226,7 +238,7 @@ class TestRefusal:
         def no_solve(*args):
             raise AssertionError("secular equation solved for a refused model")
 
-        monkeypatch.setattr(oracle, "_dlasd4", no_solve)
+        monkeypatch.setattr(oracle, "_solve_secular", no_solve)
         for coupling in (1.0, 1.01):   # margin exactly 0, then negative
             model = oracle.FiniteBathModel(1.0, [1.0], [coupling])
             with pytest.raises(PositivityError) as exc:
@@ -234,52 +246,143 @@ class TestRefusal:
             assert exc.value.detail["discrete_margin"] == model.discrete_margin <= 0
 
     def test_solver_failure_names_the_root(self, monkeypatch):
-        solver = oracle._dlasd4
-
-        def failing(eq):
-            root = solver(eq)
-
-            def call(k):
-                delta, sigma, work, info = root(k)
-                return delta, float("nan"), work, 2 if k == 1 else info
-            return call
-
-        monkeypatch.setattr(oracle, "_dlasd4", failing)
-        with pytest.raises(InternalConsistencyError, match="root 1 of 3"):
-            oracle.normal_modes(oracle.FiniteBathModel(1.0, [0.5, 2.0], [0.1, 0.2]))
+        # with the iteration cap forced down, the first root still short
+        # of convergence is named; roots 0 and 2 converge in two steps
+        model = oracle.FiniteBathModel(1.0, [0.5, 2.0], [0.1, 0.2])
+        monkeypatch.setattr(oracle, "_MAX_ITER", 2)
+        with pytest.raises(InternalConsistencyError, match="root 1 of 3 within 2 iterations"):
+            oracle.normal_modes(model)
+        monkeypatch.setattr(oracle, "_MAX_ITER", 0)
+        with pytest.raises(InternalConsistencyError, match="root 0 of 3 within 0 iterations"):
+            oracle.normal_modes(model)
 
 
-class TestDlasd4:
-    """dlasd4 called through ctypes in numpy's OpenBLAS, against scipy's
-    wrapper of the same LAPACK routine."""
+def _tight_cluster_model():
+    # 200 poles within 1e-6 of 1, then 300 geometric ones up to 100: a
+    # leaf's far poles lie within 1e-8 of its roots, where sigma itself
+    # carries 2e-16, so only offsets from a pole resolve their far field
+    freqs = np.concatenate([1.0 + 1e-6 * np.linspace(0.0, 1.0, 200), np.geomspace(1.1, 100.0, 300)])
+    couplings = 0.3 * np.sqrt(freqs / freqs.size) * (1.0 + 0.5 * np.sin(np.arange(freqs.size)))
+    return oracle.FiniteBathModel(2.0, freqs, couplings)
 
-    def test_ctypes_sweep_bit_identical_to_scipy(self):
-        from scipy.linalg import lapack
 
-        if oracle._bundled_dlasd4() is None:
-            pytest.skip("numpy's OpenBLAS does not export scipy_dlasd4_64_")
-        rng = np.random.default_rng(2000)
-        d = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 10.0, 2000))])
-        u = rng.normal(size=d.size)
-        eq = types.SimpleNamespace(d=d, u=u / np.linalg.norm(u), rho=0.37)
-        root = oracle._dlasd4(eq)
-        for k in range(d.size):
-            delta, sigma, work, info = root(k)
-            ref = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
-            assert info == ref[3] == 0
-            assert sigma == ref[1]
-            assert np.array_equal(delta, ref[0]) and np.array_equal(work, ref[2])
-        with pytest.raises(InternalConsistencyError, match="one length"):
-            oracle._dlasd4(types.SimpleNamespace(d=d, u=u[:-1], rho=0.37))
+# the benchmark's compare models at seed 4242
+_BENCH_OHMIC = OhmicExp(amplitude=0.24351934155451996, cutoff=5.09929232139037, omega_max=40.0)
+_BENCH_FLAT = FlatBand(level=0.2162745958383959, lower=0.09909752343003705, upper=2.0289937674546366)
 
-    def test_scipy_fallback_gives_equal_modes(self, monkeypatch):
-        model = oracle.discretize(OhmicExp(amplitude=0.3, cutoff=5.0, omega_max=40.0),
-                                  UnitSystem(), 300)
-        fast = oracle.normal_modes(model)
-        monkeypatch.setattr(oracle, "_bundled_dlasd4", lambda: None)
-        slow = oracle.normal_modes(model)
-        for name in ("Omegas", "overlaps", "weights", "_rank", "_origin", "_offset"):
-            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+
+def _long_double_roots(eq, origin, offset):
+    """Reference offsets and weights of the secular equation ``eq`` in
+    np.longdouble: Newton steps on f from the given offsets, each root
+    measured from the given pole, gaps in the Gu-Eisenstat form."""
+    L = np.longdouble
+    d, u = eq.d.astype(L), eq.u.astype(L)
+    wt, tau2 = L(eq.rho) * u * u, eq.tau.astype(L) ** 2
+    eta, weight = offset.astype(L), np.empty(d.size, dtype=L)
+    for lo in range(0, d.size, 128):
+        r = slice(lo, lo + 128)
+        do = d[origin[r], None]
+        for _ in range(2):
+            gap = ((d - do) - eta[r, None]) * ((d + do) + eta[r, None])
+            t = wt / gap
+            eta[r] -= (1 + t.sum(axis=1)) / (2 * (do[:, 0] + eta[r]) * (t / gap).sum(axis=1))
+        gap = ((d[1:] - do) - eta[r, None]) * ((d[1:] + do) + eta[r, None])
+        weight[r] = 1 / (1 + (tau2 / gap**2).sum(axis=1))
+    return eta, weight
+
+
+def _dlasd4_roots(eq):
+    """Origins, offsets and weights from scipy's LAPACK dlasd4, root by
+    root: the pole nearer the root is its origin."""
+    from scipy.linalg import lapack
+
+    n = eq.d.size
+    origin, offset, weight = np.empty(n, dtype=int), np.empty(n), np.empty(n)
+    for k in range(n):
+        delta, _, work, info = lapack.dlasd4(k, eq.d, eq.u, eq.rho)
+        assert info == 0
+        origin[k] = k if k + 1 == n or abs(delta[k]) <= abs(delta[k + 1]) else k + 1
+        offset[k] = -delta[origin[k]]
+        ratio = eq.tau / (delta[1:] * work[1:])
+        weight[k] = 1.0 / (1.0 + ratio @ ratio)
+    return origin, offset, weight
+
+
+class TestSecularSolver:
+    """The vectorised secular solver against a long-double reference
+    and against LAPACK's dlasd4 on the same double inputs."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is double here")
+    @pytest.mark.parametrize("model", [
+        lambda: oracle.discretize(_BENCH_OHMIC, _UNITS, 2000),
+        lambda: oracle.discretize(_BENCH_OHMIC, _UNITS, 4000),
+        lambda: oracle.discretize(_BENCH_FLAT, _UNITS, 2000),
+        _tight_cluster_model,
+    ], ids=["ohmic_2000", "ohmic_4000", "flat_2000", "tight_cluster"])
+    def test_no_less_accurate_than_dlasd4(self, model):
+        decomp = oracle.normal_modes(model())
+        eq = decomp._secular
+        weights = decomp.weights[decomp._rank[:eq.d.size]]
+        origin, offset, weight = _dlasd4_roots(eq)
+        assert np.array_equal(origin, decomp._origin)
+        ref_offset, ref_weight = _long_double_roots(eq, origin, offset)
+        ulp = np.spacing(np.abs(ref_offset).astype(float))
+
+        def errors(offs, wts):
+            return (float(np.max(np.abs(offs - ref_offset) / ulp)),
+                    float(np.max(np.abs(wts - ref_weight) / ref_weight)))
+
+        new, lapack = errors(decomp._offset, weights), errors(offset, weight)
+        assert new[0] <= lapack[0] and new[1] <= lapack[1], (new, lapack)
+        assert new[1] <= 1e-13
+
+    def test_layout_needs_sigma_separation(self):
+        # in cluster_gap_geometric some leaf sums poles exactly beyond
+        # its neighbours in index: a separation counted in boxes alone
+        # would interpolate poles lying inside the gap's box width
+        eq = oracle._secular_equation(REFERENCE_MODELS["cluster_gap_geometric"]())
+        d = np.append(eq.d, 2.0 * eq.d[-1])
+        edges, near, _, _ = oracle._far_field(d, np.append(eq.rho * eq.u**2, 0.0))
+        leaf = np.diff(edges).max()
+        assert edges.size > 9 and np.max(near[:, 1] - near[:, 0]) > 4 * leaf
+
+    def test_chebyshev_at_its_own_points(self):
+        # a point that falls exactly on a Chebyshev point takes that
+        # point's value: a child box far narrower than its parent can put
+        # one of its points there, as can a root's offset
+        c, _ = oracle._chebyshev(np.empty(0), 0.0, 8.0)
+        x = np.array([c[3], 0.37, c[-1]])
+        _, q = oracle._chebyshev(x, 0.0, 8.0)
+        assert np.array_equal(q[:, 0], np.eye(oracle._CHEB)[3])
+        assert np.array_equal(q[:, 2], np.eye(oracle._CHEB)[-1])
+        assert (c**5) @ q[:, 1] == pytest.approx(0.37**5, rel=1e-13)
+
+    def test_long_ranges_split_across_blocks(self, monkeypatch):
+        # a range longer than a block is summed in pieces, possibly in one
+        # block: here every row of 701 poles and every far range
+        model = oracle.discretize(_BENCH_OHMIC, _UNITS, 700)
+        whole = oracle.normal_modes(model)
+        monkeypatch.setattr(oracle, "_BLOCK", 200)
+        split = oracle.normal_modes(model)
+        assert np.array_equal(split._origin, whole._origin)
+        assert np.max(np.abs(split._offset - whole._offset) / np.abs(whole._offset)) <= 1e-14
+        assert np.max(np.abs(split.weights - whole.weights) / whole.weights) <= 1e-14
+
+    def test_one_leaf_below_the_tree(self):
+        # up to _ONE_LEAF poles the tree has one leaf and every sum is
+        # exact; one more pole splits it into leaves of at most _LEAF
+        for N in (oracle._ONE_LEAF - 1, oracle._ONE_LEAF):
+            eq = oracle._secular_equation(oracle.discretize(_BENCH_OHMIC, _UNITS, N))
+            assert eq.d.size == N + 1
+            edges, near, _, far = oracle._far_field(np.append(eq.d, 99.0),
+                                                    np.append(eq.rho * eq.u**2, 0.0))
+            if N < oracle._ONE_LEAF:
+                assert edges.tolist() == [0, N + 1] and near.tolist() == [[0, N + 1]]
+                assert not far.any()
+            else:
+                assert edges.size > 2 and np.diff(edges).max() <= oracle._LEAF
+                assert far.any() and np.all(near[:, 1] - near[:, 0] < N + 1)
 
 
 def test_weights_path_memory(ohmic_ref, units):
@@ -296,10 +399,23 @@ def test_weights_path_memory(ohmic_ref, units):
     assert peak < 64 * 2**20
 
 
+def test_secular_solver_memory(units):
+    """normal_modes alone at N = 4000 holds O(N) arrays and blocks of at
+    most _BLOCK entries of its sums: a 2 MB peak."""
+    model = oracle.discretize(_BENCH_OHMIC, units, 4000)
+    tracemalloc.start()
+    try:
+        oracle.normal_modes(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_evolution_path_memory(units, monkeypatch):
     """evolve_reduced holds the cosines and sines of a few boxes of
     nearby roots and the Chebyshev proxies of the others: no second
-    dlasd4 sweep, no eigenvector matrix, which alone is 8 (N+1)^2 bytes,
+    secular solve, no eigenvector matrix, which alone is 8 (N+1)^2 bytes,
     128 MB at N = 4000, and no N x 2T matrix of cosines and sines (26 MB
     here).  Sized as scripts/relaxation_demo.py runs by default:
     N = 4000 and 399 distinct times."""
@@ -311,7 +427,7 @@ def test_evolution_path_memory(units, monkeypatch):
     def no_solve(*args):
         raise AssertionError("evolve_reduced solved the secular equation")
 
-    monkeypatch.setattr(oracle, "_dlasd4", no_solve)
+    monkeypatch.setattr(oracle, "_solve_secular", no_solve)
     tracemalloc.start()
     try:
         traj = oracle.evolve_reduced(model, units, 1.0, 0.0, times, decomp=decomp)
