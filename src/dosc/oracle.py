@@ -27,9 +27,14 @@ dlasd4's scheme; the weights and eigenvector columns follow in closed
 form from those offsets.  Both the solve and an evolution sum over near
 poles or roots exactly and over far ones through Chebyshev points (Fong
 & Darve, J. Comput. Phys. 228 (2009) 8712; Livne & Brandt, SIAM J.
-Matrix Anal. Appl. 24 (2002) 439): the solve through a binary tree of
-boxes in O(N log N) time, both in O(N) memory, never holding the
-(N+1)^2 matrix.
+Matrix Anal. Appl. 24 (2002) 439).  The solve builds the far field once,
+on a binary tree of boxes of poles: a wide box's poles become a
+multipole at its Chebyshev points, translated box to box, and the
+narrow boxes near the leaves are summed pole by pole.  Each step of the
+iteration then sweeps every root not yet done in regular chunks: its
+near poles exactly, its leaf's far field by interpolation.  The solve
+takes O(N log N) time and, like the evolution, O(N) memory, never
+holding the (N+1)^2 matrix.
 
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
@@ -58,16 +63,17 @@ from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 # the 399 of scripts/relaxation_demo.py (4 MB of proxies at N = 4000)
 _CHEB = 20
 _TIMES = 512
+_COS = np.cos((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB))
+_LAMBDA = np.sin((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)) * (-1.0) ** np.arange(_CHEB)
 # the secular solver's tree of boxes stops at leaves of at most _LEAF
 # poles; up to _ONE_LEAF poles it has one leaf, where the exact sums cost
-# less than the levels would save.  It solves _BATCH roots at a time for
-# at most _MAX_ITER steps, and its sums run in blocks of up to _BLOCK
-# entries: 1.4 MB at N = 4000
+# less than the levels would save.  It steps every root at once, at most
+# _MAX_ITER times, and works in chunks of about _BLOCK entries: 1.9 MB at
+# N = 4000
 _LEAF = 12
 _ONE_LEAF = 192
-_BATCH = 512
 _MAX_ITER = 64
-_BLOCK = 2**13
+_BLOCK = 2**15
 _EPS = float(np.finfo(float).eps)
 
 
@@ -337,137 +343,226 @@ class NormalModeDecomposition:
         return o
 
 
-def _blocks(lo: np.ndarray, hi: np.ndarray, pad: int, per: int = 1):
-    """The ragged index ranges lo[r]:hi[r] in blocks of at most _BLOCK
-    entries (``per`` entries per index), each padded with the index
-    ``pad`` to its longest range: yields (rows, j), j of shape (rows, m).
-    A range longer than a block is cut into pieces, so a row may recur,
-    and sums over a row must be accumulated (np.add.at).  Ranges are
-    taken in order of length, so a block pads little; empty ones are
-    skipped."""
-    most = max(1, _BLOCK // per)
-    pieces = -(-(hi - lo) // most)
-    rows = np.repeat(np.arange(lo.size), pieces)
-    first = lo[rows] + most * (np.arange(rows.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
-    last = np.minimum(first + most, hi[rows])
-    order = np.argsort(last - first, kind="stable")
-    size = (last - first)[order] * per
-    at = 0
-    while at < order.size:
-        most = min(order.size, at + _BLOCK // size[at])
-        stop = at + np.count_nonzero(np.arange(1, most - at + 1) * size[at:most] <= _BLOCK)
-        r = order[at:stop]
-        j = first[r, None] + np.arange(size[stop - 1] // per)
-        np.putmask(j, j >= last[r, None], pad)
-        yield rows[r], j
-        at = stop
+def _pole_sources(d, wt, e, a):
+    """The poles of each box e[i]:e[i+1] but pole 0, and their weights, as
+    columns padded to the largest box with weight 0 at the anchor a[i]."""
+    first = np.maximum(e[:-1], 1)
+    j = first + np.arange(np.max(e[1:] - first))[:, None]
+    pad = j >= e[1:]
+    j[pad] = 0
+    return np.where(pad, a, d[j]), np.where(pad, 0.0, wt[j])
+
+
+def _anterpolate(x, src, c):
+    """Weights ``src`` at the offsets x (m, boxes), moved to each box's
+    Chebyshev points c: W_i = sum_j src_j L_i(x_j).  For every polynomial
+    p of degree below _CHEB, sum_i W_i p(c_i) = sum_j src_j p(x_j)."""
+    out = np.empty((_CHEB, x.shape[1]))
+    step = max(1, _BLOCK // (_CHEB * x.shape[0]))
+    for at in range(0, x.shape[1], step):
+        r = slice(at, at + step)
+        out[:, r] = np.einsum("jb,jib->ib", src[:, r], _lagrange(x[:, r], c[:, r]))
+    return out
+
+
+def _translate(vals, t, s, half, a, c, sa, x, src):
+    """Add to the values of target boxes t at their Chebyshev points
+    (offsets c from the anchors a) the sums src_j/(y_j^2 - sigma^2) and
+    src_j/(y_j^2 - sigma^2)^2 over the sources y_j of the boxes s (offsets
+    x from the anchors sa): into psi, psi' where ``half`` is 0 (sources
+    below), phi, phi' where it is 1.  y_j^2 - sigma^2 is u (u + 2 a_t) -
+    c (c + 2 a_t), u = (sa_s - a_t) + x, from offsets from the target's
+    anchor that a far pair never makes cancel.  A multipole's points are
+    offsets from its box's anchor, within a width that is far from the
+    target; poles are their own positions (sa = 0), since a wide box can
+    hold poles close to the target, whose offsets from its anchor would
+    have lost the gap's last digits.  Pairs come sorted by (half, t),
+    and each run of equal (half, t) is summed in order."""
+    vals = vals.reshape(2, 2, _CHEB, -1)
+    step = max(1, _BLOCK // (x.shape[0] * _CHEB))
+    for at in range(0, t.size, step):
+        r = slice(at, at + step)
+        tr, sr = t[r], s[r]
+        y, ct, w = np.take(x, sr, axis=1), np.take(c, tr, axis=1), np.take(src, sr, axis=1)
+        u = (sa[sr] - a[tr]) + y
+        u *= u + 2.0 * a[tr]
+        ct *= ct + 2.0 * a[tr]
+        g = np.subtract(u[:, None], ct)
+        g = np.reciprocal(g, out=g)
+        sums = np.stack([np.einsum("jip,jp->ip", g, w),
+                         np.einsum("jip,jp->ip", np.square(g, out=g), w)])
+        key = half[r] * vals.shape[-1] + tr
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        runs = np.add.reduceat(sums, first, axis=-1)
+        vals[half[r][first], :, :, tr[first]] += runs.transpose(2, 0, 1)
 
 
 def _far_field(d: np.ndarray, wt: np.ndarray):
     """Far poles of the interior roots' secular sums, by a binary tree of
-    boxes of poles.  Box i of 2^l at level l holds the poles
-    e[i]:e[i+1] and the roots of the brackets above them, which lie in
-    [a, a + w] = [d[max(e[i], 1)], d[min(e[i+1], n - 1)]] (root 0 and
-    the top root are solved with exact sums).  A box of poles above a box
-    of roots is far from it when its nearest pole is at least the roots'
-    width w away, a box below when at least 2 w; then wt_j/(d_j^2 -
-    sigma^2) is smooth there, and _CHEB Chebyshev points hold it to
-    about (3 + sqrt 8)^-_CHEB of its size.  Below, poles near 0 merge
-    with their mirrors at -d_j into a pole of high order, where one
-    width left 1.6e-13 of f' on a bath spread log-uniformly over 12
-    decades.  Each level sums the boxes that turned far at that level,
-    among the children of the parent's near boxes, at the box's
-    Chebyshev points, and adds the parent's values interpolated to them.
-    The points are offsets c from the pole a, every gap is formed as
-    (d_j - a) - c, and a root interpolates at (d[origin] - a) + offset:
+    boxes of poles.  Box i of 2^l at level l holds the poles e[i]:e[i+1]
+    and the roots of the brackets above them, which lie in [a, a + w] =
+    [d[max(e[i], 1)], d[min(e[i+1], n - 1)]] (root 0 and the top root sum
+    every pole; pole 0 is near to every root).
+
+    Each box's sources are its poles, or where it holds more than _CHEB
+    of them its multipole: their weights anterpolated to its _CHEB
+    Chebyshev points, built from the finest such level up, each box from
+    its children's points (_anterpolate).  Two boxes are far apart when
+    the gap between them is at least the lower box's width and twice the
+    upper box's: a source box's width counts only for a multipole, whose
+    points stand in for poles spread over it.  Then wt_j/(d_j^2 - sigma^2)
+    is smooth in both, and _CHEB Chebyshev points hold it to about (3 +
+    sqrt 8)^-_CHEB of its size.  Above the lower box, poles near 0 merge
+    with their mirrors at -d_j into a pole of high order, where one width
+    left 1.6e-13 of f' on a bath spread log-uniformly over 12 decades.
+
+    At each level a box starts from its parent's values interpolated to
+    its own points, and adds the sources of the children of its parent's
+    near boxes that are far from it (_translate: box to box at the
+    multipole levels, pole to box at the deep ones); its near boxes are
+    the hull of the others.  The points are offsets c from each box's
+    anchor a, every d_j^2 - sigma^2 is formed from offsets from the
+    target's anchor and a root interpolates at (d[origin] - a) + offset:
     in a tight cluster a far pole can lie 1e-8 from sigma, and sigma's
     own last bit would cost the far field 1e-8 of its size.
 
     Returns the leaves' pole edges e, the pole range near[i] = [lo, hi]
-    that the roots of leaf i sum exactly, the leaves' anchors and widths
-    (a, w) and their far values (leaves, 4, _CHEB): psi, psi', phi,
-    phi', the sums over far poles below and above and their derivatives
-    in sigma^2.  Up to _ONE_LEAF poles there is one leaf and no far pole.
-    The last of the poles d, of weight 0, pads the blocks."""
+    that the roots of leaf i sum exactly besides pole 0, the leaves'
+    anchors a and points c (_CHEB, leaves), and their far values (4,
+    _CHEB, leaves): psi, psi', phi, phi', the sums over far poles below
+    and above and their derivatives in sigma^2.  Up to _ONE_LEAF poles
+    there is one leaf and no far pole.
+    """
     n = d.size - 1
-    e = np.array([0, n])
-    near = np.array([[0, 1]])
-    vals = np.zeros((1, 4, _CHEB))
-    a, w = d[[min(1, n - 1)]], d[[n - 1]] - d[[min(1, n - 1)]]
-    for level in range(1, math.ceil(math.log2(n / _LEAF)) + 1 if n > _ONE_LEAF else 1):
-        boxes = 2 ** level
-        e = n * np.arange(boxes + 1) // boxes
-        pa, pw = a, w
+    levels = math.ceil(math.log2(n / _LEAF)) if n > _ONE_LEAF else 0
+
+    def layout(level):
+        e = n * np.arange(2**level + 1) // 2**level
         a = d[np.maximum(e[:-1], 1)]
         w = d[np.minimum(e[1:], n - 1)] - a
-        c, _ = _chebyshev(np.empty((boxes, 0)), 0.0, w)   # the points alone
+        return e, a, w, _points(0.0, w)
+
+    def children(a, ca, cc):
+        # the points of both children of each box, as offsets from its anchor
+        x = (ca - np.repeat(a, 2)) + cc
+        return x.reshape(_CHEB, -1, 2).transpose(2, 0, 1).reshape(2 * _CHEB, -1)
+
+    # level 1 has no far pair
+    multipole = {}
+    for level in [lv for lv in range(levels, 1, -1) if n >> lv > _CHEB]:
+        e, a, w, c = layout(level)
+        if level + 1 in multipole:
+            _, ca, _, cc = layout(level + 1)
+            src = multipole[level + 1].reshape(_CHEB, -1, 2).transpose(2, 0, 1)
+            multipole[level] = _anterpolate(children(a, ca, cc), src.reshape(2 * _CHEB, -1), c)
+        else:
+            x, src = _pole_sources(d, wt, e, a)
+            multipole[level] = _anterpolate(x - a, src, c)
+
+    e, a, w, c = layout(0)
+    near = np.array([[0, 1]])
+    vals = np.zeros((4, _CHEB, 1))
+    for level in range(1, levels + 1):
+        boxes = 2**level
+        pa, pc = a, c
+        e, a, w, c = layout(level)
         # each child starts from its parent's far field at its own points
-        pairs = ((a - np.repeat(pa, 2))[:, None] + c).reshape(boxes // 2, 2 * _CHEB)
-        parent, vals = vals, np.empty((boxes, 4, _CHEB))
+        x = children(pa, a, c)
+        parent, vals = vals, np.empty((4, _CHEB, boxes))
         step = max(1, _BLOCK // (2 * _CHEB * _CHEB))
         for at in range(0, boxes // 2, step):
             r = slice(at, at + step)
-            v = parent[r] @ _chebyshev(pairs[r], 0.0, pw[r])[1]
-            vals.reshape(boxes // 2, 2, 4, _CHEB)[r] = v.reshape(-1, 4, 2, _CHEB).swapaxes(1, 2)
-        cand = 2 * np.repeat(near, 2, axis=0)
-        lo = np.maximum(cand[:, 0], np.searchsorted(d[e[1:] - 1], a - 2.0 * w, side="right"))
-        hi = np.minimum(cand[:, 1], np.searchsorted(d[e[:-1]], a + 2.0 * w, side="left"))
-        for side, first, last in ((0, e[cand[:, 0]], e[lo]), (2, e[hi], e[cand[:, 1]])):
-            for rows, j in _blocks(first, last, n, per=_CHEB):
-                # wt_j/(d_j^2 - x^2) and its square over wt_j, x = a + c
-                g = np.subtract((d[j] - a[rows, None])[:, :, None], c[rows, None])
-                g *= (d[j] + a[rows, None])[:, :, None] + c[rows, None]
-                g = np.reciprocal(g, out=g)
-                wj = wt[j][:, None, :]
-                np.add.at(vals, (rows, side), (wj @ g)[:, 0])
-                np.add.at(vals, (rows, side + 1), (wj @ np.square(g, out=g))[:, 0])
+            v = np.einsum("vip,jip->vjp", parent[..., r], _lagrange(x[:, r], pc[:, r]))
+            v = v.reshape(4, 2, _CHEB, -1).transpose(0, 2, 3, 1)
+            vals.reshape(4, _CHEB, -1, 2)[:, :, r] = v
+        del parent, x, v
+        # candidates: the children of the parent's near boxes, box by box
+        count = 2 * np.repeat(near[:, 1] - near[:, 0], 2)
+        first = np.cumsum(count) - count
+        t = np.repeat(np.arange(boxes), count)
+        s = np.repeat(2 * np.repeat(near[:, 0], 2) - first, count) + np.arange(t.size)
+        # a multipole spans its box, poles span their own range
+        ceiling, spread = (a + w, w[s]) if level in multipole else (d[e[1:] - 1], 0.0)
+        below = (s < t) & (a[t] - ceiling[s] >= np.maximum(2.0 * w[t], spread))
+        above = (s > t) & (a[s] - a[t] >= w[t] + np.maximum(w[t], 2.0 * spread))
+        far = below | above
+        lo = np.minimum.reduceat(np.where(far, boxes, s), first)
+        hi = np.maximum.reduceat(np.where(far, -1, s), first) + 1
+        below, above = s < lo[t], s >= hi[t]
+        if below.any() or above.any():
+            if level in multipole:
+                sa, x, src = a, c, multipole[level]
+            else:   # poles, at their own positions
+                sa, (x, src) = np.zeros(boxes), _pole_sources(d, wt, e, a)
+            _translate(vals, np.concatenate([t[below], t[above]]),
+                       np.concatenate([s[below], s[above]]),
+                       np.repeat([0, 1], [np.count_nonzero(below), np.count_nonzero(above)]),
+                       a, c, sa, x, src)
         near = np.stack([lo, hi], axis=1)
-    return e, e[near], (a, w), vals
+    return e, e[near], a, c, vals
 
 
-def _secular_sums(d, wt, k, o, x, span, leaf, ends, far):
-    """psi, psi', f - 1 and f' of the roots k at sigma = d[o] + x: the
-    poles span[:, 0]:span[:, 1] exactly, in Gu-Eisenstat gaps, those up
-    to k into psi; the far field of each root's leaf (-1: none)
-    interpolated at sigma.  As in dlasd4, psi sums from its far end up
-    to pole k and phi from its far end down to pole k + 1, the small
-    terms first, since psi + phi cancels to -1 at the root."""
-    psi, dpsi, tot, dtot = np.zeros((4, k.size))
-    for r, j in _blocks(span[:, 0], span[:, 1], d.size - 1):
-        do, xr = d[o[r], None], x[r, None]
-        gap = d[j]
-        t = np.subtract(gap, do)
-        t -= xr
-        gap += do
-        gap += xr
-        gap *= t                          # d_j^2 - sigma^2
-        t = np.take(wt, j, out=t)
-        t /= gap
-        gap = np.divide(t, gap, out=gap)
-        # pole k's column: -1 or less where the row starts above it, the
-        # last where it ends below it
-        m = j.shape[1]
-        at = np.minimum(k[r] - j[:, 0], m - 1)
-        rows = np.arange(r.size)
-        phi = np.cumsum(t[:, ::-1], axis=1)[rows, np.clip(m - 2 - at, 0, m - 1)]
-        phi[at + 1 >= m] = 0.0
-        t = np.cumsum(t, axis=1, out=t)
-        below = np.where(at >= 0, t[rows, np.maximum(at, 0)], 0.0)
-        np.add.at(psi, r, below)
-        np.add.at(tot, r, below + phi)
-        gap = np.cumsum(gap, axis=1, out=gap)
-        np.add.at(dpsi, r, np.where(at >= 0, gap[rows, np.maximum(at, 0)], 0.0))
-        np.add.at(dtot, r, gap[:, -1])
-    r = np.flatnonzero(leaf >= 0)
-    if far.shape[0] > 1 and r.size:
-        box = leaf[r]
-        _, q = _chebyshev(((d[o[r]] - ends[0][box]) + x[r])[:, None], 0.0, ends[1][box])
-        psi_, dpsi_, phi_, dphi_ = np.einsum("rvc,rc->vr", far[box], q[..., 0])
-        psi[r] += psi_
-        dpsi[r] += dpsi_
-        tot[r] += psi_ + phi_
-        dtot[r] += dpsi_ + dphi_
-    return psi, dpsi, tot, dtot
+def _secular_sums(d, k, o, x, m, leaf, tree):
+    """psi, psi', f - 1 and f' of the roots k at sigma = d[o] + x: pole 0
+    and the near poles of each root's leaf exactly, in Gu-Eisenstat gaps,
+    those below sigma into psi; the far field of the leaf interpolated at
+    sigma.  As in dlasd4, psi sums from its far end up to pole k and phi
+    from its far end down to pole k + 1, the small terms first, since
+    psi + phi cancels to -1 at the root.
+
+    ``tree`` holds the weights and, per leaf, its column of near poles,
+    pole 0 then start + 1 up to stop, and its anchor, points and far
+    values (psi, psi' and phi, phi'; none for a single leaf).  The roots
+    come in ascending order of m, their numbers of near poles, and are
+    swept in chunks of about _BLOCK entries, m near poles and _CHEB far
+    points a root, with a fixed number of numpy calls per chunk.  A chunk
+    pads each root's column to its widest with the weightless pole past
+    every root, and holds at least one root."""
+    out = np.empty((4, k.size))
+    at = 0
+    while at < k.size:
+        # a root's entries: its near poles and its leaf's far points
+        most = min(k.size, at + max(1, _BLOCK // (m[at] + _CHEB)))
+        span = m[at:most] + _CHEB
+        stop = at + max(1, np.count_nonzero(np.arange(1, most - at + 1) * span <= _BLOCK))
+        r = slice(at, stop)
+        out[:, r] = _chunk_sums(d, d[o[r]], x[r], m[stop - 1], leaf[r], tree)
+        at = stop
+    return out
+
+
+def _chunk_sums(d, do, x, m, leaf, tree):
+    """_secular_sums of one chunk of roots, at sigma = do + x."""
+    wt, start, stop, a, c, far = tree
+    if far:
+        q = _lagrange(((do - a[leaf]) + x)[None], np.take(c, leaf, axis=1))[0]
+        (psi_, dpsi_), (phi_, dphi_) = (np.einsum("rvc,cr->vr", np.take(f, leaf, axis=0), q)
+                                        for f in far)
+        del q
+    else:
+        psi_ = dpsi_ = phi_ = dphi_ = 0.0
+    j = start[leaf] + np.arange(m)[:, None]
+    j[0] = 0
+    # no root's column ends before the chunk's shortest one
+    tail = j[np.min(stop[leaf] - start[leaf]):]
+    np.putmask(tail, tail >= stop[leaf], d.size - 1)
+    g, below = d.take(j), wt.take(j)
+    del j, tail
+    t = np.subtract(g, do)
+    t -= x
+    g += do
+    g += x
+    g *= t                                # d_j^2 - sigma^2
+    t = np.divide(below, g, out=t)
+    below = np.minimum(t, 0.0, out=below)   # the poles up to k
+    psi = below.sum(axis=0)
+    t -= below                            # and those above
+    tot = (psi + t[::-1].sum(axis=0)) + (psi_ + phi_)
+    below /= g
+    dpsi = below.sum(axis=0)
+    t /= g
+    below += t
+    return psi + psi_, dpsi + dpsi_, tot, below.sum(axis=0) + (dpsi_ + dphi_)
 
 
 def _secular_step(d, wt, k, o, x, f, dpsi, dtot, slow, lb, ub):
@@ -510,67 +605,84 @@ def _solve_secular(eq: _SecularEquation):
     10, guarded by bisection.  A root is done when f is within the
     rounding bound of its sums (and then takes one last Newton
     correction), or when its step falls below the last bits of its
-    offset.  The sums take the near poles of the root's leaf
+    offset.  The sums take pole 0 and the near poles of the root's leaf
     (_far_field), about 3 _LEAF of them, exactly and the far ones by
     Chebyshev interpolation in sigma; root 0 and the top root, whose
-    brackets may be far wider than a leaf, sum every pole.  Since d_j^2
-    = (d_j^2 - sigma^2) + sigma^2, the weight 1/(1 + sum_{j>0}
+    brackets may be far wider than a leaf, sum every pole.  Each step
+    sweeps every root not yet done, in the order of their numbers of
+    near poles (_secular_sums).
+    Since d_j^2 = (d_j^2 - sigma^2) + sigma^2, the weight 1/(1 + sum_{j>0}
     (tau_j/(d_j^2 - sigma^2))^2) is 1/(f + sigma^2 f'), 1/(sigma^2 f')
     at a root."""
     n = eq.d.size
     reach = eq.rho / (eq.d[-1] + math.sqrt(eq.d[-1] ** 2 + eq.rho))   # of the top root
-    # a weightless pole past every root pads the blocks of sums
+    top = reach * (1.0 + 4.0 * _EPS)
+    # a weightless pole past every root pads the sums
     d, wt = np.append(eq.d, 2.0 * (eq.d[-1] + reach) + 1.0), np.append(eq.rho * eq.u**2, 0.0)
-    e, near, ends, far = _far_field(d, wt)
-    origin, offset, weight = np.arange(n), np.empty(n), np.empty(n)
-    for first in range(0, n, _BATCH):
-        k = np.arange(first, min(first + _BATCH, n))
-        leaf = np.searchsorted(e, k, side="right") - 1
-        span = near[leaf]
-        whole = (k == 0) | (k == n - 1)
-        span[whole], leaf[whole] = (0, n), -1   # root 0 and the top root sum every pole
-        h = np.where(k < n - 1, d[k + 1] - d[k], reach * (1.0 + 4.0 * _EPS))
-        x, lb, ub = 0.5 * h, np.zeros(k.size), h
-        prev, slow = np.zeros(k.size), np.zeros(k.size, dtype=bool)
-        for it in range(_MAX_ITER + 1):
+    e, near, a, c, far = _far_field(d, wt)
+    leaves = a.size
+    # per leaf its near poles, pole 0 then start + 1:stop; root 0 and
+    # the top root go to one more leaf, which spans every root, sums
+    # every pole and has no far field
+    start, stop = np.append(np.maximum(near[:, 0] - 1, 0), 0), np.append(near[:, 1], n)
+    far = np.append(far.transpose(2, 0, 1), np.zeros((1, 4, _CHEB)), axis=0)
+    tree = (wt, start, stop, np.append(a, 0.0),
+            np.append(c, _points(0.0, [eq.d[-1] + top]), axis=1),
+            (far[:, :2].copy(), far[:, 2:].copy()) if leaves > 1 else ())
+    leaf = np.repeat(np.arange(leaves), np.diff(e))
+    leaf[[0, -1]] = leaves
+    m = stop[leaf] - start[leaf]
+    k = np.argsort(m, kind="stable")
+    m, leaf = m[k], leaf[k]
+    del c, far, near
+    h = np.where(k < n - 1, d[k + 1] - d[k], top)
+    x, lb, ub = 0.5 * h, np.zeros(n), h
+    prev, slow = np.zeros(n), np.zeros(n, dtype=bool)
+    # per root: its origin, and at its last step the offset before the
+    # Newton correction, the offset after it and f'
+    origin, before, offset, slope = np.arange(n), np.empty(n), np.empty(n), np.empty(n)
+    for it in range(_MAX_ITER + 1):
+        o = origin[k]
+        psi, dpsi, tot, dtot = _secular_sums(d, k, o, x, m, leaf, tree)
+        f = 1.0 + tot
+        lb, ub = np.where(f < 0.0, x, lb), np.where(f > 0.0, x, ub)
+        if it == 0:
+            # the midpoint's sign picks the origin: below it, the lower pole
+            up = (f < 0.0) & (k < n - 1)
+            origin[k[up]] += 1
+            for v in (x, lb, ub):
+                v[up] -= h[up]
             o = origin[k]
-            psi, dpsi, tot, dtot = _secular_sums(d, wt, k, o, x, span, leaf, ends, far)
-            f = 1.0 + tot
-            lb, ub = np.where(f < 0.0, x, lb), np.where(f > 0.0, x, ub)
-            if it == 0:
-                # the midpoint's sign picks the origin: below it, the lower pole
-                up = (f < 0.0) & (k < n - 1)
-                origin[k[up]] += 1
-                for v in (x, lb, ub):
-                    v[up] -= h[up]
-                o = origin[k]
-            sigma = d[o] + x
-            # rounding bound of f: its terms, and the offset's last bit
-            tol = _EPS * (8.0 * (tot - 2.0 * psi) + 2.0 + 3.0 * np.abs(x * (sigma + d[o])) * dtot)
-            done = np.abs(f) <= tol
-            # a converged root takes the Newton correction of its last sums,
-            # and the origin pole's term of f' follows it into the weight:
-            # that term dominates f' wherever the correction is large
-            # against the offset
-            last = np.where(done, x - f / (2.0 * sigma * dtot), x)
-            offset[k] = last
-            weight_at = 1.0 / ((d[o] + last) ** 2 * (dtot + wt[o] * (
-                1.0 / (last * (2.0 * d[o] + last)) ** 2 - 1.0 / (x * (2.0 * d[o] + x)) ** 2)))
-            if not done.all():
-                if it == _MAX_ITER:
-                    raise InternalConsistencyError(
-                        f"secular solver did not converge on root {k[~done][0]} of {n} "
-                        f"within {_MAX_ITER} iterations")
-                slow ^= (f * prev > 0.0) & (np.abs(f) > 0.1 * np.abs(prev))
-                prev = f
-                new = _secular_step(d, wt, k, o, x, f, dpsi, dtot, slow, lb, ub)
-                done |= np.abs(new - x) <= 2.0 * _EPS * np.abs(x)
-                x = new
-            weight[k[done]] = weight_at[done]
-            k, x, lb, ub, prev, slow, span, leaf = (
-                v[~done] for v in (k, x, lb, ub, prev, slow, span, leaf))
-            if not k.size:
-                break
+            del h, up
+        do = d[o]
+        sigma = do + x
+        # rounding bound of f: its terms, and the offset's last bit
+        tol = _EPS * (8.0 * (tot - 2.0 * psi) + 2.0 + 3.0 * np.abs(x * (sigma + do)) * dtot)
+        done = np.abs(f) <= tol
+        # a converged root takes the Newton correction of its last sums
+        before[k], slope[k] = x, dtot
+        offset[k] = np.where(done, x - f / (2.0 * sigma * dtot), x)
+        if not done.all():
+            if it == _MAX_ITER:
+                raise InternalConsistencyError(
+                    f"secular solver did not converge on root {k[~done].min()} of {n} "
+                    f"within {_MAX_ITER} iterations")
+            slow ^= (f * prev > 0.0) & (np.abs(f) > 0.1 * np.abs(prev))
+            prev = f
+            new = _secular_step(d, wt, k, o, x, f, dpsi, dtot, slow, lb, ub)
+            done |= np.abs(new - x) <= 2.0 * _EPS * np.abs(x)
+            x = new
+        del psi, dpsi, tot, dtot, do, sigma, tol   # before the next sweep allocates
+        k, x, lb, ub, prev, slow, m, leaf = (
+            v[~done] for v in (k, x, lb, ub, prev, slow, m, leaf))
+        if not k.size:
+            break
+    # the origin pole's term of f' follows the correction into the
+    # weight: that term dominates f' wherever the correction is large
+    # against the offset
+    do, wo = d[origin], wt[origin]
+    weight = 1.0 / ((do + offset) ** 2 * (slope + wo * (
+        1.0 / (offset * (2.0 * do + offset)) ** 2 - 1.0 / (before * (2.0 * do + before)) ** 2)))
     return origin, offset, weight
 
 
@@ -656,22 +768,26 @@ def _boxes(decomp: NormalModeDecomposition):
     return blocks, edges, near.argmax(axis=1), near.shape[1] - near[:, ::-1].argmax(axis=1)
 
 
-def _chebyshev(x: np.ndarray, a=None, b=None):
-    """_CHEB Chebyshev points c (first kind) on [a, b], by default [x[0],
-    x[-1]], and Q, the Lagrange polynomials of c at x in barycentric
-    form: f(x) ~ f(c) @ Q, exactly f(c_i) where x is c_i.  Leading axes
-    of x, a and b are batches of intervals: c is (..., _CHEB) and Q
-    (..., _CHEB, m) for x (..., m)."""
-    a = x[..., 0] if a is None else np.asarray(a)
-    b = x[..., -1] if b is None else np.asarray(b)
-    theta = (np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)
-    c = 0.5 * (a + b)[..., None] - 0.5 * (b - a)[..., None] * np.cos(theta)
-    gap = x[..., None, :] - c[..., None]
-    hit = gap == 0.0
+def _points(a, b):
+    """_CHEB Chebyshev points (first kind) on [a, b]; trailing axes of a
+    and b are batches of intervals: (_CHEB, ...)."""
+    b = np.asarray(b)
+    return 0.5 * (a + b) - 0.5 * (b - a) * _COS.reshape((_CHEB,) + (1,) * b.ndim)
+
+
+def _lagrange(x, c):
+    """The Lagrange polynomials of the Chebyshev points c (_CHEB, ...) at
+    x (m, ...) in barycentric form, Q (m, _CHEB, ...): f(x) ~ Q @ f(c),
+    exactly f(c_i) where x is c_i.  Trailing axes are batches of
+    intervals."""
+    gap = x[:, None] - c
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = (np.sin(theta) * (-1.0) ** np.arange(_CHEB))[:, None] / gap
-        q /= q.sum(axis=-2, keepdims=True)
-    return c, np.where(hit.any(axis=-2, keepdims=True), hit, q)
+        q = _LAMBDA.reshape((_CHEB,) + (1,) * (c.ndim - 1)) / gap
+        q /= q.sum(axis=1, keepdims=True)
+    hit = gap == 0.0
+    if hit.any():
+        q = np.where(hit.any(axis=1, keepdims=True), hit, q)
+    return q
 
 
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
@@ -720,7 +836,8 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     boxes = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     points, proxies = np.zeros((len(boxes), _CHEB)), {}
     for i in [*range(lo.max(initial=0)), *range(hi.min(initial=len(boxes)), len(boxes))]:
-        points[i], proxies[i] = _chebyshev(om[boxes[i]])
+        points[i] = _points(om[boxes[i].start], om[boxes[i].stop - 1])
+        proxies[i] = _lagrange(om[boxes[i]], points[i]).T
 
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
     for start in range(0, ts.size, _TIMES):
@@ -852,8 +969,10 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     top = max(float(model.bath_freqs.max() + model.bath_freqs[0]),
               float(decomp.Omegas[-1]) * (1.0 + 1e-12))
     edges = np.linspace(0.0, top, bins + 1)
-    counts, _ = np.histogram(decomp.Omegas, bins=edges, weights=decomp.weights)
-    density = counts / np.diff(edges)
+    # each bin sums its own weights in order: a running sum over all
+    # bins would leave every bin about 1e-16 of the whole mass off
+    at = np.searchsorted(edges, decomp.Omegas, side="right") - 1
+    density = np.bincount(at, weights=decomp.weights, minlength=bins) / np.diff(edges)
     cont_avg = _bin_averaged_continuum(sol, edges)
     l1 = float(np.sum(np.abs(density - cont_avg) * np.diff(edges)))
 

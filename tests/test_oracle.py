@@ -2,6 +2,7 @@
 secular-equation modes against a dense eigensolver, and agreement
 between the dense and reduced evolution paths."""
 
+import functools
 import math
 import tracemalloc
 
@@ -175,7 +176,13 @@ def _cluster_gap_geometric_model():
 
 _UNITS = UnitSystem()
 
-REFERENCE_MODELS = {
+def _once(builders):
+    # each model is built once per session: gauss_like_2000 alone spends
+    # about 0.7 s in leggauss
+    return {name: functools.cache(build) for name, build in builders.items()}
+
+
+REFERENCE_MODELS = _once({
     "two_mode": lambda: oracle.FiniteBathModel(1.0, [1.0], [0.5]),
     "uncoupled": lambda: oracle.discretize(
         Tabulated(omegas=[0.5, 1.0, 2.0], values=[0.0, 0.0, 0.0]), _UNITS, 40),
@@ -192,16 +199,18 @@ REFERENCE_MODELS = {
         [2.0, 0.5, 1.0, 0.5, 3.0, 1.0, 1.0, 0.7, 2.0, 0.5, 1.3],
         [0.1, 0.2, -0.15, 0.05, 0.3, 0.1, 0.0, 0.12, -0.2, -0.08, 1e-200]),
     "cluster_gap_geometric": _cluster_gap_geometric_model,
-}
+})
 
 
 UNEVEN_MODELS = {
     "gauss_like_2000": REFERENCE_MODELS["gauss_like_2000"],
-    "flat_band_gap_1200": lambda: oracle.discretize(
-        FlatBand(level=0.15, lower=0.3, upper=2.0), _UNITS, 1200),
-    # margin 1e-3 with the full tail; cut at 30, ||K|| = 900
-    "near_critical_1200": lambda: oracle.discretize(
-        OhmicExp(amplitude=0.4469899327725402, cutoff=5.0, omega_max=30.0), _UNITS, 1200),
+    **_once({
+        "flat_band_gap_1200": lambda: oracle.discretize(
+            FlatBand(level=0.15, lower=0.3, upper=2.0), _UNITS, 1200),
+        # margin 1e-3 with the full tail; cut at 30, ||K|| = 900
+        "near_critical_1200": lambda: oracle.discretize(
+            OhmicExp(amplitude=0.4469899327725402, cutoff=5.0, omega_max=30.0), _UNITS, 1200),
+    }),
 }
 
 
@@ -264,6 +273,23 @@ def _tight_cluster_model():
     freqs = np.concatenate([1.0 + 1e-6 * np.linspace(0.0, 1.0, 200), np.geomspace(1.1, 100.0, 300)])
     couplings = 0.3 * np.sqrt(freqs / freqs.size) * (1.0 + 0.5 * np.sin(np.arange(freqs.size)))
     return oracle.FiniteBathModel(2.0, freqs, couplings)
+
+
+def _four_clusters_model():
+    # four clusters of 400 poles, each 2e-11 wide: the box that spans
+    # the gap below a cluster holds poles a few ulps from the boxes above
+    # them, whose gaps only their own positions resolve
+    rng = np.random.default_rng(7)
+    freqs = np.concatenate([c + 2e-11 * rng.random(400) for c in (0.6, 1.8, 4.0, 7.6)])
+    couplings = np.sqrt(0.5 * freqs / freqs.size) * rng.random(freqs.size)
+    return oracle.FiniteBathModel(1.0, freqs, couplings)
+
+
+def _log_uniform_model():
+    # 600 poles spread log-uniformly over 12 decades: near 0 a box's
+    # poles merge with their mirrors at -d_j into a pole of high order
+    freqs = np.sort(10.0 ** np.random.default_rng(12).uniform(-6.0, 6.0, 600))
+    return oracle.FiniteBathModel(1.0, freqs, np.sqrt(0.5 * freqs / freqs.size))
 
 
 # the benchmark's compare models at seed 4242
@@ -343,7 +369,7 @@ class TestSecularSolver:
         # would interpolate poles lying inside the gap's box width
         eq = oracle._secular_equation(REFERENCE_MODELS["cluster_gap_geometric"]())
         d = np.append(eq.d, 2.0 * eq.d[-1])
-        edges, near, _, _ = oracle._far_field(d, np.append(eq.rho * eq.u**2, 0.0))
+        edges, near, *_ = oracle._far_field(d, np.append(eq.rho * eq.u**2, 0.0))
         leaf = np.diff(edges).max()
         assert edges.size > 9 and np.max(near[:, 1] - near[:, 0]) > 4 * leaf
 
@@ -351,16 +377,17 @@ class TestSecularSolver:
         # a point that falls exactly on a Chebyshev point takes that
         # point's value: a child box far narrower than its parent can put
         # one of its points there, as can a root's offset
-        c, _ = oracle._chebyshev(np.empty(0), 0.0, 8.0)
+        c = oracle._points(0.0, 8.0)
         x = np.array([c[3], 0.37, c[-1]])
-        _, q = oracle._chebyshev(x, 0.0, 8.0)
-        assert np.array_equal(q[:, 0], np.eye(oracle._CHEB)[3])
-        assert np.array_equal(q[:, 2], np.eye(oracle._CHEB)[-1])
-        assert (c**5) @ q[:, 1] == pytest.approx(0.37**5, rel=1e-13)
+        q = oracle._lagrange(x, c)
+        assert np.array_equal(q[0], np.eye(oracle._CHEB)[3])
+        assert np.array_equal(q[2], np.eye(oracle._CHEB)[-1])
+        assert q[1] @ (c**5) == pytest.approx(0.37**5, rel=1e-13)
 
-    def test_long_ranges_split_across_blocks(self, monkeypatch):
-        # a range longer than a block is summed in pieces, possibly in one
-        # block: here every row of 701 poles and every far range
+    def test_roots_wider_than_a_chunk(self, monkeypatch):
+        # a chunk of the sums holds at least one root, however wide its
+        # row: here root 0 and the top root sum all 701 poles, and every
+        # sweep, translation and interpolation runs in small chunks
         model = oracle.discretize(_BENCH_OHMIC, _UNITS, 700)
         whole = oracle.normal_modes(model)
         monkeypatch.setattr(oracle, "_BLOCK", 200)
@@ -375,14 +402,47 @@ class TestSecularSolver:
         for N in (oracle._ONE_LEAF - 1, oracle._ONE_LEAF):
             eq = oracle._secular_equation(oracle.discretize(_BENCH_OHMIC, _UNITS, N))
             assert eq.d.size == N + 1
-            edges, near, _, far = oracle._far_field(np.append(eq.d, 99.0),
-                                                    np.append(eq.rho * eq.u**2, 0.0))
+            edges, near, _, _, far = oracle._far_field(np.append(eq.d, 99.0),
+                                                       np.append(eq.rho * eq.u**2, 0.0))
             if N < oracle._ONE_LEAF:
                 assert edges.tolist() == [0, N + 1] and near.tolist() == [[0, N + 1]]
                 assert not far.any()
             else:
                 assert edges.size > 2 and np.diff(edges).max() <= oracle._LEAF
                 assert far.any() and np.all(near[:, 1] - near[:, 0] < N + 1)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is double here")
+    @pytest.mark.parametrize("model", [
+        lambda: oracle.discretize(_BENCH_OHMIC, _UNITS, 4000),
+        lambda: oracle.discretize(_BENCH_FLAT, _UNITS, 2000),
+        _tight_cluster_model,
+        REFERENCE_MODELS["cluster_gap_geometric"],
+        _log_uniform_model,
+        _four_clusters_model,
+    ], ids=["ohmic_4000", "flat_2000", "tight_cluster", "cluster_gap_geometric", "log_uniform",
+            "four_clusters"])
+    def test_far_field_matches_direct_sums(self, model):
+        # at every leaf's Chebyshev points, psi, psi', phi and phi' from
+        # the tree against long-double sums over the leaf's far poles,
+        # those below its near range but pole 0 and those above it, to
+        # 1e-14 of the sum of the terms' magnitudes
+        eq = oracle._secular_equation(model())
+        d = np.append(eq.d, 2.0 * eq.d[-1] + 1.0)
+        wt = np.append(eq.rho * eq.u**2, 0.0)
+        _, near, anchors, points, far = oracle._far_field(d, wt)
+        assert anchors.size >= 64
+        L = np.longdouble
+        poles, weights = d[:-1].astype(L)[:, None], wt[:-1].astype(L)[:, None]
+        for i, (lo, hi) in enumerate(near):
+            a, c = L(anchors[i]), points[:, i].astype(L)
+            gap = ((poles - a) - c) * ((poles + a) + c)
+            terms = weights / gap
+            below, above = slice(1, lo), slice(hi, None)
+            for v, (rows, t) in enumerate([(below, terms), (below, terms / gap),
+                                           (above, terms), (above, terms / gap)]):
+                err = np.abs(far[v, :, i] - t[rows].sum(axis=0))
+                assert np.all(err <= 1e-14 * np.abs(t[rows]).sum(axis=0)), (i, v)
 
 
 def test_weights_path_memory(ohmic_ref, units):
@@ -610,6 +670,25 @@ class TestEvolution:
         for key, want in ref.items():
             assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
 
+    @pytest.mark.parametrize("width", [1e-6, 1e-9])
+    def test_clustered_bath_with_proxies_matches_per_time_loop(self, width):
+        # 700 poles within `width` of 1, then 700 geometric poles up to
+        # 100: 14 boxes of roots, some of them summed through Chebyshev
+        # proxies, whose points and Lagrange polynomials come from the
+        # secular solver's _points and _lagrange
+        freqs = np.concatenate([1.0 + width * np.linspace(0.0, 1.0, 700),
+                                np.geomspace(1.1, 100.0, 700)])
+        couplings = 0.3 * np.sqrt(freqs / freqs.size) * (1.0 + 0.5 * np.sin(np.arange(freqs.size)))
+        model = oracle.FiniteBathModel(2.0, freqs, couplings)
+        decomp = oracle.normal_modes(model)
+        _, edges, lo, hi = oracle._boxes(decomp)
+        assert edges.size == 15 and np.any(hi - lo < edges.size - 1)
+        times = np.linspace(0.0, 30.0, 61)
+        red = oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
+        ref = _per_time_reduced(model, decomp, _UNITS, 1.3, -0.4, times)
+        for key, want in ref.items():
+            assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+
     def test_input_validation(self, small_bath, units):
         model, decomp = small_bath
         one = oracle.evolve_reduced(model, units, 1.0, 0.0, 3.0, decomp=decomp)
@@ -702,9 +781,9 @@ class TestBoxes:
                 width = om[box.stop - 1] - om[box.start]
                 assert min(abs(poles[rows.start] - om[box.stop - 1]),
                            abs(om[box.start] - poles[rows.stop - 1])) >= width
-                x, q = oracle._chebyshev(om[box])
+                x = oracle._points(om[box.start], om[box.stop - 1])
                 w = poles[rows, None]
-                proxy = (1.0 / ((w - x) * (w + x))) @ q
+                proxy = (1.0 / ((w - x) * (w + x))) @ oracle._lagrange(om[box], x).T
                 exact = decomp._inverse_gaps(rows, box)
                 assert np.all(np.abs(proxy - exact) <= 1e-15 * scale)
                 assert np.all(np.abs(proxy - exact) <= 1e-14 * np.abs(exact))
@@ -794,6 +873,20 @@ class TestAgainstContinuum:
         rep = oracle.compare_with_continuum(sol, units, 300, bins=40)
         mass = float(np.sum(rep.hist_density * np.diff(rep.hist_edges)))
         assert mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_histogram_bins_sum_their_own_weights(self, ohmic_ref, units):
+        # the top bins hold about 1e-14 of the mass next to bins of order
+        # 1: each matches the exact sum of the weights it holds
+        spec, sol = ohmic_ref
+        rep = oracle.compare_with_continuum(sol, units, 800)
+        mass = rep.hist_density * np.diff(rep.hist_edges)
+        decomp = oracle.normal_modes(oracle.discretize(spec, units, 800))
+        at = np.searchsorted(rep.hist_edges, decomp.Omegas, side="right") - 1
+        assert mass.max() > 0.5 and 1e-15 < mass[-1] < 1e-13
+        for b in np.flatnonzero(mass < 1e-13):
+            exact = math.fsum(decomp.weights[at == b])
+            held = rep.hist_density[b] * (rep.hist_edges[b + 1] - rep.hist_edges[b])
+            assert abs(held - exact) <= 1e-15 * exact
 
     def test_comparison_report_scaled_units(self):
         # hbar/2m and hbar m/2 cancel in the relative variance errors,
