@@ -137,7 +137,10 @@ def _resolved(source, t_max: float):
 
 @dataclass(frozen=True, eq=False)
 class DynamicsKernels:
-    """The three averaged kernels on a sorted time lattice."""
+    """The three averaged kernels on a sorted time lattice.
+
+    ``source`` is the measure they were summed over, ``given`` the one
+    kernels was passed, before any refinement for the times."""
 
     times: np.ndarray
     k_cos: np.ndarray
@@ -145,6 +148,7 @@ class DynamicsKernels:
     k_sin_times: np.ndarray
     omega0: float
     source: object = field(repr=False)
+    given: object = field(repr=False)
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,k_cos,k_sin_over,k_sin_times",
@@ -168,7 +172,7 @@ def kernels(source, times) -> DynamicsKernels:
         raise UsageError("times must be finite and >= 0")
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
-    source = _resolved(source, float(ts[-1]))
+    given, source = source, _resolved(source, float(ts[-1]))
     w, wt = source.nodes, source.weights
     k_cos, k_sin_over, k_sin_times = _evaluate(source, ts, cos=[wt],
                                                sin=[wt / w, wt * w])
@@ -179,7 +183,7 @@ def kernels(source, times) -> DynamicsKernels:
         )
     return DynamicsKernels(times=ts, k_cos=k_cos, k_sin_over=k_sin_over,
                            k_sin_times=k_sin_times,
-                           omega0=source.omega0, source=source)
+                           omega0=source.omega0, source=source, given=given)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,13 +232,16 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     once, again directly where the Fourier route leaves a value within
     its error bound of 0 or of the floor (so every comparison falls as
     in a direct scan), and directly at each root step.  A continuum
-    source is first refined for scan_window, as in kernels.
+    source is refined for scan_window as in kernels: past the kernels'
+    last time, the measure kernels was given, in one step, since
+    refining the kernels' grid again builds more nodes.
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])
     checked(scan_window, "number > 0", "scan_window")
     checked(resolution, "number >= 0", "resolution")
-    source = _resolved(kern.source, scan_window)
+    source = _resolved(kern.given if scan_window > kern.times[-1] else kern.source,
+                       scan_window)
     step = _SCAN_STEP_FACTOR / kern.omega0
     n = int(math.ceil(scan_window / step)) + 1
     # every scan time in (0, scan_window], the horizon resolved above

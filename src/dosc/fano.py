@@ -373,35 +373,25 @@ def _interval_error_indicator(w, pi, units):
     return curv * h * h * weight
 
 
-def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid, *,
+def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL,
                max_nodes: int = MAX_NODES, max_rounds: int = MAX_ROUNDS) -> SpectralSolution:
-    """Evaluate pi on the grid and refine until the normalisation and the
-    omega^2 sum rule both hold to tolerance.
+    """Evaluate pi on build_grid's nodes and refine until the
+    normalisation and the omega^2 sum rule both hold to tolerance.
 
-    ``grid`` is the starting node array: strictly increasing, strictly
-    positive and finite, at least 4 nodes, such as build_grid's output
-    or a solution's ``omegas``.  UsageError refuses any other before
-    anything is evaluated.
-
-    Raises ConvergenceError with diagnostics if the round or node budget
-    runs out.  A defect that stalls once the grid is dense means weight
-    the grid cannot reach: a tail cut off by omega_max on an unbounded
+    The grid comes first, so that a zero coupling or an empty support
+    is refused before an inadmissible model, and both before a bad
+    tolerance or budget.  Raises ConvergenceError with diagnostics if
+    the round or node budget runs out.  A defect that stalls once the grid is dense means weight the
+    grid cannot reach: a tail cut off by omega_max on an unbounded
     support, or a bound state outside a bounded one.
     """
-    _require_coupled(spec)
+    nodes = build_grid(spec, units)
     require_admissible(spec, units)
     checked(norm_tol, "number > 0", "norm_tol")
     checked(sum_tol, "number > 0", "sum_tol")
     max_nodes = checked(max_nodes, "integer >= 1", "max_nodes")
     max_rounds = checked(max_rounds, "integer >= 1", "max_rounds")
-    nodes = np.asarray(grid, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 4:
-        raise UsageError("grid needs a 1-d array of at least 4 nodes")
-    if not np.all(np.diff(nodes) > 0):
-        raise UsageError("grid nodes must be strictly increasing")
-    if not (nodes[0] > 0 and nodes[-1] < math.inf):
-        raise UsageError("grid nodes must be strictly positive and finite")
 
     for rounds in range(max_rounds):
         sol = _solution(spec, units, nodes,
@@ -456,8 +446,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, grid, *,
 
 
 def solve(spec: CouplingSpectrum, units: UnitSystem, **kwargs) -> SpectralSolution:
-    """build_grid + compute_pi in one call."""
-    return compute_pi(spec, units, build_grid(spec, units), **kwargs)
+    """The certified solution: compute_pi, whose keywords it takes."""
+    return compute_pi(spec, units, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,26 @@ class TestKernels:
         dynamics.classify_damping(k, 25.0)
         assert np.array_equal(seen[0].omegas, fano.refine_for_times(ref8, 25.0).omegas)
 
+    def test_scan_past_t_max_refines_once(self, ohmic_ref, monkeypatch):
+        # past the kernels' last time the scan refines the solution the
+        # kernels were given, in one step: refining the kernels' grid
+        # again would build more nodes
+        _, sol = ohmic_ref
+        k = dynamics.kernels(sol, np.linspace(0.0, 30.0, 31))
+        assert k.given is sol and k.source.omegas.size > sol.omegas.size
+        seen = []
+        evaluate = dynamics._evaluate
+
+        def spy(source, ts, **rows):
+            seen.append(source)
+            return evaluate(source, ts, **rows)
+
+        monkeypatch.setattr(dynamics, "_evaluate", spy)
+        dynamics.classify_damping(k, 60.0)
+        once = fano.refine_for_times(sol, 60.0)
+        assert np.array_equal(seen[0].omegas, once.omegas)
+        assert once.omegas.size < fano.refine_for_times(k.source, 60.0).omegas.size
+
     def test_validation(self, two_mode_decomp):
         with pytest.raises(UsageError):
             dynamics.kernels(two_mode_decomp, [])

@@ -285,10 +285,10 @@ def _four_clusters_model():
     return oracle.FiniteBathModel(1.0, freqs, couplings)
 
 
-def _log_uniform_model():
-    # 600 poles spread log-uniformly over 12 decades: near 0 a box's
+def _log_uniform_model(n=600):
+    # n poles spread log-uniformly over 12 decades: near 0 a box's
     # poles merge with their mirrors at -d_j into a pole of high order
-    freqs = np.sort(10.0 ** np.random.default_rng(12).uniform(-6.0, 6.0, 600))
+    freqs = np.sort(10.0 ** np.random.default_rng(12).uniform(-6.0, 6.0, n))
     return oracle.FiniteBathModel(1.0, freqs, np.sqrt(0.5 * freqs / freqs.size))
 
 
@@ -683,6 +683,21 @@ class TestEvolution:
         decomp = oracle.normal_modes(model)
         _, edges, lo, hi = oracle._boxes(decomp)
         assert edges.size == 15 and np.any(hi - lo < edges.size - 1)
+        times = np.linspace(0.0, 30.0, 61)
+        red = oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
+        ref = _per_time_reduced(model, decomp, _UNITS, 1.3, -0.4, times)
+        for key, want in ref.items():
+            assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+
+    @pytest.mark.parametrize("n", [600, 1200])
+    def test_log_uniform_bath_matches_per_time_loop(self, n):
+        # ||K|| is about 1e12: the oscillator's velocity row is the mode
+        # sum, since row 0 of K s put mean_p 2e-6 (600) and 4e-6 (1200)
+        # off.  At 1200 poles some boxes are summed through proxies
+        model = _log_uniform_model(n)
+        decomp = oracle.normal_modes(model)
+        _, edges, lo, hi = oracle._boxes(decomp)
+        assert np.any(hi - lo < edges.size - 1) == (n == 1200)
         times = np.linspace(0.0, 30.0, 61)
         red = oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
         ref = _per_time_reduced(model, decomp, _UNITS, 1.3, -0.4, times)

@@ -268,7 +268,7 @@ def _cases():
     for name, rule in (("max_nodes", "integer >= 1"), ("max_rounds", "integer >= 1"),
                        ("norm_tol", "> 0"), ("sum_tol", "> 0")):
         yield (f"compute_pi.{name}",
-               lambda x, n=name: fano.compute_pi(SPEC, U, _solution().omegas, **{n: x}),
+               lambda x, n=name: fano.compute_pi(SPEC, U, **{n: x}),
                name, rule)
     yield ("refine_for_times.t_max",
            lambda x: fano.refine_for_times(_solution(), x), "t_max", "")
