@@ -35,8 +35,7 @@ import types
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import (ConvergenceError, InternalConsistencyError,
-                     PositivityError, UsageError, checked)
+from .errors import DoscError, UsageError, checked
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -451,8 +450,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the exit-code contract says 1."""
 
     def error(self, message):
-        doc = {"error": "UsageError", "message": message, "exit_code": 1}
-        self.exit(1, json.dumps(doc, sort_keys=True) + "\n")
+        self.exit(_fail(UsageError(message)))
 
 
 @functools.cache
@@ -483,7 +481,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc: Exception) -> int:
+    """Report ``exc`` on stderr; return its class's exit code (1 if it has none)."""
+    code = getattr(exc, "exit_code", 1)
     doc = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     detail = getattr(exc, "detail", None)
     if detail:
@@ -505,15 +505,11 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.cmd](cfg, out)
-    except UsageError as exc:
-        return _fail(exc, 1)
-    except PositivityError as exc:
-        return _fail(exc, 2)
-    except (ConvergenceError, InternalConsistencyError) as exc:
-        return _fail(exc, 3)
+    except DoscError as exc:
+        return _fail(exc)
     except MemoryError as exc:
         # numpy raises a subclass for an allocation it cannot make
-        return _fail(MemoryError(str(exc)), 1)
+        return _fail(MemoryError(str(exc)))
 
 
 if __name__ == "__main__":

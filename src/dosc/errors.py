@@ -1,8 +1,8 @@
 """Shared exception hierarchy.
 
-The CLI maps these onto its exit-code contract: configuration problems
-exit 1, physics rejections (positivity) exit 2, numerical non-convergence
-exit 3.  Library code raises them directly.  ``checked`` is the one
+Each class carries the CLI's exit code: configuration problems exit 1,
+physics rejections (positivity) exit 2, numerical non-convergence exit
+3.  Library code raises them directly.  ``checked`` is the one
 rule for a valid number, shared by the config parser and every library
 entry point that takes a scalar.
 """
@@ -14,11 +14,20 @@ import sys
 
 
 class DoscError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures: ``detail`` holds
+    numbers a front end can show, ``exit_code`` the CLI's exit code."""
+
+    exit_code = 3
+
+    def __init__(self, message: str, detail: dict | None = None):
+        super().__init__(message)
+        self.detail = detail or {}
 
 
 class UsageError(DoscError):
     """Malformed configuration, bad CLI arguments, or misuse of an API."""
+
+    exit_code = 1
 
 
 class PositivityError(DoscError):
@@ -28,17 +37,11 @@ class PositivityError(DoscError):
     (discrete) in ``detail`` so front ends can show the numbers.
     """
 
-    def __init__(self, message: str, detail: dict | None = None):
-        super().__init__(message)
-        self.detail = detail or {}
+    exit_code = 2
 
 
 class ConvergenceError(DoscError):
     """A numerical procedure exhausted its budget before reaching tolerance."""
-
-    def __init__(self, message: str, detail: dict | None = None):
-        super().__init__(message)
-        self.detail = detail or {}
 
 
 class QuadratureError(ConvergenceError):

@@ -44,7 +44,7 @@ rule are both within tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -478,54 +478,50 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     """Return a solution whose grid resolves oscillations up to t_max.
 
     Requirement: intervals violating  (spacing) * t_max <= ALIAS_LIMIT
-    may carry at most sol.alias_mass_tol of total spectral weight.
-    Violating intervals are split into equal parts, and pi is
-    re-evaluated on the merged nodes; the result carries the same
-    budget.  A solution that already meets the requirement is returned
-    as it is.
+    may carry at most sol.alias_mass_tol of total spectral weight.  The
+    grid is split once: the lightest violating intervals are exempt up
+    to half that budget, and every other one is split into equal parts
+    no wider than ALIAS_LIMIT / t_max.  The new nodes are counted before
+    any is built, and more than MAX_NEW_NODES are refused with
+    ConvergenceError.  pi is evaluated on the merged nodes, and the
+    result carries the same budget.  A solution that already meets the
+    requirement is returned as it is.
     """
     checked(t_max, "number", "t_max")
     if t_max <= 0:
         return sol
-    spec, units, mass_tol = sol.spec, sol.units, sol.alias_mass_tol
+    nodes, pi = sol.nodes, sol.pi
     h_max = ALIAS_LIMIT / t_max
-    refined = sol
-
-    added = 0
-    for _ in range(40):
-        nodes, pi = refined.nodes, refined.pi
-        h = np.diff(nodes)
-        masses = 0.5 * (pi[:-1] + pi[1:]) * h      # trapezoidal
-        violating = h > h_max
-        total = masses.sum()
-        if not violating.any() or masses[violating].sum() <= mass_tol * total:
-            break
-        # Exempt the lightest violating intervals up to the mass budget.
-        idx = np.flatnonzero(violating)
-        order = idx[np.argsort(masses[idx])]
-        cum = np.cumsum(masses[order])
-        split = violating.copy()
-        split[order[cum <= mass_tol * total * 0.5]] = False
-        # each split interval into k equal parts, its k - 1 inner points
-        k = np.minimum(np.ceil(h[split] / h_max), 4096).astype(np.intp)
-        inner = k - 1
-        if not inner.any():
-            break
-        added += int(inner.sum())
-        if added > MAX_NEW_NODES:
-            raise ConvergenceError(
-                "time-grid refinement budget exceeded",
-                detail={"t_max": t_max, "new_nodes": added,
-                        "guidance": "shorten the time span"},
-            )
-        # np.linspace's points j * (h / k) + left, j = 1..k-1
-        first = np.repeat(np.cumsum(inner) - inner, inner)
-        j = np.arange(1, first.size + 1) - first
-        new_nodes = _unique(j * np.repeat(h[split] / k, inner)
-                            + np.repeat(nodes[:-1][split], inner))
-        refined = _solution(spec, units, np.sort(np.concatenate([nodes, new_nodes])))
-
-    if refined is sol:
+    h = np.diff(nodes)
+    masses = 0.5 * (pi[:-1] + pi[1:]) * h      # trapezoidal
+    violating = h > h_max
+    budget = sol.alias_mass_tol * masses.sum()
+    if masses[violating].sum() <= budget:
         return sol
-    meta = {**sol.meta, "refined_for_t_max": t_max, "nodes": int(refined.nodes.size)}
-    return replace(refined, alias_mass_tol=mass_tol, meta=meta)
+    # Exempt the lightest violating intervals up to half the mass budget.
+    idx = np.flatnonzero(violating)
+    order = idx[np.argsort(masses[idx])]
+    split = violating.copy()
+    split[order[np.cumsum(masses[order]) <= budget * 0.5]] = False
+    # each split interval into k equal parts, its k - 1 inner points;
+    # k is clipped where it alone would be refused, so that the count
+    # stays finite when h / h_max overflows
+    with np.errstate(over="ignore"):
+        k = np.minimum(np.ceil(h[split] / h_max), MAX_NEW_NODES + 1).astype(np.intp)
+    inner = k - 1
+    added = int(inner.sum())
+    if added > MAX_NEW_NODES:
+        raise ConvergenceError(
+            "time-grid refinement budget exceeded",
+            detail={"t_max": t_max, "new_nodes": added,
+                    "guidance": "shorten the time span"},
+        )
+    # np.linspace's points j * (h / k) + left, j = 1..k-1
+    first = np.repeat(np.cumsum(inner) - inner, inner)
+    j = np.arange(1, first.size + 1) - first
+    new_nodes = _unique(j * np.repeat(h[split] / k, inner)
+                        + np.repeat(nodes[:-1][split], inner))
+    merged = np.sort(np.concatenate([nodes, new_nodes]))
+    meta = {**sol.meta, "refined_for_t_max": t_max, "nodes": int(merged.size)}
+    return _solution(sol.spec, sol.units, merged,
+                     alias_mass_tol=sol.alias_mass_tol, meta=meta)

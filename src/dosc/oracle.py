@@ -915,15 +915,8 @@ class ComparisonReport:
     hist_continuum: np.ndarray = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N, "scheme": self.scheme, "bins": self.bins,
-            "rel_var_x": self.rel_var_x, "rel_var_p": self.rel_var_p,
-            "rel_mean_freq": self.rel_mean_freq,
-            "rel_mean_inv_freq": self.rel_mean_inv_freq,
-            "histogram_l1": self.histogram_l1,
-            "recurrence": self.recurrence,
-            "discrete_margin": self.discrete_margin,
-        }
+        """Every field but the histogram arrays (the ones kept out of repr)."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.repr}
 
     def histogram_csv(self, path) -> None:
         write_csv(path, "bin_lo,bin_hi,density_discrete,density_continuum",

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,22 @@ class TestArgumentHandling:
             doc = json.loads((tmp_path / str(i) / "groundstate.json").read_text())
             assert doc["omega_c"] == (omega0 or 1.0)
         assert cli._build_parser().parse_args(["groundstate"]).override == []
+
+    def test_exit_codes_are_the_readme_table(self):
+        # each error class declares the code of the README row naming it
+        from dosc import errors
+
+        readme = (CONFIGS.parent / "README.md").read_text()
+        section = readme.split("### Exit codes", 1)[1].split("###", 1)[0]
+        rows = dict(re.findall(r"^\| (\d) +\| (.*) \|$", section, re.M))
+        assert sorted(rows) == ["0", "1", "2", "3"]
+        table = {errors.UsageError: (1, "usage"), errors.OutsideSupportError: (1, "usage"),
+                 errors.PositivityError: (2, "physics rejection"),
+                 errors.ConvergenceError: (3, "did not converge"),
+                 errors.QuadratureError: (3, "numerical failure"),
+                 errors.InternalConsistencyError: (3, "internal identity")}
+        for cls, (code, words) in table.items():
+            assert cls.exit_code == code and words in rows[str(code)], cls
 
 
 class TestConfigValidation:

@@ -11,6 +11,7 @@ written out below for the goldens.
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,26 @@ def test_refine_for_times(ohmic_ref):
     assert refined.norm_defect <= 2e-6
 
 
+def test_refinement_assembles_one_solution(ohmic_ref, monkeypatch):
+    # one split, one SpectralSolution: its Simpson weights and defects
+    # are computed once, with the budget and provenance it carries
+    _, sol = ohmic_ref
+    built = []
+    post_init = fano.SpectralSolution.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(fano.SpectralSolution, "__post_init__", counted)
+    tightened = fano._solution(sol.spec, U, sol.nodes, alias_mass_tol=1e-7)
+    built.clear()
+    refined = refine_for_times(tightened, 25.0)
+    assert built == [refined]
+    assert refined.alias_mass_tol == 1e-7
+    assert refined.meta == {"refined_for_t_max": 25.0, "nodes": refined.nodes.size}
+
+
 def test_refined_solution_certifies_its_own_grid(ohmic_ref):
     # both defects are moments of the solution's own weights, on the
     # refined grid as on the one compute_pi certified
@@ -324,7 +345,7 @@ def test_refined_solution_certifies_its_own_grid(ohmic_ref):
 
 def test_time_refinement_refused_before_building(flat_mid):
     # configs/flat_band.json's density resolved to t_max = 1e6 would take
-    # 16 million new nodes (half a GB): the refusal counts, never builds them
+    # 19 million new nodes (half a GB): the refusal counts, never builds them
     _, sol = flat_mid
     tracemalloc.start()
     try:
@@ -333,9 +354,24 @@ def test_time_refinement_refused_before_building(flat_mid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exc.value.detail == {"t_max": 1e6, "new_nodes": 16122121,
+    assert exc.value.detail == {"t_max": 1e6, "new_nodes": 18996532,
                                 "guidance": "shorten the time span"}
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("fixture,alias_mass_tol", [("flat_mid", 1e-6), ("ohmic_ref", 0.0)])
+def test_time_refinement_refusal_at_the_largest_time(fixture, alias_mass_tol, request):
+    # h / h_max is near 1e306 on the flat band's grid, and overflows on
+    # the ohmic grid's tail once no interval is exempt: either way the
+    # count is a finite integer and no warning is raised
+    _, sol = request.getfixturevalue(fixture)
+    sol = fano._solution(sol.spec, U, sol.nodes, alias_mass_tol=alias_mass_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="budget exceeded") as exc:
+            refine_for_times(sol, 1e308)
+    assert exc.value.detail["new_nodes"] > fano.MAX_NEW_NODES
+    json.dumps(exc.value.detail, allow_nan=False)
 
 
 def test_node_budget_stop_is_reported_as_such():
