@@ -21,16 +21,18 @@ a finite-bath decomposition the same sum is exact at any t.
 The sums take one of two routes, chosen from the time lattice alone:
 
 * a uniform lattice t_j = t_0 + j dt of more than _BLOCK times (the
-  CLI's default linear spacing, the damping scan) is a type-1
-  non-uniform FFT over x_k = omega_k dt mod 2 pi: each strength row
-  asked for (three for the kernels, k_sin_times' one for the scan) is
-  spread onto one oversampled grid with shared Gaussian taps, and one
-  FFT per row gives all T values in O(M + T log T), within
-  _FOURIER_REL_ERR of the direct sums;
-* every other lattice (geometric grids, single root-finding steps,
-  mixed grids) takes the direct sums of the same rows, dense cos/sin
-  products a block of _BLOCK times at a time.  They are also the
-  tests' reference for the Fourier route.
+  CLI's default linear spacing, the damping scan), or such a tail of a
+  sorted lattice (the linear run after the geometric one in
+  scripts/relaxation_demo.py), is a type-1 non-uniform FFT over
+  x_k = omega_k dt mod 2 pi: each strength row asked for (three for
+  the kernels, k_sin_times' one for the scan) is spread onto one
+  oversampled grid with shared Gaussian taps, and one FFT per row gives
+  all T values in O(M + T log T), within _FOURIER_REL_ERR of the direct
+  sums;
+* the times before such a tail and every other lattice (geometric
+  grids, single root-finding steps) take the direct sums of the same
+  rows, dense cos/sin products a block of _BLOCK times at a time.  They
+  are also the tests' reference for the Fourier route.
 """
 
 from __future__ import annotations
@@ -112,18 +114,22 @@ def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
 
 
 def _evaluate(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
-    """The rows of _direct_sums: by the Fourier route when ts is a
-    uniform lattice of more than _BLOCK times, else by direct sums."""
-    n = ts.size
-    if n > _BLOCK:
-        dt = (ts[-1] - ts[0]) / (n - 1)
-        off_lattice = np.max(np.abs(ts - (ts[0] + dt * np.arange(n))))
-        if dt > 0 and off_lattice <= _LATTICE_ULPS * np.spacing(ts[-1]):
-            sums = _fourier_sums(source.nodes, np.stack([*cos, *sin]), ts[0], dt, n)
+    """The rows of _direct_sums of a sorted lattice: its uniform tail by
+    the Fourier route when it holds more than _BLOCK times, the times
+    before it by direct sums."""
+    if ts.size > _BLOCK:
+        tol = _LATTICE_ULPS * np.spacing(ts[-1])
+        steps = np.diff(ts)   # within tol of t_0 + j dt, they differ by at most 4 tol
+        head = np.flatnonzero(np.abs(steps - steps[-1]) > 4.0 * tol)
+        tail = ts[head[-1] + 1 if head.size else 0:]
+        n = tail.size
+        dt = (tail[-1] - tail[0]) / (n - 1)
+        if n > _BLOCK and dt > 0 and np.max(np.abs(tail - (tail[0] + dt * np.arange(n)))) <= tol:
+            sums = _fourier_sums(source.nodes, np.stack([*cos, *sin]), tail[0], dt, n)
             out = np.concatenate([sums[:len(cos)].real, sums[len(cos):].imag])
             # sin(0 omega) sums to exactly +0 on the direct route
-            out[len(cos):, ts == 0] = 0.0
-            return out
+            out[len(cos):, tail == 0] = 0.0
+            return np.hstack([_direct_sums(source, ts[:-n], cos, sin), out])
     return _direct_sums(source, ts, cos, sin)
 
 

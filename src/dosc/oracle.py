@@ -57,12 +57,15 @@ from .errors import InternalConsistencyError, PositivityError, UsageError, check
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
-# evolve_reduced interpolates the inverse gaps of a block of poles over a
-# box of roots a box width or more away at _CHEB Chebyshev points, to
-# (3 + sqrt 8)^-_CHEB of their size.  A block of up to _TIMES times holds
-# the 399 of scripts/relaxation_demo.py (4 MB of proxies at N = 4000)
+# evolve_reduced interpolates the inverse gaps between a block of poles
+# and a box of roots at least both widths apart at _CHEB Chebyshev points
+# on each side, to (3 + sqrt 8)^-_CHEB of their size, _GROUP row blocks a
+# product.  It takes the cosines and sines of every root for a block of
+# at least _TIMES times and about _TRIG_BYTES: 65 times at N = 4000
 _CHEB = 20
-_TIMES = 512
+_TIMES = 64
+_TRIG_BYTES = 2**22
+_GROUP = 4
 _COS = np.cos((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB))
 _LAMBDA = np.sin((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)) * (-1.0) ** np.arange(_CHEB)
 # the secular solver's tree of boxes stops at leaves of at most _LEAF
@@ -749,22 +752,22 @@ class ReducedTrajectory:
 
 
 def _boxes(decomp: NormalModeDecomposition):
-    """k boxes of about sqrt(n _CHEB / 3) roots in root order, box i
+    """k boxes of about (400 n / 3)^(1/3) roots in root order, box i
     roots edges[i]:edges[i+1], with row block J the kept poles
     ``_secular.d[1:][blocks[J]:blocks[J+1]]`` above box J's roots.  Block
-    J sums exactly the hull lo[J]:hi[J] of the boxes closer than their
-    own width to its poles; neither end falls as J grows.  Below n = 48
-    _CHEB a proxy saves less than its second pass of cosines and sines
-    costs: one box holds every root, and blocks 4 _CHEB poles."""
+    J sums exactly the hull lo[J]:hi[J] of the boxes closer to its poles
+    than its width or theirs; neither end falls as J grows.  A time then
+    costs about 3 n^2 / k products with near roots and _CHEB^2 k^2 with
+    far points, which this k makes equal."""
     eq = decomp._secular
     om = decomp.Omegas[decomp._rank[:eq.d.size]]
     n, m = om.size, eq.tau.size
-    k = round(math.sqrt(3 * n / _CHEB)) if n > 48 * _CHEB else 1
+    k = max(1, round(n / (400 * n / 3) ** (1 / 3)))
     edges = n * np.arange(k + 1) // k
-    blocks = np.minimum(edges, m) if k > 1 else np.append(np.arange(0, m, 4 * _CHEB), m)
+    blocks = np.unique(np.minimum(edges, m))   # no block without poles
     bottom, top = om[edges[:-1]], om[edges[1:] - 1]
     first, last = eq.d[1 + blocks[:-1], None], eq.d[blocks[1:], None]
-    near = np.maximum(first - top, bottom - last) < top - bottom
+    near = np.maximum(first - top, bottom - last) < np.maximum(top - bottom, last - first)
     return blocks, edges, near.argmax(axis=1), near.shape[1] - near[:, ::-1].argmax(axis=1)
 
 
@@ -802,17 +805,19 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     c = O (a cos(Omega t)), s = O (a sin(Omega t)/Omega) and
     d = O (a Omega sin(Omega t)) = K s, with O the eigenvectors and a
     the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
-    a block of times puts pi_k cos and pi_k sin/Omega of each box of
-    coupled roots (``_boxes``) in a matrix F_B, whose column sums are
-    the oscillator's c and s.  Its d is the mode sum of pi_k Omega_k
-    sin(Omega_k t), Omega_k^2 times F_B's sine half.  Row 0 of K s would
+    a block of times puts pi_k cos and pi_k sin/Omega of every coupled
+    root in a matrix F, each evaluated once; its column sums are the
+    oscillator's c and s.  Its d is the mode sum of pi_k Omega_k
+    sin(Omega_k t), Omega_k^2 times F's sine half.  Row 0 of K s would
     add the modes' residual K O - O Omega^2, bounded only by about
-    eps ||K||: 2e-6 on a bath spread over 12 decades.  A block of
-    coupled bath modes takes c and s from its inverse gaps times F_B
-    over near boxes and 1/(omega_j^2 - x^2) at far boxes' Chebyshev
-    points x times Q_B F_B, d from K, and adds its share of the
-    covariance.  Deflated modes have a_k = 0 and drop out.  Neither O
-    nor the whole F is held; ``times`` may be unsorted.
+    eps ||K||: 2e-6 on a bath spread over 12 decades.  A row block of
+    coupled bath modes (``_boxes``) takes c and s from its inverse gaps
+    times F over its near boxes of roots, and from the far boxes'
+    multipoles Q_B F_B at their Chebyshev points x, translated by
+    1/(y^2 - x^2) to the block's own points y and interpolated to its
+    poles; d from K; and adds its share of the covariance.  Deflated
+    modes have a_k = 0 and drop out.  Neither O nor F for every time is
+    held; ``times`` may be unsorted.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
@@ -837,46 +842,49 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
                 vp @ (c * s) - vx @ (c * d))
 
     blocks, edges, lo, hi = _boxes(decomp)
+    k = edges.size - 1
     boxes = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    points, proxies = np.zeros((len(boxes), _CHEB)), {}
-    for i in [*range(lo.max(initial=0)), *range(hi.min(initial=len(boxes)), len(boxes))]:
-        points[i] = _points(om[boxes[i].start], om[boxes[i].stop - 1])
-        proxies[i] = _lagrange(om[boxes[i]], points[i]).T
+    # the Chebyshev points of each box of roots, and of each row block of
+    # poles with its Lagrange polynomials at the poles
+    x = _points(om[edges[:-1]], om[edges[1:] - 1]).T
+    proxies = [_lagrange(om[box], c).T for box, c in zip(boxes, x)]
+    poles = eq.d[1:]
+    y = _points(poles[blocks[:-1]], poles[blocks[1:] - 1]).T
+    interp = [_lagrange(poles[a:b], c) for a, b, c in zip(blocks[:-1], blocks[1:], y)]
 
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
-    for start in range(0, ts.size, _TIMES):
-        blk = slice(start, start + _TIMES)
+    step = max(_TIMES, _TRIG_BYTES // (16 * om.size))
+    for start in range(0, ts.size, step):
+        blk = slice(start, start + step)
         n_t = ts[blk].size
-
-        def trig(box):   # F_B = [pi cos(Omega t) | pi sin(Omega t)/Omega]
-            F = np.empty((box.stop - box.start, 2 * n_t))
-            np.multiply.outer(om[box], ts[blk], out=F[:, :n_t])
-            np.sin(F[:, :n_t], out=F[:, n_t:])
-            np.cos(F[:, :n_t], out=F[:, :n_t])
-            F[:, :n_t] *= pi[box, None]
-            F[:, n_t:] *= (pi[box] / om[box])[:, None]
-            return F
-
-        W = np.empty((len(boxes), _CHEB, 2 * n_t))
-        cs0, d0 = np.zeros(2 * n_t), np.zeros((1, n_t))
-        near = {}   # F_B of the current row block's near boxes (the first's here)
-        for i, box in enumerate(boxes):
-            F = trig(box)
-            cs0 += F.sum(axis=0)
-            d0 += (om[box]**2) @ F[:, n_t:]
-            if i in proxies:
-                np.matmul(proxies[i], F, out=W[i])
-            if lo.size and i < hi[0]:
-                near[i] = F
-        c0, s0 = np.split(cs0[None], 2, axis=1)
+        F = np.empty((om.size, 2 * n_t))   # [pi cos(Omega t) | pi sin(Omega t)/Omega]
+        np.multiply.outer(om, ts[blk], out=F[:, :n_t])
+        np.sin(F[:, :n_t], out=F[:, n_t:])
+        np.cos(F[:, :n_t], out=F[:, :n_t])
+        F[:, :n_t] *= pi[:, None]
+        F[:, n_t:] *= (pi / om)[:, None]
+        c0, s0 = np.split(F.sum(axis=0)[None], 2, axis=1)
+        d0 = (om**2 @ F[:, n_t:])[None]
+        W = np.empty((k * _CHEB, 2 * n_t))   # the boxes' multipoles
+        for i, (q, box) in enumerate(zip(proxies, boxes)):
+            np.matmul(q, F[box], out=W[_CHEB * i:_CHEB * (i + 1)])
+        # the far fields of _GROUP row blocks at their points, one product
+        L = np.empty((lo.size, _CHEB, 2 * n_t))
+        for g in range(0, lo.size, _GROUP):
+            r = slice(g, g + _GROUP)
+            A = np.subtract(y[r, :, None, None], x)
+            A *= y[r, :, None, None] + x
+            with np.errstate(divide="ignore", over="ignore"):   # only near entries
+                np.reciprocal(A, out=A)
+            for a, J in zip(A, range(g, g + _GROUP)):   # near boxes do not count
+                a[:, lo[J]:hi[J]] = 0.0
+            L[r] = (A.reshape(-1, k * _CHEB) @ W).reshape(-1, _CHEB, 2 * n_t)
         for J in range(lo.size):
-            near = {i: near[i] if i in near else trig(boxes[i]) for i in range(lo[J], hi[J])}
             rows = slice(blocks[J], blocks[J + 1])
-            cs = sum(decomp._inverse_gaps(rows, boxes[i]) @ F for i, F in near.items())
-            poles = eq.d[1 + rows.start:1 + rows.stop, None, None]
-            for far in (slice(0, lo[J]), slice(hi[J], len(boxes))):
-                A = 1.0 / ((poles - points[far]) * (poles + points[far]))
-                cs += A.reshape(A.shape[0], -1) @ W[far].reshape(-1, 2 * n_t)
+            hull = slice(edges[lo[J]], edges[hi[J]])
+            cs = decomp._inverse_gaps(rows, hull) @ F[hull]
+            if hi[J] - lo[J] < k:
+                cs += interp[J] @ L[J]
             bath = slice(*np.searchsorted(eq.pole_of, [rows.start, rows.stop]))
             if eq.runs:
                 cs = cs[eq.pole_of[bath] - rows.start]

@@ -473,12 +473,12 @@ def test_secular_solver_memory(units):
 
 
 def test_evolution_path_memory(units, monkeypatch):
-    """evolve_reduced holds the cosines and sines of a few boxes of
-    nearby roots and the Chebyshev proxies of the others: no second
+    """evolve_reduced holds the cosines and sines of every root for one
+    block of times, about 4 MB, and the boxes' multipoles: no second
     secular solve, no eigenvector matrix, which alone is 8 (N+1)^2 bytes,
-    128 MB at N = 4000, and no N x 2T matrix of cosines and sines (26 MB
-    here).  Sized as scripts/relaxation_demo.py runs by default:
-    N = 4000 and 399 distinct times."""
+    128 MB at N = 4000, and no N x 2T matrix of cosines and sines for all
+    the times (26 MB here).  Sized as scripts/relaxation_demo.py runs by
+    default: N = 4000 and 399 distinct times."""
     spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
     model = oracle.discretize(spec, units, 4000)
     decomp = oracle.normal_modes(model)
@@ -600,8 +600,8 @@ class TestEvolution:
         # more times than one block holds, so the last time block is
         # partial; two loose modes and a near-degenerate run of three
         # poles, 1 ulp apart, are deflated, the run out of the last row
-        # block, which stops a pole short of its box; far boxes are
-        # proxied
+        # block, which stops a pole short of its box; some pairs of row
+        # blocks and boxes are far
         eps = np.finfo(float).eps
         n = 1200
         freqs = np.linspace(0.01, 3.0, n)
@@ -616,13 +616,32 @@ class TestEvolution:
         assert blocks[-1] == eq.tau.size == edges[-1] - 1 and np.any(hi - lo < edges.size - 1)
         run = np.isin(eq.coupled, eq.runs[0][0])
         assert np.all(eq.pole_of[run] >= blocks[-2])
-        times = np.linspace(0.0, 60.0, oracle._TIMES + 89)
+        times = np.linspace(0.0, 60.0, _time_block(decomp) + 89)
         x0, p0 = 1.3, -0.4
         red = oracle.evolve_reduced(model, units, x0, p0, times, decomp=decomp)
         for ref in (_per_time_reduced(model, decomp, units, x0, p0, times),
                     _eigh_reduced(model, units, x0, p0, times)):
             for key, want in ref.items():
                 assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
+
+    def test_each_cosine_and_sine_taken_once(self, monkeypatch):
+        # every kept root's cosine and sine at every time, evaluated once
+        # for the near products and the far boxes' multipoles alike, over
+        # two blocks of times
+        model = UNEVEN_MODELS["flat_band_gap_1200"]()
+        decomp = oracle.normal_modes(model)
+        _, edges, lo, hi = oracle._boxes(decomp)
+        assert np.any(hi - lo < edges.size - 1)
+        times = np.linspace(0.0, 30.0, _time_block(decomp) + 7)
+        counts = {"sin": 0, "cos": 0}
+        for name, f in [("sin", np.sin), ("cos", np.cos)]:
+            def spy(x, *args, f=f, name=name, **kwargs):
+                counts[name] += np.size(x)
+                return f(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
+        want = decomp._secular.d.size * times.size
+        assert counts == {"sin": want, "cos": want}
 
     @pytest.mark.parametrize("name", ["two_mode", "uncoupled", "flat_band_gap",
                                       "gaussian_tails", "manual_unsorted_repeated",
@@ -673,31 +692,33 @@ class TestEvolution:
     @pytest.mark.parametrize("width", [1e-6, 1e-9])
     def test_clustered_bath_with_proxies_matches_per_time_loop(self, width):
         # 700 poles within `width` of 1, then 700 geometric poles up to
-        # 100: 14 boxes of roots, some of them summed through Chebyshev
-        # proxies, whose points and Lagrange polynomials come from the
-        # secular solver's _points and _lagrange
+        # 100: 25 boxes of roots, some of them far from some row blocks
+        # and summed through Chebyshev points on both sides, whose
+        # points and Lagrange polynomials come from the secular solver's
+        # _points and _lagrange
         freqs = np.concatenate([1.0 + width * np.linspace(0.0, 1.0, 700),
                                 np.geomspace(1.1, 100.0, 700)])
         couplings = 0.3 * np.sqrt(freqs / freqs.size) * (1.0 + 0.5 * np.sin(np.arange(freqs.size)))
         model = oracle.FiniteBathModel(2.0, freqs, couplings)
         decomp = oracle.normal_modes(model)
         _, edges, lo, hi = oracle._boxes(decomp)
-        assert edges.size == 15 and np.any(hi - lo < edges.size - 1)
+        assert edges.size == 26 and np.any(hi - lo < edges.size - 1)
         times = np.linspace(0.0, 30.0, 61)
         red = oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
         ref = _per_time_reduced(model, decomp, _UNITS, 1.3, -0.4, times)
         for key, want in ref.items():
             assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
 
-    @pytest.mark.parametrize("n", [600, 1200])
+    @pytest.mark.parametrize("n", [600, 2400])
     def test_log_uniform_bath_matches_per_time_loop(self, n):
         # ||K|| is about 1e12: the oscillator's velocity row is the mode
         # sum, since row 0 of K s put mean_p 2e-6 (600) and 4e-6 (1200)
-        # off.  At 1200 poles some boxes are summed through proxies
+        # off.  Boxes of roots that span a factor above 2 are never both
+        # widths from a row block: at 2400 poles a few are
         model = _log_uniform_model(n)
         decomp = oracle.normal_modes(model)
         _, edges, lo, hi = oracle._boxes(decomp)
-        assert np.any(hi - lo < edges.size - 1) == (n == 1200)
+        assert np.any(hi - lo < edges.size - 1) == (n == 2400)
         times = np.linspace(0.0, 30.0, 61)
         red = oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
         ref = _per_time_reduced(model, decomp, _UNITS, 1.3, -0.4, times)
@@ -744,7 +765,8 @@ class TestEvolution:
 
 class TestBoxes:
     """The near/far split of evolve_reduced: which boxes of roots each
-    row block sums exactly, and the Chebyshev proxies of the others."""
+    row block sums exactly, and the Chebyshev points on both sides that
+    carry the others."""
 
     @staticmethod
     def _partition(model):
@@ -759,51 +781,59 @@ class TestBoxes:
                                            omega_max=30.0), _UNITS, 4000)
         _, blocks, edges, lo, hi, _ = self._partition(model)
         assert np.all(hi - lo <= 4)
-        assert np.all(edges[hi] - edges[lo] < 0.2 * edges[-1])
+        assert np.all(edges[hi] - edges[lo] < 0.1 * edges[-1])
         assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
         assert blocks[0] == 0 and blocks[-1] == edges[-1] - 1
 
-    @pytest.mark.parametrize("n", [1, 40, 48 * oracle._CHEB])
+    @pytest.mark.parametrize("n", [1, 40, 45])
     def test_small_bath_has_one_near_box(self, n):
-        # up to 48 _CHEB roots, boxes would hold at most 4 _CHEB: every
-        # root is summed exactly, in row blocks of 4 _CHEB poles
+        # up to 45 roots there are one or two boxes, never both widths
+        # from a row block: each block's one near hull holds every root,
+        # summed exactly
         spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
         model = oracle.discretize(spec, _UNITS, n - 1) if n > 1 else REFERENCE_MODELS["uncoupled"]()
         decomp, blocks, edges, lo, hi, _ = self._partition(model)
-        assert edges.tolist() == [0, decomp._secular.d.size]
-        assert np.all(lo == 0) and np.all(hi == 1)
-        assert np.all(np.diff(blocks) <= 4 * oracle._CHEB)
+        assert edges.size <= 3 and blocks[-1] == decomp._secular.tau.size
+        assert np.all(lo == 0) and np.all(hi == edges.size - 1)
 
-    @pytest.mark.parametrize("name", ["uniform_2000", "gauss_like_2000"])
+    @pytest.mark.parametrize("name", ["uniform_2000", "uniform_4000", *UNEVEN_MODELS])
     def test_proxies_match_inverse_gaps(self, name):
-        # every far pair: the box lies a box width or more from the row
-        # block's poles, and the proxy 1/(omega_j^2 - x^2) @ Q at the
-        # box's Chebyshev points x matches the exact inverse gap to
-        # 1e-15 of the row's largest, and to 1e-14 of its own size
-        if name == "uniform_2000":
+        # every far pair: the box and the row block's poles lie at least
+        # both widths apart, and the inverse gap 1/(y^2 - x^2) between the
+        # block's Chebyshev points y and the box's x, interpolated to the
+        # poles and the roots, matches the exact inverse gap to 1e-15 of
+        # the row's largest, and to 1e-14 of its own size
+        if name.startswith("uniform"):
             model = oracle.discretize(OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0,
-                                               omega_max=30.0), _UNITS, 2000)
+                                               omega_max=30.0), _UNITS, int(name[8:]))
         else:
-            model = REFERENCE_MODELS[name]()
+            model = UNEVEN_MODELS[name]()
         decomp, blocks, edges, lo, hi, om = self._partition(model)
         poles = decomp._secular.d[1:]
         pairs = 0
         for J in range(lo.size):
             rows = slice(blocks[J], blocks[J + 1])
+            y = oracle._points(poles[rows.start], poles[rows.stop - 1])
+            to_poles = oracle._lagrange(poles[rows], y)
             scale = np.abs(decomp._inverse_gaps(rows, slice(None))).max(axis=1, keepdims=True)
             for i in [*range(lo[J]), *range(hi[J], edges.size - 1)]:
                 box = slice(edges[i], edges[i + 1])
-                width = om[box.stop - 1] - om[box.start]
-                assert min(abs(poles[rows.start] - om[box.stop - 1]),
-                           abs(om[box.start] - poles[rows.stop - 1])) >= width
+                width = max(om[box.stop - 1] - om[box.start], poles[rows.stop - 1] - poles[rows.start])
+                assert max(poles[rows.start] - om[box.stop - 1],
+                           om[box.start] - poles[rows.stop - 1]) >= width
                 x = oracle._points(om[box.start], om[box.stop - 1])
-                w = poles[rows, None]
-                proxy = (1.0 / ((w - x) * (w + x))) @ oracle._lagrange(om[box], x).T
+                proxy = to_poles @ (1.0 / ((y[:, None] - x) * (y[:, None] + x))) \
+                    @ oracle._lagrange(om[box], x).T
                 exact = decomp._inverse_gaps(rows, box)
                 assert np.all(np.abs(proxy - exact) <= 1e-15 * scale)
                 assert np.all(np.abs(proxy - exact) <= 1e-14 * np.abs(exact))
                 pairs += exact.size
         assert pairs > 0.7 * poles.size * om.size
+
+
+def _time_block(decomp):
+    """The times evolve_reduced takes in one block of cosines and sines."""
+    return max(oracle._TIMES, oracle._TRIG_BYTES // (16 * decomp._secular.d.size))
 
 
 def _per_time_reduced(model, decomp, units, x0, p0, times):

@@ -1,5 +1,6 @@
 """Each experiment script runs to completion on a small input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -46,3 +47,25 @@ def test_bundled_outputs_layout(tmp_path):
     assert '"exit_code": 3' in (tmp_path / "uncoupled" / "spectrum" / "stderr.txt").read_text()
     for path in tmp_path.rglob("*"):
         assert path.is_dir() or str(tmp_path) not in path.read_text(), path
+
+
+def test_bench_pairs_smoke(tmp_path):
+    # one smoke-sized pair of the checkout against itself: both runs and
+    # the summary of every end-to-end metric land in the JSON
+    repo = SCRIPTS.parent
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), str(repo), str(repo),
+                           "--workload", "oracle_evolve", "--seed", "1", "--pairs", "1",
+                           "--smoke", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "op_p50_s" in proc.stdout
+    doc = json.loads(out.read_text())
+    (run,) = doc["workloads"]["oracle_evolve@1"]
+    assert run["correct"] == {"parent": True, "change": True}
+    summary = doc["summary"]["oracle_evolve@1"]
+    assert set(summary) == {"setup_s", "wall_s", "op_p50_s", "ok_ratio", "peak_rss_mb"}
+    for metric, row in summary.items():
+        assert row["pairs"] == 1
+        assert row["parent"]["median"] == run["parent"][metric]
+        assert row["change"]["median"] == run["change"][metric]
