@@ -3,15 +3,16 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --workload oracle_evolve \\
         --seed 31 --pairs 10 --out pairs.json
 
-Runs ``perfbench/run.py --trace 0`` in each checkout, one run per side
-and pair, alternating which side runs first.  For each end-to-end metric
-it prints both sides' medians and quartiles, the parent's interquartile
-range, and the pairs in which the change is better.  A gain counts when
-the change is better in at least nine of ten pairs and its median beats
-the parent's by more than the parent's interquartile range.  ``--out``
-writes the runs and that summary as JSON, the ``workloads`` and
-``summary`` of a ``BENCH_*.json``.  ``--smoke`` runs the benchmark's
-smoke-sized workloads, for a check that the script works.
+Runs ``perfbench/run.py --seconds 30 --trace 0`` in each checkout, one
+run per side and pair, alternating which side runs first.  For each
+end-to-end metric it prints both sides' medians and quartiles, the
+parent's interquartile range, and the pairs in which the change is
+better.  A gain counts when the change is better in at least nine of
+ten pairs and its median beats the parent's by more than the parent's
+interquartile range.  ``--out`` writes the runs and that summary as
+JSON, the ``workloads`` and ``summary`` of a ``BENCH_*.json``.
+``--smoke`` runs the benchmark's smoke-sized workloads, for a check that
+the script works.
 """
 
 import argparse
@@ -23,12 +24,13 @@ import sys
 import numpy as np
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+SECONDS = 30   # the benchmark's own run length (perfbench/README.md)
 
 
 def run(tree: pathlib.Path, args) -> dict:
     """One benchmark run in ``tree``: its last stdout line, a JSON object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd + ["--smoke"] * args.smoke, cwd=tree,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -61,7 +63,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--smoke", action="store_true")
     ap.add_argument("--out", type=pathlib.Path, help="write the runs and summary here")
     args = ap.parse_args()

@@ -793,6 +793,11 @@ def _lagrange(x, c):
     return q
 
 
+def _time_block(n):
+    """Times per block of the cosines and sines of n roots."""
+    return max(_TIMES, _TRIG_BYTES // (16 * n))
+
+
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
                    x0: float, p0: float, times: Sequence[float],
                    decomp: NormalModeDecomposition | None = None) -> ReducedTrajectory:
@@ -836,65 +841,66 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     var_x0 = units.hbar / (2.0 * bare)   # mass-reduced
     var_p0 = units.hbar * bare / 2.0
 
-    def share(c, s, d, modes):   # these rows' share of var_x, var_p and cov_xp
-        vx, vp = var_x0[modes], var_p0[modes]
-        return (vx @ (c * c) + vp @ (s * s), vx @ (d * d) + vp @ (c * c),
-                vp @ (c * s) - vx @ (c * d))
-
     blocks, edges, lo, hi = _boxes(decomp)
     k = edges.size - 1
     boxes = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    # the Chebyshev points of each box of roots, and of each row block of
-    # poles with its Lagrange polynomials at the poles
+    # the Chebyshev points x of each box of roots and y of each row block
     x = _points(om[edges[:-1]], om[edges[1:] - 1]).T
     proxies = [_lagrange(om[box], c).T for box, c in zip(boxes, x)]
     poles = eq.d[1:]
     y = _points(poles[blocks[:-1]], poles[blocks[1:] - 1]).T
-    interp = [_lagrange(poles[a:b], c) for a, b, c in zip(blocks[:-1], blocks[1:], y)]
+    rows = [slice(a, b) for a, b in zip(blocks[:-1], blocks[1:])]
+    interp = [_lagrange(poles[r], c) for r, c in zip(rows, y)]
+    hulls = [slice(edges[a], edges[b]) for a, b in zip(lo, hi)]   # the near roots
+    baths = [slice(*np.searchsorted(eq.pole_of, [r.start, r.stop])) for r in rows]
 
+    # bath mode j's c and s are -z_j times its pole's row sums c' and s', and
+    # d_j = omega_j^2 s_j + z_j s_0 (row j of K s).  As var_p0 = omega_j^2
+    # var_x0, with w = z_j^2 (var_x0, var_p0) its shares of var_x, var_p and
+    # cov_xp are w0 c'^2 + w1 s'^2, w0 (s_0 - omega_j^2 s')^2 + w1 c'^2, w0 c' s_0
+    w, om2 = np.stack([var_x0[1:], var_p0[1:]]) * z**2, bare[1:]**2
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
-    step = max(_TIMES, _TRIG_BYTES // (16 * om.size))
+    step = _time_block(om.size)
+    # F, the multipoles W, the far fields L and translations A reuse buffers
+    shapes = (om.size,), (k * _CHEB,), (lo.size, _CHEB)
+    bufs = [np.empty(math.prod(m) * 2 * min(step, ts.size)) for m in shapes]
+    A, T = np.empty((2, _GROUP, _CHEB, k * _CHEB))
     for start in range(0, ts.size, step):
         blk = slice(start, start + step)
         n_t = ts[blk].size
-        F = np.empty((om.size, 2 * n_t))   # [pi cos(Omega t) | pi sin(Omega t)/Omega]
-        np.multiply.outer(om, ts[blk], out=F[:, :n_t])
+        F, W, L = (b[:math.prod(m) * 2 * n_t].reshape(m + (2 * n_t,)) for b, m in zip(bufs, shapes))
+        np.multiply.outer(om, ts[blk], out=F[:, :n_t])   # [pi cos(Omega t) | pi sin(Omega t)/Omega]
         np.sin(F[:, :n_t], out=F[:, n_t:])
         np.cos(F[:, :n_t], out=F[:, :n_t])
         F[:, :n_t] *= pi[:, None]
         F[:, n_t:] *= (pi / om)[:, None]
-        c0, s0 = np.split(F.sum(axis=0)[None], 2, axis=1)
-        d0 = (om**2 @ F[:, n_t:])[None]
-        W = np.empty((k * _CHEB, 2 * n_t))   # the boxes' multipoles
+        c0, s0 = F.sum(axis=0).reshape(2, n_t)
+        d0 = om**2 @ F[:, n_t:]
         for i, (q, box) in enumerate(zip(proxies, boxes)):
             np.matmul(q, F[box], out=W[_CHEB * i:_CHEB * (i + 1)])
         # the far fields of _GROUP row blocks at their points, one product
-        L = np.empty((lo.size, _CHEB, 2 * n_t))
         for g in range(0, lo.size, _GROUP):
-            r = slice(g, g + _GROUP)
-            A = np.subtract(y[r, :, None, None], x)
-            A *= y[r, :, None, None] + x
+            grp = slice(g, g + _GROUP)
+            a = np.subtract(y[grp, :, None], x.ravel(), out=A[:y[grp].shape[0]])
+            a *= np.add(y[grp, :, None], x.ravel(), out=T[:a.shape[0]])
             with np.errstate(divide="ignore", over="ignore"):   # only near entries
-                np.reciprocal(A, out=A)
-            for a, J in zip(A, range(g, g + _GROUP)):   # near boxes do not count
-                a[:, lo[J]:hi[J]] = 0.0
-            L[r] = (A.reshape(-1, k * _CHEB) @ W).reshape(-1, _CHEB, 2 * n_t)
-        for J in range(lo.size):
-            rows = slice(blocks[J], blocks[J + 1])
-            hull = slice(edges[lo[J]], edges[hi[J]])
-            cs = decomp._inverse_gaps(rows, hull) @ F[hull]
+                np.reciprocal(a, out=a)
+            for aJ, J in zip(a, range(g, g + _GROUP)):   # near boxes do not count
+                aJ[:, _CHEB * lo[J]:_CHEB * hi[J]] = 0.0
+            L[grp] = (a.reshape(-1, k * _CHEB) @ W).reshape(-1, _CHEB, 2 * n_t)
+        for J, (r, hull, bath) in enumerate(zip(rows, hulls, baths)):
+            cs = decomp._inverse_gaps(r, hull) @ F[hull]
             if hi[J] - lo[J] < k:
                 cs += interp[J] @ L[J]
-            bath = slice(*np.searchsorted(eq.pole_of, [rows.start, rows.stop]))
             if eq.runs:
-                cs = cs[eq.pole_of[bath] - rows.start]
-            cs *= -z[bath, None]
-            c, s = np.split(cs, 2, axis=1)
-            modes = slice(1 + bath.start, 1 + bath.stop)
-            d = (bare[modes]**2)[:, None] * s + z[bath, None] * s0
-            out[2:, blk] += share(c, s, d, modes)
-        out[:2, blk] = np.vstack([c0 * x0r + s0 * p0r, -d0 * x0r + c0 * p0r])
-        out[2:, blk] += share(c0, s0, d0, slice(1))
+                cs = cs[eq.pole_of[bath] - r.start]
+            cov = w[0, bath] @ cs[:, :n_t] * s0
+            e = np.subtract(s0, om2[bath, None] * cs[:, n_t:])
+            (xc, _), (pc, ps) = (w[:, bath] @ np.square(cs, out=cs)).reshape(2, 2, n_t)
+            out[2:, blk] += [xc + ps, w[0, bath] @ np.square(e, out=e) + pc, cov]
+        vx, vp = var_x0[0], var_p0[0]   # the oscillator's own share
+        out[:, blk] += [c0 * x0r + s0 * p0r, -d0 * x0r + c0 * p0r, vx * c0**2 + vp * s0**2,
+                        vx * d0**2 + vp * c0**2, c0 * (vp * s0 - vx * d0)]
     mean_x, mean_p, var_x, var_p, cov_xp = out
     rm = units.mass
     return ReducedTrajectory(ts, mean_x / math.sqrt(rm), mean_p * math.sqrt(rm),

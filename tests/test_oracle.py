@@ -616,7 +616,7 @@ class TestEvolution:
         assert blocks[-1] == eq.tau.size == edges[-1] - 1 and np.any(hi - lo < edges.size - 1)
         run = np.isin(eq.coupled, eq.runs[0][0])
         assert np.all(eq.pole_of[run] >= blocks[-2])
-        times = np.linspace(0.0, 60.0, _time_block(decomp) + 89)
+        times = np.linspace(0.0, 60.0, oracle._time_block(decomp._secular.d.size) + 89)
         x0, p0 = 1.3, -0.4
         red = oracle.evolve_reduced(model, units, x0, p0, times, decomp=decomp)
         for ref in (_per_time_reduced(model, decomp, units, x0, p0, times),
@@ -632,7 +632,7 @@ class TestEvolution:
         decomp = oracle.normal_modes(model)
         _, edges, lo, hi = oracle._boxes(decomp)
         assert np.any(hi - lo < edges.size - 1)
-        times = np.linspace(0.0, 30.0, _time_block(decomp) + 7)
+        times = np.linspace(0.0, 30.0, oracle._time_block(decomp._secular.d.size) + 7)
         counts = {"sin": 0, "cos": 0}
         for name, f in [("sin", np.sin), ("cos", np.cos)]:
             def spy(x, *args, f=f, name=name, **kwargs):
@@ -829,11 +829,6 @@ class TestBoxes:
                 assert np.all(np.abs(proxy - exact) <= 1e-14 * np.abs(exact))
                 pairs += exact.size
         assert pairs > 0.7 * poles.size * om.size
-
-
-def _time_block(decomp):
-    """The times evolve_reduced takes in one block of cosines and sines."""
-    return max(oracle._TIMES, oracle._TRIG_BYTES // (16 * decomp._secular.d.size))
 
 
 def _per_time_reduced(model, decomp, units, x0, p0, times):
