@@ -14,13 +14,14 @@ anyway; a third-party import must not be deferred into a command, since
 it then lands inside the command's time rather than start-up.  Instead,
 no run-path module imports any of scipy (the CLI stack then loads about
 230 modules, against 579 with scipy.special and scipy.linalg.lapack):
-Simpson's rule is fano.simpson_weights, and Brent's root finder is
-ported into fano, bit-identical to scipy's; the Lorentzian fit is a small
-Levenberg-Marquardt in weakcoupling; xlogy, Dawson's integral and the
-ohmic Ei/E1 bracket are numpy ports in spectra; and oracle solves its
-secular equation in numpy, with LAPACK dlasd4's steps vectorised over
-all roots.  scipy is imported at call time in one place only, the
-tests' QUADPACK reference quadrature._quad, and is a test dependency.
+Simpson's rule is fano.simpson_weights; roots come from a bracketed
+Newton (fano.bracketed_newton) on closed-form slopes; the Lorentzian
+fit is a small Levenberg-Marquardt in weakcoupling; xlogy, Dawson's
+integral and the ohmic Ei/E1 bracket are numpy ports in spectra; and
+oracle solves its secular equation in numpy, with LAPACK dlasd4's steps
+vectorised over all roots.  scipy is imported at call time in one place
+only, the tests' QUADPACK reference quadrature._quad, and is a test
+dependency.
 """
 
 from __future__ import annotations

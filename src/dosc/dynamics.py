@@ -205,7 +205,8 @@ class MeanTrajectory:
 def mean_trajectory(kern: DynamicsKernels, x0: float, p0: float,
                     units: UnitSystem) -> MeanTrajectory:
     """<x(t)>, <p(t)> for an initially displaced oscillator with the
-    environment stationary."""
+    environment stationary; ``units`` must have the kernels' omega0."""
+    units.require_omega0(kern.omega0)
     x = kern.k_cos * x0 + kern.k_sin_over * (p0 / units.mass)
     p = kern.k_cos * p0 - units.mass * kern.k_sin_times * x0
     return MeanTrajectory(times=kern.times, x=x, p=p)
@@ -237,7 +238,8 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     k_sin_times' strength row is summed: over the whole scan lattice at
     once, again directly where the Fourier route leaves a value within
     its error bound of 0 or of the floor (so every comparison falls as
-    in a direct scan), and directly at each root step.  A continuum
+    in a direct scan), and directly, with its time derivative, at each
+    root step.  A continuum
     source is refined for scan_window as in kernels: past the kernels'
     last time, the measure kernels was given, in one step, since
     refining the kernels' grid again builds more nodes.
@@ -264,9 +266,11 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         start = np.nonzero(vals[:j] >= 0.0)[0]
         if start.size:
             i = int(start[-1])
-            # root steps on the direct single-time sum
-            zero_at = fano.brentq(lambda t: _direct_sums(source, np.array([t]), sin=sin)[0, 0],
-                                  ts[i], ts[j], xtol=1e-12, rtol=1e-14)
+            # Newton steps on direct sums of k_sin_times and its slope
+            # <<omega^2 cos(omega t)>>, a cosine row (returned first)
+            zero_at = float(fano.bracketed_newton(
+                lambda t: _direct_sums(source, t, cos=[sin[0] * source.nodes], sin=sin)[::-1],
+                ts[i], ts[j], xtol=1e-12, rtol=1e-14)[0])
         else:
             zero_at = float(ts[j])  # negative from the first sample on
         return DampingClassification("underdamped", zero_at, scan_window,

@@ -32,13 +32,15 @@ N is one array expression over all nodes: I(omega) comes from the
 spectrum family's closed form (``CouplingSpectrum.dispersion``), which
 the tests check against scalar QUADPACK calls.
 
-Grid strategy: a logarithmic base grid over (omega_max * 1e-6, omega_max]
-inside the support, geometric ladders into any sharp support edge, seed
-clusters around each resonance (zero of N, located by bisection scan),
-then interval bisection wherever pi jumps by more than 1% of its peak or
-the local curvature indicator says the normalisation error budget is
-threatened.  Refinement stops when the norm defect and the omega^2 sum
-rule are both within tolerance.
+Grid strategy: a logarithmic base grid over (omega_max * 1e-6,
+omega_max] inside the support, geometric ladders into any sharp support
+edge, seed clusters around each resonance (zero of N, bracketed by a
+scan and located by Newton steps on the closed-form slope N', whose
+value there gives the cluster's Lorentzian width), then interval
+bisection wherever pi jumps by more than 1% of its peak or the local
+curvature indicator says the normalisation error budget is threatened.
+Refinement stops when the norm defect and the omega^2 sum rule are both
+within tolerance.
 """
 
 from __future__ import annotations
@@ -154,66 +156,39 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, *,
-           xtol: float, rtol: float) -> float:
-    """A root of f in [a, b] by Brent's method (R. P. Brent, *Algorithms
-    for Minimization without Derivatives*, 1973): a line-for-line port of
-    scipy.optimize.brentq (its brentq.c), step for step the same floats.
-
-    Raises ValueError when f(a) and f(b) have the same sign or f returns
-    NaN, RuntimeError after 100 iterations without convergence."""
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+def bracketed_newton(f: Callable, a, b, *, xtol: float, rtol: float) -> np.ndarray:
+    """A root of f in each bracket [a_i, b_i] at once, ``f`` mapping points
+    to the arrays (f, f'): Newton steps kept in the shrinking sign bracket
+    (``rtsafe``, Press et al., *Numerical Recipes*, 3rd ed., 9.4), which
+    bisect where Newton's would leave it or not halve the last step, or f'
+    is 0 or +-inf (a kink).  A root is taken at a step of at most
+    (xtol + rtol |x|)/2, Brent's rule.  Raises ValueError for ends of one
+    sign or a NaN value, RuntimeError after 100 steps."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    ends = f(np.concatenate([a, b]))[0]
+    fa, fb = np.split(ends, 2)
+    if np.isnan(ends).any() or np.any(np.sign(fa) * np.sign(fb) > 0):
+        raise ValueError("f(a) and f(b) must be of different signs, not NaN")
+    lo, hi = np.where(fa < fb, a, b), np.where(fa < fb, b, a)      # f(lo) <= 0 <= f(hi)
+    x, last, todo = 0.5 * (lo + hi), np.abs(hi - lo), np.ones(a.shape, dtype=bool)
     for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)       # interpolate
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)               # extrapolate
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            limit = 3 * abs(sbis) - delta
-            if abs(spre) < limit:                                  # C's MIN()
-                limit = abs(spre)
-            if 2 * abs(stry) < limit:
-                spre, scur = scur, stry                            # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
+        if not todo.any():
+            return x
+        fx, dfx = f(x)
+        if np.isnan(fx[todo]).any():
+            raise ValueError("f is NaN inside a bracket")
+        lo, hi = np.where(todo & (fx < 0), x, lo), np.where(todo & (fx > 0), x, hi)
+        left, right = np.minimum(lo, hi), np.maximum(lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - fx / dfx
+        keep = (np.isfinite(dfx) & (left <= newton) & (newton <= right)
+                & (np.abs(newton - x) <= 0.5 * last))
+        step = np.where(keep, np.abs(newton - x), 0.5 * (right - left))
+        todo &= fx != 0
+        x = np.where(todo, np.where(keep, newton, 0.5 * (left + right)), x)
+        last = np.where(todo, step, last)
+        todo &= step > 0.5 * (xtol + rtol * np.abs(x))
+    raise RuntimeError("bracketed_newton took 100 steps without reaching the tolerance")
 
 
 def _n_values(spec, units, omegas) -> np.ndarray:
@@ -253,32 +228,27 @@ def _edge_ladders(spec: CouplingSpectrum, lo: float, hi: float, span: float) -> 
 
 
 def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
-    """Zeros of N(omega) with local Lorentzian half-widths pi |V|^2 / |N'|."""
+    """Zeros of N(omega), one per sign change between finite values on a
+    scan, with local Lorentzian half-widths pi |V|^2 / |N'|."""
     lattice = np.geomspace(lo, hi, SCAN_POINTS)
     nvals = _n_values(spec, units, lattice)
-    peaks: list[tuple[float, float]] = []
-    for i in range(len(lattice) - 1):
-        a, b = nvals[i], nvals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b >= 0:
-            continue
-        try:
-            pk = brentq(lambda x: _n_values(spec, units, x), lattice[i], lattice[i + 1],
-                        xtol=1e-14, rtol=1e-14)
-        except ValueError:
-            continue
-        d = max(1e-6 * pk, 1e-9)
-        d = min(d, 0.5 * (pk - lo), 0.5 * (hi - pk)) or d
-        n_hi, n_lo = _n_values(spec, units, [pk + d, pk - d])
-        nprime = (n_hi - n_lo) / (2 * d)
-        vsq = float(spec.v_sq(pk))
-        if abs(nprime) > 0 and vsq > 0:
-            width = math.pi * vsq / abs(nprime)
-        else:
-            width = 1e-3 * pk
-        width = max(width, 1e-9 * units.omega0)
-        width = min(width, 0.25 * min(pk - lo, hi - pk)) or width
-        peaks.append((pk, width))
-    return peaks
+    sign = np.where(np.isfinite(nvals), np.sign(nvals), 0.0)    # none at inf or nan
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+
+    def slope(w):
+        return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
+
+    try:
+        pk = bracketed_newton(lambda w: (_n_values(spec, units, w), slope(w)),
+                              lattice[i], lattice[i + 1], xtol=1e-14, rtol=1e-14)
+    except ValueError:
+        return []
+    nprime, vsq = np.abs(slope(pk)), spec.v_sq(pk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = np.where((nprime > 0) & (vsq > 0), math.pi * vsq / nprime, 1e-3 * pk)
+    width = np.maximum(width, 1e-9 * units.omega0)
+    room = 0.25 * np.minimum(pk - lo, hi - pk)
+    return list(zip(pk.tolist(), np.where(room > 0, np.minimum(width, room), width).tolist()))
 
 
 def _peak_cluster(pk: float, w: float, lo: float, hi: float) -> np.ndarray:

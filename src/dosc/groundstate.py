@@ -111,6 +111,7 @@ def _summary(m1: float, minv: float, units: UnitSystem) -> GroundStateSummary:
 
 def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
     """Full observable bundle; means and sym_xp vanish by construction."""
+    units.require_omega0(sol.omega0)
     return _summary(frequency_moment(sol, 1), frequency_moment(sol, -1), units)
 
 
@@ -142,6 +143,7 @@ def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
     at the solve's own sum_tol, and on a finite bath it is the matrix
     identity K[0,0] = omega0^2.
     """
+    units.require_omega0(sol.omega0)
     hbar, m, w0 = units.hbar, units.mass, units.omega0
     m1 = frequency_moment(sol, 1)
     s = _summary(m1, frequency_moment(sol, -1), units)

@@ -822,7 +822,8 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     1/(y^2 - x^2) to the block's own points y and interpolated to its
     poles; d from K; and adds its share of the covariance.  Deflated
     modes have a_k = 0 and drop out.  Neither O nor F for every time is
-    held; ``times`` may be unsorted.
+    held; ``times`` may be unsorted.  A ``decomp`` passed in must be
+    normal_modes of this very ``model``.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
@@ -831,6 +832,8 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     p0r = checked(p0, "number", "p0") / math.sqrt(units.mass)
     if decomp is None:
         decomp = normal_modes(model)
+    elif decomp.model is not model:
+        raise UsageError("decomp is the decomposition of another model")
     eq = decomp._secular
     kept = decomp._rank[:eq.d.size]
     pi = decomp.weights[kept]
@@ -963,8 +966,11 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     ``bath_omega_max`` truncates the bath only: the continuum solution
     keeps its full support (where the tolerance-critical sum-rule mass
     lives) while the bath grid stops earlier, trading far-tail weight
-    (negligible for var_x/var_p) for resolution at fixed N.
+    (negligible for var_x/var_p) for resolution at fixed N.  ``units``
+    must be the solution's own.
     """
+    if units != sol.units:
+        raise UsageError(f"units {units} differ from the solution's {sol.units}")
     bins = checked(bins, "integer >= 1", "bins")
     bath_spec = sol.spec
     if bath_omega_max is not None:

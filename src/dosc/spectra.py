@@ -6,11 +6,11 @@ interval, and the dispersion integral
 
     I(omega) = PV int |V(x)|^2/(omega - x) dx - int |V(x)|^2/(omega + x) dx,
 
-which each family evaluates in closed form on whole arrays of omega,
-inside and outside the support.  With P(z) = PV int |V(x)|^2/(z - x) dx,
-I(omega) = P(omega) + P(-omega).  At omega = 0 it is minus twice the
-integral that decides whether the model is bounded below: the
-oscillator stays stable iff
+which each family evaluates in closed form, and its slope dI/domega,
+on whole arrays of omega, inside and outside the support.  With
+P(z) = PV int |V(x)|^2/(z - x) dx, I(omega) = P(omega) + P(-omega).
+At omega = 0 it is minus twice the integral that decides whether the
+model is bounded below: the oscillator stays stable iff
 
     integral_0^inf |V(omega)|^2 / omega  d omega  =  -I(0)/2  <  omega0.
 
@@ -57,12 +57,14 @@ OHMIC_SUPPORT_CUTOFFS = 20.0
 
 # Above this x = omega/cutoff the exponential family's dispersion
 # integral, k^2 L [x (e^{-x} Ei(x) + e^{x} E1(x)) - 2], switches to the
-# asymptotic series k^2 L * 2 sum_{j>=1} (2j)!/x^{2j}: the factors of the
-# closed form overflow past x ~ 709, and the bracket cancels to O(1/x^2)
-# well before.  At x = 50 the first omitted term of the 25-term series
-# is below 1e-20 of the sum.
+# asymptotic series k^2 L * 2 sum_{j>=1} (2j)!/x^{2j}, and its slope to
+# -k^2 (4/x) sum_j j (2j)!/x^{2j}: the factors of the closed form
+# overflow past x ~ 709, and the bracket cancels to O(1/x^2) well
+# before.  At x = 50 the first omitted term of the 25-term series is
+# below 1e-20 of the sum.
 OHMIC_ASYMPTOTIC_X = 50.0
-_OHMIC_SERIES = np.array([0.0] + [float(math.factorial(2 * k)) for k in range(1, 26)])
+_OHMIC_SERIES = np.array([0.0] + [float(math.factorial(2 * k)) for k in range(1, 26)])[:, None]
+_OHMIC_SLOPE_SERIES = _OHMIC_SERIES * np.arange(26)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +88,14 @@ _DAWSON_FAR = np.cumprod([1.0] + [2.0 * k - 1.0 for k in range(1, 11)])[:, None]
 
 # The ohmic bracket: degree 10 in geometric cells, each within 3% of its
 # centre, from OHMIC_SERIES_X to OHMIC_ASYMPTOTIC_X.  Below
-# OHMIC_SERIES_X, g = -2 + 2 x^2 (1 - gamma - ln x) up to
-# O(x^4 ln x) < 1e-19.
+# OHMIC_SERIES_X, with A = gamma + ln x, g = -2 + 2 x^2 (1 - A) up to
+# O(x^4 ln x) < 1e-19, and g' = 2 x (1 - 2A) + x^3 (19/9 - 4A/3), whose
+# last term is not negligible, up to O(x^5 ln x).
 _OHMIC_DEGREE = 10
 OHMIC_SERIES_X = 1e-5
 _OHMIC_RATIO = 1.03 / 0.97
 _OHMIC_CELLS = math.ceil(math.log(OHMIC_ASYMPTOTIC_X / OHMIC_SERIES_X) / math.log(_OHMIC_RATIO))
+_OHMIC_POWERS = np.arange(1.0, _OHMIC_DEGREE + 1)[:, None]   # d/dh h^k = k h^(k-1)
 
 
 def _horner(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -191,18 +195,32 @@ def _ohmic_table() -> tuple[np.ndarray, np.ndarray]:
     return centres, table
 
 
-def ohmic_bracket(x: np.ndarray) -> np.ndarray:
-    """g(x) = x (e^{-x} Ei(x) + e^{x} E1(x)) - 2 on a 1-d array in
-    (0, OHMIC_ASYMPTOTIC_X], within 1e-15 absolute."""
+def ohmic_bracket(x: np.ndarray, slope: bool = False) -> np.ndarray:
+    """g(x) = x s(x) - 2, s = e^{-x} Ei(x) + e^{x} E1(x), elementwise for
+    x >= 0 within 1e-15 absolute, or with ``slope`` g' = s + x s'."""
     centres, table = _ohmic_table()
-    log = np.log(x)
+    g = np.full(x.shape, 0.0 if slope else -2.0)        # x = 0
+    near = (x > 0.0) & (x <= OHMIC_ASYMPTOTIC_X)
+    xn = x[near]
+    log = np.log(xn)
     cell = ((log - math.log(OHMIC_SERIES_X)) / math.log(_OHMIC_RATIO)).astype(np.intp)
     cell = np.clip(cell, 0, _OHMIC_CELLS - 1)
-    g = x * _horner(table[:, cell], x - centres[cell]) - 2.0
-    tiny = x <= OHMIC_SERIES_X
+    coef, h = table[:, cell], xn - centres[cell]
+    if slope:
+        gn = _horner(coef, h) + xn * _horner(coef[1:] * _OHMIC_POWERS, h)
+    else:
+        gn = xn * _horner(coef, h) - 2.0
+    tiny = xn <= OHMIC_SERIES_X
     if tiny.any():
-        xt = x[tiny]
-        g[tiny] = 2.0 * xt * xt * (1.0 - np.euler_gamma - log[tiny]) - 2.0
+        xt, a = xn[tiny], np.euler_gamma + log[tiny]
+        gn[tiny] = (2.0 * xt * (1.0 - 2.0 * a) + xt**3 * (19.0 / 9.0 - 4.0 / 3.0 * a) if slope
+                    else 2.0 * xt * xt * (1.0 - np.euler_gamma - log[tiny]) - 2.0)
+    g[near] = gn
+    far = x > OHMIC_ASYMPTOTIC_X
+    if far.any():
+        u = x[far] ** -2
+        g[far] = (-4.0 / x[far] * _horner(_OHMIC_SLOPE_SERIES, u) if slope
+                  else 2.0 * _horner(_OHMIC_SERIES, u))
     return g
 
 
@@ -226,6 +244,12 @@ class UnitSystem:
         for name in ("omega0", "mass", "hbar"):
             object.__setattr__(self, name, checked(getattr(self, name), "number > 0", name))
 
+    def require_omega0(self, omega0: float) -> None:
+        """UsageError unless ``omega0``, a measure's, is this system's."""
+        if omega0 != self.omega0:
+            raise UsageError(f"the measure belongs to omega0 = {omega0!r}, "
+                             f"but the units have omega0 = {self.omega0!r}")
+
 
 class CouplingSpectrum:
     """Shared surface of all spectrum families.
@@ -233,7 +257,8 @@ class CouplingSpectrum:
     A family is a frozen dataclass subclass: its ``float`` fields are
     its parameters, ``scale`` names the one that multiplies V (checked
     ``>= 0``; every other ``float`` field must be ``> 0``), and it
-    implements ``_bounds``, ``_v_sq`` (or ``_v``) and ``dispersion``;
+    implements ``_bounds``, ``_v_sq`` (or ``_v``), ``dispersion`` and
+    ``dispersion_derivative``;
     the stability integral ``analytic_positivity_integral`` is -I(0)/2
     unless a family overrides it.  Construction fills in
     ``support_lower``/``support_upper`` (the mathematical support, may
@@ -286,6 +311,11 @@ class CouplingSpectrum:
         the first integral is a principal value, outside an ordinary one."""
         raise NotImplementedError
 
+    def dispersion_derivative(self, omegas):
+        """dI/domega in closed form, elementwise for omega >= 0: infinite
+        where |V|^2 jumps and, for a tabulated V, where V has a kink."""
+        raise NotImplementedError
+
     def analytic_positivity_integral(self) -> float:
         """int |V|^2/omega d omega = -I(0)/2, from the closed form."""
         return -0.5 * float(self.dispersion(0.0))
@@ -314,14 +344,13 @@ class OhmicExp(CouplingSpectrum):
         return np.where(w > 0.0, out, 0.0)
 
     def dispersion(self, omegas):
-        # I = k^2 L g(x), x = omega/L, g = x (e^{-x} Ei(x) + e^{x} E1(x)) - 2
+        # I = k^2 L g(x), x = omega/L, so I' = k^2 g'(x)
         x = np.asarray(omegas, dtype=float) / self.cutoff
-        g = np.full(x.shape, -2.0)                  # x = 0: I = -2 k^2 L
-        near = (x > 0.0) & (x <= OHMIC_ASYMPTOTIC_X)
-        g[near] = ohmic_bracket(x[near])
-        far = x > OHMIC_ASYMPTOTIC_X
-        g[far] = 2.0 * _horner(_OHMIC_SERIES[:, None], x[far] ** -2)
-        return self.amplitude**2 * self.cutoff * g
+        return self.amplitude**2 * self.cutoff * ohmic_bracket(x)
+
+    def dispersion_derivative(self, omegas):
+        x = np.asarray(omegas, dtype=float) / self.cutoff
+        return self.amplitude**2 * ohmic_bracket(x, slope=True)
 
 
 @dataclass(frozen=True)
@@ -356,6 +385,12 @@ class FlatBand(CouplingSpectrum):
         # infinite on a band edge, where |V|^2 jumps
         with np.errstate(divide="ignore"):
             return self.level**2 * np.log(np.abs((w - a) * (w + a)) / np.abs((w - b) * (w + b)))
+
+    def dispersion_derivative(self, omegas):
+        w = np.asarray(omegas, dtype=float)
+        a, b = self.lower, self.upper
+        with np.errstate(divide="ignore"):
+            return self.level**2 * (1.0 / (w - a) + 1.0 / (w + a) - 1.0 / (w - b) - 1.0 / (w + b))
 
 
 @dataclass(frozen=True)
@@ -399,6 +434,12 @@ class GaussianPeak(CouplingSpectrum):
         r = math.sqrt(2.0) * self.width
         return (2.0 * math.sqrt(math.pi) * self.amplitude**2
                 * (dawsn((w - self.center) / r) - dawsn((w + self.center) / r)))
+
+    def dispersion_derivative(self, omegas):
+        # D' = 1 - 2 u D(u), and the 1s cancel
+        w, r = np.asarray(omegas, dtype=float), math.sqrt(2.0) * self.width
+        u, v = (w + self.center) / r, (w - self.center) / r
+        return 4.0 * math.sqrt(math.pi) * self.amplitude**2 / r * (u * dawsn(u) - v * dawsn(v))
 
 
 # Tabulated._hilbert evaluates its log terms on arrays of at most this
@@ -472,18 +513,24 @@ class Tabulated(CouplingSpectrum):
         seg = v * v * log1p + 2.0 * v * sa * linear + sa * sa * cubic
         return float(np.sum(np.where(a > 0.0, seg, 0.5 * (s * h) ** 2)))
 
-    def _hilbert(self, z: np.ndarray) -> np.ndarray:
-        """P(z) = PV int |V(x)|^2/(z - x) dx for real z of either sign.
+    def _hilbert(self, z: np.ndarray, slope: bool = False) -> np.ndarray:
+        """P(z) = PV int |V(x)|^2/(z - x) dx for real z of either sign,
+        or with ``slope`` its derivative P'(z).
 
         On segment [a, a+h] with V = v + s(x - a), write |V|^2 = q(x):
         the integral is q(z) ln|z-a|/|z-a-h| - s h (2v + s(h/2 + z - a)).
         The log terms are grouped by node as (q_right - q_left)(z)
         ln|z - x_j|: at an interior node the bracket vanishes with
-        z - x_j, so the sum stays finite and continuous there."""
+        z - x_j, so the sum stays finite and continuous there.  Its
+        slope, q' ln|z - x_j| + q/(z - x_j), is not finite at a node where
+        V or its slope jumps and V is not 0."""
         x, v = self._x, self._y
         h = np.diff(x)
         s = np.diff(v) / h
-        out = -np.sum(s * h * (2.0 * v[:-1] + s * (0.5 * h - x[:-1]))) - np.sum(s * s * h) * z
+        if slope:
+            out = -np.sum(s * s * h)
+        else:
+            out = -np.sum(s * h * (2.0 * v[:-1] + s * (0.5 * h - x[:-1]))) - np.sum(s * s * h) * z
         # one-sided values and slopes at each node; V = 0 outside the grid
         zero = np.zeros(1)
         v_left, v_right = np.concatenate([zero, v[1:]]), np.concatenate([v[:-1], zero])
@@ -498,7 +545,13 @@ class Tabulated(CouplingSpectrum):
         for lo in range(0, x.size, step):
             blk = slice(lo, lo + step)
             d = z - x[blk][nodes]
-            terms = xlogy(c0[blk][nodes] + d * (c1[blk][nodes] + c2[blk][nodes] * d), np.abs(d))
+            a0, a1, a2 = c0[blk][nodes], c1[blk][nodes], c2[blk][nodes]
+            if slope:   # q/d = a0/d + a1 + a2 d, a0 = 0 at an interior node
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    terms = (xlogy(a1 + 2.0 * a2 * d, np.abs(d))
+                             + np.where(a0 == 0.0, 0.0, a0 / d) + a1 + a2 * d)
+            else:
+                terms = xlogy(a0 + d * (a1 + a2 * d), np.abs(d))
             terms[0] += out
             out = terms.sum(axis=0)
         return out
@@ -507,6 +560,11 @@ class Tabulated(CouplingSpectrum):
         w = np.asarray(omegas, dtype=float)
         p = self._hilbert(np.stack([w, -w]))
         return p[0] + p[1]
+
+    def dispersion_derivative(self, omegas):
+        w = np.asarray(omegas, dtype=float)
+        p = self._hilbert(np.stack([w, -w]), slope=True)
+        return p[0] - p[1]
 
 
 def require_admissible(spec: CouplingSpectrum, units: UnitSystem) -> float:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from dosc import dynamics, fano, oracle
 from dosc.errors import UsageError
@@ -35,8 +34,9 @@ def near_margin50(units):
 def full_window_scan(kern, scan_window, resolution=1e-3):
     """classify_damping's first stationary time from one direct
     k_sin_times evaluation over the whole scan window, then the same
-    bracket and brentq step on direct single-time sums; None when the
-    kernel never reaches below the floor."""
+    bracket and the same root step, fano.bracketed_newton on direct sums
+    of k_sin_times and its time derivative; None when the kernel never
+    reaches below the floor."""
     source = kern.source
     w, wt = source.nodes, source.weights * source.nodes
     step = dynamics._SCAN_STEP_FACTOR / kern.omega0
@@ -50,8 +50,13 @@ def full_window_scan(kern, scan_window, resolution=1e-3):
     if not start.size:
         return float(ts[j])
     i = int(start[-1])
-    return float(brentq(lambda t: (np.sin(np.outer([t], w)) @ wt)[0],
-                        ts[i], ts[j], xtol=1e-12, rtol=1e-14))
+
+    def value_and_slope(t):
+        phase = np.outer(t, w)
+        return np.sin(phase) @ wt, np.cos(phase) @ (wt * w)
+
+    return float(fano.bracketed_newton(value_and_slope, ts[i], ts[j],
+                                       xtol=1e-12, rtol=1e-14)[0])
 
 
 # damping scans compared with full_window_scan: case -> (fixture, window)
@@ -258,6 +263,11 @@ class TestTrajectory:
         assert (traj.x[0] - x0) / dt == pytest.approx(p0 / u.mass, rel=1e-3)
         assert (traj.p[0] - p0) / dt == pytest.approx(
             -u.mass * u.omega0**2 * x0, rel=1e-3)
+
+    def test_units_of_another_oscillator_refused(self, two_mode_decomp):
+        k = dynamics.kernels(two_mode_decomp, [0.0, 0.7])
+        with pytest.raises(UsageError, match="omega0"):
+            dynamics.mean_trajectory(k, 1.0, 0.0, UnitSystem(omega0=2.0))
 
     def test_csv(self, two_mode_decomp, units, tmp_path):
         k = dynamics.kernels(two_mode_decomp, [0.0, 0.7])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dosc.errors import InternalConsistencyError
+from dosc.errors import InternalConsistencyError, UsageError
 from dosc.fano import frequency_moment, refine_for_times, solve
 from dosc.groundstate import (
     ground_state_moments,
@@ -21,11 +21,13 @@ U = UnitSystem()
 
 
 class Measure:
-    """Minimal (nodes, weights) measure: discrete weights at fixed frequencies."""
+    """Minimal (nodes, weights) measure: discrete weights at fixed
+    frequencies, for an oscillator of frequency omega0."""
 
-    def __init__(self, weights, freqs):
+    def __init__(self, weights, freqs, omega0=1.0):
         self.weights = np.asarray(weights, dtype=float)
         self.nodes = np.asarray(freqs, dtype=float)
+        self.omega0 = omega0
 
 
 def one_node(m1, minv):
@@ -64,7 +66,7 @@ def test_uncoupled_other_units():
                   UnitSystem(omega0=0.3, mass=0.7, hbar=2.0)):
         hbar, m, w0 = units.hbar, units.mass, units.omega0
         s = uncoupled_summary(units)
-        assert s == ground_state_moments(Measure((1.0,), (w0,)), units)
+        assert s == ground_state_moments(Measure((1.0,), (w0,), w0), units)
         assert s.var_x == pytest.approx(hbar / (2 * m * w0), rel=1e-15)
         assert s.var_p == pytest.approx(hbar * m * w0 / 2, rel=1e-15)
         assert s.quad_x_unc == pytest.approx(math.sqrt(0.5), rel=1e-15)
@@ -144,6 +146,15 @@ def test_units_are_required_away_from_omega0_one():
         ground_state_moments(sol)
     with pytest.raises(TypeError):
         interpretation_identities(sol)
+
+
+@pytest.mark.parametrize("observables", [ground_state_moments, interpretation_identities])
+def test_units_of_another_oscillator_refused(observables):
+    # a measure solved for omega0 = 1 read in units with omega0 = 2
+    # would give numbers for neither oscillator
+    with pytest.raises(UsageError, match="omega0"):
+        observables(TWO_MODE, UnitSystem(omega0=2.0))
+    observables(TWO_MODE, UnitSystem(mass=2.0, hbar=0.5))   # omega0 matches
 
 
 def test_sum_rule_reported_not_gated():

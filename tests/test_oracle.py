@@ -2,6 +2,7 @@
 secular-equation modes against a dense eigensolver, and agreement
 between the dense and reduced evolution paths."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -739,6 +740,16 @@ class TestEvolution:
             with pytest.raises(UsageError, match="x0|p0"):
                 oracle.evolve_reduced(model, units, x0, p0, [1.0], decomp=decomp)
 
+    def test_decomposition_of_another_model_refused(self, small_bath, units):
+        # another bath of the same size, and even an equal copy: the
+        # decomposition must be of this very model
+        model, decomp = small_bath
+        twin = oracle.FiniteBathModel(model.omega0, model.bath_freqs, model.couplings)
+        other = oracle.FiniteBathModel(model.omega0, model.bath_freqs, 0.5 * model.couplings)
+        for wrong in (twin, other):
+            with pytest.raises(UsageError, match="another model"):
+                oracle.evolve_reduced(wrong, units, 1.0, 0.0, [1.0], decomp=decomp)
+
     def test_symplectic_floor_preserved(self, small_bath, units):
         model, decomp = small_bath
         initial = product_ground_state(model, units, x0=2.0)
@@ -907,6 +918,14 @@ class TestAgainstContinuum:
         lines = out.read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,density_discrete,density_continuum"
         assert len(lines) == 81
+
+    def test_units_of_another_solution_refused(self, flat_mid, units):
+        # the bath would be discretised for one oscillator and compared
+        # with a density solved for another
+        _, sol = flat_mid
+        for wrong in (UnitSystem(omega0=2.0), dataclasses.replace(units, mass=2.0)):
+            with pytest.raises(UsageError, match="differ from the solution's"):
+                oracle.compare_with_continuum(sol, wrong, 300, bins=40)
 
     def test_histogram_mass(self, flat_mid, units):
         _, sol = flat_mid

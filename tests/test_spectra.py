@@ -5,6 +5,7 @@ functions against scipy.special."""
 
 import dataclasses
 import decimal
+import fractions
 import functools
 import math
 from dataclasses import replace
@@ -435,3 +436,104 @@ def test_special_functions_at_extreme_arguments():
     assert ohmic[-1] == ohmic[-2] == 0.0
     peak = GaussianPeak(amplitude=0.1, center=1.5, width=0.1).dispersion(np.array([1e300, np.inf]))
     assert np.array_equal(peak, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# dispersion_derivative: the closed-form slope dI/domega of every family
+
+def test_base_class_has_no_slope():
+    with pytest.raises(NotImplementedError):
+        CouplingSpectrum.dispersion_derivative(None, 1.0)
+
+
+def _assert_slope(got, ref):
+    """Finite, and within 1e-13 of the largest |I'| among the points."""
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_ohmic_slope_matches_scipy():
+    # I' = k^2 (s + x s'), s = e^-x Ei(x) + e^x E1(x), s' = e^x E1(x) - e^-x Ei(x):
+    # both sides of the series switch, the cell edges, and the asymptotic
+    # switch, far past the support's 20 cutoffs
+    spec = OhmicExp(amplitude=0.3, cutoff=2.0)
+    edges = OHMIC_SERIES_X * spectra._OHMIC_RATIO ** np.arange(spectra._OHMIC_CELLS + 1)
+    x = np.concatenate([[0.0], np.geomspace(1e-9, 100.0, 3000), _both_sides(edges),
+                        _both_sides([OHMIC_SERIES_X, OHMIC_ASYMPTOTIC_X])])
+    got = spec.dispersion_derivative(x * spec.cutoff)
+    ref = np.zeros_like(x)
+    xs = x[1:]
+    ei, e1 = np.exp(-xs) * special.expi(xs), np.exp(xs) * special.exp1(xs)
+    ref[1:] = spec.amplitude**2 * (ei + e1 + xs * (e1 - ei))
+    _assert_slope(got, ref)
+    assert got[0] == 0.0
+
+
+def test_flat_band_slope_is_exact():
+    # level^2 [1/(w-a) + 1/(w+a) - 1/(w-b) - 1/(w+b)] in rational arithmetic
+    spec = FlatBand(level=0.3, lower=0.5, upper=2.0)
+    w = np.concatenate([[0.0], np.linspace(0.01, 3.0, 997), _both_sides([0.5, 2.0])[2:]])
+    w = w[(w != 0.5) & (w != 2.0)]
+    a, b, level = (fractions.Fraction(v) for v in (0.5, 2.0, 0.3))
+    ref = np.array([float(level**2 * (1 / (x - a) + 1 / (x + a) - 1 / (x - b) - 1 / (x + b)))
+                    for x in map(fractions.Fraction, w)])
+    got = spec.dispersion_derivative(w)
+    _assert_slope(got, ref)
+    assert got[0] == 0.0
+    assert np.array_equal(spec.dispersion_derivative(np.array([0.5, 2.0])), [np.inf, -np.inf])
+
+
+def test_gaussian_slope_matches_scipy():
+    # D' = 1 - 2 u D(u), on both sides of DAWSON_TABLE_X from the peak
+    spec = GaussianPeak(amplitude=0.3, center=2.0, width=0.2)
+    r = math.sqrt(2.0) * spec.width
+    w = np.concatenate([[0.0], np.linspace(0.01, 12.0, 3000),
+                        _both_sides(spec.center + r * DAWSON_TABLE_X * np.array([-1.0, 1.0])),
+                        _both_sides([r * DAWSON_TABLE_X - spec.center])])
+    u, v = (w + spec.center) / r, (w - spec.center) / r
+    ref = (2.0 * math.sqrt(math.pi) * spec.amplitude**2 / r
+           * ((1.0 - 2.0 * v * special.dawsn(v)) - (1.0 - 2.0 * u * special.dawsn(u))))
+    got = spec.dispersion_derivative(w)
+    _assert_slope(got, ref)
+    assert got[0] == 0.0
+
+
+def _tabulated_dispersion_ld(spec, w):
+    """I(omega) in long double, segment by segment: on [a, a+h] with
+    V = v + s(x - a), PV int V^2/(z - x) dx = V(z)^2 ln|z-a|/|z-a-h|
+    - s h (2v + s(h/2 + z - a)), at z = omega and z = -omega."""
+    x = np.asarray(spec.omegas, dtype=np.longdouble)[:, None]
+    y = np.asarray(spec.values, dtype=np.longdouble)[:, None]
+    a, v, h = x[:-1], y[:-1], np.diff(x, axis=0)
+    s = np.diff(y, axis=0) / h
+    total = np.zeros(w.shape, dtype=np.longdouble)
+    for z in (w, -w):
+        q = (v + s * (z - a)) ** 2
+        total += np.sum(q * np.log(np.abs(z - a) / np.abs(z - a - h))
+                        - s * h * (2 * v + s * (h / 2 + z - a)), axis=0)
+    return total
+
+
+def test_tabulated_slope_matches_long_double_difference():
+    # a seven-point central difference of the long-double dispersion,
+    # its step 0.003 of the distance to the nearest node: within 7e-15
+    spec = Tabulated(omegas=[0.2, 0.5, 1.0, 1.6, 2.0, 3.0],
+                     values=[0.1, 0.3, 0.25, 0.4, 0.2, 0.05])
+    w = np.concatenate([[0.0], np.linspace(0.01, 4.0, 1500)])
+    gap = np.min(np.abs(w[:, None] - np.asarray(spec.omegas)), axis=1)
+    w, gap = w[gap > 0.02], gap[gap > 0.02]
+    h = 3e-3 * gap.astype(np.longdouble)
+    f = [_tabulated_dispersion_ld(spec, w + k * h) for k in (-3, -2, -1, 1, 2, 3)]
+    ref = ((f[5] - f[0]) - 9 * (f[4] - f[1]) + 45 * (f[3] - f[2])) / (60 * h)
+    got = spec.dispersion_derivative(w)
+    _assert_slope(got, ref.astype(float))
+    assert got[0] == 0.0
+
+
+def test_tabulated_slope_infinite_at_a_kink():
+    # interior nodes: infinite where V's slope jumps and V is not 0,
+    # finite where V is smooth or 0
+    spec = Tabulated(omegas=[0.0, 0.5, 1.0, 1.5, 2.0], values=[0.0, 0.2, 0.4, 0.1, 0.0])
+    at = spec.dispersion_derivative(np.array([0.0, 0.5, 1.0, 1.5]))
+    assert at[0] == 0.0 and np.isfinite(at[1])
+    assert np.isinf(at[2]) and np.isinf(at[3])
