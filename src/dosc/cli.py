@@ -272,21 +272,16 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     spec = _need_spectrum(cfg)
     sol = fano.solve(spec, cfg.units, **cfg.grid)
     sol.to_csv(out / "pi.csv")
-    w0 = cfg.units.omega0
-    # moments of the solution's own measure, the ones that certified it
-    # and that every observable is built from
-    norm_defect = fano.frequency_moment(sol, 0) - 1.0
-    sum_defect = fano.frequency_moment(sol, 2) / (w0 * w0) - 1.0
     summary = {
         "n_nodes": int(sol.omegas.size),
-        "norm_defect": norm_defect,
-        "sum_rule_defect": sum_defect,
+        "norm_defect": sol.norm_defect,
+        "sum_rule_defect": sol.sum_defect,
         "mean_frequency": fano.frequency_moment(sol, 1),
         "mean_inverse_frequency": fano.frequency_moment(sol, -1),
     }
     _write_json(out / "summary.json", summary)
-    print(f"norm defect     = {norm_defect:.17g}")
-    print(f"sum-rule defect = {sum_defect:.17g}")
+    print(f"norm defect     = {sol.norm_defect:.17g}")
+    print(f"sum-rule defect = {sol.sum_defect:.17g}")
     print(f"wrote {out / 'pi.csv'}, {out / 'summary.json'}")
     return 0
 

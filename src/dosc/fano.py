@@ -19,11 +19,11 @@ and the ground-state frequency density is
 
     pi(omega) = |alpha(omega)|^2 * 4 omega0 omega / (omega0 + omega)^2,
 
-normalised to one.  This module computes all of these on an adaptively
-refined grid.  A solution is a (nodes, weights) measure, the weight of a
-node being its Simpson weight times pi; a finite-bath decomposition is
-another (Omegas, O_0k^2).  The moment functional << f(omega) >> is
-weights @ f(nodes) over either.
+normalised to one.  This module computes pi on an adaptively refined
+grid; a solution keeps pi alone and is a (nodes, weights) measure, the
+weight of a node being its Simpson weight times pi.  A finite-bath
+decomposition is another (Omegas, O_0k^2).  The moment functional
+<< f(omega) >> is weights @ f(nodes) over either.
 
 Numerical form: everything is built from N(omega) = Y * |V|^2, which
 stays finite in the far tails where Y itself overflows;
@@ -81,8 +81,7 @@ EDGE_MARGIN = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """Y, |alpha|^2, beta/alpha and pi on the grid ``omegas``, plus
-    provenance.
+    """pi on the grid ``omegas``, plus provenance.
 
     ``nodes`` is ``omegas`` under the name every (nodes, weights)
     measure shares.  ``meta`` records how the grid was reached:
@@ -92,17 +91,13 @@ class SpectralSolution:
     new frequencies without re-supplying context.  ``alias_mass_tol`` is
     the spectral mass refine_for_times lets intervals wider than the
     anti-aliasing bound carry.  ``weights`` is the Simpson weight of each
-    node times pi, fixed at construction, and so are the two defects
-    refinement certifies, moments over those weights:
-    ``norm_defect = |<<1>> - 1|`` and
-    ``sum_defect = |<<omega^2>> - omega0^2| / omega0^2``.  Instances
-    are immutable.
+    node times pi, fixed at construction, and so are the two signed
+    defects refinement certifies, moments over those weights:
+    ``norm_defect = <<1>> - 1`` and
+    ``sum_defect = <<omega^2>>/omega0^2 - 1``.  Instances are immutable.
     """
 
     omegas: np.ndarray
-    Y: np.ndarray
-    alpha_sq: np.ndarray
-    beta_ratio: np.ndarray
     pi: np.ndarray
     spec: CouplingSpectrum
     units: UnitSystem
@@ -115,10 +110,9 @@ class SpectralSolution:
     def __post_init__(self):
         checked(self.alias_mass_tol, "number >= 0", "alias_mass_tol")
         object.__setattr__(self, "weights", simpson_weights(self.nodes) * self.pi)
-        w0sq = self.omega0 * self.omega0
-        object.__setattr__(self, "norm_defect", abs(frequency_moment(self, 0) - 1.0))
+        object.__setattr__(self, "norm_defect", frequency_moment(self, 0) - 1.0)
         object.__setattr__(self, "sum_defect",
-                           abs(frequency_moment(self, 2) - w0sq) / w0sq)
+                           frequency_moment(self, 2) / (self.omega0 * self.omega0) - 1.0)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -129,9 +123,10 @@ class SpectralSolution:
         return self.units.omega0
 
     def to_csv(self, path) -> None:
-        """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision."""
+        """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision,
+        the first three assembled on the nodes as pi was."""
         write_csv(path, "omega,Y,alpha_sq,beta_ratio,pi",
-                  [self.omegas, self.Y, self.alpha_sq, self.beta_ratio, self.pi])
+                  [self.omegas, *_assemble(self.spec, self.units, self.omegas)[:3], self.pi])
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -324,9 +319,8 @@ def _assemble(spec, units, nodes):
 
 def _solution(spec, units, nodes, **kwargs) -> SpectralSolution:
     """The solution assembled on ``nodes``; ``kwargs`` go to SpectralSolution."""
-    Y, alpha_sq, beta, pi = _assemble(spec, units, nodes)
-    return SpectralSolution(omegas=nodes, Y=Y, alpha_sq=alpha_sq, beta_ratio=beta,
-                            pi=pi, spec=spec, units=units, **kwargs)
+    return SpectralSolution(omegas=nodes, pi=_assemble(spec, units, nodes)[3],
+                            spec=spec, units=units, **kwargs)
 
 
 def _interval_error_indicator(w, pi, units):
@@ -368,7 +362,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                         meta={"rounds": rounds, "nodes": int(nodes.size)})
         pi = sol.pi
         jumps = np.abs(np.diff(pi)) > 0.01 * pi.max()
-        if sol.norm_defect <= norm_tol and sol.sum_defect <= sum_tol and not jumps.any():
+        norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
+        if norm_defect <= norm_tol and sum_defect <= sum_tol and not jumps.any():
             return sol
 
         room = max_nodes - nodes.size
@@ -391,7 +386,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     if math.isfinite(spec.support_upper):
         # omega_max cannot cut a bounded support (spectra refuses that), so
         # the missing mass is not in a truncated tail
-        guidance = (f"if the defect has stalled, about {sol.norm_defect:.3g} of the "
+        guidance = (f"if the defect has stalled, about {norm_defect:.3g} of the "
                     "spectral mass lies outside the coupling support: a point "
                     "mass (bound state) of the dressed oscillator, which the "
                     "grid cannot hold; raising omega_max does not help")
@@ -408,7 +403,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     raise ConvergenceError(
         "grid refinement exhausted its budget before reaching tolerance",
         detail={
-            "norm_defect": sol.norm_defect, "sum_defect": sol.sum_defect,
+            "norm_defect": norm_defect, "sum_defect": sum_defect,
             "nodes": int(nodes.size), "rounds": rounds if room <= 0 else max_rounds,
             "guidance": guidance,
         },

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,11 +56,13 @@ class WeakCouplingReport:
     weak-coupling prediction.
 
     ``residual_l1`` is the integral of |pi - lorentzian| over the fit
-    window (window = fitted centre +- 10 predicted HWHM); comparable
-    across couplings since pi carries unit mass.  ``max_beta_ratio_peak``
-    is the largest admixture ratio |beta/alpha| across one full width
-    at half maximum around the bare resonance, approximately
-    hwhm/(2 omega0) when the width is small.
+    window [window_lo, window_hi], comparable across couplings since pi
+    carries unit mass.  The window is the grid's peak node +-
+    WINDOW_HWHMS times the HWHM read off the grid's half-maximum
+    crossings, clipped to the grid.  ``max_beta_ratio_peak`` is the
+    largest admixture ratio |beta/alpha| across one full width at half
+    maximum around the bare resonance, approximately hwhm/(2 omega0)
+    when the width is small.
     """
 
     F0: float
@@ -70,23 +72,15 @@ class WeakCouplingReport:
     hwhm_fit: float
     residual_l1: float
     max_beta_ratio_peak: float
-    window: tuple[float, float]
+    window_lo: float
+    window_hi: float
     overlay_omegas: np.ndarray = field(repr=False)
     overlay_pi: np.ndarray = field(repr=False)
     overlay_lorentz: np.ndarray = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "F0": self.F0,
-            "hwhm_pred": self.hwhm_pred,
-            "fwhm_pred": self.fwhm_pred,
-            "center_fit": self.center_fit,
-            "hwhm_fit": self.hwhm_fit,
-            "residual_l1": self.residual_l1,
-            "max_beta_ratio_peak": self.max_beta_ratio_peak,
-            "window_lo": self.window[0],
-            "window_hi": self.window[1],
-        }
+        """Every field but the overlay arrays (the ones kept out of repr)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -219,6 +213,6 @@ def lorentzian_fit(sol, jitter_rng=None) -> WeakCouplingReport:
         hwhm_fit=hwhm_fit,
         residual_l1=residual_l1,
         max_beta_ratio_peak=max_beta,
-        window=(lo, hi),
+        window_lo=lo, window_hi=hi,
         overlay_omegas=wm, overlay_pi=pm, overlay_lorentz=lor,
     )

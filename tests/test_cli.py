@@ -493,6 +493,44 @@ class TestDynamicsCommand:
         damping = json.loads((tmp_path / "damping.json").read_text())
         assert damping["scan_window"] == 60
 
+    def test_geometric_time_lattice(self, capsys, tmp_path):
+        # the lattice geomspace(t_min, t_max, n_times), whose kernels are
+        # the in-process ones to the bit; it has no uniform tail, so
+        # they are the direct sums
+        import dataclasses
+
+        from dosc import dynamics, fano
+        from dosc.cli import load_config
+
+        config = str(CONFIGS / "flat_band.json")
+        overrides = ["time.spacing=geom", "time.t_min=0.1"]
+        rc, _, err = run(capsys, "dynamics", "--config", config,
+                         *(a for o in overrides for a in ("--override", o)),
+                         "--out", str(tmp_path))
+        assert rc == 0, err
+        data = np.loadtxt(tmp_path / "kernels.csv", delimiter=",", skiprows=1)
+        ts = np.geomspace(0.1, 20.0, 401)
+        assert np.array_equal(data[:, 0], ts)
+        cfg = load_config(config, overrides)
+        sol = fano.solve(cfg.spectrum, cfg.units, **cfg.grid)
+        kern = dynamics.kernels(
+            dataclasses.replace(sol, alias_mass_tol=cfg.time.alias_mass_tol), ts)
+        rows = np.stack([kern.k_cos, kern.k_sin_over, kern.k_sin_times])
+        assert np.array_equal(data[:, 1:].T, rows)
+        w, wt = kern.source.nodes, kern.source.weights
+        assert np.array_equal(rows, dynamics._direct_sums(kern.source, ts, cos=[wt],
+                                                          sin=[wt / w, wt * w]))
+
+    @pytest.mark.parametrize("t_min", [None, 20.0, 30.0])
+    def test_geometric_lattice_needs_t_min_below_t_max(self, capsys, tmp_path, t_min):
+        overrides = ["--override", "time.spacing=geom"]
+        if t_min is not None:
+            overrides += ["--override", f"time.t_min={t_min}"]
+        rc, _, err = run(capsys, "dynamics", "--config", str(CONFIGS / "flat_band.json"),
+                         *overrides, "--out", str(tmp_path))
+        assert rc == 1
+        assert "time.t_min" in stderr_doc(err)["message"]
+
     def test_requires_t_max(self, capsys, tmp_path):
         rc, _, err = run(capsys, "dynamics",
                          "--config", str(CONFIGS / "weak_line.json"),

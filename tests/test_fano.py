@@ -163,11 +163,13 @@ def test_solution_invariants(ohmic_ref):
     w = sol.omegas
     assert np.all(np.diff(w) > 0) and w[0] > 0
     assert np.all(sol.pi >= 0)
-    assert sol.norm_defect <= 1e-6
+    assert abs(sol.norm_defect) <= 1e-6
     # pi is alpha_sq * 4 w0 w / (w0+w)^2 by construction, bit for bit
+    _, alpha_sq, beta, pi = dressed(spec, w)
     kin = 4.0 * U.omega0 * w / (U.omega0 + w) ** 2
-    assert np.array_equal(sol.pi, sol.alpha_sq * kin)
-    assert np.allclose(sol.beta_ratio, (w - 1.0) / (w + 1.0), rtol=0, atol=1e-15)
+    assert np.array_equal(sol.pi, pi)
+    assert np.array_equal(pi, alpha_sq * kin)
+    assert np.allclose(beta, (w - 1.0) / (w + 1.0), rtol=0, atol=1e-15)
 
 
 def test_norm_and_sum_rule(ohmic_ref):
@@ -189,6 +191,22 @@ def test_moment_rejects_singular_integrand(ohmic_ref):
     _, sol = ohmic_ref
     with pytest.raises(UsageError):
         moment(sol, lambda w: np.where(w > 0.5, np.inf, 1.0))
+
+
+def test_moment_skips_a_non_finite_integrand_at_zero_weight():
+    # an uncoupled bath mode is a normal mode of weight exactly 0: an
+    # integrand infinite there sums over the other modes, one infinite
+    # at a weighted mode is refused
+    from dosc import oracle
+
+    decomp = oracle.normal_modes(oracle.FiniteBathModel(1.0, [0.5, 1.5], [0.3, 0.0]))
+    w, wt = decomp.nodes, decomp.weights
+    idle = wt == 0
+    assert idle.sum() == 1 and w[idle][0] == 1.5
+    assert moment(decomp, lambda x: np.where(x == 1.5, np.inf, x)) == float(
+        wt[~idle] @ w[~idle])
+    with pytest.raises(UsageError, match="not finite"):
+        moment(decomp, lambda x: np.where(x == w[0], np.inf, x))
 
 
 @settings(max_examples=6, deadline=None)
@@ -228,15 +246,18 @@ def test_alternate_unit_system():
     assert frequency_moment(sol, 1) < 2.0
 
 
-def test_dressing_reproduces_solution_columns(ohmic_ref):
-    # same N(omega) and the same assembly, node by node: bit for bit
+def test_dressing_reproduces_solution_columns(ohmic_ref, tmp_path):
+    # pi.csv's columns, read back, are the same assembly on the same
+    # nodes: bit for bit, and pi is alpha_sq * 4 w0 w / (w0+w)^2
     spec, sol = ohmic_ref
-    idx = [0, sol.omegas.size // 3, sol.omegas.size - 1]
-    Y, alpha_sq, beta, pi = dressed(spec, sol.omegas[idx])
-    assert np.array_equal(Y, sol.Y[idx])
-    assert np.array_equal(alpha_sq, sol.alpha_sq[idx])
-    assert np.array_equal(beta, sol.beta_ratio[idx])
-    assert np.array_equal(pi, sol.pi[idx])
+    sol.to_csv(tmp_path / "pi.csv")
+    w, *columns = np.loadtxt(tmp_path / "pi.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(w, sol.omegas)
+    for got, want in zip(columns, dressed(spec, sol.omegas)):
+        assert np.array_equal(got, want, equal_nan=True)
+    _, alpha_sq, _, pi = columns
+    assert np.array_equal(pi, sol.pi)
+    assert np.array_equal(pi, alpha_sq * (4.0 * U.omega0 * w / (U.omega0 + w) ** 2))
 
 
 def test_flat_band_singular_coefficient():
@@ -307,7 +328,7 @@ def test_refine_for_times(ohmic_ref):
     assert refine_for_times(refined, t_max) is refined
     assert refine_for_times(refined, 0.5 * t_max) is refined
     assert refined.omegas.size > sol.omegas.size
-    assert refined.norm_defect <= 2e-6
+    assert abs(refined.norm_defect) <= 2e-6
 
 
 def test_refinement_assembles_one_solution(ohmic_ref, monkeypatch):
@@ -331,16 +352,16 @@ def test_refinement_assembles_one_solution(ohmic_ref, monkeypatch):
 
 
 def test_refined_solution_certifies_its_own_grid(ohmic_ref):
-    # both defects are moments of the solution's own weights, on the
-    # refined grid as on the one compute_pi certified
+    # both signed defects are moments of the solution's own weights, on
+    # the refined grid as on the one compute_pi certified
     _, sol = ohmic_ref
     refined = refine_for_times(sol, 25.0)
     assert refined.omegas.size > sol.omegas.size
     for s in (sol, refined):
-        assert s.norm_defect == abs(frequency_moment(s, 0) - 1.0)
-        assert s.sum_defect == abs(frequency_moment(s, 2) - U.omega0**2) / U.omega0**2
+        assert s.norm_defect == frequency_moment(s, 0) - 1.0
+        assert s.sum_defect == frequency_moment(s, 2) / U.omega0**2 - 1.0
         assert "sum_defect" not in s.meta
-    assert refined.sum_defect <= 2e-6
+    assert abs(refined.sum_defect) <= 2e-6
 
 
 def test_time_refinement_refused_before_building(flat_mid):
@@ -423,8 +444,8 @@ def test_round_budget_stop_reports_the_evaluated_grid():
     assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
     assert detail["rounds"] == 1 and detail["nodes"] == grid.size
     measured = fano._solution(spec, U, grid)
-    assert detail["norm_defect"] == measured.norm_defect
-    assert detail["sum_defect"] == measured.sum_defect
+    assert detail["norm_defect"] == abs(measured.norm_defect)
+    assert detail["sum_defect"] == abs(measured.sum_defect)
 
 
 def test_csv_round_trip(tmp_path, flat_mid):
@@ -570,7 +591,7 @@ def test_lamb_shift_diverges_on_a_band_edge():
 @pytest.mark.parametrize("spec", [TAB_KINKED, TAB_SIN2], ids=["kinked", "sin2"])
 def test_kinked_tabulated_spectra_solve(spec):
     sol = solve(spec, U)
-    assert sol.norm_defect <= 1e-6
+    assert abs(sol.norm_defect) <= 1e-6
     assert abs(frequency_moment(sol, 2) - 1.0) <= 1e-6
 
 

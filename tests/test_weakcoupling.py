@@ -144,8 +144,8 @@ class TestLorentzianFit:
         assert rep.max_beta_ratio_peak == pytest.approx(
             rep.hwhm_pred / 2.0, rel=0.05)
         assert rep.max_beta_ratio_peak <= 2e-3
-        assert rep.window[0] < rep.center_fit - 5 * rep.hwhm_fit
-        assert rep.window[1] > rep.center_fit + 5 * rep.hwhm_fit
+        assert rep.window_lo < rep.center_fit - 5 * rep.hwhm_fit
+        assert rep.window_hi > rep.center_fit + 5 * rep.hwhm_fit
 
     def test_json_round_trip(self, units, weak_line):
         _, sol = weak_line
@@ -155,8 +155,7 @@ class TestLorentzianFit:
             "F0", "hwhm_pred", "fwhm_pred", "center_fit", "hwhm_fit",
             "residual_l1", "max_beta_ratio_peak", "window_lo", "window_hi",
         }
-        assert doc["center_fit"] == rep.center_fit
-        assert doc["hwhm_fit"] == rep.hwhm_fit
+        assert doc == {k: getattr(rep, k) for k in doc}
 
     def test_overlay_csv(self, units, weak_line, tmp_path):
         _, sol = weak_line
