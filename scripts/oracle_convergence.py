@@ -35,8 +35,6 @@ def main() -> int:
     ap.add_argument("--config", default=str(REPO / "configs" / "ohmic_reference.json"))
     ap.add_argument("--N", type=int, nargs="+",
                     default=[250, 500, 1000, 2000, 4000])
-    ap.add_argument("--scheme", default=None,
-                    help="override the config's discretisation scheme")
     ap.add_argument("--bath-top", type=float, default=None,
                     help="truncate the bath grid here (default: full support)")
     ap.add_argument("--csv", default=None, help="also write the table here")
@@ -46,10 +44,9 @@ def main() -> int:
     cfg = load_config(args.config, args.override)
     if cfg.spectrum is None:
         ap.error("this script needs a config with a continuum spectrum")
-    scheme = args.scheme or cfg.oracle.scheme
 
     sol = fano.solve(cfg.spectrum, cfg.units, **cfg.grid)
-    print(f"spectrum {cfg.spectrum!r}, scheme {scheme}, "
+    print(f"spectrum {cfg.spectrum!r}, scheme {cfg.oracle.scheme}, "
           f"bins {cfg.oracle.bins}, bath top {args.bath_top}")
     header = (f"{'N':>6} {'rel var_x':>11} {'rel var_p':>11} {'rel <<w>>':>11} "
               f"{'rel <<1/w>>':>11} {'hist L1':>10} {'recur':>8} {'sec':>6}")
@@ -59,7 +56,7 @@ def main() -> int:
     for n in args.N:
         t0 = time.perf_counter()
         rep = oracle.compare_with_continuum(
-            sol, cfg.units, n, scheme=scheme, bins=cfg.oracle.bins,
+            sol, cfg.units, n, scheme=cfg.oracle.scheme, bins=cfg.oracle.bins,
             bath_omega_max=args.bath_top)
         dt = time.perf_counter() - t0
         rows.append((n, rep.rel_var_x, rep.rel_var_p, rep.rel_mean_freq,

@@ -83,7 +83,7 @@ _OPTIONS = {
     },
     "oracle": {
         "N": (800, "integer >= 1"),
-        "scheme": ("uniform", ("uniform", "gauss_like")),
+        "scheme": ("uniform", ("uniform",)),
         "bins": (160, "integer >= 1"),
         "bath_omega_max": (None, "number > 0"),
     },

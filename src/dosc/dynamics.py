@@ -266,11 +266,11 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
         start = np.nonzero(vals[:j] >= 0.0)[0]
         if start.size:
             i = int(start[-1])
-            # Newton steps on direct sums of k_sin_times and its slope
-            # <<omega^2 cos(omega t)>>, a cosine row (returned first)
+            # Newton steps from vals[j] < 0 <= vals[i] on direct sums of
+            # k_sin_times and its slope <<omega^2 cos(omega t)>> (returned first)
             zero_at = float(fano.bracketed_newton(
                 lambda t: _direct_sums(source, t, cos=[sin[0] * source.nodes], sin=sin)[::-1],
-                ts[i], ts[j], xtol=1e-12, rtol=1e-14)[0])
+                ts[j], ts[i], xtol=1e-12, rtol=1e-14)[0])
         else:
             zero_at = float(ts[j])  # negative from the first sample on
         return DampingClassification("underdamped", zero_at, scan_window,

@@ -34,9 +34,9 @@ the tests check against scalar QUADPACK calls.
 
 Grid strategy: a logarithmic base grid over (omega_max * 1e-6,
 omega_max] inside the support, geometric ladders into any sharp support
-edge, seed clusters around each resonance (zero of N, bracketed by a
-scan and located by Newton steps on the closed-form slope N', whose
-value there gives the cluster's Lorentzian width), then interval
+edge, seed clusters around each resonance (zero of N, bracketed and
+signed by a scan, then refined by Newton steps on the closed-form slope
+N', whose value there gives the cluster's Lorentzian width), then interval
 bisection wherever pi jumps by more than 1% of its peak or the local
 curvature indicator says the normalisation error budget is threatened.
 Refinement stops when the norm defect and the omega^2 sum rule are both
@@ -151,21 +151,17 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def bracketed_newton(f: Callable, a, b, *, xtol: float, rtol: float) -> np.ndarray:
-    """A root of f in each bracket [a_i, b_i] at once, ``f`` mapping points
-    to the arrays (f, f'): Newton steps kept in the shrinking sign bracket
-    (``rtsafe``, Press et al., *Numerical Recipes*, 3rd ed., 9.4), which
-    bisect where Newton's would leave it or not halve the last step, or f'
-    is 0 or +-inf (a kink).  A root is taken at a step of at most
-    (xtol + rtol |x|)/2, Brent's rule.  Raises ValueError for ends of one
-    sign or a NaN value, RuntimeError after 100 steps."""
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    ends = f(np.concatenate([a, b]))[0]
-    fa, fb = np.split(ends, 2)
-    if np.isnan(ends).any() or np.any(np.sign(fa) * np.sign(fb) > 0):
-        raise ValueError("f(a) and f(b) must be of different signs, not NaN")
-    lo, hi = np.where(fa < fb, a, b), np.where(fa < fb, b, a)      # f(lo) <= 0 <= f(hi)
-    x, last, todo = 0.5 * (lo + hi), np.abs(hi - lo), np.ones(a.shape, dtype=bool)
+def bracketed_newton(f: Callable, lo, hi, *, xtol: float, rtol: float) -> np.ndarray:
+    """A root of f in each bracket [lo_i, hi_i] at once, ``f`` mapping
+    points to (f, f').  The caller's scan found f(lo_i) <= 0 <= f(hi_i),
+    lo_i above or below hi_i, and f is never evaluated at an end.  Newton
+    steps kept in the shrinking sign bracket (``rtsafe``, Press et al.,
+    *Numerical Recipes*, 3rd ed., 9.4) bisect where Newton's would leave
+    it or not halve the last step, or f' is 0 or +-inf (a kink).  A root
+    is taken at a step of at most (xtol + rtol |x|)/2, Brent's rule.
+    Raises ValueError for a NaN inside a bracket, RuntimeError after 100 steps."""
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    x, last, todo = 0.5 * (lo + hi), np.abs(hi - lo), np.ones(lo.shape, dtype=bool)
     for _ in range(100):
         if not todo.any():
             return x
@@ -229,13 +225,14 @@ def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
     nvals = _n_values(spec, units, lattice)
     sign = np.where(np.isfinite(nvals), np.sign(nvals), 0.0)    # none at inf or nan
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    neg = i + (sign[i] > 0)     # the end of each bracket where N < 0
 
     def slope(w):
         return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
 
     try:
         pk = bracketed_newton(lambda w: (_n_values(spec, units, w), slope(w)),
-                              lattice[i], lattice[i + 1], xtol=1e-14, rtol=1e-14)
+                              lattice[neg], lattice[2 * i + 1 - neg], xtol=1e-14, rtol=1e-14)
     except ValueError:
         return []
     nprime, vsq = np.abs(slope(pk)), spec.v_sq(pk)
@@ -455,7 +452,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     checked(t_max, "number", "t_max")
     if t_max <= 0:
         return sol
-    nodes, pi = sol.nodes, sol.pi
+    nodes, pi = sol.omegas, sol.pi     # the grid, not the measure
     h_max = ALIAS_LIMIT / t_max
     h = np.diff(nodes)
     masses = 0.5 * (pi[:-1] + pi[1:]) * h      # trapezoidal

@@ -156,11 +156,10 @@ def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
         Continuum model; must pass the positivity check.
     N : int
         Number of bath modes; an integral float such as 1000.0 counts.
-    scheme : {"uniform", "gauss_like"}
-        ``uniform``: midpoint rule on (0, omega_max], spacing
-        omega_max/N, which makes the recurrence time 2 pi N / omega_max
-        transparent.  ``gauss_like``: Gauss-Legendre nodes and weights
-        scaled to (0, omega_max].
+    scheme : {"uniform"}
+        The midpoint rule on (0, omega_max], spacing omega_max/N, which
+        makes the recurrence time 2 pi N / omega_max transparent.  Any
+        other value raises UsageError.
 
     Raises
     ------
@@ -170,19 +169,12 @@ def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
         increase N).
     """
     N = checked(N, "integer >= 1", "N")
+    if scheme != "uniform":
+        raise UsageError(f"discretisation scheme must be 'uniform', got {scheme!r}")
     require_admissible(spec, units)
-    top = spec.omega_max
-    if scheme == "uniform":
-        dw = top / N
-        freqs = (np.arange(N) + 0.5) * dw
-        weights = np.full(N, dw)
-    elif scheme == "gauss_like":
-        x, w = np.polynomial.legendre.leggauss(N)
-        freqs = 0.5 * top * (x + 1.0)
-        weights = 0.5 * top * w
-    else:
-        raise UsageError(f"unknown discretisation scheme {scheme!r}")
-    couplings = np.asarray(spec.v(freqs)) * np.sqrt(weights)
+    dw = spec.omega_max / N
+    freqs = (np.arange(N) + 0.5) * dw
+    couplings = np.asarray(spec.v(freqs)) * math.sqrt(dw)
     model = FiniteBathModel(units.omega0, freqs, couplings)
     if model.discrete_margin <= 0:
         raise PositivityError(

@@ -17,6 +17,7 @@ from dense_evolution import symplectic_eigenvalues
 from dosc import fano, groundstate, oracle, weakcoupling
 from dosc.cli import main as cli_main
 from dosc.spectra import OhmicExp, UnitSystem
+from gauss_bath import gauss_legendre_bath
 from short_time import short_time_check
 
 
@@ -187,8 +188,7 @@ def test_criterion_09_algebraic_identities(five_configs, units):
     # oracle side: symplectic eigenvalue of the reduced covariance
     worst_nu = 0.0
     for model in (oracle.FiniteBathModel(1.0, [1.0], [0.5]),
-                  oracle.discretize(five_configs["flat level=0.2"][0],
-                                    units, 200, scheme="gauss_like")):
+                  gauss_legendre_bath(five_configs["flat level=0.2"][0], units, 200)):
         decomp = oracle.normal_modes(model)
         rep = groundstate.interpretation_identities(decomp, units)
         worst_freq = max(worst_freq, rep.thermal_frequency_defect)

@@ -189,7 +189,7 @@ class TestConfigValidation:
         "grid.norm_tol=0", "grid.sum_tol=-1e-6", "grid.sum_tol=Infinity",
         "oracle.N=2.5", "oracle.N=true", "oracle.bins=0", "time.n_times=1",
         "time.n_times=Infinity", "fit.jitter_seed=1.5", "time.spacing=true",
-        'oracle.scheme="gauss"', "units.omega0=true", "units.mass=0",
+        'oracle.scheme="gauss"', "oracle.scheme=gauss_like", "units.omega0=true", "units.mass=0",
         "spectrum.level=true", "spectrum.lower=NaN", "spectrum.omega_max=1.0",
     ])
     def test_numeric_fields_refused(self, capsys, tmp_path, item):
@@ -206,6 +206,31 @@ class TestConfigValidation:
         assert doc["error"] == "UsageError"
         assert item.split("=")[0] in doc["message"]
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("config,item,words", [
+        ("flat_band", "time=5", "time must be a JSON object, got int"),
+        ("uncoupled", "spectrum.omegas=5", "spectrum.omegas must be a list of numbers"),
+        ("flat_band", 'spectrum={"family": "flat_band", "level": 0.2, "lower": 0.1}',
+         "spectrum (flat_band) is missing key(s) ['upper']"),
+        ("flat_band", 'spectrum={"level": 0.2}', "spectrum needs a 'family' key"),
+        ("two_mode", "model.couplings=[0.5, 0.1]", "must have equal length"),
+        ("flat_band", "units.omega0.x=1", "descends into non-object at 'omega0'"),
+        ("flat_band", "out_dir=5", "out_dir must be a string path"),
+    ])
+    def test_malformed_blocks_refused(self, capsys, tmp_path, config, item, words):
+        rc, _, err = run(capsys, "groundstate", "--config", str(CONFIGS / f"{config}.json"),
+                         "--override", item, "--out", str(tmp_path))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "UsageError" and words in doc["message"]
+        assert not any(tmp_path.iterdir())
+
+    def test_config_root_must_be_an_object(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "groundstate", "--config", write_config(tmp_path, [1.0]),
+                         "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert stderr_doc(err)["message"] == "config root must be a JSON object"
+        assert not (tmp_path / "out").exists()
 
     def test_model_refusal_keeps_family_label(self, capsys, tmp_path):
         # a refusal that is not about one field names the family instead
@@ -708,12 +733,14 @@ class TestImportPath:
 
 class TestEnvironment:
     def test_dosc_threads_must_be_positive_int(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DOSC_THREADS", "many")
-        rc, _, err = run(capsys, "groundstate",
-                         "--config", str(CONFIGS / "uncoupled.json"),
-                         "--out", str(tmp_path))
-        assert rc == 1
-        assert "DOSC_THREADS" in stderr_doc(err)["message"]
+        for raw in ("many", "0"):
+            monkeypatch.setenv("DOSC_THREADS", raw)
+            rc, _, err = run(capsys, "groundstate",
+                             "--config", str(CONFIGS / "uncoupled.json"),
+                             "--out", str(tmp_path))
+            assert rc == 1
+            assert stderr_doc(err)["message"] == (
+                f"DOSC_THREADS must be a positive integer, got {raw!r}")
 
     def test_dosc_threads_caps_blas_pools(self, capsys, tmp_path, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -55,7 +55,8 @@ def full_window_scan(kern, scan_window, resolution=1e-3):
         phase = np.outer(t, w)
         return np.sin(phase) @ wt, np.cos(phase) @ (wt * w)
 
-    return float(fano.bracketed_newton(value_and_slope, ts[i], ts[j],
+    # signed by the scan: vals[j] < 0 <= vals[i]
+    return float(fano.bracketed_newton(value_and_slope, ts[j], ts[i],
                                        xtol=1e-12, rtol=1e-14)[0])
 
 
@@ -392,6 +393,18 @@ class TestDamping:
         # the located time is a resolved zero of k_sin_times
         v = dynamics.kernels(two_mode_decomp, [cls.first_stationary_time])
         assert abs(v.k_sin_times[0]) < 1e-10
+
+    def test_below_the_floor_at_the_first_scan_time(self):
+        # a bath mode at 471 omega0 coupled at 99% of the stability bound:
+        # k_sin_times is already below -floor at the first scan time, 0.01,
+        # which is then the first stationary time
+        model = oracle.FiniteBathModel(1.0, [471.0], [math.sqrt(0.99 * 471.0)])
+        decomp = oracle.normal_modes(model)
+        assert dynamics.kernels(decomp, [0.01]).k_sin_times[0] < -1e-3
+        k = dynamics.kernels(decomp, np.linspace(0.0, 1.0, 10))
+        cls = dynamics.classify_damping(k)
+        assert cls.damping_class == "underdamped"
+        assert cls.first_stationary_time == 0.01
 
     def test_near_margin_non_oscillatory(self, near_margin50):
         k = dynamics.kernels(near_margin50, np.linspace(0.0, 50.0, 60))

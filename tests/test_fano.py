@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.integrate import quad, simpson
@@ -629,29 +629,28 @@ _NEWTON_SHAPES = (
 @settings(max_examples=500)
 @given(root=st.floats(-3.0, 3.0), left=st.floats(1e-9, 2.0), right=st.floats(1e-9, 2.0),
        shape=st.integers(0, len(_NEWTON_SHAPES) - 1), scale=st.floats(0.1, 10.0),
-       tols=st.sampled_from([(1e-14, 1e-14), (1e-12, 1e-14)]), swap=st.booleans())
-def test_bracketed_newton_matches_brent(root, left, right, shape, scale, tols, swap):
-    # the (xtol, rtol) pairs of fano._find_peaks and dynamics.classify_damping
+       tols=st.sampled_from([(1e-14, 1e-14), (1e-12, 1e-14)]), falling=st.booleans())
+def test_bracketed_newton_matches_brent(root, left, right, shape, scale, tols, falling):
+    # the (xtol, rtol) pairs of fano._find_peaks and dynamics.classify_damping;
+    # a falling f puts the end where f <= 0 above the other
     def f(x):
-        return _NEWTON_SHAPES[shape](x, root, scale)
+        val, slope = _NEWTON_SHAPES[shape](x, root, scale)
+        return (-val, -slope) if falling else (val, slope)
 
     a, b = root - left, root + right
-    if swap:
-        a, b = b, a
+    fa, fb = float(f(np.float64(a))[0]), float(f(np.float64(b))[0])
+    # the sine may shift the root out of a narrow bracket
+    assume(np.sign(fa) * np.sign(fb) <= 0)
+    lo, hi = (a, b) if fa < fb else (b, a)     # f(lo) <= 0 <= f(hi), as a scan signs them
     xtol, rtol = tols
     if shape == 3:
         # at the triple root either method may stop up to its tolerance
         # away, on either side, and Brent's 100 iterations may run out
         ref = root
     else:
-        try:
-            ref = optimize.brentq(lambda x: float(f(np.float64(x))[0]), a, b,
-                                  xtol=xtol, rtol=rtol)
-        except ValueError:      # the sine shifts the root out of a narrow bracket
-            with pytest.raises(ValueError, match="different signs"):
-                fano.bracketed_newton(f, a, b, xtol=xtol, rtol=rtol)
-            return
-    got = fano.bracketed_newton(f, a, b, xtol=xtol, rtol=rtol)
+        ref = optimize.brentq(lambda x: float(f(np.float64(x))[0]), a, b,
+                              xtol=xtol, rtol=rtol)
+    got = fano.bracketed_newton(f, lo, hi, xtol=xtol, rtol=rtol)
     assert got.shape == (1,)
     # the tolerance, plus the rounding of the last step at the triple root
     assert abs(got[0] - ref) <= xtol + rtol * abs(ref) + 2.0 * np.spacing(abs(ref))
@@ -667,29 +666,39 @@ def test_bracketed_newton_takes_every_bracket_at_once():
         return np.prod(d, axis=1), slope
 
     a, b = np.array([-2.5, 0.3, 0.75, 7.0]), np.array([-1.5, 0.5, 1.0, 4.0])
-    got = fano.bracketed_newton(f, a, b, xtol=1e-14, rtol=1e-14)
+    rising = f(a)[0] < f(b)[0]
+    lo, hi = np.where(rising, a, b), np.where(rising, b, a)
+    assert not rising.all() and rising.any()
+    got = fano.bracketed_newton(f, lo, hi, xtol=1e-14, rtol=1e-14)
     for i in range(roots.size):
-        assert got[i] == fano.bracketed_newton(f, a[i], b[i], xtol=1e-14, rtol=1e-14)[0]
+        assert got[i] == fano.bracketed_newton(f, lo[i], hi[i], xtol=1e-14, rtol=1e-14)[0]
     assert np.all(np.abs(got - roots) <= 1e-14 * (1.0 + np.abs(roots)))
     assert fano.bracketed_newton(f, [], [], xtol=1e-14, rtol=1e-14).size == 0
 
 
+def test_bracketed_newton_never_evaluates_an_end():
+    # the caller's scan has already signed each end: every point f is
+    # asked for lies strictly inside its bracket
+    asked = []
+
+    def f(x):
+        asked.append(np.array(x))
+        return np.sin(x), np.cos(x)
+
+    lo, hi = np.array([-1.0, 4.0]), np.array([1.0, 2.5])     # sin(lo) < 0 < sin(hi)
+    got = fano.bracketed_newton(f, lo, hi, xtol=1e-14, rtol=1e-14)
+    assert np.all(np.abs(got - [0.0, math.pi]) <= 1e-14 * (1.0 + np.abs(got)))
+    left, right = np.minimum(lo, hi), np.maximum(lo, hi)
+    for x in asked:
+        assert x.shape == lo.shape and np.all((left < x) & (x < right))
+
+
 def test_bracketed_newton_refusals():
-    def square(x):
-        return x * x + 1.0, 2.0 * x
-
-    with pytest.raises(ValueError, match="different signs"):
-        fano.bracketed_newton(square, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
-
-    def nan_at_end(x):
-        return np.where(x < 0.9, x - 0.5, np.nan), np.ones_like(x)
-
     def nan_inside(x):    # at the midpoint, the first step
         return np.where(np.abs(x) < 0.1, np.nan, x - 0.5), np.ones_like(x)
 
-    for f in (nan_at_end, nan_inside):
-        with pytest.raises(ValueError, match="NaN"):
-            fano.bracketed_newton(f, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
+    with pytest.raises(ValueError, match="NaN"):
+        fano.bracketed_newton(nan_inside, -1.0, 1.0, xtol=1e-12, rtol=1e-14)
 
     def step(x):   # f' = 0: every step bisects
         return np.copysign(1.0, x - 1e-200), np.zeros_like(x)
@@ -725,3 +734,26 @@ def test_peak_width_from_exact_slope():
         ds = math.exp(x) * exp1(x) - math.exp(-x) * expi(x)
         nprime = 4.0 * pk / U.omega0 - spec.amplitude**2 * (s + x * ds)
         assert abs(width - math.pi * spec.v_sq(pk) / abs(nprime)) <= 1e-13 * width
+
+
+def test_peak_search_gives_up_on_a_nan_inside_a_bracket(monkeypatch):
+    # the scan's values are finite, every later N is NaN: the root step
+    # refuses and no resonance cluster is seeded
+    spec = config_spec("ohmic_reference")
+    lo, hi, _ = _grid_bounds(spec)
+    assert len(fano._find_peaks(spec, U, lo, hi)) == 1
+    n_values, calls = fano._n_values, []
+
+    def nan_after_scan(spec, units, w):
+        calls.append(w)
+        return n_values(spec, units, w) if len(calls) == 1 else np.full(np.shape(w), np.nan)
+
+    monkeypatch.setattr(fano, "_n_values", nan_after_scan)
+    assert fano._find_peaks(spec, U, lo, hi) == []
+    assert len(calls) == 2
+
+
+def test_degenerate_grid_range_refused():
+    # a band below omega_max * 1e-6, where the grid starts
+    with pytest.raises(UsageError, match=r"degenerate grid range \[1e-06, "):
+        build_grid(FlatBand(0.1, 1e-9, 2e-9, omega_max=1.0), U)

@@ -18,6 +18,7 @@ from dense_evolution import (GaussianEvolutionState, evolve, full_covariance,
 from dosc import dynamics, fano, groundstate, oracle
 from dosc.errors import InternalConsistencyError, PositivityError, UsageError
 from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
+from gauss_bath import gauss_legendre_bath
 
 # two-mode reference: K = [[1, 1/2], [1/2, 1]], eigenvalues 1 -+ 1/2
 TM_OMEGA_LO = math.sqrt(0.5)
@@ -104,8 +105,12 @@ class TestConstruction:
         assert discrete == pytest.approx(spec.analytic_positivity_integral(), rel=1e-3)
 
     def test_gauss_like_scheme(self, units):
+        # discretize takes only "uniform"; a Gauss-Legendre bath is
+        # built by the tests themselves
         spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0)
-        model = oracle.discretize(spec, units, 200, scheme="gauss_like")
+        with pytest.raises(UsageError, match="'uniform'"):
+            oracle.discretize(spec, units, 200, scheme="gauss_like")
+        model = gauss_legendre_bath(spec, units, 200)
         discrete = units.omega0 - model.discrete_margin
         assert discrete == pytest.approx(spec.analytic_positivity_integral(), rel=1e-4)
         decomp = oracle.normal_modes(model)
@@ -138,6 +143,9 @@ class TestConstruction:
             oracle.FiniteBathModel(omega0=1.0, bath_freqs=[1.0, -2.0], couplings=[0.1, 0.1])
         with pytest.raises(UsageError):
             oracle.FiniteBathModel(omega0=1.0, bath_freqs=[1.0], couplings=[0.1, 0.2])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(UsageError, match="couplings must be finite"):
+                oracle.FiniteBathModel(omega0=1.0, bath_freqs=[1.0, 2.0], couplings=[0.1, bad])
         with pytest.raises(UsageError):
             oracle.discretize(OhmicExp(amplitude=0.1, cutoff=5.0), units, 0)
         with pytest.raises(UsageError):
@@ -190,9 +198,8 @@ REFERENCE_MODELS = _once({
     "flat_band_gap": lambda: oracle.discretize(
         FlatBand(level=0.15, lower=0.3, upper=2.0), _UNITS, 500),
     "gaussian_tails": _gaussian_tail_model,
-    "gauss_like_2000": lambda: oracle.discretize(
-        OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0), _UNITS, 2000,
-        scheme="gauss_like"),
+    "gauss_like_2000": lambda: gauss_legendre_bath(
+        OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0), _UNITS, 2000),
     # unsorted; runs of 2 and 3 equal poles; one zero coupling inside a
     # run and one far below the deflation tolerance
     "manual_unsorted_repeated": lambda: oracle.FiniteBathModel(

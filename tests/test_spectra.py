@@ -188,6 +188,11 @@ def test_tabulated_construction_rules():
         Tabulated(omegas=(0.0, 1.0), values=(0.3, 0.1))
     with pytest.raises(UsageError):
         Tabulated(omegas=(0.5, 1.0, 2.0), values=(0.1, 0.2))
+    for omegas, values in (((0.5, 1.0), (0.1, np.nan)), ((0.5, np.inf), (0.1, 0.1))):
+        with pytest.raises(UsageError, match="non-finite entries"):
+            Tabulated(omegas=omegas, values=values)
+    with pytest.raises(UsageError, match="start at omega >= 0"):
+        Tabulated(omegas=(-0.5, 1.0), values=(0.0, 0.1))
     # node at zero is fine when V vanishes there
     Tabulated(omegas=(0.0, 1.0), values=(0.0, 0.1))
 

@@ -190,6 +190,15 @@ class TestLorentzianFit:
         with pytest.raises(ConvergenceError, match="half maximum"):
             weakcoupling.lorentzian_fit(_StubSolution(w, bump, spec, units))
 
+    def test_coarse_fit_window_rejected(self, units):
+        # a resolved line on nine nodes: all of them lie in the window
+        spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
+        w = np.linspace(0.6, 1.4, 9)
+        sol = fano.SpectralSolution(w, 1.0 / (1.0 + ((w - 1.0) / 0.05) ** 2), spec, units)
+        with pytest.raises(ConvergenceError, match="fewer than 10") as exc:
+            weakcoupling.lorentzian_fit(sol)
+        assert exc.value.detail["nodes"] == 9
+
     def test_width_ratio_improves_as_coupling_vanishes(self, units, weak_line):
         ratios = []
         for hwhm in (4e-3, 2e-3):
