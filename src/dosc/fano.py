@@ -334,6 +334,13 @@ def _interval_error_indicator(w, pi, units):
     return curv * h * h * weight
 
 
+def _midpoints(nodes, idx):
+    """The midpoints of the intervals nodes[idx], nodes[idx + 1], and
+    which of them fall strictly inside (between adjacent floats none do)."""
+    mids = 0.5 * (nodes[idx] + nodes[idx + 1])
+    return mids, (nodes[idx] < mids) & (mids < nodes[idx + 1])
+
+
 def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL,
                max_nodes: int = MAX_NODES, max_rounds: int = MAX_ROUNDS) -> SpectralSolution:
@@ -345,7 +352,9 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     tolerance or budget.  Raises ConvergenceError with diagnostics if
     the round or node budget runs out.  A defect that stalls once the grid is dense means weight the
     grid cannot reach: a tail cut off by omega_max on an unbounded
-    support, or a bound state outside a bounded one.
+    support, or a bound state outside a bounded one.  A jump in pi
+    across adjacent floats, a point mass no grid holds, stops the
+    refinement at once.
     """
     nodes = build_grid(spec, units)
     require_admissible(spec, units)
@@ -354,6 +363,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     max_nodes = checked(max_nodes, "integer >= 1", "max_nodes")
     max_rounds = checked(max_rounds, "integer >= 1", "max_rounds")
 
+    unresolved = False
     for rounds in range(max_rounds):
         sol = _solution(spec, units, nodes,
                         meta={"rounds": rounds, "nodes": int(nodes.size)})
@@ -363,8 +373,13 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
         if norm_defect <= norm_tol and sum_defect <= sum_tol and not jumps.any():
             return sol
 
+        # stop when pi jumps only across intervals of adjacent floats, which
+        # have no midpoint (a peak no grid resolves, so the jump test cannot
+        # pass), when no nodes are left, or no round to evaluate them
+        at = np.flatnonzero(jumps)
+        unresolved = at.size > 0 and not _midpoints(nodes, at)[1].any()
         room = max_nodes - nodes.size
-        if room <= 0 or rounds + 1 == max_rounds:   # no nodes left, or no round to evaluate them
+        if unresolved or room <= 0 or rounds + 1 == max_rounds:
             break
         err = _interval_error_indicator(nodes, pi, units)
         budget_per_interval = 0.25 * min(norm_tol, sum_tol) / err.size
@@ -377,8 +392,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
         if idx.size > room:
             keep = np.argsort(err[idx])[::-1][:room]
             idx = idx[keep]
-        mids = 0.5 * (nodes[idx] + nodes[idx + 1])
-        nodes = np.sort(np.concatenate([nodes, mids]))
+        mids, inside = _midpoints(nodes, idx)
+        nodes = np.sort(np.concatenate([nodes, mids[inside]]))
 
     if math.isfinite(spec.support_upper):
         # omega_max cannot cut a bounded support (spectra refuses that), so
@@ -390,7 +405,13 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     else:
         guidance = ("if the defect has stalled, omega_max is probably "
                     "truncating spectral weight; raise it and rerun")
-    if room <= 0:
+    if unresolved:
+        guidance = (f"pi jumps by more than 1% of its peak across {at.size} intervals "
+                    f"between adjacent floats, at omega = {nodes[at[0]]:.6g}: a point mass "
+                    "(bound state) of the dressed oscillator, where |V|^2 is too "
+                    "small to give it a width the grid can hold; neither "
+                    "grid.max_nodes nor omega_max helps")
+    elif room <= 0:
         # more nodes help only while some interval still fails the jump test
         guidance = (f"the node budget grid.max_nodes = {max_nodes} ran out after "
                     f"{rounds} of {max_rounds} refinement rounds, with "
@@ -398,10 +419,12 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                     "changing by more than 1% of its peak across one interval); "
                     + ("raise grid.max_nodes" if jumps.any() else guidance))
     raise ConvergenceError(
+        "grid refinement cannot resolve pi" if unresolved else
         "grid refinement exhausted its budget before reaching tolerance",
         detail={
             "norm_defect": norm_defect, "sum_defect": sum_defect,
-            "nodes": int(nodes.size), "rounds": rounds if room <= 0 else max_rounds,
+            "nodes": int(nodes.size),
+            "rounds": rounds if room <= 0 or unresolved else max_rounds,
             "guidance": guidance,
         },
     )

@@ -39,7 +39,8 @@ holding the (N+1)^2 matrix.
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
 share only what is evaluated over a (nodes, weights) measure, here
-(Omegas, O_0k^2): the moments and the dynamics kernels.
+(Omegas, O_0k^2): the moments and the dynamics kernels, and with the
+kernels the one implementation of cosines and sines, dynamics.sincos.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import write_csv
+from .dynamics import _TRIG_CHUNK, sincos
 from .errors import InternalConsistencyError, PositivityError, UsageError, checked
 from .fano import frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
@@ -61,7 +63,10 @@ from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 # and a box of roots at least both widths apart at _CHEB Chebyshev points
 # on each side, to (3 + sqrt 8)^-_CHEB of their size, _GROUP row blocks a
 # product.  It takes the cosines and sines of every root for a block of
-# at least _TIMES times and about _TRIG_BYTES: 65 times at N = 4000
+# at least _TIMES times and about _TRIG_BYTES: 65 times at N = 4000.
+# They are taken sincos's _TRIG_CHUNK entries (roots x times) at a time
+# in a contiguous buffer: numpy's passes over F's strided halves ran at
+# half the speed (4001 x 65, scaled: 5.0 ms in place, 3.0 ms through it)
 _CHEB = 20
 _TIMES = 64
 _TRIG_BYTES = 2**22
@@ -803,8 +808,9 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     d = O (a Omega sin(Omega t)) = K s, with O the eigenvectors and a
     the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
     a block of times puts pi_k cos and pi_k sin/Omega of every coupled
-    root in a matrix F, each evaluated once; its column sums are the
-    oscillator's c and s.  Its d is the mode sum of pi_k Omega_k
+    root in a matrix F, both from one tan(Omega t/2) (dynamics.sincos,
+    a chunk of roots at a time, scaled as they are written to F); its
+    column sums are the oscillator's c and s.  Its d is the mode sum of pi_k Omega_k
     sin(Omega_k t), Omega_k^2 times F's sine half.  Row 0 of K s would
     add the modes' residual K O - O Omega^2, bounded only by about
     eps ||K||: 2e-6 on a bath spread over 12 decades.  A row block of
@@ -856,6 +862,10 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     w, om2 = np.stack([var_x0[1:], var_p0[1:]]) * z**2, bare[1:]**2
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
     step = _time_block(om.size)
+    pio = pi / om
+    # the multipoles' buffer, free until F is whole, holds each chunk of
+    # roots' cosines and sines: k _CHEB rows or fewer
+    per = max(1, min(_TRIG_CHUNK // step, k * _CHEB))
     # F, the multipoles W, the far fields L and translations A reuse buffers
     shapes = (om.size,), (k * _CHEB,), (lo.size, _CHEB)
     bufs = [np.empty(math.prod(m) * 2 * min(step, ts.size)) for m in shapes]
@@ -864,11 +874,13 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
         blk = slice(start, start + step)
         n_t = ts[blk].size
         F, W, L = (b[:math.prod(m) * 2 * n_t].reshape(m + (2 * n_t,)) for b, m in zip(bufs, shapes))
-        np.multiply.outer(om, ts[blk], out=F[:, :n_t])   # [pi cos(Omega t) | pi sin(Omega t)/Omega]
-        np.sin(F[:, :n_t], out=F[:, n_t:])
-        np.cos(F[:, :n_t], out=F[:, :n_t])
-        F[:, :n_t] *= pi[:, None]
-        F[:, n_t:] *= (pi / om)[:, None]
+        for r0 in range(0, om.size, per):   # [pi cos(Omega t) | pi sin(Omega t)/Omega]
+            r = slice(r0, r0 + per)
+            c, s = bufs[1][:2 * om[r].size * n_t].reshape(2, -1, n_t)
+            np.multiply.outer(om[r], ts[blk], out=c)
+            sincos(c, c, s)
+            np.multiply(c, pi[r, None], out=F[r, :n_t])
+            np.multiply(s, pio[r, None], out=F[r, n_t:])
         c0, s0 = F.sum(axis=0).reshape(2, n_t)
         d0 = om**2 @ F[:, n_t:]
         for i, (q, box) in enumerate(zip(proxies, boxes)):

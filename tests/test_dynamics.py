@@ -52,8 +52,7 @@ def full_window_scan(kern, scan_window, resolution=1e-3):
     i = int(start[-1])
 
     def value_and_slope(t):
-        phase = np.outer(t, w)
-        return np.sin(phase) @ wt, np.cos(phase) @ (wt * w)
+        return dynamics._direct_sums(source, t, cos=[wt * w], sin=[wt])[::-1]
 
     # signed by the scan: vals[j] < 0 <= vals[i]
     return float(fano.bracketed_newton(value_and_slope, ts[j], ts[i],
@@ -304,6 +303,44 @@ class TestShortTime:
         rep = short_time_check(_DegenerateDensity(), units)
         assert rep.skipped
         assert "resolution" in rep.note
+
+
+class TestSincos:
+    """dynamics.sincos against the slow reference it replaced: np.cos
+    and np.sin, here in long double."""
+
+    @staticmethod
+    def phases():
+        rng = np.random.default_rng(20)
+        spread = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), 100_000))
+        # within 1e-9 of multiples of pi/2, where cos or sin passes 0 or 1
+        k = rng.integers(1, int(1e6 / (0.5 * math.pi)), 100_000)
+        near = k * (0.5 * math.pi) + rng.uniform(-1e-9, 1e-9, k.size)
+        return np.concatenate([spread, near])
+
+    def test_matches_long_double_reference(self):
+        x = self.phases()
+        cos, sin = np.empty_like(x), np.empty_like(x)
+        dynamics.sincos(x, cos, sin)
+        ref = x.astype(np.longdouble)
+        assert np.max(np.abs(cos - np.cos(ref))) <= 1e-15
+        assert np.max(np.abs(sin - np.sin(ref))) <= 1e-15
+
+    def test_in_place_rows_and_zero(self):
+        # x as its own cos output, more rows than one chunk holds, the
+        # values of the same phases taken in one row
+        x = self.phases()[:400 * 130].reshape(400, 130)
+        x[0, 0] = 0.0
+        assert x.size > dynamics._TRIG_CHUNK
+        cos, sin = np.empty_like(x), np.empty_like(x)
+        dynamics.sincos(x, cos, sin)
+        assert cos[0, 0] == 1.0 and sin[0, 0] == 0.0 and not np.signbit(sin[0, 0])
+        y, s = x.copy(), np.empty_like(x)
+        dynamics.sincos(y, y, s)
+        assert np.array_equal(y, cos) and np.array_equal(s, sin)
+        flat = x.reshape(1, -1).copy()
+        dynamics.sincos(flat, flat, s.reshape(1, -1))
+        assert np.array_equal(flat.reshape(x.shape), cos) and np.array_equal(s, sin)
 
 
 class TestFourierRoute:

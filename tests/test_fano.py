@@ -433,6 +433,36 @@ def test_node_budget_stop_without_jumps_names_the_bound_state():
     assert "raise grid.max_nodes" not in detail["guidance"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_peak_between_adjacent_floats_refused_as_a_bound_state(monkeypatch):
+    # a resonance at 0.9988 where |V|^2 is 8e-15, in effect a point mass:
+    # pi jumps across intervals between adjacent floats, which have no
+    # midpoint, so refinement stops there, before the node budget, with
+    # every node distinct and finite defects
+    spec = GaussianPeak(amplitude=0.10006535714542651, center=2.376682573729228,
+                        width=0.18459909496931115, omega_max=3.853475333483717)
+    grids = []
+    solution = fano._solution
+
+    def spy(spec, units, nodes, **kwargs):
+        grids.append(nodes)
+        return solution(spec, units, nodes, **kwargs)
+
+    monkeypatch.setattr(fano, "_solution", spy)
+    with pytest.raises(ConvergenceError) as exc:
+        compute_pi(spec, U)
+    assert all(np.all(np.diff(g) > 0.0) for g in grids)
+    assert "cannot resolve pi" in str(exc.value)
+    detail = exc.value.detail
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert math.isfinite(detail["norm_defect"]) and math.isfinite(detail["sum_defect"])
+    assert detail["nodes"] == grids[-1].size < fano.MAX_NODES
+    assert detail["rounds"] == len(grids) - 1 < fano.MAX_ROUNDS
+    assert "between adjacent floats, at omega = 0.998798:" in detail["guidance"]
+    assert "bound state" in detail["guidance"]
+    assert "raise grid.max_nodes" not in detail["guidance"]
+
+
 def test_round_budget_stop_reports_the_evaluated_grid():
     # the last round refines nothing: the detail describes the grid pi
     # was evaluated on, not one with midpoints it never saw

@@ -641,15 +641,16 @@ class TestEvolution:
         _, edges, lo, hi = oracle._boxes(decomp)
         assert np.any(hi - lo < edges.size - 1)
         times = np.linspace(0.0, 30.0, oracle._time_block(decomp._secular.d.size) + 7)
-        counts = {"sin": 0, "cos": 0}
-        for name, f in [("sin", np.sin), ("cos", np.cos)]:
+        # (both from one tan of the half phase, dynamics.sincos)
+        counts = {"tan": 0, "sin": 0, "cos": 0}
+        for name, f in [("tan", np.tan), ("sin", np.sin), ("cos", np.cos)]:
             def spy(x, *args, f=f, name=name, **kwargs):
                 counts[name] += np.size(x)
                 return f(x, *args, **kwargs)
             monkeypatch.setattr(np, name, spy)
         oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
         want = decomp._secular.d.size * times.size
-        assert counts == {"sin": want, "cos": want}
+        assert counts == {"tan": want, "sin": 0, "cos": 0}
 
     @pytest.mark.parametrize("name", ["two_mode", "uncoupled", "flat_band_gap",
                                       "gaussian_tails", "manual_unsorted_repeated",
