@@ -197,8 +197,6 @@ def _grid_bounds(spec: CouplingSpectrum) -> tuple[float, float, float]:
     lo_edge = max(spec.support_lower, 0.0)
     hi_edge = min(spec.omega_max, spec.support_upper)
     span = hi_edge - lo_edge
-    if not span > 0:
-        raise UsageError("empty effective support")
     lo = max(spec.omega_max * 1e-6, lo_edge + EDGE_MARGIN * span if lo_edge > 0 else 0.0)
     if math.isfinite(spec.support_upper) and spec.omega_max >= spec.support_upper:
         hi = spec.support_upper - EDGE_MARGIN * span
@@ -347,14 +345,19 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     """Evaluate pi on build_grid's nodes and refine until the
     normalisation and the omega^2 sum rule both hold to tolerance.
 
-    The grid comes first, so that a zero coupling or an empty support
-    is refused before an inadmissible model, and both before a bad
-    tolerance or budget.  Raises ConvergenceError with diagnostics if
-    the round or node budget runs out.  A defect that stalls once the grid is dense means weight the
-    grid cannot reach: a tail cut off by omega_max on an unbounded
-    support, or a bound state outside a bounded one.  A jump in pi
-    across adjacent floats, a point mass no grid holds, stops the
-    refinement at once.
+    Each round bisects the intervals that fail the 1% jump test or the
+    error budget.  The grid comes first, so that a zero coupling is
+    refused before an inadmissible model, and both before a bad
+    tolerance or budget.  Raises ConvergenceError with diagnostics at
+    the first of these stops:
+
+    * pi jumps only across intervals between adjacent floats, a point
+      mass (bound state) no grid holds;
+    * no interval fails either test while a defect still misses its
+      tolerance: the grid resolves pi, and the mass it lacks lies where
+      no node reaches, in a bound state outside a bounded support or a
+      tail cut off by omega_max on an unbounded one;
+    * the node budget or the round budget runs out.
     """
     nodes = build_grid(spec, units)
     require_admissible(spec, units)
@@ -363,7 +366,6 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     max_nodes = checked(max_nodes, "integer >= 1", "max_nodes")
     max_rounds = checked(max_rounds, "integer >= 1", "max_rounds")
 
-    unresolved = False
     for rounds in range(max_rounds):
         sol = _solution(spec, units, nodes,
                         meta={"rounds": rounds, "nodes": int(nodes.size)})
@@ -373,20 +375,18 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
         if norm_defect <= norm_tol and sum_defect <= sum_tol and not jumps.any():
             return sol
 
+        err = _interval_error_indicator(nodes, pi, units)
+        marked = jumps | (err > 0.25 * min(norm_tol, sum_tol) / err.size)
         # stop when pi jumps only across intervals of adjacent floats, which
         # have no midpoint (a peak no grid resolves, so the jump test cannot
-        # pass), when no nodes are left, or no round to evaluate them
+        # pass), when no interval is marked (the grid resolves pi, so more
+        # nodes would not move the defects), when no nodes are left, or no
+        # round to evaluate them
         at = np.flatnonzero(jumps)
         unresolved = at.size > 0 and not _midpoints(nodes, at)[1].any()
         room = max_nodes - nodes.size
-        if unresolved or room <= 0 or rounds + 1 == max_rounds:
+        if unresolved or not marked.any() or room <= 0 or rounds + 1 == max_rounds:
             break
-        err = _interval_error_indicator(nodes, pi, units)
-        budget_per_interval = 0.25 * min(norm_tol, sum_tol) / err.size
-        marked = jumps | (err > budget_per_interval)
-        if not marked.any():
-            order = np.argsort(err)[::-1]
-            marked[order[:256]] = True
         # Largest offenders first if the budget cannot take them all.
         idx = np.flatnonzero(marked)
         if idx.size > room:
@@ -398,36 +398,37 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     if math.isfinite(spec.support_upper):
         # omega_max cannot cut a bounded support (spectra refuses that), so
         # the missing mass is not in a truncated tail
-        guidance = (f"if the defect has stalled, about {norm_defect:.3g} of the "
-                    "spectral mass lies outside the coupling support: a point "
-                    "mass (bound state) of the dressed oscillator, which the "
-                    "grid cannot hold; raising omega_max does not help")
+        missing = (f"about {norm_defect:.3g} of the spectral mass lies outside "
+                   "the coupling support: a point mass (bound state) of the "
+                   "dressed oscillator, which the grid cannot hold; raising "
+                   "omega_max does not help")
     else:
-        guidance = ("if the defect has stalled, omega_max is probably "
-                    "truncating spectral weight; raise it and rerun")
+        missing = "omega_max is probably truncating spectral weight; raise it and rerun"
+    message = "grid refinement exhausted its budget before reaching tolerance"
     if unresolved:
+        message = "grid refinement cannot resolve pi"
         guidance = (f"pi jumps by more than 1% of its peak across {at.size} intervals "
                     f"between adjacent floats, at omega = {nodes[at[0]]:.6g}: a point mass "
                     "(bound state) of the dressed oscillator, where |V|^2 is too "
                     "small to give it a width the grid can hold; neither "
                     "grid.max_nodes nor omega_max helps")
+    elif not marked.any():
+        message = "grid refinement resolved pi, but its defects miss tolerance"
+        guidance = missing
     elif room <= 0:
         # more nodes help only while some interval still fails the jump test
         guidance = (f"the node budget grid.max_nodes = {max_nodes} ran out after "
                     f"{rounds} of {max_rounds} refinement rounds, with "
                     f"{int(jumps.sum())} intervals still failing the jump test (pi "
                     "changing by more than 1% of its peak across one interval); "
-                    + ("raise grid.max_nodes" if jumps.any() else guidance))
-    raise ConvergenceError(
-        "grid refinement cannot resolve pi" if unresolved else
-        "grid refinement exhausted its budget before reaching tolerance",
-        detail={
-            "norm_defect": norm_defect, "sum_defect": sum_defect,
-            "nodes": int(nodes.size),
-            "rounds": rounds if room <= 0 or unresolved else max_rounds,
-            "guidance": guidance,
-        },
-    )
+                    + ("raise grid.max_nodes" if jumps.any()
+                       else "if the defect has stalled, " + missing))
+    else:
+        rounds, guidance = max_rounds, "if the defect has stalled, " + missing
+    raise ConvergenceError(message, detail={
+        "norm_defect": norm_defect, "sum_defect": sum_defect,
+        "nodes": int(nodes.size), "rounds": rounds, "guidance": guidance,
+    })
 
 
 def solve(spec: CouplingSpectrum, units: UnitSystem, **kwargs) -> SpectralSolution:

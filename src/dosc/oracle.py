@@ -761,7 +761,8 @@ def _boxes(decomp: NormalModeDecomposition):
     n, m = om.size, eq.tau.size
     k = max(1, round(n / (400 * n / 3) ** (1 / 3)))
     edges = n * np.arange(k + 1) // k
-    blocks = np.unique(np.minimum(edges, m))   # no block without poles
+    blocks = np.minimum(edges, m)
+    blocks = blocks[np.diff(blocks, prepend=-1) > 0]   # no block without poles
     bottom, top = om[edges[:-1]], om[edges[1:] - 1]
     first, last = eq.d[1 + blocks[:-1], None], eq.d[blocks[1:], None]
     near = np.maximum(first - top, bottom - last) < np.maximum(top - bottom, last - first)

@@ -262,8 +262,9 @@ class CouplingSpectrum:
     the stability integral ``analytic_positivity_integral`` is -I(0)/2
     unless a family overrides it.  Construction fills in
     ``support_lower``/``support_upper`` (the mathematical support, may
-    be inf) and ``omega_max`` (the finite effective bound used for grid
-    construction), which must not cut into a bounded support.
+    be inf; an empty one is refused) and ``omega_max`` (the finite
+    effective bound used for grid construction), which must not cut
+    into a bounded support.
     """
 
     family: str = "abstract"
@@ -280,6 +281,8 @@ class CouplingSpectrum:
                 rule = "number >= 0" if f.name == self.scale else "number > 0"
                 object.__setattr__(self, f.name, checked(value, rule, f.name))
         lo, hi, top = self._bounds()
+        if not lo < hi:
+            raise UsageError(f"need lower < upper for the support, got [{lo}, {hi}]")
         object.__setattr__(self, "support_lower", lo)
         object.__setattr__(self, "support_upper", hi)
         if self.omega_max is None:
@@ -370,10 +373,7 @@ class FlatBand(CouplingSpectrum):
     scale = "level"
 
     def _bounds(self):
-        lo, hi = float(self.lower), float(self.upper)
-        if not lo < hi:
-            raise UsageError(f"need lower < upper for the band, got [{lo}, {hi}]")
-        return lo, hi, hi
+        return float(self.lower), float(self.upper), float(self.upper)
 
     def _v_sq(self, w):
         inside = (w >= self.lower) & (w <= self.upper)

@@ -677,20 +677,29 @@ class TestNoQuadpackOnRunPaths:
         assert rc == 0, err
 
 
+# the last line of a fresh interpreter's script: the scipy and numpy.ma
+# modules it loaded, as JSON
+_PRINT_SCIPY_AND_MA = (
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])))\n"
+)
+
+
 class TestImportPath:
     def test_commands_load_neither_optimize_nor_integrate(self, tmp_path):
         # a fresh interpreter, so no other test's imports count; a module
         # loaded here is paid by every command's start-up.  No command
         # loads any of scipy: the special functions are numpy ports and
-        # the oracle solves its secular equation in numpy.  A gaussian_peak and a
-        # nonzero tabulated model run every family's port.
+        # the oracle solves its secular equation in numpy.  Nor does one
+        # load numpy.ma, which np.unique imports on its first call.  A
+        # gaussian_peak and a nonzero tabulated model run every family's port.
         script = (
             "import json, sys\n"
             "from dosc.cli import main\n"
             "for cmd, config in json.loads(sys.argv[1]):\n"
             "    rc = main([cmd, '--config', config, '--out', sys.argv[2] + '/' + cmd])\n"
             "    assert rc == 0, (cmd, config, rc)\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+            + _PRINT_SCIPY_AND_MA
         )
         spectra = {
             "gaussian_peak": {"family": "gaussian_peak", "amplitude": 0.1,
@@ -717,6 +726,31 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
         assert all((tmp_path / "out" / cmd).is_dir() for cmd, _ in runs)
+
+    def test_relaxation_path_loads_neither_scipy_nor_numpy_ma(self):
+        # the library path discretize -> normal_modes -> evolve_reduced ->
+        # dynamics.kernels, on a lattice of a geometric and a linear run
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from dosc import dynamics, oracle\n"
+            "from dosc.spectra import OhmicExp, UnitSystem\n"
+            "units = UnitSystem()\n"
+            "spec = OhmicExp(amplitude=0.3, cutoff=5.0, omega_max=30.0)\n"
+            "model = oracle.discretize(spec, units, 400)\n"
+            "decomp = oracle.normal_modes(model)\n"
+            "ts = np.concatenate([np.geomspace(0.05, 20.0, 60), np.linspace(25.0, 200.0, 60)])\n"
+            "oracle.evolve_reduced(model, units, 1.0, 0.0, ts, decomp=decomp)\n"
+            "dynamics.kernels(decomp, ts)\n"
+            + _PRINT_SCIPY_AND_MA
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, DOSC_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
     def test_cli_import_loads_no_numpy(self):

@@ -374,19 +374,20 @@ class TestFourierRoute:
         dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK), sin=sin)
         dynamics._evaluate(two_mode_decomp, np.geomspace(0.01, 5.0, 500), sin=sin)
         assert calls == []
-        # a time off the lattice leaves the 249 after it a uniform tail
+        # one time off the lattice sends all of it to the direct sums
         ts = np.linspace(0.0, 5.0, 500)
         ts[250] += 1e-9
-        dynamics._evaluate(two_mode_decomp, ts, sin=sin)
-        assert calls == [(1, 249)]
+        got = dynamics._evaluate(two_mode_decomp, ts, sin=sin)
+        assert calls == []
+        assert np.array_equal(got, dynamics._direct_sums(two_mode_decomp, ts, sin=sin))
         dynamics._evaluate(two_mode_decomp, np.linspace(0.0, 5.0, dynamics._BLOCK + 1),
                            sin=sin)
-        assert calls == [(1, 249), (1, dynamics._BLOCK + 1)]
+        assert calls == [(1, dynamics._BLOCK + 1)]
 
-    def test_relaxation_lattice_tail_takes_the_fourier_route(self, ohmic_n2000, monkeypatch):
-        # the lattice of scripts/relaxation_demo.py: np.unique of a
-        # geometric and a linear run.  The linear run is summed by the
-        # Fourier route, the geometric head by the direct sums
+    def test_relaxation_lattice_takes_the_direct_sums(self, ohmic_n2000, monkeypatch):
+        # the relaxation path's lattice: np.unique of a geometric and a
+        # linear run.  It is not uniform as a whole, so every time is
+        # summed directly, the linear run included
         source = ohmic_n2000
         ts = np.unique(np.concatenate([np.geomspace(0.05, 20.0, 120),
                                        np.linspace(20.0, 500.0, 120)]))
@@ -394,13 +395,8 @@ class TestFourierRoute:
         rows = {"cos": [wt], "sin": [wt / w, wt * w]}
         calls = fourier_calls(monkeypatch)
         got = dynamics._evaluate(source, ts, **rows)
-        assert calls == [(3, 120)]
-        ref = dynamics._direct_sums(source, ts, **rows)
-        for kernel, want, strength in zip(got, ref, (wt, wt / w, wt * w)):
-            bound = dynamics._FOURIER_REL_ERR * np.abs(strength).sum()
-            assert np.max(np.abs(kernel - want)) <= bound
-        head = ts.size - 120
-        assert np.array_equal(got[:, :head], dynamics._direct_sums(source, ts[:head], **rows))
+        assert calls == []
+        assert np.array_equal(got, dynamics._direct_sums(source, ts, **rows))
 
 
 class TestDamping:

@@ -463,6 +463,41 @@ def test_peak_between_adjacent_floats_refused_as_a_bound_state(monkeypatch):
     assert "raise grid.max_nodes" not in detail["guidance"]
 
 
+def test_resolved_grid_short_of_mass_refused_at_once(monkeypatch):
+    # a band above omega0 leaves 99% of pi's mass in a bound state
+    # outside the support.  Every round bisects just the intervals that
+    # fail the jump test or the error budget; once none does, the grid
+    # resolves pi and the solve is refused in that round, before the
+    # round budget
+    spec = FlatBand(0.3, 2.0, 3.0)
+    grids = []
+    solution = fano._solution
+
+    def spy(spec, units, nodes, **kwargs):
+        grids.append(nodes)
+        return solution(spec, units, nodes, **kwargs)
+
+    monkeypatch.setattr(fano, "_solution", spy)
+    with pytest.raises(ConvergenceError) as exc:
+        compute_pi(spec, U)
+    assert "resolved pi, but its defects miss tolerance" in str(exc.value)
+    detail = exc.value.detail
+    assert detail["rounds"] == len(grids) - 1 < fano.MAX_ROUNDS - 1
+    assert detail["nodes"] == grids[-1].size
+    assert detail["norm_defect"] > 0.5
+    assert "bound state" in detail["guidance"]
+    budget = 0.25 * min(fano.NORM_TOL, fano.SUM_TOL)
+    for k, nodes in enumerate(grids):
+        pi = solution(spec, U, nodes).pi
+        err = fano._interval_error_indicator(nodes, pi, U)
+        marked = (np.abs(np.diff(pi)) > 0.01 * pi.max()) | (err > budget / err.size)
+        if k + 1 < len(grids):
+            mids = fano._midpoints(nodes, np.flatnonzero(marked))[0]
+            assert np.array_equal(grids[k + 1], np.sort(np.concatenate([nodes, mids])))
+        else:
+            assert not marked.any()
+
+
 def test_round_budget_stop_reports_the_evaluated_grid():
     # the last round refines nothing: the detail describes the grid pi
     # was evaluated on, not one with midpoints it never saw

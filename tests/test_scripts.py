@@ -1,7 +1,10 @@
-"""Each experiment script runs to completion on a small input."""
+"""Each experiment script runs to completion on a small input, and every
+source parses at the declared Python floor."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,18 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # CI's floors job runs that Python; this catches newer syntax sooner
+    root = SCRIPTS.parent
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (root / "pyproject.toml").read_text())
+    version = tuple(int(v) for v in floor.groups())
+    files = [f for d in ("src/dosc", "scripts", "tests") for f in sorted((root / d).rglob("*.py"))]
+    assert len(files) > 20
+    for f in files:
+        ast.parse(f.read_text(), filename=str(f), feature_version=version)
 
 
 @pytest.mark.parametrize("script,args", [

@@ -159,6 +159,15 @@ def test_gaussian_peak_must_clear_origin():
         GaussianPeak(amplitude=0.1, center=0.4, width=0.1)
 
 
+def test_empty_support_refused_at_construction():
+    # a width this far below the centre's ulp rounds both window edges
+    # to the centre, an empty support whatever the family
+    for build in (lambda: GaussianPeak(amplitude=0.1, center=1.0, width=1e-20),
+                  lambda: FlatBand(level=0.2, lower=1.0, upper=1.0)):
+        with pytest.raises(UsageError, match=r"need lower < upper for the support, got \[1.0, 1.0\]"):
+            build()
+
+
 def test_gaussian_support_window():
     spec = GaussianPeak(amplitude=0.1, center=1.0, width=0.05)
     assert spec.support_lower == pytest.approx(0.6)
