@@ -43,7 +43,7 @@ import functools
 
 import numpy as np
 
-_BLOCK_VALUES = 1 << 11
+_BLOCK_VALUES = 1 << 13
 # |x| in [_LOW, _HIGH) takes the numpy path: splitting |x| and the
 # powers cannot overflow there, and every lo is a normal number
 _LOW, _HIGH = 1e-270, 1e290

@@ -29,8 +29,8 @@ The sums take one of two routes, chosen from the time lattice alone:
   _FOURIER_REL_ERR of the direct sums;
 * every other lattice (geometric or mixed grids, single root-finding
   steps) takes the direct sums of the same rows, dense cos/sin
-  products a block of _BLOCK times at a time.  They are also the
-  tests' reference for the Fourier route.
+  products a tile of about _TILE times x nodes at a time.  They are
+  also the tests' reference for the Fourier route.
 
 Every cosine and sine of a phase, here and in the oracle's evolution,
 comes from sincos: both from one tan(x/2).  numpy evaluates float64
@@ -52,9 +52,11 @@ from .csvio import write_csv
 from .errors import InternalConsistencyError, UsageError, checked
 from .spectra import UnitSystem
 
-# time nodes per direct evaluation block; keeps the (times x nodes) phase
-# matrix within a few tens of MB even on 100k-node grids
+# the Fourier route takes uniform lattices of more than _BLOCK times
 _BLOCK = 64
+# time x node pairs per tile of the direct sums, at least one time a
+# tile: its cosines and sines take 1 MB, whatever the number of nodes
+_TILE = 2**16
 # elements per pass of sincos: a chunk's two outputs, 512 KB, stay in a
 # core's L2 cache through its five passes, and each numpy call covers
 # enough elements to hide its overhead (direct sums of 64 times over 4001
@@ -98,17 +100,18 @@ def sincos(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
 def _direct_sums(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
     """sum_k c_k cos(omega_k t) for each strength row c in ``cos``, then
     sum_k s_k sin(omega_k t) for each s in ``sin``, over the source's
-    nodes omega_k: a (rows, ts.size) array, a block of times at a time."""
+    nodes omega_k: a (rows, ts.size) array, a tile of times at a time."""
     w = source.nodes
     k = len(cos)
     cs, ss = np.reshape(cos, (k, w.size)), np.reshape(sin, (len(sin), w.size))
     out = np.empty((k + len(sin), ts.size))
-    for lo in range(0, ts.size, _BLOCK):
-        c = np.multiply.outer(ts[lo:lo + _BLOCK], w)
+    step = max(1, _TILE // max(1, w.size))
+    for lo in range(0, ts.size, step):
+        c = np.multiply.outer(ts[lo:lo + step], w)
         s = np.empty_like(c)
         sincos(c, c, s)
-        out[:k, lo:lo + _BLOCK] = cs @ c.T
-        out[k:, lo:lo + _BLOCK] = ss @ s.T
+        out[:k, lo:lo + step] = cs @ c.T
+        out[k:, lo:lo + step] = ss @ s.T
     return out
 
 

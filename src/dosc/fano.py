@@ -424,7 +424,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                     + ("raise grid.max_nodes" if jumps.any()
                        else "if the defect has stalled, " + missing))
     else:
-        rounds, guidance = max_rounds, "if the defect has stalled, " + missing
+        guidance = "if the defect has stalled, " + missing
     raise ConvergenceError(message, detail={
         "norm_defect": norm_defect, "sum_defect": sum_defect,
         "nodes": int(nodes.size), "rounds": rounds, "guidance": guidance,

@@ -34,7 +34,8 @@ narrow boxes near the leaves are summed pole by pole.  Each step of the
 iteration then sweeps every root not yet done in regular chunks: its
 near poles exactly, its leaf's far field by interpolation.  The solve
 takes O(N log N) time and, like the evolution, O(N) memory, never
-holding the (N+1)^2 matrix.
+holding the (N+1)^2 matrix.  The evolution takes the roots' cosines and
+sines in two passes, one for the multipoles and one for the near sums.
 
 Everything in this module is deliberately independent of the fano
 module: no Y, no principal values, no adaptive grids.  The two routes
@@ -62,14 +63,17 @@ from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 # evolve_reduced interpolates the inverse gaps between a block of poles
 # and a box of roots at least both widths apart at _CHEB Chebyshev points
 # on each side, to (3 + sqrt 8)^-_CHEB of their size, _GROUP row blocks a
-# product.  It takes the cosines and sines of every root for a block of
-# at least _TIMES times and about _TRIG_BYTES: 65 times at N = 4000.
-# They are taken sincos's _TRIG_CHUNK entries (roots x times) at a time
-# in a contiguous buffer: numpy's passes over F's strided halves ran at
-# half the speed (4001 x 65, scaled: 5.0 ms in place, 3.0 ms through it)
+# product.  It builds each row block's inverse gaps and translations anew
+# for every block of times, so its blocks are long: of equal size, at
+# least _TIMES times and the boxes' multipoles within about _W_BYTES (2
+# blocks of 120 times at N = 4000 on the benchmark's 240, one at 2000).
+# The passes over the roots take their cosines and sines in chunks of at
+# least sincos's _TRIG_CHUNK entries (roots x times), half that in the
+# second, each half of F contiguous: numpy's passes over strided halves
+# ran at half the speed
 _CHEB = 20
-_TIMES = 64
-_TRIG_BYTES = 2**22
+_TIMES = 128
+_W_BYTES = 5 * 2**19
 _GROUP = 4
 _COS = np.cos((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB))
 _LAMBDA = np.sin((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)) * (-1.0) ** np.arange(_CHEB)
@@ -748,6 +752,11 @@ class ReducedTrajectory:
     cov_xp: np.ndarray
 
 
+def _box_count(n):
+    """The number of boxes of n roots: see _boxes."""
+    return max(1, round(n / (400 * n / 3) ** (1 / 3)))
+
+
 def _boxes(decomp: NormalModeDecomposition):
     """k boxes of about (400 n / 3)^(1/3) roots in root order, box i
     roots edges[i]:edges[i+1], with row block J the kept poles
@@ -759,7 +768,7 @@ def _boxes(decomp: NormalModeDecomposition):
     eq = decomp._secular
     om = decomp.Omegas[decomp._rank[:eq.d.size]]
     n, m = om.size, eq.tau.size
-    k = max(1, round(n / (400 * n / 3) ** (1 / 3)))
+    k = _box_count(n)
     edges = n * np.arange(k + 1) // k
     blocks = np.minimum(edges, m)
     blocks = blocks[np.diff(blocks, prepend=-1) > 0]   # no block without poles
@@ -792,8 +801,16 @@ def _lagrange(x, c):
 
 
 def _time_block(n):
-    """Times per block of the cosines and sines of n roots."""
-    return max(_TIMES, _TRIG_BYTES // (16 * n))
+    """The most times per block for n roots: at least _TIMES, and the
+    multipoles of their boxes (_boxes) within about _W_BYTES."""
+    return max(_TIMES, _W_BYTES // (16 * _CHEB * _box_count(n)))
+
+
+def _time_blocks(n, n_times):
+    """Bounds of the blocks of times for n roots: as few blocks as
+    _time_block allows, of equal size to within one time."""
+    count = -(-n_times // _time_block(n))
+    return n_times * np.arange(count + 1) // count
 
 
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
@@ -808,21 +825,24 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     c = O (a cos(Omega t)), s = O (a sin(Omega t)/Omega) and
     d = O (a Omega sin(Omega t)) = K s, with O the eigenvectors and a
     the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
-    a block of times puts pi_k cos and pi_k sin/Omega of every coupled
-    root in a matrix F, both from one tan(Omega t/2) (dynamics.sincos,
-    a chunk of roots at a time, scaled as they are written to F); its
-    column sums are the oscillator's c and s.  Its d is the mode sum of pi_k Omega_k
-    sin(Omega_k t), Omega_k^2 times F's sine half.  Row 0 of K s would
-    add the modes' residual K O - O Omega^2, bounded only by about
-    eps ||K||: 2e-6 on a bath spread over 12 decades.  A row block of
-    coupled bath modes (``_boxes``) takes c and s from its inverse gaps
-    times F over its near boxes of roots, and from the far boxes'
-    multipoles Q_B F_B at their Chebyshev points x, translated by
-    1/(y^2 - x^2) to the block's own points y and interpolated to its
-    poles; d from K; and adds its share of the covariance.  Deflated
-    modes have a_k = 0 and drop out.  Neither O nor F for every time is
-    held; ``times`` may be unsorted.  A ``decomp`` passed in must be
-    normal_modes of this very ``model``.
+    each is a product with F = [pi_k cos | pi_k sin/Omega] of the coupled
+    roots at a block of times, both from one tan(Omega t/2)
+    (dynamics.sincos).  Two passes over the roots in root order take F a
+    chunk at a time, each root once; neither holds it for every root.
+
+    The first forms F's column sums, the oscillator's c and s, and its d,
+    the mode sum of pi_k Omega_k sin(Omega_k t): row 0 of K s would add
+    the modes' residual K O - O Omega^2, bounded only by about eps ||K||,
+    2e-6 on a bath spread over 12 decades.  It also forms each box's
+    multipole Q_B F_B at its Chebyshev points x (``_boxes``).  The second
+    walks the row blocks of coupled bath modes in order, with F a window
+    that only moves up, since neither end of a block's near boxes falls.
+    Each block takes c and s from its inverse gaps times F over its near
+    boxes, and from the far boxes' multipoles, translated by
+    1/(y^2 - x^2) to its own points y and interpolated to its poles; d
+    from K; and adds its share of the covariance.  Deflated modes have
+    a_k = 0 and drop out.  ``times`` may be unsorted.  A ``decomp``
+    passed in must be normal_modes of this very ``model``.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
@@ -837,6 +857,7 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     kept = decomp._rank[:eq.d.size]
     pi = decomp.weights[kept]
     om = decomp.Omegas[kept]
+    pio = pi / om
     # the oscillator and the coupled bath modes; the others stay at rest
     bare = np.concatenate([[model.omega0], model.bath_freqs[eq.coupled]])
     z = model.border[eq.coupled]
@@ -845,16 +866,13 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
 
     blocks, edges, lo, hi = _boxes(decomp)
     k = edges.size - 1
-    boxes = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
     # the Chebyshev points x of each box of roots and y of each row block
     x = _points(om[edges[:-1]], om[edges[1:] - 1]).T
-    proxies = [_lagrange(om[box], c).T for box, c in zip(boxes, x)]
     poles = eq.d[1:]
     y = _points(poles[blocks[:-1]], poles[blocks[1:] - 1]).T
     rows = [slice(a, b) for a, b in zip(blocks[:-1], blocks[1:])]
-    interp = [_lagrange(poles[r], c) for r, c in zip(rows, y)]
-    hulls = [slice(edges[a], edges[b]) for a, b in zip(lo, hi)]   # the near roots
     baths = [slice(*np.searchsorted(eq.pole_of, [r.start, r.stop])) for r in rows]
+    hulls = np.stack([edges[lo], edges[hi]], axis=1)   # the near roots
 
     # bath mode j's c and s are -z_j times its pole's row sums c' and s', and
     # d_j = omega_j^2 s_j + z_j s_0 (row j of K s).  As var_p0 = omega_j^2
@@ -862,53 +880,86 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     # cov_xp are w0 c'^2 + w1 s'^2, w0 (s_0 - omega_j^2 s')^2 + w1 c'^2, w0 c' s_0
     w, om2 = np.stack([var_x0[1:], var_p0[1:]]) * z**2, bare[1:]**2
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
-    step = _time_block(om.size)
-    pio = pi / om
-    # the multipoles' buffer, free until F is whole, holds each chunk of
-    # roots' cosines and sines: k _CHEB rows or fewer
-    per = max(1, min(_TRIG_CHUNK // step, k * _CHEB))
-    # F, the multipoles W, the far fields L and translations A reuse buffers
-    shapes = (om.size,), (k * _CHEB,), (lo.size, _CHEB)
-    bufs = [np.empty(math.prod(m) * 2 * min(step, ts.size)) for m in shapes]
-    A, T = np.empty((2, _GROUP, _CHEB, k * _CHEB))
-    for start in range(0, ts.size, step):
-        blk = slice(start, start + step)
-        n_t = ts[blk].size
-        F, W, L = (b[:math.prod(m) * 2 * n_t].reshape(m + (2 * n_t,)) for b, m in zip(bufs, shapes))
-        for r0 in range(0, om.size, per):   # [pi cos(Omega t) | pi sin(Omega t)/Omega]
-            r = slice(r0, r0 + per)
-            c, s = bufs[1][:2 * om[r].size * n_t].reshape(2, -1, n_t)
-            np.multiply.outer(om[r], ts[blk], out=c)
-            sincos(c, c, s)
-            np.multiply(c, pi[r, None], out=F[r, :n_t])
-            np.multiply(s, pio[r, None], out=F[r, n_t:])
-        c0, s0 = F.sum(axis=0).reshape(2, n_t)
-        d0 = om**2 @ F[:, n_t:]
-        for i, (q, box) in enumerate(zip(proxies, boxes)):
-            np.matmul(q, F[box], out=W[_CHEB * i:_CHEB * (i + 1)])
-        # the far fields of _GROUP row blocks at their points, one product
+    bounds = _time_blocks(om.size, ts.size)
+    step = int(np.max(np.diff(bounds)))
+    per = max(1, _TRIG_CHUNK // step)   # roots per chunk of phases
+    # the first pass's chunks of whole boxes; the second's window holds
+    # the widest hull and half a chunk more
+    chunks = [0]
+    while chunks[-1] < k:
+        chunks.append(min(k, int(np.searchsorted(edges, edges[chunks[-1]] + per))))
+    cap = max(int(np.max(np.diff(edges[chunks]))),
+              int(np.max(hulls[:, 1] - hulls[:, 0], initial=0)) + max(1, per // 2))
+    # F, the multipoles W and the translations A reuse buffers
+    F_buf, W_buf = np.empty(2 * cap * step), np.empty(2 * k * _CHEB * step)
+    A = np.empty((_GROUP, _CHEB, k * _CHEB))
+    sums = np.empty((_CHEB, k * _CHEB))
+
+    def phases(r0, r1, tb, F):
+        # F's halves pi cos(Omega t) and pi sin(Omega t)/Omega of the roots r0:r1
+        c, s = F
+        np.multiply.outer(om[r0:r1], tb, out=c)
+        sincos(c, c, s)
+        c *= pi[r0:r1, None]
+        s *= pio[r0:r1, None]
+
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        tb = ts[start:stop]
+        n_t = tb.size
+        W = W_buf[:2 * k * _CHEB * n_t].reshape(2, k * _CHEB, n_t)
+        c0, s0 = cs0 = np.zeros((2, n_t))
+        d0 = np.zeros(n_t)
+        for b0, b1 in zip(chunks[:-1], chunks[1:]):
+            r0, r1 = edges[b0], edges[b1]
+            F = F_buf[:2 * (r1 - r0) * n_t].reshape(2, r1 - r0, n_t)
+            phases(r0, r1, tb, F)
+            cs0 += F.sum(axis=1)
+            d0 += om[r0:r1] ** 2 @ F[1]
+            for i in range(b0, b1):
+                q = _lagrange(om[edges[i]:edges[i + 1]], x[i]).T
+                np.matmul(q, F[:, edges[i] - r0:edges[i + 1] - r0],
+                          out=W[:, _CHEB * i:_CHEB * (i + 1)])
+
+        F = F_buf[:2 * cap * n_t].reshape(2, cap, n_t)
+        base = have = 0   # F[:, j - base] holds root j, for j < have
         for g in range(0, lo.size, _GROUP):
-            grp = slice(g, g + _GROUP)
-            a = np.subtract(y[grp, :, None], x.ravel(), out=A[:y[grp].shape[0]])
-            a *= np.add(y[grp, :, None], x.ravel(), out=T[:a.shape[0]])
+            # the far fields of _GROUP row blocks at their points, one product
+            a = A[:lo[g:g + _GROUP].size]
+            np.subtract(y[g:g + a.shape[0], :, None], x.ravel(), out=a)
+            for aJ, yJ in zip(a, y[g:]):
+                aJ *= np.add(yJ[:, None], x.ravel(), out=sums)
             with np.errstate(divide="ignore", over="ignore"):   # only near entries
                 np.reciprocal(a, out=a)
             for aJ, J in zip(a, range(g, g + _GROUP)):   # near boxes do not count
                 aJ[:, _CHEB * lo[J]:_CHEB * hi[J]] = 0.0
-            L[grp] = (a.reshape(-1, k * _CHEB) @ W).reshape(-1, _CHEB, 2 * n_t)
-        for J, (r, hull, bath) in enumerate(zip(rows, hulls, baths)):
-            cs = decomp._inverse_gaps(r, hull) @ F[hull]
-            if hi[J] - lo[J] < k:
-                cs += interp[J] @ L[J]
-            if eq.runs:
-                cs = cs[eq.pole_of[bath] - r.start]
-            cov = w[0, bath] @ cs[:, :n_t] * s0
-            e = np.subtract(s0, om2[bath, None] * cs[:, n_t:])
-            (xc, _), (pc, ps) = (w[:, bath] @ np.square(cs, out=cs)).reshape(2, 2, n_t)
-            out[2:, blk] += [xc + ps, w[0, bath] @ np.square(e, out=e) + pc, cov]
+            L = np.matmul(a.reshape(-1, k * _CHEB), W).reshape(2, -1, _CHEB, n_t)
+            for J in range(g, g + a.shape[0]):
+                h0, h1 = hulls[J]
+                if h1 > have:
+                    # the hull starts at or below the last one's end: the
+                    # window moves its roots from h0 on to its front and
+                    # fills up, at least half a chunk
+                    for half in F:   # one contiguous move: no copy
+                        kept = half[h0 - base:have - base].reshape(-1)
+                        half[:have - h0].reshape(-1)[...] = kept
+                    base = h0
+                    top = min(om.size, base + cap)
+                    phases(have, top, tb, F[:, have - base:top - base])
+                    have = top
+                r, bath = rows[J], baths[J]
+                cs = decomp._inverse_gaps(r, slice(h0, h1)) @ F[:, h0 - base:h1 - base]
+                if hi[J] - lo[J] < k:
+                    cs += _lagrange(poles[r], y[J]) @ L[:, J - g]
+                if eq.runs:
+                    cs = cs[:, eq.pole_of[bath] - r.start]
+                cov = w[0, bath] @ cs[0] * s0
+                e = np.subtract(s0, om2[bath, None] * cs[1])
+                (xc, pc), (_, ps) = w[:, bath] @ np.square(cs, out=cs)
+                out[2:, start:stop] += [xc + ps, w[0, bath] @ np.square(e, out=e) + pc, cov]
         vx, vp = var_x0[0], var_p0[0]   # the oscillator's own share
-        out[:, blk] += [c0 * x0r + s0 * p0r, -d0 * x0r + c0 * p0r, vx * c0**2 + vp * s0**2,
-                        vx * d0**2 + vp * c0**2, c0 * (vp * s0 - vx * d0)]
+        out[:, start:stop] += [c0 * x0r + s0 * p0r, -d0 * x0r + c0 * p0r,
+                               vx * c0**2 + vp * s0**2, vx * d0**2 + vp * c0**2,
+                               c0 * (vp * s0 - vx * d0)]
     mean_x, mean_p, var_x, var_p, cov_xp = out
     rm = units.mass
     return ReducedTrajectory(ts, mean_x / math.sqrt(rm), mean_p * math.sqrt(rm),

@@ -127,6 +127,27 @@ def test_table_shapes(table, shape):
     check(table, list(values.T))
 
 
+@pytest.mark.parametrize("n_cols", [1, 3, 5])
+def test_bytes_do_not_depend_on_the_block_size(table, monkeypatch, n_cols):
+    # the same table in blocks of several sizes, each block's first and
+    # last row holding values that take Python's formatting: zeros, NaN
+    # and halfway values whose last digit is a rounding tie
+    sizes = [csvio._BLOCK_VALUES, 2048, 64, 5]
+    steps = [max(1, size // n_cols) for size in sizes]
+    n_rows = 3 * steps[0] + 7
+    rng = np.random.default_rng(n_cols)
+    values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-12, 20, (n_rows, n_cols))
+    fallback = np.array([0.0, -0.0, np.nan, 26215 / 2 ** 18, -26217 / 2 ** 18])
+    edges = np.unique(np.concatenate([np.arange(0, n_rows, s) for s in steps]
+                                     + [np.arange(s - 1, n_rows, s) for s in steps]))
+    values[edges] = fallback[(edges[:, None] + np.arange(n_cols)) % fallback.size]
+    want = savetxt_bytes(list(values.T), "a")
+    for size in sizes:
+        monkeypatch.setattr(csvio, "_BLOCK_VALUES", size)
+        write_csv(table, "a", list(values.T))
+        assert table.read_bytes() == want, size
+
+
 def test_columns_must_match(table):
     with pytest.raises(ValueError):
         write_csv(table, "a,b", [np.ones(3), np.ones(4)])

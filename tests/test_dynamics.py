@@ -3,6 +3,7 @@ classification, and relaxation."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,31 @@ class TestFourierRoute:
         got = dynamics._evaluate(source, ts, **rows)
         assert calls == []
         assert np.array_equal(got, dynamics._direct_sums(source, ts, **rows))
+
+
+def test_direct_sums_take_tiles_of_times_by_entries(units):
+    # the relaxation path's kernels at N = 4000: a tile of 16 times, not
+    # the 64 that the Fourier route's threshold counts, holds its cosines
+    # and sines in 1 MB; each time's sums are those of that time alone,
+    # to rounding
+    source = oracle.normal_modes(oracle.discretize(
+        OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0), units, 4000))
+    ts = np.unique(np.concatenate([np.geomspace(0.05, 20.0, 120),
+                                   np.linspace(20.0, 500.0, 120)]))
+    w, wt = source.nodes, source.weights
+    strengths = (wt, wt / w, wt * w)
+    tracemalloc.start()
+    try:
+        got = dynamics._direct_sums(source, ts, cos=strengths[:1], sin=strengths[1:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dynamics._TILE // w.size == 16 and peak < 2 * 2**20
+    one = np.stack([dynamics._direct_sums(source, ts[j:j + 1], cos=strengths[:1],
+                                          sin=strengths[1:])[:, 0] for j in range(ts.size)],
+                   axis=1)
+    for row, want, strength in zip(got, one, strengths):
+        assert np.max(np.abs(row - want)) <= 32 * np.finfo(float).eps * np.abs(strength).sum()
 
 
 class TestDamping:

@@ -412,7 +412,7 @@ def test_node_budget_stop_is_reported_as_such():
     # a stop on the round budget keeps its own count and guidance
     with pytest.raises(ConvergenceError) as exc:
         solve(OhmicExp(amplitude=math.sqrt(0.1), cutoff=5.0), U, max_rounds=1)
-    assert exc.value.detail["rounds"] == 1
+    assert exc.value.detail["rounds"] == 0
     assert "omega_max" in exc.value.detail["guidance"]
 
 
@@ -507,7 +507,7 @@ def test_round_budget_stop_reports_the_evaluated_grid():
         compute_pi(spec, U, max_rounds=1)
     detail = exc.value.detail
     assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
-    assert detail["rounds"] == 1 and detail["nodes"] == grid.size
+    assert detail["rounds"] == 0 and detail["nodes"] == grid.size
     measured = fano._solution(spec, U, grid)
     assert detail["norm_defect"] == abs(measured.norm_defect)
     assert detail["sum_defect"] == abs(measured.sum_defect)

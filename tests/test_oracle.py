@@ -481,12 +481,13 @@ def test_secular_solver_memory(units):
 
 
 def test_evolution_path_memory(units, monkeypatch):
-    """evolve_reduced holds the cosines and sines of every root for one
-    block of times, about 4 MB, and the boxes' multipoles: no second
+    """evolve_reduced holds, for one block of times, the boxes' multipoles
+    and the cosines and sines of a window of roots: 4.7 MB.  No second
     secular solve, no eigenvector matrix, which alone is 8 (N+1)^2 bytes,
-    128 MB at N = 4000, and no N x 2T matrix of cosines and sines for all
-    the times (26 MB here).  Sized as scripts/relaxation_demo.py runs by
-    default: N = 4000 and 399 distinct times."""
+    128 MB at N = 4000, and no N x 2T matrix of cosines and sines, 26 MB
+    for all the times here and 4.2 MB for a block of 65 of them.  Sized
+    as scripts/relaxation_demo.py runs by default: N = 4000 and 399
+    distinct times."""
     spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
     model = oracle.discretize(spec, units, 4000)
     decomp = oracle.normal_modes(model)
@@ -503,8 +504,33 @@ def test_evolution_path_memory(units, monkeypatch):
     finally:
         tracemalloc.stop()
     assert "eigenvectors" not in decomp.__dict__
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
     assert abs(traj.var_x[0] - 0.5) <= 1e-12
+
+
+def test_relaxation_path_memory(units):
+    """The benchmark's relaxation path at N = 4000 after the solve:
+    evolve_reduced, then the dynamics kernels of the same decomposition,
+    on its lattice of a geometric and a linear run, 240 times.  The
+    evolution holds the multipoles of a block of 120 times, 1.8 MB, and a
+    window of roots; the kernels' direct sums a tile of times."""
+    spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0)
+    model = oracle.discretize(spec, units, 4000)
+    decomp = oracle.normal_modes(model)
+    gamma = 0.5 * math.pi * 0.06 * math.exp(-0.2)
+    times = np.unique(np.concatenate([
+        [0.0], np.geomspace(0.05 / gamma, 20.0 / gamma, 120),
+        np.linspace(20.0 / gamma, 1.2 * oracle.recurrence_estimate(decomp), 120)]))
+    assert times.size == 240 and oracle._time_blocks(decomp._secular.d.size, 240).size == 3
+    tracemalloc.start()
+    try:
+        traj = oracle.evolve_reduced(model, units, 1.0, 0.0, times, decomp=decomp)
+        kern = dynamics.kernels(decomp, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert np.max(np.abs(traj.mean_x - kern.k_cos)) <= 1e-12
 
 
 def test_recurrence_skips_degenerate_modes():
@@ -605,8 +631,8 @@ class TestEvolution:
         assert np.max(np.abs(red.mean_x - x0 * kern.k_cos)) <= 1e-12
 
     def test_partial_blocks_with_deflation_match_references(self, units):
-        # more times than one block holds, so the last time block is
-        # partial; two loose modes and a near-degenerate run of three
+        # more times than one block holds, so the times split into two
+        # blocks; two loose modes and a near-degenerate run of three
         # poles, 1 ulp apart, are deflated, the run out of the last row
         # block, which stops a pole short of its box; some pairs of row
         # blocks and boxes are far
@@ -634,13 +660,15 @@ class TestEvolution:
 
     def test_each_cosine_and_sine_taken_once(self, monkeypatch):
         # every kept root's cosine and sine at every time, evaluated once
-        # for the near products and the far boxes' multipoles alike, over
-        # two blocks of times
+        # in each pass: by the one that forms the far boxes' multipoles and
+        # by the window of the near products, over two blocks of times
         model = UNEVEN_MODELS["flat_band_gap_1200"]()
         decomp = oracle.normal_modes(model)
         _, edges, lo, hi = oracle._boxes(decomp)
         assert np.any(hi - lo < edges.size - 1)
-        times = np.linspace(0.0, 30.0, oracle._time_block(decomp._secular.d.size) + 7)
+        n = decomp._secular.d.size
+        times = np.linspace(0.0, 30.0, oracle._time_block(n) + 7)
+        assert oracle._time_blocks(n, times.size).size == 3
         # (both from one tan of the half phase, dynamics.sincos)
         counts = {"tan": 0, "sin": 0, "cos": 0}
         for name, f in [("tan", np.tan), ("sin", np.sin), ("cos", np.cos)]:
@@ -649,8 +677,21 @@ class TestEvolution:
                 return f(x, *args, **kwargs)
             monkeypatch.setattr(np, name, spy)
         oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
-        want = decomp._secular.d.size * times.size
-        assert counts == {"tan": want, "sin": 0, "cos": 0}
+        assert counts == {"tan": 2 * n * times.size, "sin": 0, "cos": 0}
+
+    @pytest.mark.parametrize("chunk", [1, 4000])
+    def test_window_of_any_chunk_matches_per_time_loop(self, chunk, monkeypatch):
+        # phases a root (or 33 roots) at a time: the first pass takes one
+        # box a chunk, and the second pass's window moves up by a root (or
+        # 16) past each hull, shifting the roots it keeps at every move
+        model = UNEVEN_MODELS["flat_band_gap_1200"]()
+        decomp = oracle.normal_modes(model)
+        times = np.linspace(0.0, 30.0, 121)
+        monkeypatch.setattr(oracle, "_TRIG_CHUNK", chunk)
+        red = oracle.evolve_reduced(model, _UNITS, 1.3, -0.4, times, decomp=decomp)
+        ref = _per_time_reduced(model, decomp, _UNITS, 1.3, -0.4, times)
+        for key, want in ref.items():
+            assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
 
     @pytest.mark.parametrize("name", ["two_mode", "uncoupled", "flat_band_gap",
                                       "gaussian_tails", "manual_unsorted_repeated",

@@ -31,6 +31,7 @@ def test_sources_parse_at_the_declared_python_floor():
     ("oracle_convergence.py", ["--N", "100", "200"]),
     ("weak_sweep.py", ["--hwhm", "4e-3"]),
     ("relaxation_demo.py", ["--N", "300", "--n-times", "40", "--out", "{tmp}/relax.csv"]),
+    ("evolve_timings.py", ["--N", "300", "--poles", "200", "--runs", "1"]),
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ, DOSC_THREADS="1")
