@@ -29,8 +29,8 @@ The sums take one of two routes, chosen from the time lattice alone:
   _FOURIER_REL_ERR of the direct sums;
 * every other lattice (geometric or mixed grids, single root-finding
   steps) takes the direct sums of the same rows, dense cos/sin
-  products a tile of about _TILE times x nodes at a time.  They are
-  also the tests' reference for the Fourier route.
+  products a tile of about _TRIG_CHUNK times x nodes at a time.  They
+  are also the tests' reference for the Fourier route.
 
 Every cosine and sine of a phase, here and in the oracle's evolution,
 comes from sincos: both from one tan(x/2).  numpy evaluates float64
@@ -54,13 +54,11 @@ from .spectra import UnitSystem
 
 # the Fourier route takes uniform lattices of more than _BLOCK times
 _BLOCK = 64
-# time x node pairs per tile of the direct sums, at least one time a
-# tile: its cosines and sines take 1 MB, whatever the number of nodes
-_TILE = 2**16
-# elements per pass of sincos: a chunk's two outputs, 512 KB, stay in a
-# core's L2 cache through its five passes, and each numpy call covers
-# enough elements to hide its overhead (direct sums of 64 times over 4001
-# nodes: 4.9, 3.3 and 4.4 ms at 2**13, 2**15 and 2**16)
+# entries of each temporary over phases or poles, here and in the oracle:
+# a pass of sincos, a tile of direct sums, a spreading pass (2 _TAPS a
+# node).  sincos's two outputs, 512 KB, stay in L2 cache through its five
+# passes, and each numpy call hides its overhead (direct sums of 64 times
+# over 4001 nodes: 4.9, 3.3 and 4.4 ms at 2**13, 2**15 and 2**16)
 _TRIG_CHUNK = 2**15
 
 # Fourier route: Gaussian gridding after Dutt & Rokhlin, SIAM J. Sci.
@@ -69,7 +67,6 @@ _TRIG_CHUNK = 2**15
 # direct sums is 7e-14 of sum |strength| (12 taps: 1.1e-11).
 _TAPS = 16
 _OVERSAMPLE = 2
-_SPREAD_CHUNK = 1024   # nodes per spreading pass: its arrays stay in cache
 _LATTICE_ULPS = 4      # a uniform lattice's times sit this close to t_0 + j dt
 # bound on |Fourier - direct| relative to sum |strength|, per kernel
 _FOURIER_REL_ERR = 1e-12
@@ -105,7 +102,7 @@ def _direct_sums(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
     k = len(cos)
     cs, ss = np.reshape(cos, (k, w.size)), np.reshape(sin, (len(sin), w.size))
     out = np.empty((k + len(sin), ts.size))
-    step = max(1, _TILE // max(1, w.size))
+    step = max(1, _TRIG_CHUNK // max(1, w.size))
     for lo in range(0, ts.size, step):
         c = np.multiply.outer(ts[lo:lo + step], w)
         s = np.empty_like(c)
@@ -138,12 +135,13 @@ def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
     parts = np.concatenate([strengths * re, strengths * im])
     acc = np.zeros((len(parts), n_grid))
     offsets = np.arange(1 - _TAPS, _TAPS + 1)
-    for lo in range(0, nodes.size, _SPREAD_CHUNK):
-        xc = x[lo:lo + _SPREAD_CHUNK]
+    step = _TRIG_CHUNK // offsets.size
+    for lo in range(0, nodes.size, step):
+        xc = x[lo:lo + step]
         idx = np.floor(xc / h).astype(np.intp)[:, None] + offsets
         taps = np.exp((xc[:, None] - h * idx) ** 2 * (-0.25 / tau))
         slots = (idx % n_grid).ravel()
-        for row, part in zip(acc, parts[:, lo:lo + _SPREAD_CHUNK]):
+        for row, part in zip(acc, parts[:, lo:lo + step]):
             row += np.bincount(slots, (taps * part[:, None]).ravel(), n_grid)
     rows = len(strengths)
     coeffs = np.fft.ifft(acc[:rows] + 1j * acc[rows:], axis=1)

@@ -339,6 +339,21 @@ def _midpoints(nodes, idx):
     return mids, (nodes[idx] < mids) & (mids < nodes[idx + 1])
 
 
+def _gap_with_root(spec, units, nodes):
+    """The first and last node of the first run of nodes where V^2 = 0,
+    between nodes where it is not, across which N changes sign; None if
+    no run has one.  N rises strictly where V^2 = 0, so such a gap of the
+    support holds exactly one zero of N: a bound state."""
+    zero = spec.v_sq(nodes) == 0.0
+    first = np.flatnonzero(~zero[:-1] & zero[1:]) + 1
+    last = np.flatnonzero(zero[:-1] & ~zero[1:])
+    last = last[last >= first[0]] if first.size else last[:0]
+    ends = np.stack([nodes[first[:last.size]], nodes[last]])
+    n = _n_values(spec, units, ends)
+    at = np.flatnonzero(n[0] * n[1] < 0)
+    return ends[:, at[0]] if at.size else None
+
+
 def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL,
                max_nodes: int = MAX_NODES, max_rounds: int = MAX_ROUNDS) -> SpectralSolution:
@@ -395,13 +410,18 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
         mids, inside = _midpoints(nodes, idx)
         nodes = np.sort(np.concatenate([nodes, mids[inside]]))
 
-    if math.isfinite(spec.support_upper):
+    point_mass = ("a point mass (bound state) of the dressed oscillator, which "
+                  "the grid cannot hold; raising omega_max does not help")
+    gap = _gap_with_root(spec, units, nodes)
+    if gap is not None:
+        missing = (f"about {norm_defect:.3g} of the spectral mass lies in the gap "
+                   f"[{gap[0]:.7g}, {gap[1]:.7g}] of the coupling support, where "
+                   f"N changes sign: {point_mass}")
+    elif math.isfinite(spec.support_upper):
         # omega_max cannot cut a bounded support (spectra refuses that), so
         # the missing mass is not in a truncated tail
         missing = (f"about {norm_defect:.3g} of the spectral mass lies outside "
-                   "the coupling support: a point mass (bound state) of the "
-                   "dressed oscillator, which the grid cannot hold; raising "
-                   "omega_max does not help")
+                   f"the coupling support: {point_mass}")
     else:
         missing = "omega_max is probably truncating spectral weight; raise it and rerun"
     message = "grid refinement exhausted its budget before reaching tolerance"

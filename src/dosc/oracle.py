@@ -67,25 +67,22 @@ from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 # for every block of times, so its blocks are long: of equal size, at
 # least _TIMES times and the boxes' multipoles within about _W_BYTES (2
 # blocks of 120 times at N = 4000 on the benchmark's 240, one at 2000).
-# The passes over the roots take their cosines and sines in chunks of at
-# least sincos's _TRIG_CHUNK entries (roots x times), half that in the
-# second, each half of F contiguous: numpy's passes over strided halves
-# ran at half the speed
+# Its window over the roots fills half a chunk (roots x times) or more at
+# a time, each half of F contiguous: numpy's passes over strided halves
+# ran at half the speed.  The secular solver's tree of boxes stops at
+# leaves of at most _LEAF poles; up to _ONE_LEAF poles it has one leaf,
+# where the exact sums cost less than the levels would save.  It steps
+# every root at once, at most _MAX_ITER times.  Every temporary over poles
+# or roots holds about sincos's _TRIG_CHUNK entries: 1.9 MB at N = 4000
 _CHEB = 20
 _TIMES = 128
 _W_BYTES = 5 * 2**19
 _GROUP = 4
 _COS = np.cos((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB))
 _LAMBDA = np.sin((np.arange(_CHEB) + 0.5) * (math.pi / _CHEB)) * (-1.0) ** np.arange(_CHEB)
-# the secular solver's tree of boxes stops at leaves of at most _LEAF
-# poles; up to _ONE_LEAF poles it has one leaf, where the exact sums cost
-# less than the levels would save.  It steps every root at once, at most
-# _MAX_ITER times, and works in chunks of about _BLOCK entries: 1.9 MB at
-# N = 4000
 _LEAF = 12
 _ONE_LEAF = 192
 _MAX_ITER = 64
-_BLOCK = 2**15
 _EPS = float(np.finfo(float).eps)
 
 
@@ -183,7 +180,7 @@ def discretize(spec: CouplingSpectrum, units: UnitSystem, N: int,
     require_admissible(spec, units)
     dw = spec.omega_max / N
     freqs = (np.arange(N) + 0.5) * dw
-    couplings = np.asarray(spec.v(freqs)) * math.sqrt(dw)
+    couplings = np.sqrt(spec.v_sq(freqs)) * math.sqrt(dw)
     model = FiniteBathModel(units.omega0, freqs, couplings)
     if model.discrete_margin <= 0:
         raise PositivityError(
@@ -362,7 +359,7 @@ def _anterpolate(x, src, c):
     Chebyshev points c: W_i = sum_j src_j L_i(x_j).  For every polynomial
     p of degree below _CHEB, sum_i W_i p(c_i) = sum_j src_j p(x_j)."""
     out = np.empty((_CHEB, x.shape[1]))
-    step = max(1, _BLOCK // (_CHEB * x.shape[0]))
+    step = max(1, _TRIG_CHUNK // (_CHEB * x.shape[0]))
     for at in range(0, x.shape[1], step):
         r = slice(at, at + step)
         out[:, r] = np.einsum("jb,jib->ib", src[:, r], _lagrange(x[:, r], c[:, r]))
@@ -383,7 +380,7 @@ def _translate(vals, t, s, half, a, c, sa, x, src):
     have lost the gap's last digits.  Pairs come sorted by (half, t),
     and each run of equal (half, t) is summed in order."""
     vals = vals.reshape(2, 2, _CHEB, -1)
-    step = max(1, _BLOCK // (x.shape[0] * _CHEB))
+    step = max(1, _TRIG_CHUNK // (x.shape[0] * _CHEB))
     for at in range(0, t.size, step):
         r = slice(at, at + step)
         tr, sr = t[r], s[r]
@@ -473,7 +470,7 @@ def _far_field(d: np.ndarray, wt: np.ndarray):
         # each child starts from its parent's far field at its own points
         x = children(pa, a, c)
         parent, vals = vals, np.empty((4, _CHEB, boxes))
-        step = max(1, _BLOCK // (2 * _CHEB * _CHEB))
+        step = max(1, _TRIG_CHUNK // (2 * _CHEB * _CHEB))
         for at in range(0, boxes // 2, step):
             r = slice(at, at + step)
             v = np.einsum("vip,jip->vjp", parent[..., r], _lagrange(x[:, r], pc[:, r]))
@@ -518,7 +515,7 @@ def _secular_sums(d, k, o, x, m, leaf, tree):
     pole 0 then start + 1 up to stop, and its anchor, points and far
     values (psi, psi' and phi, phi'; none for a single leaf).  The roots
     come in ascending order of m, their numbers of near poles, and are
-    swept in chunks of about _BLOCK entries, m near poles and _CHEB far
+    swept in chunks of about _TRIG_CHUNK entries, m near poles and _CHEB far
     points a root, with a fixed number of numpy calls per chunk.  A chunk
     pads each root's column to its widest with the weightless pole past
     every root, and holds at least one root."""
@@ -526,9 +523,9 @@ def _secular_sums(d, k, o, x, m, leaf, tree):
     at = 0
     while at < k.size:
         # a root's entries: its near poles and its leaf's far points
-        most = min(k.size, at + max(1, _BLOCK // (m[at] + _CHEB)))
+        most = min(k.size, at + max(1, _TRIG_CHUNK // (m[at] + _CHEB)))
         span = m[at:most] + _CHEB
-        stop = at + max(1, np.count_nonzero(np.arange(1, most - at + 1) * span <= _BLOCK))
+        stop = at + max(1, np.count_nonzero(np.arange(1, most - at + 1) * span <= _TRIG_CHUNK))
         r = slice(at, stop)
         out[:, r] = _chunk_sums(d, d[o[r]], x[r], m[stop - 1], leaf[r], tree)
         at = stop
@@ -813,6 +810,28 @@ def _time_blocks(n, n_times):
     return n_times * np.arange(count + 1) // count
 
 
+def _window(spans, om, pi, pio, tb, F):
+    """For each span h0:h1 of roots, the view of F (2, roots, times) that
+    holds their pi cos(Omega t) and pi sin(Omega t)/Omega at the times tb.
+    Neither end of a span falls, nor does one start past the last's end:
+    F is a window that only moves up, taking each root once.  Past its
+    end it moves the roots it holds from h0 on to its front and fills up."""
+    base = have = 0   # F[:, j - base] holds root j, for j < have
+    for h0, h1 in spans:
+        if h1 > have:
+            for half in F:   # one contiguous move: no copy
+                half[:have - h0].reshape(-1)[...] = half[h0 - base:have - base].reshape(-1)
+            base = h0
+            top = min(om.size, base + F.shape[1])
+            c, s = F[:, have - base:top - base]
+            np.multiply.outer(om[have:top], tb, out=c)
+            sincos(c, c, s)
+            c *= pi[have:top, None]
+            s *= pio[have:top, None]
+            have = top
+        yield F[:, h0 - base:h1 - base]
+
+
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
                    x0: float, p0: float, times: Sequence[float],
                    decomp: NormalModeDecomposition | None = None) -> ReducedTrajectory:
@@ -827,18 +846,19 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     the overlaps.  With O's columns a_k (1, -z_j/(omega_j^2 - Omega_k^2)),
     each is a product with F = [pi_k cos | pi_k sin/Omega] of the coupled
     roots at a block of times, both from one tan(Omega t/2)
-    (dynamics.sincos).  Two passes over the roots in root order take F a
-    chunk at a time, each root once; neither holds it for every root.
+    (dynamics.sincos).  Two passes over the roots in root order take F
+    through a window that only moves up (_window), each root once a
+    pass; neither holds it for every root.
 
     The first forms F's column sums, the oscillator's c and s, and its d,
     the mode sum of pi_k Omega_k sin(Omega_k t): row 0 of K s would add
     the modes' residual K O - O Omega^2, bounded only by about eps ||K||,
     2e-6 on a bath spread over 12 decades.  It also forms each box's
-    multipole Q_B F_B at its Chebyshev points x (``_boxes``).  The second
-    walks the row blocks of coupled bath modes in order, with F a window
-    that only moves up, since neither end of a block's near boxes falls.
-    Each block takes c and s from its inverse gaps times F over its near
-    boxes, and from the far boxes' multipoles, translated by
+    multipole Q_B F_B at its Chebyshev points x (``_boxes``), a box of
+    roots at a time.  The second walks the row blocks of coupled bath
+    modes in order.  Each block takes c and s from its inverse gaps times
+    F over its near boxes, whose hull's ends never fall from block to
+    block, and from the far boxes' multipoles, translated by
     1/(y^2 - x^2) to its own points y and interpolated to its poles; d
     from K; and adds its share of the covariance.  Deflated modes have
     a_k = 0 and drop out.  ``times`` may be unsorted.  A ``decomp``
@@ -882,80 +902,48 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     out = np.zeros((5, ts.size))   # mean_x, mean_p, var_x, var_p, cov_xp
     bounds = _time_blocks(om.size, ts.size)
     step = int(np.max(np.diff(bounds)))
-    per = max(1, _TRIG_CHUNK // step)   # roots per chunk of phases
-    # the first pass's chunks of whole boxes; the second's window holds
-    # the widest hull and half a chunk more
-    chunks = [0]
-    while chunks[-1] < k:
-        chunks.append(min(k, int(np.searchsorted(edges, edges[chunks[-1]] + per))))
-    cap = max(int(np.max(np.diff(edges[chunks]))),
-              int(np.max(hulls[:, 1] - hulls[:, 0], initial=0)) + max(1, per // 2))
+    # the window holds the widest hull (each box lies in its block's) and half a chunk more
+    cap = int(np.max(hulls[:, 1] - hulls[:, 0], initial=0)) + max(1, _TRIG_CHUNK // step // 2)
     # F, the multipoles W and the translations A reuse buffers
     F_buf, W_buf = np.empty(2 * cap * step), np.empty(2 * k * _CHEB * step)
     A = np.empty((_GROUP, _CHEB, k * _CHEB))
     sums = np.empty((_CHEB, k * _CHEB))
 
-    def phases(r0, r1, tb, F):
-        # F's halves pi cos(Omega t) and pi sin(Omega t)/Omega of the roots r0:r1
-        c, s = F
-        np.multiply.outer(om[r0:r1], tb, out=c)
-        sincos(c, c, s)
-        c *= pi[r0:r1, None]
-        s *= pio[r0:r1, None]
-
     for start, stop in zip(bounds[:-1], bounds[1:]):
         tb = ts[start:stop]
         n_t = tb.size
-        W = W_buf[:2 * k * _CHEB * n_t].reshape(2, k * _CHEB, n_t)
-        c0, s0 = cs0 = np.zeros((2, n_t))
-        d0 = np.zeros(n_t)
-        for b0, b1 in zip(chunks[:-1], chunks[1:]):
-            r0, r1 = edges[b0], edges[b1]
-            F = F_buf[:2 * (r1 - r0) * n_t].reshape(2, r1 - r0, n_t)
-            phases(r0, r1, tb, F)
-            cs0 += F.sum(axis=1)
-            d0 += om[r0:r1] ** 2 @ F[1]
-            for i in range(b0, b1):
-                q = _lagrange(om[edges[i]:edges[i + 1]], x[i]).T
-                np.matmul(q, F[:, edges[i] - r0:edges[i + 1] - r0],
-                          out=W[:, _CHEB * i:_CHEB * (i + 1)])
-
         F = F_buf[:2 * cap * n_t].reshape(2, cap, n_t)
-        base = have = 0   # F[:, j - base] holds root j, for j < have
-        for g in range(0, lo.size, _GROUP):
-            # the far fields of _GROUP row blocks at their points, one product
-            a = A[:lo[g:g + _GROUP].size]
-            np.subtract(y[g:g + a.shape[0], :, None], x.ravel(), out=a)
-            for aJ, yJ in zip(a, y[g:]):
-                aJ *= np.add(yJ[:, None], x.ravel(), out=sums)
-            with np.errstate(divide="ignore", over="ignore"):   # only near entries
-                np.reciprocal(a, out=a)
-            for aJ, J in zip(a, range(g, g + _GROUP)):   # near boxes do not count
-                aJ[:, _CHEB * lo[J]:_CHEB * hi[J]] = 0.0
-            L = np.matmul(a.reshape(-1, k * _CHEB), W).reshape(2, -1, _CHEB, n_t)
-            for J in range(g, g + a.shape[0]):
-                h0, h1 = hulls[J]
-                if h1 > have:
-                    # the hull starts at or below the last one's end: the
-                    # window moves its roots from h0 on to its front and
-                    # fills up, at least half a chunk
-                    for half in F:   # one contiguous move: no copy
-                        kept = half[h0 - base:have - base].reshape(-1)
-                        half[:have - h0].reshape(-1)[...] = kept
-                    base = h0
-                    top = min(om.size, base + cap)
-                    phases(have, top, tb, F[:, have - base:top - base])
-                    have = top
-                r, bath = rows[J], baths[J]
-                cs = decomp._inverse_gaps(r, slice(h0, h1)) @ F[:, h0 - base:h1 - base]
-                if hi[J] - lo[J] < k:
-                    cs += _lagrange(poles[r], y[J]) @ L[:, J - g]
-                if eq.runs:
-                    cs = cs[:, eq.pole_of[bath] - r.start]
-                cov = w[0, bath] @ cs[0] * s0
-                e = np.subtract(s0, om2[bath, None] * cs[1])
-                (xc, pc), (_, ps) = w[:, bath] @ np.square(cs, out=cs)
-                out[2:, start:stop] += [xc + ps, w[0, bath] @ np.square(e, out=e) + pc, cov]
+        W = W_buf[:2 * k * _CHEB * n_t].reshape(2, k * _CHEB, n_t)
+        c0, s0, d0 = sums0 = np.zeros((3, n_t))
+        for i, FB in enumerate(_window(zip(edges[:-1], edges[1:]), om, pi, pio, tb, F)):
+            r = slice(edges[i], edges[i + 1])
+            sums0[:2] += FB.sum(axis=1)
+            d0 += om[r] ** 2 @ FB[1]
+            np.matmul(_lagrange(om[r], x[i]).T, FB, out=W[:, _CHEB * i:_CHEB * (i + 1)])
+
+        for J, FJ in enumerate(_window(hulls, om, pi, pio, tb, F)):
+            g = J - J % _GROUP
+            if J == g:
+                # the far fields of _GROUP row blocks at their points, one product
+                a = A[:lo[g:g + _GROUP].size]
+                np.subtract(y[g:g + a.shape[0], :, None], x.ravel(), out=a)
+                for aJ, yJ in zip(a, y[g:]):
+                    aJ *= np.add(yJ[:, None], x.ravel(), out=sums)
+                with np.errstate(divide="ignore", over="ignore"):   # only near entries
+                    np.reciprocal(a, out=a)
+                for aJ, j in zip(a, range(g, g + _GROUP)):   # near boxes do not count
+                    aJ[:, _CHEB * lo[j]:_CHEB * hi[j]] = 0.0
+                L = np.matmul(a.reshape(-1, k * _CHEB), W).reshape(2, -1, _CHEB, n_t)
+            r, bath = rows[J], baths[J]
+            cs = decomp._inverse_gaps(r, slice(*hulls[J])) @ FJ
+            if hi[J] - lo[J] < k:
+                cs += _lagrange(poles[r], y[J]) @ L[:, J - g]
+            if eq.runs:
+                cs = cs[:, eq.pole_of[bath] - r.start]
+            cov = w[0, bath] @ cs[0] * s0
+            e = np.subtract(s0, om2[bath, None] * cs[1])
+            (xc, pc), (_, ps) = w[:, bath] @ np.square(cs, out=cs)
+            out[2:, start:stop] += [xc + ps, w[0, bath] @ np.square(e, out=e) + pc, cov]
         vx, vp = var_x0[0], var_p0[0]   # the oscillator's own share
         out[:, start:stop] += [c0 * x0r + s0 * p0r, -d0 * x0r + c0 * p0r,
                                vx * c0**2 + vp * s0**2, vx * d0**2 + vp * c0**2,

@@ -257,7 +257,7 @@ class CouplingSpectrum:
     A family is a frozen dataclass subclass: its ``float`` fields are
     its parameters, ``scale`` names the one that multiplies V (checked
     ``>= 0``; every other ``float`` field must be ``> 0``), and it
-    implements ``_bounds``, ``_v_sq`` (or ``_v``), ``dispersion`` and
+    implements ``_bounds``, ``_v_sq``, ``dispersion`` and
     ``dispersion_derivative``;
     the stability integral ``analytic_positivity_integral`` is -I(0)/2
     unless a family overrides it.  Construction fills in
@@ -299,14 +299,6 @@ class CouplingSpectrum:
         """|V(omega)|^2, elementwise on arrays; zero outside support."""
         out = self._v_sq(np.asarray(omega, dtype=float))
         return out if out.ndim else float(out)
-
-    def v(self, omega):
-        """V(omega), elementwise on arrays; a tabulated V keeps its sign."""
-        out = self._v(np.asarray(omega, dtype=float))
-        return out if out.ndim else float(out)
-
-    def _v(self, w: np.ndarray) -> np.ndarray:
-        return np.sqrt(self._v_sq(w))
 
     def dispersion(self, omegas):
         """I(omega) = PV int |V|^2/(omega - x) dx - int |V|^2/(omega + x) dx
@@ -482,11 +474,8 @@ class Tabulated(CouplingSpectrum):
         object.__setattr__(self, "_y", v)
         return float(w[0]), float(w[-1]), float(w[-1])
 
-    def _v(self, w):
-        return np.interp(w, self._x, self._y, left=0.0, right=0.0)
-
     def _v_sq(self, w):
-        val = self._v(w)
+        val = np.interp(w, self._x, self._y, left=0.0, right=0.0)
         return val * val
 
     def analytic_positivity_integral(self) -> float:

@@ -14,5 +14,5 @@ def gauss_legendre_bath(spec, units, N: int) -> FiniteBathModel:
     x, w = np.polynomial.legendre.leggauss(N)
     top = spec.omega_max
     freqs = 0.5 * top * (x + 1.0)
-    couplings = np.asarray(spec.v(freqs)) * np.sqrt(0.5 * top * w)
+    couplings = np.sqrt(spec.v_sq(freqs)) * np.sqrt(0.5 * top * w)
     return FiniteBathModel(units.omega0, freqs, couplings)

@@ -401,9 +401,9 @@ class TestFourierRoute:
 
 
 def test_direct_sums_take_tiles_of_times_by_entries(units):
-    # the relaxation path's kernels at N = 4000: a tile of 16 times, not
+    # the relaxation path's kernels at N = 4000: a tile of 8 times, not
     # the 64 that the Fourier route's threshold counts, holds its cosines
-    # and sines in 1 MB; each time's sums are those of that time alone,
+    # and sines in 512 KB; each time's sums are those of that time alone,
     # to rounding
     source = oracle.normal_modes(oracle.discretize(
         OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0, omega_max=30.0), units, 4000))
@@ -417,7 +417,7 @@ def test_direct_sums_take_tiles_of_times_by_entries(units):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dynamics._TILE // w.size == 16 and peak < 2 * 2**20
+    assert dynamics._TRIG_CHUNK // w.size == 8 and peak < 2 * 2**20
     one = np.stack([dynamics._direct_sums(source, ts[j:j + 1], cos=strengths[:1],
                                           sin=strengths[1:])[:, 0] for j in range(ts.size)],
                    axis=1)

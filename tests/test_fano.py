@@ -673,6 +673,27 @@ def test_bound_state_guidance():
     assert "raise it" not in detail["guidance"]
 
 
+def test_bound_state_guidance_names_the_gap():
+    # omega0 in a gap of a tabulated V: the dressed mode, at 0.99405, is a
+    # point mass inside the support, in the run of nodes with V^2 = 0
+    # across which N changes sign.  Outside the support the text stays
+    spec = Tabulated(omegas=[0.2, 0.4, 0.6, 1.6, 2.3, 3.0], values=[0, 0.25, 0, 0, 0.25, 0])
+    with pytest.raises(ConvergenceError) as exc:
+        solve(spec, U)
+    guidance = exc.value.detail["guidance"]
+    assert "outside the coupling support" not in guidance and "bound state" in guidance
+    gap = guidance.split("in the gap [")[1].split("] of the coupling support")[0]
+    lo, hi = map(float, gap.split(", "))
+    assert 0.6 < lo < 0.99405 < hi < 1.6
+    with pytest.raises(ConvergenceError) as exc:
+        solve(FlatBand(0.3, 2.0, 3.0), U)
+    detail = exc.value.detail
+    assert detail["guidance"] == (
+        f"about {detail['norm_defect']:.3g} of the spectral mass lies outside the "
+        "coupling support: a point mass (bound state) of the dressed oscillator, "
+        "which the grid cannot hold; raising omega_max does not help")
+
+
 # ---------------------------------------------------------------------------
 # fano.bracketed_newton, the root finder of _find_peaks and classify_damping
 

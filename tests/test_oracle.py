@@ -398,7 +398,7 @@ class TestSecularSolver:
         # sweep, translation and interpolation runs in small chunks
         model = oracle.discretize(_BENCH_OHMIC, _UNITS, 700)
         whole = oracle.normal_modes(model)
-        monkeypatch.setattr(oracle, "_BLOCK", 200)
+        monkeypatch.setattr(oracle, "_TRIG_CHUNK", 200)
         split = oracle.normal_modes(model)
         assert np.array_equal(split._origin, whole._origin)
         assert np.max(np.abs(split._offset - whole._offset) / np.abs(whole._offset)) <= 1e-14
@@ -469,7 +469,7 @@ def test_weights_path_memory(ohmic_ref, units):
 
 def test_secular_solver_memory(units):
     """normal_modes alone at N = 4000 holds O(N) arrays and blocks of at
-    most _BLOCK entries of its sums: a 2 MB peak."""
+    most _TRIG_CHUNK entries of its sums: a 2 MB peak."""
     model = oracle.discretize(_BENCH_OHMIC, units, 4000)
     tracemalloc.start()
     try:
@@ -614,6 +614,25 @@ class TestEvolution:
         assert red.var_x[0] == pytest.approx(cov[0, 0], rel=1e-12)
         assert red.var_p[0] == pytest.approx(cov[1, 1], rel=1e-12)
 
+    def test_coupling_signs_do_not_matter(self):
+        # only |V_k|^2 enters: the secular equation reads |z| and z^2, the
+        # covariance shares z^2.  Past _ONE_LEAF poles, so the far field
+        # and the boxes take part, with a run at 1.0 that deflates
+        u = UnitSystem(omega0=1.0, mass=1.3, hbar=0.7)
+        freqs = np.concatenate([np.linspace(0.01, 3.0, 400), [1.0, 1.0, 2.0]])
+        signs = np.random.default_rng(5).choice([-1.0, 1.0], freqs.size)
+        mixed = oracle.FiniteBathModel(1.0, freqs, signs * 0.02 * np.sqrt(freqs))
+        plain = oracle.FiniteBathModel(1.0, freqs, np.abs(mixed.couplings))
+        assert np.any(mixed.couplings < 0) and np.any(mixed.couplings > 0)
+        times = np.linspace(0.0, 30.0, 61)
+        got, want = (oracle.normal_modes(m) for m in (mixed, plain))
+        assert got._secular.runs
+        assert np.array_equal(got.Omegas, want.Omegas)
+        assert np.array_equal(got.weights, want.weights)
+        got, want = (oracle.evolve_reduced(m, u, 1.3, -0.4, times) for m in (mixed, plain))
+        for key in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
     def test_blocked_path_matches_per_time_loop(self, units):
         # 301 times and 301 roots: full blocks and a partial one of each
         spec = OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0)
@@ -681,9 +700,9 @@ class TestEvolution:
 
     @pytest.mark.parametrize("chunk", [1, 4000])
     def test_window_of_any_chunk_matches_per_time_loop(self, chunk, monkeypatch):
-        # phases a root (or 33 roots) at a time: the first pass takes one
-        # box a chunk, and the second pass's window moves up by a root (or
-        # 16) past each hull, shifting the roots it keeps at every move
+        # chunks of a root (or 33 roots): the window both passes share
+        # holds the widest hull and a root (or 16) more, so the second pass
+        # moves it at almost every hull, shifting the roots it keeps
         model = UNEVEN_MODELS["flat_band_gap_1200"]()
         decomp = oracle.normal_modes(model)
         times = np.linspace(0.0, 30.0, 121)

@@ -26,6 +26,26 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(f.read_text(), filename=str(f), feature_version=version)
 
 
+def test_ci_floors_job_pins_the_declared_floors():
+    # the floors job installs the oldest Python, numpy and scipy that
+    # pyproject.toml declares, and both jobs run one pytest command; read
+    # as text, since the floors job has neither yaml nor tomllib
+    root = SCRIPTS.parent
+    project = (root / "pyproject.toml").read_text()
+    tests, floors = (root / ".github/workflows/tier1.yml").read_text().split("\n  floors:\n")
+
+    def floor(package, block):
+        lines = re.search(rf"^{block} = \[(.*?)^\]", project, re.M | re.S).group(1)
+        return re.search(rf'"{package}>=([\d.]+)"', lines).group(1)
+
+    python = re.search(r'requires-python = ">=([\d.]+)"', project).group(1)
+    assert f'python-version: "{python}"' in floors
+    assert f'"numpy=={floor("numpy", "dependencies")}.*"' in floors
+    assert f'"scipy=={floor("scipy", "test")}.*"' in floors
+    runs = [re.findall(r"- run: (.*-m pytest.*)", job) for job in (tests, floors)]
+    assert len(runs[0]) == 1 and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("script,args", [
     ("reference_run.py", ["--N", "200"]),
     ("oracle_convergence.py", ["--N", "100", "200"]),

@@ -40,21 +40,20 @@ U = UnitSystem()
 
 def test_zero_coupling_evaluates_to_zero():
     spec = OhmicExp(amplitude=0.0, cutoff=5.0)
-    assert spec.v(0.7) == 0.0
+    assert spec.v_sq(0.7) == 0.0
     assert spec.is_zero()
 
 
 def test_ohmic_value_at_cutoff():
     spec = OhmicExp(amplitude=0.3, cutoff=5.0)
-    v = spec.v(5.0)
-    assert abs(v * v - 0.09 * 5.0 * math.exp(-1.0)) < 1e-14
+    assert abs(spec.v_sq(5.0) - 0.09 * 5.0 * math.exp(-1.0)) < 1e-14
 
 
 def test_flat_band_midpoint():
     spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
-    assert spec.v(1.05) == 0.2
-    assert spec.v(0.05) == 0.0
-    assert spec.v(2.5) == 0.0
+    assert spec.v_sq(1.05) == 0.2**2
+    assert spec.v_sq(0.05) == 0.0
+    assert spec.v_sq(2.5) == 0.0
 
 
 def test_zero_coupling_margin_is_omega0():
@@ -178,16 +177,10 @@ def test_gaussian_support_window():
 
 def test_tabulated_interpolates_linearly():
     spec = Tabulated(omegas=(0.5, 1.0, 2.0), values=(0.0, 0.2, 0.1))
-    assert spec.v(0.75) == pytest.approx(0.1)
-    assert spec.v(1.5) == pytest.approx(0.15)
-    assert spec.v(0.2) == 0.0
-    assert spec.v(3.0) == 0.0
-    # V keeps its sign; |V|^2 does not
-    spec = Tabulated(omegas=(0.5, 1.0, 2.0), values=(0.0, -0.2, 0.1))
-    assert spec.v(0.75) == pytest.approx(-0.1)
-    assert spec.v(1.0) == -0.2
-    assert spec.v_sq(1.0) == pytest.approx(0.04)
-    assert np.array_equal(spec.v(np.array([0.75, 1.0])), [spec.v(0.75), -0.2])
+    assert spec.v_sq(0.75) == pytest.approx(0.1**2)
+    assert spec.v_sq(1.5) == pytest.approx(0.15**2)
+    assert spec.v_sq(0.2) == 0.0
+    assert spec.v_sq(3.0) == 0.0
 
 
 def test_tabulated_construction_rules():
@@ -224,13 +217,11 @@ def test_scalar_call_matches_array(spec):
     # inside and outside the support, and on its edges
     xs = np.concatenate([np.linspace(0.0, 1.2 * spec.omega_max, 41),
                          [spec.support_lower, spec.omega_max]])
-    for name in ("v_sq", "v"):
-        fn = getattr(spec, name)
-        array = fn(xs)
-        for x, expected in zip(xs, array):
-            out = fn(float(x))
-            assert type(out) is float
-            assert out == expected
+    array = spec.v_sq(xs)
+    for x, expected in zip(xs, array):
+        out = spec.v_sq(float(x))
+        assert type(out) is float
+        assert out == expected
 
 
 @pytest.mark.parametrize("spec", FAMILY_SAMPLES, ids=lambda s: s.family)
