@@ -91,7 +91,6 @@ _OPTIONS = {
         "rel_var": (0.005, "number >= 0"),
         "histogram_l1": (0.02, "number >= 0"),
     },
-    "fit": {"jitter_seed": (None, "integer >= 0")},
     "grid": {
         "max_nodes": (..., "integer >= 1"),
         "max_rounds": (..., "integer >= 1"),
@@ -112,7 +111,6 @@ class RunConfig:
     time: types.SimpleNamespace
     oracle: types.SimpleNamespace
     tolerances: types.SimpleNamespace
-    fit: types.SimpleNamespace
     out_dir: str | None
 
 
@@ -415,11 +413,7 @@ def cmd_weak(cfg: RunConfig, out: Path) -> int:
 
     spec = _need_spectrum(cfg)
     sol = fano.solve(spec, cfg.units, **cfg.grid)
-    jitter_rng = None
-    if cfg.fit.jitter_seed is not None:
-        import numpy as np
-        jitter_rng = np.random.default_rng(cfg.fit.jitter_seed)
-    rep = weakcoupling.lorentzian_fit(sol, jitter_rng=jitter_rng)
+    rep = weakcoupling.lorentzian_fit(sol)
     (out / "weak_report.json").write_text(rep.to_json() + "\n")
     rep.overlay_csv(out / "overlay.csv")
     w0 = cfg.units.omega0

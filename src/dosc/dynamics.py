@@ -178,13 +178,13 @@ class DynamicsKernels:
     """The three averaged kernels on a sorted time lattice.
 
     ``source`` is the measure they were summed over, ``given`` the one
-    kernels was passed, before any refinement for the times."""
+    kernels was passed, before any refinement for the times; both
+    carry the oscillator's omega0."""
 
     times: np.ndarray
     k_cos: np.ndarray
     k_sin_over: np.ndarray
     k_sin_times: np.ndarray
-    omega0: float
     source: object = field(repr=False)
     given: object = field(repr=False)
 
@@ -220,8 +220,7 @@ def kernels(source, times) -> DynamicsKernels:
             "quadrature error exceeds its contract"
         )
     return DynamicsKernels(times=ts, k_cos=k_cos, k_sin_over=k_sin_over,
-                           k_sin_times=k_sin_times,
-                           omega0=source.omega0, source=source, given=given)
+                           k_sin_times=k_sin_times, source=source, given=given)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +237,7 @@ def mean_trajectory(kern: DynamicsKernels, x0: float, p0: float,
                     units: UnitSystem) -> MeanTrajectory:
     """<x(t)>, <p(t)> for an initially displaced oscillator with the
     environment stationary; ``units`` must have the kernels' omega0."""
-    units.require_omega0(kern.omega0)
+    units.require_omega0(kern.source.omega0)
     x = kern.k_cos * x0 + kern.k_sin_over * (p0 / units.mass)
     p = kern.k_cos * p0 - units.mass * kern.k_sin_times * x0
     return MeanTrajectory(times=kern.times, x=x, p=p)
@@ -282,11 +281,11 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     checked(resolution, "number >= 0", "resolution")
     source = _resolved(kern.given if scan_window > kern.times[-1] else kern.source,
                        scan_window)
-    step = _SCAN_STEP_FACTOR / kern.omega0
+    step = _SCAN_STEP_FACTOR / source.omega0
     n = int(math.ceil(scan_window / step)) + 1
     # every scan time in (0, scan_window], the horizon resolved above
     ts = np.linspace(min(step, scan_window), scan_window, n)
-    floor = resolution * kern.omega0**2
+    floor = resolution * source.omega0**2
     sin = [source.weights * source.nodes]     # k_sin_times' strengths
     vals = _evaluate(source, ts, sin=sin)[0]
     tol = _FOURIER_REL_ERR * float(np.sum(np.abs(sin[0])))

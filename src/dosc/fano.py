@@ -189,6 +189,11 @@ def _n_values(spec, units, omegas) -> np.ndarray:
     return 2.0 * (w * w - w0 * w0) / w0 - spec.dispersion(w)
 
 
+def _n_slope(spec, units, w: np.ndarray) -> np.ndarray:
+    """N'(omega) = 4 omega/omega0 - I'(omega), elementwise on an array."""
+    return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 
@@ -224,16 +229,12 @@ def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
     sign = np.where(np.isfinite(nvals), np.sign(nvals), 0.0)    # none at inf or nan
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     neg = i + (sign[i] > 0)     # the end of each bracket where N < 0
-
-    def slope(w):
-        return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
-
     try:
-        pk = bracketed_newton(lambda w: (_n_values(spec, units, w), slope(w)),
+        pk = bracketed_newton(lambda w: (_n_values(spec, units, w), _n_slope(spec, units, w)),
                               lattice[neg], lattice[2 * i + 1 - neg], xtol=1e-14, rtol=1e-14)
     except ValueError:
         return []
-    nprime, vsq = np.abs(slope(pk)), spec.v_sq(pk)
+    nprime, vsq = np.abs(_n_slope(spec, units, pk)), spec.v_sq(pk)
     with np.errstate(divide="ignore", invalid="ignore"):
         width = np.where((nprime > 0) & (vsq > 0), math.pi * vsq / nprime, 1e-3 * pk)
     width = np.maximum(width, 1e-9 * units.omega0)
@@ -339,19 +340,34 @@ def _midpoints(nodes, idx):
     return mids, (nodes[idx] < mids) & (mids < nodes[idx + 1])
 
 
-def _gap_with_root(spec, units, nodes):
-    """The first and last node of the first run of nodes where V^2 = 0,
-    between nodes where it is not, across which N changes sign; None if
-    no run has one.  N rises strictly where V^2 = 0, so such a gap of the
-    support holds exactly one zero of N: a bound state."""
+def _bound_states(spec, units, nodes) -> list[list[float]]:
+    """[Omega_b, pi_b] for each zero Omega_b of N where V^2 = 0, a bound
+    state of weight pi_b = 4 Omega_b / (omega0 |N'(Omega_b)|) (U. Fano,
+    Phys. Rev. 124, 1866 (1961)).  N rises strictly where V^2 = 0, so at
+    most one lies below a support that starts above 0, above a bounded one
+    (its top doubled until N > 0), and in each run of nodes with V^2 = 0
+    between coupled nodes.  Brackets start one float off a support edge,
+    where N may be infinite.  Raises as bracketed_newton does."""
     zero = spec.v_sq(nodes) == 0.0
     first = np.flatnonzero(~zero[:-1] & zero[1:]) + 1
     last = np.flatnonzero(zero[:-1] & ~zero[1:])
     last = last[last >= first[0]] if first.size else last[:0]
-    ends = np.stack([nodes[first[:last.size]], nodes[last]])
-    n = _n_values(spec, units, ends)
-    at = np.flatnonzero(n[0] * n[1] < 0)
-    return ends[:, at[0]] if at.size else None
+    lo, hi = list(nodes[first[:last.size]]), list(nodes[last])
+    if spec.support_lower > 0:
+        lo.append(0.0)
+        hi.append(np.nextafter(spec.support_lower, 0.0))
+    if math.isfinite(spec.support_upper):
+        top = 2.0 * spec.support_upper
+        while _n_values(spec, units, top) <= 0:
+            top *= 2.0
+        lo.append(np.nextafter(spec.support_upper, math.inf))
+        hi.append(top)
+    lo, hi = np.array(lo), np.array(hi)
+    keep = (_n_values(spec, units, lo) < 0) & (_n_values(spec, units, hi) > 0)
+    roots = bracketed_newton(lambda w: (_n_values(spec, units, w), _n_slope(spec, units, w)),
+                             lo[keep], hi[keep], xtol=1e-14, rtol=1e-14)
+    weights = 4.0 * roots / (units.omega0 * np.abs(_n_slope(spec, units, roots)))
+    return np.stack([roots, weights], axis=1).tolist()
 
 
 def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
@@ -412,11 +428,14 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
 
     point_mass = ("a point mass (bound state) of the dressed oscillator, which "
                   "the grid cannot hold; raising omega_max does not help")
-    gap = _gap_with_root(spec, units, nodes)
-    if gap is not None:
-        missing = (f"about {norm_defect:.3g} of the spectral mass lies in the gap "
-                   f"[{gap[0]:.7g}, {gap[1]:.7g}] of the coupling support, where "
-                   f"N changes sign: {point_mass}")
+    try:
+        states = _bound_states(spec, units, nodes)
+    except (ValueError, RuntimeError):
+        states = []
+    heavy = ", ".join(f"{w:.8g} (weight {p:.6g})" for w, p in states if p > norm_tol)
+    if heavy:
+        missing = (f"about {norm_defect:.3g} of the spectral mass lies where |V|^2 = 0, "
+                   f"at omega = {heavy}: {point_mass}")
     elif math.isfinite(spec.support_upper):
         # omega_max cannot cut a bounded support (spectra refuses that), so
         # the missing mass is not in a truncated tail
@@ -448,6 +467,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     raise ConvergenceError(message, detail={
         "norm_defect": norm_defect, "sum_defect": sum_defect,
         "nodes": int(nodes.size), "rounds": rounds, "guidance": guidance,
+        "bound_states": states,
     })
 
 

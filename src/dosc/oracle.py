@@ -136,18 +136,13 @@ class FiniteBathModel:
         return self.bath_freqs.size
 
     @property
-    def bare_freqs(self) -> np.ndarray:
-        """Frequencies of the uncoupled constituents: omega0 then the bath."""
-        return np.concatenate([[self.omega0], self.bath_freqs])
-
-    @property
     def border(self) -> np.ndarray:
         """K[0, 1:] = V_k sqrt(omega0 omega_k)."""
         return self.couplings * np.sqrt(self.omega0 * self.bath_freqs)
 
     @functools.cached_property
     def K(self) -> np.ndarray:
-        K = np.diag(self.bare_freqs**2)
+        K = np.diag(np.concatenate([[self.omega0], self.bath_freqs]) ** 2)
         K[0, 1:] = K[1:, 0] = self.border
         return K
 
@@ -269,15 +264,14 @@ class NormalModeDecomposition:
     ----------
     Omegas : ndarray, shape (N+1,)
         Normal-mode frequencies, ascending.
-    overlaps : ndarray, shape (N+1,)
-        First components O_0k >= 0 of the orthonormal eigenvectors.
     weights : ndarray, shape (N+1,)
-        pi_k = O_0k^2; sums to 1 by orthogonality.
+        pi_k = O_0k^2, with O_0k >= 0 the first components of the
+        orthonormal eigenvectors; sums to 1 by orthogonality.
     model : FiniteBathModel
         The model this decomposition belongs to.
 
     ``eigenvectors``, the full matrix O (columns, first row
-    ``overlaps``), is built on first access from the roots' offsets and
+    sqrt(weights)), is built on first access from the roots' offsets and
     then kept; only the tests read it.  Evolution takes the same
     inverse gaps, a block of rows against nearby roots at a time.
 
@@ -287,7 +281,6 @@ class NormalModeDecomposition:
     """
 
     Omegas: np.ndarray
-    overlaps: np.ndarray
     weights: np.ndarray
     model: FiniteBathModel = field(repr=False)
     _secular: _SecularEquation = field(repr=False)
@@ -306,7 +299,7 @@ class NormalModeDecomposition:
     def _inverse_gaps(self, rows: slice, roots: slice) -> np.ndarray:
         """g = 1/(omega_j^2 - Omega_k^2) for the kept poles omega_j =
         ``_secular.d[1:][rows]`` against the roots Omega_k in root order
-        ``roots``.  Root k's eigenvector is overlaps[k] (1, -z_j g) over
+        ``roots``.  Root k's eigenvector is sqrt(weights[k]) (1, -z_j g) over
         the oscillator then the coupled bath modes, 0 elsewhere.
 
         omega_j - Omega_k is formed as the solver forms it, as (omega_j -
@@ -330,7 +323,7 @@ class NormalModeDecomposition:
         o = np.zeros((rank.size, rank.size))
         at = eq.d.size
         kept = rank[:at]
-        o[0, kept] = self.overlaps[kept]
+        o[0, kept] = np.sqrt(self.weights[kept])
         z = self.model.border[eq.coupled]
         for lo in range(0, eq.tau.size, 4 * _CHEB):
             bath = slice(*np.searchsorted(eq.pole_of, [lo, lo + 4 * _CHEB]))
@@ -716,7 +709,7 @@ def normal_modes(model: FiniteBathModel) -> NormalModeDecomposition:
     rank[order] = np.arange(order.size)
     weights = weights[order]
     return NormalModeDecomposition(
-        Omegas=omegas[order], overlaps=np.sqrt(weights), weights=weights,
+        Omegas=omegas[order], weights=weights,
         model=model, _secular=eq, _rank=rank, _origin=origin, _offset=offset,
     )
 
@@ -833,8 +826,8 @@ def _window(spans, om, pi, pio, tb, F):
 
 
 def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
-                   x0: float, p0: float, times: Sequence[float],
-                   decomp: NormalModeDecomposition | None = None) -> ReducedTrajectory:
+                   x0: float, p0: float, times: Sequence[float], *,
+                   decomp: NormalModeDecomposition) -> ReducedTrajectory:
     """Reduced oscillator evolution from the displaced product state.
 
     Initial state: oscillator ground state displaced by physical
@@ -861,17 +854,15 @@ def evolve_reduced(model: FiniteBathModel, units: UnitSystem,
     block, and from the far boxes' multipoles, translated by
     1/(y^2 - x^2) to its own points y and interpolated to its poles; d
     from K; and adds its share of the covariance.  Deflated modes have
-    a_k = 0 and drop out.  ``times`` may be unsorted.  A ``decomp``
-    passed in must be normal_modes of this very ``model``.
+    a_k = 0 and drop out.  ``times`` may be unsorted but not empty.
+    ``decomp`` must be normal_modes of this very ``model``.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
-        raise UsageError("times must be a 1-d sequence of finite numbers")
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+        raise UsageError("times must be a non-empty 1-d sequence of finite numbers")
     x0r = checked(x0, "number", "x0") * math.sqrt(units.mass)
     p0r = checked(p0, "number", "p0") / math.sqrt(units.mass)
-    if decomp is None:
-        decomp = normal_modes(model)
-    elif decomp.model is not model:
+    if decomp.model is not model:
         raise UsageError("decomp is the decomposition of another model")
     eq = decomp._secular
     kept = decomp._rank[:eq.d.size]

@@ -138,14 +138,11 @@ def _fit(wm, pm, rt, start, lower, upper) -> tuple[float, float]:
     return c, g
 
 
-def lorentzian_fit(sol, jitter_rng=None) -> WeakCouplingReport:
+def lorentzian_fit(sol) -> WeakCouplingReport:
     """Least-squares fit of pi(omega) near its peak to a unit-mass
-    Lorentzian; raises ConvergenceError when pi has no isolated
-    interior peak to fit.
-
-    ``jitter_rng`` (a numpy Generator) perturbs the fit's starting
-    point by up to 10% as a stability probe; a well-conditioned fit
-    must land on the same minimum.  Default is no jitter.
+    Lorentzian, started at the peak and its half width at half
+    maximum; raises ConvergenceError when pi has no isolated interior
+    peak to fit.
     """
     w = sol.omegas
     pi = sol.pi
@@ -186,12 +183,7 @@ def lorentzian_fit(sol, jitter_rng=None) -> WeakCouplingReport:
     tw[-1] = 0.5 * (wm[-1] - wm[-2])
     rt = np.sqrt(tw)
 
-    c_start, g_start = peak, hwhm0
-    if jitter_rng is not None:
-        c_start = peak + hwhm0 * 0.1 * jitter_rng.uniform(-1.0, 1.0)
-        g_start = hwhm0 * (1.0 + 0.1 * jitter_rng.uniform(-1.0, 1.0))
-        c_start = min(max(c_start, lo), hi)
-    center_fit, hwhm_fit = _fit(wm, pm, rt, (c_start, g_start),
+    center_fit, hwhm_fit = _fit(wm, pm, rt, (peak, hwhm0),
                                 (lo, 1e-15), (hi, hi - lo))
     lor = _lorentz(wm, center_fit, hwhm_fit)
     residual_l1 = float(np.trapezoid(np.abs(pm - lor), wm))

@@ -78,7 +78,7 @@ def product_ground_state(model: FiniteBathModel, units: UnitSystem,
                          x0: float = 0.0, p0: float = 0.0) -> GaussianEvolutionState:
     """Each constituent in its own bare ground state; the oscillator
     optionally displaced by physical (x0, p0)."""
-    bare = model.bare_freqs
+    bare = np.concatenate([[model.omega0], model.bath_freqs])
     m = bare.size
     hbar = units.hbar
     cov = np.zeros((2 * m, 2 * m))

@@ -117,6 +117,22 @@ class TestArgumentHandling:
         for cls, (code, words) in table.items():
             assert cls.exit_code == code and words in rows[str(code)], cls
 
+    def test_config_schema_is_the_readme_example_and_table(self, tmp_path):
+        # the jsonc example loads, and the table names each option field once
+        from dosc import cli
+
+        readme = (CONFIGS.parent / "README.md").read_text()
+        section = readme.split("### Config schema", 1)[1].split("###", 1)[0]
+        example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "example.json"
+        path.write_text(re.sub(r"//.*", "", example))
+        cli.load_config(str(path), [])
+        rows = re.findall(r"^\| (`.*?) \|", section, re.M)
+        named = [n for row in rows for n in re.findall(r"`(\w+\.\w+)`", row)]
+        options = [f"{block}.{key}" for block, table in cli._OPTIONS.items()
+                   for key in table]
+        assert sorted(named) == sorted(options)
+
 
 class TestConfigValidation:
     def base(self):
@@ -183,12 +199,12 @@ class TestConfigValidation:
         "tolerances.rel_var=-0.1", 'tolerances.rel_var="abc"',
         "tolerances.histogram_l1=NaN", 'oracle.bath_omega_max="abc"',
         "oracle.bath_omega_max=-Infinity", "oracle.bath_omega_max=0",
-        "oracle.bath_omega_max=-3", "fit.jitter_seed=-1",
+        "oracle.bath_omega_max=-3",
         "grid.max_nodes=1e400", "grid.max_nodes=0", "grid.max_rounds=-3",
         "grid.max_rounds=2.5", "grid.norm_tol=NaN",
         "grid.norm_tol=0", "grid.sum_tol=-1e-6", "grid.sum_tol=Infinity",
         "oracle.N=2.5", "oracle.N=true", "oracle.bins=0", "time.n_times=1",
-        "time.n_times=Infinity", "fit.jitter_seed=1.5", "time.spacing=true",
+        "time.n_times=Infinity", "time.spacing=true",
         'oracle.scheme="gauss"', "oracle.scheme=gauss_like", "units.omega0=true", "units.mass=0",
         "spectrum.level=true", "spectrum.lower=NaN", "spectrum.omega_max=1.0",
     ])
@@ -196,7 +212,7 @@ class TestConfigValidation:
         # each once gave a traceback or an accepted nonsense run
         # (units.omega0=true ran with omega0 = True, spectrum.level=true
         # with level 1)
-        command = {"tolerances": "compare", "oracle": "compare", "fit": "weak",
+        command = {"tolerances": "compare", "oracle": "compare",
                    "grid": "spectrum", "units": "groundstate",
                    "spectrum": "groundstate"}.get(item.split(".")[0], "dynamics")
         rc, _, err = run(capsys, command, "--config", str(CONFIGS / "flat_band.json"),
@@ -216,6 +232,7 @@ class TestConfigValidation:
         ("two_mode", "model.couplings=[0.5, 0.1]", "must have equal length"),
         ("flat_band", "units.omega0.x=1", "descends into non-object at 'omega0'"),
         ("flat_band", "out_dir=5", "out_dir must be a string path"),
+        ("flat_band", "fit.jitter_seed=7", "unknown key(s) ['fit'] in config"),
     ])
     def test_malformed_blocks_refused(self, capsys, tmp_path, config, item, words):
         rc, _, err = run(capsys, "groundstate", "--config", str(CONFIGS / f"{config}.json"),
@@ -263,7 +280,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("item,value", [
         ("oracle.N=1e3", 1000), ("time.n_times=401.0", 401),
-        ("fit.jitter_seed=3.0", 3), ("grid.max_nodes=3e4", 30000),
+        ("grid.max_nodes=3e4", 30000),
     ])
     def test_integral_numbers_pass_as_int(self, item, value):
         from dosc.cli import load_config
@@ -299,7 +316,6 @@ class TestConfigValidation:
         assert vars(cfg.oracle) == {"N": 800, "scheme": "uniform", "bins": 160,
                                     "bath_omega_max": None}
         assert vars(cfg.tolerances) == {"rel_var": 0.005, "histogram_l1": 0.02}
-        assert vars(cfg.fit) == {"jitter_seed": None}
         assert cfg.model is None and cfg.out_dir is None
         # grid fields the config leaves out take fano's defaults
         assert cfg.grid == {}
@@ -611,16 +627,6 @@ class TestWeakCommand:
         header = (tmp_path / "overlay.csv").read_text().splitlines()[0]
         assert header == "omega,pi_exact,pi_lorentz"
         assert "hwhm" in out
-
-    def test_jitter_seed_reproducible(self, capsys, tmp_path):
-        for sub in ("a", "b"):
-            rc, _, _ = run(capsys, "weak",
-                           "--config", str(CONFIGS / "weak_line.json"),
-                           "--override", "fit.jitter_seed=7",
-                           "--out", str(tmp_path / sub))
-            assert rc == 0
-        assert ((tmp_path / "a" / "weak_report.json").read_bytes()
-                == (tmp_path / "b" / "weak_report.json").read_bytes())
 
 
 class TestTablesMatchSavetxt:

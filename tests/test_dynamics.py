@@ -40,10 +40,10 @@ def full_window_scan(kern, scan_window, resolution=1e-3):
     reaches below the floor."""
     source = kern.source
     w, wt = source.nodes, source.weights * source.nodes
-    step = dynamics._SCAN_STEP_FACTOR / kern.omega0
+    step = dynamics._SCAN_STEP_FACTOR / kern.source.omega0
     ts = np.linspace(step, scan_window, int(math.ceil(scan_window / step)) + 1)
     vals = dynamics._direct_sums(source, ts, sin=[wt])[0]
-    below = np.flatnonzero(vals < -resolution * kern.omega0**2)
+    below = np.flatnonzero(vals < -resolution * kern.source.omega0**2)
     if not below.size:
         return None
     j = int(below[0])
@@ -484,7 +484,7 @@ class TestDamping:
         calls = fourier_calls(monkeypatch)
         cls = dynamics.classify_damping(k, window)
         assert cls.first_stationary_time == expected
-        n_scan = int(math.ceil(window / (dynamics._SCAN_STEP_FACTOR / k.omega0))) + 1
+        n_scan = int(math.ceil(window / (dynamics._SCAN_STEP_FACTOR / k.source.omega0))) + 1
         assert calls == [(1, n_scan)]
 
     @pytest.mark.parametrize("case", SCAN_CASES)
@@ -496,7 +496,7 @@ class TestDamping:
         source, window = SCAN_CASES[case]
         source = request.getfixturevalue(source)
         k = dynamics.kernels(source, np.linspace(0.0, window, 30))
-        step = dynamics._SCAN_STEP_FACTOR / k.omega0
+        step = dynamics._SCAN_STEP_FACTOR / k.source.omega0
         ts = np.linspace(step, window, int(math.ceil(window / step)) + 1)
         sin = [source.weights * source.nodes]
         deepest = dynamics._direct_sums(source, ts, sin=sin).min()
@@ -543,8 +543,8 @@ def last_decade_peak(kern):
     common scale: k_sin_over times omega0, k_sin_times over omega0."""
     tail = kern.times >= kern.times[-1] / 10.0
     return max(float(np.max(np.abs(kern.k_cos[tail]))),
-               float(np.max(np.abs(kern.k_sin_over[tail]))) * kern.omega0,
-               float(np.max(np.abs(kern.k_sin_times[tail]))) / kern.omega0)
+               float(np.max(np.abs(kern.k_sin_over[tail]))) * kern.source.omega0,
+               float(np.max(np.abs(kern.k_sin_times[tail]))) / kern.source.omega0)
 
 
 class TestRelaxation:

@@ -402,7 +402,8 @@ def test_node_budget_stop_is_reported_as_such():
     with pytest.raises(ConvergenceError) as exc:
         solve(OhmicExp(amplitude=math.sqrt(0.1), cutoff=5.0), U, max_nodes=800)
     detail = exc.value.detail
-    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance",
+                           "bound_states"}
     assert detail["rounds"] == 1 and detail["nodes"] == 800
     assert detail["norm_defect"] <= 1e-6 and detail["sum_defect"] <= 1e-6
     assert "grid.max_nodes = 800" in detail["guidance"]
@@ -424,13 +425,18 @@ def test_node_budget_stop_without_jumps_names_the_bound_state():
     with pytest.raises(ConvergenceError) as exc:
         solve(spec, U)
     detail = exc.value.detail
-    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance",
+                           "bound_states"}
     assert detail["nodes"] == 30000 and detail["rounds"] < 24
     assert detail["norm_defect"] > 1e-5
     assert "grid.max_nodes = 30000 ran out" in detail["guidance"]
     assert "0 intervals still failing the jump test" in detail["guidance"]
     assert "bound state" in detail["guidance"]
     assert "raise grid.max_nodes" not in detail["guidance"]
+    # the mass it lacks is a bound state just below the band's lower edge
+    (root, weight), = detail["bound_states"]
+    assert abs(root - 0.35876333) <= 1e-7 and abs(weight - 2.804e-5) <= 1e-8
+    assert "at omega = 0.35876333 (weight 2.80416e-05)" in detail["guidance"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -454,7 +460,8 @@ def test_peak_between_adjacent_floats_refused_as_a_bound_state(monkeypatch):
     assert all(np.all(np.diff(g) > 0.0) for g in grids)
     assert "cannot resolve pi" in str(exc.value)
     detail = exc.value.detail
-    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance",
+                           "bound_states"}
     assert math.isfinite(detail["norm_defect"]) and math.isfinite(detail["sum_defect"])
     assert detail["nodes"] == grids[-1].size < fano.MAX_NODES
     assert detail["rounds"] == len(grids) - 1 < fano.MAX_ROUNDS
@@ -506,7 +513,8 @@ def test_round_budget_stop_reports_the_evaluated_grid():
     with pytest.raises(ConvergenceError) as exc:
         compute_pi(spec, U, max_rounds=1)
     detail = exc.value.detail
-    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
+    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance",
+                           "bound_states"}
     assert detail["rounds"] == 0 and detail["nodes"] == grid.size
     measured = fano._solution(spec, U, grid)
     assert detail["norm_defect"] == abs(measured.norm_defect)
@@ -658,36 +666,60 @@ def test_kinked_tabulated_spectra_solve(spec):
     sol = solve(spec, U)
     assert abs(sol.norm_defect) <= 1e-6
     assert abs(frequency_moment(sol, 2) - 1.0) <= 1e-6
+    # no state worth naming, also where N = -inf on the sin^2 table's
+    # last node (V^2 = 1e-62 there): the search starts one float above
+    assert all(weight <= fano.NORM_TOL for _, weight in fano._bound_states(spec, U, sol.nodes))
 
 
 def test_bound_state_guidance():
-    # a band above omega0 leaves the dressed oscillator mode as a point
-    # mass outside the support; a larger omega_max cannot reach it
-    with pytest.raises(ConvergenceError) as exc:
-        solve(FlatBand(0.3, 2.0, 3.0), U)
-    detail = exc.value.detail
-    assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance"}
-    assert detail["norm_defect"] > 0.5
-    assert "outside the coupling support" in detail["guidance"]
-    assert "bound state" in detail["guidance"]
-    assert "raise it" not in detail["guidance"]
+    # omega0 below a band or a peak, or above a band, leaves the dressed
+    # oscillator mode as a point mass outside the support, with the
+    # root of N and the weight 4 Omega_b / (omega0 |N'|) that a finite
+    # bath gives it; a larger omega_max cannot reach it
+    for spec, root, weight in ((FlatBand(0.3, 2.0, 3.0), 0.97788987, 0.99089362),
+                               (FlatBand(0.1, 0.1, 0.5), 1.00069272, 0.99839167),
+                               (GaussianPeak(0.3, 2.0, 0.1), 0.99243012, 0.99489096)):
+        with pytest.raises(ConvergenceError) as exc:
+            solve(spec, U)
+        detail = exc.value.detail
+        assert set(detail) == {"norm_defect", "sum_defect", "nodes", "rounds", "guidance",
+                               "bound_states"}
+        (got_root, got_weight), = detail["bound_states"]
+        assert abs(got_root - root) <= 1e-7 and abs(got_weight - weight) <= 1e-6
+        assert abs(detail["norm_defect"] - got_weight) <= 1e-6
+        assert detail["guidance"] == (
+            f"about {detail['norm_defect']:.3g} of the spectral mass lies where "
+            f"|V|^2 = 0, at omega = {got_root:.8g} (weight {got_weight:.6g}): a point "
+            "mass (bound state) of the dressed oscillator, which the grid cannot "
+            "hold; raising omega_max does not help")
 
 
 def test_bound_state_guidance_names_the_gap():
-    # omega0 in a gap of a tabulated V: the dressed mode, at 0.99405, is a
-    # point mass inside the support, in the run of nodes with V^2 = 0
-    # across which N changes sign.  Outside the support the text stays
+    # omega0 in a gap of a tabulated V: the dressed mode is a point mass
+    # inside the support, in the run of nodes with V^2 = 0 across which
+    # N changes sign
     spec = Tabulated(omegas=[0.2, 0.4, 0.6, 1.6, 2.3, 3.0], values=[0, 0.25, 0, 0, 0.25, 0])
     with pytest.raises(ConvergenceError) as exc:
         solve(spec, U)
-    guidance = exc.value.detail["guidance"]
-    assert "outside the coupling support" not in guidance and "bound state" in guidance
-    gap = guidance.split("in the gap [")[1].split("] of the coupling support")[0]
-    lo, hi = map(float, gap.split(", "))
-    assert 0.6 < lo < 0.99405 < hi < 1.6
+    detail = exc.value.detail
+    (root, weight), = detail["bound_states"]
+    assert abs(root - 0.99405029) <= 1e-7 and abs(weight - 0.99096747) <= 1e-6
+    assert "outside the coupling support" not in detail["guidance"]
+    assert f"at omega = {root:.8g} (weight {weight:.6g})" in detail["guidance"]
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_bound_state_search_failure_keeps_the_refusal(monkeypatch, error):
+    # a search that fails, as bracketed_newton may, names no state and
+    # leaves the support's text
+    def fail(*args):
+        raise error("search failed")
+
+    monkeypatch.setattr(fano, "_bound_states", fail)
     with pytest.raises(ConvergenceError) as exc:
         solve(FlatBand(0.3, 2.0, 3.0), U)
     detail = exc.value.detail
+    assert detail["bound_states"] == []
     assert detail["guidance"] == (
         f"about {detail['norm_defect']:.3g} of the spectral mass lies outside the "
         "coupling support: a point mass (bound state) of the dressed oscillator, "

@@ -240,7 +240,7 @@ class TestAgainstDenseEigh:
         v = decomp.eigenvectors
         assert np.max(np.abs(v.T @ v - np.eye(v.shape[0]))) <= 1e-12 * k_norm
         assert np.max(np.abs(K @ v - v * decomp.Omegas**2)) <= 1e-12 * k_norm
-        assert np.array_equal(v[0], decomp.overlaps)
+        assert np.array_equal(v[0], np.sqrt(decomp.weights))
 
     def test_cases_exercise_deflation(self):
         assert np.sum(REFERENCE_MODELS["flat_band_gap"]().couplings == 0.0) > 0
@@ -629,7 +629,8 @@ class TestEvolution:
         assert got._secular.runs
         assert np.array_equal(got.Omegas, want.Omegas)
         assert np.array_equal(got.weights, want.weights)
-        got, want = (oracle.evolve_reduced(m, u, 1.3, -0.4, times) for m in (mixed, plain))
+        got, want = (oracle.evolve_reduced(m, u, 1.3, -0.4, times, decomp=d)
+                     for m, d in ((mixed, got), (plain, want)))
         for key in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
@@ -730,7 +731,8 @@ class TestEvolution:
             model = REFERENCE_MODELS[name]()
         times = np.linspace(0.0, 30.0, 61)
         x0, p0 = 1.3, -0.4
-        red = oracle.evolve_reduced(model, u, x0, p0, times)
+        red = oracle.evolve_reduced(model, u, x0, p0, times,
+                                    decomp=oracle.normal_modes(model))
         ref = _eigh_reduced(model, u, x0, p0, times)
         for key, want in ref.items():
             assert np.max(np.abs(getattr(red, key) - want)) <= 1e-12, key
@@ -801,7 +803,7 @@ class TestEvolution:
         # times need not ascend
         two = oracle.evolve_reduced(model, units, 1.0, 0.0, [5.0, 3.0], decomp=decomp)
         assert two.var_x[1] == pytest.approx(one.var_x[0], rel=1e-14)
-        for times in (np.ones((2, 2)), [0.0, np.nan], [1.0, np.inf]):
+        for times in (np.ones((2, 2)), [0.0, np.nan], [1.0, np.inf], []):
             with pytest.raises(UsageError, match="times"):
                 oracle.evolve_reduced(model, units, 1.0, 0.0, times, decomp=decomp)
         for x0, p0 in ((np.nan, 0.0), (0.0, np.inf), (True, 0.0), (1.0, "0")):
@@ -914,9 +916,10 @@ def _per_time_reduced(model, decomp, units, x0, p0, times):
     """Reference for evolve_reduced: three matrix-vector products with
     the eigenvectors per time point (unit mass and hbar)."""
     assert units.mass == 1.0 and units.hbar == 1.0
-    o, a, om = decomp.eigenvectors, decomp.overlaps, decomp.Omegas
-    var_x0 = 1.0 / (2.0 * model.bare_freqs)
-    var_p0 = model.bare_freqs / 2.0
+    o, a, om = decomp.eigenvectors, np.sqrt(decomp.weights), decomp.Omegas
+    bare = np.concatenate([[model.omega0], model.bath_freqs])
+    var_x0 = 1.0 / (2.0 * bare)
+    var_p0 = bare / 2.0
     out = {key: np.empty(len(times))
            for key in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")}
     for i, t in enumerate(times):
@@ -936,8 +939,9 @@ def _eigh_reduced(model, units, x0, p0, times):
     matrix-vector products per time point, physical units."""
     lam, vec = eigh(model.K)
     om, a = np.sqrt(lam), vec[0]
-    var_x0 = units.hbar / (2.0 * model.bare_freqs)
-    var_p0 = units.hbar * model.bare_freqs / 2.0
+    bare = np.concatenate([[model.omega0], model.bath_freqs])
+    var_x0 = units.hbar / (2.0 * bare)
+    var_p0 = units.hbar * bare / 2.0
     rm = math.sqrt(units.mass)
     out = {key: np.empty(len(times))
            for key in ("mean_x", "mean_p", "var_x", "var_p", "cov_xp")}
