@@ -45,7 +45,7 @@ def main() -> int:
     if cfg.spectrum is None:
         ap.error("this script needs a config with a continuum spectrum")
 
-    sol = fano.solve(cfg.spectrum, cfg.units, **cfg.grid)
+    sol = fano.solve(cfg.spectrum, cfg.units)
     print(f"spectrum {cfg.spectrum!r}, scheme {cfg.oracle.scheme}, "
           f"bins {cfg.oracle.bins}, bath top {args.bath_top}")
     header = (f"{'N':>6} {'rel var_x':>11} {'rel var_p':>11} {'rel <<w>>':>11} "

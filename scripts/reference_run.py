@@ -35,7 +35,7 @@ def main() -> int:
         ap.error("this script needs a config with a continuum spectrum")
 
     t0 = time.perf_counter()
-    sol = fano.solve(cfg.spectrum, cfg.units, **cfg.grid)
+    sol = fano.solve(cfg.spectrum, cfg.units)
     t_solve = time.perf_counter() - t0
     print(f"config   {args.config}")
     print(f"spectrum {cfg.spectrum!r}")

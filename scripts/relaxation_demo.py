@@ -44,7 +44,7 @@ def main() -> int:
     if cfg.spectrum is None:
         ap.error("this script needs a config with a continuum spectrum")
 
-    sol = fano.solve(cfg.spectrum, cfg.units, **cfg.grid)
+    sol = fano.solve(cfg.spectrum, cfg.units)
     gamma = 2.0 * weakcoupling.lorentzian_fit(sol).hwhm_fit
 
     spec = dataclasses.replace(cfg.spectrum, omega_max=args.bath_top)

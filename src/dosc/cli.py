@@ -14,7 +14,8 @@ anyway; a third-party import must not be deferred into a command, since
 it then lands inside the command's time rather than start-up.  Instead,
 no run-path module imports any of scipy (the CLI stack then loads about
 230 modules, against 579 with scipy.special and scipy.linalg.lapack):
-Simpson's rule is fano.simpson_weights; roots come from a bracketed
+the Gauss-Legendre nodes of fano's panel rule come from an
+eigen-decomposition, not numpy.polynomial; roots come from a bracketed
 Newton (fano.bracketed_newton) on closed-form slopes; the Lorentzian
 fit is a small Levenberg-Marquardt in weakcoupling; xlogy, Dawson's
 integral and the ohmic Ei/E1 bracket are numpy ports in spectra; and
@@ -67,8 +68,7 @@ def _cap_threads() -> None:
 # Each option field's default and rule.  A rule is one of errors.checked
 # ("number" or "integer", with an optional lower bound such as ">= 1"),
 # or a tuple of the strings allowed.  A default of None also admits
-# null.  The grid fields' default ``...`` leaves them out of cfg.grid,
-# so that fano.solve's own defaults apply.
+# null.
 _OPTIONS = {
     "time": {
         "t_max": (None, "number"),
@@ -91,12 +91,6 @@ _OPTIONS = {
         "rel_var": (0.005, "number >= 0"),
         "histogram_l1": (0.02, "number >= 0"),
     },
-    "grid": {
-        "max_nodes": (..., "integer >= 1"),
-        "max_rounds": (..., "integer >= 1"),
-        "norm_tol": (..., "number > 0"),
-        "sum_tol": (..., "number > 0"),
-    },
 }
 
 
@@ -107,7 +101,6 @@ class RunConfig:
     units: object
     spectrum: object | None
     model: dict | None
-    grid: dict
     time: types.SimpleNamespace
     oracle: types.SimpleNamespace
     tolerances: types.SimpleNamespace
@@ -137,7 +130,7 @@ def _options(name: str, data) -> dict:
     """One option block, filled from _OPTIONS and checked field by field."""
     table = _OPTIONS[name]
     _require_object(data, name, table)
-    out = {key: default for key, (default, _) in table.items() if default is not ...}
+    out = {key: default for key, (default, _) in table.items()}
     for key, value in data.items():
         default, rule = table[key]
         if value is not None or default is not None:
@@ -244,11 +237,10 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
         raise UsageError("out_dir must be a string path")
     spectrum = _build_spectrum(raw["spectrum"]) if "spectrum" in raw else None
     model = _build_model(raw["model"]) if "model" in raw else None
-    blocks = {name: _options(name, raw.get(name, {})) for name in _OPTIONS}
-    grid = blocks.pop("grid")
     return RunConfig(
-        units=units, spectrum=spectrum, model=model, grid=grid, out_dir=out_dir,
-        **{name: types.SimpleNamespace(**block) for name, block in blocks.items()})
+        units=units, spectrum=spectrum, model=model, out_dir=out_dir,
+        **{name: types.SimpleNamespace(**_options(name, raw.get(name, {})))
+           for name in _OPTIONS})
 
 
 def _need_spectrum(cfg: RunConfig):
@@ -268,7 +260,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     from . import fano
 
     spec = _need_spectrum(cfg)
-    sol = fano.solve(spec, cfg.units, **cfg.grid)
+    sol = fano.solve(spec, cfg.units)
     sol.to_csv(out / "pi.csv")
     summary = {
         "n_nodes": int(sol.omegas.size),
@@ -316,7 +308,7 @@ def cmd_groundstate(cfg: RunConfig, out: Path) -> int:
             print(text, end="")
             return 0
         from . import fano
-        sol = fano.solve(spec, cfg.units, **cfg.grid)
+        sol = fano.solve(spec, cfg.units)
         source = sol
         origin = {"source": "continuum", "n_nodes": int(sol.omegas.size)}
 
@@ -346,8 +338,8 @@ def cmd_dynamics(cfg: RunConfig, out: Path) -> int:
     else:
         ts = np.linspace(0.0, t.t_max, t.n_times)
 
-    sol = fano.solve(spec, cfg.units, **cfg.grid)
-    # the kernels and the damping scan refine the grid for their own
+    sol = fano.solve(spec, cfg.units)
+    # the kernels and the damping scan split the panels for their own
     # times, within this budget
     sol = dataclasses.replace(sol, alias_mass_tol=t.alias_mass_tol)
     kern = dynamics.kernels(sol, ts)
@@ -391,7 +383,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
         return 0
 
     from . import fano
-    sol = fano.solve(spec, cfg.units, **cfg.grid)
+    sol = fano.solve(spec, cfg.units)
     rep = oracle.compare_with_continuum(
         sol, cfg.units, o.N, scheme=o.scheme, bins=o.bins,
         bath_omega_max=o.bath_omega_max)
@@ -412,7 +404,7 @@ def cmd_weak(cfg: RunConfig, out: Path) -> int:
     from . import fano, weakcoupling
 
     spec = _need_spectrum(cfg)
-    sol = fano.solve(spec, cfg.units, **cfg.grid)
+    sol = fano.solve(spec, cfg.units)
     rep = weakcoupling.lorentzian_fit(sol)
     (out / "weak_report.json").write_text(rep.to_json() + "\n")
     rep.overlay_csv(out / "overlay.csv")

@@ -10,13 +10,13 @@ over pi(omega):
 with <x(t)> = k_cos x0 + k_sin_over p0/m and
 <p(t)> = k_cos p0 - m k_sin_times x0.  Each kernel is one sum over
 a (nodes, weights) measure, sum_k w_k e^{i omega_k t}.  On a continuum
-solution that sum is a Simpson quadrature over the grid, so its
-validity is governed by the anti-aliasing bound
-Delta_omega * t_max <= 0.1: beyond it the grid undersamples the
+solution that sum is a Gauss-Legendre quadrature over the solution's
+panels, exact to rounding on a panel of width h while
+h * t_max <= 16: beyond it the panel's nodes undersample the
 oscillating integrand, so the kernels and the damping scan first
-refine the grid for their largest time (fano.refine_for_times),
-within the mass budget for wide intervals the solution carries.  On
-a finite-bath decomposition the same sum is exact at any t.
+split the panels for their largest time (fano.refine_for_times),
+within the mass budget for wide panels the solution carries.  On a
+finite-bath decomposition the same sum is exact at any t.
 
 The sums take one of two routes, chosen from the time lattice alone:
 
@@ -166,8 +166,8 @@ def _evaluate(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
 
 
 def _resolved(source, t_max: float):
-    """``source`` with a grid that resolves times up to t_max.  A
-    finite-bath sum is exact at any t; only a grid can undersample."""
+    """``source`` with panels that resolve times up to t_max.  A
+    finite-bath sum is exact at any t; only panels can undersample."""
     if isinstance(source, fano.SpectralSolution):
         return fano.refine_for_times(source, t_max)
     return source
@@ -198,7 +198,7 @@ def kernels(source, times) -> DynamicsKernels:
     sine strength rows, summed together by one route.
 
     ``source`` is a continuum SpectralSolution (quadrature over its
-    grid, first refined by fano.refine_for_times for the largest
+    panels, first split by fano.refine_for_times for the largest
     requested time within the solution's alias_mass_tol) or a
     finite-bath NormalModeDecomposition (exact sums, no bound).  The
     result's ``source`` is the measure the kernels were summed over.
@@ -272,8 +272,8 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     in a direct scan), and directly, with its time derivative, at each
     root step.  A continuum
     source is refined for scan_window as in kernels: past the kernels'
-    last time, the measure kernels was given, in one step, since
-    refining the kernels' grid again builds more nodes.
+    last time, the measure kernels was given, in one step, so that the
+    mass of the panels left unsplit counts against the budget once.
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])

@@ -19,11 +19,12 @@ and the ground-state frequency density is
 
     pi(omega) = |alpha(omega)|^2 * 4 omega0 omega / (omega0 + omega)^2,
 
-normalised to one.  This module computes pi on an adaptively refined
-grid; a solution keeps pi alone and is a (nodes, weights) measure, the
-weight of a node being its Simpson weight times pi.  A finite-bath
-decomposition is another (Omegas, O_0k^2).  The moment functional
-<< f(omega) >> is weights @ f(nodes) over either.
+normalised to one.  This module evaluates pi in closed form at the
+nodes of a fixed composite Gauss-Legendre rule; a solution keeps the
+rule's breakpoints and pi at its nodes, and is a (nodes, weights)
+measure, the weight of a node being its Gauss weight times pi.  A
+finite-bath decomposition is another (Omegas, O_0k^2).  The moment
+functional << f(omega) >> is weights @ f(nodes) over either.
 
 Numerical form: everything is built from N(omega) = Y * |V|^2, which
 stays finite in the far tails where Y itself overflows;
@@ -32,19 +33,26 @@ N is one array expression over all nodes: I(omega) comes from the
 spectrum family's closed form (``CouplingSpectrum.dispersion``), which
 the tests check against scalar QUADPACK calls.
 
-Grid strategy: a logarithmic base grid over (omega_max * 1e-6,
-omega_max] inside the support, geometric ladders into any sharp support
-edge, seed clusters around each resonance (zero of N, bracketed and
-signed by a scan, then refined by Newton steps on the closed-form slope
-N', whose value there gives the cluster's Lorentzian width), then interval
-bisection wherever pi jumps by more than 1% of its peak or the local
-curvature indicator says the normalisation error budget is threatened.
-Refinement stops when the norm defect and the omega^2 sum rule are both
-within tolerance.
+The rule: PANEL_POINTS Gauss-Legendre nodes on each panel between
+breakpoints that halve their distance to 0 or a sharp lower edge, and
+to a finite upper edge, down to 1e-16 of the span; that halve it to each
+interior node of a tabulated V, from both sides, down to 1e-3 of the
+adjacent segment; and that double theirs from each resonance (zero of
+N, bracketed and signed by a scan, then refined by Newton steps on the
+closed-form slope N', whose value there gives the Lorentzian half-width
+w), from w/2 until they pass both ends of the support.  An unbounded
+support gets panels doubling from omega_max past 1e4 omega_max.  Such
+rules converge exponentially for integrands analytic on each panel
+(Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed.,
+1984; Trefethen, *Approximation Theory and Approximation Practice*,
+ch. 19).  N is evaluated once on the nodes, and once more on the same
+panels with CHECK_POINTS nodes each: the two rules' moments certify
+the first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,61 +63,73 @@ from .csvio import write_csv
 from .errors import ConvergenceError, UsageError, checked
 # unused here; perfbench/tracer.py wraps these names to count quadrature calls
 from .quadrature import cauchy_pv, integrate  # noqa: F401
-from .spectra import CouplingSpectrum, UnitSystem, require_admissible
+from .spectra import CouplingSpectrum, Tabulated, UnitSystem, require_admissible
 
 NORM_TOL = 1e-6
 SUM_TOL = 1e-6
 
-BASE_POINTS = 320
+# Gauss-Legendre nodes a panel, of the rule and of its certificate
+PANEL_POINTS = 16
+CHECK_POINTS = 24
+# Grading of the breakpoints: edge ladders reach 2**-53 (about 1e-16) of
+# the span, table-node ladders 2**-10 (about 1e-3) of a segment (on the
+# benchmark's tables 2**-7 left the two rules 1.7e-12 apart, where 2**-10
+# leaves 1.7e-15, and 2**-53 took 6,400-13,200 nodes), and
+# an unbounded support's panels double 14 times from omega_max, past
+# 1e4 omega_max.  Breakpoints closer than DISTINCT relative are dropped,
+# so that the Gauss nodes of the narrowest panels stay distinct floats.
+EDGE_DEPTH = 53
+TABLE_DEPTH = 10
+TAIL_DOUBLINGS = 14
+DISTINCT = 1e-12
 SCAN_POINTS = 160
-MAX_NODES = 30000
-MAX_ROUNDS = 24
 
-# Anti-aliasing bound of the time-domain grid: spacing * t_max <= ALIAS_LIMIT,
-# except on intervals carrying at most a solution's alias_mass_tol of the
-# spectral mass (ALIAS_MASS_TOL unless the solution was given another),
-# and the node budget refine_for_times may add to reach it.
-ALIAS_LIMIT = 0.1
+# Anti-aliasing bound of the time-domain rule: panel width * t_max <=
+# ALIAS_LIMIT, where PANEL_POINTS Gauss nodes integrate e^{i omega t} to
+# 4e-16, except on panels carrying at most a solution's alias_mass_tol
+# of the spectral mass (ALIAS_MASS_TOL unless the solution was given
+# another), and the node budget refine_for_times may add to reach it.
+ALIAS_LIMIT = 16.0
 ALIAS_MASS_TOL = 1e-6
 MAX_NEW_NODES = 120000
-
-# Relative distance kept clear of a sharp support edge; Y diverges
-# logarithmically there, so pi -> 0 and the skipped sliver carries
-# no weight at the tolerances in use.
-EDGE_MARGIN = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """pi on the grid ``omegas``, plus provenance.
+    """pi at the nodes of the panel rule on ``breaks``, plus provenance.
 
-    ``nodes`` is ``omegas`` under the name every (nodes, weights)
-    measure shares.  ``meta`` records how the grid was reached:
-    ``rounds`` and ``nodes`` from compute_pi, ``refined_for_t_max``
-    from refine_for_times.  ``spec`` and ``units`` are carried so that
-    dynamics and diagnostics can evaluate the dispersion integrals at
-    new frequencies without re-supplying context.  ``alias_mass_tol`` is
-    the spectral mass refine_for_times lets intervals wider than the
-    anti-aliasing bound carry.  ``weights`` is the Simpson weight of each
-    node times pi, fixed at construction, and so are the two signed
-    defects refinement certifies, moments over those weights:
-    ``norm_defect = <<1>> - 1`` and
+    ``omegas`` are the PANEL_POINTS Gauss-Legendre nodes of each panel
+    between adjacent breakpoints, panel by panel, and ``nodes`` is
+    ``omegas`` under the name every (nodes, weights) measure shares.
+    ``meta`` records how the rule was reached: ``rounds`` (0),
+    ``nodes`` and ``rule_difference`` (see compute_pi) from compute_pi,
+    ``refined_for_t_max`` from refine_for_times.  ``spec`` and
+    ``units`` are carried so that dynamics and diagnostics can evaluate
+    the dispersion integrals at new frequencies without re-supplying
+    context.  ``alias_mass_tol`` is the spectral mass refine_for_times
+    lets panels wider than the anti-aliasing bound carry.  ``weights``
+    is the Gauss weight of each node times pi, fixed at construction,
+    and so are the two signed defects compute_pi certifies, moments
+    over those weights: ``norm_defect = <<1>> - 1`` and
     ``sum_defect = <<omega^2>>/omega0^2 - 1``.  Instances are immutable.
     """
 
-    omegas: np.ndarray
+    breaks: np.ndarray
     pi: np.ndarray
     spec: CouplingSpectrum
     units: UnitSystem
     alias_mass_tol: float = ALIAS_MASS_TOL
     meta: dict = field(default_factory=dict, repr=False)
+    omegas: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     norm_defect: float = field(init=False)
     sum_defect: float = field(init=False)
 
     def __post_init__(self):
         checked(self.alias_mass_tol, "number >= 0", "alias_mass_tol")
-        object.__setattr__(self, "weights", simpson_weights(self.nodes) * self.pi)
+        omegas, gauss = panel_rule(self.breaks)
+        object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "weights", gauss * self.pi)
         object.__setattr__(self, "norm_defect", frequency_moment(self, 0) - 1.0)
         object.__setattr__(self, "sum_defect",
                            frequency_moment(self, 2) / (self.omega0 * self.omega0) - 1.0)
@@ -129,26 +149,28 @@ class SpectralSolution:
                   [self.omegas, *_assemble(self.spec, self.units, self.omegas)[:3], self.pi])
 
 
-def simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w such that w @ y is scipy.integrate.simpson(y, x=x) up to
-    rounding: the composite non-uniform Simpson rule over interval pairs,
-    and for an even node count scipy's parabolic correction of the last
-    interval.  Needs at least 3 nodes."""
-    h = np.diff(x)
-    n = x.size
-    m = n - 1 if n % 2 == 0 else n      # nodes covered by interval pairs
-    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
-    hsum = h0 + h1
-    w = np.zeros(n)
-    w[0:m - 2:2] += hsum / 6.0 * (2.0 - h1 / h0)
-    w[1:m - 1:2] += hsum**3 / (6.0 * h0 * h1)
-    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
-    if n % 2 == 0:
-        a, b = h[-2], h[-1]
-        w[-1] += (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))
-        w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
-        w[-3] -= b**3 / (6.0 * a * (a + b))
-    return w
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    from the eigen-decomposition of its Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23 (1969) 221), symmetrised; read-only, as they are
+    shared.  numpy.polynomial's leggauss would cost about 5 ms of import."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    x, w = 0.5 * (x - x[::-1]), v[0] ** 2 + v[0, ::-1] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def panel_rule(breaks: np.ndarray, n: int = PANEL_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    between adjacent breakpoints, panel by panel: increasing nodes, n a
+    panel."""
+    x, w = _gauss_legendre(n)
+    half = 0.5 * np.diff(breaks)[:, None]
+    mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def bracketed_newton(f: Callable, lo, hi, *, xtol: float, rtol: float) -> np.ndarray:
@@ -194,37 +216,26 @@ def _n_slope(spec, units, w: np.ndarray) -> np.ndarray:
     return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
 
 
+def _n_values(spec, units, omegas) -> np.ndarray:
+    """N(omega) = 2(omega^2 - omega0^2)/omega0 - I(omega), elementwise."""
+    w = np.asarray(omegas, dtype=float)
+    w0 = units.omega0
+    return 2.0 * (w * w - w0 * w0) / w0 - spec.dispersion(w)
+
+
+def _n_slope(spec, units, w: np.ndarray) -> np.ndarray:
+    """N'(omega) = 4 omega/omega0 - I'(omega), elementwise on an array."""
+    return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
+
+
 # ---------------------------------------------------------------------------
-# grid construction
-
-def _grid_bounds(spec: CouplingSpectrum) -> tuple[float, float, float]:
-    """Open-interval node bounds (lo, hi) and the edge-ladder span."""
-    lo_edge = max(spec.support_lower, 0.0)
-    hi_edge = min(spec.omega_max, spec.support_upper)
-    span = hi_edge - lo_edge
-    lo = max(spec.omega_max * 1e-6, lo_edge + EDGE_MARGIN * span if lo_edge > 0 else 0.0)
-    if math.isfinite(spec.support_upper) and spec.omega_max >= spec.support_upper:
-        hi = spec.support_upper - EDGE_MARGIN * span
-    else:
-        hi = spec.omega_max
-    if not lo < hi:
-        raise UsageError(f"degenerate grid range [{lo}, {hi}]")
-    return lo, hi, span
-
-
-def _edge_ladders(spec: CouplingSpectrum, lo: float, hi: float, span: float) -> list[float]:
-    pts: list[float] = []
-    if spec.support_lower > 0:
-        pts.extend(spec.support_lower + span * 10.0 ** (-k) for k in range(1, 8))
-    if math.isfinite(spec.support_upper):
-        pts.extend(spec.support_upper - span * 10.0 ** (-k) for k in range(1, 8))
-    return [p for p in pts if lo <= p <= hi]
-
+# the rule's breakpoints
 
 def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
     """Zeros of N(omega), one per sign change between finite values on a
-    scan, with local Lorentzian half-widths pi |V|^2 / |N'|."""
-    lattice = np.geomspace(lo, hi, SCAN_POINTS)
+    scan geometric in the distance from lo, from 1e-6 of hi - lo on,
+    with local Lorentzian half-widths pi |V|^2 / |N'|."""
+    lattice = lo + (hi - lo) * np.geomspace(1e-6, 1.0, SCAN_POINTS)
     nvals = _n_values(spec, units, lattice)
     sign = np.where(np.isfinite(nvals), np.sign(nvals), 0.0)    # none at inf or nan
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
@@ -237,32 +248,20 @@ def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
     nprime, vsq = np.abs(_n_slope(spec, units, pk)), spec.v_sq(pk)
     with np.errstate(divide="ignore", invalid="ignore"):
         width = np.where((nprime > 0) & (vsq > 0), math.pi * vsq / nprime, 1e-3 * pk)
-    width = np.maximum(width, 1e-9 * units.omega0)
-    room = 0.25 * np.minimum(pk - lo, hi - pk)
-    return list(zip(pk.tolist(), np.where(room > 0, np.minimum(width, room), width).tolist()))
+    return list(zip(pk.tolist(), np.maximum(width, 1e-9 * units.omega0).tolist()))
 
 
-def _peak_cluster(pk: float, w: float, lo: float, hi: float) -> np.ndarray:
-    core = pk + w * np.linspace(-8.0, 8.0, 97)
-    pieces = [core]
-    left_reach = 0.9 * (pk - lo)
-    if left_reach > 8 * w:
-        pieces.append(pk - w * np.geomspace(8.0, left_reach / w, 25))
-    right_reach = 0.9 * (hi - pk)
-    if right_reach > 8 * w:
-        pieces.append(pk + w * np.geomspace(8.0, right_reach / w, 25))
-    pts = np.concatenate(pieces)
-    return pts[(pts > lo) & (pts < hi)]
-
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """np.unique of nan-free floats: sorted, each value once.  np.unique
-    itself imports numpy.ma (about 10 ms) on its first call."""
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted values less those within DISTINCT relative of the value
+    below them: of each run so close, the first is kept, and of the last
+    run the last, so both ends stay and kept values are farther apart."""
     v = np.sort(values)
-    first = np.empty(v.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(v[1:], v[:-1], out=first[1:])
-    return v[first]
+    start = np.empty(v.shape, dtype=bool)
+    start[:1] = True
+    np.greater(v[1:] - v[:-1], DISTINCT * np.abs(v[1:]), out=start[1:])
+    kept = v[start]
+    kept[-1] = v[-1]
+    return kept
 
 
 def _require_coupled(spec: CouplingSpectrum) -> None:
@@ -276,28 +275,33 @@ def _require_coupled(spec: CouplingSpectrum) -> None:
 
 
 def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> np.ndarray:
-    """Initial grid: log base + coarse linear comb + edge ladders + peak
-    clusters.  Refinement to tolerance happens inside compute_pi."""
+    """The panel rule's breakpoints, graded as the module docstring says,
+    from the lower end of the support (or 0) to its upper end, and on an
+    unbounded support on past omega_max."""
     _require_coupled(spec)
-    lo, hi, span = _grid_bounds(spec)
-    parts = [
-        np.geomspace(lo, hi, BASE_POINTS),
-        np.linspace(lo, hi, 64),
-        np.array(_edge_ladders(spec, lo, hi, span)),
-    ]
-    for pk, w in _find_peaks(spec, units, lo, hi):
-        parts.append(_peak_cluster(pk, w, lo, hi))
-    nodes = _unique(np.concatenate([p for p in parts if p.size]))
-    nodes = nodes[(nodes >= lo) & (nodes <= hi)]
-    # A peak cluster whose width was clamped to the room left before lo
-    # or hi puts a node within an ulp of that bound.  Such a pair makes
-    # adjacent Simpson intervals differ by orders of magnitude, and the
-    # rule's weights blow up, so drop the later node of any near pair.
-    return nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * nodes[1:]])]
+    lo = max(spec.support_lower, 0.0)
+    top = min(spec.omega_max, spec.support_upper)
+    ladder = (top - lo) * 2.0 ** -np.arange(1, EDGE_DEPTH + 1)
+    parts = [lo + ladder]
+    if math.isfinite(spec.support_upper):
+        parts.append(top - ladder)
+    if isinstance(spec, Tabulated):
+        x = np.asarray(spec.omegas, dtype=float)
+        steps = 2.0 ** -np.arange(1, TABLE_DEPTH + 1)[:, None]
+        parts += [x, (x[1:-1] - np.diff(x)[:-1] * steps).ravel(),
+                  (x[1:-1] + np.diff(x)[1:] * steps).ravel()]
+    for pk, w in _find_peaks(spec, units, lo, top):
+        doublings = np.arange(-1, math.log2(max(pk - lo, top - pk) / w) + 1)
+        parts.append(pk + np.outer([-w, w], 2.0 ** doublings).ravel())
+    inner = np.concatenate(parts)
+    inner = inner[(inner > lo) & (inner < top)]
+    tail = top * 2.0 ** np.arange(1, TAIL_DOUBLINGS + 1)
+    return _distinct(np.concatenate([[lo, top], inner,
+                                     tail if math.isinf(spec.support_upper) else []]))
 
 
 # ---------------------------------------------------------------------------
-# solution assembly and refinement
+# solution assembly and certificate
 
 def _assemble(spec, units, nodes):
     w0 = units.omega0
@@ -305,7 +309,8 @@ def _assemble(spec, units, nodes):
     nvals = _n_values(spec, units, w)
     vsq = np.asarray(spec.v_sq(w), dtype=float)
     denom = nvals * nvals + (math.pi**2) * vsq * vsq
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # where V^2 underflows in a tail, Y = N/V^2 overflows to +-inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_sq = np.where(vsq > 0, (w + w0) ** 2 * vsq / (w0 * w0 * denom), 0.0)
         Y = np.where(vsq > 0, nvals / vsq, np.nan)
     pi = alpha_sq * (4.0 * w0 * w / (w0 + w) ** 2)
@@ -313,31 +318,29 @@ def _assemble(spec, units, nodes):
     return Y, alpha_sq, beta, pi
 
 
-def _solution(spec, units, nodes, **kwargs) -> SpectralSolution:
-    """The solution assembled on ``nodes``; ``kwargs`` go to SpectralSolution."""
-    return SpectralSolution(omegas=nodes, pi=_assemble(spec, units, nodes)[3],
+def _solution(spec, units, breaks, **kwargs) -> SpectralSolution:
+    """The solution assembled on the nodes of ``breaks``; ``kwargs`` go
+    to SpectralSolution."""
+    return SpectralSolution(breaks=breaks, pi=_assemble(spec, units, panel_rule(breaks)[0])[3],
                             spec=spec, units=units, **kwargs)
 
 
-def _interval_error_indicator(w, pi, units):
-    """Per-interval estimate of the normalisation/sum-rule error, from a
-    three-point curvature proxy weighted towards high frequencies."""
-    h = np.diff(w)
-    slopes = np.diff(pi) / h
-    curv = np.zeros_like(h)
-    interior = np.abs(np.diff(slopes))
-    curv[:-1] += 0.5 * interior
-    curv[1:] += 0.5 * interior
-    mid = 0.5 * (w[:-1] + w[1:])
-    weight = 1.0 + (mid / units.omega0) ** 2
-    return curv * h * h * weight
+def _rule_difference(spec, units, breaks, pi) -> tuple[float, int]:
+    """The largest difference in <<1>>, <<omega^2>>/omega0^2 and
+    omega0 <<1/omega>> between the rule with ``pi`` at its nodes and
+    CHECK_POINTS nodes on the same panels, and the panel that differs
+    most."""
+    w0 = units.omega0
 
+    def panel_moments(n, pi):
+        nodes, gauss = panel_rule(breaks, n)
+        if pi is None:
+            pi = _assemble(spec, units, nodes)[3]
+        f = np.stack([np.ones_like(nodes), (nodes / w0) ** 2, w0 / nodes])
+        return (f * (gauss * pi)).reshape(3, -1, n).sum(axis=2)
 
-def _midpoints(nodes, idx):
-    """The midpoints of the intervals nodes[idx], nodes[idx + 1], and
-    which of them fall strictly inside (between adjacent floats none do)."""
-    mids = 0.5 * (nodes[idx] + nodes[idx + 1])
-    return mids, (nodes[idx] < mids) & (mids < nodes[idx + 1])
+    d = panel_moments(PANEL_POINTS, pi) - panel_moments(CHECK_POINTS, None)
+    return float(np.max(np.abs(d.sum(axis=1)))), int(np.argmax(np.max(np.abs(d), axis=0)))
 
 
 def _bound_states(spec, units, nodes) -> list[list[float]]:
@@ -371,102 +374,71 @@ def _bound_states(spec, units, nodes) -> list[list[float]]:
 
 
 def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
-               norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL,
-               max_nodes: int = MAX_NODES, max_rounds: int = MAX_ROUNDS) -> SpectralSolution:
-    """Evaluate pi on build_grid's nodes and refine until the
-    normalisation and the omega^2 sum rule both hold to tolerance.
+               norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL) -> SpectralSolution:
+    """Evaluate pi on the nodes of the panel rule on build_grid's
+    breakpoints, and certify it.
 
-    Each round bisects the intervals that fail the 1% jump test or the
-    error budget.  The grid comes first, so that a zero coupling is
+    Trailing panels where pi is 0 at every node are dropped.  The
+    certificate is the largest difference of <<1>>, <<omega^2>>/omega0^2
+    and omega0 <<1/omega>> against CHECK_POINTS nodes on the same
+    panels (``meta["rule_difference"]``), within min(norm_tol, sum_tol),
+    and the normalisation and the omega^2 sum rule within norm_tol and
+    sum_tol.  The breakpoints come first, so that a zero coupling is
     refused before an inadmissible model, and both before a bad
-    tolerance or budget.  Raises ConvergenceError with diagnostics at
-    the first of these stops:
+    tolerance.  Raises ConvergenceError with diagnostics when:
 
-    * pi jumps only across intervals between adjacent floats, a point
-      mass (bound state) no grid holds;
-    * no interval fails either test while a defect still misses its
-      tolerance: the grid resolves pi, and the mass it lacks lies where
-      no node reaches, in a bound state outside a bounded support or a
-      tail cut off by omega_max on an unbounded one;
-    * the node budget or the round budget runs out.
+    * the two rules differ: pi has structure narrower than its panels,
+      such as a line where |V|^2 is too small to give it a width, in
+      effect a point mass (bound state);
+    * a defect misses its tolerance: the mass pi lacks lies where no
+      panel reaches, in a bound state where |V|^2 = 0.
     """
-    nodes = build_grid(spec, units)
+    breaks = build_grid(spec, units)
     require_admissible(spec, units)
     checked(norm_tol, "number > 0", "norm_tol")
     checked(sum_tol, "number > 0", "sum_tol")
-    max_nodes = checked(max_nodes, "integer >= 1", "max_nodes")
-    max_rounds = checked(max_rounds, "integer >= 1", "max_rounds")
 
-    for rounds in range(max_rounds):
-        sol = _solution(spec, units, nodes,
-                        meta={"rounds": rounds, "nodes": int(nodes.size)})
-        pi = sol.pi
-        jumps = np.abs(np.diff(pi)) > 0.01 * pi.max()
-        norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
-        if norm_defect <= norm_tol and sum_defect <= sum_tol and not jumps.any():
-            return sol
-
-        err = _interval_error_indicator(nodes, pi, units)
-        marked = jumps | (err > 0.25 * min(norm_tol, sum_tol) / err.size)
-        # stop when pi jumps only across intervals of adjacent floats, which
-        # have no midpoint (a peak no grid resolves, so the jump test cannot
-        # pass), when no interval is marked (the grid resolves pi, so more
-        # nodes would not move the defects), when no nodes are left, or no
-        # round to evaluate them
-        at = np.flatnonzero(jumps)
-        unresolved = at.size > 0 and not _midpoints(nodes, at)[1].any()
-        room = max_nodes - nodes.size
-        if unresolved or not marked.any() or room <= 0 or rounds + 1 == max_rounds:
-            break
-        # Largest offenders first if the budget cannot take them all.
-        idx = np.flatnonzero(marked)
-        if idx.size > room:
-            keep = np.argsort(err[idx])[::-1][:room]
-            idx = idx[keep]
-        mids, inside = _midpoints(nodes, idx)
-        nodes = np.sort(np.concatenate([nodes, mids[inside]]))
+    pi = _assemble(spec, units, panel_rule(breaks)[0])[3]
+    live = np.flatnonzero(pi.reshape(-1, PANEL_POINTS).any(axis=1))
+    panels = live[-1] + 1 if live.size else breaks.size - 1
+    breaks, pi = breaks[:panels + 1], pi[:panels * PANEL_POINTS]
+    diff, worst = _rule_difference(spec, units, breaks, pi)
+    sol = SpectralSolution(breaks=breaks, pi=pi, spec=spec, units=units,
+                           meta={"rounds": 0, "nodes": pi.size, "rule_difference": diff})
+    norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
+    unresolved = diff > min(norm_tol, sum_tol)
+    if not unresolved and norm_defect <= norm_tol and sum_defect <= sum_tol:
+        return sol
 
     point_mass = ("a point mass (bound state) of the dressed oscillator, which "
                   "the grid cannot hold; raising omega_max does not help")
     try:
-        states = _bound_states(spec, units, nodes)
+        states = _bound_states(spec, units, np.sort(np.concatenate([breaks, sol.nodes])))
     except (ValueError, RuntimeError):
         states = []
-    heavy = ", ".join(f"{w:.8g} (weight {p:.6g})" for w, p in states if p > norm_tol)
-    if heavy:
-        missing = (f"about {norm_defect:.3g} of the spectral mass lies where |V|^2 = 0, "
-                   f"at omega = {heavy}: {point_mass}")
-    elif math.isfinite(spec.support_upper):
-        # omega_max cannot cut a bounded support (spectra refuses that), so
-        # the missing mass is not in a truncated tail
-        missing = (f"about {norm_defect:.3g} of the spectral mass lies outside "
-                   f"the coupling support: {point_mass}")
-    else:
-        missing = "omega_max is probably truncating spectral weight; raise it and rerun"
-    message = "grid refinement exhausted its budget before reaching tolerance"
     if unresolved:
-        message = "grid refinement cannot resolve pi"
-        guidance = (f"pi jumps by more than 1% of its peak across {at.size} intervals "
-                    f"between adjacent floats, at omega = {nodes[at[0]]:.6g}: a point mass "
-                    "(bound state) of the dressed oscillator, where |V|^2 is too "
-                    "small to give it a width the grid can hold; neither "
-                    "grid.max_nodes nor omega_max helps")
-    elif not marked.any():
-        message = "grid refinement resolved pi, but its defects miss tolerance"
-        guidance = missing
-    elif room <= 0:
-        # more nodes help only while some interval still fails the jump test
-        guidance = (f"the node budget grid.max_nodes = {max_nodes} ran out after "
-                    f"{rounds} of {max_rounds} refinement rounds, with "
-                    f"{int(jumps.sum())} intervals still failing the jump test (pi "
-                    "changing by more than 1% of its peak across one interval); "
-                    + ("raise grid.max_nodes" if jumps.any()
-                       else "if the defect has stalled, " + missing))
+        h, mid = np.diff(breaks), 0.5 * (breaks[:-1] + breaks[1:])
+        message = "the panel rule cannot resolve pi"
+        guidance = (f"its {PANEL_POINTS}- and {CHECK_POINTS}-node sums differ by {diff:.3g}, "
+                    f"most on the panel of width {h[worst]:.3g} at omega = {mid[worst]:.8g}: "
+                    "pi has structure narrower than the panels there, such as a line "
+                    "where |V|^2 is too small to give it a width the panels can hold, "
+                    "in effect a point mass (bound state) of the dressed oscillator")
     else:
-        guidance = "if the defect has stalled, " + missing
+        message = "the panel rule resolved pi, but its defects miss tolerance"
+        heavy = ", ".join(f"{w:.8g} (weight {p:.6g})" for w, p in states if p > norm_tol)
+        if heavy:
+            guidance = (f"about {norm_defect:.3g} of the spectral mass lies where "
+                        f"|V|^2 = 0, at omega = {heavy}: {point_mass}")
+        elif math.isfinite(spec.support_upper):
+            guidance = (f"about {norm_defect:.3g} of the spectral mass lies outside "
+                        f"the coupling support: {point_mass}")
+        else:
+            guidance = (f"about {norm_defect:.3g} of the spectral mass lies beyond "
+                        f"omega = {breaks[-1]:.6g}, where the panels end: raise omega_max")
     raise ConvergenceError(message, detail={
-        "norm_defect": norm_defect, "sum_defect": sum_defect,
-        "nodes": int(nodes.size), "rounds": rounds, "guidance": guidance,
+        "norm_defect": norm_defect, "sum_defect": sum_defect, "rule_difference": diff,
+        "nodes": sol.nodes.size, "rounds": 0, "guidance": guidance,
         "bound_states": states,
     })
 
@@ -498,44 +470,44 @@ def frequency_moment(measure, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# time-domain grid support
+# time-domain rule
 
 def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
-    """Return a solution whose grid resolves oscillations up to t_max.
+    """Return a solution whose panels resolve oscillations up to t_max.
 
-    Requirement: intervals violating  (spacing) * t_max <= ALIAS_LIMIT
-    may carry at most sol.alias_mass_tol of total spectral weight.  The
-    grid is split once: the lightest violating intervals are exempt up
+    Requirement: panels violating  (width) * t_max <= ALIAS_LIMIT  may
+    carry at most sol.alias_mass_tol of total spectral weight.  The
+    panels are split once: the lightest violating panels are exempt up
     to half that budget, and every other one is split into equal parts
     no wider than ALIAS_LIMIT / t_max.  The new nodes are counted before
     any is built, and more than MAX_NEW_NODES are refused with
-    ConvergenceError.  pi is evaluated on the merged nodes, and the
+    ConvergenceError.  pi is evaluated on the new panels' nodes, and the
     result carries the same budget.  A solution that already meets the
     requirement is returned as it is.
     """
     checked(t_max, "number", "t_max")
     if t_max <= 0:
         return sol
-    nodes, pi = sol.omegas, sol.pi     # the grid, not the measure
+    breaks = sol.breaks
     h_max = ALIAS_LIMIT / t_max
-    h = np.diff(nodes)
-    masses = 0.5 * (pi[:-1] + pi[1:]) * h      # trapezoidal
+    h = np.diff(breaks)
+    masses = sol.weights.reshape(h.size, -1).sum(axis=1)
     violating = h > h_max
     budget = sol.alias_mass_tol * masses.sum()
     if masses[violating].sum() <= budget:
         return sol
-    # Exempt the lightest violating intervals up to half the mass budget.
+    # Exempt the lightest violating panels up to half the mass budget.
     idx = np.flatnonzero(violating)
     order = idx[np.argsort(masses[idx])]
     split = violating.copy()
     split[order[np.cumsum(masses[order]) <= budget * 0.5]] = False
-    # each split interval into k equal parts, its k - 1 inner points;
+    # each split panel into k equal parts, its k - 1 inner breakpoints;
     # k is clipped where it alone would be refused, so that the count
     # stays finite when h / h_max overflows
     with np.errstate(over="ignore"):
         k = np.minimum(np.ceil(h[split] / h_max), MAX_NEW_NODES + 1).astype(np.intp)
     inner = k - 1
-    added = int(inner.sum())
+    added = PANEL_POINTS * int(inner.sum())
     if added > MAX_NEW_NODES:
         raise ConvergenceError(
             "time-grid refinement budget exceeded",
@@ -545,9 +517,9 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     # np.linspace's points j * (h / k) + left, j = 1..k-1
     first = np.repeat(np.cumsum(inner) - inner, inner)
     j = np.arange(1, first.size + 1) - first
-    new_nodes = _unique(j * np.repeat(h[split] / k, inner)
-                        + np.repeat(nodes[:-1][split], inner))
-    merged = np.sort(np.concatenate([nodes, new_nodes]))
-    meta = {**sol.meta, "refined_for_t_max": t_max, "nodes": int(merged.size)}
+    merged = _distinct(np.concatenate([breaks, j * np.repeat(h[split] / k, inner)
+                                       + np.repeat(breaks[:-1][split], inner)]))
+    meta = {**sol.meta, "refined_for_t_max": t_max,
+            "nodes": PANEL_POINTS * (merged.size - 1)}
     return _solution(sol.spec, sol.units, merged,
                      alias_mass_tol=sol.alias_mass_tol, meta=meta)

@@ -176,7 +176,8 @@ def lorentzian_fit(sol) -> WeakCouplingReport:
     wm = w[mask]
     pm = pi[mask]
     # trapezoid weights make the least-squares objective approximate
-    # an integral, so the adaptive node clustering does not bias it
+    # an integral, so the nodes' grading toward the resonance does not
+    # bias it
     tw = np.empty_like(wm)
     tw[1:-1] = 0.5 * (wm[2:] - wm[:-2])
     tw[0] = 0.5 * (wm[1] - wm[0])

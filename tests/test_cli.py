@@ -212,6 +212,8 @@ class TestConfigValidation:
         # each once gave a traceback or an accepted nonsense run
         # (units.omega0=true ran with omega0 = True, spectrum.level=true
         # with level 1)
+        # The grid block is gone with the refinement it tuned: any of its
+        # keys is refused as an unknown block
         command = {"tolerances": "compare", "oracle": "compare",
                    "grid": "spectrum", "units": "groundstate",
                    "spectrum": "groundstate"}.get(item.split(".")[0], "dynamics")
@@ -220,7 +222,9 @@ class TestConfigValidation:
         assert rc == 1
         doc = stderr_doc(err)
         assert doc["error"] == "UsageError"
-        assert item.split("=")[0] in doc["message"]
+        spot = ("unknown key(s) ['grid'] in config" if item.startswith("grid.")
+                else item.split("=")[0])
+        assert spot in doc["message"]
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("config,item,words", [
@@ -280,14 +284,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("item,value", [
         ("oracle.N=1e3", 1000), ("time.n_times=401.0", 401),
-        ("grid.max_nodes=3e4", 30000),
+        ("oracle.bins=1.6e2", 160),
     ])
     def test_integral_numbers_pass_as_int(self, item, value):
         from dosc.cli import load_config
 
         cfg = load_config(str(CONFIGS / "flat_band.json"), [item])
         block, key = item.split("=")[0].split(".")
-        got = cfg.grid[key] if block == "grid" else getattr(getattr(cfg, block), key)
+        got = getattr(getattr(cfg, block), key)
         assert type(got) is int and got == value
 
     def test_integral_float_writes_same_bytes(self, capsys, tmp_path):
@@ -317,13 +321,11 @@ class TestConfigValidation:
                                     "bath_omega_max": None}
         assert vars(cfg.tolerances) == {"rel_var": 0.005, "histogram_l1": 0.02}
         assert cfg.model is None and cfg.out_dir is None
-        # grid fields the config leaves out take fano's defaults
-        assert cfg.grid == {}
+        # the solve's tolerances are fano's, which no config sets
         solve_defaults = {name: p.default for name, p in
                           inspect.signature(fano.compute_pi).parameters.items()
                           if p.default is not p.empty}
-        assert solve_defaults == {"max_nodes": 30000, "max_rounds": 24,
-                                  "norm_tol": 1e-6, "sum_tol": 1e-6}
+        assert solve_defaults == {"norm_tol": 1e-6, "sum_tol": 1e-6}
         assert cfg.time.alias_mass_tol == fano.ALIAS_MASS_TOL
         damping = inspect.signature(dynamics.classify_damping).parameters
         assert cfg.time.resolution == damping["resolution"].default
@@ -345,17 +347,21 @@ class TestSpectrumCommand:
         assert abs(summary["sum_rule_defect"]) <= 1e-6
 
     def test_outputs_rederive_bit_identically(self, capsys, tmp_path):
-        # every number is a moment of the solution's measure, the Simpson
-        # weights of the nodes times pi, rebuilt here from pi.csv
+        # every number is a moment of the solution's measure, the Gauss
+        # weights of the panels times pi, rebuilt here from pi.csv and
+        # the breakpoints the run used
         from dosc import fano
+        from dosc.cli import load_config
 
-        rc, _, _ = run(capsys, "spectrum",
-                       "--config", str(CONFIGS / "flat_band.json"),
-                       "--out", str(tmp_path))
+        config = str(CONFIGS / "flat_band.json")
+        rc, _, _ = run(capsys, "spectrum", "--config", config, "--out", str(tmp_path))
         assert rc == 0
         data = np.loadtxt(tmp_path / "pi.csv", delimiter=",", skiprows=1)
         w, pi = data[:, 0], data[:, 4]
-        weights = fano.simpson_weights(w) * pi
+        cfg = load_config(config, [])
+        nodes, gauss = fano.panel_rule(fano.build_grid(cfg.spectrum, cfg.units))
+        assert np.array_equal(w, nodes)
+        weights = gauss * pi
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert weights @ w ** 0 - 1.0 == summary["norm_defect"]
         assert weights @ w ** 2 - 1.0 == summary["sum_rule_defect"]
@@ -457,20 +463,22 @@ class TestGroundstateCommand:
         assert "closed forms" in (tmp_path / "report.txt").read_text()
 
     def test_sum_rule_gated_by_the_solve(self, capsys, tmp_path):
-        # a solve certified at the configured sum_tol is not refused
-        # again by a fixed tolerance of its own
+        # the solve alone gates the sum rule: a band with a bound state
+        # of weight 2.8e-5 below its lower edge misses it, and both
+        # commands are refused by the solve, with the same error
         doc = {"spectrum": {"family": "flat_band", "level": 0.3366640024438383,
-                            "lower": 0.35876554587960435, "upper": 2.7718563786207255},
-               "grid": {"sum_tol": 1e-4, "norm_tol": 1e-4}}
+                            "lower": 0.35876554587960435, "upper": 2.7718563786207255}}
         config = write_config(tmp_path, doc)
+        errors = []
         for cmd in ("spectrum", "groundstate"):
-            rc, _, err = run(capsys, cmd, "--config", config, "--out", str(tmp_path / cmd))
-            assert rc == 0, err
-        summary = json.loads((tmp_path / "spectrum" / "summary.json").read_text())
-        assert summary["sum_rule_defect"] == pytest.approx(-3.637e-6, rel=1e-3)
-        report = (tmp_path / "groundstate" / "report.txt").read_text()
-        assert "sum rule           = 3.637e-06" in report
-        assert "ok                 = True" in report
+            rc, out, err = run(capsys, cmd, "--config", config, "--out", str(tmp_path / cmd))
+            assert rc == 3 and out == ""
+            assert not any((tmp_path / cmd).iterdir())
+            errors.append(stderr_doc(err))
+        assert errors[0] == errors[1]
+        detail = errors[0]["detail"]
+        assert detail["sum_defect"] == pytest.approx(3.609e-6, rel=1e-3)
+        assert "at omega = 0.35876333 (weight 2.80416e-05)" in detail["guidance"]
 
     def test_continuum_run_reports_identities(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "groundstate",
@@ -525,8 +533,8 @@ class TestDynamicsCommand:
             assert np.max(np.abs(shipped - direct)) <= 1e-12
 
     def test_scan_window_past_t_max(self, capsys, tmp_path):
-        # the kernels refine the grid for t_max = 30, and the damping scan
-        # refines it further for its own window of 60
+        # the kernels split the panels for t_max = 30, and the damping scan
+        # splits them further for its own window of 60
         rc, _, err = run(capsys, "dynamics",
                          "--config", str(CONFIGS / "ohmic_reference.json"),
                          "--override", "time.scan_window=60", "--out", str(tmp_path))
@@ -553,7 +561,7 @@ class TestDynamicsCommand:
         ts = np.geomspace(0.1, 20.0, 401)
         assert np.array_equal(data[:, 0], ts)
         cfg = load_config(config, overrides)
-        sol = fano.solve(cfg.spectrum, cfg.units, **cfg.grid)
+        sol = fano.solve(cfg.spectrum, cfg.units)
         kern = dynamics.kernels(
             dataclasses.replace(sol, alias_mass_tol=cfg.time.alias_mass_tol), ts)
         rows = np.stack([kern.k_cos, kern.k_sin_over, kern.k_sin_times])
@@ -683,11 +691,12 @@ class TestNoQuadpackOnRunPaths:
         assert rc == 0, err
 
 
-# the last line of a fresh interpreter's script: the scipy and numpy.ma
-# modules it loaded, as JSON
+# the last line of a fresh interpreter's script: the scipy, numpy.ma and
+# numpy.polynomial modules it loaded, as JSON
 _PRINT_SCIPY_AND_MA = (
     "print(json.dumps(sorted(m for m in sys.modules\n"
-    "                        if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])))\n"
+    "                        if m.split('.')[0] == 'scipy'\n"
+    "                        or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial']))))\n"
 )
 
 
@@ -697,8 +706,10 @@ class TestImportPath:
         # loaded here is paid by every command's start-up.  No command
         # loads any of scipy: the special functions are numpy ports and
         # the oracle solves its secular equation in numpy.  Nor does one
-        # load numpy.ma, which np.unique imports on its first call.  A
-        # gaussian_peak and a nonzero tabulated model run every family's port.
+        # load numpy.ma, which np.unique imports on its first call, or
+        # numpy.polynomial (about 5 ms), whose leggauss the panel rule
+        # does without.  A gaussian_peak and a nonzero tabulated model run
+        # every family's port.
         script = (
             "import json, sys\n"
             "from dosc.cli import main\n"

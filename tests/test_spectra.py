@@ -271,8 +271,7 @@ def _cases():
            lambda x: oracle.FiniteBathModel(x, [1.0], [0.5]), "omega0", "> 0")
     yield "lamb_shift", lambda x: weakcoupling.lamb_shift(SPEC, U, x), "omega", ">= 0"
     yield "discretize", lambda x: oracle.discretize(SPEC, U, x), "N", "integer >= 1"
-    for name, rule in (("max_nodes", "integer >= 1"), ("max_rounds", "integer >= 1"),
-                       ("norm_tol", "> 0"), ("sum_tol", "> 0")):
+    for name, rule in (("norm_tol", "> 0"), ("sum_tol", "> 0")):
         yield (f"compute_pi.{name}",
                lambda x, n=name: fano.compute_pi(SPEC, U, **{n: x}),
                name, rule)

@@ -194,7 +194,7 @@ class TestLorentzianFit:
         # a resolved line on nine nodes: all of them lie in the window
         spec = FlatBand(level=0.2, lower=0.1, upper=2.0)
         w = np.linspace(0.6, 1.4, 9)
-        sol = fano.SpectralSolution(w, 1.0 / (1.0 + ((w - 1.0) / 0.05) ** 2), spec, units)
+        sol = _StubSolution(w, 1.0 / (1.0 + ((w - 1.0) / 0.05) ** 2), spec, units)
         with pytest.raises(ConvergenceError, match="fewer than 10") as exc:
             weakcoupling.lorentzian_fit(sol)
         assert exc.value.detail["nodes"] == 9
