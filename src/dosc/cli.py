@@ -77,7 +77,6 @@ _OPTIONS = {
         "t_min": (None, "number"),
         "x0": (1.0, "number"),
         "p0": (0.0, "number"),
-        "alias_mass_tol": (1e-6, "number >= 0"),  # fano.ALIAS_MASS_TOL
         "scan_window": (None, "number > 0"),
         "resolution": (1e-3, "number >= 0"),  # classify_damping's default
     },
@@ -338,10 +337,10 @@ def cmd_dynamics(cfg: RunConfig, out: Path) -> int:
     else:
         ts = np.linspace(0.0, t.t_max, t.n_times)
 
-    sol = fano.solve(spec, cfg.units)
-    # the kernels and the damping scan split the panels for their own
-    # times, within this budget
-    sol = dataclasses.replace(sol, alias_mass_tol=t.alias_mass_tol)
+    # one split of the solve's panels for the longest time, which the
+    # kernels and the damping scan then find resolved
+    sol = fano.refine_for_times(fano.solve(spec, cfg.units),
+                                max(t.t_max, t.scan_window or t.t_max))
     kern = dynamics.kernels(sol, ts)
     kern.to_csv(out / "kernels.csv")
     traj = dynamics.mean_trajectory(kern, t.x0, t.p0, cfg.units)

@@ -15,8 +15,11 @@ panels, exact to rounding on a panel of width h while
 h * t_max <= 16: beyond it the panel's nodes undersample the
 oscillating integrand, so the kernels and the damping scan first
 split the panels for their largest time (fano.refine_for_times),
-within the mass budget for wide panels the solution carries.  On a
-finite-bath decomposition the same sum is exact at any t.
+within fano.ALIAS_MASS_TOL of the mass for wide panels.  A measure
+already split for that time, or a longer one, is used as it is, so a
+caller who splits once for the longest time (dosc dynamics does, for
+max(t_max, scan_window)) sums the kernels and the scan over one
+measure.  On a finite-bath decomposition the same sum is exact at any t.
 
 The sums take one of two routes, chosen from the time lattice alone:
 
@@ -177,16 +180,14 @@ def _resolved(source, t_max: float):
 class DynamicsKernels:
     """The three averaged kernels on a sorted time lattice.
 
-    ``source`` is the measure they were summed over, ``given`` the one
-    kernels was passed, before any refinement for the times; both
-    carry the oscillator's omega0."""
+    ``source`` is the measure they were summed over, which carries the
+    oscillator's omega0."""
 
     times: np.ndarray
     k_cos: np.ndarray
     k_sin_over: np.ndarray
     k_sin_times: np.ndarray
     source: object = field(repr=False)
-    given: object = field(repr=False)
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,k_cos,k_sin_over,k_sin_times",
@@ -199,9 +200,9 @@ def kernels(source, times) -> DynamicsKernels:
 
     ``source`` is a continuum SpectralSolution (quadrature over its
     panels, first split by fano.refine_for_times for the largest
-    requested time within the solution's alias_mass_tol) or a
-    finite-bath NormalModeDecomposition (exact sums, no bound).  The
-    result's ``source`` is the measure the kernels were summed over.
+    requested time) or a finite-bath NormalModeDecomposition (exact
+    sums, no bound).  The result's ``source`` is the measure the
+    kernels were summed over.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or ts.size == 0:
@@ -210,7 +211,7 @@ def kernels(source, times) -> DynamicsKernels:
         raise UsageError("times must be finite and >= 0")
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
-    given, source = source, _resolved(source, float(ts[-1]))
+    source = _resolved(source, float(ts[-1]))
     w, wt = source.nodes, source.weights
     k_cos, k_sin_over, k_sin_times = _evaluate(source, ts, cos=[wt],
                                                sin=[wt / w, wt * w])
@@ -220,7 +221,7 @@ def kernels(source, times) -> DynamicsKernels:
             "quadrature error exceeds its contract"
         )
     return DynamicsKernels(times=ts, k_cos=k_cos, k_sin_over=k_sin_over,
-                           k_sin_times=k_sin_times, source=source, given=given)
+                           k_sin_times=k_sin_times, source=source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,16 +272,16 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     its error bound of 0 or of the floor (so every comparison falls as
     in a direct scan), and directly, with its time derivative, at each
     root step.  A continuum
-    source is refined for scan_window as in kernels: past the kernels'
-    last time, the measure kernels was given, in one step, so that the
-    mass of the panels left unsplit counts against the budget once.
+    source is split for scan_window as in kernels; past the kernels'
+    last time their panels are split once more, and the two splits
+    together leave panels too wide for scan_window at most
+    fano.ALIAS_MASS_TOL of the mass.
     """
     if scan_window is None:
         scan_window = float(kern.times[-1])
     checked(scan_window, "number > 0", "scan_window")
     checked(resolution, "number >= 0", "resolution")
-    source = _resolved(kern.given if scan_window > kern.times[-1] else kern.source,
-                       scan_window)
+    source = _resolved(kern.source, scan_window)
     step = _SCAN_STEP_FACTOR / source.omega0
     n = int(math.ceil(scan_window / step)) + 1
     # every scan time in (0, scan_window], the horizon resolved above

@@ -47,7 +47,9 @@ rules converge exponentially for integrands analytic on each panel
 1984; Trefethen, *Approximation Theory and Approximation Practice*,
 ch. 19).  N is evaluated once on the nodes, and once more on the same
 panels with CHECK_POINTS nodes each: the two rules' moments certify
-the first.
+the first.  Every later integral of pi takes the same rule: moments
+over the solution's weights, bin_masses on the breakpoints and the bin
+edges together, and the Lorentzian fit over the rule's Gauss weights.
 """
 
 from __future__ import annotations
@@ -86,9 +88,8 @@ SCAN_POINTS = 160
 
 # Anti-aliasing bound of the time-domain rule: panel width * t_max <=
 # ALIAS_LIMIT, where PANEL_POINTS Gauss nodes integrate e^{i omega t} to
-# 4e-16, except on panels carrying at most a solution's alias_mass_tol
-# of the spectral mass (ALIAS_MASS_TOL unless the solution was given
-# another), and the node budget refine_for_times may add to reach it.
+# 4e-16, except on panels carrying at most ALIAS_MASS_TOL of the
+# spectral mass, and the node budget refine_for_times may add to reach it.
 ALIAS_LIMIT = 16.0
 ALIAS_MASS_TOL = 1e-6
 MAX_NEW_NODES = 120000
@@ -106,19 +107,17 @@ class SpectralSolution:
     ``refined_for_t_max`` from refine_for_times.  ``spec`` and
     ``units`` are carried so that dynamics and diagnostics can evaluate
     the dispersion integrals at new frequencies without re-supplying
-    context.  ``alias_mass_tol`` is the spectral mass refine_for_times
-    lets panels wider than the anti-aliasing bound carry.  ``weights``
-    is the Gauss weight of each node times pi, fixed at construction,
-    and so are the two signed defects compute_pi certifies, moments
-    over those weights: ``norm_defect = <<1>> - 1`` and
-    ``sum_defect = <<omega^2>>/omega0^2 - 1``.  Instances are immutable.
+    context.  ``weights`` is the Gauss weight of each node times pi,
+    fixed at construction, and so are the two signed defects compute_pi
+    certifies, moments over those weights: ``norm_defect = <<1>> - 1``
+    and ``sum_defect = <<omega^2>>/omega0^2 - 1``.  Instances are
+    immutable.
     """
 
     breaks: np.ndarray
     pi: np.ndarray
     spec: CouplingSpectrum
     units: UnitSystem
-    alias_mass_tol: float = ALIAS_MASS_TOL
     meta: dict = field(default_factory=dict, repr=False)
     omegas: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
@@ -126,7 +125,6 @@ class SpectralSolution:
     sum_defect: float = field(init=False)
 
     def __post_init__(self):
-        checked(self.alias_mass_tol, "number >= 0", "alias_mass_tol")
         omegas, gauss = panel_rule(self.breaks)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "weights", gauss * self.pi)
@@ -202,18 +200,6 @@ def bracketed_newton(f: Callable, lo, hi, *, xtol: float, rtol: float) -> np.nda
         last = np.where(todo, step, last)
         todo &= step > 0.5 * (xtol + rtol * np.abs(x))
     raise RuntimeError("bracketed_newton took 100 steps without reaching the tolerance")
-
-
-def _n_values(spec, units, omegas) -> np.ndarray:
-    """N(omega) = 2(omega^2 - omega0^2)/omega0 - I(omega), elementwise."""
-    w = np.asarray(omegas, dtype=float)
-    w0 = units.omega0
-    return 2.0 * (w * w - w0 * w0) / w0 - spec.dispersion(w)
-
-
-def _n_slope(spec, units, w: np.ndarray) -> np.ndarray:
-    """N'(omega) = 4 omega/omega0 - I'(omega), elementwise on an array."""
-    return 4.0 * w / units.omega0 - spec.dispersion_derivative(w)
 
 
 def _n_values(spec, units, omegas) -> np.ndarray:
@@ -373,19 +359,18 @@ def _bound_states(spec, units, nodes) -> list[list[float]]:
     return np.stack([roots, weights], axis=1).tolist()
 
 
-def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
-               norm_tol: float = NORM_TOL, sum_tol: float = SUM_TOL) -> SpectralSolution:
+def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     """Evaluate pi on the nodes of the panel rule on build_grid's
     breakpoints, and certify it.
 
     Trailing panels where pi is 0 at every node are dropped.  The
     certificate is the largest difference of <<1>>, <<omega^2>>/omega0^2
     and omega0 <<1/omega>> against CHECK_POINTS nodes on the same
-    panels (``meta["rule_difference"]``), within min(norm_tol, sum_tol),
-    and the normalisation and the omega^2 sum rule within norm_tol and
-    sum_tol.  The breakpoints come first, so that a zero coupling is
-    refused before an inadmissible model, and both before a bad
-    tolerance.  Raises ConvergenceError with diagnostics when:
+    panels (``meta["rule_difference"]``), within min(NORM_TOL, SUM_TOL),
+    and the normalisation and the omega^2 sum rule within NORM_TOL and
+    SUM_TOL.  The breakpoints come first, so that a zero coupling is
+    refused before an inadmissible model.  Raises ConvergenceError with
+    diagnostics when:
 
     * the two rules differ: pi has structure narrower than its panels,
       such as a line where |V|^2 is too small to give it a width, in
@@ -395,8 +380,6 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     """
     breaks = build_grid(spec, units)
     require_admissible(spec, units)
-    checked(norm_tol, "number > 0", "norm_tol")
-    checked(sum_tol, "number > 0", "sum_tol")
 
     pi = _assemble(spec, units, panel_rule(breaks)[0])[3]
     live = np.flatnonzero(pi.reshape(-1, PANEL_POINTS).any(axis=1))
@@ -406,8 +389,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     sol = SpectralSolution(breaks=breaks, pi=pi, spec=spec, units=units,
                            meta={"rounds": 0, "nodes": pi.size, "rule_difference": diff})
     norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
-    unresolved = diff > min(norm_tol, sum_tol)
-    if not unresolved and norm_defect <= norm_tol and sum_defect <= sum_tol:
+    unresolved = diff > min(NORM_TOL, SUM_TOL)
+    if not unresolved and norm_defect <= NORM_TOL and sum_defect <= SUM_TOL:
         return sol
 
     point_mass = ("a point mass (bound state) of the dressed oscillator, which "
@@ -426,7 +409,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
                     "in effect a point mass (bound state) of the dressed oscillator")
     else:
         message = "the panel rule resolved pi, but its defects miss tolerance"
-        heavy = ", ".join(f"{w:.8g} (weight {p:.6g})" for w, p in states if p > norm_tol)
+        heavy = ", ".join(f"{w:.8g} (weight {p:.6g})" for w, p in states if p > NORM_TOL)
         if heavy:
             guidance = (f"about {norm_defect:.3g} of the spectral mass lies where "
                         f"|V|^2 = 0, at omega = {heavy}: {point_mass}")
@@ -443,9 +426,9 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem, *,
     })
 
 
-def solve(spec: CouplingSpectrum, units: UnitSystem, **kwargs) -> SpectralSolution:
-    """The certified solution: compute_pi, whose keywords it takes."""
-    return compute_pi(spec, units, **kwargs)
+def solve(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
+    """The certified solution: compute_pi."""
+    return compute_pi(spec, units)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +452,23 @@ def frequency_moment(measure, k: int) -> float:
     return moment(measure, lambda w: w**k)
 
 
+def bin_masses(sol: SpectralSolution, edges: np.ndarray) -> np.ndarray:
+    """The mass of pi in each bin between adjacent increasing ``edges``:
+    the panel rule on the solution's breakpoints and the edges between
+    them together, pi assembled on its nodes and summed bin by bin.
+    Every panel then lies in one bin, so each bin's mass is as exact as
+    the solution's moments (an edge within DISTINCT of a breakpoint
+    stands in for it, or it for the edge); bins beyond the breakpoints
+    hold 0."""
+    b = sol.breaks
+    inner = edges[(edges > b[0]) & (edges < b[-1])]
+    nodes, gauss = panel_rule(_distinct(np.concatenate([b, inner])))
+    at = np.searchsorted(edges, nodes, side="right") - 1
+    inside = (at >= 0) & (at < edges.size - 1)
+    mass = gauss * _assemble(sol.spec, sol.units, nodes)[3]
+    return np.bincount(at[inside], weights=mass[inside], minlength=edges.size - 1)
+
+
 # ---------------------------------------------------------------------------
 # time-domain rule
 
@@ -476,14 +476,14 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     """Return a solution whose panels resolve oscillations up to t_max.
 
     Requirement: panels violating  (width) * t_max <= ALIAS_LIMIT  may
-    carry at most sol.alias_mass_tol of total spectral weight.  The
+    carry at most ALIAS_MASS_TOL of total spectral weight.  The
     panels are split once: the lightest violating panels are exempt up
     to half that budget, and every other one is split into equal parts
     no wider than ALIAS_LIMIT / t_max.  The new nodes are counted before
     any is built, and more than MAX_NEW_NODES are refused with
-    ConvergenceError.  pi is evaluated on the new panels' nodes, and the
-    result carries the same budget.  A solution that already meets the
-    requirement is returned as it is.
+    ConvergenceError.  pi is evaluated on the new panels' nodes.  A
+    solution that already meets the requirement, such as one split for
+    t_max or a longer time, is returned as it is.
     """
     checked(t_max, "number", "t_max")
     if t_max <= 0:
@@ -493,7 +493,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     h = np.diff(breaks)
     masses = sol.weights.reshape(h.size, -1).sum(axis=1)
     violating = h > h_max
-    budget = sol.alias_mass_tol * masses.sum()
+    budget = ALIAS_MASS_TOL * masses.sum()
     if masses[violating].sum() <= budget:
         return sol
     # Exempt the lightest violating panels up to half the mass budget.
@@ -521,5 +521,4 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
                                        + np.repeat(breaks[:-1][split], inner)]))
     meta = {**sol.meta, "refined_for_t_max": t_max,
             "nodes": PANEL_POINTS * (merged.size - 1)}
-    return _solution(sol.spec, sol.units, merged,
-                     alias_mass_tol=sol.alias_mass_tol, meta=meta)
+    return _solution(sol.spec, sol.units, merged, meta=meta)

@@ -38,10 +38,12 @@ holding the (N+1)^2 matrix.  The evolution takes the roots' cosines and
 sines in two passes, one for the multipoles and one for the near sums.
 
 Everything in this module is deliberately independent of the fano
-module: no Y, no principal values, no adaptive grids.  The two routes
-share only what is evaluated over a (nodes, weights) measure, here
+module: no Y, no principal values, no panels.  The two routes share
+only what is evaluated over a (nodes, weights) measure, here
 (Omegas, O_0k^2): the moments and the dynamics kernels, and with the
 kernels the one implementation of cosines and sines, dynamics.sincos.
+The comparison's histogram takes the continuum's side, pi's exact mass
+in each bin, from fano.bin_masses.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 from .csvio import write_csv
 from .dynamics import _TRIG_CHUNK, sincos
 from .errors import InternalConsistencyError, PositivityError, UsageError, checked
-from .fano import frequency_moment
+from .fano import bin_masses, frequency_moment
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 # evolve_reduced interpolates the inverse gaps between a block of poles
@@ -976,21 +978,6 @@ class ComparisonReport:
                    self.hist_density, self.hist_continuum])
 
 
-def _bin_averaged_continuum(sol, edges: np.ndarray) -> np.ndarray:
-    """Average of the continuum pi over each bin, by trapezoid on the
-    solution grid augmented with interpolated bin edges: one pass over
-    the merged points, each bin's segments summed in order."""
-    w, pi = sol.omegas, sol.pi
-    at = np.searchsorted(edges, w)
-    inner = (at > 0) & (at < edges.size) & (edges[np.minimum(at, edges.size - 1)] != w)
-    x = np.concatenate([edges, w[inner]])
-    y = np.concatenate([np.interp(edges, w, pi, left=0.0, right=0.0), pi[inner]])
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    segments = np.diff(x) * (y[1:] + y[:-1]) / 2.0
-    return np.add.reduceat(segments, np.flatnonzero(order < edges.size)[:-1]) / np.diff(edges)
-
-
 def compare_with_continuum(sol, units: UnitSystem, N: int,
                            scheme: str = "uniform", bins: int = 160,
                            bath_omega_max: float | None = None) -> ComparisonReport:
@@ -1024,7 +1011,7 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     # bins would leave every bin about 1e-16 of the whole mass off
     at = np.searchsorted(edges, decomp.Omegas, side="right") - 1
     density = np.bincount(at, weights=decomp.weights, minlength=bins) / np.diff(edges)
-    cont_avg = _bin_averaged_continuum(sol, edges)
+    cont_avg = bin_masses(sol, edges) / np.diff(edges)
     l1 = float(np.sum(np.abs(density - cont_avg) * np.diff(edges)))
 
     # var_x = (hbar/2m) Minv and var_p = (hbar m/2) M1 on both sides: the

@@ -23,6 +23,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import ConvergenceError, checked
+from .fano import panel_rule
 from .spectra import CouplingSpectrum, UnitSystem, require_admissible
 
 WINDOW_HWHMS = 10.0    # fit window half-width, in units of the HWHM guess
@@ -175,19 +176,16 @@ def lorentzian_fit(sol) -> WeakCouplingReport:
         )
     wm = w[mask]
     pm = pi[mask]
-    # trapezoid weights make the least-squares objective approximate
-    # an integral, so the nodes' grading toward the resonance does not
-    # bias it
-    tw = np.empty_like(wm)
-    tw[1:-1] = 0.5 * (wm[2:] - wm[:-2])
-    tw[0] = 0.5 * (wm[1] - wm[0])
-    tw[-1] = 0.5 * (wm[-1] - wm[-2])
-    rt = np.sqrt(tw)
+    # the panel rule's Gauss weights make the least-squares objective
+    # and the residual integrals over the window's nodes, so the
+    # nodes' grading toward the resonance does not bias them
+    gw = panel_rule(sol.breaks)[1][mask]
+    rt = np.sqrt(gw)
 
     center_fit, hwhm_fit = _fit(wm, pm, rt, (peak, hwhm0),
                                 (lo, 1e-15), (hi, hi - lo))
     lor = _lorentz(wm, center_fit, hwhm_fit)
-    residual_l1 = float(np.trapezoid(np.abs(pm - lor), wm))
+    residual_l1 = float(gw @ np.abs(pm - lor))
 
     # largest admixture ratio across one full width at half maximum
     # around the bare resonance; |beta/alpha| grows with |omega-omega0|

@@ -21,12 +21,12 @@ def units():
     return UnitSystem(omega0=1.0, mass=1.0, hbar=1.0)
 
 
-def _solve_ohmic(kappa_sq, units, **kw):
+def _solve_ohmic(kappa_sq, units):
     from dosc.fano import solve
     from dosc.spectra import OhmicExp
 
     spec = OhmicExp(amplitude=kappa_sq**0.5, cutoff=5.0)
-    return spec, solve(spec, units, **kw)
+    return spec, solve(spec, units)
 
 
 @pytest.fixture(scope="session")

@@ -213,7 +213,8 @@ class TestConfigValidation:
         # (units.omega0=true ran with omega0 = True, spectrum.level=true
         # with level 1)
         # The grid block is gone with the refinement it tuned: any of its
-        # keys is refused as an unknown block
+        # keys is refused as an unknown block; time.alias_mass_tol, now
+        # fano.ALIAS_MASS_TOL, as an unknown key of its block
         command = {"tolerances": "compare", "oracle": "compare",
                    "grid": "spectrum", "units": "groundstate",
                    "spectrum": "groundstate"}.get(item.split(".")[0], "dynamics")
@@ -222,8 +223,11 @@ class TestConfigValidation:
         assert rc == 1
         doc = stderr_doc(err)
         assert doc["error"] == "UsageError"
-        spot = ("unknown key(s) ['grid'] in config" if item.startswith("grid.")
-                else item.split("=")[0])
+        spot = item.split("=")[0]
+        if spot.startswith("grid."):
+            spot = "unknown key(s) ['grid'] in config"
+        elif spot == "time.alias_mass_tol":
+            spot = "unknown key(s) ['alias_mass_tol'] in time"
         assert spot in doc["message"]
         assert not any(tmp_path.iterdir())
 
@@ -306,7 +310,6 @@ class TestConfigValidation:
                     == (tmp_path / "float" / name).read_bytes())
 
     def test_defaults_match_readme(self, tmp_path):
-        import dataclasses
         import inspect
 
         from dosc import dynamics, fano
@@ -315,22 +318,18 @@ class TestConfigValidation:
         cfg = load_config(write_config(tmp_path, self.base()), [])
         assert vars(cfg.time) == {
             "t_max": None, "n_times": 600, "spacing": "linear", "t_min": None,
-            "x0": 1.0, "p0": 0.0, "alias_mass_tol": 1e-6, "scan_window": None,
-            "resolution": 1e-3}
+            "x0": 1.0, "p0": 0.0, "scan_window": None, "resolution": 1e-3}
         assert vars(cfg.oracle) == {"N": 800, "scheme": "uniform", "bins": 160,
                                     "bath_omega_max": None}
         assert vars(cfg.tolerances) == {"rel_var": 0.005, "histogram_l1": 0.02}
         assert cfg.model is None and cfg.out_dir is None
-        # the solve's tolerances are fano's, which no config sets
-        solve_defaults = {name: p.default for name, p in
-                          inspect.signature(fano.compute_pi).parameters.items()
-                          if p.default is not p.empty}
-        assert solve_defaults == {"norm_tol": 1e-6, "sum_tol": 1e-6}
-        assert cfg.time.alias_mass_tol == fano.ALIAS_MASS_TOL
+        # the solve's gates and the time split's mass budget are fano's
+        # constants, which neither a config nor a caller sets
+        for call in (fano.compute_pi, fano.solve):
+            assert list(inspect.signature(call).parameters) == ["spec", "units"]
+        assert (fano.NORM_TOL, fano.SUM_TOL, fano.ALIAS_MASS_TOL) == (1e-6, 1e-6, 1e-6)
         damping = inspect.signature(dynamics.classify_damping).parameters
         assert cfg.time.resolution == damping["resolution"].default
-        budget = {f.name: f.default for f in dataclasses.fields(fano.SpectralSolution)}
-        assert cfg.time.alias_mass_tol == budget["alias_mass_tol"]
 
 
 class TestSpectrumCommand:
@@ -533,21 +532,34 @@ class TestDynamicsCommand:
             assert np.max(np.abs(shipped - direct)) <= 1e-12
 
     def test_scan_window_past_t_max(self, capsys, tmp_path):
-        # the kernels split the panels for t_max = 30, and the damping scan
-        # splits them further for its own window of 60
-        rc, _, err = run(capsys, "dynamics",
-                         "--config", str(CONFIGS / "ohmic_reference.json"),
-                         "--override", "time.scan_window=60", "--out", str(tmp_path))
+        # the solve's panels are split once, for the scan's window of 60
+        # past t_max = 30: the kernels and the scan are those of that one
+        # measure, and damping.json is a direct scan's, byte for byte
+        import dataclasses
+
+        from dosc import cli, dynamics, fano
+
+        config = str(CONFIGS / "ohmic_reference.json")
+        rc, _, err = run(capsys, "dynamics", "--config", config,
+                         "--override", "time.scan_window=60", "--out", str(tmp_path / "cli"))
         assert rc == 0, err
-        damping = json.loads((tmp_path / "damping.json").read_text())
+        damping = json.loads((tmp_path / "cli" / "damping.json").read_text())
         assert damping["scan_window"] == 60
+        cfg = cli.load_config(config, ["time.scan_window=60"])
+        sol = fano.refine_for_times(fano.solve(cfg.spectrum, cfg.units), 60.0)
+        kern = dynamics.kernels(sol, np.linspace(0.0, cfg.time.t_max, cfg.time.n_times))
+        assert kern.source is sol
+        data = np.loadtxt(tmp_path / "cli" / "kernels.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 1:].T, [kern.k_cos, kern.k_sin_over, kern.k_sin_times])
+        cli._write_json(tmp_path / "direct.json", dataclasses.asdict(
+            dynamics.classify_damping(kern, cfg.time.scan_window, cfg.time.resolution)))
+        assert ((tmp_path / "cli" / "damping.json").read_bytes()
+                == (tmp_path / "direct.json").read_bytes())
 
     def test_geometric_time_lattice(self, capsys, tmp_path):
         # the lattice geomspace(t_min, t_max, n_times), whose kernels are
         # the in-process ones to the bit; it has no uniform tail, so
         # they are the direct sums
-        import dataclasses
-
         from dosc import dynamics, fano
         from dosc.cli import load_config
 
@@ -562,8 +574,7 @@ class TestDynamicsCommand:
         assert np.array_equal(data[:, 0], ts)
         cfg = load_config(config, overrides)
         sol = fano.solve(cfg.spectrum, cfg.units)
-        kern = dynamics.kernels(
-            dataclasses.replace(sol, alias_mass_tol=cfg.time.alias_mass_tol), ts)
+        kern = dynamics.kernels(sol, ts)
         rows = np.stack([kern.k_cos, kern.k_sin_over, kern.k_sin_times])
         assert np.array_equal(data[:, 1:].T, rows)
         w, wt = kern.source.nodes, kern.source.weights

@@ -234,6 +234,35 @@ def test_moment_skips_a_non_finite_integrand_at_zero_weight():
         moment(decomp, lambda x: np.where(x == w[0], np.inf, x))
 
 
+def test_bin_masses_sum_to_the_mass_inside_the_edges(ohmic_ref, flat_mid):
+    # edges past a bounded support hold all of pi's mass, and edges that
+    # end on a breakpoint the mass of the solution's panels below it
+    _, flat = flat_mid
+    edges = np.linspace(0.0, 2.5, 161)
+    masses = fano.bin_masses(flat, edges)
+    assert abs(masses.sum() - (1.0 + flat.norm_defect)) <= 1e-13
+    assert np.all(masses[edges[1:] <= flat.breaks[0]] == 0.0)
+    _, sol = ohmic_ref
+    k = np.searchsorted(sol.breaks, 20.0)
+    masses = fano.bin_masses(sol, np.linspace(0.0, sol.breaks[k], 161))
+    assert masses.size == 160 and masses.min() > 0.0
+    assert abs(masses.sum() - math.fsum(sol.weights[:k * fano.PANEL_POINTS])) <= 1e-13
+
+
+def test_bin_inside_one_panel_matches_the_check_rule(ohmic_ref):
+    # a bin inside one panel of the solution is integrated on its own,
+    # as exactly as the CHECK_POINTS rule integrates it afresh
+    spec, sol = ohmic_ref
+    p = int(np.argmax(np.diff(sol.breaks) * (sol.breaks[1:] < 10.0)))
+    a, b = sol.breaks[p:p + 2]
+    edges = np.array([0.0, a + 0.3 * (b - a), a + 0.55 * (b - a), 2.0 * b])
+    nodes, gauss = fano.panel_rule(edges[1:3], fano.CHECK_POINTS)
+    check = math.fsum(gauss * fano._assemble(spec, U, nodes)[3])
+    masses = fano.bin_masses(sol, edges)
+    assert check > 1e-6
+    assert abs(masses[1] - check) <= 1e-14 * check
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     ksq=st.floats(0.02, 0.7),
@@ -241,13 +270,13 @@ def test_moment_skips_a_non_finite_integrand_at_zero_weight():
 )
 def test_inequalities_across_ohmic_family(ksq, cutoff):
     spec = OhmicExp(amplitude=math.sqrt(ksq / cutoff), cutoff=cutoff)
-    sol = solve(spec, U, norm_tol=1e-5, sum_tol=1e-5)
+    sol = solve(spec, U)
     m1 = frequency_moment(sol, 1)
     minv = frequency_moment(sol, -1)
     assert m1 < U.omega0
     assert minv > 1.0 / U.omega0
     assert m1 * minv >= 1.0
-    assert abs(frequency_moment(sol, 2) - 1.0) < 1e-4
+    assert abs(sol.sum_defect) <= fano.SUM_TOL
 
 
 @settings(max_examples=4, deadline=None)
@@ -258,16 +287,17 @@ def test_inequalities_across_ohmic_family(ksq, cutoff):
 )
 def test_inequalities_across_flat_family(level, a, width):
     spec = FlatBand(level=level, lower=a, upper=a + width)
-    sol = solve(spec, U, norm_tol=1e-5, sum_tol=1e-5)
+    sol = solve(spec, U)
     assert frequency_moment(sol, 1) < U.omega0
     assert frequency_moment(sol, 1) * frequency_moment(sol, -1) >= 1.0
+    assert abs(sol.sum_defect) <= fano.SUM_TOL
 
 
 def test_alternate_unit_system():
     units = UnitSystem(omega0=2.0)
-    sol = solve(OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0), units,
-                norm_tol=1e-5, sum_tol=1e-5)
-    assert abs(frequency_moment(sol, 2) - 4.0) < 4e-4
+    sol = solve(OhmicExp(amplitude=math.sqrt(0.06), cutoff=5.0), units)
+    assert sol.sum_defect == frequency_moment(sol, 2) / 4.0 - 1.0
+    assert abs(sol.sum_defect) <= fano.SUM_TOL
     assert frequency_moment(sol, 1) < 2.0
 
 
@@ -339,7 +369,7 @@ def test_grid_building_deterministic():
 def test_compute_pi_refuses_zero_coupling():
     # refused by the breakpoints it builds, before any other check
     with pytest.raises(ConvergenceError, match="identically zero") as exc:
-        compute_pi(OhmicExp(amplitude=0.0, cutoff=5.0), U, norm_tol=-1.0)
+        compute_pi(OhmicExp(amplitude=0.0, cutoff=5.0), U)
     assert exc.value.detail["guidance"] == "use the closed-form path for V = 0"
 
 
@@ -356,7 +386,7 @@ def test_refine_for_times(ohmic_ref):
 
 def test_refinement_assembles_one_solution(ohmic_ref, monkeypatch):
     # one split, one SpectralSolution: its Gauss weights and defects
-    # are computed once, with the budget and provenance it carries
+    # are computed once, with the provenance it carries
     _, sol = ohmic_ref
     built = []
     post_init = fano.SpectralSolution.__post_init__
@@ -366,12 +396,9 @@ def test_refinement_assembles_one_solution(ohmic_ref, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(fano.SpectralSolution, "__post_init__", counted)
-    tightened = fano._solution(sol.spec, U, sol.breaks, alias_mass_tol=1e-7)
-    built.clear()
-    refined = refine_for_times(tightened, 25.0)
+    refined = refine_for_times(sol, 25.0)
     assert built == [refined]
-    assert refined.alias_mass_tol == 1e-7
-    assert refined.meta == {"refined_for_t_max": 25.0, "nodes": refined.nodes.size}
+    assert refined.meta == {**sol.meta, "refined_for_t_max": 25.0, "nodes": refined.nodes.size}
 
 
 def test_refined_solution_certifies_its_own_grid(ohmic_ref):
@@ -404,12 +431,13 @@ def test_time_refinement_refused_before_building(flat_mid):
 
 
 @pytest.mark.parametrize("fixture,alias_mass_tol", [("flat_mid", 1e-6), ("ohmic_ref", 0.0)])
-def test_time_refinement_refusal_at_the_largest_time(fixture, alias_mass_tol, request):
+def test_time_refinement_refusal_at_the_largest_time(fixture, alias_mass_tol, request,
+                                                     monkeypatch):
     # h / h_max is near 1e306 on the flat band's panels, and overflows
     # on the ohmic tail's once no panel is exempt: either way the
     # count is a finite integer and no warning is raised
     _, sol = request.getfixturevalue(fixture)
-    sol = fano._solution(sol.spec, U, sol.breaks, alias_mass_tol=alias_mass_tol)
+    monkeypatch.setattr(fano, "ALIAS_MASS_TOL", alias_mass_tol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="budget exceeded") as exc:

@@ -1005,6 +1005,21 @@ class TestAgainstContinuum:
         mass = float(np.sum(rep.hist_density * np.diff(rep.hist_edges)))
         assert mass == pytest.approx(1.0, abs=1e-12)
 
+    def test_weak_line_histogram_at_the_panel_rule(self):
+        # configs/weak_line.json's line is 2e-3 omega0 wide: a trapezoid
+        # between the solution's nodes left histogram_l1 at 2.5e-4, the
+        # panel rule's exact bin masses leave 6.7e-5
+        from pathlib import Path
+
+        from dosc.cli import load_config
+
+        cfg = load_config(str(Path(__file__).resolve().parent.parent
+                              / "configs" / "weak_line.json"), [])
+        o = cfg.oracle
+        rep = oracle.compare_with_continuum(fano.solve(cfg.spectrum, cfg.units), cfg.units,
+                                            o.N, o.scheme, o.bins, o.bath_omega_max)
+        assert rep.histogram_l1 <= 1e-4
+
     def test_histogram_bins_sum_their_own_weights(self, ohmic_ref, units):
         # the top bins hold about 1e-14 of the mass next to bins of order
         # 1: each matches the exact sum of the weights it holds

@@ -14,16 +14,30 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_sources_parse_at_the_declared_python_floor():
-    # CI's floors job runs that Python; this catches newer syntax sooner
+def _sources():
     root = SCRIPTS.parent
-    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
-                      (root / "pyproject.toml").read_text())
-    version = tuple(int(v) for v in floor.groups())
     files = [f for d in ("src/dosc", "scripts", "tests") for f in sorted((root / d).rglob("*.py"))]
     assert len(files) > 20
-    for f in files:
+    return files
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # CI's floors job runs that Python; this catches newer syntax sooner
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (SCRIPTS.parent / "pyproject.toml").read_text())
+    version = tuple(int(v) for v in floor.groups())
+    for f in _sources():
         ast.parse(f.read_text(), filename=str(f), feature_version=version)
+
+
+def test_no_top_level_name_defined_twice():
+    # a second def or class of a module-level name silently replaces the
+    # first, so no source may bind one twice
+    for f in _sources():
+        names = [node.name for node in ast.parse(f.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        twice = sorted({n for n in names if names.count(n) > 1})
+        assert not twice, f"{f.name} defines {twice} more than once"
 
 
 def test_ci_floors_job_pins_the_declared_floors():

@@ -271,14 +271,8 @@ def _cases():
            lambda x: oracle.FiniteBathModel(x, [1.0], [0.5]), "omega0", "> 0")
     yield "lamb_shift", lambda x: weakcoupling.lamb_shift(SPEC, U, x), "omega", ">= 0"
     yield "discretize", lambda x: oracle.discretize(SPEC, U, x), "N", "integer >= 1"
-    for name, rule in (("norm_tol", "> 0"), ("sum_tol", "> 0")):
-        yield (f"compute_pi.{name}",
-               lambda x, n=name: fano.compute_pi(SPEC, U, **{n: x}),
-               name, rule)
     yield ("refine_for_times.t_max",
            lambda x: fano.refine_for_times(_solution(), x), "t_max", "")
-    yield ("SpectralSolution.alias_mass_tol",
-           lambda x: replace(_solution(), alias_mass_tol=x), "alias_mass_tol", ">= 0")
     yield ("classify_damping",
            lambda x: dynamics.classify_damping(_kernels(), scan_window=x),
            "scan_window", "> 0")

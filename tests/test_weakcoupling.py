@@ -243,11 +243,19 @@ class TestFitAgainstLeastSquares:
             return fit(wm, pm, rt, start, lower, upper)
 
         monkeypatch.setattr(weakcoupling, "_fit", spy)
-        rep = weakcoupling.lorentzian_fit(fano.solve(self.SPECS[name], units))
+        sol = fano.solve(self.SPECS[name], units)
+        rep = weakcoupling.lorentzian_fit(sol)
         (wm, pm, rt, start, lower, upper), = calls
+        # the reference objective weighs each node of the fit window by
+        # its Gauss weight in the solution's panel rule, and so does the
+        # residual's integral
+        window = (sol.omegas >= rep.window_lo) & (sol.omegas <= rep.window_hi)
+        assert np.array_equal(wm, sol.omegas[window])
+        gauss = fano.panel_rule(sol.breaks)[1][window]
+        assert rep.residual_l1 == float(gauss @ np.abs(pm - rep.overlay_lorentz))
 
         def resid(p):
-            return (weakcoupling._lorentz(wm, *p) - pm) * rt
+            return (weakcoupling._lorentz(wm, *p) - pm) * np.sqrt(gauss)
 
         ref = least_squares(resid, x0=list(start), bounds=(lower, upper))
         cost = 0.5 * float(resid([rep.center_fit, rep.hwhm_fit]) @
