@@ -43,7 +43,9 @@ import functools
 
 import numpy as np
 
-_BLOCK_VALUES = 1 << 13
+# values formatted a block: the temporaries of 2^11 values peak at about
+# 0.6 MB (2.4 MB at 2^13), and the time per value stays the same
+_BLOCK_VALUES = 1 << 11
 # |x| in [_LOW, _HIGH) takes the numpy path: splitting |x| and the
 # powers cannot overflow there, and every lo is a normal number
 _LOW, _HIGH = 1e-270, 1e290

@@ -71,6 +71,12 @@ _TRIG_CHUNK = 2**15
 _TAPS = 16
 _OVERSAMPLE = 2
 _LATTICE_ULPS = 4      # a uniform lattice's times sit this close to t_0 + j dt
+# spreading works through _SPREAD_NODES nodes at a time (three temporaries
+# of 2 _TAPS entries a node, 64 KB each).  Each group of _SPREAD_GROUP
+# nodes sums from 0, its nodes in order, before it joins the grid, so the
+# grid's values to the last bit do not depend on _SPREAD_NODES
+_SPREAD_NODES = 256
+_SPREAD_GROUP = 1024
 # bound on |Fourier - direct| relative to sum |strength|, per kernel
 _FOURIER_REL_ERR = 1e-12
 
@@ -135,18 +141,33 @@ def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
     re = nodes * (t0 + mid * dt)
     im = np.empty_like(re)
     sincos(re, re, im)
-    parts = np.concatenate([strengths * re, strengths * im])
-    acc = np.zeros((len(parts), n_grid))
-    offsets = np.arange(1 - _TAPS, _TAPS + 1)
-    step = _TRIG_CHUNK // offsets.size
-    for lo in range(0, nodes.size, step):
-        xc = x[lo:lo + step]
-        idx = np.floor(xc / h).astype(np.intp)[:, None] + offsets
-        taps = np.exp((xc[:, None] - h * idx) ** 2 * (-0.25 / tau))
-        slots = (idx % n_grid).ravel()
-        for row, part in zip(acc, parts[:, lo:lo + step]):
-            row += np.bincount(slots, (taps * part[:, None]).ravel(), n_grid)
     rows = len(strengths)
+    parts = np.empty((2 * rows, nodes.size))
+    np.multiply(strengths, re, out=parts[:rows])
+    np.multiply(strengths, im, out=parts[rows:])
+    acc = np.zeros((2 * rows, n_grid))
+    group = np.empty_like(acc)
+    offsets = np.arange(1 - _TAPS, _TAPS + 1)
+    slots = np.empty((_SPREAD_NODES, offsets.size), np.intp)
+    taps, product = np.empty(slots.shape), np.empty(slots.shape)
+    for lo in range(0, nodes.size, _SPREAD_GROUP):
+        group.fill(0.0)
+        stop = min(lo + _SPREAD_GROUP, nodes.size)
+        for sub in range(lo, stop, _SPREAD_NODES):
+            cut = slice(sub, min(sub + _SPREAD_NODES, stop))
+            xc = x[cut]
+            s, t, p = slots[:xc.size], taps[:xc.size], product[:xc.size]
+            np.add(np.floor(xc / h).astype(np.intp)[:, None], offsets, out=s)
+            np.multiply(s, h, out=t)
+            np.subtract(xc[:, None], t, out=t)
+            np.square(t, out=t)
+            t *= -0.25 / tau
+            np.exp(t, out=t)
+            np.remainder(s, n_grid, out=s)
+            for row, part in zip(group, parts[:, cut]):
+                np.multiply(t, part[:, None], out=p)
+                np.add.at(row, s.ravel(), p.ravel())
+        acc += group
     coeffs = np.fft.ifft(acc[:rows] + 1j * acc[rows:], axis=1)
     m = np.arange(-mid, T - mid)
     return coeffs[:, m % n_grid] * (math.sqrt(math.pi / tau) * np.exp(m * m * tau))

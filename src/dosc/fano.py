@@ -41,7 +41,9 @@ adjacent segment; and that double theirs from each resonance (zero of
 N, bracketed and signed by a scan, then refined by Newton steps on the
 closed-form slope N', whose value there gives the Lorentzian half-width
 w), from w/2 until they pass both ends of the support.  An unbounded
-support gets panels doubling from omega_max past 1e4 omega_max.  Such
+support gets panels doubling from omega_max past 1e4 omega_max; its
+tail panels are scanned too, and past a resonance there the doubling
+goes on to 1e4 times the resonance.  Such
 rules converge exponentially for integrands analytic on each panel
 (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed.,
 1984; Trefethen, *Approximation Theory and Approximation Practice*,
@@ -49,7 +51,8 @@ ch. 19).  N is evaluated once on the nodes, and once more on the same
 panels with CHECK_POINTS nodes each: the two rules' moments certify
 the first.  Every later integral of pi takes the same rule: moments
 over the solution's weights, bin_masses on the breakpoints and the bin
-edges together, and the Lorentzian fit over the rule's Gauss weights.
+edges together, and the Lorentzian fit over the rule's Gauss weights,
+its residual on the breakpoints and the fit window's ends together.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ CHECK_POINTS = 24
 # benchmark's tables 2**-7 left the two rules 1.7e-12 apart, where 2**-10
 # leaves 1.7e-15, and 2**-53 took 6,400-13,200 nodes), and
 # an unbounded support's panels double 14 times from omega_max, past
-# 1e4 omega_max.  Breakpoints closer than DISTINCT relative are dropped,
-# so that the Gauss nodes of the narrowest panels stay distinct floats.
+# 1e4 omega_max (or 1e4 times a resonance above it).  Breakpoints closer
+# than DISTINCT relative are dropped, so that the Gauss nodes of the
+# narrowest panels stay distinct floats.
 EDGE_DEPTH = 53
 TABLE_DEPTH = 10
 TAIL_DOUBLINGS = 14
@@ -102,12 +106,13 @@ class SpectralSolution:
     ``omegas`` are the PANEL_POINTS Gauss-Legendre nodes of each panel
     between adjacent breakpoints, panel by panel, and ``nodes`` is
     ``omegas`` under the name every (nodes, weights) measure shares.
-    ``meta`` records how the rule was reached: ``rounds`` (0),
-    ``nodes`` and ``rule_difference`` (see compute_pi) from compute_pi,
-    ``refined_for_t_max`` from refine_for_times.  ``spec`` and
-    ``units`` are carried so that dynamics and diagnostics can evaluate
-    the dispersion integrals at new frequencies without re-supplying
-    context.  ``weights`` is the Gauss weight of each node times pi,
+    ``columns`` are Y, alpha_sq and beta/alpha at the nodes, assembled
+    with pi and written with it by to_csv.  ``meta`` records how the
+    rule was reached: ``rounds`` (0), ``nodes`` and ``rule_difference``
+    (see compute_pi) from compute_pi, ``refined_for_t_max`` from
+    refine_for_times.  ``spec`` and ``units`` are carried so that
+    dynamics and diagnostics can evaluate the dispersion integrals at
+    new frequencies without re-supplying context.  ``weights`` is the Gauss weight of each node times pi,
     fixed at construction, and so are the two signed defects compute_pi
     certifies, moments over those weights: ``norm_defect = <<1>> - 1``
     and ``sum_defect = <<omega^2>>/omega0^2 - 1``.  Instances are
@@ -118,6 +123,7 @@ class SpectralSolution:
     pi: np.ndarray
     spec: CouplingSpectrum
     units: UnitSystem
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
     omegas: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
@@ -140,23 +146,51 @@ class SpectralSolution:
     def omega0(self) -> float:
         return self.units.omega0
 
+    def pi_at(self, omegas: np.ndarray) -> np.ndarray:
+        """pi at any frequencies, assembled as at the nodes."""
+        return _assemble(self.spec, self.units, omegas)[3]
+
     def to_csv(self, path) -> None:
-        """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision,
-        the first three assembled on the nodes as pi was."""
-        write_csv(path, "omega,Y,alpha_sq,beta_ratio,pi",
-                  [self.omegas, *_assemble(self.spec, self.units, self.omegas)[:3], self.pi])
+        """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision."""
+        write_csv(path, "omega,Y,alpha_sq,beta_ratio,pi", [self.omegas, *self.columns, self.pi])
+
+
+# The positive nodes of the n-point Gauss-Legendre rule on [-1, 1] in
+# increasing order, and their weights, for n = PANEL_POINTS and
+# CHECK_POINTS; the rule is symmetric about 0.
+_GAUSS_LEGENDRE = {
+    16: ((0.09501250983763723, 0.2816035507792589, 0.45801677765722726,
+          0.6178762444026442, 0.7554044083550032, 0.8656312023878319,
+          0.9445750230732326, 0.9894009349916497),
+         (0.18945061045506859, 0.18260341504492422, 0.1691565193950028,
+          0.14959598881657687, 0.12462897125553453, 0.09515851168249254,
+          0.06225352393864754, 0.027152459411754478)),
+    24: ((0.06405689286260552, 0.19111886747361667, 0.3150426796961636,
+          0.4337935076260453, 0.5454214713888395, 0.6480936519369753,
+          0.7401241915785546, 0.8200019859739028, 0.8864155270044012,
+          0.9382745520027328, 0.9747285559713098, 0.9951872199970213),
+         (0.12793819534675235, 0.12583745634682778, 0.12167047292780325,
+          0.11550566805372584, 0.10744427011596534, 0.09761865210411422,
+          0.08619016153195336, 0.07334648141108027, 0.059298584915436575,
+          0.04427743881742026, 0.02853138862893351, 0.012341229799987384)),
+}
 
 
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
-    from the eigen-decomposition of its Jacobi matrix (Golub & Welsch,
-    Math. Comp. 23 (1969) 221), symmetrised; read-only, as they are
-    shared.  numpy.polynomial's leggauss would cost about 5 ms of import."""
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    x, w = 0.5 * (x - x[::-1]), v[0] ** 2 + v[0, ::-1] ** 2
+    n one of the table's counts; read-only, as they are shared.
+
+    The table is literal.  Its numbers are those of the eigen-decomposition
+    of the rule's Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969)
+    221), symmetrised, to the last bit; the tests keep that computation
+    as the table's generator.  Computed here, the one LAPACK eigh of
+    every continuum command added about 0.9 MB resident at its first
+    call, and numpy.polynomial's leggauss would cost about 5 ms of
+    import."""
+    half_x, half_w = (np.array(v) for v in _GAUSS_LEGENDRE[n])
+    x = np.concatenate([-half_x[::-1], half_x])
+    w = np.concatenate([half_w[::-1], half_w])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -217,14 +251,21 @@ def _n_slope(spec, units, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the rule's breakpoints
 
-def _find_peaks(spec, units, lo, hi) -> list[tuple[float, float]]:
-    """Zeros of N(omega), one per sign change between finite values on a
-    scan geometric in the distance from lo, from 1e-6 of hi - lo on,
-    with local Lorentzian half-widths pi |V|^2 / |N'|."""
-    lattice = lo + (hi - lo) * np.geomspace(1e-6, 1.0, SCAN_POINTS)
+def _support_scan(lo: float, hi: float) -> np.ndarray:
+    """The scan lattice of the support [lo, hi]: SCAN_POINTS geometric in
+    the distance from lo, from 1e-6 of hi - lo on."""
+    return lo + (hi - lo) * np.geomspace(1e-6, 1.0, SCAN_POINTS)
+
+
+def _find_peaks(spec, units, lattice: np.ndarray) -> list[tuple[float, float]]:
+    """Zeros of N(omega), one per sign change between finite values on an
+    increasing scan ``lattice``, with local Lorentzian half-widths
+    pi |V|^2 / |N'|."""
     nvals = _n_values(spec, units, lattice)
     sign = np.where(np.isfinite(nvals), np.sign(nvals), 0.0)    # none at inf or nan
     i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    if not i.size:
+        return []
     neg = i + (sign[i] > 0)     # the end of each bracket where N < 0
     try:
         pk = bracketed_newton(lambda w: (_n_values(spec, units, w), _n_slope(spec, units, w)),
@@ -267,23 +308,44 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> np.ndarray:
     _require_coupled(spec)
     lo = max(spec.support_lower, 0.0)
     top = min(spec.omega_max, spec.support_upper)
+    unbounded = math.isinf(spec.support_upper)
     ladder = (top - lo) * 2.0 ** -np.arange(1, EDGE_DEPTH + 1)
     parts = [lo + ladder]
-    if math.isfinite(spec.support_upper):
+    if not unbounded:
         parts.append(top - ladder)
     if isinstance(spec, Tabulated):
         x = np.asarray(spec.omegas, dtype=float)
         steps = 2.0 ** -np.arange(1, TABLE_DEPTH + 1)[:, None]
         parts += [x, (x[1:-1] - np.diff(x)[:-1] * steps).ravel(),
                   (x[1:-1] + np.diff(x)[1:] * steps).ravel()]
-    for pk, w in _find_peaks(spec, units, lo, top):
-        doublings = np.arange(-1, math.log2(max(pk - lo, top - pk) / w) + 1)
-        parts.append(pk + np.outer([-w, w], 2.0 ** doublings).ravel())
+    # a resonance above omega_max lies in the tail panels of an unbounded
+    # support: they are scanned on past the support's lattice, which
+    # stays the same, geometric from omega_max to their end.  Its ladder
+    # runs on to that end, and the panels double on past 1e4 times it
+    scan, end = _support_scan(lo, top), top * 2.0 ** TAIL_DOUBLINGS
+    if unbounded:
+        scan = np.concatenate([scan, np.geomspace(top, end, SCAN_POINTS)[1:]])
+    tail, scale = [], top
+    for pk, w in _find_peaks(spec, units, scan):
+        if pk <= top:
+            parts.append(_ladder(pk, w, lo, top))
+        else:
+            ladder = _ladder(pk, w, lo, end)
+            tail.append(ladder[(ladder > lo) & (ladder < end)])
+            scale = max(scale, pk)
     inner = np.concatenate(parts)
     inner = inner[(inner > lo) & (inner < top)]
-    tail = top * 2.0 ** np.arange(1, TAIL_DOUBLINGS + 1)
-    return _distinct(np.concatenate([[lo, top], inner,
-                                     tail if math.isinf(spec.support_upper) else []]))
+    if unbounded:
+        doublings = TAIL_DOUBLINGS + math.ceil(math.log2(scale / top))
+        tail.append(top * 2.0 ** np.arange(1, doublings + 1))
+    return _distinct(np.concatenate([[lo, top], inner, *tail]))
+
+
+def _ladder(pk: float, w: float, lo: float, hi: float) -> np.ndarray:
+    """Breakpoints pk -+ w 2^j for j = -1, 0, 1, ... until both sides
+    pass lo and hi."""
+    doublings = np.arange(-1, math.log2(max(pk - lo, hi - pk) / w) + 1)
+    return pk + np.outer([-w, w], 2.0 ** doublings).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +369,9 @@ def _assemble(spec, units, nodes):
 def _solution(spec, units, breaks, **kwargs) -> SpectralSolution:
     """The solution assembled on the nodes of ``breaks``; ``kwargs`` go
     to SpectralSolution."""
-    return SpectralSolution(breaks=breaks, pi=_assemble(spec, units, panel_rule(breaks)[0])[3],
-                            spec=spec, units=units, **kwargs)
+    *columns, pi = _assemble(spec, units, panel_rule(breaks)[0])
+    return SpectralSolution(breaks=breaks, pi=pi, columns=tuple(columns), spec=spec,
+                            units=units, **kwargs)
 
 
 def _rule_difference(spec, units, breaks, pi) -> tuple[float, int]:
@@ -381,12 +444,13 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     breaks = build_grid(spec, units)
     require_admissible(spec, units)
 
-    pi = _assemble(spec, units, panel_rule(breaks)[0])[3]
+    *columns, pi = _assemble(spec, units, panel_rule(breaks)[0])
     live = np.flatnonzero(pi.reshape(-1, PANEL_POINTS).any(axis=1))
     panels = live[-1] + 1 if live.size else breaks.size - 1
-    breaks, pi = breaks[:panels + 1], pi[:panels * PANEL_POINTS]
+    n = panels * PANEL_POINTS
+    breaks, pi, columns = breaks[:panels + 1], pi[:n], tuple(c[:n] for c in columns)
     diff, worst = _rule_difference(spec, units, breaks, pi)
-    sol = SpectralSolution(breaks=breaks, pi=pi, spec=spec, units=units,
+    sol = SpectralSolution(breaks=breaks, pi=pi, columns=columns, spec=spec, units=units,
                            meta={"rounds": 0, "nodes": pi.size, "rule_difference": diff})
     norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
     unresolved = diff > min(NORM_TOL, SUM_TOL)
@@ -465,7 +529,7 @@ def bin_masses(sol: SpectralSolution, edges: np.ndarray) -> np.ndarray:
     nodes, gauss = panel_rule(_distinct(np.concatenate([b, inner])))
     at = np.searchsorted(edges, nodes, side="right") - 1
     inside = (at >= 0) & (at < edges.size - 1)
-    mass = gauss * _assemble(sol.spec, sol.units, nodes)[3]
+    mass = gauss * sol.pi_at(nodes)
     return np.bincount(at[inside], weights=mass[inside], minlength=edges.size - 1)
 
 

@@ -58,7 +58,8 @@ class WeakCouplingReport:
 
     ``residual_l1`` is the integral of |pi - lorentzian| over the fit
     window [window_lo, window_hi], comparable across couplings since pi
-    carries unit mass.  The window is the grid's peak node +-
+    carries unit mass: the panel rule with its two end panels split at
+    the window's ends.  The window is the grid's peak node +-
     WINDOW_HWHMS times the HWHM read off the grid's half-maximum
     crossings, clipped to the grid.  ``max_beta_ratio_peak`` is the
     largest admixture ratio |beta/alpha| across one full width at half
@@ -176,16 +177,20 @@ def lorentzian_fit(sol) -> WeakCouplingReport:
         )
     wm = w[mask]
     pm = pi[mask]
-    # the panel rule's Gauss weights make the least-squares objective
-    # and the residual integrals over the window's nodes, so the
-    # nodes' grading toward the resonance does not bias them
+    # the panel rule's Gauss weights make the least-squares objective an
+    # integral over the window's nodes, so the nodes' grading toward the
+    # resonance does not bias it
     gw = panel_rule(sol.breaks)[1][mask]
     rt = np.sqrt(gw)
 
     center_fit, hwhm_fit = _fit(wm, pm, rt, (peak, hwhm0),
                                 (lo, 1e-15), (hi, hi - lo))
     lor = _lorentz(wm, center_fit, hwhm_fit)
-    residual_l1 = float(gw @ np.abs(pm - lor))
+    # the window's own integral: the rule on the breakpoints inside it
+    # and its two ends, as bin_masses splits panels at bin edges
+    b = sol.breaks
+    nodes, gauss = panel_rule(np.concatenate([[lo], b[(b > lo) & (b < hi)], [hi]]))
+    residual_l1 = float(gauss @ np.abs(sol.pi_at(nodes) - _lorentz(nodes, center_fit, hwhm_fit)))
 
     # largest admixture ratio across one full width at half maximum
     # around the bare resonance; |beta/alpha| grows with |omega-omega0|

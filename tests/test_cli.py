@@ -702,6 +702,24 @@ class TestNoQuadpackOnRunPaths:
         assert rc == 0, err
 
 
+class TestNoEighOnContinuumPaths:
+    # the panel rule's Gauss-Legendre numbers are literal tables, so no
+    # continuum command calls LAPACK's eigh, whose first call added about
+    # 0.9 MB resident
+    @pytest.mark.parametrize("command", ["spectrum", "groundstate", "weak", "dynamics"])
+    def test_command_runs_with_eigh_blocked(self, command, capsys, tmp_path, monkeypatch):
+        from dosc import fano
+
+        def blocked(*args, **kwargs):
+            raise AssertionError("eigh called on a continuum path")
+
+        monkeypatch.setattr(np.linalg, "eigh", blocked)
+        fano._gauss_legendre.cache_clear()     # the tables earlier tests built
+        path = write_config(tmp_path, TestNoQuadpackOnRunPaths.GAUSS_WEAK)
+        rc, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+        assert rc == 0, err
+
+
 # the last line of a fresh interpreter's script: the scipy, numpy.ma and
 # numpy.polynomial modules it loaded, as JSON
 _PRINT_SCIPY_AND_MA = (

@@ -2,6 +2,7 @@
 
 import ast
 import io
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -132,9 +133,9 @@ def test_bytes_do_not_depend_on_the_block_size(table, monkeypatch, n_cols):
     # the same table in blocks of several sizes, each block's first and
     # last row holding values that take Python's formatting: zeros, NaN
     # and halfway values whose last digit is a rounding tie
-    sizes = [csvio._BLOCK_VALUES, 2048, 64, 5]
+    sizes = [csvio._BLOCK_VALUES, 8192, 64, 5]
     steps = [max(1, size // n_cols) for size in sizes]
-    n_rows = 3 * steps[0] + 7
+    n_rows = 3 * max(steps) + 7
     rng = np.random.default_rng(n_cols)
     values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-12, 20, (n_rows, n_cols))
     fallback = np.array([0.0, -0.0, np.nan, 26215 / 2 ** 18, -26217 / 2 ** 18])
@@ -146,6 +147,23 @@ def test_bytes_do_not_depend_on_the_block_size(table, monkeypatch, n_cols):
         monkeypatch.setattr(csvio, "_BLOCK_VALUES", size)
         write_csv(table, "a", list(values.T))
         assert table.read_bytes() == want, size
+
+
+def test_blocks_bound_the_working_set(table):
+    # 4,832 rows of 5 columns, the size of a tabulated model's pi.csv:
+    # formatting about _BLOCK_VALUES values a block keeps the traced
+    # peak near 0.6 MB (2.4 MB in blocks of 2^13), tables built before
+    rng = np.random.default_rng(3)
+    columns = list(rng.standard_normal((5, 4832)) * 10.0 ** rng.integers(-12, 20, (5, 4832)))
+    write_csv(table, "a,b,c,d,e", columns)
+    tracemalloc.start()
+    try:
+        write_csv(table, "a,b,c,d,e", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75e6
+    assert table.read_bytes() == savetxt_bytes(columns, "a,b,c,d,e")
 
 
 def test_columns_must_match(table):

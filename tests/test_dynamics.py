@@ -437,6 +437,29 @@ def test_direct_sums_take_tiles_of_times_by_entries(units):
         assert np.max(np.abs(row - want)) <= 32 * np.finfo(float).eps * np.abs(strength).sum()
 
 
+def test_spreading_works_in_small_blocks(ohmic_ref):
+    # the kernels' three rows over ohmic_ref split for t_max 45, 3,024
+    # nodes, on the CLI's 501 times: spreading 256 nodes at a time into
+    # buffers it reuses peaks at about 0.66 MB traced, where temporaries
+    # over groups of 1,024 nodes took 1.65 MB; the sums are those of one
+    # group at a time, to the last bit
+    source = fano.refine_for_times(ohmic_ref[1], 45.0)
+    w, wt = source.nodes, source.weights
+    strengths = np.stack([wt, wt / w, wt * w])
+    tracemalloc.start()
+    try:
+        got = dynamics._fourier_sums(w, strengths, 0.0, 45.0 / 500, 501)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2900 < w.size < 3100 and peak < 1.25 * 2**20
+    for nodes in (1024, 100):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_SPREAD_NODES", nodes)
+            again = dynamics._fourier_sums(w, strengths, 0.0, 45.0 / 500, 501)
+        assert np.array_equal(again, got)
+
+
 class TestDamping:
     def test_scan_kernel_matches_evaluate(self, ref8, two_mode_decomp):
         # the damping scan's Fourier k_sin_times against the direct sums

@@ -301,11 +301,14 @@ def test_alternate_unit_system():
     assert frequency_moment(sol, 1) < 2.0
 
 
-def test_dressing_reproduces_solution_columns(ohmic_ref, tmp_path):
+def test_dressing_reproduces_solution_columns(ohmic_ref, tmp_path, monkeypatch):
     # pi.csv's columns, read back, are the same assembly on the same
-    # nodes: bit for bit, and pi is alpha_sq * 4 w0 w / (w0+w)^2
+    # nodes: bit for bit, and pi is alpha_sq * 4 w0 w / (w0+w)^2.  They
+    # are the ones the solve assembled: writing evaluates no N
     spec, sol = ohmic_ref
-    sol.to_csv(tmp_path / "pi.csv")
+    with monkeypatch.context() as m:
+        m.setattr(fano, "_n_values", None)
+        sol.to_csv(tmp_path / "pi.csv")
     w, *columns = np.loadtxt(tmp_path / "pi.csv", delimiter=",", skiprows=1).T
     assert np.array_equal(w, sol.omegas)
     for got, want in zip(columns, dressed(spec, sol.omegas)):
@@ -340,6 +343,28 @@ def test_grid_has_no_near_duplicate_nodes():
         for n in (fano.PANEL_POINTS, fano.CHECK_POINTS):
             nodes = fano.panel_rule(breaks, n)[0]
             assert np.all(np.diff(nodes) > 0) and nodes[0] > 0
+
+
+def golub_welsch(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] from the
+    eigen-decomposition of its Jacobi matrix (Golub & Welsch, Math. Comp.
+    23 (1969) 221), symmetrised: the generator of fano's literal tables."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x - x[::-1]), v[0] ** 2 + v[0, ::-1] ** 2
+
+
+@pytest.mark.parametrize("n", [fano.PANEL_POINTS, fano.CHECK_POINTS])
+def test_gauss_legendre_tables_are_golub_welsch(n):
+    # the literal positive halves, and the rules built from them, are
+    # the generator's numbers to the last bit
+    x, w = golub_welsch(n)
+    half_x, half_w = fano._GAUSS_LEGENDRE[n]
+    assert np.array(half_x).tobytes() == x[n // 2:].tobytes()
+    assert np.array(half_w).tobytes() == w[n // 2:].tobytes()
+    got_x, got_w = fano._gauss_legendre(n)
+    assert got_x.tobytes() == x.tobytes() and got_w.tobytes() == w.tobytes()
 
 
 def test_weights_are_gauss_weights_times_pi(ohmic_ref, flat_mid):
@@ -586,12 +611,29 @@ def test_narrow_line_reached_by_its_ladder():
     # 256 half-widths hold 0.25% of the mass, so the ladder of
     # breakpoints around it runs on to both ends of the support
     spec = GaussianPeak(0.1, 1.5, 0.1)
-    (pk, w), = fano._find_peaks(spec, U, *rule_bounds(spec))
+    (pk, w), = fano._find_peaks(spec, U, fano._support_scan(*rule_bounds(spec)))
     assert abs(pk - 0.99844) <= 1e-5 and 2.6e-8 < w < 2.8e-8
     sol = solve(spec, U)
     assert abs(sol.norm_defect) <= 1e-9 and abs(sol.sum_defect) <= 1e-9
     far = sol.breaks[sol.breaks > pk + 256 * w]
     assert far.size > 20 and np.any(np.abs(far - (pk + w * 2.0**20)) <= 1e-15)
+
+
+@pytest.mark.parametrize("omega_max", [0.001, 0.75])
+def test_resonance_above_omega_max_found_in_the_tail(omega_max):
+    # the resonance at 0.7576 lies in the tail panels, 757 and 1.01
+    # times omega_max: the scan, continued over them, seeds its ladder,
+    # and the panels double on past 1e4 times it, so the solve gives the
+    # moments of the default omega_max (refused "cannot resolve pi" when
+    # only the support below omega_max was scanned)
+    spec = OhmicExp(amplitude=0.3, cutoff=5.0, omega_max=omega_max)
+    (pk, _), = fano._find_peaks(spec, U, fano._support_scan(0.0, 100.0))
+    assert omega_max < pk < 0.76
+    sol, ref = solve(spec, U), solve(OhmicExp(amplitude=0.3, cutoff=5.0), U)
+    assert abs(sol.norm_defect) <= 1e-14 and abs(sol.sum_defect) <= 1e-14
+    assert build_grid(spec, U)[-1] >= 2.0 ** fano.TAIL_DOUBLINGS * pk
+    for k in (-1, 1):
+        assert frequency_moment(sol, k) == pytest.approx(frequency_moment(ref, k), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +949,7 @@ def test_peak_width_from_exact_slope():
     for name in ("weak_line", "ohmic_reference"):
         spec = config_spec(name)
         lo, hi = rule_bounds(spec)
-        (pk, width), = fano._find_peaks(spec, U, lo, hi)
+        (pk, width), = fano._find_peaks(spec, U, fano._support_scan(lo, hi))
         x = pk / spec.cutoff
         s = math.exp(-x) * expi(x) + math.exp(x) * exp1(x)
         ds = math.exp(x) * exp1(x) - math.exp(-x) * expi(x)
@@ -920,7 +962,7 @@ def test_peak_search_gives_up_on_a_nan_inside_a_bracket(monkeypatch):
     # refuses and no resonance cluster is seeded
     spec = config_spec("ohmic_reference")
     lo, hi = rule_bounds(spec)
-    assert len(fano._find_peaks(spec, U, lo, hi)) == 1
+    assert len(fano._find_peaks(spec, U, fano._support_scan(lo, hi))) == 1
     n_values, calls = fano._n_values, []
 
     def nan_after_scan(spec, units, w):
@@ -928,6 +970,6 @@ def test_peak_search_gives_up_on_a_nan_inside_a_bracket(monkeypatch):
         return n_values(spec, units, w) if len(calls) == 1 else np.full(np.shape(w), np.nan)
 
     monkeypatch.setattr(fano, "_n_values", nan_after_scan)
-    assert fano._find_peaks(spec, U, lo, hi) == []
+    assert fano._find_peaks(spec, U, fano._support_scan(lo, hi)) == []
     assert len(calls) == 2
 

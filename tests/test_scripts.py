@@ -101,7 +101,8 @@ def test_bundled_outputs_layout(tmp_path):
 
 def test_bench_pairs_smoke(tmp_path):
     # one smoke-sized pair of the checkout against itself: both runs and
-    # the summary of every end-to-end metric land in the JSON
+    # the summary of every end-to-end metric land in the JSON.  Each run
+    # starts without dosc's bytecode and writes none
     repo = SCRIPTS.parent
     out = tmp_path / "pairs.json"
     proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), str(repo), str(repo),
@@ -111,6 +112,8 @@ def test_bench_pairs_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "op_p50_s" in proc.stdout
     doc = json.loads(out.read_text())
+    assert "PYTHONDONTWRITEBYTECODE=1" in doc["bytecode"]
+    assert not (repo / "src" / "dosc" / "__pycache__").exists()
     (run,) = doc["workloads"]["oracle_evolve@1"]
     assert run["correct"] == {"parent": True, "change": True}
     summary = doc["summary"]["oracle_evolve@1"]
