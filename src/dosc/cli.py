@@ -14,8 +14,8 @@ anyway; a third-party import must not be deferred into a command, since
 it then lands inside the command's time rather than start-up.  Instead,
 no run-path module imports any of scipy (the CLI stack then loads about
 230 modules, against 579 with scipy.special and scipy.linalg.lapack):
-the Gauss-Legendre nodes of fano's panel rule come from an
-eigen-decomposition, not numpy.polynomial; roots come from a bracketed
+the Gauss-Legendre nodes of fano's panel rule are literal tables, not
+numpy.polynomial's; roots come from a bracketed
 Newton (fano.bracketed_newton) on closed-form slopes; the Lorentzian
 fit is a small Levenberg-Marquardt in weakcoupling; xlogy, Dawson's
 integral and the ohmic Ei/E1 bracket are numpy ports in spectra; and
@@ -73,12 +73,8 @@ _OPTIONS = {
     "time": {
         "t_max": (None, "number"),
         "n_times": (600, "integer >= 2"),
-        "spacing": ("linear", ("linear", "geom")),
-        "t_min": (None, "number"),
         "x0": (1.0, "number"),
         "p0": (0.0, "number"),
-        "scan_window": (None, "number > 0"),
-        "resolution": (1e-3, "number >= 0"),  # classify_damping's default
     },
     "oracle": {
         "N": (800, "integer >= 1"),
@@ -330,23 +326,14 @@ def cmd_dynamics(cfg: RunConfig, out: Path) -> int:
     t = cfg.time
     if t.t_max is None or not t.t_max > 0:
         raise UsageError("dynamics needs time.t_max > 0")
-    if t.spacing == "geom":
-        if t.t_min is None or not 0 < t.t_min < t.t_max:
-            raise UsageError("geom spacing needs 0 < time.t_min < time.t_max")
-        ts = np.geomspace(t.t_min, t.t_max, t.n_times)
-    else:
-        ts = np.linspace(0.0, t.t_max, t.n_times)
-
-    # one split of the solve's panels for the longest time, which the
-    # kernels and the damping scan then find resolved
-    sol = fano.refine_for_times(fano.solve(spec, cfg.units),
-                                max(t.t_max, t.scan_window or t.t_max))
-    kern = dynamics.kernels(sol, ts)
+    ts = np.linspace(0.0, t.t_max, t.n_times)
+    # the kernels split the solve's panels once, for t_max, and the
+    # damping scan runs over that measure on (0, t_max]
+    kern = dynamics.kernels(fano.solve(spec, cfg.units), ts)
     kern.to_csv(out / "kernels.csv")
     traj = dynamics.mean_trajectory(kern, t.x0, t.p0, cfg.units)
     traj.to_csv(out / "trajectory.csv")
-    cls = dynamics.classify_damping(kern, scan_window=t.scan_window,
-                                    resolution=t.resolution)
+    cls = dynamics.classify_damping(kern)
     _write_json(out / "damping.json", dataclasses.asdict(cls))
     if cls.first_stationary_time is None:
         print(f"damping: {cls.damping_class} over {cls.scan_window:g}")

@@ -13,25 +13,23 @@ a (nodes, weights) measure, sum_k w_k e^{i omega_k t}.  On a continuum
 solution that sum is a Gauss-Legendre quadrature over the solution's
 panels, exact to rounding on a panel of width h while
 h * t_max <= 16: beyond it the panel's nodes undersample the
-oscillating integrand, so the kernels and the damping scan first
-split the panels for their largest time (fano.refine_for_times),
-within fano.ALIAS_MASS_TOL of the mass for wide panels.  A measure
-already split for that time, or a longer one, is used as it is, so a
-caller who splits once for the longest time (dosc dynamics does, for
-max(t_max, scan_window)) sums the kernels and the scan over one
-measure.  On a finite-bath decomposition the same sum is exact at any t.
+oscillating integrand, so kernels first splits the panels for its
+largest time (fano.refine_for_times), within fano.ALIAS_MASS_TOL of
+the mass for wide panels, and the damping scan of classify_damping
+runs over the kernels' own measure and times, (0, t_max].  On a
+finite-bath decomposition the same sum is exact at any t.
 
 The sums take one of two routes, chosen from the time lattice alone:
 
 * a uniform lattice t_j = t_0 + j dt of more than _BLOCK times (the
-  CLI's default linear spacing, the damping scan) is a type-1
+  CLI's linspace(0, t_max, n_times), the damping scan) is a type-1
   non-uniform FFT over x_k = omega_k dt mod 2 pi: each strength row
   asked for (three for the kernels, k_sin_times' one for the scan) is
-  spread onto one oversampled grid with shared Gaussian taps, and one
-  FFT per row gives all T values in O(M + T log T), within
-  _FOURIER_REL_ERR of the direct sums;
-* every other lattice (geometric or mixed grids, single root-finding
-  steps) takes the direct sums of the same rows, dense cos/sin
+  spread onto one oversampled grid of a 5-smooth size with shared
+  Gaussian taps, and one FFT per row gives all T values in
+  O(M + T log T), within _FOURIER_REL_ERR of the direct sums;
+* every other lattice (a library caller's geometric or mixed grids,
+  single root-finding steps) takes the direct sums of the same rows, dense cos/sin
   products a tile of about _TRIG_CHUNK times x nodes at a time.  They
   are also the tests' reference for the Fourier route.
 
@@ -52,7 +50,7 @@ import numpy.fft  # noqa: F401  numpy loads it lazily: at start-up, not in the f
 
 from . import fano
 from .csvio import write_csv
-from .errors import InternalConsistencyError, UsageError, checked
+from .errors import InternalConsistencyError, UsageError
 from .spectra import UnitSystem
 
 # the Fourier route takes uniform lattices of more than _BLOCK times
@@ -67,7 +65,9 @@ _TRIG_CHUNK = 2**15
 # Fourier route: Gaussian gridding after Dutt & Rokhlin, SIAM J. Sci.
 # Comput. 14 (1993) 1368, and Greengard & Lee, SIAM Rev. 46 (2004) 443.
 # With 16 taps a side at oversampling 2 the worst error seen against the
-# direct sums is 7e-14 of sum |strength| (12 taps: 1.1e-11).
+# direct sums is 7e-14 of sum |strength| (12 taps: 1.1e-11).  The grid
+# has a 5-smooth size: pocketfft takes Bluestein's slow route at a large
+# prime factor (7,882 = 2 7 563 points took 1.40 ms, 8,000 took 0.12 ms)
 _TAPS = 16
 _OVERSAMPLE = 2
 _LATTICE_ULPS = 4      # a uniform lattice's times sit this close to t_0 + j dt
@@ -81,6 +81,7 @@ _SPREAD_GROUP = 1024
 _FOURIER_REL_ERR = 1e-12
 
 _SCAN_STEP_FACTOR = 0.01   # damping scan step, units 1/omega0
+DAMPING_FLOOR = 1e-3       # depth below 0 a crossing must reach, units omega0^2
 
 
 def sincos(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
@@ -121,20 +122,30 @@ def _direct_sums(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
     return out
 
 
+def _grid_size(T: int) -> int:
+    """The smallest 2^a 3^b 5^c >= _OVERSAMPLE T, the Fourier grid's size."""
+    need, n = _OVERSAMPLE * T, (_OVERSAMPLE * T).bit_length()
+    odd = [3**b * 5**c for b in range(n) for c in range(n)]
+    return min(m << ((need - 1) // m).bit_length() for m in odd if m < 2 * need)
+
+
 def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
                   dt: float, T: int) -> np.ndarray:
     """sum_k strengths[r, k] e^{i nodes_k (t0 + j dt)} for every row r
     and j = 0..T-1, as a (rows, T) complex array.
 
     Type-1 non-uniform FFT by Gaussian gridding over
-    x_k = nodes_k dt mod 2 pi.  The output modes are centred on
-    j = T // 2, whose phase joins e^{i nodes t0} in the strengths, so
-    the deconvolution gain stays below e^{pi _TAPS / 12}.  Every row is
+    x_k = nodes_k dt mod 2 pi onto _grid_size(T) points.  The Gaussian's
+    tau is that of the oversampling sigma = n_grid / T >= 2.  The output
+    modes are centred on j = T // 2, whose phase joins e^{i nodes t0} in
+    the strengths, so the deconvolution gain, e^{pi _TAPS / (4 sigma
+    (sigma - 1/2))}, stays below e^{pi _TAPS / 12}.  Every row is
     spread with the same taps, then transformed by one FFT.
     """
-    n_grid = _OVERSAMPLE * T
+    n_grid = _grid_size(T)
     h = 2.0 * math.pi / n_grid
-    tau = math.pi * _TAPS / (T * T * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
+    sigma = n_grid / T
+    tau = math.pi * _TAPS / (T * T * sigma * (sigma - 0.5))
     mid = T // 2
     x = np.mod(nodes * dt, 2.0 * math.pi)
     # the real and imaginary parts of e^{i nodes (t0 + mid dt)}
@@ -189,14 +200,6 @@ def _evaluate(source, ts: np.ndarray, cos=(), sin=()) -> np.ndarray:
     return _direct_sums(source, ts, cos, sin)
 
 
-def _resolved(source, t_max: float):
-    """``source`` with panels that resolve times up to t_max.  A
-    finite-bath sum is exact at any t; only panels can undersample."""
-    if isinstance(source, fano.SpectralSolution):
-        return fano.refine_for_times(source, t_max)
-    return source
-
-
 @dataclass(frozen=True, eq=False)
 class DynamicsKernels:
     """The three averaged kernels on a sorted time lattice.
@@ -232,7 +235,8 @@ def kernels(source, times) -> DynamicsKernels:
         raise UsageError("times must be finite and >= 0")
     if np.any(np.diff(ts) < 0):
         raise UsageError("times must be sorted ascending")
-    source = _resolved(source, float(ts[-1]))
+    if isinstance(source, fano.SpectralSolution):   # only panels undersample
+        source = fano.refine_for_times(source, float(ts[-1]))
     w, wt = source.nodes, source.weights
     k_cos, k_sin_over, k_sin_times = _evaluate(source, ts, cos=[wt],
                                                sin=[wt / w, wt * w])
@@ -276,15 +280,15 @@ class DampingClassification:
     resolution: float
 
 
-def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
-                     resolution: float = 1e-3) -> DampingClassification:
-    """Scan k_sin_times for its first resolved positive zero.
+def classify_damping(kern: DynamicsKernels) -> DampingClassification:
+    """Scan k_sin_times for its first resolved zero in (0, t_max], the
+    kernels' last time, over the measure they were summed on.
 
     A zero of k_sin_times is a stationary point of k_cos away from
     t = 0: present means the mean motion still oscillates
     (underdamped), absent over the window means it does not.  A
     crossing only counts when the kernel actually reaches below
-    -resolution * omega0^2: every quadrature kernel wiggles at some
+    -DAMPING_FLOOR * omega0^2: every quadrature kernel wiggles at some
     tiny amplitude, and near the positivity margin the true dips fall
     orders of magnitude below the kernel's initial scale, so a
     strict sign test would call everything oscillatory.  Only
@@ -292,22 +296,17 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
     once, again directly where the Fourier route leaves a value within
     its error bound of 0 or of the floor (so every comparison falls as
     in a direct scan), and directly, with its time derivative, at each
-    root step.  A continuum
-    source is split for scan_window as in kernels; past the kernels'
-    last time their panels are split once more, and the two splits
-    together leave panels too wide for scan_window at most
-    fano.ALIAS_MASS_TOL of the mass.
+    root step.  The result records the window as ``scan_window`` and
+    the floor as ``resolution``.
     """
-    if scan_window is None:
-        scan_window = float(kern.times[-1])
-    checked(scan_window, "number > 0", "scan_window")
-    checked(resolution, "number >= 0", "resolution")
-    source = _resolved(kern.source, scan_window)
+    source, scan_window = kern.source, float(kern.times[-1])
+    if not scan_window > 0:
+        raise UsageError("the damping scan needs kernels past t = 0")
     step = _SCAN_STEP_FACTOR / source.omega0
     n = int(math.ceil(scan_window / step)) + 1
-    # every scan time in (0, scan_window], the horizon resolved above
+    # every scan time in (0, scan_window], the horizon the kernels resolve
     ts = np.linspace(min(step, scan_window), scan_window, n)
-    floor = resolution * source.omega0**2
+    floor = DAMPING_FLOOR * source.omega0**2
     sin = [source.weights * source.nodes]     # k_sin_times' strengths
     vals = _evaluate(source, ts, sin=sin)[0]
     tol = _FOURIER_REL_ERR * float(np.sum(np.abs(sin[0])))
@@ -326,7 +325,5 @@ def classify_damping(kern: DynamicsKernels, scan_window: float | None = None,
                 ts[j], ts[i], xtol=1e-12, rtol=1e-14)[0])
         else:
             zero_at = float(ts[j])  # negative from the first sample on
-        return DampingClassification("underdamped", zero_at, scan_window,
-                                     resolution)
-    return DampingClassification("non_oscillatory", None, scan_window,
-                                 resolution)
+        return DampingClassification("underdamped", zero_at, scan_window, DAMPING_FLOOR)
+    return DampingClassification("non_oscillatory", None, scan_window, DAMPING_FLOOR)

@@ -41,9 +41,10 @@ adjacent segment; and that double theirs from each resonance (zero of
 N, bracketed and signed by a scan, then refined by Newton steps on the
 closed-form slope N', whose value there gives the Lorentzian half-width
 w), from w/2 until they pass both ends of the support.  An unbounded
-support gets panels doubling from omega_max past 1e4 omega_max; its
-tail panels are scanned too, and past a resonance there the doubling
-goes on to 1e4 times the resonance.  Such
+support gets panels doubling from omega_max past 1e4 omega_max.  A
+resonance below omega_max keeps the rungs of its ladder above it that
+are finer than the first tail panel; the tail panels are scanned too,
+and past a resonance there the doubling goes on to 1e4 times it.  Such
 rules converge exponentially for integrands analytic on each panel
 (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed.,
 1984; Trefethen, *Approximation Theory and Approximation Practice*,
@@ -305,7 +306,6 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> np.ndarray:
     """The panel rule's breakpoints, graded as the module docstring says,
     from the lower end of the support (or 0) to its upper end, and on an
     unbounded support on past omega_max."""
-    _require_coupled(spec)
     lo = max(spec.support_lower, 0.0)
     top = min(spec.omega_max, spec.support_upper)
     unbounded = math.isinf(spec.support_upper)
@@ -328,7 +328,12 @@ def build_grid(spec: CouplingSpectrum, units: UnitSystem) -> np.ndarray:
     tail, scale = [], top
     for pk, w in _find_peaks(spec, units, scan):
         if pk <= top:
-            parts.append(_ladder(pk, w, lo, top))
+            ladder = _ladder(pk, w, lo, top)
+            parts.append(ladder)
+            # its wing above omega_max: the rungs finer than the first
+            # tail panel, closer to the line than its width, omega_max
+            if unbounded:
+                tail.append(ladder[(ladder > top) & (ladder - pk < top)])
         else:
             ladder = _ladder(pk, w, lo, end)
             tail.append(ladder[(ladder > lo) & (ladder < end)])
@@ -431,8 +436,8 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     and omega0 <<1/omega>> against CHECK_POINTS nodes on the same
     panels (``meta["rule_difference"]``), within min(NORM_TOL, SUM_TOL),
     and the normalisation and the omega^2 sum rule within NORM_TOL and
-    SUM_TOL.  The breakpoints come first, so that a zero coupling is
-    refused before an inadmissible model.  Raises ConvergenceError with
+    SUM_TOL.  A zero coupling is refused first, then an inadmissible
+    model, both before the breakpoints are built.  Raises ConvergenceError with
     diagnostics when:
 
     * the two rules differ: pi has structure narrower than its panels,
@@ -441,8 +446,9 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     * a defect misses its tolerance: the mass pi lacks lies where no
       panel reaches, in a bound state where |V|^2 = 0.
     """
-    breaks = build_grid(spec, units)
+    _require_coupled(spec)
     require_admissible(spec, units)
+    breaks = build_grid(spec, units)
 
     *columns, pi = _assemble(spec, units, panel_rule(breaks)[0])
     live = np.flatnonzero(pi.reshape(-1, PANEL_POINTS).any(axis=1))

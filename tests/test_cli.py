@@ -14,6 +14,14 @@ import pytest
 from dosc.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the bundled configs dosc dynamics runs on: a spectrum and a time.t_max
+DYNAMICS_CONFIGS = [p.stem for p in sorted(CONFIGS.glob("*.json"))
+                    if "t_max" in json.loads(p.read_text()).get("time", {})]
+# time options that are gone, each with a value it once took: the damping
+# scan's window is t_max and its floor dynamics.DAMPING_FLOOR, the lattice
+# is linspace(0, t_max, n_times), the split's mass budget fano.ALIAS_MASS_TOL
+REMOVED_TIME_KEYS = {"scan_window": 20.0, "resolution": 1e-3, "spacing": "linear",
+                     "t_min": 0.1, "alias_mass_tol": 1e-6}
 
 TM_VAR_X = 0.25 * (1.5 ** -0.5 + 0.5 ** -0.5)
 TM_VAR_P = 0.25 * (1.5 ** 0.5 + 0.5 ** 0.5)
@@ -213,8 +221,8 @@ class TestConfigValidation:
         # (units.omega0=true ran with omega0 = True, spectrum.level=true
         # with level 1)
         # The grid block is gone with the refinement it tuned: any of its
-        # keys is refused as an unknown block; time.alias_mass_tol, now
-        # fano.ALIAS_MASS_TOL, as an unknown key of its block
+        # keys is refused as an unknown block; a removed time option
+        # (REMOVED_TIME_KEYS) as an unknown key of its block
         command = {"tolerances": "compare", "oracle": "compare",
                    "grid": "spectrum", "units": "groundstate",
                    "spectrum": "groundstate"}.get(item.split(".")[0], "dynamics")
@@ -224,10 +232,11 @@ class TestConfigValidation:
         doc = stderr_doc(err)
         assert doc["error"] == "UsageError"
         spot = item.split("=")[0]
+        key = spot.removeprefix("time.")
         if spot.startswith("grid."):
             spot = "unknown key(s) ['grid'] in config"
-        elif spot == "time.alias_mass_tol":
-            spot = "unknown key(s) ['alias_mass_tol'] in time"
+        elif key in REMOVED_TIME_KEYS:
+            spot = f"unknown key(s) ['{key}'] in time"
         assert spot in doc["message"]
         assert not any(tmp_path.iterdir())
 
@@ -316,20 +325,36 @@ class TestConfigValidation:
         from dosc.cli import load_config
 
         cfg = load_config(write_config(tmp_path, self.base()), [])
-        assert vars(cfg.time) == {
-            "t_max": None, "n_times": 600, "spacing": "linear", "t_min": None,
-            "x0": 1.0, "p0": 0.0, "scan_window": None, "resolution": 1e-3}
+        assert vars(cfg.time) == {"t_max": None, "n_times": 600, "x0": 1.0, "p0": 0.0}
         assert vars(cfg.oracle) == {"N": 800, "scheme": "uniform", "bins": 160,
                                     "bath_omega_max": None}
         assert vars(cfg.tolerances) == {"rel_var": 0.005, "histogram_l1": 0.02}
         assert cfg.model is None and cfg.out_dir is None
-        # the solve's gates and the time split's mass budget are fano's
-        # constants, which neither a config nor a caller sets
+        # the solve's gates, the time split's mass budget and the damping
+        # scan's floor are constants, which neither a config nor a caller sets
         for call in (fano.compute_pi, fano.solve):
             assert list(inspect.signature(call).parameters) == ["spec", "units"]
         assert (fano.NORM_TOL, fano.SUM_TOL, fano.ALIAS_MASS_TOL) == (1e-6, 1e-6, 1e-6)
-        damping = inspect.signature(dynamics.classify_damping).parameters
-        assert cfg.time.resolution == damping["resolution"].default
+        assert list(inspect.signature(dynamics.classify_damping).parameters) == ["kern"]
+        assert dynamics.DAMPING_FLOOR == 1e-3
+
+    @pytest.mark.parametrize("route", ["config", "override"])
+    @pytest.mark.parametrize("key", REMOVED_TIME_KEYS)
+    def test_removed_time_keys_refused(self, capsys, tmp_path, key, route):
+        # a value the option once took, set in the config or by --override
+        config, value = str(CONFIGS / "flat_band.json"), REMOVED_TIME_KEYS[key]
+        args = ["--override", f"time.{key}={json.dumps(value)}"]
+        if route == "config":
+            doc = json.loads(Path(config).read_text())
+            doc["time"][key] = value
+            config, args = write_config(tmp_path, doc), []
+        rc, _, err = run(capsys, "dynamics", "--config", config, *args,
+                         "--out", str(tmp_path / "out"))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "UsageError"
+        assert f"unknown key(s) ['{key}'] in time" in doc["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSpectrumCommand:
@@ -531,65 +556,33 @@ class TestDynamicsCommand:
             assert np.array_equal(shipped[:, 0], direct[:, 0])
             assert np.max(np.abs(shipped - direct)) <= 1e-12
 
-    def test_scan_window_past_t_max(self, capsys, tmp_path):
-        # the solve's panels are split once, for the scan's window of 60
-        # past t_max = 30: the kernels and the scan are those of that one
-        # measure, and damping.json is a direct scan's, byte for byte
+    @pytest.mark.parametrize("config", DYNAMICS_CONFIGS)
+    def test_one_split_on_the_kernels_lattice(self, config, capsys, tmp_path, monkeypatch):
+        # the solve's panels are split once, inside dynamics.kernels, for
+        # t_max: kernels.csv is the library's kernels on
+        # linspace(0, t_max, n_times) bit for bit, and damping.json is
+        # classify_damping's of those kernels byte for byte
         import dataclasses
 
         from dosc import cli, dynamics, fano
 
-        config = str(CONFIGS / "ohmic_reference.json")
-        rc, _, err = run(capsys, "dynamics", "--config", config,
-                         "--override", "time.scan_window=60", "--out", str(tmp_path / "cli"))
+        path = str(CONFIGS / f"{config}.json")
+        refine, calls = fano.refine_for_times, []
+        monkeypatch.setattr(fano, "refine_for_times",
+                            lambda sol, t_max: calls.append(t_max) or refine(sol, t_max))
+        rc, _, err = run(capsys, "dynamics", "--config", path, "--out", str(tmp_path / "cli"))
         assert rc == 0, err
-        damping = json.loads((tmp_path / "cli" / "damping.json").read_text())
-        assert damping["scan_window"] == 60
-        cfg = cli.load_config(config, ["time.scan_window=60"])
-        sol = fano.refine_for_times(fano.solve(cfg.spectrum, cfg.units), 60.0)
-        kern = dynamics.kernels(sol, np.linspace(0.0, cfg.time.t_max, cfg.time.n_times))
-        assert kern.source is sol
+        cfg = cli.load_config(path, [])
+        assert calls == [cfg.time.t_max]
+        kern = dynamics.kernels(fano.solve(cfg.spectrum, cfg.units),
+                                np.linspace(0.0, cfg.time.t_max, cfg.time.n_times))
         data = np.loadtxt(tmp_path / "cli" / "kernels.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 1:].T, [kern.k_cos, kern.k_sin_over, kern.k_sin_times])
-        cli._write_json(tmp_path / "direct.json", dataclasses.asdict(
-            dynamics.classify_damping(kern, cfg.time.scan_window, cfg.time.resolution)))
+        assert np.array_equal(data.T, [kern.times, kern.k_cos, kern.k_sin_over,
+                                       kern.k_sin_times])
+        cli._write_json(tmp_path / "direct.json",
+                        dataclasses.asdict(dynamics.classify_damping(kern)))
         assert ((tmp_path / "cli" / "damping.json").read_bytes()
                 == (tmp_path / "direct.json").read_bytes())
-
-    def test_geometric_time_lattice(self, capsys, tmp_path):
-        # the lattice geomspace(t_min, t_max, n_times), whose kernels are
-        # the in-process ones to the bit; it has no uniform tail, so
-        # they are the direct sums
-        from dosc import dynamics, fano
-        from dosc.cli import load_config
-
-        config = str(CONFIGS / "flat_band.json")
-        overrides = ["time.spacing=geom", "time.t_min=0.1"]
-        rc, _, err = run(capsys, "dynamics", "--config", config,
-                         *(a for o in overrides for a in ("--override", o)),
-                         "--out", str(tmp_path))
-        assert rc == 0, err
-        data = np.loadtxt(tmp_path / "kernels.csv", delimiter=",", skiprows=1)
-        ts = np.geomspace(0.1, 20.0, 401)
-        assert np.array_equal(data[:, 0], ts)
-        cfg = load_config(config, overrides)
-        sol = fano.solve(cfg.spectrum, cfg.units)
-        kern = dynamics.kernels(sol, ts)
-        rows = np.stack([kern.k_cos, kern.k_sin_over, kern.k_sin_times])
-        assert np.array_equal(data[:, 1:].T, rows)
-        w, wt = kern.source.nodes, kern.source.weights
-        assert np.array_equal(rows, dynamics._direct_sums(kern.source, ts, cos=[wt],
-                                                          sin=[wt / w, wt * w]))
-
-    @pytest.mark.parametrize("t_min", [None, 20.0, 30.0])
-    def test_geometric_lattice_needs_t_min_below_t_max(self, capsys, tmp_path, t_min):
-        overrides = ["--override", "time.spacing=geom"]
-        if t_min is not None:
-            overrides += ["--override", f"time.t_min={t_min}"]
-        rc, _, err = run(capsys, "dynamics", "--config", str(CONFIGS / "flat_band.json"),
-                         *overrides, "--out", str(tmp_path))
-        assert rc == 1
-        assert "time.t_min" in stderr_doc(err)["message"]
 
     def test_requires_t_max(self, capsys, tmp_path):
         rc, _, err = run(capsys, "dynamics",

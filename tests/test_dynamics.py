@@ -30,16 +30,16 @@ def near_margin50(units):
     return fano.refine_for_times(fano.solve(spec, units), 50.0)
 
 
-def full_window_scan(kern, scan_window, resolution=1e-3):
+def full_window_scan(kern, resolution=dynamics.DAMPING_FLOOR):
     """classify_damping's first stationary time from one direct
-    k_sin_times evaluation over the whole scan window, then the same
-    bracket and the same root step, fano.bracketed_newton on direct sums
-    of k_sin_times and its time derivative; None when the kernel never
-    reaches below the floor."""
+    k_sin_times evaluation over the whole scan window, (0, t_max] of the
+    kernels' times, then the same bracket and the same root step,
+    fano.bracketed_newton on direct sums of k_sin_times and its time
+    derivative; None when the kernel never reaches below the floor."""
     source = kern.source
     w, wt = source.nodes, source.weights * source.nodes
-    step = dynamics._SCAN_STEP_FACTOR / kern.source.omega0
-    ts = np.linspace(step, scan_window, int(math.ceil(scan_window / step)) + 1)
+    step, window = dynamics._SCAN_STEP_FACTOR / kern.source.omega0, kern.times[-1]
+    ts = np.linspace(step, window, int(math.ceil(window / step)) + 1)
     vals = dynamics._direct_sums(source, ts, sin=[wt])[0]
     below = np.flatnonzero(vals < -resolution * kern.source.omega0**2)
     if not below.size:
@@ -177,53 +177,21 @@ class TestKernels:
             return evaluate(source, ts, **rows)
 
         monkeypatch.setattr(dynamics, "_evaluate", spy)
-        assert dynamics.classify_damping(k, 420.0).damping_class == "underdamped"
+        assert dynamics.classify_damping(k).damping_class == "underdamped"
         assert seen == [sol_t]
 
-    def test_scan_resolves_its_window(self, ref8, monkeypatch):
-        # a scan past the kernels' last time refines the grid for its
-        # window, within the budget the solution carries
-        k = dynamics.kernels(ref8, np.linspace(0.0, 8.0, 30))
-        assert k.source is ref8
-        seen = []
-        evaluate = dynamics._evaluate
-
-        def spy(source, ts, **rows):
-            seen.append(source)
-            return evaluate(source, ts, **rows)
-
-        monkeypatch.setattr(dynamics, "_evaluate", spy)
-        dynamics.classify_damping(k, 25.0)
-        assert np.array_equal(seen[0].omegas, fano.refine_for_times(ref8, 25.0).omegas)
-
-    def test_scan_past_t_max_refines_once(self, ohmic_ref, monkeypatch):
-        # past the kernels' last time the scan splits the kernels' own
-        # panels once more, for its window.  The panels the two splits
-        # leave too wide for it stay within the mass budget: here 4.5e-7
-        # of the mass, against 2.8e-8 for one split of the solve's
-        # panels (dosc dynamics splits once, for the longer time)
-        _, sol = ohmic_ref
-        k = dynamics.kernels(sol, np.linspace(0.0, 30.0, 31))
-        assert k.source.omegas.size > sol.omegas.size
-        seen = []
-        evaluate = dynamics._evaluate
-
-        def spy(source, ts, **rows):
-            seen.append(source)
-            return evaluate(source, ts, **rows)
-
-        monkeypatch.setattr(dynamics, "_evaluate", spy)
-        dynamics.classify_damping(k, 60.0)
-        twice = fano.refine_for_times(k.source, 60.0)
-        assert np.array_equal(seen[0].omegas, twice.omegas)
-
-        def unresolved_mass(s):
-            h = np.diff(s.breaks)
-            masses = s.weights.reshape(h.size, -1).sum(axis=1)
-            return masses[h > fano.ALIAS_LIMIT / 60.0].sum() / masses.sum()
-
-        once = unresolved_mass(fano.refine_for_times(sol, 60.0))
-        assert once < 1e-7 < unresolved_mass(twice) <= fano.ALIAS_MASS_TOL
+    def test_geometric_lattice_takes_direct_sums(self, flat_mid):
+        # a lattice with no uniform stretch, such as geomspace(t_min,
+        # t_max, n), is summed directly: the kernels are the direct sums
+        # over the measure split for t_max, to the bit
+        _, sol = flat_mid
+        ts = np.geomspace(0.1, 20.0, 401)
+        k = dynamics.kernels(sol, ts)
+        assert np.array_equal(k.source.omegas, fano.refine_for_times(sol, 20.0).omegas)
+        w, wt = k.source.nodes, k.source.weights
+        assert np.array_equal(np.stack([k.k_cos, k.k_sin_over, k.k_sin_times]),
+                              dynamics._direct_sums(k.source, ts, cos=[wt],
+                                                    sin=[wt / w, wt * w]))
 
     def test_validation(self, two_mode_decomp):
         with pytest.raises(UsageError):
@@ -437,6 +405,28 @@ def test_direct_sums_take_tiles_of_times_by_entries(units):
         assert np.max(np.abs(row - want)) <= 32 * np.finfo(float).eps * np.abs(strength).sum()
 
 
+def test_fourier_grid_is_5_smooth(monkeypatch, two_mode_decomp):
+    # the smallest 2^a 3^b 5^c of at least 2T points, for every T the
+    # Fourier route takes up to 12,000 (the bundled n_times 401, 501 and
+    # 601 once gave 802 = 2 401, 1,002 = 2 3 167 and 1,202 = 2 601), and
+    # the size each transform gets
+    def largest_prime(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return 5 if n == 1 else n
+
+    smooth = [n for n in range(1, 24_100) if largest_prime(n) <= 5]
+    for T in range(dynamics._BLOCK + 1, 12_000):
+        assert dynamics._grid_size(T) == smooth[np.searchsorted(smooth, 2 * T)]
+    sizes, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, axis: sizes.append(a.shape[axis])
+                        or ifft(a, axis=axis))
+    k = dynamics.kernels(two_mode_decomp, np.linspace(0.0, 30.0, 601))
+    dynamics.classify_damping(k)
+    assert sizes == [1215, 6075] and all(largest_prime(n) <= 5 for n in sizes)
+
+
 def test_spreading_works_in_small_blocks(ohmic_ref):
     # the kernels' three rows over ohmic_ref split for t_max 45, 3,024
     # nodes, on the CLI's 501 times: spreading 256 nodes at a time into
@@ -474,7 +464,7 @@ class TestDamping:
         _, sol = ohmic_weak
         sol8 = fano.refine_for_times(sol, 8.0)
         k = dynamics.kernels(sol8, np.linspace(0.0, 8.0, 30))
-        cls = dynamics.classify_damping(k, 8.0)
+        cls = dynamics.classify_damping(k)
         assert cls.damping_class == "underdamped"
         assert abs(cls.first_stationary_time - math.pi / units.omega0) < 0.15
 
@@ -500,9 +490,14 @@ class TestDamping:
         assert cls.damping_class == "underdamped"
         assert cls.first_stationary_time == 0.01
 
+    def test_scan_needs_kernels_past_zero(self, two_mode_decomp):
+        k = dynamics.kernels(two_mode_decomp, [0.0])
+        with pytest.raises(UsageError, match="past t = 0"):
+            dynamics.classify_damping(k)
+
     def test_near_margin_non_oscillatory(self, near_margin50):
         k = dynamics.kernels(near_margin50, np.linspace(0.0, 50.0, 60))
-        cls = dynamics.classify_damping(k, 50.0)
+        cls = dynamics.classify_damping(k)
         assert cls.damping_class == "non_oscillatory"
         assert cls.first_stationary_time is None
         assert cls.scan_window == 50.0
@@ -515,9 +510,9 @@ class TestDamping:
         source, window = SCAN_CASES[case]
         source = request.getfixturevalue(source)
         k = dynamics.kernels(source, np.linspace(0.0, window, 30))
-        expected = full_window_scan(k, window)
+        expected = full_window_scan(k)
         calls = fourier_calls(monkeypatch)
-        cls = dynamics.classify_damping(k, window)
+        cls = dynamics.classify_damping(k)
         assert cls.first_stationary_time == expected
         n_scan = int(math.ceil(window / (dynamics._SCAN_STEP_FACTOR / k.source.omega0))) + 1
         assert calls == [(1, n_scan)]
@@ -538,7 +533,7 @@ class TestDamping:
         bound = dynamics._FOURIER_REL_ERR * np.abs(sin[0]).sum()
         fourier = dynamics._fourier_sums
         for resolution in (1e-3, -(deepest + 0.5 * bound)):
-            expected = full_window_scan(k, window, resolution)
+            expected = full_window_scan(k, resolution)
             for sign in (1.0, -1.0):
                 def shifted(nodes, strengths, t0, dt, T):
                     err = dynamics._FOURIER_REL_ERR * np.abs(strengths).sum(axis=1)
@@ -546,14 +541,15 @@ class TestDamping:
                             + sign * (1 + 1j) * err[:, None])
 
                 monkeypatch.setattr(dynamics, "_fourier_sums", shifted)
-                cls = dynamics.classify_damping(k, window, resolution=resolution)
+                monkeypatch.setattr(dynamics, "DAMPING_FLOOR", resolution)
+                cls = dynamics.classify_damping(k)
                 assert cls.first_stationary_time == expected
                 assert (cls.damping_class == "non_oscillatory") == (expected is None)
         assert expected is not None
 
     def test_scan_stays_in_window(self, two_mode_decomp, monkeypatch):
         # a window shorter than the scan step: every scan time in
-        # (0, scan_window], none past the horizon the grid resolves
+        # (0, t_max], none past the horizon the kernels resolve
         seen = []
         evaluate = dynamics._evaluate
 
@@ -564,7 +560,7 @@ class TestDamping:
         monkeypatch.setattr(dynamics, "_evaluate", spy)
         k = dynamics.kernels(two_mode_decomp, [0.0, 0.005])
         seen.clear()
-        cls = dynamics.classify_damping(k, 0.005)
+        cls = dynamics.classify_damping(k)
         assert cls.damping_class == "non_oscillatory"
         ts = np.concatenate(seen)
         assert ts.size and np.all(ts > 0) and np.all(ts <= 0.005)

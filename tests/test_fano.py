@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import exp1, expi, sici
 
 from dosc import fano, weakcoupling
-from dosc.errors import ConvergenceError, UsageError
+from dosc.errors import ConvergenceError, PositivityError, UsageError
 from dosc.fano import (
     build_grid,
     compute_pi,
@@ -634,6 +634,41 @@ def test_resonance_above_omega_max_found_in_the_tail(omega_max):
     assert build_grid(spec, U)[-1] >= 2.0 ** fano.TAIL_DOUBLINGS * pk
     for k in (-1, 1):
         assert frequency_moment(sol, k) == pytest.approx(frequency_moment(ref, k), rel=1e-14)
+
+
+@pytest.mark.parametrize("omega_max", [0.76, 0.8])
+def test_resonance_just_below_omega_max_keeps_its_wing(omega_max):
+    # the line at 0.7576 lies below omega_max and its Lorentzian wing
+    # above, in the first tail panel [omega_max, 2 omega_max]: the rungs
+    # of its ladder finer than that panel stay, so the two rules and both
+    # defects agree to rounding (the doubling tail panels alone left a
+    # rule difference of 4.3e-7 at 0.76 and 1.2e-8 at 0.8)
+    spec = OhmicExp(amplitude=0.3, cutoff=5.0, omega_max=omega_max)
+    (pk, _), = fano._find_peaks(spec, U, fano._support_scan(0.0, omega_max))
+    assert 0.75 < pk < omega_max
+    breaks = build_grid(spec, U)
+    wing = breaks[(breaks > omega_max) & (breaks < 2.0 * omega_max)]
+    assert wing.size and np.all(wing - pk < omega_max)
+    sol = solve(spec, U)
+    assert sol.meta["rule_difference"] <= 1e-14
+    assert abs(sol.norm_defect) <= 1e-14 and abs(sol.sum_defect) <= 1e-14
+
+
+def test_refusals_come_before_the_grid(monkeypatch):
+    # zero coupling first, then an over-bound model of each family,
+    # without building the breakpoints
+    def no_grid(spec, units):
+        raise AssertionError("build_grid called")
+
+    monkeypatch.setattr(fano, "build_grid", no_grid)
+    with pytest.raises(ConvergenceError, match="identically zero"):
+        compute_pi(Tabulated((1.0, 2.0), (0.0, 0.0)), U)
+    for spec in (OhmicExp(amplitude=math.sqrt(1.2 / 5.0), cutoff=5.0),
+                 FlatBand(level=math.sqrt(1.2 / math.log(20.0)), lower=0.1, upper=2.0),
+                 GaussianPeak(amplitude=3.0, center=1.5, width=0.1),
+                 Tabulated((0.5, 1.0, 2.0), (1.0, 1.0, 1.0))):
+        with pytest.raises(PositivityError):
+            compute_pi(spec, U)
 
 
 # ---------------------------------------------------------------------------

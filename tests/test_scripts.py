@@ -16,13 +16,15 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def _sources():
     root = SCRIPTS.parent
-    files = [f for d in ("src/dosc", "scripts", "tests") for f in sorted((root / d).rglob("*.py"))]
-    assert len(files) > 20
+    files = [f for d in ("src", "scripts", "tests", "perfbench")
+             for f in sorted((root / d).rglob("*.py"))]
+    assert len(files) > 40 and any(f.parent.name == "perfbench" for f in files)
     return files
 
 
 def test_sources_parse_at_the_declared_python_floor():
-    # CI's floors job runs that Python; this catches newer syntax sooner
+    # CI's floors job runs that Python; this catches newer syntax sooner,
+    # in the package, its tests and scripts, and the benchmark harness
     floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                       (SCRIPTS.parent / "pyproject.toml").read_text())
     version = tuple(int(v) for v in floor.groups())

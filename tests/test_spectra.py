@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
-from dosc import dynamics, fano, oracle, spectra, weakcoupling
+from dosc import fano, oracle, spectra, weakcoupling
 from dosc.errors import PositivityError, UsageError
 from dosc.spectra import (
     DAWSON_TABLE_X,
@@ -253,11 +253,6 @@ def _solution():
     return fano.solve(SPEC, U)
 
 
-@functools.cache
-def _kernels():
-    return dynamics.kernels(_solution(), np.linspace(0.0, 5.0, 11))
-
-
 def _cases():
     """(id, call taking the value, field name, rule) for every float
     field of UnitSystem and of each family, and each entry point."""
@@ -273,12 +268,6 @@ def _cases():
     yield "discretize", lambda x: oracle.discretize(SPEC, U, x), "N", "integer >= 1"
     yield ("refine_for_times.t_max",
            lambda x: fano.refine_for_times(_solution(), x), "t_max", "")
-    yield ("classify_damping",
-           lambda x: dynamics.classify_damping(_kernels(), scan_window=x),
-           "scan_window", "> 0")
-    yield ("classify_damping.resolution",
-           lambda x: dynamics.classify_damping(_kernels(), resolution=x),
-           "resolution", ">= 0")
     yield ("compare_with_continuum",
            lambda x: oracle.compare_with_continuum(_solution(), U, 100, bins=x),
            "bins", "integer >= 1")
