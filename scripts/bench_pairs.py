@@ -6,11 +6,22 @@
 Runs ``perfbench/run.py --seconds 30 --trace 0`` in each checkout, one
 run per side and pair, alternating which side runs first.  For each
 end-to-end metric it prints both sides' medians and quartiles, the
-parent's interquartile range, and the pairs in which the change is
-better.  A gain counts when the change is better in at least nine of
-ten pairs and its median beats the parent's by more than the parent's
-interquartile range.  ``--out`` writes the runs and that summary as
-JSON, the ``workloads`` and ``summary`` of a ``BENCH_*.json``.
+parent's interquartile range, the pairs in which the change is
+better, and two verdicts:
+
+* ``gain``: the change is better in at least nine of ten pairs and its
+  median beats the parent's by more than the parent's interquartile
+  range;
+* ``regression``: "worse" when the change's median is worse than the
+  parent's by more than the metric's ``BENCHMARK.json`` bound, taken as
+  a fraction of the parent's median; else "unresolved" when the
+  parent's spread, (q3 - q1) / median, is wider than that bound,
+  unless every run of the change beats every run of the parent; else
+  "within bound".
+
+``--out`` writes the runs and that summary as JSON, the ``workloads``
+and ``summary`` of a ``BENCH_*.json``.  The script only reads
+``BENCHMARK.json``.
 ``--smoke`` runs the benchmark's smoke-sized workloads, for a check that
 the script works.
 
@@ -51,22 +62,39 @@ def run(tree: pathlib.Path, args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summary(runs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the change's
-    better pairs."""
+def summary(runs: list, metrics: list) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: each side's median and
+    quartiles, the change's better pairs and both verdicts."""
     out = {}
-    for name, sense in better.items():
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
         side = {s: np.array([r[s][name] for r in runs]) for s in ("parent", "change")}
-        gain = side["parent"] - side["change"] if sense == "lower" else side["change"] - side["parent"]
+        # each run's value with the sign that makes lower better
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        cost = {s: sign * v for s, v in side.items()}
+        better_pairs = int(np.count_nonzero(cost["change"] < cost["parent"]))
         quart = {s: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).round(6).tolist()))
                  for s, v in side.items()}
         base = quart["parent"]["median"]
+        iqr = round(quart["parent"]["q3"] - quart["parent"]["q1"], 6)
+        lead = sign * (base - quart["change"]["median"])
+        spread = iqr / abs(base) if base else 0.0
+        if -lead > bound * abs(base):
+            regression = "worse"
+        elif spread > bound and not cost["change"].max() < cost["parent"].min():
+            regression = "unresolved"
+        else:
+            regression = "within bound"
         out[name] = {
             **quart,
-            "parent_iqr": round(quart["parent"]["q3"] - quart["parent"]["q1"], 6),
-            "change_better_pairs": int(np.count_nonzero(gain > 0)),
+            "parent_iqr": iqr,
+            "change_better_pairs": better_pairs,
             "pairs": len(runs),
             "median_change": round(quart["change"]["median"] / base - 1.0, 4) if base else None,
+            "gain": better_pairs >= 0.9 * len(runs) and lead > iqr,
+            "bound": bound,
+            "parent_spread": round(spread, 4),
+            "regression": regression,
         }
     return out
 
@@ -83,7 +111,6 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for pair in range(args.pairs):
@@ -98,16 +125,17 @@ def main() -> int:
             f"{side} {runs[-1][side]['op_p50_s']:.4f}/{runs[-1][side]['wall_s']:.4f}" for side in order)
             + "  (op_p50_s/wall_s)", flush=True)
 
-    table = summary(runs, better)
+    table = summary(runs, spec["end_to_end"])
     print(f"\n{args.workload} at seed {args.seed}, {args.pairs} pairs")
     print(f"{'metric':<12} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} {'parent IQR':>11} "
-          f"{'better':>7} {'change':>8}")
+          f"{'better':>7} {'change':>8}  {'gain':<5} regression")
     for name, row in table.items():
         p, c = row["parent"], row["change"]
         print(f"{name:<12} {p['q1']:>10.4f}{p['median']:>10.4f}{p['q3']:>10.4f} "
               f"{c['q1']:>10.4f}{c['median']:>10.4f}{c['q3']:>10.4f} {row['parent_iqr']:>11.4f} "
               f"{row['change_better_pairs']:>3}/{row['pairs']:<3} "
-              f"{'' if row['median_change'] is None else format(row['median_change'], '+.1%'):>8}")
+              f"{'' if row['median_change'] is None else format(row['median_change'], '+.1%'):>8}  "
+              f"{'yes' if row['gain'] else 'no':<5} {row['regression']}")
     if args.out:
         key = f"{args.workload}@{args.seed}"
         args.out.write_text(json.dumps({"bytecode": BYTECODE, "workloads": {key: runs},

@@ -24,9 +24,10 @@ The sums take one of two routes, chosen from the time lattice alone:
 * a uniform lattice t_j = t_0 + j dt of more than _BLOCK times (the
   CLI's linspace(0, t_max, n_times), the damping scan) is a type-1
   non-uniform FFT over x_k = omega_k dt mod 2 pi: each strength row
-  asked for (three for the kernels, k_sin_times' one for the scan) is
-  spread onto one oversampled grid of a 5-smooth size with shared
-  Gaussian taps, and one FFT per row gives all T values in
+  asked for (three for the kernels, k_sin_times' one for the scan),
+  times the phase of the lattice's middle time, is spread as complex
+  strengths onto one complex oversampled grid of a 5-smooth size with
+  shared Gaussian taps, and one FFT per row gives all T values in
   O(M + T log T), within _FOURIER_REL_ERR of the direct sums;
 * every other lattice (a library caller's geometric or mixed grids,
   single root-finding steps) takes the direct sums of the same rows, dense cos/sin
@@ -71,12 +72,12 @@ _TRIG_CHUNK = 2**15
 _TAPS = 16
 _OVERSAMPLE = 2
 _LATTICE_ULPS = 4      # a uniform lattice's times sit this close to t_0 + j dt
-# spreading works through _SPREAD_NODES nodes at a time (three temporaries
-# of 2 _TAPS entries a node, 64 KB each).  Each group of _SPREAD_GROUP
-# nodes sums from 0, its nodes in order, before it joins the grid, so the
-# grid's values to the last bit do not depend on _SPREAD_NODES
-_SPREAD_NODES = 256
-_SPREAD_GROUP = 1024
+# spreading works through _SPREAD_NODES nodes at a time: slots, taps and
+# complex products of 2 _TAPS entries a node, plus numpy's casts of the
+# float taps in each product (at 256 nodes those set the kernels' traced
+# peak, 0.73 MB against 0.49).  Each grid point sums from 0 in node
+# order, so its value to the last bit does not depend on _SPREAD_NODES
+_SPREAD_NODES = 128
 # bound on |Fourier - direct| relative to sum |strength|, per kernel
 _FOURIER_REL_ERR = 1e-12
 
@@ -139,8 +140,9 @@ def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
     tau is that of the oversampling sigma = n_grid / T >= 2.  The output
     modes are centred on j = T // 2, whose phase joins e^{i nodes t0} in
     the strengths, so the deconvolution gain, e^{pi _TAPS / (4 sigma
-    (sigma - 1/2))}, stays below e^{pi _TAPS / 12}.  Every row is
-    spread with the same taps, then transformed by one FFT.
+    (sigma - 1/2))}, stays below e^{pi _TAPS / 12}.  Every complex row
+    is spread with the same taps onto its row of one complex grid, then
+    transformed by one FFT.
     """
     n_grid = _grid_size(T)
     h = 2.0 * math.pi / n_grid
@@ -148,38 +150,30 @@ def _fourier_sums(nodes: np.ndarray, strengths: np.ndarray, t0: float,
     tau = math.pi * _TAPS / (T * T * sigma * (sigma - 0.5))
     mid = T // 2
     x = np.mod(nodes * dt, 2.0 * math.pi)
-    # the real and imaginary parts of e^{i nodes (t0 + mid dt)}
-    re = nodes * (t0 + mid * dt)
-    im = np.empty_like(re)
-    sincos(re, re, im)
-    rows = len(strengths)
-    parts = np.empty((2 * rows, nodes.size))
-    np.multiply(strengths, re, out=parts[:rows])
-    np.multiply(strengths, im, out=parts[rows:])
-    acc = np.zeros((2 * rows, n_grid))
-    group = np.empty_like(acc)
+    # e^{i nodes (t0 + mid dt)}, written straight into a complex array
+    phase = np.empty(nodes.size, complex)
+    np.multiply(nodes, t0 + mid * dt, out=phase.real)
+    sincos(phase.real, phase.real, phase.imag)
+    parts = strengths * phase
+    grid = np.zeros((len(parts), n_grid), complex)
     offsets = np.arange(1 - _TAPS, _TAPS + 1)
     slots = np.empty((_SPREAD_NODES, offsets.size), np.intp)
-    taps, product = np.empty(slots.shape), np.empty(slots.shape)
-    for lo in range(0, nodes.size, _SPREAD_GROUP):
-        group.fill(0.0)
-        stop = min(lo + _SPREAD_GROUP, nodes.size)
-        for sub in range(lo, stop, _SPREAD_NODES):
-            cut = slice(sub, min(sub + _SPREAD_NODES, stop))
-            xc = x[cut]
-            s, t, p = slots[:xc.size], taps[:xc.size], product[:xc.size]
-            np.add(np.floor(xc / h).astype(np.intp)[:, None], offsets, out=s)
-            np.multiply(s, h, out=t)
-            np.subtract(xc[:, None], t, out=t)
-            np.square(t, out=t)
-            t *= -0.25 / tau
-            np.exp(t, out=t)
-            np.remainder(s, n_grid, out=s)
-            for row, part in zip(group, parts[:, cut]):
-                np.multiply(t, part[:, None], out=p)
-                np.add.at(row, s.ravel(), p.ravel())
-        acc += group
-    coeffs = np.fft.ifft(acc[:rows] + 1j * acc[rows:], axis=1)
+    taps, product = np.empty(slots.shape), np.empty(slots.shape, complex)
+    for lo in range(0, nodes.size, _SPREAD_NODES):
+        cut = slice(lo, lo + _SPREAD_NODES)
+        xc = x[cut]
+        s, t, p = slots[:xc.size], taps[:xc.size], product[:xc.size]
+        np.add(np.floor(xc / h).astype(np.intp)[:, None], offsets, out=s)
+        np.multiply(s, h, out=t)
+        np.subtract(xc[:, None], t, out=t)
+        np.square(t, out=t)
+        t *= -0.25 / tau
+        np.exp(t, out=t)
+        np.remainder(s, n_grid, out=s)
+        for row, part in zip(grid, parts[:, cut]):
+            np.multiply(t, part[:, None], out=p)
+            np.add.at(row, s.ravel(), p.ravel())
+    coeffs = np.fft.ifft(grid, axis=1)
     m = np.arange(-mid, T - mid)
     return coeffs[:, m % n_grid] * (math.sqrt(math.pi / tau) * np.exp(m * m * tau))
 

@@ -551,7 +551,8 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     to half that budget, and every other one is split into equal parts
     no wider than ALIAS_LIMIT / t_max.  The new nodes are counted before
     any is built, and more than MAX_NEW_NODES are refused with
-    ConvergenceError.  pi is evaluated on the new panels' nodes.  A
+    ConvergenceError.  pi and its columns are assembled again on every
+    node of the merged rule, the unsplit panels' included.  A
     solution that already meets the requirement, such as one split for
     t_max or a longer time, is returned as it is.
     """

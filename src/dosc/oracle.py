@@ -274,7 +274,9 @@ class NormalModeDecomposition:
 
     ``eigenvectors``, the full matrix O (columns, first row
     sqrt(weights)), is built on first access from the roots' offsets and
-    then kept; only the tests read it.  Evolution takes the same
+    then kept; the tests read it, and so does the benchmark's tracer
+    (perfbench/tracer.py, for its count of normal_modes' bytes), which
+    pins the name.  Evolution takes the same
     inverse gaps, a block of rows against nearby roots at a time.
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of

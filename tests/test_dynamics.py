@@ -428,26 +428,31 @@ def test_fourier_grid_is_5_smooth(monkeypatch, two_mode_decomp):
 
 
 def test_spreading_works_in_small_blocks(ohmic_ref):
-    # the kernels' three rows over ohmic_ref split for t_max 45, 3,024
-    # nodes, on the CLI's 501 times: spreading 256 nodes at a time into
-    # buffers it reuses peaks at about 0.66 MB traced, where temporaries
-    # over groups of 1,024 nodes took 1.65 MB; the sums are those of one
-    # group at a time, to the last bit
+    # ohmic_ref split for t_max 45, 3,024 nodes: the kernels' three rows
+    # on the CLI's 501 times, and the damping scan's one k_sin_times row
+    # on 4,500 times 0.01 apart.  Spreading _SPREAD_NODES nodes at a time
+    # into buffers it reuses peaks at about 0.51 and 0.79 MB traced (the
+    # scan took 0.99 MB when real and imaginary parts were spread apart);
+    # each grid point sums in node order, so the sums do not depend on
+    # the block size, to the last bit
     source = fano.refine_for_times(ohmic_ref[1], 45.0)
     w, wt = source.nodes, source.weights
-    strengths = np.stack([wt, wt / w, wt * w])
-    tracemalloc.start()
-    try:
-        got = dynamics._fourier_sums(w, strengths, 0.0, 45.0 / 500, 501)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 2900 < w.size < 3100 and peak < 1.25 * 2**20
-    for nodes in (1024, 100):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_SPREAD_NODES", nodes)
-            again = dynamics._fourier_sums(w, strengths, 0.0, 45.0 / 500, 501)
-        assert np.array_equal(again, got)
+    cases = [((np.stack([wt, wt / w, wt * w]), 0.0, 45.0 / 500, 501), 1.25),
+             ((np.stack([wt * w]), 0.01, 0.01, 4500), 0.98)]
+    assert 2900 < w.size < 3100
+    for args, bound_mb in cases:
+        tracemalloc.start()
+        try:
+            got = dynamics._fourier_sums(w, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20
+        for nodes in (1024, 100):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "_SPREAD_NODES", nodes)
+                again = dynamics._fourier_sums(w, *args)
+            assert np.array_equal(again, got)
 
 
 class TestDamping:

@@ -2,6 +2,7 @@
 source parses at the declared Python floor."""
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -120,7 +121,47 @@ def test_bench_pairs_smoke(tmp_path):
     assert run["correct"] == {"parent": True, "change": True}
     summary = doc["summary"]["oracle_evolve@1"]
     assert set(summary) == {"setup_s", "wall_s", "op_p50_s", "ok_ratio", "peak_rss_mb"}
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]}
     for metric, row in summary.items():
         assert row["pairs"] == 1
         assert row["parent"]["median"] == run["parent"][metric]
         assert row["change"]["median"] == run["change"][metric]
+        assert row["bound"] == bounds[metric] and row["parent_spread"] == 0.0
+        assert isinstance(row["gain"], bool)
+        assert row["regression"] in ("worse", "unresolved", "within bound")
+    # one side's runs against itself: no gain, and no regression
+    assert run["parent"]["ok_ratio"] == run["change"]["ok_ratio"]
+    assert summary["ok_ratio"]["gain"] is False
+    assert summary["ok_ratio"]["regression"] == "within bound"
+
+
+def test_bench_pairs_verdicts():
+    # the gain and regression verdicts on made-up runs of one lower-is-
+    # better metric with a bound of 0.25 and one higher-is-better metric
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "ok_ratio", "better": "higher", "bound": 0.02}]
+
+    def verdicts(parent, change, ok_parent=1.0, ok_change=1.0):
+        runs = [{"parent": {"wall_s": p, "ok_ratio": ok_parent},
+                 "change": {"wall_s": c, "ok_ratio": ok_change}} for p, c in zip(parent, change)]
+        return {name: (row["gain"], row["regression"])
+                for name, row in bench_pairs.summary(runs, metrics).items()}
+
+    tight = [10.0, 10.1, 10.2, 10.3] * 5                    # spread 0.015 of the median
+    assert verdicts(tight, [v - 1.0 for v in tight]) == {
+        "wall_s": (True, "within bound"), "ok_ratio": (False, "within bound")}
+    # 9 of 10 pairs better, but the median gain is inside the parent IQR
+    assert verdicts(tight[:10], [v - 0.01 for v in tight[:9]] + [11.0])["wall_s"] == (
+        False, "within bound")
+    assert verdicts(tight, [v * 1.3 for v in tight])["wall_s"] == (False, "worse")
+    wide = [6.0, 8.0, 10.0, 12.0, 14.0] * 2                 # spread 0.4 of the median
+    assert verdicts(wide, wide)["wall_s"] == (False, "unresolved")
+    # a gain by the claim rule, but the two sides' runs overlap
+    assert verdicts(wide, [v * 0.5 for v in wide])["wall_s"] == (True, "unresolved")
+    assert verdicts(wide, [5.0] * 10)["wall_s"] == (True, "within bound")
+    assert verdicts(tight, tight, ok_change=0.97)["ok_ratio"] == (False, "worse")
+    assert verdicts(tight, tight, ok_parent=0.9)["ok_ratio"] == (True, "within bound")
