@@ -50,10 +50,10 @@ rules converge exponentially for integrands analytic on each panel
 1984; Trefethen, *Approximation Theory and Approximation Practice*,
 ch. 19).  N is evaluated once on the nodes, and once more on the same
 panels with CHECK_POINTS nodes each: the two rules' moments certify
-the first.  Every later integral of pi takes the same rule: moments
-over the solution's weights, bin_masses on the breakpoints and the bin
-edges together, and the Lorentzian fit over the rule's Gauss weights,
-its residual on the breakpoints and the fit window's ends together.
+the first.  Every later integral of pi takes the same rule, split by
+SpectralSolution.split where it must be: inside panels too wide for
+t_max, at the histogram's bin edges, and at the fit window's ends and
+the crossings of pi and the fitted line.
 """
 
 from __future__ import annotations
@@ -113,11 +113,12 @@ class SpectralSolution:
     (see compute_pi) from compute_pi, ``refined_for_t_max`` from
     refine_for_times.  ``spec`` and ``units`` are carried so that
     dynamics and diagnostics can evaluate the dispersion integrals at
-    new frequencies without re-supplying context.  ``weights`` is the Gauss weight of each node times pi,
-    fixed at construction, and so are the two signed defects compute_pi
+    new frequencies without re-supplying context.  ``gauss`` is each
+    node's Gauss weight and ``weights`` that times pi, fixed at
+    construction, and so are the two signed defects compute_pi
     certifies, moments over those weights: ``norm_defect = <<1>> - 1``
-    and ``sum_defect = <<omega^2>>/omega0^2 - 1``.  Instances are
-    immutable.
+    and ``sum_defect = <<omega^2>>/omega0^2 - 1``.  ``split`` refines
+    the rule at given points.  Instances are immutable.
     """
 
     breaks: np.ndarray
@@ -127,6 +128,7 @@ class SpectralSolution:
     columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
     omegas: np.ndarray = field(init=False, repr=False)
+    gauss: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     norm_defect: float = field(init=False)
     sum_defect: float = field(init=False)
@@ -134,6 +136,7 @@ class SpectralSolution:
     def __post_init__(self):
         omegas, gauss = panel_rule(self.breaks)
         object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "gauss", gauss)
         object.__setattr__(self, "weights", gauss * self.pi)
         object.__setattr__(self, "norm_defect", frequency_moment(self, 0) - 1.0)
         object.__setattr__(self, "sum_defect",
@@ -150,6 +153,17 @@ class SpectralSolution:
     def pi_at(self, omegas: np.ndarray) -> np.ndarray:
         """pi at any frequencies, assembled as at the nodes."""
         return _assemble(self.spec, self.units, omegas)[3]
+
+    def split(self, points) -> SpectralSolution:
+        """The solution on its breakpoints and the ``points`` between its
+        ends, merged by _distinct (a point within DISTINCT of a breakpoint
+        stands in for it), pi and its columns assembled on every node and
+        ``meta["nodes"]`` their count."""
+        b, points = self.breaks, np.asarray(points, dtype=float)
+        merged = _distinct(np.concatenate([b, points[(points > b[0]) & (points < b[-1])]]))
+        *columns, pi = _assemble(self.spec, self.units, panel_rule(merged)[0])
+        return SpectralSolution(breaks=merged, pi=pi, columns=tuple(columns), spec=self.spec,
+                                units=self.units, meta={**self.meta, "nodes": pi.size})
 
     def to_csv(self, path) -> None:
         """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision."""
@@ -371,14 +385,6 @@ def _assemble(spec, units, nodes):
     return Y, alpha_sq, beta, pi
 
 
-def _solution(spec, units, breaks, **kwargs) -> SpectralSolution:
-    """The solution assembled on the nodes of ``breaks``; ``kwargs`` go
-    to SpectralSolution."""
-    *columns, pi = _assemble(spec, units, panel_rule(breaks)[0])
-    return SpectralSolution(breaks=breaks, pi=pi, columns=tuple(columns), spec=spec,
-                            units=units, **kwargs)
-
-
 def _rule_difference(spec, units, breaks, pi) -> tuple[float, int]:
     """The largest difference in <<1>>, <<omega^2>>/omega0^2 and
     omega0 <<1/omega>> between the rule with ``pi`` at its nodes and
@@ -522,21 +528,15 @@ def frequency_moment(measure, k: int) -> float:
     return moment(measure, lambda w: w**k)
 
 
-def bin_masses(sol: SpectralSolution, edges: np.ndarray) -> np.ndarray:
-    """The mass of pi in each bin between adjacent increasing ``edges``:
-    the panel rule on the solution's breakpoints and the edges between
-    them together, pi assembled on its nodes and summed bin by bin.
-    Every panel then lies in one bin, so each bin's mass is as exact as
-    the solution's moments (an edge within DISTINCT of a breakpoint
-    stands in for it, or it for the edge); bins beyond the breakpoints
-    hold 0."""
-    b = sol.breaks
-    inner = edges[(edges > b[0]) & (edges < b[-1])]
-    nodes, gauss = panel_rule(_distinct(np.concatenate([b, inner])))
-    at = np.searchsorted(edges, nodes, side="right") - 1
+def bin_masses(measure, edges: np.ndarray) -> np.ndarray:
+    """The mass of a (nodes, weights) measure in each bin between
+    adjacent increasing ``edges``, each bin summing its own weights in
+    order (a running sum would leave every bin about 1e-16 of the whole
+    mass off); nodes outside the edges count in none.  Every panel of
+    ``sol.split(edges)`` lies in one bin, so its masses of pi are exact."""
+    at = np.searchsorted(edges, measure.nodes, side="right") - 1
     inside = (at >= 0) & (at < edges.size - 1)
-    mass = gauss * sol.pi_at(nodes)
-    return np.bincount(at[inside], weights=mass[inside], minlength=edges.size - 1)
+    return np.bincount(at[inside], weights=measure.weights[inside], minlength=edges.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +588,6 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     # np.linspace's points j * (h / k) + left, j = 1..k-1
     first = np.repeat(np.cumsum(inner) - inner, inner)
     j = np.arange(1, first.size + 1) - first
-    merged = _distinct(np.concatenate([breaks, j * np.repeat(h[split] / k, inner)
-                                       + np.repeat(breaks[:-1][split], inner)]))
-    meta = {**sol.meta, "refined_for_t_max": t_max,
-            "nodes": PANEL_POINTS * (merged.size - 1)}
-    return _solution(sol.spec, sol.units, merged, meta=meta)
+    refined = sol.split(j * np.repeat(h[split] / k, inner) + np.repeat(breaks[:-1][split], inner))
+    refined.meta["refined_for_t_max"] = t_max
+    return refined

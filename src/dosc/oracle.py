@@ -42,8 +42,8 @@ module: no Y, no principal values, no panels.  The two routes share
 only what is evaluated over a (nodes, weights) measure, here
 (Omegas, O_0k^2): the moments and the dynamics kernels, and with the
 kernels the one implementation of cosines and sines, dynamics.sincos.
-The comparison's histogram takes the continuum's side, pi's exact mass
-in each bin, from fano.bin_masses.
+The comparison bins both sides with fano.bin_masses, the continuum's on
+the solution split at the bin edges, where pi's bin masses are exact.
 """
 
 from __future__ import annotations
@@ -1009,11 +1009,8 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     top = max(float(model.bath_freqs.max() + model.bath_freqs[0]),
               float(decomp.Omegas[-1]) * (1.0 + 1e-12))
     edges = np.linspace(0.0, top, bins + 1)
-    # each bin sums its own weights in order: a running sum over all
-    # bins would leave every bin about 1e-16 of the whole mass off
-    at = np.searchsorted(edges, decomp.Omegas, side="right") - 1
-    density = np.bincount(at, weights=decomp.weights, minlength=bins) / np.diff(edges)
-    cont_avg = bin_masses(sol, edges) / np.diff(edges)
+    density = bin_masses(decomp, edges) / np.diff(edges)
+    cont_avg = bin_masses(sol.split(edges), edges) / np.diff(edges)
     l1 = float(np.sum(np.abs(density - cont_avg) * np.diff(edges)))
 
     # var_x = (hbar/2m) Minv and var_p = (hbar m/2) M1 on both sides: the

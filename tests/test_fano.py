@@ -239,14 +239,37 @@ def test_bin_masses_sum_to_the_mass_inside_the_edges(ohmic_ref, flat_mid):
     # end on a breakpoint the mass of the solution's panels below it
     _, flat = flat_mid
     edges = np.linspace(0.0, 2.5, 161)
-    masses = fano.bin_masses(flat, edges)
+    masses = fano.bin_masses(flat.split(edges), edges)
     assert abs(masses.sum() - (1.0 + flat.norm_defect)) <= 1e-13
     assert np.all(masses[edges[1:] <= flat.breaks[0]] == 0.0)
     _, sol = ohmic_ref
     k = np.searchsorted(sol.breaks, 20.0)
-    masses = fano.bin_masses(sol, np.linspace(0.0, sol.breaks[k], 161))
+    edges = np.linspace(0.0, sol.breaks[k], 161)
+    masses = fano.bin_masses(sol.split(edges), edges)
     assert masses.size == 160 and masses.min() > 0.0
     assert abs(masses.sum() - math.fsum(sol.weights[:k * fano.PANEL_POINTS])) <= 1e-13
+
+
+def test_split_at_no_points_is_the_solution(ohmic_ref, flat_mid):
+    # the same rule, and pi assembled afresh on it to the last bit
+    for _, sol in (ohmic_ref, flat_mid):
+        same = sol.split(np.array([]))
+        for name in ("breaks", "nodes", "gauss", "weights", "pi"):
+            assert np.array_equal(getattr(same, name), getattr(sol, name)), name
+        assert same.meta == sol.meta and same.norm_defect == sol.norm_defect
+
+
+def test_split_point_within_distinct_of_a_breakpoint_adds_no_panel(ohmic_ref):
+    # the point stands in for the breakpoint, or the breakpoint for it
+    _, sol = ohmic_ref
+    b = sol.breaks[40]
+    above, below = b * (1.0 + 0.5 * fano.DISTINCT), b * (1.0 - 0.5 * fano.DISTINCT)
+    assert np.array_equal(sol.split([above]).breaks, sol.breaks)
+    assert sol.split([below]).breaks.size == sol.breaks.size
+    mid = 0.5 * (b + sol.breaks[41])
+    split = sol.split([mid, above])
+    assert np.array_equal(split.breaks, np.insert(sol.breaks, 41, mid))
+    assert split.meta == {**sol.meta, "nodes": sol.nodes.size + fano.PANEL_POINTS}
 
 
 def test_bin_inside_one_panel_matches_the_check_rule(ohmic_ref):
@@ -258,7 +281,7 @@ def test_bin_inside_one_panel_matches_the_check_rule(ohmic_ref):
     edges = np.array([0.0, a + 0.3 * (b - a), a + 0.55 * (b - a), 2.0 * b])
     nodes, gauss = fano.panel_rule(edges[1:3], fano.CHECK_POINTS)
     check = math.fsum(gauss * fano._assemble(spec, U, nodes)[3])
-    masses = fano.bin_masses(sol, edges)
+    masses = fano.bin_masses(sol.split(edges), edges)
     assert check > 1e-6
     assert abs(masses[1] - check) <= 1e-14 * check
 
@@ -515,10 +538,11 @@ def test_resolved_grid_short_of_mass_refused_at_once():
         compute_pi(spec, U)
     assert "resolved pi, but its defects miss tolerance" in str(exc.value)
     detail = exc.value.detail
-    measured = fano._solution(spec, U, build_grid(spec, U))
-    assert detail["rounds"] == 0 and detail["nodes"] == measured.nodes.size
-    assert detail["norm_defect"] == abs(measured.norm_defect) > 0.5
-    assert detail["sum_defect"] == abs(measured.sum_defect)
+    nodes, gauss = fano.panel_rule(build_grid(spec, U))
+    weights = gauss * fano._assemble(spec, U, nodes)[3]
+    assert detail["rounds"] == 0 and detail["nodes"] == nodes.size
+    assert detail["norm_defect"] == abs(float(weights @ nodes**0) - 1.0) > 0.5
+    assert detail["sum_defect"] == abs(float(weights @ nodes**2) / U.omega0**2 - 1.0)
     assert detail["rule_difference"] <= 1e-14
     assert "bound state" in detail["guidance"]
 

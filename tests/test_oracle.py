@@ -999,6 +999,26 @@ class TestAgainstContinuum:
             with pytest.raises(UsageError, match="differ from the solution's"):
                 oracle.compare_with_continuum(sol, wrong, 300, bins=40)
 
+    @pytest.mark.parametrize("fixture", ["flat_mid", "ohmic_ref"])
+    def test_one_histogram_for_both_routes(self, fixture, units, request):
+        # the bath's weights and pi's on the solution split at the edges
+        # go through fano.bin_masses; the continuum's side is what the
+        # panel rule on the breakpoints and the edges together gives
+        spec, sol = request.getfixturevalue(fixture)
+        rep = oracle.compare_with_continuum(sol, units, 300, bins=40)
+        edges = rep.hist_edges
+        width = np.diff(edges)
+        decomp = oracle.normal_modes(oracle.discretize(spec, units, 300))
+        assert np.array_equal(rep.hist_density, fano.bin_masses(decomp, edges) / width)
+        b = sol.breaks
+        inner = edges[(edges > b[0]) & (edges < b[-1])]
+        nodes, gauss = fano.panel_rule(fano._distinct(np.concatenate([b, inner])))
+        at = np.searchsorted(edges, nodes, side="right") - 1
+        inside = (at >= 0) & (at < edges.size - 1)
+        mass = np.bincount(at[inside], weights=(gauss * sol.pi_at(nodes))[inside],
+                           minlength=edges.size - 1)
+        assert np.array_equal(rep.hist_continuum, mass / width)
+
     def test_histogram_mass(self, flat_mid, units):
         _, sol = flat_mid
         rep = oracle.compare_with_continuum(sol, units, 300, bins=40)

@@ -102,6 +102,56 @@ def test_bundled_outputs_layout(tmp_path):
         assert path.is_dir() or str(tmp_path) not in path.read_text(), path
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_outputs_against_reports_each_moved_file(tmp_path):
+    # two small trees: a CSV whose second column moved, a JSON with one
+    # changed key, a changed text file, an equal file and a file only
+    # one tree holds each give one line, or none if equal
+    bundled = _load_script("bundled_outputs")
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "a/out/pi.csv": ("omega,pi\n1,2\n3,-4\n", "omega,pi\n1,2\n3,-4.004\n"),
+        "a/out/report.json": ('{"x": 1.5, "y": [1, 2]}', '{"y": [1, 2], "x": 1.25}'),
+        "a/stdout.txt": ("one\n", "two\n"),
+        "a/exit_code.txt": ("0\n", "0\n"),
+        "b/out/same.csv": ("omega\nnan\n", "omega\nnan\n"),
+    }
+    for name, texts in files.items():
+        for tree, text in zip((old, new), texts):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(text)
+    (new / "b" / "extra.txt").write_text("")
+    assert bundled.compare(new, old) == [
+        "a/out/pi.csv: pi 0.001",
+        "a/out/report.json: x 1.5 -> 1.25",
+        "a/stdout.txt: differs",
+        f"b/extra.txt: only in {new}",
+    ]
+    assert bundled.compare(old, old) == []
+
+
+def test_bundled_outputs_against_exit_code(tmp_path):
+    # after its run the script compares its tree: a tree that differs in
+    # one file and lacks the others makes it exit 1, naming each
+    config = SCRIPTS.parent / "configs" / "uncoupled.json"
+    other = tmp_path / "other" / "uncoupled" / "groundstate"
+    other.mkdir(parents=True)
+    (other / "exit_code.txt").write_text("1\n")
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bundled_outputs.py"),
+                           str(tmp_path / "out"), "--config", str(config),
+                           "--against", str(tmp_path / "other")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "uncoupled/groundstate/exit_code.txt: differs" in proc.stdout.splitlines()
+    assert f"uncoupled/groundstate/stdout.txt: only in {tmp_path / 'out'}" in proc.stdout
+
+
 def test_bench_pairs_smoke(tmp_path):
     # one smoke-sized pair of the checkout against itself: both runs and
     # the summary of every end-to-end metric land in the JSON.  Each run
@@ -139,9 +189,7 @@ def test_bench_pairs_smoke(tmp_path):
 def test_bench_pairs_verdicts():
     # the gain and regression verdicts on made-up runs of one lower-is-
     # better metric with a bound of 0.25 and one higher-is-better metric
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = _load_script("bench_pairs")
     metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
                {"name": "ok_ratio", "better": "higher", "bound": 0.02}]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import least_squares
 
 from dosc import fano, groundstate, weakcoupling
+from dosc.cli import load_config
 from dosc.errors import ConvergenceError, UsageError
 from dosc.spectra import FlatBand, GaussianPeak, OhmicExp, Tabulated, UnitSystem
 
@@ -29,6 +31,24 @@ def approx_alpha_sq(spec, units, omega):
     vsq = spec.v_sq(float(omega))
     shift = weakcoupling.lamb_shift(spec, units, omega)
     return (vsq / 4.0) / ((omega - units.omega0 - shift) ** 2 + (math.pi * vsq / 4.0) ** 2)
+
+
+def dense_residual(sol, rep, parts=2048) -> float:
+    """|pi - lorentzian| over the report's fit window by the CHECK_POINTS
+    rule on each window panel cut into ``parts`` equal parts, so that the
+    kinks where pi crosses the line lie in panels too narrow to matter."""
+    lo, hi, b = rep.window_lo, rep.window_hi, sol.breaks
+    ends = np.concatenate([[lo], b[(b > lo) & (b < hi)], [hi]])
+    cuts = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(parts) / parts)
+    nodes, gauss = fano.panel_rule(np.append(cuts.ravel(), hi), fano.CHECK_POINTS)
+    return math.fsum(gauss * np.abs(
+        sol.pi_at(nodes) - weakcoupling._lorentz(nodes, rep.center_fit, rep.hwhm_fit)))
+
+
+def config_solution(name):
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                          / f"{name}.json"), [])
+    return fano.solve(cfg.spectrum, cfg.units)
 
 
 @pytest.fixture(scope="module")
@@ -176,8 +196,10 @@ class TestLorentzianFit:
         # QUADPACK on |pi - lorentzian| over [window_lo, window_hi], panel
         # by panel.  The nodes inside the window alone miss the parts of
         # its two end panels between them and the window's ends: 1.2% low
-        # on weak_line and 0.9% on ohmic_reference.  What is left is the
-        # panel rule's error at the kinks where pi crosses the Lorentzian
+        # on weak_line and 0.9% on ohmic_reference.  What is left is
+        # QUADPACK's own error at the kinks where pi crosses the
+        # Lorentzian, 3.2e-7 on weak_line, where the dense reference
+        # agrees with the residual to 3e-12
         _, sol = request.getfixturevalue(fixture)
         rep = weakcoupling.lorentzian_fit(sol)
         lo, hi = rep.window_lo, rep.window_hi
@@ -191,7 +213,32 @@ class TestLorentzianFit:
         ends = np.concatenate([[lo], b[(b > lo) & (b < hi)], [hi]])
         ref = math.fsum(quad(f, a, c, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                         for a, c in zip(ends[:-1], ends[1:]))
-        assert rep.residual_l1 == pytest.approx(ref, rel=5e-4)
+        assert rep.residual_l1 == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["weak_line", "ohmic_reference", "flat_band",
+                                      "near_critical"])
+    def test_residual_matches_the_dense_reference(self, name):
+        # the window split at pi's crossings of the line as well as at its
+        # ends: split at its ends alone, the rule missed the kinks of
+        # |pi - lorentzian| by 2.2e-4 relative on weak_line, 2.5e-4 on
+        # ohmic_reference, -3.8e-5 on flat_band and 1.1e-5 on near_critical
+        sol = config_solution(name)
+        rep = weakcoupling.lorentzian_fit(sol)
+        assert abs(rep.residual_l1 / dense_residual(sol, rep) - 1.0) <= 1e-10
+
+    def test_two_crossings_between_adjacent_nodes_found(self):
+        # on flat_band pi crosses the line at 0.98786 and 0.98957, both
+        # between the Gauss nodes at 0.98699 and 0.99009: the scan of
+        # each window panel brackets both
+        sol = config_solution("flat_band")
+        rep = weakcoupling.lorentzian_fit(sol)
+        c, g = rep.center_fit, rep.hwhm_fit
+        cuts = weakcoupling._crossings(sol, rep.window_lo, rep.window_hi, c, g)
+        assert cuts.size == 2
+        assert np.searchsorted(sol.nodes, cuts[0]) == np.searchsorted(sol.nodes, cuts[1])
+        assert 0.98786 < cuts[0] < 0.98787 and 0.98956 < cuts[1] < 0.98958
+        gap = sol.pi_at(cuts) - weakcoupling._lorentz(cuts, c, g)
+        assert np.all(np.abs(gap) <= 1e-12 * sol.pi.max())
 
     def test_strong_coupling_residual_reported(self, units, ohmic_strong):
         _, sol = ohmic_strong
@@ -270,18 +317,14 @@ class TestFitAgainstLeastSquares:
         rep = weakcoupling.lorentzian_fit(sol)
         (wm, pm, rt, start, lower, upper), = calls
         # the reference objective weighs each node of the fit window by
-        # its Gauss weight in the solution's panel rule; the residual's
-        # integral takes the rule on the breakpoints inside the window
-        # and its two ends
+        # its Gauss weight in the solution's panel rule; the residual is
+        # the window's integral, as exact as the dense reference
         lo, hi = rep.window_lo, rep.window_hi
         window = (sol.omegas >= lo) & (sol.omegas <= hi)
         assert np.array_equal(wm, sol.omegas[window])
         gauss = fano.panel_rule(sol.breaks)[1][window]
-        b = sol.breaks
-        nodes, g = fano.panel_rule(np.concatenate([[lo], b[(b > lo) & (b < hi)], [hi]]))
-        pi = fano._assemble(sol.spec, units, nodes)[3]
-        assert rep.residual_l1 == float(
-            g @ np.abs(pi - weakcoupling._lorentz(nodes, rep.center_fit, rep.hwhm_fit)))
+        assert np.array_equal(rt, np.sqrt(gauss))
+        assert abs(rep.residual_l1 / dense_residual(sol, rep) - 1.0) <= 1e-10
 
         def resid(p):
             return (weakcoupling._lorentz(wm, *p) - pm) * np.sqrt(gauss)
