@@ -415,10 +415,12 @@ def test_grid_building_deterministic():
 
 
 def test_compute_pi_refuses_zero_coupling():
-    # refused by the breakpoints it builds, before any other check
+    # refused before any other check, as the bare mode: one bound state
+    # at omega0 of weight 1, on no panel
     with pytest.raises(ConvergenceError, match="identically zero") as exc:
-        compute_pi(OhmicExp(amplitude=0.0, cutoff=5.0), U)
-    assert exc.value.detail["guidance"] == "use the closed-form path for V = 0"
+        compute_pi(OhmicExp(amplitude=0.0, cutoff=5.0), UnitSystem(omega0=2.0))
+    assert exc.value.detail == {"nodes": 0, "rounds": 0, "bound_states": [[2.0, 1.0]],
+                                "guidance": "use the closed-form path for V = 0"}
 
 
 def test_refine_for_times(ohmic_ref):
@@ -870,10 +872,32 @@ def test_bound_state_guidance_names_the_gap():
     assert f"at omega = {root:.8g} (weight {weight:.6g})" in detail["guidance"]
 
 
+@pytest.mark.parametrize("spec", [Tabulated((0.2, 0.4, 1.5, 2.0), (0, 0, 1.39, 0)),
+                                  Tabulated((0.1, 0.5, 0.9, 3.0), (0, 0.72, 0, 0))],
+                         ids=["first_run", "last_run"])
+def test_bound_state_in_an_end_run_of_a_table_named(spec):
+    # omega0's dressed mode lies in the run of nodes with V^2 = 0 at one
+    # end of the table, with no coupled node on that side (the last run
+    # lies in panels the solve drops, pi being 0 there): named with the
+    # root and weight of a uniform bath's heaviest mode
+    from dosc import oracle
+
+    decomp = oracle.normal_modes(oracle.discretize(spec, U, 4000))
+    k = np.argmax(decomp.weights)
+    with pytest.raises(ConvergenceError, match="resolved pi, but its defects miss") as exc:
+        solve(spec, U)
+    detail = exc.value.detail
+    (root, weight), = detail["bound_states"]
+    assert spec.omegas[0] < root < spec.omegas[-1]
+    assert abs(root - decomp.Omegas[k]) <= 1e-6 and abs(weight - decomp.weights[k]) <= 1e-6
+    assert abs(detail["norm_defect"] - weight) <= 1e-6
+    assert f"at omega = {root:.8g} (weight {weight:.6g})" in detail["guidance"]
+
+
 @pytest.mark.parametrize("error", [ValueError, RuntimeError])
 def test_bound_state_search_failure_keeps_the_refusal(monkeypatch, error):
-    # a search that fails, as bracketed_newton may, names no state and
-    # leaves the support's text
+    # a search that fails, as bracketed_newton may, names no state, and
+    # the guidance says so
     def fail(*args):
         raise error("search failed")
 
@@ -881,11 +905,13 @@ def test_bound_state_search_failure_keeps_the_refusal(monkeypatch, error):
     with pytest.raises(ConvergenceError) as exc:
         solve(FlatBand(0.3, 2.0, 3.0), U)
     detail = exc.value.detail
+    assert set(detail) == REFUSAL_KEYS
     assert detail["bound_states"] == []
     assert detail["guidance"] == (
-        f"about {detail['norm_defect']:.3g} of the spectral mass lies outside the "
-        "coupling support: a point mass (bound state) of the dressed oscillator, "
-        "which the grid cannot hold; raising omega_max does not help")
+        f"about {detail['norm_defect']:.3g} of the spectral mass lies where |V|^2 = 0, "
+        "though the bound-state search found none heavier than 1e-06: a point mass "
+        "(bound state) of the dressed oscillator, which the grid cannot hold; raising "
+        "omega_max does not help")
 
 
 # ---------------------------------------------------------------------------
