@@ -57,15 +57,17 @@ the crossings of pi and the fitted line.
 
 Where |V|^2 = 0, pi is point masses only: the bound states at the zeros
 of N, of Fano weight 4 Omega_b / (omega0 |N'(Omega_b)|).  No panel holds
-one, so compute_pi refuses a model that carries them and names them
-(_bound_states); V = 0 is the bare mode, one state at omega0 of weight 1.
+one, so compute_pi refuses a model whose states the norm or the sum
+rule misses and names them (_bound_states), and counts lighter ones in
+the low-end identity <<1/omega^2>> omega0 margin = 1 (identity_defect);
+V = 0 is the bare mode, one state at omega0 of weight 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -78,6 +80,7 @@ from .spectra import CouplingSpectrum, Tabulated, UnitSystem, require_admissible
 
 NORM_TOL = 1e-6
 SUM_TOL = 1e-6
+IDENTITY_TOL = 1e-9     # |identity_defect|'s floor; see identity_tolerance
 
 # Gauss-Legendre nodes a panel, of the rule and of its certificate
 PANEL_POINTS = 16
@@ -120,23 +123,27 @@ class SpectralSolution:
     dynamics and diagnostics can evaluate the dispersion integrals at
     new frequencies without re-supplying context.  ``gauss`` is each
     node's Gauss weight and ``weights`` that times pi, fixed at
-    construction, and so are the two signed defects compute_pi
-    certifies, moments over those weights: ``norm_defect = <<1>> - 1``
-    and ``sum_defect = <<omega^2>>/omega0^2 - 1``.  ``split`` refines
-    the rule at given points.  Instances are immutable.
+    construction, and so are the three signed defects compute_pi
+    certifies: ``norm_defect = <<1>> - 1``, ``sum_defect =
+    <<omega^2>>/omega0^2 - 1`` and identity_defect, with ``margin`` and
+    ``bound_states``, the point masses compute_pi found where the panels
+    alone missed a gate.  ``split`` refines the rule.  Instances are immutable.
     """
 
     breaks: np.ndarray
     pi: np.ndarray
     spec: CouplingSpectrum
     units: UnitSystem
+    margin: float
     columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
+    bound_states: list = field(default_factory=list, repr=False)
     omegas: np.ndarray = field(init=False, repr=False)
     gauss: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     norm_defect: float = field(init=False)
     sum_defect: float = field(init=False)
+    identity_defect: float = field(init=False)
 
     def __post_init__(self):
         omegas, gauss = panel_rule(self.breaks)
@@ -146,6 +153,7 @@ class SpectralSolution:
         object.__setattr__(self, "norm_defect", frequency_moment(self, 0) - 1.0)
         object.__setattr__(self, "sum_defect",
                            frequency_moment(self, 2) / (self.omega0 * self.omega0) - 1.0)
+        object.__setattr__(self, "identity_defect", identity_defect(self))
 
     @property
     def nodes(self) -> np.ndarray:
@@ -167,8 +175,8 @@ class SpectralSolution:
         b, points = self.breaks, np.asarray(points, dtype=float)
         merged = _distinct(np.concatenate([b, points[(points > b[0]) & (points < b[-1])]]))
         *columns, pi = _assemble(self.spec, self.units, panel_rule(merged)[0])
-        return SpectralSolution(breaks=merged, pi=pi, columns=tuple(columns), spec=self.spec,
-                                units=self.units, meta={**self.meta, "nodes": pi.size})
+        return replace(self, breaks=merged, pi=pi, columns=tuple(columns),
+                       meta={**self.meta, "nodes": pi.size})
 
     def to_csv(self, path) -> None:
         """Write columns omega, Y, alpha_sq, beta_ratio, pi at full precision."""
@@ -429,23 +437,19 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     breakpoints, and certify it.
 
     Trailing panels where pi is 0 at every node are dropped.  The
-    certificate is the largest difference of <<1>>, <<omega^2>>/omega0^2
-    and omega0 <<1/omega>> against CHECK_POINTS nodes on the same
-    panels (``meta["rule_difference"]``), within min(NORM_TOL, SUM_TOL),
-    and the normalisation and the omega^2 sum rule within NORM_TOL and
-    SUM_TOL.  Raises ConvergenceError, with ``nodes``, ``rounds`` (0),
-    ``guidance`` and ``bound_states`` in its detail, when:
-
-    * the coupling is identically zero, checked first and then
-      admissibility, before any breakpoint: pi is the bare mode, one
-      state at omega0 of weight 1;
-    * the two rules differ: pi has structure narrower than its panels,
-      such as a line where |V|^2 is too small to give it a width, in
-      effect a point mass (bound state);
-    * a defect misses its tolerance: the mass pi lacks lies in the
-      bound states that _bound_states finds on every breakpoint, the
-      dropped panels' too, and the nodes ([] if the search fails),
-      named if heavier than NORM_TOL.
+    certificate: <<1>>, <<omega^2>>/omega0^2 and omega0 <<1/omega>> of
+    CHECK_POINTS nodes on the same panels within min(NORM_TOL, SUM_TOL)
+    (``meta["rule_difference"]``); the norm and the sum rule within
+    NORM_TOL and SUM_TOL; the low-end identity within identity_tolerance.
+    When the panels alone miss, the identity counts the bound states
+    _bound_states finds on every breakpoint, the dropped panels' too, and
+    the nodes ([] if the search fails).  Raises ConvergenceError, with
+    ``nodes``, ``rounds`` (0), ``guidance`` and ``bound_states`` in its
+    detail, when V is identically zero (checked first, then
+    admissibility: pi is the bare mode); when the two rules differ (pi
+    has structure narrower than its panels, in effect a point mass); when
+    the norm or the sum rule misses (naming states heavier than NORM_TOL);
+    or when only the identity does (pi is wrong at its low end).
     """
     if spec.is_zero():
         raise ConvergenceError(
@@ -454,7 +458,7 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
             "observables reduce to the textbook closed forms",
             detail={"nodes": 0, "rounds": 0, "bound_states": [[units.omega0, 1.0]],
                     "guidance": "use the closed-form path for V = 0"})
-    require_admissible(spec, units)
+    margin = require_admissible(spec, units)
     grid = build_grid(spec, units)
 
     *columns, pi = _assemble(spec, units, panel_rule(grid)[0])
@@ -464,16 +468,22 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     breaks, pi, columns = grid[:panels + 1], pi[:n], tuple(c[:n] for c in columns)
     diff, worst = _rule_difference(spec, units, breaks, pi)
     sol = SpectralSolution(breaks=breaks, pi=pi, columns=columns, spec=spec, units=units,
+                           margin=margin,
                            meta={"rounds": 0, "nodes": pi.size, "rule_difference": diff})
-    norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
     unresolved = diff > min(NORM_TOL, SUM_TOL)
-    if not unresolved and norm_defect <= NORM_TOL and sum_defect <= SUM_TOL:
+    if not unresolved and _certified(sol):
         return sol
 
     try:
         states = _bound_states(spec, units, np.concatenate([grid, sol.nodes]))
     except (ValueError, RuntimeError):
         states = []
+    # the identity counts them: below a sharp edge 1e-8 of the mass moves it by 1e-6
+    sol = replace(sol, bound_states=states)
+    if not unresolved and _certified(sol):
+        return sol
+    norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
+    message = "the panel rule resolved pi, but its defects miss tolerance"
     if unresolved:
         h, mid = np.diff(breaks), 0.5 * (breaks[:-1] + breaks[1:])
         message = "the panel rule cannot resolve pi"
@@ -482,19 +492,29 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
                     "pi has structure narrower than the panels there, such as a line "
                     "where |V|^2 is too small to give it a width the panels can hold, "
                     "in effect a point mass (bound state) of the dressed oscillator")
-    else:
-        message = "the panel rule resolved pi, but its defects miss tolerance"
+    elif norm_defect > NORM_TOL or sum_defect > SUM_TOL:
         heavy = ", ".join(f"{w:.8g} (weight {p:.6g})" for w, p in states if p > NORM_TOL)
         found = (f"at omega = {heavy}" if heavy else
                  f"though the bound-state search found none heavier than {NORM_TOL:g}")
         guidance = (f"about {norm_defect:.3g} of the spectral mass lies where |V|^2 = 0, "
                     f"{found}: a point mass (bound state) of the dressed oscillator, which "
                     "the grid cannot hold; raising omega_max does not help")
+    else:
+        guidance = (f"<<1/omega^2>> omega0 margin misses 1 by {abs(sol.identity_defect):.3g}, "
+                    f"beyond {identity_tolerance(sol):.3g}, with {len(states)} bound state(s) "
+                    "counted: pi is wrong at its low end, which sets var_x")
     raise ConvergenceError(message, detail={
-        "norm_defect": norm_defect, "sum_defect": sum_defect, "rule_difference": diff,
-        "nodes": sol.nodes.size, "rounds": 0, "guidance": guidance,
+        "norm_defect": norm_defect, "sum_defect": sum_defect,
+        "identity_defect": abs(sol.identity_defect),
+        "rule_difference": diff, "nodes": sol.nodes.size, "rounds": 0, "guidance": guidance,
         "bound_states": states,
     })
+
+
+def _certified(sol: SpectralSolution) -> bool:
+    """The norm, the omega^2 sum rule and the low-end identity in their gates."""
+    return (abs(sol.norm_defect) <= NORM_TOL and abs(sol.sum_defect) <= SUM_TOL
+            and abs(sol.identity_defect) <= identity_tolerance(sol))
 
 
 def solve(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
@@ -521,6 +541,22 @@ def moment(measure, f: Callable) -> float:
 def frequency_moment(measure, k: int) -> float:
     """<< omega^k >>."""
     return moment(measure, lambda w: w**k)
+
+
+def identity_defect(measure) -> float:
+    """<<1/omega^2>> omega0 margin - 1, with the measure's ``margin`` and
+    its ``bound_states`` ([Omega_b, pi_b], point masses beside it): 0 for
+    the exact pi, whose <<1/omega^2>> is R(0) = 1/(omega0 margin) (Grabert,
+    Schramm & Ingold, Phys. Rep. 168, 115 (1988)), as for a finite bath's
+    (K^-1)_00."""
+    inverse_square = (frequency_moment(measure, -2)
+                      + sum(p / (w * w) for w, p in measure.bound_states))
+    return inverse_square * measure.omega0 * measure.margin - 1.0
+
+
+def identity_tolerance(measure) -> float:
+    """IDENTITY_TOL, or eps omega0/margin (the margin's rounding) if larger."""
+    return max(IDENTITY_TOL, np.finfo(float).eps * measure.omega0 / measure.margin)
 
 
 def bin_masses(measure, edges: np.ndarray) -> np.ndarray:

@@ -2,15 +2,15 @@
 
 Every observable is a function of two moments of pi(omega),
 M1 = <<omega>> and Minv = <<1/omega>>, mapped in one place (_summary);
-M2 = <<omega^2>> enters only the reported sum-rule defect, which
-fano.compute_pi has already gated.  The reduced state
+M2 = <<omega^2>> and <<1/omega^2>> enter only the certificate of the
+measure's two ends (interpretation_identities).  The reduced state
 is Gaussian with zero means, var_x = hbar Minv / 2m and
 var_p = hbar m M1 / 2; the pair (omega_c, n_bar_c) re-expresses it as a
 thermal state at the effective frequency omega_c = sqrt(M1/Minv), which
 reproduces both variances identically.
 
-Works on any (nodes, weights) measure: a fano.SpectralSolution or the
-oracle's normal-mode decomposition.
+Works on any measure that fano.identity_defect reads: a
+fano.SpectralSolution, the oracle's normal modes, or bare_mode.
 """
 
 from __future__ import annotations
@@ -18,16 +18,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import InternalConsistencyError
-from .fano import frequency_moment
+from .fano import SUM_TOL, frequency_moment, identity_defect, identity_tolerance
 from .spectra import UnitSystem
 
 # Below this, a negative occupation is round-off; at or beyond it, the
 # Cauchy-Schwarz invariant M1*Minv >= 1 is genuinely broken.
 OCCUPATION_CLAMP = -1e-12
-
-IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,8 @@ class GroundStateSummary:
     mutual_info: float
     mean_energy: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def report_block(self) -> str:
         """Human-readable summary, one observable per line."""
@@ -115,64 +113,36 @@ def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
     return _summary(frequency_moment(sol, 1), frequency_moment(sol, -1), units)
 
 
+def bare_mode(units: UnitSystem) -> SimpleNamespace:
+    """pi for V = 0: one state at omega0 of weight 1, and margin omega0."""
+    w0 = units.omega0
+    return SimpleNamespace(nodes=np.array([w0]), weights=np.array([1.0]), omega0=w0,
+                           margin=w0, bound_states=())
+
+
 def uncoupled_summary(units: UnitSystem) -> GroundStateSummary:
-    """The textbook ground state for V identically zero: the moments of
-    a unit point mass at omega0."""
-    return _summary(units.omega0, 1.0 / units.omega0, units)
+    """The textbook ground state for V identically zero, bare_mode's."""
+    return ground_state_moments(bare_mode(units), units)
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Defects of the algebraic identities tying the two representations."""
+    """The certificate of a measure's two ends."""
 
-    thermal_frequency_defect: float   # (n+1/2) omega_c - <<omega>>/2
-    var_x_mixture_defect: float       # var_x vs (2n+1) hbar / (2 m omega_c), relative
-    var_p_mixture_defect: float       # var_p vs (2n+1) hbar m omega_c / 2, relative
-    mutual_info_defect: float         # mutual_info - 2 entropy
-    sum_rule_defect: float            # |<<omega^2>> - omega0^2| / omega0^2
-    ok: bool
+    identity_defect: float   # <<1/omega^2>> omega0 margin - 1, signed
+    sum_rule_defect: float   # |<<omega^2>> - omega0^2| / omega0^2
+    ok: bool                 # both within compute_pi's gates
 
 
 def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
-    """Check the thermal reinterpretation against the direct moments.
-
-    The first four identities are algebraic consequences of the
-    definitions; a defect above IDENTITY_TOL means an implementation
-    bug and raises, so ``ok`` is True on every report returned.  The
-    omega^2 sum rule is reported, not gated: fano.compute_pi gates it
-    at the solve's own sum_tol, and on a finite bath it is the matrix
-    identity K[0,0] = omega0^2.
-    """
+    """Certify the low end, which sets var_x, by fano.identity_defect
+    within fano.identity_tolerance, and the high end by the omega^2 sum
+    rule within fano.SUM_TOL (on a finite bath, K[0,0] = omega0^2): the
+    two gates of fano.compute_pi besides the norm.  ``ok`` is False when
+    either misses, as on a pi damaged at that end."""
     units.require_omega0(sol.omega0)
-    hbar, m, w0 = units.hbar, units.mass, units.omega0
-    m1 = frequency_moment(sol, 1)
-    s = _summary(m1, frequency_moment(sol, -1), units)
-    m2 = frequency_moment(sol, 2)
-
-    d_freq = abs((s.n_bar_c + 0.5) * s.omega_c - 0.5 * m1) / (0.5 * m1)
-    vx_ref = (2.0 * s.n_bar_c + 1.0) * hbar / (2.0 * m * s.omega_c)
-    vp_ref = (2.0 * s.n_bar_c + 1.0) * hbar * m * s.omega_c / 2.0
-    d_vx = abs(s.var_x - vx_ref) / vx_ref
-    d_vp = abs(s.var_p - vp_ref) / vp_ref
-    d_mi = abs(s.mutual_info - 2.0 * s.entropy)
-    d_sum = abs(m2 - w0 * w0) / (w0 * w0)
-
-    algebraic = {
-        "thermal_frequency": d_freq,
-        "var_x_mixture": d_vx,
-        "var_p_mixture": d_vp,
-        "mutual_info": d_mi,
-    }
-    for name, defect in algebraic.items():
-        if defect > IDENTITY_TOL:
-            raise InternalConsistencyError(
-                f"identity '{name}' broken: defect {defect:.3e} > {IDENTITY_TOL}"
-            )
-    return IdentityReport(
-        thermal_frequency_defect=d_freq,
-        var_x_mixture_defect=d_vx,
-        var_p_mixture_defect=d_vp,
-        mutual_info_defect=d_mi,
-        sum_rule_defect=d_sum,
-        ok=True,
-    )
+    w0 = units.omega0
+    d_id = identity_defect(sol)
+    d_sum = abs(frequency_moment(sol, 2) - w0 * w0) / (w0 * w0)
+    return IdentityReport(identity_defect=d_id, sum_rule_defect=d_sum,
+                          ok=abs(d_id) <= identity_tolerance(sol) and d_sum <= SUM_TOL)

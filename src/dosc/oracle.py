@@ -281,7 +281,8 @@ class NormalModeDecomposition:
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of
     measure as a continuum solution, for fano.moment and the dynamics
-    kernels.
+    kernels, and ``margin`` (the model's discrete_margin) and
+    ``bound_states`` (none) for fano.identity_defect.
     """
 
     Omegas: np.ndarray
@@ -299,6 +300,12 @@ class NormalModeDecomposition:
     @property
     def omega0(self) -> float:
         return self.model.omega0
+
+    bound_states = ()    # every normal mode is in the measure
+
+    @property
+    def margin(self) -> float:
+        return self.model.discrete_margin
 
     def _inverse_gaps(self, rows: slice, roots: slice) -> np.ndarray:
         """g = 1/(omega_j^2 - Omega_k^2) for the kept poles omega_j =

@@ -82,12 +82,10 @@ class WeakCouplingReport:
     overlay_pi: np.ndarray = field(repr=False)
     overlay_lorentz: np.ndarray = field(repr=False)
 
-    def to_json_dict(self) -> dict:
-        """Every field but the overlay arrays (the ones kept out of repr)."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        """Every field but the overlay arrays (the ones kept out of repr)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def overlay_csv(self, path) -> None:
         write_csv(path, "omega,pi_exact,pi_lorentz",

@@ -179,29 +179,30 @@ def test_criterion_08_relaxation_window(ohmic_ref, units):
 
 
 def test_criterion_09_algebraic_identities(five_configs, units):
-    worst_freq = worst_mi = 0.0
+    # the low-end identity <<1/omega^2>> omega0 margin = 1 on both routes
+    worst_id = 0.0
     for _, sol in five_configs.values():
         rep = groundstate.interpretation_identities(sol, units)
-        worst_freq = max(worst_freq, rep.thermal_frequency_defect)
-        worst_mi = max(worst_mi, rep.mutual_info_defect)
+        assert rep.ok
+        worst_id = max(worst_id, abs(rep.identity_defect))
 
-    # oracle side: symplectic eigenvalue of the reduced covariance
+    # oracle side: the same identity, and the symplectic eigenvalue of
+    # the reduced covariance
     worst_nu = 0.0
     for model in (oracle.FiniteBathModel(1.0, [1.0], [0.5]),
                   gauss_legendre_bath(five_configs["flat level=0.2"][0], units, 200)):
         decomp = oracle.normal_modes(model)
         rep = groundstate.interpretation_identities(decomp, units)
-        worst_freq = max(worst_freq, rep.thermal_frequency_defect)
-        worst_mi = max(worst_mi, rep.mutual_info_defect)
+        assert rep.ok
+        worst_id = max(worst_id, abs(rep.identity_defect))
         summary = groundstate.ground_state_moments(decomp, units)
         sigma = np.diag([summary.var_x, summary.var_p])
         nu = symplectic_eigenvalues(sigma)[0]
         worst_nu = max(worst_nu, abs(2.0 * nu / units.hbar - (2.0 * summary.n_bar_c + 1.0)))
 
-    ok = worst_freq <= 1e-9 and worst_mi <= 1e-9 and worst_nu <= 1e-9
+    ok = worst_id <= 1e-9 and worst_nu <= 1e-9
     _line(9, "algebraic identities", ok,
-          f"max thermal-frequency defect = {worst_freq:.1e}, "
-          f"max mutual-info defect = {worst_mi:.1e}, "
+          f"max low-end identity defect = {worst_id:.1e}, "
           f"max symplectic defect = {worst_nu:.1e}, tol 1e-9")
     assert ok
 

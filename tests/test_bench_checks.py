@@ -26,6 +26,8 @@ def _load_checks():
     # spectrum first: its moments are what the groundstate check compares with
     ("flat_band", ("spectrum", "groundstate", "dynamics", "compare", "weak")),
     ("two_mode", ("groundstate",)),
+    # V = 0: the bare mode's report carries the same certificate
+    ("uncoupled", ("groundstate",)),
 ])
 def test_outputs_pass_benchmark_checks(capsys, tmp_path, config, commands):
     checks = _load_checks().OUTPUT_CHECKS

@@ -484,7 +484,13 @@ class TestGroundstateCommand:
         doc = json.loads((tmp_path / "groundstate.json").read_text())
         assert doc["var_x"] == 0.5 and doc["var_p"] == 0.5
         assert doc["n_bar_c"] == 0.0 and doc["omega_c"] == 1.0
-        assert "closed forms" in (tmp_path / "report.txt").read_text()
+        # the certificate of every other run: the bare mode, one state
+        # at omega0 of weight 1, meets both identities exactly
+        report = (tmp_path / "report.txt").read_text()
+        assert report.endswith("certificate of pi's ends\n"
+                               "  low-end identity   = 0.000e+00\n"
+                               "  sum rule           = 0.000e+00\n"
+                               "  ok                 = True\n")
 
     def test_sum_rule_gated_by_the_solve(self, capsys, tmp_path):
         # the solve alone gates the sum rule: a band with a bound state
@@ -510,7 +516,8 @@ class TestGroundstateCommand:
                        "--out", str(tmp_path))
         assert rc == 0
         report = (tmp_path / "report.txt").read_text()
-        assert "algebraic identity defects" in report
+        assert "certificate of pi's ends" in report
+        assert "algebraic identity defects" not in report
         assert "ok                 = True" in report
 
 

@@ -8,6 +8,7 @@ defeat the QUADPACK route), and the Ei/E1 and logarithm formulas
 written out below for the goldens.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -44,8 +45,8 @@ from dosc.spectra import (
 
 U = UnitSystem()
 # what every refusal of compute_pi reports
-REFUSAL_KEYS = {"norm_defect", "sum_defect", "rule_difference", "nodes", "rounds", "guidance",
-                "bound_states"}
+REFUSAL_KEYS = {"norm_defect", "sum_defect", "identity_defect", "rule_difference", "nodes",
+                "rounds", "guidance", "bound_states"}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -623,13 +624,85 @@ def test_ohmic_models_near_the_bound_pass(cutoff, margin):
 
 def test_offset_table_passes_short_of_its_sub_edge_state():
     # V jumps at both ends of the table, and a state just below its
-    # lower edge holds 7.4e-7 of the mass, below the gate: the solve
-    # passes, short of exactly that weight (Simpson bisection refused it
-    # after 30,000 nodes at norm defect 1.04e-6)
+    # lower edge holds 7.4e-7 of the mass, below the norm's gate: the
+    # solve passes, short of exactly that weight (Simpson bisection
+    # refused it after 30,000 nodes at norm defect 1.04e-6).  The panels
+    # alone miss the low-end identity by the state's 2.8e-6 share of
+    # <<1/omega^2>>, so the solve searched for it and counts it there
     sol = solve(TAB_OFFSET, U)
-    (root, weight), = fano._bound_states(TAB_OFFSET, U, sol.nodes)
-    assert 0.4999999 < root < 0.5 and 7e-7 < weight < 8e-7
+    (root, weight), = sol.bound_states
+    assert f"{root:.8g}" == "0.49999997" and 7.38e-7 < weight < 7.39e-7
     assert abs(sol.norm_defect + weight) <= 1e-10
+    assert abs(sol.identity_defect) <= 1e-11
+    panels_alone = fano.identity_defect(dataclasses.replace(sol, bound_states=[]))
+    assert abs(panels_alone + weight * U.omega0 * sol.margin / root**2) <= 1e-11
+    assert -2.8e-6 < panels_alone < -2.7e-6
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 5.0])
+@pytest.mark.parametrize("margin", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_low_end_identity_near_the_bound(cutoff, margin):
+    # the margin's rounding grows as eps/margin, and so does the gate
+    # below 2.2e-7; the defects stay at most 8.7e-10 (cutoff 0.5,
+    # margin 1e-10) with no state to count
+    sol = solve(ohmic_at_margin(cutoff, margin), U)
+    assert sol.bound_states == []
+    assert abs(sol.identity_defect) <= min(1e-9, fano.identity_tolerance(sol))
+
+
+def _drop_below_1e_6(w, pi):
+    """pi without its panels below the first breakpoint past 1e-6 omega0."""
+    return np.where(w < 1.4901161193847656e-06, 0.0, pi)
+
+
+def _raise_below_half(w, pi):
+    """pi 1 + 1e-6 times itself below omega0/2."""
+    return np.where(w < 0.5, (1.0 + 1e-6) * pi, pi)
+
+
+@pytest.mark.parametrize("damage", [_drop_below_1e_6, _raise_below_half],
+                         ids=["drop_lowest_panels", "raise_below_half"])
+def test_damaged_low_end_refused(monkeypatch, damage):
+    # the norm and the omega^2 sum rule weight the high end, and both
+    # pass a pi damaged at its low end, which sets var_x; the low-end
+    # identity does not, and no bound state accounts for the miss
+    assemble = fano._assemble
+
+    def damaged(spec, units, nodes):
+        *columns, pi = assemble(spec, units, nodes)
+        return (*columns, damage(nodes, pi))
+
+    monkeypatch.setattr(fano, "_assemble", damaged)
+    with pytest.raises(ConvergenceError, match="resolved pi, but its defects miss") as exc:
+        compute_pi(config_spec("ohmic_reference"), U)
+    detail = exc.value.detail
+    assert set(detail) == REFUSAL_KEYS and detail["bound_states"] == []
+    assert detail["norm_defect"] <= fano.NORM_TOL and detail["sum_defect"] <= fano.SUM_TOL
+    assert detail["identity_defect"] > 5e-8
+    assert detail["guidance"].startswith(
+        f"<<1/omega^2>> omega0 margin misses 1 by {detail['identity_defect']:.3g}")
+
+
+@pytest.mark.parametrize("level,lower,upper", [
+    (0.22092049106263656, 0.496378130960079, 1.4809261822068527),
+    (0.22094896683209336, 0.4987513733863785, 1.5082269950384686),
+], ids=["seed_1", "seed_99"])
+def test_flat_band_defects_are_its_sub_edge_state(level, lower, upper):
+    # the benchmark's dyn_flat_narrow at seeds 1 and 99: the 16- and
+    # 24-node rules agree on <<1/omega^2>> to 1e-14, and the state
+    # 1e-13 below the lower edge accounts for both defects, -3.1e-12
+    # and -3.6e-12 of the norm, -1.2e-11 and -1.4e-11 of the identity,
+    # below the gate, so the solve did not search for it
+    spec = FlatBand(level, lower, upper)
+    sol = solve(spec, U)
+    nodes, gauss = fano.panel_rule(sol.breaks, fano.CHECK_POINTS)
+    check = gauss * fano._assemble(spec, U, nodes)[3] @ nodes**-2.0
+    assert abs(check / frequency_moment(sol, -2) - 1.0) <= 1e-14
+    assert sol.bound_states == [] and -1.5e-11 < sol.identity_defect < -1e-11
+    (root, weight), = fano._bound_states(spec, U, sol.breaks)
+    assert lower - 1e-12 < root < lower
+    assert abs(sol.norm_defect + weight) <= 2e-14
+    assert abs(sol.identity_defect + weight * U.omega0 * sol.margin / root**2) <= 1e-13
 
 
 def test_narrow_line_reached_by_its_ladder():

@@ -22,12 +22,16 @@ U = UnitSystem()
 
 class Measure:
     """Minimal (nodes, weights) measure: discrete weights at fixed
-    frequencies, for an oscillator of frequency omega0."""
+    frequencies, for an oscillator of frequency omega0 and stability
+    margin ``margin``."""
 
-    def __init__(self, weights, freqs, omega0=1.0):
+    bound_states = ()
+
+    def __init__(self, weights, freqs, omega0=1.0, margin=1.0):
         self.weights = np.asarray(weights, dtype=float)
         self.nodes = np.asarray(freqs, dtype=float)
         self.omega0 = omega0
+        self.margin = margin
 
 
 def one_node(m1, minv):
@@ -38,8 +42,8 @@ def one_node(m1, minv):
 
 # Oscillator at omega0=1 coupled to one bath mode at omega1=1 with V=0.5:
 # the 2x2 frequency matrix [[1, .5], [.5, 1]] has normal modes at
-# sqrt(1.5), sqrt(0.5) with equal weights 1/2.
-TWO_MODE = Measure((0.5, 0.5), (math.sqrt(1.5), math.sqrt(0.5)))
+# sqrt(1.5), sqrt(0.5) with equal weights 1/2, and margin 1 - 0.5^2/1.
+TWO_MODE = Measure((0.5, 0.5), (math.sqrt(1.5), math.sqrt(0.5)), margin=0.75)
 
 
 def chi(s, xi_r, xi_i):
@@ -121,14 +125,18 @@ def test_summary_on_reference_solution(ohmic_ref):
 
 
 def test_identities_on_reference_solution(ohmic_ref):
+    # the certificate reads the solve's own defects
     _, sol = ohmic_ref
     rep = interpretation_identities(sol, U)
     assert rep.ok
-    assert rep.thermal_frequency_defect <= 1e-9
-    assert rep.var_x_mixture_defect <= 1e-9
-    assert rep.var_p_mixture_defect <= 1e-9
-    assert rep.mutual_info_defect <= 1e-9
-    assert rep.sum_rule_defect <= 1e-6
+    assert rep.identity_defect == sol.identity_defect and abs(rep.identity_defect) <= 1e-14
+    assert rep.sum_rule_defect == abs(sol.sum_defect) <= 1e-14
+
+
+def test_two_mode_meets_the_low_end_identity():
+    # <<1/omega^2>> = 0.5/1.5 + 0.5/0.5 = 4/3 = 1/(omega0 margin)
+    rep = interpretation_identities(TWO_MODE, U)
+    assert rep.ok and abs(rep.identity_defect) <= 1e-15 and rep.sum_rule_defect <= 1e-15
 
 
 def test_units_are_required_away_from_omega0_one():
@@ -157,12 +165,19 @@ def test_units_of_another_oscillator_refused(observables):
     observables(TWO_MODE, UnitSystem(mass=2.0, hbar=0.5))   # omega0 matches
 
 
-def test_sum_rule_reported_not_gated():
-    # the identities hold, and the sum-rule defect, which the solve has
-    # gated at its own tolerance, is reported as measured
-    rep = interpretation_identities(one_node(1.1, 1.0), U)
-    assert rep.ok
+def test_certificate_fails_on_either_end():
+    # one node at sqrt(1.1) of weight sqrt(1.1): <<1/omega^2>> is
+    # 1/sqrt(1.1), met by the margin sqrt(1.1), and the sum rule misses
+    # by 1.1^1.5 - 1; TWO_MODE meets both until its margin is 2e-9 off
+    node = one_node(1.1, 1.0)
+    node.margin = math.sqrt(1.1)
+    rep = interpretation_identities(node, U)
+    assert not rep.ok and abs(rep.identity_defect) <= 1e-15
     assert rep.sum_rule_defect == pytest.approx(1.1**1.5 - 1.0, rel=1e-12)
+    off = Measure(TWO_MODE.weights, TWO_MODE.nodes, margin=0.75 * (1.0 + 2e-9))
+    rep = interpretation_identities(off, U)
+    assert not rep.ok and rep.identity_defect == pytest.approx(2e-9, rel=1e-6)
+    assert rep.sum_rule_defect <= 1e-15
 
 
 def test_outputs_stable_under_refinement(ohmic_ref):

@@ -242,6 +242,13 @@ class TestAgainstDenseEigh:
         assert np.max(np.abs(K @ v - v * decomp.Omegas**2)) <= 1e-12 * k_norm
         assert np.array_equal(v[0], np.sqrt(decomp.weights))
 
+    @pytest.mark.parametrize("name", list(REFERENCE_MODELS))
+    def test_low_end_identity(self, name):
+        # <<1/Omega^2>> is (K^-1)_00 = 1/(omega0 discrete_margin), the
+        # Schur complement on the oscillator row
+        decomp = oracle.normal_modes(REFERENCE_MODELS[name]())
+        assert abs(fano.identity_defect(decomp)) <= 1e-13
+
     def test_cases_exercise_deflation(self):
         assert np.sum(REFERENCE_MODELS["flat_band_gap"]().couplings == 0.0) > 0
         tails = REFERENCE_MODELS["gaussian_tails"]().couplings
