@@ -262,6 +262,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
         "norm_defect": sol.norm_defect,
         "sum_rule_defect": sol.sum_defect,
         "identity_defect": sol.identity_defect,
+        "bound_states": sol.bound_states,
         "mean_frequency": fano.frequency_moment(sol, 1),
         "mean_inverse_frequency": fano.frequency_moment(sol, -1),
     }

@@ -16,8 +16,9 @@ h * t_max <= 16: beyond it the panel's nodes undersample the
 oscillating integrand, so kernels first splits the panels for its
 largest time (fano.refine_for_times), within fano.ALIAS_MASS_TOL of
 the mass for wide panels, and the damping scan of classify_damping
-runs over the kernels' own measure and times, (0, t_max].  On a
-finite-bath decomposition the same sum is exact at any t.
+runs over the kernels' own measure and times, (0, t_max].  Over a
+solution's atoms, as over a finite-bath decomposition, the sum is exact
+at any t.
 
 The sums take one of two routes, chosen from the time lattice alone:
 
@@ -218,9 +219,9 @@ def kernels(source, times) -> DynamicsKernels:
 
     ``source`` is a continuum SpectralSolution (quadrature over its
     panels, first split by fano.refine_for_times for the largest
-    requested time) or a finite-bath NormalModeDecomposition (exact
-    sums, no bound).  The result's ``source`` is the measure the
-    kernels were summed over.
+    requested time, and exact sums over its atoms) or a finite-bath
+    NormalModeDecomposition (exact sums, no bound).  The result's
+    ``source`` is the measure the kernels were summed over.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.ndim != 1 or ts.size == 0:

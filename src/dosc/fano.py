@@ -22,7 +22,7 @@ and the ground-state frequency density is
 normalised to one.  This module evaluates pi in closed form at the
 nodes of a fixed composite Gauss-Legendre rule; a solution keeps the
 rule's breakpoints and pi at its nodes, and is a (nodes, weights)
-measure, the weight of a node being its Gauss weight times pi.  A
+measure: the nodes with Gauss weight times pi, then its atoms.  A
 finite-bath decomposition is another (Omegas, O_0k^2).  The moment
 functional << f(omega) >> is weights @ f(nodes) over either.
 
@@ -57,10 +57,10 @@ the crossings of pi and the fitted line.
 
 Where |V|^2 = 0, pi is point masses only: the bound states at the zeros
 of N, of Fano weight 4 Omega_b / (omega0 |N'(Omega_b)|).  No panel holds
-one, so compute_pi refuses a model whose states the norm or the sum
-rule misses and names them (_bound_states), and counts lighter ones in
-the low-end identity <<1/omega^2>> omega0 margin = 1 (identity_defect);
-V = 0 is the bare mode, one state at omega0 of weight 1.
+one: compute_pi refuses states heavier than NORM_TOL together and names
+them (_bound_states), and keeps lighter ones as atoms of the measure
+(Gautschi, *Orthogonal Polynomials*, 2004, ch. 2), which every moment,
+kernel and bin counts; V = 0 is the bare mode, one state at omega0.
 """
 
 from __future__ import annotations
@@ -110,24 +110,21 @@ MAX_NEW_NODES = 120000
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """pi at the nodes of the panel rule on ``breaks``, plus provenance.
+    """pi on the panel rule on ``breaks`` and its atoms, plus provenance.
 
-    ``omegas`` are the PANEL_POINTS Gauss-Legendre nodes of each panel
-    between adjacent breakpoints, panel by panel, and ``nodes`` is
-    ``omegas`` under the name every (nodes, weights) measure shares.
-    ``columns`` are Y, alpha_sq and beta/alpha at the nodes, assembled
-    with pi and written with it by to_csv.  ``meta`` records how the
-    rule was reached: ``rounds`` (0), ``nodes`` and ``rule_difference``
-    (see compute_pi) from compute_pi, ``refined_for_t_max`` from
-    refine_for_times.  ``spec`` and ``units`` are carried so that
-    dynamics and diagnostics can evaluate the dispersion integrals at
-    new frequencies without re-supplying context.  ``gauss`` is each
-    node's Gauss weight and ``weights`` that times pi, fixed at
-    construction, and so are the three signed defects compute_pi
-    certifies: ``norm_defect = <<1>> - 1``, ``sum_defect =
-    <<omega^2>>/omega0^2 - 1`` and identity_defect, with ``margin`` and
-    ``bound_states``, the point masses compute_pi found where the panels
-    alone missed a gate.  ``split`` refines the rule.  Instances are immutable.
+    The panel part: ``omegas``, the PANEL_POINTS Gauss-Legendre nodes of
+    each panel, panel by panel, their Gauss weights ``gauss``, and pi and
+    its ``columns`` (Y, alpha_sq, beta/alpha) there, which to_csv writes.
+    The measure: ``nodes`` and ``weights``, the panel part (omegas,
+    gauss * pi) then the atoms ``bound_states`` ([Omega_b, pi_b], which
+    compute_pi keeps where the panels alone miss a gate), and its three
+    signed defects ``norm_defect = <<1>> - 1``, ``sum_defect =
+    <<omega^2>>/omega0^2 - 1`` and identity_defect (with ``margin``).
+    ``meta`` holds compute_pi's ``rounds`` (0), ``nodes`` (of the panels)
+    and ``rule_difference``, and refine_for_times' ``refined_for_t_max``.
+    ``spec`` and ``units`` let dynamics and diagnostics evaluate the
+    dispersion integrals at new frequencies.  ``split`` refines the rule.
+    Instances are immutable.
     """
 
     breaks: np.ndarray
@@ -140,6 +137,7 @@ class SpectralSolution:
     bound_states: list = field(default_factory=list, repr=False)
     omegas: np.ndarray = field(init=False, repr=False)
     gauss: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     norm_defect: float = field(init=False)
     sum_defect: float = field(init=False)
@@ -147,17 +145,13 @@ class SpectralSolution:
 
     def __post_init__(self):
         omegas, gauss = panel_rule(self.breaks)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "gauss", gauss)
-        object.__setattr__(self, "weights", gauss * self.pi)
-        object.__setattr__(self, "norm_defect", frequency_moment(self, 0) - 1.0)
-        object.__setattr__(self, "sum_defect",
-                           frequency_moment(self, 2) / (self.omega0 * self.omega0) - 1.0)
-        object.__setattr__(self, "identity_defect", identity_defect(self))
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.omegas
+        nodes, weights = omegas, gauss * self.pi
+        if self.bound_states:   # the atoms, (Omega_b, pi_b) columns
+            nodes, weights = np.concatenate([[nodes, weights], np.transpose(self.bound_states)], 1)
+        for name, value in dict(omegas=omegas, gauss=gauss, nodes=nodes, weights=weights).items():
+            object.__setattr__(self, name, value)
+        for name, value in _defects(self).items():
+            object.__setattr__(self, name, value)
 
     @property
     def omega0(self) -> float:
@@ -439,17 +433,17 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
     Trailing panels where pi is 0 at every node are dropped.  The
     certificate: <<1>>, <<omega^2>>/omega0^2 and omega0 <<1/omega>> of
     CHECK_POINTS nodes on the same panels within min(NORM_TOL, SUM_TOL)
-    (``meta["rule_difference"]``); the norm and the sum rule within
-    NORM_TOL and SUM_TOL; the low-end identity within identity_tolerance.
-    When the panels alone miss, the identity counts the bound states
+    (``meta["rule_difference"]``), and the gates of _certified.  When the
+    panels alone miss, the measure gains as atoms the bound states
     _bound_states finds on every breakpoint, the dropped panels' too, and
-    the nodes ([] if the search fails).  Raises ConvergenceError, with
-    ``nodes``, ``rounds`` (0), ``guidance`` and ``bound_states`` in its
-    detail, when V is identically zero (checked first, then
-    admissibility: pi is the bare mode); when the two rules differ (pi
-    has structure narrower than its panels, in effect a point mass); when
-    the norm or the sum rule misses (naming states heavier than NORM_TOL);
-    or when only the identity does (pi is wrong at its low end).
+    the nodes ([] if the search fails), unless they weigh more than
+    NORM_TOL together.  Raises ConvergenceError, with ``nodes``,
+    ``rounds`` (0), ``guidance`` and ``bound_states`` in its detail, when
+    V is identically zero (checked first, then admissibility: pi is the
+    bare mode); when the two rules differ (pi has structure narrower than
+    its panels, in effect a point mass); when the norm or the sum rule
+    misses (naming states heavier than NORM_TOL); or when only the
+    identity does (pi is wrong at its low end).
     """
     if spec.is_zero():
         raise ConvergenceError(
@@ -475,11 +469,12 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
         return sol
 
     try:
-        states = _bound_states(spec, units, np.concatenate([grid, sol.nodes]))
+        states = _bound_states(spec, units, np.concatenate([grid, sol.omegas]))
     except (ValueError, RuntimeError):
         states = []
-    # the identity counts them: below a sharp edge 1e-8 of the mass moves it by 1e-6
-    sol = replace(sol, bound_states=states)
+    # below a sharp edge 1e-8 of the mass moves the identity by 1e-6
+    if sum(p for _, p in states) <= NORM_TOL:
+        sol = replace(sol, bound_states=states)
     if not unresolved and _certified(sol):
         return sol
     norm_defect, sum_defect = abs(sol.norm_defect), abs(sol.sum_defect)
@@ -501,20 +496,28 @@ def compute_pi(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
                     "the grid cannot hold; raising omega_max does not help")
     else:
         guidance = (f"<<1/omega^2>> omega0 margin misses 1 by {abs(sol.identity_defect):.3g}, "
-                    f"beyond {identity_tolerance(sol):.3g}, with {len(states)} bound state(s) "
-                    "counted: pi is wrong at its low end, which sets var_x")
+                    f"beyond {identity_tolerance(sol):.3g}, with {len(sol.bound_states)} "
+                    "bound state(s) counted: pi is wrong at its low end, which sets var_x")
     raise ConvergenceError(message, detail={
         "norm_defect": norm_defect, "sum_defect": sum_defect,
         "identity_defect": abs(sol.identity_defect),
-        "rule_difference": diff, "nodes": sol.nodes.size, "rounds": 0, "guidance": guidance,
+        "rule_difference": diff, "nodes": sol.omegas.size, "rounds": 0, "guidance": guidance,
         "bound_states": states,
     })
 
 
-def _certified(sol: SpectralSolution) -> bool:
-    """The norm, the omega^2 sum rule and the low-end identity in their gates."""
-    return (abs(sol.norm_defect) <= NORM_TOL and abs(sol.sum_defect) <= SUM_TOL
-            and abs(sol.identity_defect) <= identity_tolerance(sol))
+def _defects(measure) -> dict:
+    """A measure's signed defects, as SpectralSolution names them."""
+    w0 = measure.omega0
+    return {"norm_defect": frequency_moment(measure, 0) - 1.0,
+            "sum_defect": frequency_moment(measure, 2) / (w0 * w0) - 1.0,
+            "identity_defect": identity_defect(measure)}
+
+
+def _certified(measure) -> bool:
+    """A measure's norm, omega^2 sum rule and low-end identity in their gates."""
+    gates = (NORM_TOL, SUM_TOL, identity_tolerance(measure))
+    return all(abs(d) <= gate for d, gate in zip(_defects(measure).values(), gates))
 
 
 def solve(spec: CouplingSpectrum, units: UnitSystem) -> SpectralSolution:
@@ -544,14 +547,11 @@ def frequency_moment(measure, k: int) -> float:
 
 
 def identity_defect(measure) -> float:
-    """<<1/omega^2>> omega0 margin - 1, with the measure's ``margin`` and
-    its ``bound_states`` ([Omega_b, pi_b], point masses beside it): 0 for
-    the exact pi, whose <<1/omega^2>> is R(0) = 1/(omega0 margin) (Grabert,
-    Schramm & Ingold, Phys. Rep. 168, 115 (1988)), as for a finite bath's
-    (K^-1)_00."""
-    inverse_square = (frequency_moment(measure, -2)
-                      + sum(p / (w * w) for w, p in measure.bound_states))
-    return inverse_square * measure.omega0 * measure.margin - 1.0
+    """<<1/omega^2>> omega0 margin - 1, with the measure's ``margin``: 0
+    for the exact pi, whose <<1/omega^2>> is R(0) = 1/(omega0 margin)
+    (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)), as for a
+    finite bath's (K^-1)_00."""
+    return frequency_moment(measure, -2) * measure.omega0 * measure.margin - 1.0
 
 
 def identity_tolerance(measure) -> float:
@@ -564,7 +564,8 @@ def bin_masses(measure, edges: np.ndarray) -> np.ndarray:
     adjacent increasing ``edges``, each bin summing its own weights in
     order (a running sum would leave every bin about 1e-16 of the whole
     mass off); nodes outside the edges count in none.  Every panel of
-    ``sol.split(edges)`` lies in one bin, so its masses of pi are exact."""
+    ``sol.split(edges)`` lies in one bin, so its masses of pi, atoms
+    included, are exact."""
     at = np.searchsorted(edges, measure.nodes, side="right") - 1
     inside = (at >= 0) & (at < edges.size - 1)
     return np.bincount(at[inside], weights=measure.weights[inside], minlength=edges.size - 1)
@@ -596,7 +597,7 @@ def refine_for_times(sol: SpectralSolution, t_max: float) -> SpectralSolution:
     breaks = sol.breaks
     h_max = ALIAS_LIMIT / t_max
     h = np.diff(breaks)
-    masses = sol.weights.reshape(h.size, -1).sum(axis=1)
+    masses = (sol.gauss * sol.pi).reshape(h.size, -1).sum(axis=1)
     violating = h > h_max
     budget = ALIAS_MASS_TOL * masses.sum()
     if masses[violating].sum() <= budget:

@@ -9,8 +9,8 @@ var_p = hbar m M1 / 2; the pair (omega_c, n_bar_c) re-expresses it as a
 thermal state at the effective frequency omega_c = sqrt(M1/Minv), which
 reproduces both variances identically.
 
-Works on any measure that fano.identity_defect reads: a
-fano.SpectralSolution, the oracle's normal modes, or bare_mode.
+Works on any (nodes, weights) measure with ``omega0`` and ``margin``: a
+fano.SpectralSolution, atoms included, the oracle's modes, or bare_mode.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .fano import SUM_TOL, frequency_moment, identity_defect, identity_tolerance
+from .fano import _certified, frequency_moment, identity_defect
 from .spectra import UnitSystem
 
 # Below this, a negative occupation is round-off; at or beyond it, the
@@ -116,8 +116,7 @@ def ground_state_moments(sol, units: UnitSystem) -> GroundStateSummary:
 def bare_mode(units: UnitSystem) -> SimpleNamespace:
     """pi for V = 0: one state at omega0 of weight 1, and margin omega0."""
     w0 = units.omega0
-    return SimpleNamespace(nodes=np.array([w0]), weights=np.array([1.0]), omega0=w0,
-                           margin=w0, bound_states=())
+    return SimpleNamespace(nodes=np.array([w0]), weights=np.array([1.0]), omega0=w0, margin=w0)
 
 
 def uncoupled_summary(units: UnitSystem) -> GroundStateSummary:
@@ -131,18 +130,15 @@ class IdentityReport:
 
     identity_defect: float   # <<1/omega^2>> omega0 margin - 1, signed
     sum_rule_defect: float   # |<<omega^2>> - omega0^2| / omega0^2
-    ok: bool                 # both within compute_pi's gates
+    ok: bool                 # the measure within compute_pi's gates
 
 
 def interpretation_identities(sol, units: UnitSystem) -> IdentityReport:
-    """Certify the low end, which sets var_x, by fano.identity_defect
-    within fano.identity_tolerance, and the high end by the omega^2 sum
-    rule within fano.SUM_TOL (on a finite bath, K[0,0] = omega0^2): the
-    two gates of fano.compute_pi besides the norm.  ``ok`` is False when
-    either misses, as on a pi damaged at that end."""
+    """The low end, which sets var_x, by fano.identity_defect, the high end
+    by the omega^2 sum rule (on a finite bath, K[0,0] = omega0^2), and
+    ``ok``, fano.compute_pi's gate, norm included: False if any misses."""
     units.require_omega0(sol.omega0)
     w0 = units.omega0
-    d_id = identity_defect(sol)
-    d_sum = abs(frequency_moment(sol, 2) - w0 * w0) / (w0 * w0)
-    return IdentityReport(identity_defect=d_id, sum_rule_defect=d_sum,
-                          ok=abs(d_id) <= identity_tolerance(sol) and d_sum <= SUM_TOL)
+    return IdentityReport(identity_defect=identity_defect(sol),
+                          sum_rule_defect=abs(frequency_moment(sol, 2) - w0 * w0) / (w0 * w0),
+                          ok=_certified(sol))

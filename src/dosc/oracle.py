@@ -281,8 +281,8 @@ class NormalModeDecomposition:
 
     ``nodes`` (the Omegas) and ``weights`` make it the same kind of
     measure as a continuum solution, for fano.moment and the dynamics
-    kernels, and ``margin`` (the model's discrete_margin) and
-    ``bound_states`` (none) for fano.identity_defect.
+    kernels, and ``margin`` (the model's discrete_margin) for
+    fano.identity_defect: every normal mode is an atom of the measure.
     """
 
     Omegas: np.ndarray
@@ -300,8 +300,6 @@ class NormalModeDecomposition:
     @property
     def omega0(self) -> float:
         return self.model.omega0
-
-    bound_states = ()    # every normal mode is in the measure
 
     @property
     def margin(self) -> float:
@@ -1005,7 +1003,10 @@ def compare_with_continuum(sol, units: UnitSystem, N: int,
     bins = checked(bins, "integer >= 1", "bins")
     bath_spec = sol.spec
     if bath_omega_max is not None:
-        bath_spec = dataclasses.replace(bath_spec, omega_max=float(bath_omega_max))
+        lo, hi, top = bath_spec.support_lower, bath_spec.support_upper, float(bath_omega_max)
+        if top < hi < math.inf:
+            raise UsageError(f"bath_omega_max must not cut into the support [{lo}, {hi}], got {top!r}")
+        bath_spec = dataclasses.replace(bath_spec, omega_max=top)
     model = discretize(bath_spec, units, N, scheme)
     decomp = normal_modes(model)
     m1 = frequency_moment(sol, 1)

@@ -214,9 +214,9 @@ def lorentzian_fit(sol) -> WeakCouplingReport:
     # each crossing of pi and the line, the kinks of |pi - lorentzian|
     cuts = _crossings(sol, lo, hi, center_fit, hwhm_fit)
     window = sol.split(np.concatenate([[lo, hi], cuts]))
-    inside = (window.nodes > lo) & (window.nodes < hi)
+    inside = (window.omegas > lo) & (window.omegas < hi)
     residual_l1 = float(window.gauss[inside] @ np.abs(
-        window.pi[inside] - _lorentz(window.nodes[inside], center_fit, hwhm_fit)))
+        window.pi[inside] - _lorentz(window.omegas[inside], center_fit, hwhm_fit)))
 
     # largest admixture ratio across one full width at half maximum
     # around the bare resonance; |beta/alpha| grows with |omega-omega0|

@@ -370,14 +370,14 @@ class TestSpectrumCommand:
         assert abs(summary["norm_defect"]) <= 1e-6
         assert abs(summary["sum_rule_defect"]) <= 1e-6
 
-    def test_outputs_rederive_bit_identically(self, capsys, tmp_path):
-        # every number is a moment of the solution's measure, the Gauss
-        # weights of the panels times pi, rebuilt here from pi.csv and
-        # the breakpoints the run used
+    def _rederive(self, capsys, tmp_path, name):
+        """Rebuild the measure of a spectrum run from pi.csv, the
+        breakpoints the run used and summary.json's atoms, and check
+        every reported number is its moment, bit for bit."""
         from dosc import fano
         from dosc.cli import load_config
 
-        config = str(CONFIGS / "flat_band.json")
+        config = str(CONFIGS / f"{name}.json")
         rc, _, _ = run(capsys, "spectrum", "--config", config, "--out", str(tmp_path))
         assert rc == 0
         data = np.loadtxt(tmp_path / "pi.csv", delimiter=",", skiprows=1)
@@ -387,10 +387,27 @@ class TestSpectrumCommand:
         assert np.array_equal(w, nodes)
         weights = gauss * pi
         summary = json.loads((tmp_path / "summary.json").read_text())
+        if summary["bound_states"]:
+            atoms, masses = np.transpose(summary["bound_states"])
+            w, weights = np.append(w, atoms), np.append(weights, masses)
         assert weights @ w ** 0 - 1.0 == summary["norm_defect"]
         assert weights @ w ** 2 - 1.0 == summary["sum_rule_defect"]
         assert weights @ w ** 1 == summary["mean_frequency"]
         assert weights @ w ** -1 == summary["mean_inverse_frequency"]
+        return summary
+
+    def test_outputs_rederive_bit_identically(self, capsys, tmp_path):
+        # every number is a moment of the solution's measure, the Gauss
+        # weights of the panels times pi, rebuilt here from pi.csv and
+        # the breakpoints the run used
+        assert self._rederive(capsys, tmp_path, "flat_band")["bound_states"] == []
+
+    def test_summary_lists_the_atoms(self, capsys, tmp_path):
+        # the band's state just below its lower edge is an atom of the
+        # measure: summary.json lists it, and with pi.csv it rebuilds the
+        # measure whose defects summary.json reports
+        (root, weight), = self._rederive(capsys, tmp_path, "sub_edge_state")["bound_states"]
+        assert 0.1 - 1e-7 < root < 0.1 and 2.47e-8 < weight < 2.48e-8
 
     @pytest.mark.parametrize("config", ["flat_band", "near_critical",
                                         "ohmic_reference", "weak_line"])
@@ -622,6 +639,15 @@ class TestCompareCommand:
         doc = json.loads((tmp_path / "comparison.json").read_text())
         assert doc["verdict"] == "fail"
         assert doc["histogram_l1"] > 0.05
+
+    def test_bath_omega_max_inside_the_support_refused_by_name(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "compare", "--config", str(CONFIGS / "flat_band.json"),
+                         "--override", "oracle.bath_omega_max=1.0", "--out", str(tmp_path))
+        assert rc == 1
+        doc = stderr_doc(err)
+        assert doc["error"] == "UsageError"
+        assert doc["message"] == ("bath_omega_max must not cut into the support "
+                                  "[0.1, 2.0], got 1.0")
 
     def test_uncoupled_comparison_exact(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "compare",

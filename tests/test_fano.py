@@ -23,7 +23,7 @@ from scipy import optimize
 from scipy.integrate import quad
 from scipy.special import exp1, expi, sici
 
-from dosc import fano, weakcoupling
+from dosc import dynamics, fano, weakcoupling
 from dosc.errors import ConvergenceError, PositivityError, UsageError
 from dosc.fano import (
     build_grid,
@@ -622,21 +622,56 @@ def test_ohmic_models_near_the_bound_pass(cutoff, margin):
         assert frequency_moment(sol, -1) == pytest.approx(2.9918224, abs=5e-8)
 
 
-def test_offset_table_passes_short_of_its_sub_edge_state():
+def test_offset_table_keeps_its_sub_edge_state_as_an_atom():
     # V jumps at both ends of the table, and a state just below its
-    # lower edge holds 7.4e-7 of the mass, below the norm's gate: the
-    # solve passes, short of exactly that weight (Simpson bisection
-    # refused it after 30,000 nodes at norm defect 1.04e-6).  The panels
-    # alone miss the low-end identity by the state's 2.8e-6 share of
-    # <<1/omega^2>>, so the solve searched for it and counts it there
+    # lower edge holds 7.4e-7 of the mass, below the norm's gate (Simpson
+    # bisection refused it after 30,000 nodes at norm defect 1.04e-6).
+    # The panels alone miss the low-end identity by the state's 2.8e-6
+    # share of <<1/omega^2>>, so the solve searched for it and keeps it
+    # as the last atom of its measure, where every defect closes
     sol = solve(TAB_OFFSET, U)
     (root, weight), = sol.bound_states
     assert f"{root:.8g}" == "0.49999997" and 7.38e-7 < weight < 7.39e-7
-    assert abs(sol.norm_defect + weight) <= 1e-10
-    assert abs(sol.identity_defect) <= 1e-11
-    panels_alone = fano.identity_defect(dataclasses.replace(sol, bound_states=[]))
-    assert abs(panels_alone + weight * U.omega0 * sol.margin / root**2) <= 1e-11
-    assert -2.8e-6 < panels_alone < -2.7e-6
+    assert sol.nodes[-1] == root and sol.weights[-1] == weight
+    assert max(abs(sol.norm_defect), abs(sol.sum_defect), abs(sol.identity_defect)) <= 1e-11
+    panels = dataclasses.replace(sol, bound_states=[])
+    assert abs(panels.norm_defect + weight) <= 1e-10
+    assert abs(panels.identity_defect + weight * U.omega0 * sol.margin / root**2) <= 1e-11
+    assert -2.8e-6 < panels.identity_defect < -2.7e-6
+
+
+def test_an_atom_counts_in_the_measure_not_in_the_panels(flat_mid, tmp_path):
+    # a synthetic atom at pi's peak: every moment, bin and kernel of the
+    # measure counts it, the kernels exactly at t = 1000 on both routes,
+    # while the panel part and its readers (the rule difference, the
+    # time split, the weak fit's window and residual, pi.csv) do not
+    spec, sol = flat_mid
+    w, p = float(sol.omegas[np.argmax(sol.pi)]), 5e-7   # light enough for |k_cos| <= 1
+    atom = dataclasses.replace(sol, bound_states=[[w, p]])
+    assert np.array_equal(atom.nodes, np.append(sol.nodes, w))
+    assert np.array_equal(atom.weights, np.append(sol.weights, p))
+    for k in (-2, -1, 0, 1, 2):
+        assert abs(frequency_moment(atom, k) - frequency_moment(sol, k) - p * w**k) <= 1e-15
+    edges = np.linspace(0.0, 2.5, 11)
+    at = np.searchsorted(edges, w, side="right") - 1
+    for with_atom, without in ((atom, sol), (atom.split(edges), sol.split(edges))):
+        extra = fano.bin_masses(with_atom, edges) - fano.bin_masses(without, edges)
+        assert abs(extra[at] - p) <= 1e-15 and not np.any(np.delete(extra, at))
+    for ts in (np.array([0.0, 500.0, 1000.0]), np.linspace(0.0, 1000.0, 101)):
+        got, ref = dynamics.kernels(atom, ts), dynamics.kernels(sol, ts)
+        assert np.array_equal(got.source.omegas, ref.source.omegas)
+        cos, sin = p * np.cos(w * ts), p * np.sin(w * ts)
+        assert np.max(np.abs(got.k_cos - ref.k_cos - cos)) <= 1e-15
+        assert np.max(np.abs(got.k_sin_over - ref.k_sin_over - sin / w)) <= 1e-15
+        assert np.max(np.abs(got.k_sin_times - ref.k_sin_times - w * sin)) <= 1e-15
+    assert fano._rule_difference(spec, U, atom.breaks, atom.pi)[0] == sol.meta["rule_difference"]
+    fit, ref = weakcoupling.lorentzian_fit(atom), weakcoupling.lorentzian_fit(sol)
+    assert fit.window_lo < w < fit.window_hi
+    assert fit.to_json() == ref.to_json()
+    assert np.array_equal(fit.overlay_pi, ref.overlay_pi)
+    atom.to_csv(tmp_path / "atom.csv")
+    sol.to_csv(tmp_path / "sol.csv")
+    assert (tmp_path / "atom.csv").read_bytes() == (tmp_path / "sol.csv").read_bytes()
 
 
 @pytest.mark.parametrize("cutoff", [0.5, 5.0])
@@ -897,6 +932,21 @@ def test_lamb_shift_diverges_on_a_band_edge():
     for spec in (FlatBand(0.2, 1.0, 2.0), TAB_OFFSET):
         with pytest.raises(ConvergenceError):
             weakcoupling.lamb_shift(spec, U, spec.support_lower)
+
+
+@pytest.mark.parametrize("spec", [FlatBand(0.3, 0.1, 2.0), TAB_OFFSET, FlatBand(0.3, 0.08, 2.58)],
+                         ids=["flat_strong", "table_offset", "wide_band"])
+def test_sub_edge_state_closes_every_gate(spec):
+    # each keeps one state just below its lower edge (2.5e-8, 7.4e-7 and
+    # 3.8e-8 of the mass): with it the norm, the sum rule and the
+    # low-end identity hold to rounding, and k_cos(0), the measure's
+    # <<1>>, reads 1 (without it 2.5e-8, 7.4e-7 and 3.8e-8 short)
+    sol = solve(spec, U)
+    (root, _), = sol.bound_states
+    assert spec.support_lower - 1e-7 < root < spec.support_lower
+    assert max(abs(sol.norm_defect), abs(sol.sum_defect), abs(sol.identity_defect)) <= 1e-11
+    k_cos0 = dynamics.kernels(sol, [0.0]).k_cos[0]
+    assert abs(k_cos0 - 1.0 - sol.norm_defect) <= 1e-15 and abs(k_cos0 - 1.0) <= 1e-11
 
 
 @pytest.mark.parametrize("spec", [TAB_KINKED, TAB_SIN2], ids=["kinked", "sin2"])

@@ -25,8 +25,6 @@ class Measure:
     frequencies, for an oscillator of frequency omega0 and stability
     margin ``margin``."""
 
-    bound_states = ()
-
     def __init__(self, weights, freqs, omega0=1.0, margin=1.0):
         self.weights = np.asarray(weights, dtype=float)
         self.nodes = np.asarray(freqs, dtype=float)
@@ -178,6 +176,18 @@ def test_certificate_fails_on_either_end():
     rep = interpretation_identities(off, U)
     assert not rep.ok and rep.identity_defect == pytest.approx(2e-9, rel=1e-6)
     assert rep.sum_rule_defect <= 1e-15
+
+
+def test_certificate_gates_the_norm_too():
+    # 0.80107 at omega 0.5 and 0.19993 at omega 2 meet the sum rule, and
+    # a margin that meets the low-end identity, with 1e-3 of mass too
+    # much: ok is compute_pi's own gate, which the norm is part of
+    b = 0.74975 / 3.75
+    a = 1.001 - b
+    measure = Measure((a, b), (0.5, 2.0), margin=1.0 / (a / 0.25 + b / 4.0))
+    rep = interpretation_identities(measure, U)
+    assert rep.sum_rule_defect <= 1e-15 and abs(rep.identity_defect) <= 1e-15
+    assert not rep.ok
 
 
 def test_outputs_stable_under_refinement(ohmic_ref):

@@ -980,6 +980,23 @@ class TestAgainstContinuum:
             assert math.log2(errs[n][0] / errs[2 * n][0]) >= 1.0
             assert math.log2(errs[n][1] / errs[2 * n][1]) >= 1.0
 
+    def test_sub_edge_state_meets_the_oracle(self, flat_strong, units):
+        # FlatBand(0.3, 0.1, 2) keeps a state of weight 2.5e-8 just below
+        # its lower edge as an atom: the uniform bath's <<1/omega>> then
+        # converges on the measure's as 1/N^2, 2.5e-9 off at N = 4000,
+        # where without the atom it stalled 2.3e-7 away up to N = 32000
+        spec, sol = flat_strong
+        assert len(sol.bound_states) == 1
+        decomp = oracle.normal_modes(oracle.discretize(spec, units, 4000))
+        assert abs(fano.frequency_moment(decomp, -1) - fano.frequency_moment(sol, -1)) <= 1e-8
+
+    def test_bath_omega_max_refused_by_its_own_name(self, flat_mid, units):
+        # the bath's bound may not cut into a bounded support either
+        _, sol = flat_mid
+        with pytest.raises(UsageError, match=r"^bath_omega_max must not cut into the support "
+                                             r"\[0\.1, 2\.0\], got 1\.0$"):
+            oracle.compare_with_continuum(sol, units, 300, bath_omega_max=1.0)
+
     def test_comparison_report(self, flat_mid, units, tmp_path):
         _, sol = flat_mid
         rep = oracle.compare_with_continuum(sol, units, 800, bins=80)
